@@ -74,7 +74,7 @@ from repro.obs import MetricsRegistry, Span, Tracer
 from repro.server import ReproServer, Result, Session, Subscription, connect
 from repro.sql import execute_sql, parse_sql
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "FOREVER",

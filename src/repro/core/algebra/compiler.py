@@ -42,6 +42,7 @@ c)`` because ``min(·, c)`` is monotone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import time
@@ -123,48 +124,50 @@ _COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
 
 
 def compile_predicate(predicate: Predicate, schema: Schema) -> Callable[[tuple], bool]:
-    """Compile a predicate into an index-bound ``row -> bool`` closure.
+    """Compile a predicate into one index-bound ``row -> bool`` function.
 
-    Attribute references are resolved against ``schema`` once, here; the
-    returned closure does plain 0-based tuple indexing with no per-row AST
-    walk, name resolution, or bounds re-checking.
+    Attribute references are resolved against ``schema`` once, here, and
+    the whole tree is emitted as a single Python expression: a row costs
+    one call doing plain 0-based tuple indexing, with no per-row AST walk,
+    name resolution, bounds re-checking or nested calls per connective.
+    Constants are bound as closure cells, never spliced into the source.
     """
-    return _closure(predicate.resolve(schema))
+    constants: List[Any] = []
+    body = _predicate_source(predicate.resolve(schema), constants)
+    return _predicate_factory(body, len(constants))(*constants)
 
 
-def _closure(predicate: Predicate) -> Callable[[tuple], bool]:
+@functools.lru_cache(maxsize=256)
+def _predicate_factory(body: str, cells: int) -> Callable[..., Callable[[tuple], bool]]:
+    # Constants live in cells, so the source depends on the predicate's
+    # shape alone and the same few shapes recur across a workload's plans.
+    names = ", ".join(f"c{index}" for index in range(cells))
+    return eval(f"lambda {names}: lambda row: {body}")
+
+
+def _predicate_source(predicate: Predicate, constants: List[Any]) -> str:
     if isinstance(predicate, Comparison):
-        compare = _COMPARATORS[predicate.op]
-        left, right = predicate.left, predicate.right
-        if isinstance(left, Attribute) and isinstance(right, Attribute):
-            i, j = left.ref - 1, right.ref - 1
-            return lambda row: compare(row[i], row[j])
-        if isinstance(left, Attribute):
-            i, value = left.ref - 1, right.evaluate(())
-            return lambda row: compare(row[i], value)
-        if isinstance(right, Attribute):
-            value, j = left.evaluate(()), right.ref - 1
-            return lambda row: compare(value, row[j])
-        constant = compare(left.evaluate(()), right.evaluate(()))
-        return lambda row: constant
-    if isinstance(predicate, And):
-        parts = [_closure(child) for child in predicate.children]
-        if len(parts) == 2:
-            first, second = parts
-            return lambda row: first(row) and second(row)
-        return lambda row: all(part(row) for part in parts)
-    if isinstance(predicate, Or):
-        parts = [_closure(child) for child in predicate.children]
-        if len(parts) == 2:
-            first, second = parts
-            return lambda row: first(row) or second(row)
-        return lambda row: any(part(row) for part in parts)
+        left = _operand_source(predicate.left, constants)
+        right = _operand_source(predicate.right, constants)
+        op = "==" if predicate.op == "=" else predicate.op
+        return f"({left} {op} {right})"
+    if isinstance(predicate, (And, Or)):
+        word = " and " if isinstance(predicate, And) else " or "
+        return "(" + word.join(
+            _predicate_source(child, constants) for child in predicate.children
+        ) + ")"
     if isinstance(predicate, Not):
-        inner = _closure(predicate.child)
-        return lambda row: not inner(row)
+        return f"(not {_predicate_source(predicate.child, constants)})"
     if isinstance(predicate, TruePredicate):
-        return lambda row: True
+        return "True"
     raise EvaluationError(f"uncompilable predicate {type(predicate).__name__}")
+
+
+def _operand_source(operand, constants: List[Any]) -> str:
+    if isinstance(operand, Attribute):
+        return f"row[{operand.ref - 1}]"
+    constants.append(operand.evaluate(()))
+    return f"c{len(constants) - 1}"
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,21 @@ class _Stream:
         self.batch = batch
         self.dup_free = dup_free
         self.billed = billed
+
+
+def _live_pairs(relation, tau: Timestamp) -> Pairs:
+    """Stream ``exp_τ(R)`` off a row-layout relation without copying it.
+
+    The filter compares raw ticks (``None`` = ∞), as the columnar kernels
+    do, so a scan pays no ``Timestamp.__lt__`` call per stored row.
+    """
+    tick = tau._value
+    if tick is None:
+        return iter(())  # nothing outlives ∞
+    return (
+        pair for pair in relation.items()
+        if (texp := pair[1]._value) is None or texp > tick
+    )
 
 
 #: A compiled node: executed with a context, yields its output stream.
@@ -531,7 +549,7 @@ def _compile_mask(predicate: Predicate):
     vector for ``n`` rows: a list-comprehension compare per column in pure
     Python, or one vectorised ufunc per comparison when ``np`` is the
     numpy module (columns are then ndarrays).  Semantics match
-    :func:`_closure` row-at-a-time evaluation elementwise.
+    :func:`compile_predicate` row-at-a-time evaluation elementwise.
     """
     if isinstance(predicate, Comparison):
         compare = _COMPARATORS[predicate.op]
@@ -811,11 +829,10 @@ class _Compiler:
                     ctx, "scan_filter", batch, INFINITY,
                     IntervalSet.from_onwards(tau), started, True,
                 )
-            # Stream exp_τ(R) without copying the relation at all.
-            pairs = (
-                (row, texp) for row, texp in relation.items() if tau < texp
+            return _Stream(
+                _live_pairs(relation, tau), INFINITY,
+                IntervalSet.from_onwards(tau),
             )
-            return _Stream(pairs, INFINITY, IntervalSet.from_onwards(tau))
 
         return run
 
@@ -833,10 +850,10 @@ class _Compiler:
                     ctx, "scan_filter", batch, INFINITY,
                     IntervalSet.from_onwards(tau), started, True,
                 )
-            pairs = (
-                (row, texp) for row, texp in relation.items() if tau < texp
+            return _Stream(
+                _live_pairs(relation, tau), INFINITY,
+                IntervalSet.from_onwards(tau),
             )
-            return _Stream(pairs, INFINITY, IntervalSet.from_onwards(tau))
 
         return run
 

@@ -36,6 +36,7 @@ from repro.engine.clock import LogicalClock
 from repro.engine.config import DatabaseConfig
 from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.partitioning import PartitionedTable, declare_partition_families
+from repro.engine.statement_cache import StatementCache
 from repro.engine.statistics import EngineStatistics
 from repro.engine.table import Table, declare_expiration_families
 from repro.engine.transactions import Transaction
@@ -154,6 +155,9 @@ class Database:
         self.default_removal_policy = default_removal_policy
         self.engine = engine
         self.plan_cache = PlanCache(plan_cache_capacity, registry=self.metrics)
+        #: SQL text -> (AST, planned expression) for repeated queries, in
+        #: front of the plan cache (see :mod:`repro.engine.statement_cache`).
+        self.statement_cache = StatementCache(registry=self.metrics)
         self.last_eval_stats = EvalStats()
         self._eval_counters = {
             fld: self.metrics.counter(name, help_text, labels=("engine",))
@@ -191,7 +195,8 @@ class Database:
         # bump it -- expiry is exactly what a result's I(e) already
         # predicts, which is what makes the plan cache effective.
         self._catalog_version = 0
-        # Schema version: bumped on DDL only; gates compiled-plan reuse.
+        # Schema version: bumped on DDL only (tables and views); gates
+        # reuse of compiled plans and of planned SQL statements.
         self._schema_version = 0
         #: Debug mode: audit every cross-structure invariant after each
         #: mutation and sweep (see :mod:`repro.check.invariants`).  Orders
@@ -604,6 +609,9 @@ class Database:
             name, expression, self, policy=policy, patch_limit=patch_limit
         )
         self._views[name] = view
+        # SQL planning inlines view definitions, so a view is part of what
+        # a planned statement was resolved against, exactly like a table.
+        self.note_schema_change()
         if self.wal is not None:
             from repro.engine.persistence import view_spec
 
@@ -634,6 +642,7 @@ class Database:
             raise CatalogError(f"unknown view {name!r}")
         self._views[name]._unsubscribe()
         del self._views[name]
+        self.note_schema_change()
         self._wal_append("drop_view", name=name)
 
     # -- durability -------------------------------------------------------------------

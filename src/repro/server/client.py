@@ -46,9 +46,7 @@ from repro.server.protocol import (
     read_frame,
     write_frame,
 )
-from repro.sql.ast import SelectQuery, SetOperation
 from repro.sql.executor import SqlResult, execute_sql
-from repro.sql.parser import parse_statements
 
 __all__ = [
     "AsyncSession",
@@ -133,19 +131,6 @@ def _result_from_payload(payload: dict) -> Result:
         now=decode_exp(payload.get("now")) if payload.get("now") is not None else ts(0),
         data_version=payload.get("data_version", 0),
     )
-
-
-def _require_single_query(text: str) -> None:
-    """``query()`` refuses non-row-producing statements *before* executing
-    them (catching it afterwards would leave the side effects applied)."""
-    statements = parse_statements(text)
-    if len(statements) != 1 or not isinstance(
-        statements[0], (SelectQuery, SetOperation)
-    ):
-        raise SessionError(
-            "query expects exactly one row-producing statement; "
-            "use execute() for DDL and DML"
-        )
 
 
 class Subscription(abc.ABC):
@@ -269,17 +254,18 @@ class LocalSession(Session):
                 f"τ={self.db.clock.now}; refusing to travel back in time"
             )
 
-    def execute(self, text: str) -> Result:
+    def _run(self, text: str, require_rows: bool) -> Result:
         self._check_open()
         self._check_floor()
-        result = execute_sql(self.db, text)
+        result = execute_sql(self.db, text, require_rows=require_rows)
         self._observe()
         return _result_from_sql(result, self.db)
 
+    def execute(self, text: str) -> Result:
+        return self._run(text, require_rows=False)
+
     def query(self, text: str) -> Result:
-        self._check_open()
-        _require_single_query(text)
-        return self.execute(text)
+        return self._run(text, require_rows=True)
 
     def subscribe(self, view: str) -> LocalSubscription:
         self._check_open()

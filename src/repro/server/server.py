@@ -50,9 +50,7 @@ from repro.server.protocol import (
     write_frame,
 )
 from repro.server.session import ServerSession, diff_states
-from repro.sql.ast import SelectQuery, SetOperation
-from repro.sql.executor import SqlResult, execute_sql, execute_statement
-from repro.sql.parser import parse_statements
+from repro.sql.executor import SqlResult, execute_sql
 
 __all__ = ["ReproServer", "declare_server_families"]
 
@@ -540,22 +538,10 @@ class ReproServer:
     def _dispatch_sql(
         self, session: ServerSession, frame: dict, rid, require_rows: bool
     ) -> None:
-        text = frame.get("text", "")
-        statements = parse_statements(text)
-        if require_rows and (
-            len(statements) != 1
-            or not isinstance(statements[0], (SelectQuery, SetOperation))
-        ):
-            raise SessionError(
-                "query expects exactly one row-producing statement; "
-                "use sql/execute for DDL and DML"
-            )
         session.check_floor()
-        if len(statements) == 1:
-            # Already parsed for classification; don't parse again.
-            result = execute_statement(self.db, statements[0])
-        else:
-            result = execute_sql(self.db, text)  # canonical one-stmt error
+        result = execute_sql(
+            self.db, frame.get("text", ""), require_rows=require_rows
+        )
         session.observe()
         session.enqueue(self._result_payload(session, result, rid))
         self.pump()

@@ -20,7 +20,7 @@ from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.engine.database import Database
 from repro.engine.views import MaintenancePolicy
-from repro.errors import SqlPlanError
+from repro.errors import SessionError, SqlPlanError
 from repro.sql.ast import (
     AdvanceTime,
     CreateTable,
@@ -44,7 +44,7 @@ from repro.sql.ast import (
 from repro.sql.parser import parse_statements
 from repro.sql.planner import plan_query
 
-__all__ = ["SqlResult", "execute_sql", "execute_script"]
+__all__ = ["SqlResult", "execute_sql", "execute_script", "execute_statement"]
 
 _POLICIES = {
     "recompute": MaintenancePolicy.RECOMPUTE,
@@ -90,8 +90,11 @@ def _source_resolver(db: Database):
     return resolve
 
 
-def _execute_query(db: Database, query: QueryNode) -> SqlResult:
-    expression = plan_query(query, _source_resolver(db))
+def _execute_query(
+    db: Database, query: QueryNode, expression: Optional[Expression] = None
+) -> SqlResult:
+    if expression is None:
+        expression = plan_query(query, _source_resolver(db))
     result = db.evaluate(expression)
     rows = _present_rows(result.relation, query)
     return SqlResult(
@@ -126,8 +129,19 @@ def _present_rows(relation: Relation, query: QueryNode) -> list:
     return rows
 
 
-def _execute_statement(db: Database, statement: Statement) -> SqlResult:
-    result = _dispatch_statement(db, statement)
+def execute_statement(
+    db: Database, statement: Statement, expression: Optional[Expression] = None
+) -> SqlResult:
+    """Execute one already-parsed statement.
+
+    ``expression`` is a query's plan when the caller already holds it
+    (:func:`_prepare` does for every single-query text, cached or not), so
+    that a query is planned at most once on its way here.
+    """
+    if isinstance(statement, (SelectQuery, SetOperation)):
+        result = _execute_query(db, statement, expression)
+    else:
+        result = _dispatch_statement(db, statement)
     db.metrics.counter(
         "repro_sql_statements_total",
         "SQL statements executed, by result kind.",
@@ -228,9 +242,6 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
             message=f"{len(victims)} row(s) deleted from {statement.table}",
             rowcount=len(victims),
         )
-
-    if isinstance(statement, (SelectQuery, SetOperation)):
-        return _execute_query(db, statement)
 
     if isinstance(statement, CreateView):
         expression = plan_query(statement.query, _source_resolver(db))
@@ -400,27 +411,52 @@ def _plan_delete_predicate(db: Database, probe: SelectQuery):
     return _plan_condition(probe.where, env)
 
 
-def execute_sql(db: Database, text: str) -> SqlResult:
-    """Parse and execute exactly one statement."""
+def _prepare(db: Database, text: str) -> List[Tuple[Statement, Optional[Expression]]]:
+    """SQL text as ``(statement, plan or None)`` pairs, ready to execute.
+
+    The one place text becomes statements, behind the database's statement
+    cache.  Only a text that is a single row-producing statement carries a
+    plan, and only such a pair is kept: it is a pure function of the text
+    and the catalog (``schema_version``).  Everything else -- DML and DDL,
+    ``ADVANCE``, ``EXPLAIN``, scripts, and whatever fails to parse or plan
+    -- costs the one failed probe and is parsed every time; script members
+    are planned when their turn comes, after the statements before them.
+    """
+    schema_version = db.schema_version
+    cache = db.statement_cache
+    prepared = cache.get(text, schema_version)
+    if prepared is not None:
+        return [prepared]
     statements = parse_statements(text)
-    if len(statements) != 1:
+    if len(statements) == 1 and isinstance(statements[0], (SelectQuery, SetOperation)):
+        query = statements[0]
+        prepared = (query, plan_query(query, _source_resolver(db)))
+        cache.put(text, schema_version, prepared)
+        return [prepared]
+    return [(statement, None) for statement in statements]
+
+
+def execute_sql(db: Database, text: str, require_rows: bool = False) -> SqlResult:
+    """Execute exactly one statement.
+
+    ``require_rows`` is the sessions' ``query()`` verb: anything but a
+    single row-producing statement is refused *before* it executes
+    (catching it afterwards would leave the side effects applied).
+    """
+    prepared = _prepare(db, text)
+    if require_rows and (len(prepared) != 1 or prepared[0][1] is None):
+        raise SessionError(
+            "query expects exactly one row-producing statement; "
+            "use execute() for DDL and DML"
+        )
+    if len(prepared) != 1:
         raise SqlPlanError(
-            f"execute_sql expects one statement, got {len(statements)}; "
+            f"execute_sql expects one statement, got {len(prepared)}; "
             f"use execute_script"
         )
-    return _execute_statement(db, statements[0])
-
-
-def execute_statement(db: Database, statement: Statement) -> SqlResult:
-    """Execute one already-parsed statement.
-
-    The server's dispatch path parses once to classify the request and
-    then executes the same AST here, instead of paying a second parse
-    inside :func:`execute_sql`.
-    """
-    return _execute_statement(db, statement)
+    return execute_statement(db, *prepared[0])
 
 
 def execute_script(db: Database, text: str) -> List[SqlResult]:
-    """Parse and execute a ``;``-separated script, returning all results."""
-    return [_execute_statement(db, s) for s in parse_statements(text)]
+    """Execute a ``;``-separated script, returning all results."""
+    return [execute_statement(db, *pair) for pair in _prepare(db, text)]
