@@ -44,7 +44,9 @@ found rather than raising, so callers choose strictness
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from repro.core.algebra.evaluator import Evaluator
 from repro.core.timestamps import ts
@@ -68,7 +70,32 @@ class Violation:
         return f"[{self.invariant}] {self.subject}: {self.message}"
 
 
-Check = Callable[["Database"], Iterator[Violation]]
+class _TickMaps:
+    """Each table's index and storage as ``row -> raw tick`` dicts.
+
+    Built at most once per table per :func:`run_invariants` call and
+    shared by the two index checks, which then compare plain ints
+    (``None`` = never expires) instead of decoding a ``Timestamp`` per
+    entry per check.
+    """
+
+    def __init__(self, database: "Database") -> None:
+        self._database = database
+        self._maps: Dict[str, Tuple[dict, dict]] = {}
+
+    def of(self, name: str) -> Tuple[dict, dict]:
+        """``(scheduled, stored)`` for table ``name``."""
+        maps = self._maps.get(name)
+        if maps is None:
+            table = self._database.table(name)
+            maps = self._maps[name] = (
+                dict(table._index.pending_raw()),
+                {row: texp._value for row, texp in table.relation.items()},
+            )
+        return maps
+
+
+Check = Callable[["Database", _TickMaps], Iterator[Violation]]
 
 _STRUCTURAL: List[Tuple[str, Check]] = []
 _DEEP: List[Tuple[str, Check]] = []
@@ -111,10 +138,11 @@ def run_invariants(
     wanted = None if names is None else set(names)
     checks = list(_STRUCTURAL) + (list(_DEEP) if deep else [])
     violations: List[Violation] = []
+    ticks = _TickMaps(database)
     for name, check in checks:
         if wanted is not None and name not in wanted:
             continue
-        violations.extend(check(database))
+        violations.extend(check(database, ticks))
     return violations
 
 
@@ -122,13 +150,12 @@ def run_invariants(
 
 
 @_structural("index-schedules-stored")
-def _index_schedules_stored(db: "Database") -> Iterator[Violation]:
-    now = db.clock.now
+def _index_schedules_stored(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
+    now = db.clock.now._value
     for name in db.table_names():
-        table = db.table(name)
-        scheduled = {row: stamp for row, stamp in table._index.pending()}
-        for row, texp in table.relation.items():
-            if not texp.is_finite or texp <= now:
+        scheduled, stored = ticks.of(name)
+        for row, texp in stored.items():
+            if texp is None or texp <= now:
                 continue  # immortal rows are never indexed; expired rows
                 # may already sit in a due buffer awaiting vacuum
             entry = scheduled.get(row)
@@ -147,19 +174,19 @@ def _index_schedules_stored(db: "Database") -> Iterator[Violation]:
 
 
 @_structural("index-entries-stored")
-def _index_entries_stored(db: "Database") -> Iterator[Violation]:
+def _index_entries_stored(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
     for name in db.table_names():
-        table = db.table(name)
-        for row, stamp in table._index.pending():
-            current = table.relation.expiration_or_none(row)
-            if current is None:
+        scheduled, stored = ticks.of(name)
+        for row, stamp in scheduled.items():
+            if row not in stored:
                 yield Violation(
                     "index-entries-stored",
                     f"{name}{row}",
                     f"index entry at {stamp} refers to a row that is not "
                     f"physically present (phantom ON-EXPIRE)",
                 )
-            elif current != stamp:
+            elif stored[row] != stamp:
+                current = "inf" if stored[row] is None else stored[row]
                 yield Violation(
                     "index-entries-stored",
                     f"{name}{row}",
@@ -168,7 +195,7 @@ def _index_entries_stored(db: "Database") -> Iterator[Violation]:
 
 
 @_structural("due-buffer-consistent")
-def _due_buffer_consistent(db: "Database") -> Iterator[Violation]:
+def _due_buffer_consistent(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
     now = db.clock.now
 
     def audit(name: str, shard: str, entries) -> Iterator[Violation]:
@@ -202,7 +229,7 @@ def _due_buffer_consistent(db: "Database") -> Iterator[Violation]:
 
 
 @_structural("shard-routing")
-def _shard_routing(db: "Database") -> Iterator[Violation]:
+def _shard_routing(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
     for name in db.table_names():
         table = db.table(name)
         if not isinstance(table, PartitionedTable):
@@ -241,7 +268,7 @@ def _shard_routing(db: "Database") -> Iterator[Violation]:
 
 
 @_structural("physical-covers-live")
-def _physical_covers_live(db: "Database") -> Iterator[Violation]:
+def _physical_covers_live(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
     for name in db.table_names():
         table = db.table(name)
         live, physical = len(table), table.physical_size
@@ -257,7 +284,7 @@ def _physical_covers_live(db: "Database") -> Iterator[Violation]:
 
 
 @_deep("view-freshness")
-def _view_freshness(db: "Database") -> Iterator[Violation]:
+def _view_freshness(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
     now = db.clock.now
     for name in db.view_names():
         view = db.view(name)
@@ -275,7 +302,7 @@ def _view_freshness(db: "Database") -> Iterator[Violation]:
 
 
 @_deep("plan-cache-consistent")
-def _plan_cache_consistent(db: "Database") -> Iterator[Violation]:
+def _plan_cache_consistent(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
     now = db.clock.now
     for expression, entry in db.plan_cache.entries():
         # Mirror the cache's own serve conditions: entries it would refuse

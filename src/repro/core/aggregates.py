@@ -14,20 +14,26 @@ time to a tuple produced by ``agg``:
 3. **Exact** (Equation 9): the change-point function ``ν(τ, P, f)`` -- the
    first time the aggregate value actually changes.  The paper notes χ/ν
    "are best calculated when the actual aggregate values ... are computed";
-   we do exactly that, replaying the partition's expiration schedule.
+   we do exactly that, in one suffix scan over the partition's expiration
+   order (:func:`timeline_steps`).
 
 All three are implemented here, both so the evaluator can be configured
 with a strategy and so the benchmarks can compare their lifetimes
-(experiment T1 / S34a in DESIGN.md).  The exact replay additionally yields
+(experiment T1 / S34a in DESIGN.md).  The suffix scan additionally yields
 the full *value timeline* of a partition, which powers the Schrödinger
-validity intervals of Section 3.4.1.
+validity intervals of Section 3.4.1; every exact-change-point helper
+below reads the steps it returns.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate, groupby
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.intervals import Interval, IntervalSet
 from repro.core.timestamps import INFINITY, Timestamp, ts, ts_max, ts_min
@@ -49,6 +55,10 @@ __all__ = [
     "time_sliced_sets",
     "contributing_set",
     "neutral_set_expiration",
+    "timeline_steps",
+    "alive_steps",
+    "step_spans",
+    "partition_head",
     "value_timeline",
     "change_points",
     "exact_expiration",
@@ -99,12 +109,74 @@ class AggregateFunction:
         """Table 1: is ``subset ⊆ partition`` neutral with respect to self?"""
         raise NotImplementedError
 
+    def fold(
+        self, values: Sequence[Any], slices: Sequence[Sequence[int]]
+    ) -> Iterable[Any]:
+        """The aggregate after each time slice joins, latest expiration first.
+
+        ``values[p]`` is the value of partition member ``p``; each slice
+        lists, in ascending order, the positions of the members that
+        expire at one instant.  The ``j``-th value produced must be
+        *exactly* what :meth:`apply` returns for the members of
+        ``slices[0..j]`` taken in partition order -- this is the hook
+        :func:`timeline_steps` drives, and the reason a timeline needs no
+        replay.
+
+        The default keeps the joined positions in partition order and
+        calls :meth:`apply`, so an aggregate that defines only ``apply``
+        is correct by construction (at ``O(n)`` per slice).  The built-ins
+        override it with ``O(1)`` per member wherever the running state
+        cannot depend on the order members joined in.
+        """
+        joined: List[int] = []
+        for time_slice in slices:
+            # Two ascending runs: the sort is a linear merge.
+            joined = sorted(joined + list(time_slice))
+            yield self.apply([values[p] for p in joined])
+
     def __repr__(self) -> str:
         return f"<aggregate {self.name}>"
 
 
 def _values(items: Iterable[PartitionItem]) -> List[Any]:
     return [value for value, _ in items]
+
+
+def _fold_extreme(
+    values: Sequence[Any],
+    slices: Sequence[Sequence[int]],
+    pick: Callable[..., int],
+    beats: Callable[[Any, Any], bool],
+) -> Iterator[Any]:
+    """Running ``min``/``max`` that names the member ``pick`` would return.
+
+    ``min([1.0, 1])`` is ``1.0``: among equal extremes the builtins return
+    the first in sequence order, so the fold tracks the *position* of the
+    extreme and lets an equal value at an earlier position take over.
+    """
+    best: Optional[int] = None
+    for time_slice in slices:
+        candidate = pick(time_slice, key=values.__getitem__)
+        if best is None or beats(values[candidate], values[best]) or (
+            candidate < best and not beats(values[best], values[candidate])
+        ):
+            best = candidate
+        yield values[best]
+
+
+def _exact_totals(
+    values: Sequence[Any], slices: Sequence[Sequence[int]]
+) -> Optional[Iterator[int]]:
+    """Running totals per slice, or ``None`` unless every value is an int.
+
+    Integer addition is exact in any order; a float total depends on the
+    order of its additions, so anything else is left to the base fold,
+    which sums in partition order exactly as ``apply`` does.
+    """
+    if not all(type(value) is int for value in values):
+        return None
+    value_at = values.__getitem__
+    return accumulate(sum(map(value_at, time_slice)) for time_slice in slices)
 
 
 class MinAggregate(AggregateFunction):
@@ -114,6 +186,9 @@ class MinAggregate(AggregateFunction):
 
     def apply(self, values: Sequence[Any]) -> Any:
         return min(values)
+
+    def fold(self, values, slices):
+        return _fold_extreme(values, slices, min, operator.lt)
 
     def is_neutral(
         self, subset: Sequence[PartitionItem], partition: Sequence[PartitionItem]
@@ -142,6 +217,9 @@ class MaxAggregate(AggregateFunction):
     def apply(self, values: Sequence[Any]) -> Any:
         return max(values)
 
+    def fold(self, values, slices):
+        return _fold_extreme(values, slices, max, operator.gt)
+
     def is_neutral(
         self, subset: Sequence[PartitionItem], partition: Sequence[PartitionItem]
     ) -> bool:
@@ -167,6 +245,10 @@ class SumAggregate(AggregateFunction):
     def apply(self, values: Sequence[Any]) -> Any:
         return sum(values)
 
+    def fold(self, values, slices):
+        totals = _exact_totals(values, slices)
+        return super().fold(values, slices) if totals is None else totals
+
     def is_neutral(
         self, subset: Sequence[PartitionItem], partition: Sequence[PartitionItem]
     ) -> bool:
@@ -182,6 +264,9 @@ class CountAggregate(AggregateFunction):
 
     def apply(self, values: Sequence[Any]) -> Any:
         return len(values)
+
+    def fold(self, values, slices):
+        return accumulate(map(len, slices))
 
     def is_neutral(
         self, subset: Sequence[PartitionItem], partition: Sequence[PartitionItem]
@@ -205,6 +290,12 @@ class AvgAggregate(AggregateFunction):
         if isinstance(total, float):
             return total / len(values)
         return Fraction(total, len(values))
+
+    def fold(self, values, slices):
+        totals = _exact_totals(values, slices)
+        if totals is None:
+            return super().fold(values, slices)
+        return map(Fraction, totals, accumulate(map(len, slices)))
 
     def is_neutral(
         self, subset: Sequence[PartitionItem], partition: Sequence[PartitionItem]
@@ -320,41 +411,111 @@ def neutral_set_expiration(
 # ---------------------------------------------------------------------------
 
 
-def value_timeline(
-    partition: Sequence[PartitionItem], function: AggregateFunction, tau: Timestamp
-) -> List[Tuple[Interval, Any]]:
-    """The aggregate value of ``exp_τ'(P)`` as a step function of ``τ'``.
+#: Raw tick standing in for ``∞`` while sorting: above every finite tick.
+_NEVER = float("inf")
 
-    Returns ``[(interval, value), ...]`` covering ``[τ, death)`` where
-    ``death`` is the partition's latest expiration (or ``∞``); after
-    ``death`` the partition is empty and there is no value.  Consecutive
-    intervals with equal values are merged, so each boundary is a real
-    change point.
+#: ``[(start tick, value), ...]`` in time order, and the tick at which the
+#: last step ends (``None`` = the partition never fully expires).
+Steps = Tuple[List[Tuple[int, Any]], Optional[int]]
+
+
+def timeline_steps(
+    partition: Sequence[PartitionItem], function: AggregateFunction, tau: Timestamp
+) -> Steps:
+    """The aggregate value of ``exp_τ'(P)`` as steps on raw ticks.
+
+    One suffix scan: the members alive at ``τ`` are sorted by expiration
+    once and joined from the latest expiration backwards through
+    :meth:`AggregateFunction.fold`; the value after the slice expiring at
+    ``b`` has joined is the value on ``[b', b)``, ``b'`` being the next
+    earlier expiration (or ``τ``).  ``O(n log n)`` for the built-ins,
+    against one pass over the partition *per distinct expiration* for a
+    forward replay.
+
+    Returns ``(steps, death)``: ``steps[i] = (start, value)`` holds until
+    ``steps[i + 1]`` starts, the last until ``death``.  Equal neighbours
+    are merged (keeping the earlier step's value object), so every start
+    after the first is a real change point.  ``steps`` is empty when no
+    member outlives ``τ``.
 
     This is the operational form of the paper's remark that χ and ν "are
     best calculated when the actual aggregate values ... are computed".
     """
-    alive = [(value, texp) for value, texp in partition if tau < texp]
+    now = ts(tau)._value
+    if now is None:
+        return [], None  # nothing outlives ∞
+    ticks = [
+        _NEVER if (tick := texp._value) is None else tick for _, texp in partition
+    ]
+    alive = [position for position, tick in enumerate(ticks) if tick > now]
     if not alive:
-        return []
-    timeline: List[Tuple[Interval, Any]] = []
-    cursor = tau
-    current_value = function.apply(_values(alive))
-    boundaries = sorted(
-        {texp.value for _, texp in alive if texp.is_finite and texp > tau}
-    )
-    for boundary in boundaries:
-        boundary_ts = ts(boundary)
-        alive = [(value, texp) for value, texp in alive if boundary_ts < texp]
-        new_value = function.apply(_values(alive)) if alive else None
-        if new_value != current_value or not alive:
-            timeline.append((Interval(cursor, boundary_ts), current_value))
-            cursor = boundary_ts
-            current_value = new_value
-        if not alive:
-            return timeline
-    timeline.append((Interval(cursor, INFINITY), current_value))
-    return timeline
+        return [], None
+    # Stable, also under ``reverse``: each slice lists ascending positions.
+    alive.sort(key=ticks.__getitem__, reverse=True)
+    boundaries: List[Any] = []
+    slices: List[List[int]] = []
+    for tick, members in groupby(alive, key=ticks.__getitem__):
+        boundaries.append(tick)
+        slices.append(list(members))
+    starts = boundaries[1:] + [now]
+    steps: List[Tuple[int, Any]] = []  # built latest-first
+    for start, value in zip(starts, function.fold(_values(partition), slices)):
+        if steps and not steps[-1][1] != value:
+            steps[-1] = (start, value)
+        else:
+            steps.append((start, value))
+    steps.reverse()
+    return steps, None if boundaries[0] == _NEVER else boundaries[0]
+
+
+def _stamp(tick: Optional[int]) -> Timestamp:
+    return INFINITY if tick is None else Timestamp(tick)
+
+
+def alive_steps(
+    partition: Sequence[PartitionItem], function: AggregateFunction, tau: Timestamp
+) -> Steps:
+    """:func:`timeline_steps`, refusing a partition fully expired at ``τ``."""
+    steps, death = timeline_steps(partition, function, tau)
+    if not steps:
+        raise AggregateError(f"partition fully expired at τ = {tau}")
+    return steps, death
+
+
+def step_spans(steps: List[Tuple[int, Any]], death: Optional[int]):
+    """``(start, end, value)`` per step, on raw ticks (``None`` = ∞)."""
+    ends = [start for start, _ in steps[1:]]
+    ends.append(death)
+    return ((start, end, value) for (start, value), end in zip(steps, ends))
+
+
+def partition_head(
+    partition: Sequence[PartitionItem], function: AggregateFunction, tau: Timestamp
+) -> Tuple[Any, Timestamp, Timestamp]:
+    """``(f(exp_τ(P)), ν(τ, P, f), death)`` -- the timeline's first step.
+
+    ``ν`` (Equation 9) is when the value first changes, the partition's
+    death included; ``death`` is its latest expiration.
+    """
+    steps, death = alive_steps(partition, function, tau)
+    dies_at = _stamp(death)
+    nu = Timestamp(steps[1][0]) if len(steps) > 1 else dies_at
+    return steps[0][1], nu, dies_at
+
+
+def value_timeline(
+    partition: Sequence[PartitionItem], function: AggregateFunction, tau: Timestamp
+) -> List[Tuple[Interval, Any]]:
+    """:func:`timeline_steps` as ``[(interval, value), ...]``.
+
+    Covers ``[τ, death)`` where ``death`` is the partition's latest
+    expiration (or ``∞``); after ``death`` the partition is empty and
+    there is no value.
+    """
+    return [
+        (Interval(_stamp(start), _stamp(end)), value)
+        for start, end, value in step_spans(*timeline_steps(partition, function, tau))
+    ]
 
 
 def change_points(
@@ -368,11 +529,10 @@ def change_points(
     :func:`change_points` trivially satisfies since each change consumes at
     least one tuple expiration.
     """
-    timeline = value_timeline(partition, function, tau)
-    points: List[Timestamp] = []
-    for interval, _ in timeline:
-        if interval.end.is_finite:
-            points.append(interval.end)
+    steps, death = timeline_steps(partition, function, tau)
+    points = [Timestamp(start) for start, _ in steps[1:]]
+    if death is not None:
+        points.append(Timestamp(death))
     return points
 
 
@@ -386,10 +546,7 @@ def exact_expiration(
     death, where there is no value at all).  Returns ``∞`` when the value
     never changes and the partition never fully expires.
     """
-    timeline = value_timeline(partition, function, tau)
-    if not timeline:
-        raise AggregateError(f"partition fully expired at τ = {tau}")
-    return timeline[0][0].end
+    return partition_head(partition, function, tau)[1]
 
 
 def strategy_expiration(
@@ -440,11 +597,13 @@ def partition_invalidation_time(
     the materialised rows have all expired by then, matching the (empty)
     recomputation.  Returns ``∞`` when the materialisation never disagrees.
     """
-    expiration = strategy_expiration(partition, function, tau, strategy)
-    nu = exact_expiration(partition, function, tau)
-    dies_at = ts_max(texp for _, texp in partition)
-    outliving = any(expiration < texp for _, texp in partition)
-    if outliving and expiration < nu:
+    _, nu, dies_at = partition_head(partition, function, tau)
+    if strategy is ExpirationStrategy.EXACT:
+        expiration = nu
+    else:
+        expiration = strategy_expiration(partition, function, tau, strategy)
+    # ``expiration < dies_at``: some source row outlives the result rows.
+    if expiration < dies_at and expiration < nu:
         return expiration
     if nu < dies_at:
         return nu
@@ -465,18 +624,12 @@ def partition_invalidity(
     tuple with this value" holds.  This powers both Theorem-2 style
     validity checks and the Schrödinger interval sets of Section 3.4.1.
     """
-    timeline = value_timeline(partition, function, tau)
-    if not timeline:
-        raise AggregateError(f"partition fully expired at τ = {tau}")
-    query_value = timeline[0][1]
     visible = (
         IntervalSet.single(tau, materialised_expiration)
         if tau < materialised_expiration
         else IntervalSet.empty()
     )
-    correct = IntervalSet(
-        interval for interval, value in timeline if value == query_value
-    )
+    correct = tuple_validity_intervals(partition, function, tau)
     # Symmetric difference: visible-but-wrong ∪ absent-but-should-be-there.
     return (visible - correct) | (correct - visible)
 
@@ -489,10 +642,10 @@ def tuple_validity_intervals(
     The union of all maximal no-change intervals over which the aggregate
     equals its value at query time ``τ``.
     """
-    timeline = value_timeline(partition, function, tau)
-    if not timeline:
-        raise AggregateError(f"partition fully expired at τ = {tau}")
-    query_value = timeline[0][1]
-    return IntervalSet(
-        interval for interval, value in timeline if value == query_value
+    steps, death = alive_steps(partition, function, tau)
+    query_value = steps[0][1]
+    return IntervalSet.from_pairs(
+        (start, end)
+        for start, end, value in step_spans(steps, death)
+        if value == query_value
     )

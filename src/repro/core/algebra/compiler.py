@@ -53,7 +53,7 @@ from repro.core.aggregates import (
     conservative_expiration,
     get_aggregate,
     neutral_set_expiration,
-    value_timeline,
+    partition_head,
 )
 from repro.core.algebra.evaluator import Catalog, EvalResult, EvalStats, operator_label
 from repro.core.algebra.expressions import (
@@ -93,7 +93,7 @@ from repro.core.columnar import (
 from repro.core.intervals import IntervalSet
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts, ts_max, ts_min
+from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts, ts_min
 from repro.errors import CatalogError, EvaluationError
 
 __all__ = [
@@ -357,33 +357,29 @@ def _partition_bounds(
     function: Any,
     tau: Timestamp,
     strategy: "ExpirationStrategy",
-) -> Tuple[Any, Timestamp, Timestamp]:
-    """One partition's (value, strategy expiration, invalidation time).
+) -> Tuple[Any, Timestamp, Timestamp, Timestamp]:
+    """One partition's (value, strategy expiration, invalidation time, death).
 
     Semantically identical to ``function.apply`` + ``strategy_expiration``
     + ``partition_invalidation_time`` from :mod:`repro.core.aggregates`,
-    but derives all three from a *single* :func:`value_timeline` pass --
-    those helpers each rebuild the timeline, which dominates aggregate
-    evaluation cost.  Items must all be alive at ``tau`` (compiled streams
-    only carry tuples with ``texp > τ``), so the timeline is non-empty.
+    all read off the head of *one* timeline scan.  Items must all be alive
+    at ``tau`` (compiled streams only carry tuples with ``texp > τ``), so
+    the timeline is non-empty.
     """
-    timeline = value_timeline(items, function, tau)
-    value = timeline[0][1]
-    nu = timeline[0][0].end  # Equation (9): first value change
+    value, nu, dies_at = partition_head(items, function, tau)
     if strategy is ExpirationStrategy.CONSERVATIVE:
         expiration = conservative_expiration(items)
     elif strategy is ExpirationStrategy.NEUTRAL_SETS:
         expiration = neutral_set_expiration(items, function)
     else:
         expiration = nu
-    dies_at = ts_max(texp for _, texp in items)
-    if expiration < nu and any(expiration < texp for _, texp in items):
+    if expiration < nu and expiration < dies_at:
         invalidation = expiration
     elif nu < dies_at:
         invalidation = nu
     else:
         invalidation = INFINITY
-    return value, expiration, invalidation
+    return value, expiration, invalidation, dies_at
 
 
 def _parallel_source(
@@ -1628,8 +1624,8 @@ class _Compiler:
                     items = [(None, texp) for _, texp in partition]
                 else:
                     items = [(row[value_index], texp) for row, texp in partition]
-                value, partition_expiration, invalidation = _partition_bounds(
-                    items, function, tau, strategy
+                value, partition_expiration, invalidation, dies_at = (
+                    _partition_bounds(items, function, tau, strategy)
                 )
                 if invalidation < expression_bound:
                     expression_bound = invalidation
@@ -1639,8 +1635,11 @@ class _Compiler:
                     existing = result_get(extended)
                     if existing is None or existing < capped:
                         result[extended] = capped
-                    if capped < texp:
-                        invalid_pairs.append((capped, texp))
+                if partition_expiration < dies_at:
+                    # Rows capped at the partition expiration are missing
+                    # until their own texp; the longest-lived row covers
+                    # every other capped row's gap.
+                    invalid_pairs.append((partition_expiration, dies_at))
 
             validity = (
                 IntervalSet.from_onwards(tau) - IntervalSet.from_pairs(invalid_pairs)

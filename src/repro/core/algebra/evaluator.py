@@ -54,7 +54,7 @@ from repro.core.algebra.expressions import (
 from repro.core.intervals import Interval, IntervalSet
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts, ts_min
+from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts, ts_max, ts_min
 from repro.core.tuples import Row
 from repro.errors import CatalogError, EvaluationError
 
@@ -559,11 +559,15 @@ class Evaluator:
                 tuple_expiration = texp if texp < partition_expiration else partition_expiration
                 result.insert(row + (value,), expires_at=tuple_expiration)
                 self.stats.tuples_emitted += 1
-                if tuple_expiration < texp:
-                    # The recomputation keeps this row (with some aggregate
-                    # value) until texp_R(r); the materialisation loses it at
-                    # its assigned expiration -- invalid in between.
-                    invalid = invalid | IntervalSet.single(tuple_expiration, texp)
+            dies_at = ts_max(texp for _, texp in members)
+            if partition_expiration < dies_at:
+                # The recomputation keeps each row (with some aggregate
+                # value) until texp_R(r); the materialisation loses it at
+                # the partition expiration -- invalid in between.  The
+                # longest-lived row's gap covers every other row's.
+                invalid = invalid | IntervalSet.single(
+                    partition_expiration, dies_at
+                )
 
         validity = (IntervalSet.from_onwards(self.tau) - invalid) & child.validity
         return EvalResult(result, expression_bound, validity, self.tau)

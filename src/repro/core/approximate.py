@@ -27,9 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from repro.core.aggregates import AggregateFunction, PartitionItem, value_timeline
-from repro.core.intervals import Interval, IntervalSet
-from repro.core.timestamps import INFINITY, Timestamp
+from repro.core.aggregates import (
+    AggregateFunction,
+    PartitionItem,
+    alive_steps,
+    get_aggregate,
+    step_spans,
+)
+from repro.core.intervals import IntervalSet
+from repro.core.timestamps import Timestamp
 from repro.errors import AggregateError
 
 __all__ = [
@@ -95,6 +101,16 @@ class RelativeTolerance(Tolerance):
 EXACT_TOLERANCE = AbsoluteTolerance(0)
 
 
+def _first_rejected(steps, death, tolerance: Tolerance) -> "int | None":
+    """Raw tick at which the true value first leaves the band around the
+    query-time value; the partition's death if it never does."""
+    reported = steps[0][1]
+    for start, value in steps:
+        if not tolerance.accepts(reported, value):
+            return start
+    return death
+
+
 def approximate_expiration(
     partition: Sequence[PartitionItem],
     function: AggregateFunction,
@@ -109,16 +125,8 @@ def approximate_expiration(
     The partition's death always expires the tuple (there is no value to
     approximate any more).
     """
-    timeline = value_timeline(partition, function, tau)
-    if not timeline:
-        raise AggregateError(f"partition fully expired at τ = {tau}")
-    reported = timeline[0][1]
-    for interval, value in timeline:
-        if not tolerance.accepts(reported, value):
-            return interval.start
-    # Every value stays in band; the tuple survives until the partition
-    # dies (the last interval's end, ∞ if some member never expires).
-    return timeline[-1][0].end
+    steps, death = alive_steps(partition, function, tau)
+    return Timestamp(_first_rejected(steps, death, tolerance))
 
 
 def approximate_validity(
@@ -133,13 +141,11 @@ def approximate_validity(
     :func:`repro.core.aggregates.tuple_validity_intervals`: the union of
     timeline intervals whose value the tolerance accepts.
     """
-    timeline = value_timeline(partition, function, tau)
-    if not timeline:
-        raise AggregateError(f"partition fully expired at τ = {tau}")
-    reported = timeline[0][1]
-    return IntervalSet(
-        interval
-        for interval, value in timeline
+    steps, death = alive_steps(partition, function, tau)
+    reported = steps[0][1]
+    return IntervalSet.from_pairs(
+        (start, end)
+        for start, end, value in step_spans(steps, death)
         if tolerance.accepts(reported, value)
     )
 
@@ -151,49 +157,25 @@ def approximate_count_validity(
 ) -> "tuple[int, IntervalSet]":
     """``(count, validity)`` for COUNT under expiration-only drift.
 
-    The COUNT special case of :func:`approximate_validity` without the
-    :func:`~repro.core.aggregates.value_timeline` machinery: a count over
-    an expiring partition only ever *decreases* as time passes, so the
-    accepted region is one contiguous interval ``[τ, h)`` where ``h`` is
-    the first expiration instant at which the cumulative drop leaves the
-    tolerance band -- computable with a sort and a single scan.  This is
-    the continuous-query hot path (:mod:`repro.workloads.streaming`
-    re-derives each standing count's ``I(e)`` from exactly this), where
-    building the full timeline per refresh would dominate.
+    A count over an expiring partition only ever *decreases* as time
+    passes, so the accepted region is one contiguous interval ``[τ, h)``
+    where ``h`` is the first expiration instant at which the cumulative
+    drop leaves the tolerance band.  This is the continuous-query hot
+    path (:mod:`repro.workloads.streaming` re-derives each standing
+    count's ``I(e)`` from exactly this).
 
     ``texps`` are the partition members' stored expirations; members dead
-    at ``τ`` are ignored.  Like the general machinery, the partition's
-    death bounds the validity even when every drop stays in band.
-    Equivalent to ``approximate_validity`` with
-    :class:`~repro.core.aggregates.CountAggregate` on every input (a
+    at ``τ`` are ignored.  The partition's death bounds the validity even
+    when every drop stays in band.  Equivalent to ``approximate_validity``
+    with :class:`~repro.core.aggregates.CountAggregate` on every input (a
     property the test suite pins down).
     """
-    finite: list = []
-    immortal = 0
-    for texp in texps:
-        if texp <= tau:
-            continue
-        if texp.is_finite:
-            finite.append(texp.value)
-        else:
-            immortal += 1
-    count = immortal + len(finite)
-    if count == 0:
-        raise AggregateError(f"partition fully expired at τ = {tau}")
-    finite.sort()
-    index = 0
-    total = len(finite)
-    while index < total:
-        run_end = index
-        while run_end + 1 < total and finite[run_end + 1] == finite[index]:
-            run_end += 1
-        # Once the clock reaches this expiration instant, every member up
-        # to the end of the equal run is dead.
-        if not tolerance.accepts(count, count - (run_end + 1)):
-            return count, IntervalSet.single(tau, finite[index])
-        index = run_end + 1
-    death = INFINITY if immortal else finite[-1]
-    return count, IntervalSet.single(tau, death)
+    steps, death = alive_steps(
+        [(None, texp) for texp in texps], get_aggregate("count"), tau
+    )
+    return steps[0][1], IntervalSet.single(
+        tau, _first_rejected(steps, death, tolerance)
+    )
 
 
 def max_observed_error(
@@ -206,21 +188,17 @@ def max_observed_error(
     value over ``[τ, until)`` -- the error actually incurred by *not*
     expiring the tuple in that window (used by the bench to verify that
     tolerances bound the real error, not just the change count)."""
-    timeline = value_timeline(partition, function, tau)
-    if not timeline:
-        raise AggregateError(f"partition fully expired at τ = {tau}")
-    reported = timeline[0][1]
+    steps, _ = alive_steps(partition, function, tau)
+    reported = steps[0][1]
     worst = 0
-    window = IntervalSet.single(tau, until) if tau < until else IntervalSet.empty()
-    for interval, value in timeline:
-        if (IntervalSet((interval,)) & window).is_empty:
-            continue
+    for start, value in steps:
+        # Steps start at τ and ascend: the window's left edge never cuts.
+        if not until > start:
+            break
         try:
             drift = abs(value - reported)
         except TypeError:
-            drift = 0 if value == reported else None
-        if drift is None:
-            continue
+            continue  # a non-numeric value either matches or has no distance
         if drift > worst:
             worst = drift
     return worst

@@ -154,7 +154,11 @@ class ExpirationIndex:
 
     def pending(self) -> Iterator[Tuple[Row, Timestamp]]:
         """Iterate over live ``(row, expiration)`` entries (unordered)."""
-        return ((row, ts(value)) for row, value in self._live.items())
+        return ((row, ts(value)) for row, value in self.pending_raw())
+
+    def pending_raw(self) -> Iterator[Tuple[Row, int]]:
+        """:meth:`pending` on raw integer ticks."""
+        return iter(self._live.items())
 
     def clear(self) -> None:
         """Drop every entry (live and tombstoned)."""

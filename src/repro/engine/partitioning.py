@@ -305,9 +305,9 @@ class ShardedExpirationIndex(ExpirationIndex):
             due.extend(shard.pop_due_raw(limit))
         return due
 
-    def pending(self) -> Iterator[Tuple[Row, Timestamp]]:
+    def pending_raw(self) -> Iterator[Tuple[Row, int]]:
         for shard in self.shards:
-            yield from shard.pending()
+            yield from shard.pending_raw()
 
     def clear(self) -> None:
         for shard in self.shards:

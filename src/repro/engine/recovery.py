@@ -28,6 +28,12 @@ from a WAL directory (see :mod:`repro.engine.wal`):
 6. **Audit.**  ``Database.verify(strict=True, deep=True)`` must pass
    before the database is handed back (disable with ``verify=False``).
 
+The log is decoded **once**: opening it (:class:`WriteAheadLog`) scans
+the file, and that one scan seeds the transaction counter, locates the
+torn tail and is the record list replay consumes; the list is dropped as
+soon as replay is done with it.  Each phase's wall time lands in
+:attr:`RecoveryReport.phase_seconds`.
+
 The recovered database adopts the log for subsequent appends, so
 ``recover_database`` composes: crash, recover, keep writing, crash again.
 
@@ -69,6 +75,13 @@ class RecoveryReport:
         self.records_skipped_expired = 0
         self.torn_tail_truncated = False
         self.transactions_rolled_back = 0
+        #: Wall time per phase, in order: ``scan`` (open + decode the log,
+        #: truncate a torn tail), ``snapshot`` (read + load it),
+        #: ``replay`` (log records + rollback of in-flight transactions),
+        #: ``views`` (re-materialisation), ``verify`` (the deep audit;
+        #: ``0.0`` with ``verify=False``).
+        self.phase_seconds: Dict[str, float] = {}
+        #: Open to ready: the sum of the phases, the audit included.
         self.seconds = 0.0
 
     def __repr__(self) -> str:
@@ -217,12 +230,21 @@ def recover_database(
         db_kwargs["metrics"] = registry
     families = declare_wal_families(registry)
     report = RecoveryReport()
-    started = time.perf_counter()
+    lap_started = time.perf_counter()
 
+    def lap(phase: str) -> None:
+        nonlocal lap_started
+        now = time.perf_counter()
+        report.phase_seconds[phase] = elapsed = now - lap_started
+        families["recovery_phase_seconds"].labels(phase).observe(elapsed)
+        lap_started = now
+
+    # Opening the log decodes it; the two calls below read that one scan.
     wal = WriteAheadLog(wal_dir, fsync=fsync, registry=registry)
     # truncate_torn_tail counts into repro_wal_torn_tails_total itself.
     report.torn_tail_truncated = wal.truncate_torn_tail()
     records = wal.records()
+    lap("scan")
 
     snapshot_data: Optional[Dict[str, Any]] = None
     if wal.snapshot_path.exists():
@@ -250,6 +272,8 @@ def recover_database(
     else:
         db = Database(**db_kwargs)
         view_specs = []
+    del snapshot_data  # the parsed JSON is dead weight from here on
+    lap("snapshot")
 
     final_time = _final_time(db, records)
     open_txns: Dict[int, List[WalRecord]] = {}
@@ -307,17 +331,19 @@ def recover_database(
                 stacklevel=2,
             )
     batch.flush()
+    # Replay was the decoded log's only reader: free it before the views
+    # and the audit build their own state on top.
+    del records
     families["recovery_records"].inc(report.records_replayed)
 
     if open_txns:
         report.transactions_rolled_back = _rollback_open_transactions(
             db, open_txns
         )
+    lap("replay")
 
     restore_views(db, view_specs)
-
-    report.seconds = time.perf_counter() - started
-    families["recovery_seconds"].observe(report.seconds)
+    lap("views")
     db.last_recovery = report
 
     if verify:
@@ -327,6 +353,9 @@ def recover_database(
             raise RecoveryError(
                 f"recovered database failed its invariant audit: {error}"
             ) from error
+    lap("verify")
+    report.seconds = sum(report.phase_seconds.values())
+    families["recovery_seconds"].observe(report.seconds)
 
     db._attach_wal(wal)
     return db

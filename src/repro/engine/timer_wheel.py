@@ -138,7 +138,11 @@ class TimerWheelIndex:
 
     def pending(self) -> Iterator[Tuple[Row, Timestamp]]:
         """Live ``(row, expiration)`` entries (unordered)."""
-        return ((row, ts(tick)) for row, tick in self._live.items())
+        return ((row, ts(tick)) for row, tick in self.pending_raw())
+
+    def pending_raw(self) -> Iterator[Tuple[Row, int]]:
+        """:meth:`pending` on raw integer ticks."""
+        return iter(self._live.items())
 
     # -- expiry processing ------------------------------------------------------------
 

@@ -160,7 +160,14 @@ def declare_wal_families(registry):
         ),
         "recovery_seconds": registry.histogram(
             "repro_wal_recovery_seconds",
-            "Wall time of crash recoveries (snapshot load + log replay).",
+            "Wall time of crash recoveries, from opening the log to the "
+            "database being handed back (the audit included).",
+        ),
+        "recovery_phase_seconds": registry.histogram(
+            "repro_wal_recovery_phase_seconds",
+            "Wall time of each crash-recovery phase "
+            "(scan / snapshot / replay / views / verify).",
+            labels=("phase",),
         ),
         "recovery_records": registry.counter(
             "repro_wal_recovery_records_replayed_total",
@@ -274,8 +281,21 @@ class WriteAheadLog:
             declare_wal_families(registry) if registry is not None else None
         )
         self._file = open(self.log_path, "ab")
+        #: The one decode of the log as it was found: it seeds the txn
+        #: counter below, tells :meth:`truncate_torn_tail` where the tear
+        #: is, and is what the first :meth:`records` call hands over.
+        #: Anything that rewrites the records on disk (append, reset,
+        #: compact) drops it.
+        self._opening_scan: Optional[Tuple[List[WalRecord], int, bool]] = (
+            scan_log(self.log_path)
+        )
         #: Monotone transaction-id source for this process's appends.
-        self._txn_counter = self._seed_txn_counter()
+        #: Continues past any txn id already in the log so recovery can
+        #: never confuse a pre-crash transaction with a post-recovery one.
+        self._txn_counter = max(
+            (record.get("txn") or 0 for record in self._opening_scan[0]),
+            default=0,
+        )
 
     # -- paths -------------------------------------------------------------
 
@@ -287,16 +307,12 @@ class WriteAheadLog:
     def snapshot_path(self) -> Path:
         return self.directory / self.SNAPSHOT_NAME
 
-    def _seed_txn_counter(self) -> int:
-        # Continue past any txn id already in the log so recovery can never
-        # confuse a pre-crash transaction with a post-recovery one.
-        records, _, _ = scan_log(self.log_path)
-        highest = 0
-        for record in records:
-            txn = record.get("txn")
-            if txn is not None and txn > highest:
-                highest = txn
-        return highest
+    def _scan(self) -> Tuple[List[WalRecord], int, bool]:
+        """The opening scan while it still describes the file, else a new one."""
+        if self._opening_scan is not None:
+            return self._opening_scan
+        self._file.flush()
+        return scan_log(self.log_path)
 
     def next_txn_id(self) -> int:
         self._txn_counter += 1
@@ -314,6 +330,7 @@ class WriteAheadLog:
             raise WalError("write-ahead log is closed")
         payload = {"kind": kind, **fields}
         frame = _encode_frame(payload)
+        self._opening_scan = None
         self._file.write(frame)
         self._file.flush()
         if self.fsync_policy == "always" or (
@@ -350,15 +367,19 @@ class WriteAheadLog:
     # -- reading -----------------------------------------------------------
 
     def records(self) -> List[WalRecord]:
-        """Every trustworthy record currently in the segment."""
-        self._file.flush()
-        records, _, _ = scan_log(self.log_path)
+        """Every trustworthy record currently in the segment.
+
+        The first call on an unchanged log is handed the opening scan's
+        list (and the log lets go of it, so the caller decides how long
+        the decoded records live); later calls decode the file again.
+        """
+        records, _, _ = self._scan()
+        self._opening_scan = None
         return records
 
     def truncate_torn_tail(self) -> bool:
         """Drop any torn tail; returns whether anything was truncated."""
-        self._file.flush()
-        records, valid, torn = scan_log(self.log_path)
+        records, valid, torn = self._scan()
         if not torn:
             return False
         warnings.warn(
@@ -372,6 +393,9 @@ class WriteAheadLog:
             fh.flush()
             os.fsync(fh.fileno())
         self._file = open(self.log_path, "ab")
+        if self._opening_scan is not None:
+            # The intact records are exactly the ones already decoded.
+            self._opening_scan = (records, valid, False)
         if self._families is not None:
             self._families["torn"].inc()
         return True
@@ -380,6 +404,7 @@ class WriteAheadLog:
 
     def reset(self) -> None:
         """Empty the segment (called after a checkpoint made it redundant)."""
+        self._opening_scan = None
         self._file.close()
         with open(self.log_path, "wb") as fh:
             fh.flush()
@@ -406,8 +431,8 @@ class WriteAheadLog:
         ``collapsed`` (clock + bracket records), ``demoted``.
         """
         base_rows = base_rows if base_rows is not None else set()
-        self._file.flush()
-        records, _, torn = scan_log(self.log_path)
+        records, _, torn = self._scan()
+        self._opening_scan = None
         if torn:
             raise WalError(
                 "refusing to compact a log with a torn tail; run recovery "

@@ -798,27 +798,22 @@ class _AsyncWireSubscription(_WireSubscription):
 
 def _open_durable(path: Path, config: Optional[DatabaseConfig]) -> Database:
     """Open (or crash-recover) the durable database rooted at ``path``."""
+    if config is None:
+        config = DatabaseConfig()
     snapshot = path / WriteAheadLog.SNAPSHOT_NAME
     log = path / WriteAheadLog.LOG_NAME
     if snapshot.exists() or (log.exists() and log.stat().st_size > 0):
         from repro.engine.recovery import recover_database
 
-        kwargs: dict = {}
-        if config is not None:
-            kwargs.update(
-                engine=config.engine,
-                check_invariants=config.check_invariants,
-                default_removal_policy=config.default_removal_policy,
-                plan_cache_capacity=config.plan_cache_capacity,
-            )
-            fsync = config.wal_fsync
-        else:
-            fsync = "commit"
-        return recover_database(path, fsync=fsync, **kwargs)
-    if config is not None:
-        config = config.replace(wal_dir=path)
-        return Database(config=config)
-    return Database(wal_dir=path)
+        # The whole config, so a restart builds the database a fresh
+        # directory would; the clock and the log come from the recovered
+        # state (recovery attaches the log itself, after replay).
+        return recover_database(
+            path,
+            fsync=config.wal_fsync,
+            config=config.replace(start_time=0, wal_dir=None),
+        )
+    return Database(config=config.replace(wal_dir=path))
 
 
 def connect(

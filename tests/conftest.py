@@ -31,3 +31,19 @@ def figure1_db() -> Database:
 def catalog(pol, el):
     """An evaluator catalog with the paper's example relations."""
     return {"Pol": pol, "El": el}
+
+
+@pytest.fixture
+def log_scans(monkeypatch):
+    """The paths ``repro.engine.wal.scan_log`` is called with, in order."""
+    from repro.engine import wal
+
+    calls = []
+    real = wal.scan_log
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(wal, "scan_log", counting)
+    return calls

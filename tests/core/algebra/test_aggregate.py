@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregates import (
+    AggregateFunction,
     AvgAggregate,
     CountAggregate,
     ExpirationStrategy,
@@ -18,17 +21,20 @@ from repro.core.aggregates import (
     get_aggregate,
     known_aggregates,
     neutral_set_expiration,
+    partition_head,
     partition_invalidation_time,
     register_aggregate,
+    strategy_expiration,
     time_sliced_sets,
+    timeline_steps,
     tuple_validity_intervals,
     value_timeline,
 )
 from repro.core.algebra.evaluator import evaluate
 from repro.core.algebra.expressions import BaseRef, Literal
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import Interval, IntervalSet
 from repro.core.relation import relation_from_rows
-from repro.core.timestamps import INFINITY, ts
+from repro.core.timestamps import INFINITY, ts, ts_max
 from repro.errors import AggregateError, AlgebraError
 
 
@@ -354,3 +360,181 @@ class TestPartitionInvalidation:
             partition, SumAggregate(), ts(0), ExpirationStrategy.EXACT
         )
         assert t == INFINITY
+
+
+# ---------------------------------------------------------------------------
+# The suffix-scan kernel against the forward replay it replaced
+# ---------------------------------------------------------------------------
+
+
+def replay_timeline(partition, function, tau):
+    """The pre-kernel ``value_timeline``, kept verbatim as the oracle.
+
+    It recomputes ``function.apply`` over the survivors, in partition
+    order, at every distinct expiration -- O(n) per boundary, and by
+    construction what "the aggregate value of exp_τ'(P)" means.
+    """
+    alive = [(value, texp) for value, texp in partition if tau < texp]
+    if not alive:
+        return []
+    timeline = []
+    cursor = tau
+    current_value = function.apply([value for value, _ in alive])
+    boundaries = sorted(
+        {texp.value for _, texp in alive if texp.is_finite and texp > tau}
+    )
+    for boundary in boundaries:
+        boundary_ts = ts(boundary)
+        alive = [(value, texp) for value, texp in alive if boundary_ts < texp]
+        new_value = function.apply([value for value, _ in alive]) if alive else None
+        if new_value != current_value or not alive:
+            timeline.append((Interval(cursor, boundary_ts), current_value))
+            cursor = boundary_ts
+            current_value = new_value
+        if not alive:
+            return timeline
+    timeline.append((Interval(cursor, INFINITY), current_value))
+    return timeline
+
+
+def replay_invalidation_time(partition, function, tau, strategy):
+    """The pre-kernel ``partition_invalidation_time`` over the oracle."""
+    expiration = (
+        replay_timeline(partition, function, tau)[0][0].end
+        if strategy is ExpirationStrategy.EXACT
+        else strategy_expiration(partition, function, tau, strategy)
+    )
+    nu = replay_timeline(partition, function, tau)[0][0].end
+    dies_at = ts_max(texp for _, texp in partition)
+    outliving = any(expiration < texp for _, texp in partition)
+    if outliving and expiration < nu:
+        return expiration
+    if nu < dies_at:
+        return nu
+    return INFINITY
+
+
+class InOrder(AggregateFunction):
+    """Defines no ``fold``, and an ``apply`` sensitive to member order: it
+    goes through the base-class fold, which must hand ``apply`` the
+    survivors in partition order."""
+
+    name = "in_order"
+
+    def apply(self, values):
+        return "|".join(str(value) for value in values)
+
+    def is_neutral(self, subset, partition):
+        return not subset
+
+
+KERNEL_FUNCTIONS = [
+    MinAggregate(), MaxAggregate(), SumAggregate(), CountAggregate(),
+    AvgAggregate(), InOrder(),
+]
+
+# Few distinct expirations and values: ties, fully-tied partitions,
+# value-preserving expiries and members already dead at τ are all common.
+texps = st.one_of(st.none(), st.integers(min_value=1, max_value=8))
+int_values = st.integers(min_value=-3, max_value=3)
+# 1 and 1.0 compare equal but are not the same answer; the large
+# magnitudes make a float total depend on the order of its additions.
+mixed_values = st.one_of(
+    int_values,
+    st.sampled_from([0.1, 0.2, 0.3, 1.0, -1.0, 1e16, -1e16, 2.5]),
+)
+
+
+def partitions(values):
+    return st.lists(st.tuples(values, texps), min_size=1, max_size=9).map(
+        lambda pairs: items(*pairs)
+    )
+
+
+def exact(value):
+    """Bit-identity, not ``==``: ``1`` vs ``1.0`` and float last digits."""
+    return (type(value), repr(value))
+
+
+def assert_kernel_matches_replay(partition, function, tau):
+    expected = replay_timeline(partition, function, tau)
+    steps, death = timeline_steps(partition, function, tau)
+    assert [(start, exact(value)) for start, value in steps] == [
+        (interval.start.value, exact(value)) for interval, value in expected
+    ]
+    assert value_timeline(partition, function, tau) == expected
+    if not expected:
+        assert death is None
+        with pytest.raises(AggregateError):
+            partition_head(partition, function, tau)
+        return
+    assert ts(death) == expected[-1][0].end
+    value, nu, dies_at = partition_head(partition, function, tau)
+    assert exact(value) == exact(expected[0][1])
+    assert nu == expected[0][0].end == exact_expiration(partition, function, tau)
+    assert dies_at == expected[-1][0].end
+    assert change_points(partition, function, tau) == [
+        interval.end for interval, _ in expected if interval.end.is_finite
+    ]
+    assert tuple_validity_intervals(partition, function, tau) == IntervalSet(
+        interval for interval, v in expected if v == expected[0][1]
+    )
+    for strategy in ExpirationStrategy:
+        assert partition_invalidation_time(
+            partition, function, tau, strategy
+        ) == replay_invalidation_time(partition, function, tau, strategy)
+
+
+class TestKernelAgainstReplay:
+    @pytest.mark.parametrize("function", KERNEL_FUNCTIONS, ids=lambda f: f.name)
+    @given(partition=partitions(int_values), tau=st.integers(0, 9))
+    @settings(max_examples=120, deadline=None)
+    def test_integer_partitions(self, function, partition, tau):
+        assert_kernel_matches_replay(partition, function, ts(tau))
+
+    @pytest.mark.parametrize("function", KERNEL_FUNCTIONS, ids=lambda f: f.name)
+    @given(partition=partitions(mixed_values), tau=st.integers(0, 9))
+    @settings(max_examples=120, deadline=None)
+    def test_float_and_mixed_partitions(self, function, partition, tau):
+        assert_kernel_matches_replay(partition, function, ts(tau))
+
+    @pytest.mark.parametrize("function", KERNEL_FUNCTIONS, ids=lambda f: f.name)
+    @pytest.mark.parametrize(
+        "partition",
+        [
+            items((2, 5)),                                  # single member
+            items((2, None)),                               # single immortal
+            items((1, 4), (2, 4), (3, 4)),                  # fully tied
+            items((1, None), (1, None)),                    # all immortal
+            items((3, 2), (1, 6), (2, None), (1, 6)),       # immortal tail
+            items((1, 1), (2, 2), (3, 9)),                  # some dead at τ=2
+            items((1.0, 9), (1, 9), (1, 3)),                # equal, not same
+            items((1e16, 3), (1.0, 5), (-1e16, 7), (1.0, 9)),
+        ],
+    )
+    def test_named_shapes(self, function, partition):
+        for tau in (0, 2, 9):
+            assert_kernel_matches_replay(partition, function, ts(tau))
+
+    def test_float_sum_follows_partition_order_not_fold_order(self):
+        # Joined latest-first the total would be (1.0 + -1e16) + 1e16 = 0.0;
+        # apply sums in partition order: (1e16 + -1e16) + 1.0 = 1.0.
+        partition = items((1e16, 3), (-1e16, 5), (1.0, 7))
+        steps, _ = timeline_steps(partition, SumAggregate(), ts(0))
+        assert steps[0] == (0, 1.0)
+
+    def test_min_names_the_member_min_would(self):
+        # min([1.0, 1]) is 1.0: the earlier member wins a tie even though
+        # the later-expiring 1 joins the fold first.
+        partition = items((1.0, 3), (1, 9))
+        value, _, _ = partition_head(partition, MinAggregate(), ts(0))
+        assert exact(value) == exact(1.0)
+
+    def test_apply_only_aggregate_needs_no_fold(self):
+        assert "fold" not in vars(InOrder)
+        partition = items(("a", 9), ("b", 3), ("c", 6))
+        assert value_timeline(partition, InOrder(), ts(0)) == [
+            (Interval(0, 3), "a|b|c"),
+            (Interval(3, 6), "a|c"),
+            (Interval(6, 9), "a"),
+        ]

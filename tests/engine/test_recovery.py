@@ -109,6 +109,80 @@ class TestTornTail:
         again.close()
 
 
+class TestSingleLogScan:
+    """Recovery decodes the log exactly once, whatever state it is in."""
+
+    def _populate(self, tmp_path):
+        db = durable(tmp_path)
+        table = db.create_table("T", ["k"])
+        for key in range(5):
+            table.insert((key,), expires_at=50)
+        db.close()
+
+    def test_clean_log(self, tmp_path, log_scans):
+        self._populate(tmp_path)
+        del log_scans[:]  # the live run's own open
+        recovered = recover_database(tmp_path)
+        assert len(log_scans) == 1
+        assert recovered.last_recovery.records_replayed == 6
+        recovered.close()
+
+    def test_torn_log(self, tmp_path, log_scans):
+        self._populate(tmp_path)
+        with open(tmp_path / WriteAheadLog.LOG_NAME, "ab") as fh:
+            fh.write(b"\x00\x00\x01\x00partial")
+        del log_scans[:]
+        with pytest.warns(UserWarning, match="torn tail"):
+            recovered = recover_database(tmp_path)
+        assert len(log_scans) == 1
+        assert recovered.last_recovery.torn_tail_truncated
+        assert len(recovered.table("T")) == 5
+        recovered.close()
+
+    def test_empty_log(self, tmp_path, log_scans):
+        recovered = recover_database(tmp_path)
+        assert len(log_scans) == 1
+        assert recovered.last_recovery.records_replayed == 0
+        recovered.close()
+
+    def test_recovered_log_reads_see_later_appends(self, tmp_path):
+        self._populate(tmp_path)
+        recovered = recover_database(tmp_path)
+        recovered.table("T").insert((99,), expires_at=60)
+        rows = [r["row"] for r in recovered.wal.records() if r.kind == "upsert"]
+        assert rows[-1] == [99] and len(rows) == 6
+        recovered.close()
+
+
+class TestRecoveryReport:
+    def test_phases_cover_the_whole_recovery(self, tmp_path):
+        db = durable(tmp_path)
+        db.create_table("T", ["k", "v"]).insert((1, 2), expires_at=50)
+        db.materialise("V", db.table_expr("T").project(1))
+        db.checkpoint()
+        db.table("T").insert((3, 4), expires_at=60)
+        db.close()
+
+        recovered = recover_database(tmp_path)
+        report = recovered.last_recovery
+        assert list(report.phase_seconds) == [
+            "scan", "snapshot", "replay", "views", "verify",
+        ]
+        assert all(seconds >= 0 for seconds in report.phase_seconds.values())
+        # ``seconds`` is open-to-ready: the audit is part of it.
+        assert report.seconds == pytest.approx(sum(report.phase_seconds.values()))
+        text = recovered.metrics.to_prom_text()
+        for phase in report.phase_seconds:
+            assert f'repro_wal_recovery_phase_seconds_count{{phase="{phase}"}} 1' in text
+        recovered.close()
+
+    def test_skipped_audit_is_a_zero_phase(self, tmp_path):
+        durable(tmp_path).close()
+        recovered = recover_database(tmp_path, verify=False)
+        assert recovered.last_recovery.phase_seconds["verify"] < 0.01
+        recovered.close()
+
+
 class TestExpirationAwareReplay:
     def test_all_records_expired_leaves_valid_empty_tables(self, tmp_path):
         db = durable(tmp_path)

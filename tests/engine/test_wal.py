@@ -78,6 +78,54 @@ class TestFrames:
         wal.close()
 
 
+class TestOpeningScan:
+    """Opening a log decodes it once; reads reuse that until it changes."""
+
+    def test_open_truncate_and_first_read_share_one_scan(
+        self, tmp_path, log_scans
+    ):
+        wal = WriteAheadLog(tmp_path)
+        wal.append("begin", txn=4)
+        wal.append("upsert", table="T", row=[1], texp=9, prev="absent", txn=4)
+        wal.close()
+        with open(wal.log_path, "ab") as fh:
+            fh.write(b"\x00\x00\x01\x00partial")
+        del log_scans[:]  # the writer's own open
+        reopened = WriteAheadLog(tmp_path)
+        assert reopened.next_txn_id() == 5
+        with pytest.warns(UserWarning, match="torn tail"):
+            assert reopened.truncate_torn_tail()
+        assert [r.kind for r in reopened.records()] == ["begin", "upsert"]
+        assert len(log_scans) == 1
+        # The list was handed over, not kept: the next read decodes anew.
+        assert [r.kind for r in reopened.records()] == ["begin", "upsert"]
+        assert len(log_scans) == 2
+        reopened.close()
+
+    def test_append_invalidates_the_opening_scan(self, tmp_path):
+        wal = WriteAheadLog(tmp_path)
+        wal.append("clock", now=1)
+        wal.close()
+        reopened = WriteAheadLog(tmp_path)
+        reopened.append("clock", now=2)
+        assert [r["now"] for r in reopened.records()] == [1, 2]
+        reopened.close()
+
+    def test_reset_and_compact_invalidate_the_opening_scan(self, tmp_path):
+        wal = WriteAheadLog(tmp_path)
+        wal.append("upsert", table="T", row=[1], texp=3, prev="absent")
+        wal.append("upsert", table="T", row=[2], texp=None, prev="absent")
+        wal.close()
+        reopened = WriteAheadLog(tmp_path)
+        reopened.compact(now=5)  # row 1 is expired: dropped
+        assert [r.kind for r in reopened.records()] == ["upsert", "clock"]
+        reopened.close()
+        again = WriteAheadLog(tmp_path)
+        again.reset()
+        assert again.records() == []
+        again.close()
+
+
 class TestTornTails:
     def _intact(self, tmp_path):
         wal = WriteAheadLog(tmp_path)

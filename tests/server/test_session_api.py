@@ -200,6 +200,34 @@ class TestDatabaseConfig:
         with connect(config=config) as session:
             assert session.db.clock.now == ts(4)
 
+    def test_durable_connect_keeps_config_across_a_restart(self, tmp_path):
+        # Regression: the recovery branch forwarded four hand-picked
+        # fields, so a restart silently fell back to defaults for the rest.
+        import importlib.util
+
+        backend = "numpy" if importlib.util.find_spec("numpy") else "python"
+        config = DatabaseConfig(
+            columnar_backend=backend,
+            engine="interpreted",
+            plan_cache_capacity=9,
+            wal_fsync="never",
+            start_time=3,  # ignored on restart: the clock is recovered
+        )
+        with connect(tmp_path, config=config) as session:
+            fresh = session.db.config
+            session.execute("CREATE TABLE T (k)")
+            session.execute("ADVANCE TO 8")
+        with connect(tmp_path, config=config) as session:
+            db = session.db
+            assert db.now == ts(8)
+            assert db.wal.fsync_policy == "never"
+            assert db.columnar_backend == backend
+            restarted = db.config
+        for field in ("columnar_backend", "engine", "plan_cache_capacity",
+                      "check_invariants", "default_removal_policy",
+                      "wal_fsync"):
+            assert getattr(restarted, field) == getattr(fresh, field), field
+
 
 class TestSqlDeprecation:
     def test_database_sql_warns_once_per_process(self):
