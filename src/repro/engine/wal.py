@@ -63,7 +63,10 @@ a temp file and ``os.replace``) keeping only what recovery still needs:
 * ...and only if that final state can still matter: an ``upsert`` whose
   expiration is ``<= now`` is dropped outright when the base snapshot
   does not contain the row (it was born and died entirely within the
-  log), or demoted to a ``remove`` when it does;
+  log), or demoted to a ``remove`` when it does; a final ``remove`` is
+  kept as the tombstone of a base-held row and dropped otherwise (every
+  sweep logs one per reclaimed row, so this is what lets a churn log
+  shrink);
 * all DDL records, in order;
 * a single trailing ``clock`` record at the current time, replacing every
   intermediate advance (recovery replays no triggers, so intermediate
@@ -424,11 +427,17 @@ class WriteAheadLog:
         the set of ``(table, row)`` pairs present in the base snapshot --
         an expired final ``upsert`` is dropped outright when its row is
         not in the base, demoted to a ``remove`` when it is (the base copy
-        must still be erased at replay).  Refuses (returns zero counts)
-        while a transaction is open in the log.
+        must still be erased at replay).  A final ``remove`` is a
+        tombstone for the base copy and nothing else, so it too is dropped
+        when the base never held the row -- which is every swept
+        short-lived row, since each sweep logs a ``remove`` per row it
+        reclaims.  Refuses (returns zero counts) while a transaction is
+        open in the log.
 
-        Returns a stats dict: ``kept``, ``expired``, ``superseded``,
-        ``collapsed`` (clock + bracket records), ``demoted``.
+        Returns a stats dict: ``kept``, ``expired`` (records of rows gone
+        by expiration: expired finals, dropped tombstones and the expired
+        upserts those superseded), ``superseded``, ``collapsed`` (clock +
+        bracket records), ``demoted``.
         """
         base_rows = base_rows if base_rows is not None else set()
         records, _, torn = self._scan()
@@ -473,24 +482,34 @@ class WriteAheadLog:
                 continue
             # Physical record.
             key = (record["table"], tuple(record["row"]))
-            if final_index[key] != i:
-                stats["superseded"] += 1
+            final = records[final_index[key]]
+            lapsed = (
+                kind == "upsert"
+                and record["texp"] is not None
+                and record["texp"] <= now
+            )
+            # A row that ends in a ``remove`` and that the base never held
+            # leaves nothing to erase at replay: no tombstone is needed.
+            vanished = final["kind"] == "remove" and key not in base_rows
+            if final is not record:
+                stats["expired" if vanished and lapsed else "superseded"] += 1
                 continue
-            if kind == "upsert":
-                texp = record["texp"]
-                if texp is not None and texp <= now:
-                    if key in base_rows:
-                        demoted = {
-                            "kind": "remove",
-                            "table": record["table"],
-                            "row": record["row"],
-                        }
-                        kept.append(demoted)
-                        stats["demoted"] += 1
-                        stats["kept"] += 1
-                    else:
-                        stats["expired"] += 1
-                    continue
+            if vanished:
+                stats["expired"] += 1
+                continue
+            if lapsed:
+                if key in base_rows:
+                    demoted = {
+                        "kind": "remove",
+                        "table": record["table"],
+                        "row": record["row"],
+                    }
+                    kept.append(demoted)
+                    stats["demoted"] += 1
+                    stats["kept"] += 1
+                else:
+                    stats["expired"] += 1
+                continue
             # A kept record must not resurrect its transaction bracket:
             # strip the tag (the txn is resolved, so recovery must not
             # treat the record as in-flight).

@@ -221,6 +221,15 @@ class Family:
                 extra = set(kv) - set(self.label_names)
                 raise ValueError(f"unknown label(s) {sorted(extra)!r} for {self.name!r}")
         else:
+            # Hot path: an existing series named positionally by strings.
+            # Anything else (first use, non-string or unhashable values,
+            # wrong arity, overflow) misses and takes the full path.
+            try:
+                series = self._series.get(values)
+            except TypeError:
+                series = None
+            if series is not None:
+                return series
             values = tuple(str(v) for v in values)
         if len(values) != len(self.label_names):
             raise ValueError(

@@ -18,23 +18,27 @@ story made runnable on the engine:
 
 * **Standing queries are served from validity intervals.**  Each
   standing query caches its answer together with the Schrödinger
-  validity interval ``I(e)`` of that answer, tolerance-widened through
-  :mod:`repro.core.approximate`.  Arrivals fold into the cached answer
-  incrementally (an O(log n) heap push, never a rescan); expirations do
-  not need to be observed at all until the clock leaves ``I(e)`` -- only
-  then does the query re-evaluate.  Revocations (``override``/delete)
-  conservatively mark the query dirty through the table's delete
-  listeners, so a shortened lifetime is never served stale.
+  validity interval ``I(e)`` of that answer and re-evaluates only on
+  cause.  Arrivals fold into the cached answer through the table's
+  insert listeners, never through a rescan.  The counting family goes
+  further, the way Theorem 3 keeps a non-monotonic materialisation
+  correct forever: every counted key is parked on one :class:`LiveKeys`
+  expiration schedule, a read patches the answer forward to ``τ`` in
+  O(keys expired since the last read), and the cached validity is
+  ``[τ, ∞)`` -- the clock cannot leave it.  Revocations
+  (``override``/delete) conservatively mark the query dirty through the
+  table's delete listeners, so a shortened lifetime is never served
+  stale; that and the first read are the only rescans a count makes.
 
-Queries shipped: windowed :class:`WindowedCount` and
-:class:`DistinctCount` (exact on the arrival side, within the declared
-tolerance on the expiration side), :class:`ReservoirSample` (bounded
-reservoir over the unexpired set, refilled from live storage when
-expiration drains it), :class:`ExtentAggregate` (diameter and greedy
-k-center over a numeric attribute, validity-guarded via min/max
-acceptance bands), and :class:`ThresholdWatch` (per-group distinct
-counts against a threshold -- the scan-detection query the
-network-monitoring example builds on).
+Queries shipped: windowed :class:`WindowedCount`, :class:`DistinctCount`
+and :class:`ThresholdWatch` (per-group distinct counts against a
+threshold -- the scan-detection query the network-monitoring example
+builds on), all three exact and all three users of the one schedule;
+:class:`ReservoirSample` (bounded reservoir over the unexpired set,
+refilled from live storage when expiration drains it); and
+:class:`ExtentAggregate` (diameter and greedy k-center over a numeric
+attribute, validity-guarded via tolerance-widened min/max acceptance
+bands from :mod:`repro.core.approximate`).
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ from repro.core.aggregates import MaxAggregate, MinAggregate
 from repro.core.approximate import (
     EXACT_TOLERANCE,
     Tolerance,
-    approximate_count_validity,
     approximate_validity,
 )
+from repro.core.columnar import RAW_INFINITY, to_raw
 from repro.core.intervals import IntervalSet
 from repro.core.schema import Schema
 from repro.core.timestamps import Timestamp, ts
@@ -84,8 +88,10 @@ def declare_streaming_families(registry):
     Returns ``(events, touches, serves, refreshes, refresh_seconds,
     resident)``.  The serve counter's ``source`` label is the module's
     core claim made observable: ``cached`` serves never rescanned the
-    stream, ``refresh`` serves did -- and only because the clock left the
-    answer's validity interval (or a revocation dirtied it).
+    stream, ``refresh`` serves did -- and the refresh counter's ``cause``
+    says why: ``initial`` (the first read), ``validity`` (the clock left
+    ``I(e)``; never, for the counting family), ``revoked``, ``drift`` or
+    ``depleted``.
     """
     events = registry.counter(
         "repro_streaming_events_total",
@@ -105,8 +111,9 @@ def declare_streaming_families(registry):
     )
     refreshes = registry.counter(
         "repro_streaming_query_refreshes_total",
-        "Standing-query re-evaluations, by query and cause (validity -- "
-        "I(e) ran out -- versus revoked -- a delete/override dirtied it).",
+        "Standing-query re-evaluations, by query and cause (initial -- the "
+        "first read; validity -- I(e) ran out; revoked -- a delete/override "
+        "dirtied it; drift; depleted).",
         labels=("query", "cause"),
     )
     refresh_seconds = registry.histogram(
@@ -121,6 +128,61 @@ def declare_streaming_families(registry):
     return events, touches, serves, refreshes, refresh_seconds, resident
 
 
+# -- the expiration schedule -------------------------------------------------
+
+
+class LiveKeys:
+    """The counting family's one expiration schedule (DESIGN §5j).
+
+    ``ticks`` maps every live key to its max-merged expiration tick; a
+    finite tick also parks the key in that tick's bucket, and ``heap``
+    orders the bucket ticks -- raw ints throughout.  :meth:`advance`
+    removes what has expired by ``τ`` in O(keys expired since the last
+    call) and hands those keys back; a bucket entry whose key was since
+    renewed past the bucket's tick is skipped there, so a renewal costs
+    one stale entry until its old tick passes and nothing is ever
+    searched for.  ``len()`` is the number of live keys.
+    """
+
+    __slots__ = ("ticks", "buckets", "heap")
+
+    def __init__(self) -> None:
+        self.ticks: Dict[Any, int] = {}
+        self.buckets: Dict[int, List[Any]] = {}
+        self.heap: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self.ticks)
+
+    def add(self, key: Any, texp: Timestamp) -> bool:
+        """Max-merge ``key`` in; whether it is new to the schedule."""
+        tick = to_raw(texp)
+        current = self.ticks.get(key)
+        if current is not None and current >= tick:
+            return False
+        self.ticks[key] = tick
+        if tick != RAW_INFINITY:  # an immortal key is parked nowhere
+            bucket = self.buckets.get(tick)
+            if bucket is None:
+                self.buckets[tick] = [key]
+                heapq.heappush(self.heap, tick)
+            else:
+                bucket.append(key)
+        return current is None
+
+    def advance(self, tau: Timestamp) -> List[Any]:
+        """Drop every key with ``texp <= τ``; the dropped keys."""
+        now, heap, ticks = tau.value, self.heap, self.ticks
+        expired: List[Any] = []
+        while heap and heap[0] <= now:
+            tick = heapq.heappop(heap)
+            for key in self.buckets.pop(tick):
+                if ticks[key] == tick:  # else renewed past this bucket
+                    del ticks[key]
+                    expired.append(key)
+        return expired
+
+
 # -- standing queries --------------------------------------------------------
 
 
@@ -130,10 +192,11 @@ class StandingQuery:
     Subclasses implement :meth:`_refresh` (full re-evaluation at a given
     time, returning the new validity interval set) and
     :meth:`_serve` (produce the answer from incremental state).  The base
-    class owns the serve/refresh protocol: a read refreshes only when the
-    clock has left the cached validity interval or a revocation marked
-    the query dirty; otherwise the cached state -- folded forward with
-    the arrivals the listener observed -- is served as-is.
+    class owns the serve/refresh protocol: a read refreshes only the
+    first time, when the clock has left the cached validity interval or
+    when a revocation marked the query dirty; otherwise the cached state
+    -- folded forward with the arrivals the listener observed -- is
+    served as-is.
     """
 
     def __init__(self, store: "StreamStore", name: str, table: Table) -> None:
@@ -143,8 +206,8 @@ class StandingQuery:
         self._validity: Optional[IntervalSet] = None
         self._dirty = False
         self._dirty_cause = "revoked"
-        #: tiebreak for heap entries with equal expirations
-        self._seq = itertools.count()
+        #: time of the last served read; reads never go back behind it
+        self._served_at = Timestamp(0)
         table.insert_listeners.append(self._on_insert)
         table.delete_listeners.append(self._on_delete)
 
@@ -165,13 +228,23 @@ class StandingQuery:
     def read(self, at=None):
         """The standing answer at ``at`` (default: now).
 
-        ``at`` may not precede the cached evaluation time -- standing
-        queries only move forward with the stream.
+        ``at`` may not precede the last served time (``EngineError``):
+        folding expirations forward is destructive, so a standing query
+        only moves forward with the stream.
         """
         tau = self.table.clock.now if at is None else ts(at)
+        if tau < self._served_at:
+            raise EngineError(
+                f"standing query {self.name!r} cannot go back in time: "
+                f"{tau} < last read {self._served_at}"
+            )
         self._before_serve(tau)
+        self._served_at = tau
         if self._dirty or self._validity is None or not self._validity.contains(tau):
-            cause = self._dirty_cause if self._dirty else "validity"
+            if self._validity is None:
+                cause = "initial"
+            else:
+                cause = self._dirty_cause if self._dirty else "validity"
             self._dirty_cause = "revoked"
             started = time.perf_counter()
             self._validity = self._refresh(tau)
@@ -191,10 +264,11 @@ class StandingQuery:
     def _before_serve(self, tau: Timestamp) -> None:
         """Pre-serve hook: fold expirations forward, possibly going dirty.
 
-        Runs *before* the validity check, so a subclass that discovers
-        mid-drain that its cached answer can no longer be bounded (an
-        extent endpoint died, a reservoir drained) refreshes on this very
-        read instead of serving one stale answer first.
+        Runs *before* the validity check, ``_served_at`` still the
+        previous read's time, so a subclass that discovers mid-drain that
+        its cached answer can no longer be bounded (an extent endpoint
+        died, a reservoir drained) refreshes on this very read instead of
+        serving one stale answer first.
         """
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
@@ -213,16 +287,46 @@ class StandingQuery:
         ]
 
 
-class WindowedCount(StandingQuery):
-    """``COUNT(*)`` over the unexpired stream, within ``tolerance``.
+class _KeyedCount(StandingQuery):
+    """What the counting family shares: live keys on one schedule.
 
-    A refresh snapshots the live rows and derives the count's validity
-    interval with :func:`~repro.core.approximate.approximate_count_validity`:
-    the cached count stays servable until enough of the snapshot expires
-    to leave the tolerance band.  Arrivals between refreshes are exact: a
-    genuinely new row bumps the count and parks its expiration on a small
-    heap, which serving drains -- so only the *snapshot's* expirations
-    ride the tolerance, and the total error is bounded by it.
+    The counted unit is a *key* derived from the row, live while any
+    stream row carrying it is live; tracking the per-key max expiration
+    is the model's max-merge projection (Theorem 1: monotonic, so
+    arrivals propagate as pure deltas).  Every key, whether a rescan or
+    an arrival found it, is admitted to one :class:`LiveKeys` schedule;
+    a read advances the schedule to ``τ`` and answers from what is left,
+    exactly, at every ``τ`` from the rescan onwards -- which is the
+    validity reported.  Subclasses say what the key is (:meth:`_admit`).
+    """
+
+    def __init__(self, store: "StreamStore", name: str, table: Table) -> None:
+        self._live = LiveKeys()
+        super().__init__(store, name, table)
+
+    def _admit(self, row: tuple, texp: Timestamp) -> None:
+        raise NotImplementedError
+
+    def _on_insert(self, table: Table, stored) -> None:
+        self._admit(stored.row, stored.expires_at)
+
+    def _refresh(self, tau: Timestamp) -> IntervalSet:
+        self._live = LiveKeys()
+        for row, texp in self._live_items(tau):
+            self._admit(row, texp)
+        return IntervalSet.from_onwards(tau)
+
+    def _serve(self, tau: Timestamp):
+        self._live.advance(tau)
+        return len(self._live)
+
+
+class WindowedCount(_KeyedCount):
+    """``COUNT(*)`` over the unexpired stream: the key is the row.
+
+    ``tolerance`` is accepted for callers that declared a band -- an
+    exact answer is inside every band -- and buys nothing any more:
+    there is no rescan left for it to postpone.
     """
 
     def __init__(
@@ -233,67 +337,16 @@ class WindowedCount(StandingQuery):
         tolerance: Tolerance = EXACT_TOLERANCE,
     ) -> None:
         self.tolerance = tolerance
-        self._base = 0
-        #: rows counted (snapshot + arrivals), so renewals don't double-count
-        self._known: Dict[tuple, Timestamp] = {}
-        #: (texp, seq, row) for arrivals since the last refresh
-        self._pending: List[Tuple[Timestamp, int, tuple]] = []
-        self._pending_live = 0
         super().__init__(store, name, table)
 
-    def _on_insert(self, table: Table, stored) -> None:
-        row, texp = stored.row, stored.expires_at
-        if row in self._known:
-            # A renewal: already counted; the moved texp only makes the
-            # cached horizon conservative (never wrong).
-            self._known[row] = texp
-            return
-        self._known[row] = texp
-        self._pending_live += 1
-        if texp.is_finite:
-            heapq.heappush(self._pending, (texp, next(self._seq), row))
-
-    def _refresh(self, tau: Timestamp) -> IntervalSet:
-        live = self._live_items(tau)
-        self._known = dict(live)
-        self._pending = []
-        self._pending_live = 0
-        if not live:
-            self._base = 0
-            # An empty stream stays empty until an arrival -- which the
-            # insert listener folds in without invalidating anything.
-            return IntervalSet.from_onwards(tau)
-        self._base, validity = approximate_count_validity(
-            [texp for _, texp in live], tau, self.tolerance
-        )
-        return validity
-
-    def _drain(self, tau: Timestamp) -> None:
-        while self._pending and self._pending[0][0] <= tau:
-            _, _, row = heapq.heappop(self._pending)
-            current = self._known.get(row)
-            if current is None:
-                continue
-            if current <= tau:
-                del self._known[row]
-                self._pending_live -= 1
-            elif current.is_finite:
-                # Renewed past the parked deadline: chase the new texp.
-                heapq.heappush(self._pending, (current, next(self._seq), row))
-
-    def _serve(self, tau: Timestamp) -> int:
-        self._drain(tau)
-        return self._base + self._pending_live
+    def _admit(self, row: tuple, texp: Timestamp) -> None:
+        self._live.add(row, texp)
 
 
-class DistinctCount(StandingQuery):
-    """``COUNT(DISTINCT attribute)`` over the unexpired stream.
+class DistinctCount(_KeyedCount):
+    """``COUNT(DISTINCT attribute)``: the key is one attribute's value.
 
-    Same serve/refresh shape as :class:`WindowedCount`, but the tracked
-    unit is a *value* of one attribute, alive while any stream row
-    carrying it is alive.  Tracking the per-value max expiration is the
-    model's max-merge projection (Theorem 1: monotonic, so arrivals
-    propagate as pure deltas).
+    ``tolerance`` as for :class:`WindowedCount`.
     """
 
     def __init__(
@@ -306,61 +359,10 @@ class DistinctCount(StandingQuery):
     ) -> None:
         self.attribute = table.schema.index(attribute)
         self.tolerance = tolerance
-        self._base = 0
-        self._known: Dict[Any, Timestamp] = {}
-        self._pending: List[Tuple[Timestamp, int, Any]] = []
-        self._pending_live = 0
         super().__init__(store, name, table)
 
-    def _on_insert(self, table: Table, stored) -> None:
-        value = stored.row[self.attribute]
-        texp = stored.expires_at
-        current = self._known.get(value)
-        if current is not None:
-            # Already tracked (alive, or dead within the tolerance band
-            # the current horizon already accounts for): max-merge the
-            # expiration; any parked heap entry chases it on drain.
-            if current < texp:
-                self._known[value] = texp
-            return
-        self._known[value] = texp
-        self._pending_live += 1
-        if texp.is_finite:
-            heapq.heappush(self._pending, (texp, next(self._seq), value))
-
-    def _refresh(self, tau: Timestamp) -> IntervalSet:
-        merged: Dict[Any, Timestamp] = {}
-        for row, texp in self._live_items(tau):
-            value = row[self.attribute]
-            current = merged.get(value)
-            if current is None or current < texp:
-                merged[value] = texp
-        self._known = merged
-        self._pending = []
-        self._pending_live = 0
-        if not merged:
-            self._base = 0
-            return IntervalSet.from_onwards(tau)
-        self._base, validity = approximate_count_validity(
-            list(merged.values()), tau, self.tolerance
-        )
-        return validity
-
-    def _drain(self, tau: Timestamp) -> None:
-        while self._pending and self._pending[0][0] <= tau:
-            _, _, value = heapq.heappop(self._pending)
-            current = self._known.get(value)
-            if current is None:
-                continue
-            if current <= tau:
-                del self._known[value]
-                self._pending_live -= 1
-            elif current.is_finite:
-                heapq.heappush(self._pending, (current, next(self._seq), value))
-
-    def _serve(self, tau: Timestamp) -> int:
-        self._drain(tau)
-        return self._base + self._pending_live
+    def _admit(self, row: tuple, texp: Timestamp) -> None:
+        self._live.add(row[self.attribute], texp)
 
 
 class ReservoirSample(StandingQuery):
@@ -368,10 +370,11 @@ class ReservoirSample(StandingQuery):
 
     Arrivals run classic Algorithm R against the arrivals-since-refill
     stream; expired members are evicted on read (an O(1) stored-
-    expiration probe each) and, when eviction drains the reservoir below
-    half capacity, it is refilled by a uniform draw from live storage --
-    the expiring-stream analogue of a restart, counted in
-    ``repro_streaming_query_refreshes_total`` like any other rescan.
+    expiration probe each, once per clock value: a member can only die
+    when the clock moves or a revocation dirties the query) and, when
+    eviction drains the reservoir below half capacity, it is refilled by
+    a uniform draw from live storage -- the expiring-stream analogue of a
+    restart, counted in ``repro_streaming_query_refreshes_total``.
     Membership is always a subset of the live stream; uniformity is
     approximate between refills (heterogeneous TTLs skew long-lived
     tuples upward, exactly the effect the GESM paper studies).
@@ -420,6 +423,10 @@ class ReservoirSample(StandingQuery):
         return IntervalSet.from_onwards(tau)
 
     def _before_serve(self, tau: Timestamp) -> None:
+        if tau == self._served_at and not (
+            self._dirty or self.table.clock.now < tau
+        ):
+            return  # filtered at tau already; arrivals since are alive at now
         self._members = [r for r in self._members if self._alive(r, tau)]
         if (
             len(self._members) < max(1, self.capacity // 2)
@@ -459,6 +466,8 @@ class ExtentAggregate(StandingQuery):
         self._lo: Optional[Any] = None
         self._hi: Optional[Any] = None
         self._pending: List[Tuple[Timestamp, int, Any]] = []
+        #: tiebreak for heap entries with equal expirations
+        self._seq = itertools.count()
         super().__init__(store, name, table)
 
     def _on_insert(self, table: Table, stored) -> None:
@@ -532,15 +541,17 @@ class ExtentAggregate(StandingQuery):
         return centers, radius
 
 
-class ThresholdWatch(StandingQuery):
+class ThresholdWatch(_KeyedCount):
     """Per-group distinct counts against a threshold (scan detection).
 
     For each value of ``group_by``, how many distinct values of
     ``distinct`` are live -- e.g. per source address, the number of
     distinct ``(dst, dport)`` targets probed inside the window.  Groups
-    at or above ``threshold`` are the alerts.  Maintenance is pure
-    max-merge per ``(group, value)`` (a monotonic projection, so arrivals
-    are deltas); expired entries are pruned lazily as groups are read.
+    at or above ``threshold`` are the alerts.  The counted key is the
+    ``(group, value)`` pair; a per-group counter goes up when the
+    schedule admits a new pair and down for every pair a read's
+    ``advance`` hands back, so serving costs the pairs that expired
+    since the last read, not the pairs tracked.
     """
 
     def __init__(
@@ -557,45 +568,27 @@ class ThresholdWatch(StandingQuery):
         self.group_index = table.schema.index(group_by)
         self.distinct_indexes = tuple(table.schema.index(a) for a in distinct)
         self.threshold = threshold
-        self._groups: Dict[Any, Dict[tuple, Timestamp]] = {}
+        self._counts: Dict[Any, int] = {}
         super().__init__(store, name, table)
 
-    def _key(self, row: tuple) -> Tuple[Any, tuple]:
-        return (
-            row[self.group_index],
-            tuple(row[i] for i in self.distinct_indexes),
-        )
-
-    def _on_insert(self, table: Table, stored) -> None:
-        group, value = self._key(stored.row)
-        bucket = self._groups.setdefault(group, {})
-        current = bucket.get(value)
-        if current is None or current < stored.expires_at:
-            bucket[value] = stored.expires_at
+    def _admit(self, row: tuple, texp: Timestamp) -> None:
+        group = row[self.group_index]
+        value = tuple(row[i] for i in self.distinct_indexes)
+        if self._live.add((group, value), texp):
+            self._counts[group] = self._counts.get(group, 0) + 1
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
-        groups: Dict[Any, Dict[tuple, Timestamp]] = {}
-        for row, texp in self._live_items(tau):
-            group, value = self._key(row)
-            bucket = groups.setdefault(group, {})
-            current = bucket.get(value)
-            if current is None or current < texp:
-                bucket[value] = texp
-        self._groups = groups
-        # Counts are pruned per serve; only revocations need a rescan.
-        return IntervalSet.from_onwards(tau)
+        self._counts = {}
+        return super()._refresh(tau)
 
     def _serve(self, tau: Timestamp) -> Dict[Any, int]:
-        counts: Dict[Any, int] = {}
-        for group in list(self._groups):
-            bucket = self._groups[group]
-            for value in [v for v, texp in bucket.items() if texp <= tau]:
-                del bucket[value]
-            if bucket:
-                counts[group] = len(bucket)
+        counts = self._counts
+        for group, _ in self._live.advance(tau):
+            if counts[group] == 1:
+                del counts[group]
             else:
-                del self._groups[group]
-        return counts
+                counts[group] -= 1
+        return dict(counts)
 
     def alerts(self, at=None) -> Dict[Any, int]:
         """Groups whose live distinct count meets the threshold."""

@@ -199,6 +199,69 @@ class TestCompaction:
         assert records[0]["row"] == [1]
         wal.close()
 
+    def test_final_remove_is_kept_only_as_a_base_tombstone(self, tmp_path):
+        wal = WriteAheadLog(tmp_path)
+        # Row 1 is in the base snapshot: renewed, then swept.
+        wal.append("upsert", table="T", row=[1], texp=5, prev=3)
+        wal.append("remove", table="T", row=[1], prev=5)
+        # Row 2 was born, renewed and swept entirely within the log.
+        wal.append("upsert", table="T", row=[2], texp=4, prev="absent")
+        wal.append("upsert", table="T", row=[2], texp=6, prev=4)
+        wal.append("remove", table="T", row=[2], prev=6)
+        # Row 3 was deleted explicitly, long before its expiration.
+        wal.append("upsert", table="T", row=[3], texp=50, prev="absent")
+        wal.append("remove", table="T", row=[3], prev=50)
+        stats = wal.compact(now=10, base_rows={("T", (1,))})
+        records = wal.records()
+        assert [(r.kind, r.get("row")) for r in records] == [
+            ("remove", [1]), ("clock", None),
+        ]
+        # Expired: row 2's two lapsed upserts and its tombstone, row 3's
+        # tombstone.  Superseded: row 1's upsert (its remove is kept) and
+        # row 3's upsert (deleted, not lapsed).
+        assert stats["expired"] == 4
+        assert stats["superseded"] == 2
+        assert stats["kept"] == 2
+        wal.close()
+
+    def test_tombstone_rule_is_replay_equivalent(self, tmp_path):
+        """Recovery sees the same database before and after compaction."""
+        from repro.engine.database import Database
+        from repro.engine.recovery import recover_database
+
+        def state(db):
+            return db.now.value, dict(db.table("T").relation.items())
+
+        db = Database(wal_dir=tmp_path, wal_fsync="never")
+        table = db.create_table("T", ["k"])
+        table.insert((1,), ttl=3)
+        table.insert((2,), ttl=50)
+        db.checkpoint()  # rows 1 and 2 are the base snapshot
+        table.insert((3,), ttl=2)  # born and swept inside the log
+        table.insert((4,), ttl=60)
+        db.tick(5)  # sweeps row 1 (base-held) and row 3 (log-only)
+        before = state(db)
+        stats = db.compact_wal()
+        physical = sorted(
+            (r.kind, r["row"]) for r in db.wal.records() if "row" in r
+        )
+        assert physical == [("remove", [1]), ("upsert", [4])]
+        assert stats["expired"] == 2  # row 3's upsert and its tombstone
+        db.close()
+        recovered = recover_database(tmp_path)
+        assert state(recovered) == before
+        assert set(recovered.table("T").read().rows()) == {(2,), (4,)}
+        recovered.close()
+
+    def test_dropped_tombstones_still_refuse_an_open_transaction(self, tmp_path):
+        wal = WriteAheadLog(tmp_path)
+        wal.append("upsert", table="T", row=[1], texp=2, prev="absent")
+        wal.append("begin", txn=1)
+        wal.append("remove", table="T", row=[1], prev=2, txn=1)
+        assert not any(wal.compact(now=10).values())
+        assert [r.kind for r in wal.records()] == ["upsert", "begin", "remove"]
+        wal.close()
+
     def test_brackets_and_clocks_collapse_and_txn_tags_strip(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         wal.append("clock", now=1)

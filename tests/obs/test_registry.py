@@ -78,10 +78,24 @@ class TestFamilies:
         family.labels(b="y", a="x").inc()
         assert family.labels("x", "y").value == 2
 
+    def test_labels_name_one_series_whatever_the_value_types(self):
+        # The positional probe for an existing series keys on the values
+        # as given; non-string and unhashable values must still land on
+        # the series their str() names.
+        family = MetricsRegistry().counter("repro_t_total", labels=("a", "b"))
+        first = family.labels("3", "[1, 2]")
+        assert family.labels("3", "[1, 2]") is first
+        assert family.labels(3, [1, 2]) is first
+        assert family.labels(a=3, b=[1, 2]) is first
+        assert len(dict(family.series())) == 1
+
     def test_label_arity_checked(self):
         family = MetricsRegistry().counter("repro_t_total", labels=("a", "b"))
+        family.labels("x", "y")
         with pytest.raises(ValueError):
             family.labels("only-one")
+        with pytest.raises(ValueError):
+            family.labels("x", "y", "z")
         with pytest.raises(ValueError):
             family.labels(a="x", c="nope")
 

@@ -2,17 +2,22 @@
 
 The serve/refresh protocol (answers cached with their Schrödinger
 validity interval, arrivals folded in incrementally, refreshes only when
-``I(e)`` runs out or a revocation dirties the cache), the two table-level
-expiry policies, and a brute-force differential for every standing-query
-kind over randomised schedules of inserts, overrides, and clock
-advances.
+``I(e)`` runs out or a revocation dirties the cache -- and, for the
+counting family, never because ``I(e)`` ran out: its one expiration
+schedule patches the answer forward), the two table-level expiry
+policies, and a brute-force differential for every standing-query kind
+over randomised schedules of inserts, renewals, touches, overrides,
+deletes, and clock advances.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.approximate import AbsoluteTolerance
+from repro.core.timestamps import INFINITY
 from repro.engine.database import Database
 from repro.errors import EngineError
 from repro.workloads import (
@@ -76,6 +81,8 @@ class TestStreamStore:
         serves = metrics.get("repro_streaming_query_serves_total")
         assert serves.labels("s:count", "refresh").value == 1
         assert serves.labels("s:count", "cached").value == 1
+        # The first read is a refresh, but no validity ran out for it.
+        assert refresh_causes(store, "s:count") == {"initial": 1}
 
 
 class TestIdleTimeoutPolicy:
@@ -139,19 +146,44 @@ class TestServeRefreshProtocol:
         assert hits.read() == 2
         assert hits.validity is first_validity  # no refresh happened
 
-    def test_refresh_when_validity_expires(self):
+    def test_expirations_patch_forward_without_a_refresh(self):
         store = make_store(ttl=10)
         hits = store.count("s")
         store.ingest("s", (1, 1), ttl=4)
         store.ingest("s", (2, 2), ttl=10)
         assert hits.read() == 2
-        causes = store.database.metrics.get(
-            "repro_streaming_query_refreshes_total"
-        )
-        before = causes.labels("s:count", "validity").value
+        validity = hits.validity
         store.database.tick(4)
         assert hits.read() == 1
-        assert causes.labels("s:count", "validity").value == before + 1
+        store.database.tick(6)
+        assert hits.read() == 0
+        # The clock cannot leave [0, ∞): the one refresh was the first read.
+        assert hits.validity is validity
+        assert validity.intervals[-1].end == INFINITY
+        assert refresh_causes(store, "s:count") == {"initial": 1}
+
+    def test_backwards_read_is_refused(self):
+        store = make_store(ttl=10)
+        hits = store.count("s")
+        store.ingest("s", (1, 1), ttl=4)
+        store.database.tick(5)
+        assert hits.read() == 0  # the schedule dropped the row for good
+        with pytest.raises(EngineError, match="back in time"):
+            hits.read(at=3)
+        assert hits.read(at=5) == 0  # the same time is not backwards
+
+    def test_expired_unread_then_reingested_counts_once(self):
+        store = make_store(ttl=10)
+        hits = store.count("s")
+        keys = store.distinct("s", "key")
+        watch = store.watch("s", group_by="key", distinct=("value",), threshold=1)
+        store.ingest("s", (1, 1), ttl=2)
+        assert (hits.read(), keys.read(), watch.read()) == (1, 1, {1: 1})
+        store.database.tick(5)  # dead since 2, and nobody read meanwhile
+        store.ingest("s", (1, 1), ttl=3)
+        assert (hits.read(), keys.read(), watch.read()) == (1, 1, {1: 1})
+        store.database.tick(3)
+        assert (hits.read(), keys.read(), watch.read()) == (0, 0, {})
 
     def test_arrivals_fold_in_without_refresh(self):
         store = make_store(ttl=10)
@@ -177,18 +209,32 @@ class TestServeRefreshProtocol:
         )
         assert causes.labels("s:count", "revoked").value == 1
 
-    def test_tolerant_count_stretches_validity(self):
+    def test_tolerant_count_is_exact_and_never_refreshes(self):
         store = make_store(ttl=100)
         exact = store.count("s", name="exact")
         loose = store.count("s", tolerance=AbsoluteTolerance(5), name="loose")
+        distinct = store.distinct("s", "key", tolerance=AbsoluteTolerance(5))
         for i in range(10):
             store.ingest("s", (i, i), ttl=10 + i)
-        assert exact.read() == 10
-        assert loose.read() == 10
-        # Exact validity dies at the first expiration; tolerant one rides
-        # out five deaths.
-        assert exact.validity.intervals[-1].end.value == 10
-        assert loose.validity.intervals[-1].end.value == 15
+        assert exact.read() == loose.read() == distinct.read() == 10
+        # A declared band is still accepted, but buys nothing: both
+        # answers hold from the first read onwards, exactly.
+        assert exact.validity == loose.validity == distinct.validity
+        assert loose.validity.intervals[-1].end == INFINITY
+        store.database.tick(13)  # four deaths: inside the band, yet shown
+        assert exact.read() == loose.read() == distinct.read() == 6
+        for name in ("exact", "loose", "s:distinct:key"):
+            assert refresh_causes(store, name) == {"initial": 1}
+
+
+def refresh_causes(store, query):
+    """``{cause: refreshes}`` of one standing query, zero counts left out."""
+    family = store.database.metrics.get("repro_streaming_query_refreshes_total")
+    return {
+        labels[1]: counter.value
+        for labels, counter in family.series()
+        if labels[0] == query and counter.value
+    }
 
 
 def brute_count(table, tau):
@@ -267,6 +313,141 @@ class TestDifferential:
         assert total < 800 / 4
 
 
+def brute_watch(table, tau):
+    groups = {}
+    for row, texp in table.relation.items():
+        if tau < texp:
+            groups.setdefault(row[0], set()).add(row[1:])
+    return {group: len(values) for group, values in groups.items()}
+
+
+def parked(schedule):
+    """Bucket entries of a LiveKeys schedule (live keys + stale renewals)."""
+    assert sorted(schedule.heap) == sorted(schedule.buckets)
+    return sum(len(bucket) for bucket in schedule.buckets.values())
+
+
+ROWS = st.tuples(st.integers(0, 4), st.integers(0, 2))
+INGEST = st.tuples(
+    st.just("ingest"), ROWS, st.one_of(st.none(), st.integers(1, 6))
+)
+TICK = st.tuples(st.just("tick"), st.integers(1, 5))
+READ = st.tuples(st.just("read"), st.integers(1, 15))
+#: Mostly arrivals, ticks and reads: a revocation makes the next read
+#: rescan, and it is the stretches *between* rescans that are under test.
+HISTORY = st.lists(
+    st.one_of(
+        INGEST, INGEST, INGEST, INGEST, TICK, TICK, READ, READ,
+        st.tuples(st.just("touch"), ROWS),
+        st.tuples(st.just("override"), ROWS, st.integers(0, 3)),
+        st.tuples(st.just("delete"), ROWS),
+    ),
+    min_size=8,
+    max_size=80,
+)
+
+
+class TestCountingSchedule:
+    """Every counted key sits on one LiveKeys schedule (DESIGN §5j)."""
+
+    @pytest.mark.parametrize("shape", STREAM_SHAPES)
+    @settings(max_examples=200, deadline=None)
+    @given(history=HISTORY)
+    def test_reads_match_brute_force_over_random_histories(self, shape, history):
+        store = make_store(shape, ttl=4, expiry="since_last_modification")
+        table = store.stream("s")
+        queries = [
+            store.count("s", name="exact"),
+            store.count("s", name="loose", tolerance=AbsoluteTolerance(3)),
+            store.distinct("s", "key", name="distinct"),
+            store.watch("s", "key", ("value",), threshold=2, name="watch"),
+        ]
+        # Read first, so that everything after arrives through the listeners.
+        for op in [("read", 15)] + history + [("read", 15)]:
+            if op[0] == "ingest":
+                # Small domains: most ingests renew a resident row.
+                if op[2] is None:
+                    table.insert(op[1], expires_at=INFINITY)
+                else:
+                    store.ingest("s", op[1], ttl=op[2])
+            elif op[0] == "touch":
+                store.touch("s", op[1])
+            elif op[0] == "override":  # shortens, lengthens, revokes, creates
+                table.override(op[1], expires_at=store.database.now.value + op[2])
+            elif op[0] == "delete":
+                table.delete(op[1])
+            elif op[0] == "tick":
+                store.database.tick(op[1])
+            else:
+                tau = store.database.now
+                count = brute_count(table, tau)
+                truth = [count, count, brute_distinct(table, tau, 0),
+                         brute_watch(table, tau)]
+                for bit, (query, expected) in enumerate(zip(queries, truth)):
+                    if op[1] >> bit & 1:  # the others keep their unread backlog
+                        assert query.read() == expected, query.name
+        for query in queries:
+            causes = refresh_causes(store, query.name)
+            assert causes.pop("initial") == 1
+            assert set(causes) <= {"revoked"}  # never "validity"
+
+    def test_schedule_does_not_leak_under_churn(self):
+        store = make_store(ttl=20)
+        hits = store.count("s")
+        table = store.stream("s")
+        rng = random.Random(20060417)
+        stale = []  # old ticks of renewals that moved a resident row's texp
+        peak = 0
+        for tick in range(10_000):
+            for _ in range(rng.randint(0, 4)):
+                row = (rng.randrange(30), rng.randrange(3))
+                ttl = rng.randint(1, 20)
+                old = table.relation.expiration_or_none(row)
+                if old is not None and old.value < tick + ttl:
+                    stale.append(old.value)
+                store.ingest("s", row, ttl=ttl)
+            store.database.tick(1)
+            if rng.random() < 0.3:
+                now = store.database.now
+                assert hits.read() == brute_count(table, now)
+                stale = [old for old in stale if old > now.value]
+                # One entry per live key, plus one per renewal whose old
+                # tick has not come up yet -- and nothing else, ever.
+                assert parked(hits._live) == len(hits._live) + len(stale)
+                peak = max(peak, parked(hits._live))
+        assert peak <= 2 * 90  # 90 possible rows
+        store.database.tick(20)
+        assert hits.read() == 0
+        assert parked(hits._live) == 0
+        assert refresh_causes(store, "s:count") == {"initial": 1}
+
+    def test_immortal_keys_are_counted_but_never_parked(self):
+        store = make_store(ttl=5)
+        hits = store.count("s")
+        table = store.stream("s")
+        store.ingest("s", (1, 1))
+        table.insert((1, 1), expires_at=INFINITY)  # renewed to forever
+        table.insert((2, 2), expires_at=INFINITY)
+        store.ingest("s", (2, 2), ttl=3)  # max-merge: stays immortal
+        store.database.tick(50)
+        assert hits.read() == 2
+        assert parked(hits._live) == 0
+
+    def test_watch_serves_without_walking_every_pair(self):
+        store = make_store(ttl=50)
+        watch = store.watch("s", "key", ("value",), threshold=3)
+        for value in range(5):
+            store.ingest("s", (1, value), ttl=10 + value)
+        store.ingest("s", (2, 0), ttl=50)
+        assert watch.alerts() == {1: 5}
+        store.database.tick(12)  # values 0..2 of group 1 are gone
+        assert watch.read() == {1: 2, 2: 1}
+        assert watch.alerts() == {}
+        store.database.tick(10)
+        assert watch.read() == {2: 1}
+        assert refresh_causes(store, watch.name) == {"initial": 1}
+
+
 class TestReservoirSample:
     def test_members_are_live_subset_and_bounded(self):
         store = make_store(ttl=15)
@@ -289,6 +470,35 @@ class TestReservoirSample:
             # Depletion refills: with plenty live, never near-empty.
             if len(live) >= 8:
                 assert len(members) >= 4
+
+    def test_members_are_probed_once_per_clock_value(self):
+        store = make_store(ttl=10)
+        sample = store.sample("s", capacity=8, rng=random.Random(2))
+        table = store.stream("s")
+        for i in range(6):
+            store.ingest("s", (i, i), ttl=2 + i)
+        probes = []
+        alive = sample._alive
+        sample._alive = lambda row, tau: probes.append(row) or alive(row, tau)
+        store.database.tick(1)
+        assert len(sample.read()) == 6
+        assert len(probes) == 6
+        store.ingest("s", (6, 6))  # an arrival joins without a probe
+        assert len(sample.read()) == 7
+        assert len(probes) == 6  # same clock value, clean: nothing re-probed
+        # A revocation dirties the query: the dead member is not served.
+        table.override((6, 6), expires_at=store.database.now)
+        assert (6, 6) not in sample.read()
+        store.database.tick(1)  # the clock moved: (0, 0) dies at 2
+        assert set(sample.read()) == {(i, i) for i in range(1, 6)}
+
+    def test_a_read_ahead_of_the_clock_still_filters_late_arrivals(self):
+        store = make_store(ttl=10)
+        sample = store.sample("s", capacity=8)
+        store.ingest("s", (1, 1), ttl=9)
+        assert sample.read(at=5) == [(1, 1)]
+        store.ingest("s", (2, 2), ttl=3)  # alive now, dead at 5
+        assert sample.read(at=5) == [(1, 1)]
 
     def test_empty_stream_serves_empty(self):
         store = make_store(ttl=5)
