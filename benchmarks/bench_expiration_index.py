@@ -5,13 +5,16 @@ with real-time performance guarantees".  The bench measures the heap-based
 index: throughput of schedule/pop cycles across index sizes (expected
 shape: near-O(log n) per operation, i.e. throughput decays only slowly
 with n) and the cost of renewal-heavy workloads (tombstone pressure).
+
+The heap-vs-timer-wheel comparison this script used to print is
+historical (EXPERIMENTS.md, D2): the wheel was retired when no user path
+in the repo's benchmark could tell the two substrates apart.
 """
 
 import random
 import time
 
 from repro.engine.expiration_index import ExpirationIndex
-from repro.engine.timer_wheel import TimerWheelIndex
 
 try:
     from benchmarks._tables import emit
@@ -19,25 +22,23 @@ except ImportError:  # direct script execution
     from _tables import emit
 
 
-def churn(index_size, operations, renew_fraction, seed,
-          make_index=ExpirationIndex, lifetime_span=10**6):
-    """Pre-fill an index, then run a schedule/expire churn; return ops/sec.
+#: Lifetimes are drawn from a span this wide, which keeps the due-rate near
+#: zero: the measurement isolates per-operation cost (the O(log n) story).
+LIFETIME_SPAN = 10**6
 
-    The default huge ``lifetime_span`` keeps the due-rate near zero, so the
-    measurement isolates per-operation cost (the O(log n) scaling story);
-    a short span makes pops drain real batches (the workload for the
-    heap-vs-wheel comparison, identical for both implementations).
-    """
+
+def churn(index_size, operations, renew_fraction, seed):
+    """Pre-fill an index, then run a schedule/expire churn; return ops/sec."""
     rng = random.Random(seed)
-    index = make_index()
+    index = ExpirationIndex()
     now = 0
     for key in range(index_size):
-        index.schedule((key,), now + rng.randint(1, lifetime_span))
+        index.schedule((key,), now + rng.randint(1, LIFETIME_SPAN))
     started = time.perf_counter()
     for op in range(operations):
         if rng.random() < renew_fraction:
             key = rng.randrange(index_size)
-            index.schedule((key,), now + rng.randint(1, lifetime_span))
+            index.schedule((key,), now + rng.randint(1, LIFETIME_SPAN))
         else:
             now += rng.randint(0, 3)
             index.pop_due(now)
@@ -45,30 +46,11 @@ def churn(index_size, operations, renew_fraction, seed,
     return operations / elapsed, index.heap_size
 
 
-def run_sweep(operations=4000, seed=7, make_index=ExpirationIndex):
+def run_sweep(operations=4000, seed=7):
     rows = []
     for size in (1_000, 10_000, 100_000):
-        ops_per_sec, residue = churn(size, operations, 0.7, seed,
-                                     make_index=make_index)
+        ops_per_sec, residue = churn(size, operations, 0.7, seed)
         rows.append((size, f"{ops_per_sec:,.0f}", residue))
-    return rows
-
-
-def implementation_comparison(operations=4000, seed=7):
-    """Heap vs timer wheel ([24]'s O(1)-per-tick structure) under churn.
-
-    Short lifetimes: every pop drains a real batch, and the wheel's
-    near-future slot path is the one being exercised.
-    """
-    rows = []
-    for label, factory in (
-        ("binary heap", ExpirationIndex),
-        ("timer wheel (W=1024)", lambda: TimerWheelIndex(wheel_size=1024)),
-    ):
-        for size in (10_000, 100_000):
-            ops_per_sec, residue = churn(size, operations, 0.7, seed,
-                                         make_index=factory, lifetime_span=500)
-            rows.append((label, size, f"{ops_per_sec:,.0f}", residue))
     return rows
 
 
@@ -77,11 +59,6 @@ def print_index(rows=None):
         "Expiration index: churn throughput vs index size",
         ["index size", "ops/sec", "heap residue (tombstones)"],
         rows if rows is not None else run_sweep(),
-    )
-    emit(
-        "Expiration index implementations under churn",
-        ["implementation", "index size", "ops/sec", "physical residue"],
-        implementation_comparison(),
     )
 
 
@@ -107,14 +84,6 @@ def test_next_expiration_is_constant_time_observable():
         index.next_expiration()
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0  # 10k peeks well under a second
-
-
-def test_wheel_handles_same_churn():
-    heap_result = churn(5_000, 1500, 0.7, 3, make_index=ExpirationIndex)
-    wheel_result = churn(
-        5_000, 1500, 0.7, 3, make_index=lambda: TimerWheelIndex(wheel_size=1024)
-    )
-    assert heap_result[0] > 0 and wheel_result[0] > 0
 
 
 def test_expiration_index_benchmark(benchmark):

@@ -1,15 +1,21 @@
 """Experiment X9: partition-parallel expiration sweeps.
 
-The companion report's bulk-removal argument, measured: a flat table
-processes a mass expiration one tuple at a time (per-tuple lookup, delete,
-and statistics round-trips), while a :class:`PartitionedTable` drains one
-bulk kernel per hash shard, fanned out on the database's worker pool.
+The companion report's bulk-removal argument, measured: every table
+drains one bulk raw-tick kernel per shard, fanned out on the database's
+worker pool above one shard; a flat table is the one-shard case.  (Up to
+PR 17 the flat table had a sweep of its own, one ``Timestamp`` comparison
+and two statistics round-trips per tuple, 1.7x slower than one shard;
+the old gate -- four shards >= 1.2x flat -- measured that duplicate.)
 
 Reported: sweep wall time and throughput for a flat table versus 1/2/4/8
 hash shards over the same mass-expiring workload; asserted (the gate):
-the 4-shard sweep is at least ``threshold`` times faster than flat --
-2.0x in full mode (>=100k due tuples), a conservative 1.2x under
-``--smoke`` so shared CI runners don't flake.
+flat within 15 % of one shard, and four shards no slower than one by more
+than the same 15 % (under the GIL the fan-out buys cache locality, not
+cores: at 20 000 tuples the two read within +-2 % of each other, at
+120 000 four shards are ~10 % faster, and a single noisy repetition on a
+shared runner moves either by more than that).  Full mode (120 000 due
+tuples) also holds the flat sweep to 1.5x the throughput the parent's
+flat path had at that size.
 """
 
 import time
@@ -23,6 +29,14 @@ except ImportError:  # direct script execution
 
 DUE_AT = 100
 
+#: Run-to-run noise allowed before "as fast as one shard" counts as broken.
+BAND = 1.15
+
+#: Flat-table sweep throughput at the parent of PR 18, 120 000 due tuples:
+#: the median of five readings (247k-373k tuples/s) on the 2-core box the
+#: EXPERIMENTS.md X9 numbers come from.
+PARENT_FLAT_TUPLES_PER_S = 342_000
+
 
 def build_database(n, shards=None):
     """A database whose table 'S' holds ``n`` tuples all due at DUE_AT."""
@@ -34,29 +48,28 @@ def build_database(n, shards=None):
     return db, table
 
 
-def time_sweep(n, shards=None, reps=3):
-    """Best-of-``reps`` wall time for sweeping all ``n`` due tuples."""
-    best = None
-    for _ in range(reps):
-        db, table = build_database(n, shards)
-        started = time.perf_counter()
-        db.advance_to(DUE_AT)
-        elapsed = time.perf_counter() - started
-        if len(table) != 0 or table.physical_size != 0:
-            raise AssertionError("sweep left tuples behind")
-        db.close()
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
+def time_sweep(n, shards=None):
+    """Wall time for sweeping all ``n`` due tuples once."""
+    db, table = build_database(n, shards)
+    started = time.perf_counter()
+    db.advance_to(DUE_AT)
+    elapsed = time.perf_counter() - started
+    if len(table) != 0 or table.physical_size != 0:
+        raise AssertionError("sweep left tuples behind")
+    db.close()
+    return elapsed
 
 
 def run_sweep(n, shard_counts=(1, 2, 4, 8), reps=3):
-    rows = [{"label": "flat", "shards": None, "s": time_sweep(n, None, reps)}]
-    for shards in shard_counts:
-        rows.append(
-            {"label": f"{shards} shard{'s' if shards > 1 else ''}",
-             "shards": shards, "s": time_sweep(n, shards, reps)}
-        )
+    """Best-of-``reps`` per layout, the layouts interleaved within each
+    repetition so a noisy stretch of the machine hits all of them alike."""
+    rows = [{"label": "flat", "shards": None}] + [
+        {"label": f"{shards} shard{'s' if shards > 1 else ''}", "shards": shards}
+        for shards in shard_counts
+    ]
+    for _ in range(reps):
+        for row in rows:
+            row["s"] = min(row.get("s", float("inf")), time_sweep(n, row["shards"]))
     flat = rows[0]["s"]
     for row in rows:
         row["ms"] = round(row["s"] * 1000, 1)
@@ -74,16 +87,29 @@ def print_report(n, rows):
     )
 
 
-def gate(n, threshold, reps=3):
-    """Fail unless the 4-shard sweep beats flat by ``threshold``x."""
+def gate(n, reps=3, flat_floor=None):
+    """Check the sweep claims; ``flat_floor`` is a tuples/s bound on flat."""
     rows = run_sweep(n, reps=reps)
     print_report(n, rows)
-    at_four = next(r for r in rows if r["shards"] == 4)
+    flat, one, four = (
+        next(r for r in rows if r["shards"] == shards) for shards in (None, 1, 4)
+    )
+    checks = [
+        (f"flat within 15% of one shard ({flat['s'] / one['s']:.2f}x its time)",
+         flat["s"] <= one["s"] * BAND),
+        (f"four shards no slower than one ({four['s'] / one['s']:.2f}x its time)",
+         four["s"] <= one["s"] * BAND),
+    ]
+    if flat_floor is not None:
+        checks.append(
+            (f"flat sweeps {flat['tuples_per_s']:,} tuples/s "
+             f"(floor {int(flat_floor):,})",
+             flat["tuples_per_s"] >= flat_floor)
+        )
     return {
         "n": n,
-        "speedup": at_four["speedup"],
-        "threshold": threshold,
-        "passed": at_four["speedup"] >= threshold,
+        "checks": checks,
+        "passed": all(ok for _, ok in checks),
         "rows": rows,
     }
 
@@ -106,14 +132,14 @@ if __name__ == "__main__":
     import sys
 
     if "--smoke" in sys.argv:
-        report = gate(n=20_000, threshold=1.2, reps=2)
+        report = gate(n=20_000, reps=5)
     else:
-        report = gate(n=120_000, threshold=2.0, reps=3)
-    print(
-        f"4-shard speedup {report['speedup']:.2f}x over flat on "
-        f"{report['n']:,} due tuples (gate: >={report['threshold']:.1f}x)"
-    )
+        report = gate(
+            n=120_000, reps=3, flat_floor=1.5 * PARENT_FLAT_TUPLES_PER_S
+        )
+    for claim, ok in report["checks"]:
+        print(f"{'ok  ' if ok else 'FAIL'} {claim}")
     if not report["passed"]:
-        print("FAIL: partitioned sweep below the speedup gate")
+        print("FAIL: expiration sweep outside the gate")
         raise SystemExit(1)
-    print("OK: partitioned sweep throughput within the gate")
+    print("OK: expiration sweep throughput within the gate")

@@ -11,12 +11,14 @@ Structural (cheap, pure bookkeeping walks):
 * ``index-entries-stored`` -- every live index entry refers to a
   physically present row whose stored expiration matches (otherwise a
   phantom entry later fires ON-EXPIRE for a row that no longer exists);
-* ``due-buffer-consistent`` -- lazily buffered due entries are actually
-  due, and any still-present row carries an expiration no earlier than the
-  buffered one (max-merge renewals only ever move expirations later);
+* ``due-buffer-consistent`` -- the entries in every shard's due buffer (a
+  flat table has one shard) are actually due, and any still-present row
+  carries an expiration no earlier than the buffered one (a row that
+  lapsed is reclaimed before a verb re-admits it, so a leftover entry
+  can only precede what is stored);
 * ``shard-routing`` -- every row, index entry, and due-buffer entry of a
-  partitioned table lives in the shard ``hash(row[key]) % N`` says it
-  should (a misrouted row is invisible to point reads and sweeps);
+  table with more than one shard lives in the shard ``hash(row[key]) % N``
+  says it should (a misrouted row is invisible to point reads and sweeps);
 * ``physical-covers-live`` -- a table never reports more live tuples than
   it physically stores.
 
@@ -49,8 +51,6 @@ from typing import (
 )
 
 from repro.core.algebra.evaluator import Evaluator
-from repro.core.timestamps import ts
-from repro.engine.partitioning import PartitionedTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from repro.engine.database import Database
@@ -88,8 +88,11 @@ class _TickMaps:
         maps = self._maps.get(name)
         if maps is None:
             table = self._database.table(name)
+            scheduled: dict = {}
+            for shard in table._shards:
+                scheduled.update(shard.index.pending_raw())
             maps = self._maps[name] = (
-                dict(table._index.pending_raw()),
+                scheduled,
                 {row: texp._value for row, texp in table.relation.items()},
             )
         return maps
@@ -197,74 +200,54 @@ def _index_entries_stored(db: "Database", ticks: _TickMaps) -> Iterator[Violatio
 @_structural("due-buffer-consistent")
 def _due_buffer_consistent(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
     now = db.clock.now
-
-    def audit(name: str, shard: str, entries) -> Iterator[Violation]:
-        table = db.table(name)
-        for row, texp in entries:
-            if texp > now:
-                yield Violation(
-                    "due-buffer-consistent",
-                    f"{name}{shard}{row}",
-                    f"buffered entry at {texp} is not due yet (now {now})",
-                )
-            current = table.relation.expiration_or_none(row)
-            # An absent row is legal: an explicit delete can reclaim an
-            # expired-but-unvacuumed row before its buffered entry drains.
-            if current is not None and current < texp:
-                yield Violation(
-                    "due-buffer-consistent",
-                    f"{name}{shard}{row}",
-                    f"stored expiration {current} precedes the buffered "
-                    f"entry {texp} (max-merge only moves later)",
-                )
-
     for name in db.table_names():
         table = db.table(name)
-        if isinstance(table, PartitionedTable):
-            for i, buffer in enumerate(table._due_buffers):
-                entries = [(row, ts(value)) for row, value in buffer]
-                yield from audit(name, f"[shard {i}]", entries)
-        else:
-            yield from audit(name, "", list(table._due_buffer))
+        for shard in table._shards:
+            where = (
+                name if table.partitions is None
+                else f"{name}[shard {shard.label}]"
+            )
+            for row, texp in shard.due:
+                if texp > now:
+                    yield Violation(
+                        "due-buffer-consistent",
+                        f"{where}{row}",
+                        f"buffered entry at {texp} is not due yet (now {now})",
+                    )
+                current = shard.relation.expiration_or_none(row)
+                # An absent row is legal: a verb that met the lapsed row
+                # reclaimed it before its buffered entry drained.
+                if current is not None and current < texp:
+                    yield Violation(
+                        "due-buffer-consistent",
+                        f"{where}{row}",
+                        f"stored expiration {current} precedes the buffered "
+                        f"entry {texp} (max-merge only moves later)",
+                    )
 
 
 @_structural("shard-routing")
 def _shard_routing(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
     for name in db.table_names():
         table = db.table(name)
-        if not isinstance(table, PartitionedTable):
+        if table.partitions is None:
             continue
-        key, count = table.key_index, table.partitions
-        for shard_id, shard in enumerate(table.relation.shards):
-            for row in shard._tuples:
-                owner = hash(row[key]) % count
-                if owner != shard_id:
-                    yield Violation(
-                        "shard-routing",
-                        f"{name}{row}",
-                        f"stored in relation shard {shard_id}, key hashes "
-                        f"to shard {owner}",
-                    )
-        for shard_id, shard_index in enumerate(table._index.shards):
-            for row, _ in shard_index.pending():
-                owner = hash(row[key]) % count
-                if owner != shard_id:
-                    yield Violation(
-                        "shard-routing",
-                        f"{name}{row}",
-                        f"indexed in shard {shard_id}, key hashes to shard "
-                        f"{owner}",
-                    )
-        for shard_id, buffer in enumerate(table._due_buffers):
-            for row, _ in buffer:
-                owner = hash(row[key]) % count
-                if owner != shard_id:
-                    yield Violation(
-                        "shard-routing",
-                        f"{name}{row}",
-                        f"buffered in shard {shard_id}, key hashes to shard "
-                        f"{owner}",
-                    )
+        key, count = table.relation.key_index, table.partitions
+        for shard_id, shard in enumerate(table._shards):
+            for where, rows in (
+                ("stored in relation", shard.relation.rows()),
+                ("indexed in", (row for row, _ in shard.index.pending_raw())),
+                ("buffered in", (row for row, _ in shard.due)),
+            ):
+                for row in rows:
+                    owner = hash(row[key]) % count
+                    if owner != shard_id:
+                        yield Violation(
+                            "shard-routing",
+                            f"{name}{row}",
+                            f"{where} shard {shard_id}, key hashes to "
+                            f"shard {owner}",
+                        )
 
 
 @_structural("physical-covers-live")

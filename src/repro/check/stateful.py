@@ -1,13 +1,15 @@
 """A seeded, shrinking, model-based fuzzer for the whole engine.
 
-The fuzzer drives one :class:`~repro.engine.database.Database` -- a flat
-table and a hash-partitioned table, three materialised views (monotonic,
-SCHRODINGER difference, PATCH difference), audit triggers, the plan cache
--- through a random but *fully concrete* operation sequence, in lockstep
-with a trivially-correct oracle: a ``row -> expiration`` dict per table
-plus an integer clock.  Concreteness is the point: every op is a plain
-tuple of ints, so any subsequence replays deterministically, which is what
-makes delta-debugging shrinks sound.
+The fuzzer drives one :class:`~repro.engine.database.Database` -- flat and
+hash-partitioned tables in row and columnar layouts (``pcol``, partitioned
+*and* columnar, is the shape ``AuthzStore`` runs on), an idle-timeout
+table, three materialised views (monotonic, SCHRODINGER difference, PATCH
+difference), audit triggers, the plan cache -- through a random but *fully
+concrete* operation sequence, in lockstep with a trivially-correct oracle:
+a ``row -> expiration`` dict per table plus an integer clock.
+Concreteness is the point: every op is a plain tuple of ints, so any
+subsequence replays deterministically, which is what makes delta-debugging
+shrinks sound.
 
 After **every** op three things are checked:
 
@@ -18,7 +20,12 @@ After **every** op three things are checked:
    ``check_invariants=True``, so the audits additionally fire from inside
    every mutation and mid-sweep hook;
 3. trigger soundness -- no (table, row, texp) fires twice, and nothing
-   fires before its expiration time.
+   fires before its expiration time -- and, in runs without crash points
+   (a crash legitimately forgets rows that expired before recovery),
+   completeness: every (table, row, texp) the oracle saw lapse has fired
+   exactly once by the time that table has been swept (after each op
+   under EAGER, after a ``vacuum`` of it under LAZY), and nothing fires
+   that the oracle did not see lapse.
 
 A failure is shrunk with a ddmin-style pass (drop chunks, halve the chunk
 size while progress stalls) down to a minimal reproducing op list, which
@@ -108,7 +115,7 @@ __all__ = [
     "run_fuzz",
 ]
 
-_TABLES = ("flat", "part", "col", "slm")
+_TABLES = ("flat", "part", "col", "pcol", "slm")
 _VIEWS = ("v_mono", "v_diff", "v_patch")
 _POLICIES = {"eager": RemovalPolicy.EAGER, "lazy": RemovalPolicy.LAZY}
 #: Idle timeout of the since-last-modification table.
@@ -289,6 +296,13 @@ class _Harness:
         self.db.create_table(
             "col", ["k", "v"], lazy_batch_size=8, layout="columnar",
         )
+        # The shape production runs on (AuthzStore's Grants / Tokens /
+        # Audit): partitioned *and* columnar, so the per-shard swap-remove
+        # kernel sees renewals, revocations and lazy buffers too.
+        self.db.create_table(
+            "pcol", ["k", "v"], partitions=3, partition_key="k",
+            lazy_batch_size=8, layout="columnar",
+        )
         # Renewal-on-touch under the same op mix: every touch restarts a
         # live row's idle timer; a lifetime-less insert stamps the
         # default timeout rather than immortality.
@@ -309,6 +323,12 @@ class _Harness:
         self.now = 0
         self.fired: List[Tuple[str, tuple, int, int]] = []
         self._fired_seen: set = set()
+        #: Completeness oracle: per table, (row, texp) -> expirations the
+        #: oracle saw lapse that have not fired yet.
+        self._unfired: Dict[str, Dict[tuple, int]] = {t: {} for t in _TABLES}
+        self._checked = 0  # how much of ``fired`` check() has accounted for
+        #: Tables the last op swept on request (LAZY owes nothing before).
+        self._vacuumed: Tuple[str, ...] = ()
         self._register_triggers()
 
     def _register_triggers(self) -> None:
@@ -342,8 +362,24 @@ class _Harness:
 
     # -- op application -------------------------------------------------
 
+    def _lapse(self, table: str) -> None:
+        """Rows of ``table`` a sweep at the current time finds due.
+
+        They leave the model (a later insert starts a new incarnation)
+        and their expirations become owed ON-EXPIRE firings.  Called at
+        the two points where the engine reports rows due: a clock advance
+        (every table) and an explicit vacuum (that table) -- a row
+        revoked to ``now`` comes due at whichever follows first.
+        """
+        model = self.model[table]
+        owed = self._unfired[table]
+        for row in [r for r, e in model.items() if e <= self.now]:
+            key = (row, int(model.pop(row)))
+            owed[key] = owed.get(key, 0) + 1
+
     def apply(self, op: tuple) -> None:
         kind = op[0]
+        self._vacuumed = ()
         if kind == "insert":
             _, table, row, ttl = op
             self.db.table(table).insert(row, ttl=ttl)
@@ -393,9 +429,13 @@ class _Harness:
             _, delta = op
             self.db.tick(delta)
             self.now += delta
+            for table in _TABLES:
+                self._lapse(table)
         elif kind == "vacuum":
             _, table = op
             self.db.table(table).vacuum()
+            self._lapse(table)
+            self._vacuumed = (table,)
         elif kind == "txn":
             _, table, subops, poison = op
             self._apply_txn(table, subops, poison)
@@ -534,22 +574,41 @@ class _Harness:
                         f"table {table} row {row}: expected expiration "
                         f"{expires}, stored {texp}"
                     )
-        for entry in self.fired:
+        complete = self._wal_dir is None
+        for entry in self.fired[self._checked:]:
             table, row, texp, fired_at = entry
-            if entry in self._fired_seen:
-                continue
             if texp > fired_at:
                 raise CheckFailed(
                     f"trigger on {table}{row} fired at {fired_at} before "
                     f"its expiration {texp}"
                 )
             self._fired_seen.add(entry)
+            owed = self._unfired[table]
+            outstanding = owed.get((row, texp), 0)
+            if outstanding > 1:
+                owed[(row, texp)] = outstanding - 1
+            elif outstanding == 1:
+                del owed[(row, texp)]
+            elif complete:
+                raise CheckFailed(
+                    f"trigger on {table}{row} fired for texp {texp}, an "
+                    f"expiration the oracle never saw lapse"
+                )
+        self._checked = len(self.fired)
         if len(self.fired) != len(self._fired_seen):
             duplicates = len(self.fired) - len(self._fired_seen)
             raise CheckFailed(
                 f"{duplicates} duplicate ON-EXPIRE firing(s): a "
                 f"(table, row, texp) must fire at most once"
             )
+        if complete:
+            eager = self._policy is RemovalPolicy.EAGER
+            for table in _TABLES if eager else self._vacuumed:
+                if self._unfired[table]:
+                    raise CheckFailed(
+                        f"table {table} was swept but never reported "
+                        f"{sorted(self._unfired[table])} as expired"
+                    )
 
 
 # -- running and shrinking ---------------------------------------------------

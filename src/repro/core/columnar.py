@@ -511,7 +511,7 @@ class ColumnarRelation(Relation):
         due: Iterable[Tuple[Row, Any]],
         now: Timestamp,
         collect: bool = False,
-    ) -> Tuple[int, List[Tuple[Row, Any]]]:
+    ) -> Tuple[int, List[Tuple[Row, int]]]:
         """Bulk arm of the engine's expiration sweep.
 
         ``due`` holds index-reported ``(row, scheduled)`` entries; a row is
@@ -519,22 +519,26 @@ class ColumnarRelation(Relation):
         lifetime was max-merge-renewed after scheduling are skipped, exactly
         like the row engine's ``expiration_or_none`` + ``delete`` loop, but
         compared as raw ticks straight off the texp array.  Returns
-        ``(processed, expired)`` where ``expired`` echoes the due entries
-        actually removed (for ON-EXPIRE triggers) when ``collect`` is set.
+        ``(processed, expired)`` where, when ``collect`` is set, ``expired``
+        lists each removed row with the raw tick it was *stored* with (for
+        ON-EXPIRE triggers), as :meth:`Relation._sweep_due` does.
         """
         now_raw = to_raw(now)
         rowmap = self._ensure_rowmap()
         texp = self._texp
-        expired: List[Tuple[Row, Any]] = []
+        expired: List[Tuple[Row, int]] = []
         processed = 0
-        for row, scheduled in due:
+        for row, _ in due:
             pos = rowmap.get(row)
-            if pos is None or texp[pos] > now_raw:
+            if pos is None:
+                continue
+            tick = texp[pos]
+            if tick > now_raw or tick == RAW_INFINITY:
                 continue
             self._swap_remove(rowmap, pos, row)
             processed += 1
             if collect:
-                expired.append((row, scheduled))
+                expired.append((row, tick))
         if processed:
             self._touch()
         return processed, expired

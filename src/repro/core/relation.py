@@ -127,28 +127,34 @@ class Relation:
         due: Iterable[Tuple[Row, Any]],
         now: Timestamp,
         collect: bool = False,
-    ) -> Tuple[int, List[Tuple[Row, Any]]]:
+    ) -> Tuple[int, List[Tuple[Row, int]]]:
         """Bulk arm of the engine's expiration sweep.
 
         ``due`` holds index-reported ``(row, scheduled)`` entries; a row is
         removed when its *stored* expiration is ``<= now``.  Entries whose
         lifetime was max-merge-renewed after they were scheduled never
-        expired and are skipped.  Returns ``(processed, expired)`` where
-        ``expired`` echoes the due entries actually removed (the ON-EXPIRE
-        trigger payload) when ``collect`` is set.
+        expired and are skipped.  Returns ``(processed, expired)`` where,
+        when ``collect`` is set, ``expired`` lists each removed row with
+        the raw tick it was *stored* with (the ON-EXPIRE trigger payload)
+        -- not the scheduled one: a stale entry left behind by an earlier
+        incarnation of the row must not relabel what expired now.
         """
         tuples = self._tuples
         get = tuples.get
-        expired: List[Tuple[Row, Any]] = []
+        limit = now._value
+        expired: List[Tuple[Row, int]] = []
         processed = 0
-        for row, scheduled in due:
+        for row, _ in due:
             current = get(row)
-            if current is None or now < current:
+            if current is None:
+                continue
+            tick = current._value
+            if tick is None or (limit is not None and tick > limit):
                 continue
             del tuples[row]
             processed += 1
             if collect:
-                expired.append((row, scheduled))
+                expired.append((row, tick))
         return processed, expired
 
     def insert(self, values: Iterable[Any], expires_at: TimeLike = None) -> ExpiringTuple:

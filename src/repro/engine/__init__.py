@@ -16,11 +16,7 @@ from repro.engine.constraints import (
 from repro.engine.database import Database
 from repro.engine.expiration_index import ExpirationIndex, RemovalPolicy
 from repro.engine.maintenance import IncrementalView, supports_incremental
-from repro.engine.partitioning import (
-    PartitionedTable,
-    ShardedExpirationIndex,
-    ShardedRelation,
-)
+from repro.engine.partitioning import ShardedRelation
 from repro.engine.persistence import (
     database_from_dict,
     database_to_dict,
@@ -35,7 +31,6 @@ from repro.engine.table import (
     EXPIRY_SINCE_LAST_MODIFICATION,
     Table,
 )
-from repro.engine.timer_wheel import TimerWheelIndex
 from repro.engine.transactions import Transaction, TransactionState
 from repro.engine.triggers import ExpirationEvent, Trigger, TriggerManager
 from repro.engine.views import MaintenancePolicy, MaterialisedView
@@ -52,8 +47,6 @@ __all__ = [
     "RemovalPolicy",
     "IncrementalView",
     "supports_incremental",
-    "PartitionedTable",
-    "ShardedExpirationIndex",
     "ShardedRelation",
     "database_from_dict",
     "database_to_dict",
@@ -65,7 +58,6 @@ __all__ = [
     "EXPIRY_POLICIES",
     "EXPIRY_SINCE_LAST_MODIFICATION",
     "Table",
-    "TimerWheelIndex",
     "Transaction",
     "TransactionState",
     "ExpirationEvent",

@@ -35,7 +35,6 @@ from repro.distributed.metrics import declare_replication_families
 from repro.engine.clock import LogicalClock
 from repro.engine.config import DatabaseConfig
 from repro.engine.expiration_index import RemovalPolicy
-from repro.engine.partitioning import PartitionedTable, declare_partition_families
 from repro.engine.statement_cache import StatementCache
 from repro.engine.statistics import EngineStatistics
 from repro.engine.table import Table, declare_expiration_families
@@ -177,7 +176,6 @@ class Database:
         # prom dump covers the whole system even before the first sweep or
         # simulation publishes into them.
         declare_expiration_families(self.metrics)
-        declare_partition_families(self.metrics)
         declare_replication_families(self.metrics)
         self._tables: Dict[str, Table] = {}
         self._views: Dict[str, MaterialisedView] = {}
@@ -241,7 +239,6 @@ class Database:
         lazy_batch_size: int = 64,
         partitions: Optional[int] = None,
         partition_key: Optional[Any] = None,
-        index_factory: Optional[Any] = None,
         layout: str = "row",
         columnar_backend: Optional[str] = None,
         expiry: str = "absolute",
@@ -249,16 +246,9 @@ class Database:
     ) -> Table:
         """Create and register a table; returns it for convenience.
 
-        ``partitions=N`` creates a hash-partitioned table
-        (:class:`~repro.engine.partitioning.PartitionedTable`) sharded on
-        ``partition_key`` (default: the first column); its expiration
-        sweeps and compiled scans run per-shard on :attr:`executor`.
-
-        ``index_factory`` swaps the expiration-index substrate: any
-        zero-argument constructor interface-compatible with
-        :class:`~repro.engine.expiration_index.ExpirationIndex` (e.g.
-        :class:`~repro.engine.timer_wheel.TimerWheelIndex`); partitioned
-        tables build one instance per shard.
+        ``partitions=N`` hash-partitions the table on ``partition_key``
+        (default: the first column); its expiration sweeps and compiled
+        scans run per-shard on :attr:`executor`.
 
         ``layout="columnar"`` stores the table as parallel per-attribute
         columns with a raw-int expiration array
@@ -287,38 +277,21 @@ class Database:
             if columnar_backend is not None
             else self.columnar_backend
         )
-        if partitions is not None:
-            table: Table = PartitionedTable(
-                name,
-                resolved,
-                clock=self.clock,
-                partitions=partitions,
-                partition_key=partition_key,
-                statistics=self.statistics,
-                removal_policy=removal_policy or self.default_removal_policy,
-                lazy_batch_size=lazy_batch_size,
-                database=self,
-                index_factory=index_factory,
-                layout=layout,
-                columnar_backend=backend,
-                expiry=expiry,
-                default_ttl=default_ttl,
-            )
-        else:
-            table = Table(
-                name,
-                resolved,
-                clock=self.clock,
-                statistics=self.statistics,
-                removal_policy=removal_policy or self.default_removal_policy,
-                lazy_batch_size=lazy_batch_size,
-                database=self,
-                index_factory=index_factory,
-                layout=layout,
-                columnar_backend=backend,
-                expiry=expiry,
-                default_ttl=default_ttl,
-            )
+        table = Table(
+            name,
+            resolved,
+            clock=self.clock,
+            statistics=self.statistics,
+            removal_policy=removal_policy or self.default_removal_policy,
+            lazy_batch_size=lazy_batch_size,
+            database=self,
+            layout=layout,
+            columnar_backend=backend,
+            expiry=expiry,
+            default_ttl=default_ttl,
+            partitions=partitions,
+            partition_key=partition_key,
+        )
         self._tables[name] = table
         self.clock.on_advance(table.on_clock_advance)
         self._refresh_partition_scheme()
@@ -355,18 +328,12 @@ class Database:
         # the plan-cache key: a plan compiled against one physical design
         # is never reused (nor its cached results served) under another.
         self._partition_scheme = tuple(
-            (
-                name,
-                table.partitions if isinstance(table, PartitionedTable) else None,
-                table.partition_key if isinstance(table, PartitionedTable) else None,
-                table.layout,
-            )
+            (name, table.partitions, table.partition_key, table.layout)
             for name, table in sorted(self._tables.items())
-            if isinstance(table, PartitionedTable) or table.layout != "row"
+            if table.partitions is not None or table.layout != "row"
         )
         self._has_partitioned = any(
-            isinstance(table, PartitionedTable)
-            for table in self._tables.values()
+            table.partitions is not None for table in self._tables.values()
         )
 
     @property

@@ -65,6 +65,10 @@ class ExpirationIndex:
     def __len__(self) -> int:
         return len(self._live)
 
+    def __contains__(self, row: Row) -> bool:
+        """Whether ``row`` has a live (not yet popped or removed) entry."""
+        return row in self._live
+
     @property
     def heap_size(self) -> int:
         """Physical heap entries including tombstones (space metric)."""
@@ -92,6 +96,7 @@ class ExpirationIndex:
         heap = self._heap
         live = self._live
         counter = self._counter
+        before = len(heap)
         for row, expires_at in entries:
             stamp = ts(expires_at)
             if stamp.is_infinite:
@@ -99,7 +104,8 @@ class ExpirationIndex:
                 continue
             live[row] = stamp.value
             heap.append((stamp.value, next(counter), row))
-        heapq.heapify(heap)
+        if len(heap) != before:
+            heapq.heapify(heap)
 
     def remove(self, row: Row) -> None:
         """Forget ``row`` (explicit delete); O(1) via tombstoning."""
@@ -111,10 +117,14 @@ class ExpirationIndex:
         This is the real-time guarantee hook: a scheduler sleeping until
         this moment never misses an expiration event.
         """
-        self._drop_stale_head()
-        if not self._heap:
-            return None
-        return ts(self._heap[0][0])
+        live = self._live
+        heap = self._heap
+        while heap:
+            value, _, row = heap[0]
+            if live.get(row) == value:
+                return ts(value)
+            heapq.heappop(heap)  # tombstone
+        return None
 
     def pop_due(self, now: TimeLike) -> List[Tuple[Row, Timestamp]]:
         """Extract every live entry with ``expiration <= now``, in order."""
@@ -142,15 +152,6 @@ class ExpirationIndex:
             del live[row]
             due.append((row, value))
         return due
-
-    def _drop_stale_head(self) -> None:
-        live = self._live
-        heap = self._heap
-        while heap:
-            value, _, row = heap[0]
-            if live.get(row) == value:
-                return
-            heapq.heappop(heap)
 
     def pending(self) -> Iterator[Tuple[Row, Timestamp]]:
         """Iterate over live ``(row, expiration)`` entries (unordered)."""

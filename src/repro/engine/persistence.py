@@ -1,7 +1,7 @@
 """Saving and loading databases as JSON snapshots.
 
 A snapshot captures the logical clock, every table (schema, removal
-policy, partitioning, expiration-index substrate, rows with expiration
+policy, partitioning, layout, expiry policy, rows with expiration
 times), and every materialised view (definition via
 :mod:`repro.core.algebra.serde`, plus its maintenance policy and patch
 limit).  Loading replays the snapshot into a fresh
@@ -14,12 +14,9 @@ into place, so a crash mid-save can never leave a torn snapshot -- readers
 see either the old complete snapshot or the new complete snapshot.
 
 Not captured (they hold Python callables): triggers, constraints, and
-incremental-view subscriptions -- re-register them after loading.  The
-expiration-index substrate *is* captured for the factories shipped with
-the engine (the binary heap and the timer wheel); a custom factory is
-dropped with a warning.  Values must be JSON-representable (int / float /
-str / bool / null), which is the attribute domain every workload in this
-repository uses.
+incremental-view subscriptions -- re-register them after loading.  Values
+must be JSON-representable (int / float / str / bool / null), which is
+the attribute domain every workload in this repository uses.
 """
 
 from __future__ import annotations
@@ -27,21 +24,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 from repro.core.algebra.serde import expression_from_dict, expression_to_dict
 from repro.core.timestamps import ts
 from repro.engine.database import Database
-from repro.engine.expiration_index import ExpirationIndex, RemovalPolicy
+from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.table import Table
-from repro.engine.timer_wheel import TimerWheelIndex
 from repro.engine.views import MaintenancePolicy
 from repro.errors import EngineError
 
 __all__ = [
-    "INDEX_FACTORIES",
     "database_to_dict",
     "database_from_dict",
     "save_database",
@@ -55,43 +49,6 @@ __all__ = [
 _FORMAT_VERSION = 1
 _JSON_SCALARS = (int, float, str, bool, type(None))
 
-#: The expiration-index substrates a snapshot can name.  ``None`` in a
-#: table spec means the default (binary heap).
-INDEX_FACTORIES = {
-    "heap": ExpirationIndex,
-    "timer_wheel": TimerWheelIndex,
-}
-
-
-def _index_factory_name(table: Table) -> Optional[str]:
-    """The persistable name of a table's index factory (None = default)."""
-    factory = table.index_factory
-    if factory is None:
-        return None
-    for name, known in INDEX_FACTORIES.items():
-        if factory is known:
-            return name
-    warnings.warn(
-        f"table {table.name!r}: index_factory {factory!r} is not one of the "
-        f"persistable substrates {sorted(INDEX_FACTORIES)}; the snapshot "
-        f"will restore the default heap index",
-        stacklevel=3,
-    )
-    return None
-
-
-def _resolve_index_factory(name: Optional[str]):
-    if name is None:
-        return None
-    try:
-        return INDEX_FACTORIES[name]
-    except KeyError:
-        raise EngineError(
-            f"unknown index_factory {name!r} in snapshot "
-            f"(known: {sorted(INDEX_FACTORIES)})"
-        ) from None
-
-
 def table_spec(table: Table, include_rows: bool = True) -> Dict[str, Any]:
     """A table's persistable definition (shared by snapshots and WAL DDL)."""
     spec: Dict[str, Any] = {
@@ -100,10 +57,7 @@ def table_spec(table: Table, include_rows: bool = True) -> Dict[str, Any]:
         "removal_policy": table.removal_policy.value,
         "lazy_batch_size": table.lazy_batch_size,
     }
-    factory_name = _index_factory_name(table)
-    if factory_name is not None:
-        spec["index_factory"] = factory_name
-    if getattr(table, "partitions", None) is not None:
+    if table.partitions is not None:
         spec["partitions"] = table.partitions
         spec["partition_key"] = table.partition_key
     if table.layout != "row":
@@ -158,13 +112,11 @@ def database_to_dict(db: Database) -> Dict[str, Any]:
 def restore_table(db: Database, spec: Dict[str, Any]) -> Table:
     """Create and fill one table from its snapshot spec.
 
-    Rows go through the relation's trusted ``bulk_load`` (snapshot rows
-    are already a deduplicated set) and the index's one-shot
-    ``bulk_schedule`` (append + heapify) instead of per-row inserts and
-    heap pushes -- this path dominates recovery time on large snapshots.
-    Going around :meth:`Table.insert` also bypasses the "already expired"
-    guard on purpose: a lazy-policy snapshot may legitimately contain
-    expired-but-unreclaimed tuples that the next vacuum will process.
+    Rows go through the trusted :meth:`Table.bulk_load` instead of
+    per-row inserts and heap pushes -- this path dominates recovery time
+    on large snapshots.  An ``index_factory`` key, which snapshots and
+    ``create_table`` WAL records of earlier versions carry, is ignored:
+    there is one expiration index now.
     """
     table = db.create_table(
         spec["name"],
@@ -173,23 +125,13 @@ def restore_table(db: Database, spec: Dict[str, Any]) -> Table:
         lazy_batch_size=spec.get("lazy_batch_size", 64),
         partitions=spec.get("partitions"),
         partition_key=spec.get("partition_key"),
-        index_factory=_resolve_index_factory(spec.get("index_factory")),
         layout=spec.get("layout", "row"),
         expiry=spec.get("expiry", "absolute"),
         default_ttl=spec.get("default_ttl"),
     )
-    pairs = [
-        (tuple(values), ts(texp)) for values, texp in spec.get("rows", ())
-    ]
-    if pairs:
-        table.relation.bulk_load(pairs)
-        index = table._index
-        bulk = getattr(index, "bulk_schedule", None)
-        if bulk is not None:
-            bulk(pairs)
-        else:
-            for row, stamp in pairs:
-                index.schedule(row, stamp)
+    table.bulk_load(
+        [(tuple(values), ts(texp)) for values, texp in spec.get("rows", ())]
+    )
     return table
 
 

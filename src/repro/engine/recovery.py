@@ -111,12 +111,10 @@ class _PhysicalBatch:
     relation/index call; on recovery-heavy logs those per-row paths (dict
     churn, one heap push per row) dominate wall time.  The batch instead
     accumulates ``(row, texp-or-None)`` ops per table and flushes them
-    through the trusted bulk paths -- ``Relation.bulk_restore`` (in-order
-    override/delete semantics) plus one ``bulk_schedule`` heapify per
-    table -- before any record that *reads* table state (a clock advance's
-    sweep, DDL) and at the end of the log.  Within a flush the index takes
-    each row's *final* action only, which is exactly the state the
-    per-record path would have converged to.
+    through the trusted :meth:`Table.bulk_restore` (in-order
+    override/delete semantics, one heapify per shard) before any record
+    that *reads* table state (a clock advance's sweep, DDL) and at the
+    end of the log.
     """
 
     def __init__(self, db: Database) -> None:
@@ -127,28 +125,8 @@ class _PhysicalBatch:
         self.pending.setdefault(name, []).append((row, texp))
 
     def flush(self) -> None:
-        if not self.pending:
-            return
         for name, ops in self.pending.items():
-            table = self.db.table(name)
-            table.relation.bulk_restore(ops)
-            final: Dict[tuple, Any] = {}
-            for row, texp in ops:
-                final[row] = texp
-            index = table._index
-            schedules = []
-            for row, texp in final.items():
-                if texp is None:
-                    index.remove(row)
-                else:
-                    schedules.append((row, texp))
-            if schedules:
-                bulk = getattr(index, "bulk_schedule", None)
-                if bulk is not None:
-                    bulk(schedules)
-                else:
-                    for row, stamp in schedules:
-                        index.schedule(row, stamp)
+            self.db.table(name).bulk_restore(ops)
         self.pending.clear()
 
 
@@ -157,8 +135,8 @@ def _replay_physical(
 ) -> bool:
     """Buffer one upsert/remove; returns True if skipped-as-expired.
 
-    State is written at the relation/index level (the same trusted path
-    snapshot restore uses): listener and data-version side effects are
+    State is written through the table's trusted bulk path (as snapshot
+    restore does): listener and data-version side effects are
     pointless here -- views materialise after replay and the plan cache
     of a fresh database is empty.
     """

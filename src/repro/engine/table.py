@@ -3,7 +3,11 @@
 A :class:`Table` combines a :class:`~repro.core.relation.Relation` (logical
 content), an :class:`~repro.engine.expiration_index.ExpirationIndex`
 (efficient discovery of due tuples), a :class:`TriggerManager`, and a set
-of integrity constraints.  It implements the Section 3.2 removal policies:
+of integrity constraints.  Storage comes in shards -- one for a flat
+table, ``partitions`` hash shards otherwise -- each with its own index and
+due buffer; every verb runs one mutation pipeline against the shard that
+owns the row, and one sweep runs over all of them.  It implements the
+Section 3.2 removal policies:
 
 * **eager** -- on every clock advance the table drains its index, fires
   ON-EXPIRE triggers immediately, and physically removes the tuples;
@@ -20,15 +24,16 @@ times: ``insert(values, expires_at=...)`` or the TTL convenience form
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
 from repro.core.columnar import ColumnarRelation, resolve_backend
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
+from repro.core.timestamps import TimeLike, Timestamp, ts
 from repro.core.tuples import ExpiringTuple, Row, make_row
 from repro.engine.clock import LogicalClock
 from repro.engine.expiration_index import ExpirationIndex, RemovalPolicy
+from repro.engine.partitioning import ShardedRelation
 from repro.engine.statistics import EngineStatistics
 from repro.engine.triggers import TriggerManager
 from repro.engine.wal import encode_exp, encode_prev
@@ -57,29 +62,79 @@ EXPIRY_POLICIES = (EXPIRY_ABSOLUTE, EXPIRY_SINCE_LAST_MODIFICATION)
 
 
 def declare_expiration_families(registry):
-    """Idempotently register the per-policy expiration families.
+    """Idempotently register the sweep families.
 
-    Returns ``(sweep_seconds, tuples_expired)``; called by every
-    :class:`Table` and once by ``Database`` so the families show up in
-    ``db.metrics.to_prom_text()`` before the first sweep.
+    Returns ``(sweep_seconds, tuples_expired)`` labelled by removal policy
+    and ``(shard_sweep_seconds, shard_tuples_expired)``, which partitioned
+    tables write per ``(table, shard)``, as one 4-tuple.  ``Database``
+    calls it too, so a prom dump shows them before the first sweep.
     """
-    sweep = registry.histogram(
-        "repro_expiration_sweep_seconds",
-        "Wall time of expiration sweeps that processed at least one "
-        "due tuple, by removal policy.",
-        labels=("policy",),
+    return (
+        registry.histogram(
+            "repro_expiration_sweep_seconds",
+            "Wall time of expiration sweeps that processed at least one "
+            "due tuple, by removal policy.",
+            labels=("policy",),
+        ),
+        registry.counter(
+            "repro_expiration_tuples_expired_total",
+            "Tuples physically expired, by removal policy (eager drains "
+            "versus lazy vacuums).",
+            labels=("policy",),
+        ),
+        registry.histogram(
+            "repro_partition_sweep_seconds",
+            "Wall time of per-shard expiration sweep kernels.",
+            labels=("table", "shard"),
+        ),
+        registry.counter(
+            "repro_partition_tuples_expired_total",
+            "Tuples physically expired per partition shard.",
+            labels=("table", "shard"),
+        ),
     )
-    expired = registry.counter(
-        "repro_expiration_tuples_expired_total",
-        "Tuples physically expired, by removal policy (eager drains "
-        "versus lazy vacuums).",
-        labels=("policy",),
-    )
-    return sweep, expired
+
+
+class _Shard:
+    """One shard's storage, expiration index and LAZY due buffer.
+
+    A flat table has exactly one; a partitioned table has one per hash
+    bucket, ``relation`` being the matching ``ShardedRelation.shards``
+    member.
+    """
+
+    __slots__ = ("relation", "index", "due", "label")
+
+    def __init__(self, relation: Relation, label: str) -> None:
+        self.relation = relation
+        self.index = ExpirationIndex()
+        #: Lazy removal: raw ``(row, tick)`` entries already popped from
+        #: the index (O(k log n) per advance), awaiting a vacuum.
+        self.due: List[Tuple[Row, int]] = []
+        #: The ``shard`` label of the ``repro_partition_*`` series.
+        self.label = label
 
 
 class Table:
-    """A named base relation managed by the engine."""
+    """A named base relation managed by the engine.
+
+    ``partitions=N`` hash-partitions the rows on ``partition_key``
+    (default: the first column) into ``N`` shards.  External behaviour is
+    identical to a flat table -- same insert/delete/read/trigger/constraint
+    semantics, same per-policy expiration metrics -- plus:
+
+    * sweeps and vacuums run the bulk kernel per shard, fanned out on the
+      owning database's shared thread pool (sequentially when the table is
+      standalone);
+    * the compiled evaluator scans, filters, and builds hash-join inputs
+      per shard in parallel (it detects ``relation.shards``);
+    * per-shard sweep timings and expiry counts land in the
+      ``repro_partition_*`` metric families.
+
+    One observable deviation: a flat table fires ON-EXPIRE triggers in
+    global expiration order; a partitioned sweep fires them grouped by
+    shard (ordered within each shard).
+    """
 
     def __init__(
         self,
@@ -90,11 +145,12 @@ class Table:
         removal_policy: RemovalPolicy = RemovalPolicy.EAGER,
         lazy_batch_size: int = 64,
         database: Optional["Database"] = None,
-        index_factory: Optional[Callable[[], ExpirationIndex]] = None,
         layout: str = "row",
         columnar_backend: Optional[str] = None,
         expiry: str = EXPIRY_ABSOLUTE,
         default_ttl: Optional[int] = None,
+        partitions: Optional[int] = None,
+        partition_key: Any = None,
     ) -> None:
         if layout not in ("row", "columnar"):
             raise EngineError(
@@ -136,12 +192,26 @@ class Table:
         self.columnar_backend = (
             resolve_backend(columnar_backend) if layout == "columnar" else None
         )
-        if layout == "columnar":
-            self.relation: Relation = ColumnarRelation(
-                schema, backend=self.columnar_backend
-            )
+        #: Shard count and the name of the column hashed to pick a shard;
+        #: both ``None`` on a flat table.
+        self.partitions = partitions
+        self.partition_key: Optional[str] = None
+        if partitions is None:
+            self.relation: Relation = self._new_relation(schema)
+            shard_relations: Tuple[Relation, ...] = (self.relation,)
         else:
-            self.relation = Relation(schema)
+            self._key_index = schema.index(
+                schema.names[0] if partition_key is None else partition_key
+            )
+            self.partition_key = schema.name(self._key_index + 1)
+            self.relation = ShardedRelation(
+                schema, self._key_index, partitions,
+                relation_factory=self._new_relation,
+            )
+            shard_relations = self.relation.shards
+        self._shards: Tuple[_Shard, ...] = tuple(
+            _Shard(relation, str(i)) for i, relation in enumerate(shard_relations)
+        )
         self.triggers = TriggerManager(name)
         self.constraints: List["Constraint"] = []
         #: Called with the stored ExpiringTuple after every successful
@@ -149,17 +219,136 @@ class Table:
         self.insert_listeners: List = []
         #: Called with the deleted row after every explicit delete.
         self.delete_listeners: List = []
-        #: Zero-argument constructor for the expiration-index substrate;
-        #: anything interface-compatible with :class:`ExpirationIndex`
-        #: works (e.g. :class:`~repro.engine.timer_wheel.TimerWheelIndex`).
-        self.index_factory = index_factory
-        self._index = index_factory() if index_factory is not None else ExpirationIndex()
-        # Lazy removal: due entries accumulate here (already popped from
-        # the index, O(k log n) per advance) until a vacuum processes them.
-        self._due_buffer: List[tuple] = []
-        self._sweep_seconds, self._tuples_expired = declare_expiration_families(
-            self.statistics.registry
-        )
+        (
+            self._sweep_seconds, self._tuples_expired,
+            self._shard_sweep_seconds, self._shard_tuples_expired,
+        ) = declare_expiration_families(self.statistics.registry)
+
+    def _new_relation(self, schema: Schema) -> Relation:
+        if self.layout == "columnar":
+            return ColumnarRelation(schema, backend=self.columnar_backend)
+        return Relation(schema)
+
+    # -- the mutation pipeline ------------------------------------------------
+
+    def _route(self, row: Row) -> _Shard:
+        """The shard owning ``row`` (the partition key is hashed here only)."""
+        shards = self._shards
+        if len(shards) == 1:
+            return shards[0]
+        return shards[hash(row[self._key_index]) % len(shards)]
+
+    def _preimage(self, shard: _Shard, row: Row) -> Optional[Timestamp]:
+        """The stored expiration a verb starts from (``None`` = absent).
+
+        Eager and lazy removal differ only in *when* a due tuple is
+        reclaimed (Section 3.2), never in whether it expired.  A stored
+        row the index has already reported due -- popped into the due
+        buffer, not vacuumed yet -- expired at its stored ``texp``, so a
+        verb that meets one sweeps that row first (ON-EXPIRE trigger,
+        counters, WAL ``remove``) and then sees it absent, exactly as it
+        would under EAGER.  Only a non-empty due buffer can hold such a
+        row: EAGER tables and drained shards never pay for the probe.
+        """
+        previous = shard.relation.expiration_or_none(row)
+        if (
+            shard.due
+            and previous is not None
+            and previous.is_finite
+            and row not in shard.index
+        ):
+            job = (shard, [(row, previous.value)])
+            self._sweep([job], self.clock.now, time.perf_counter())
+            return None
+        return previous
+
+    def preimage(self, values: Iterable[Any]) -> Optional[Timestamp]:
+        """What a verb on this row would start from (``None`` = absent).
+
+        The stored expiration, after reclaiming the row if it expired
+        under LAZY removal and is only waiting for a vacuum; a
+        transaction records this as the state its rollback restores.
+        """
+        row = make_row(values)
+        return self._preimage(self._route(row), row)
+
+    def _apply(
+        self,
+        row: Row,
+        stamp: Optional[Timestamp],
+        merge: bool = False,
+        inserted: bool = False,
+        counter: Optional[str] = None,
+        only_present: bool = False,
+    ):
+        """The one mutation pipeline; every verb ends here.
+
+        In order: route to the owning shard; read the pre-image (when
+        there is a log to write it to, or a LAZY shard has due rows); put
+        ``stamp`` -- max-merged with the stored expiration when ``merge``,
+        last-write otherwise -- or, when ``stamp`` is ``None``, remove the
+        row (``only_present``: an absent row is a no-op returning
+        ``False``); reschedule the expiration index; log ``upsert`` /
+        ``remove`` with the pre-image; count; bump the data version; fire
+        the insert listeners with the stored tuple (``inserted``) or the
+        delete listeners with the row; audit.  A put returns the stored
+        :class:`ExpiringTuple`, a remove whether the row was present.
+        """
+        if stamp is not None and self.partitions is not None:
+            # Flat storage checks the arity itself; here the key column
+            # is read before storage sees the row.
+            self.relation._check_arity(row)
+        shard = self._route(row)
+        database = self.database
+        logging = database is not None and database.wal is not None
+        previous = None
+        if logging or shard.due:
+            previous = self._preimage(shard, row)
+        if stamp is None:
+            result = shard.relation.delete(row)
+            if only_present and not result:
+                return False
+            shard.index.remove(row)
+        else:
+            put = shard.relation.insert if merge else shard.relation.override
+            result = put(row, stamp)
+            shard.index.schedule(row, result.expires_at)
+        if logging and (stamp is not None or previous is not None):
+            # ``prev`` is what transaction rollback at recovery restores.
+            # An upsert logs the *resulting* (post-max-merge) expiration,
+            # so replay applies records last-write (bulk_restore) and an
+            # override needs no record kind of its own.
+            fields = {
+                "table": self.name,
+                "row": list(row),
+                "prev": encode_prev(previous),
+            }
+            if stamp is not None:
+                fields["texp"] = encode_exp(result.expires_at)
+            database._wal_append("remove" if stamp is None else "upsert", **fields)
+        if counter is not None:
+            statistics = self.statistics
+            setattr(statistics, counter, getattr(statistics, counter) + 1)
+        if database is not None:
+            # Unpredictable mutation: cached evaluation results are stale.
+            database.note_data_change()
+        if inserted:
+            for listener in self.insert_listeners:
+                listener(self, result)
+        else:
+            for listener in self.delete_listeners:
+                listener(self, row)
+        self._maybe_verify()
+        return result
+
+    def _check_constraints(self, row: Row, stamp: Timestamp) -> None:
+        for constraint in self.constraints:
+            self.statistics.constraint_checks += 1
+            try:
+                constraint.check(self, row, stamp)
+            except Exception:
+                self.statistics.constraint_violations += 1
+                raise
 
     # -- modification ---------------------------------------------------------
 
@@ -193,48 +382,17 @@ class Table:
                 f"cannot insert an already-expired tuple: {stamp} <= now {self.clock.now}"
             )
         row = make_row(values)
-        for constraint in self.constraints:
-            self.statistics.constraint_checks += 1
-            try:
-                constraint.check(self, row, stamp)
-            except Exception:
-                self.statistics.constraint_violations += 1
-                raise
-        logging = self.database is not None and self.database.wal is not None
-        previous = self.relation.expiration_or_none(row) if logging else None
-        stored = self.relation.insert(row, expires_at=stamp)
-        self._index.schedule(stored.row, stored.expires_at)
-        if logging:
-            # The *resulting* (post-max-merge) expiration is logged, so a
-            # replayed record restores the exact stored state; ``prev`` is
-            # what transaction rollback at recovery restores.
-            self._wal_physical("upsert", row, stored.expires_at, previous)
-        self.statistics.inserts += 1
-        if self.database is not None:
-            # Unpredictable mutation: cached evaluation results are stale.
-            self.database.note_data_change()
-        for listener in self.insert_listeners:
-            listener(self, stored)
-        self._maybe_verify()
-        return stored
+        if self.constraints:
+            self._check_constraints(row, stamp)
+        return self._apply(
+            row, stamp, merge=True, inserted=True, counter="inserts"
+        )
 
     def delete(self, values: Iterable[Any]) -> bool:
         """Explicit delete (the traditional path expiration times replace)."""
-        row = make_row(values)
-        logging = self.database is not None and self.database.wal is not None
-        previous = self.relation.expiration_or_none(row) if logging else None
-        removed = self.relation.delete(row)
-        if removed:
-            self._index.remove(row)
-            if logging:
-                self._wal_physical("remove", row, None, previous)
-            self.statistics.explicit_deletes += 1
-            if self.database is not None:
-                self.database.note_data_change()
-            for listener in self.delete_listeners:
-                listener(self, row)
-            self._maybe_verify()
-        return removed
+        return self._apply(
+            make_row(values), None, counter="explicit_deletes", only_present=True
+        )
 
     def renew(self, values: Iterable[Any], ttl: int) -> ExpiringTuple:
         """Extend a row's lifetime by ``ttl`` ticks from now (re-insertion).
@@ -275,7 +433,7 @@ class Table:
         if effective is None or effective <= 0:
             raise EngineError(f"touch ttl must be positive, got {effective}")
         row = make_row(values)
-        current = self.relation.expiration_or_none(row)
+        current = self._preimage(self._route(row), row)
         if current is None or current <= self.clock.now:
             return None
         stored = self.insert(row, ttl=effective)
@@ -303,13 +461,10 @@ class Table:
         invariant (buffered due entries may precede a stored expiration,
         never follow it).
 
-        The mutation takes the same full path as the forward operations
-        (mirroring :meth:`undo_insert`): expiration index rescheduled, WAL
-        ``upsert`` with the pre-image, data version bumped, delete
-        listeners fired.  Delete listeners -- not insert listeners --
-        because a shortened lifetime can *remove* tuples from downstream
-        results, which only the conservative mark-stale path models;
-        views therefore observe a revocation without any manual refresh.
+        Delete listeners -- not insert listeners -- fire, because a
+        shortened lifetime can *remove* tuples from downstream results,
+        which only the conservative mark-stale path models; views
+        therefore observe a revocation without any manual refresh.
         """
         if ttl is not None:
             if expires_at is not None:
@@ -325,29 +480,9 @@ class Table:
                 f"{self.clock.now} (use expires_at=now to revoke immediately)"
             )
         row = make_row(values)
-        for constraint in self.constraints:
-            self.statistics.constraint_checks += 1
-            try:
-                constraint.check(self, row, stamp)
-            except Exception:
-                self.statistics.constraint_violations += 1
-                raise
-        logging = self.database is not None and self.database.wal is not None
-        previous = self.relation.expiration_or_none(row) if logging else None
-        stored = self.relation.override(row, stamp)
-        self._index.schedule(row, stamp)
-        if logging:
-            # Logged as a plain upsert: replay applies records last-write
-            # (bulk_restore), so the shortened expiration survives recovery
-            # with no special record kind.
-            self._wal_physical("upsert", row, stamp, previous)
-        self.statistics.overrides += 1
-        if self.database is not None:
-            self.database.note_data_change()
-        for listener in self.delete_listeners:
-            listener(self, row)
-        self._maybe_verify()
-        return stored
+        if self.constraints:
+            self._check_constraints(row, stamp)
+        return self._apply(row, stamp, counter="overrides")
 
     # -- transaction rollback ---------------------------------------------------
 
@@ -355,45 +490,66 @@ class Table:
         """Roll back an insert, restoring the pre-insert expiration.
 
         ``previous`` is the expiration the row had before the insert
-        (``None`` if it did not exist).  Rollback must go through the same
-        index/listener/data-version paths as the forward operations:
-        mutating ``self.relation`` directly would leave a phantom entry in
-        the expiration index, a plan cache that keeps serving pre-rollback
-        results, and materialised views that never learn the row changed.
+        (``None`` if it did not exist).  Rollback runs the same pipeline
+        as the forward operations: mutating ``self.relation`` directly
+        would leave a phantom entry in the expiration index, a plan cache
+        that keeps serving pre-rollback results, and materialised views
+        that never learn the row changed.
         """
-        row = make_row(values)
-        logging = self.database is not None and self.database.wal is not None
-        current = self.relation.expiration_or_none(row) if logging else None
-        if previous is None:
-            self.relation.delete(row)
-            self._index.remove(row)
-            if logging and current is not None:
-                self._wal_physical("remove", row, None, current)
-        else:
-            self.relation.override(row, previous)
-            self._index.schedule(row, previous)
-            if logging:
-                self._wal_physical("upsert", row, previous, current)
-        if self.database is not None:
-            self.database.note_data_change()
-        for listener in self.delete_listeners:
-            listener(self, row)
-        self._maybe_verify()
+        self._apply(make_row(values), previous)
 
     def undo_delete(self, values: Iterable[Any], previous: Timestamp) -> None:
         """Roll back an explicit delete: restore the row and its index entry."""
-        row = make_row(values)
-        logging = self.database is not None and self.database.wal is not None
-        current = self.relation.expiration_or_none(row) if logging else None
-        restored = self.relation.override(row, previous)
-        self._index.schedule(row, previous)
-        if logging:
-            self._wal_physical("upsert", row, previous, current)
-        if self.database is not None:
-            self.database.note_data_change()
-        for listener in self.insert_listeners:
-            listener(self, restored)
-        self._maybe_verify()
+        self._apply(make_row(values), previous, inserted=True)
+
+    # -- trusted bulk paths -------------------------------------------------------
+
+    def _buckets(self, entries: Iterable[tuple]) -> List[Tuple[_Shard, list]]:
+        if self.partitions is None:
+            return [(self._shards[0], list(entries))]
+        return [
+            (shard, bucket)
+            for shard, bucket in zip(self._shards, self.relation.partition(entries))
+            if bucket
+        ]
+
+    def bulk_load(self, pairs: Iterable[Tuple[Row, Timestamp]]) -> int:
+        """Max-merge trusted ``(row, expiration)`` pairs into storage and index.
+
+        The path snapshot restore and benchmark seeding take instead of
+        one :meth:`insert` per row: rows are already-validated tuples, the
+        index is heapified once per shard, and nothing is logged, counted,
+        announced to listeners or checked against constraints -- nor
+        against the clock, on purpose: a lazy-policy snapshot may hold
+        expired-but-unreclaimed tuples that the next vacuum will process.
+        Returns the number of pairs loaded.
+        """
+        count = 0
+        for shard, bucket in self._buckets(pairs):
+            relation = shard.relation
+            before = len(relation)
+            count += relation.bulk_load(bucket)
+            if len(relation) - before != len(bucket):
+                # A pair merged into a stored or repeated row: schedule
+                # what storage kept, not what the pair asked for.
+                stored = relation.expiration_or_none
+                bucket = ((row, stored(row)) for row, _ in bucket)
+            shard.index.bulk_schedule(bucket)
+        return count
+
+    def bulk_restore(self, ops: Iterable[Tuple[Row, Optional[Timestamp]]]) -> None:
+        """Apply trusted ``(row, texp-or-None)`` ops last-write, in order.
+
+        The WAL-replay path (``None`` erases the row): storage applies
+        every op, the index takes each row's *final* action only -- the
+        state per-record replay would have converged to -- and, as with
+        :meth:`bulk_load`, no log, counter, listener or constraint runs.
+        """
+        for shard, bucket in self._buckets(ops):
+            shard.relation.bulk_restore(bucket)
+            # To the index an erased row and an immortal one are the same
+            # thing, no entry: ``None`` schedules as "never".
+            shard.index.bulk_schedule(dict(bucket).items())
 
     # -- reading -----------------------------------------------------------------
 
@@ -413,7 +569,8 @@ class Table:
 
     def next_expiration(self) -> Optional[Timestamp]:
         """When the next tuple expires (the trigger scheduler's deadline)."""
-        return self._index.next_expiration()
+        pending = (shard.index.next_expiration() for shard in self._shards)
+        return min((stamp for stamp in pending if stamp is not None), default=None)
 
     # -- expiration processing -------------------------------------------------------
 
@@ -421,81 +578,102 @@ class Table:
         """Clock listener: process expirations according to the policy."""
         if self.removal_policy is RemovalPolicy.EAGER:
             self.process_expirations(new)
-        else:
-            # O(k log n): only the k tuples that actually came due are
-            # touched; they stay physically present (and invisible to
-            # reads) until the batch threshold triggers a vacuum.
-            self._due_buffer.extend(self._index.pop_due(new))
-            if len(self._due_buffer) >= self.lazy_batch_size:
-                self.vacuum(new)
+            return
+        # O(k log n): only the k tuples that actually came due are
+        # touched; they stay physically present (and invisible to reads)
+        # until the batch threshold triggers a vacuum.
+        limit = new._value
+        pending = 0
+        for shard in self._shards:
+            shard.due.extend(shard.index.pop_due_raw(limit))
+            pending += len(shard.due)
+        if pending >= self.lazy_batch_size:
+            self.vacuum(new)
 
     def process_expirations(self, now: Optional[TimeLike] = None) -> int:
         """Remove every due tuple, firing ON-EXPIRE triggers; returns count."""
         stamp = self.clock.now if now is None else ts(now)
         started = time.perf_counter()
-        due = self._due_buffer + self._index.pop_due(stamp)
-        self._due_buffer = []
-        # The relation's bulk sweep skips entries renewed (re-inserted with
-        # a later expiration) between coming due and being processed -- a
-        # renewed tuple never expired.  Columnar relations compare raw
-        # ticks straight off the texp array.
-        logging = self.database is not None and self.database.wal is not None
-        collect = logging or len(self.triggers) > 0
-        processed, expired = self.relation._sweep_due(due, stamp, collect)
-        if processed:
-            self.statistics.expirations_processed += processed
-            self.statistics.tuples_purged += processed
-        for row, texp in expired:
-            fired = self.triggers.fire(ExpiringTuple(row, texp), stamp)
+        limit = stamp._value
+        jobs = []
+        for shard in self._shards:
+            due = shard.due + shard.index.pop_due_raw(limit)
+            if due:
+                shard.due = []
+                jobs.append((shard, due))
+        if not jobs:
+            self._maybe_verify()
+            return 0
+        return self._sweep(jobs, stamp, started)
+
+    def _sweep(
+        self,
+        jobs: List[Tuple[_Shard, List[Tuple[Row, int]]]],
+        stamp: Timestamp,
+        started: float,
+    ) -> int:
+        """Run the removal kernel over each shard's due list; returns count.
+
+        The storage kernel skips entries renewed (re-inserted with a later
+        expiration) between coming due and being processed -- a renewed
+        tuple never expired -- comparing raw ticks, straight off the texp
+        array on columnar shards.  Above one shard the kernels fan out on
+        the database's executor; triggers and WAL appends run here, on
+        the calling thread, and statistics are written once per sweep.
+        """
+        database = self.database
+        wal = database.wal if database is not None else None
+        triggers = self.triggers if len(self.triggers) > 0 else None
+        collect = wal is not None or triggers is not None
+
+        def kernel(job):
+            shard, due = job
+            shard_started = time.perf_counter()
+            processed, expired = shard.relation._sweep_due(due, stamp, collect)
+            return shard, processed, expired, time.perf_counter() - shard_started
+
+        if database is not None and len(jobs) > 1:
+            results = list(database.executor.map(kernel, jobs))
+        else:
+            results = [kernel(job) for job in jobs]
+
+        name = self.name
+        total = fired = 0
+        for shard, processed, expired, elapsed in results:
+            if self.partitions is not None:
+                self._shard_sweep_seconds.labels(name, shard.label).observe(elapsed)
+                if processed:
+                    self._shard_tuples_expired.labels(name, shard.label).inc(processed)
+            total += processed
+            if triggers is not None:
+                for row, tick in expired:
+                    fired += triggers.fire(ExpiringTuple(row, ts(tick)), stamp)
+            if wal is not None:
+                # Sweep removals must be durable: a lazy-policy snapshot
+                # can retain a row whose vacuum (and ON-EXPIRE firing)
+                # happened before the crash; without these records
+                # recovery would re-arm it and fire it a second time.
+                # They go to the log directly: an expiration is nobody's
+                # transaction, so it must never carry the id of one that
+                # happens to be applying (rollback would revive the row).
+                for row, tick in expired:
+                    wal.append("remove", table=name, row=list(row), prev=tick)
+        if total:
+            self.statistics.expirations_processed += total
+            self.statistics.tuples_purged += total
+        if fired:
             self.statistics.triggers_fired += fired
-        if logging:
-            # Sweep removals must be durable: replay re-derives expiration
-            # *state* from clock records, but a lazy-policy snapshot can
-            # retain a row whose vacuum (and ON-EXPIRE firing) happened
-            # before the crash -- without these records recovery would
-            # re-arm it and the trigger would fire a second time.
-            for row, texp in expired:
-                self._wal_physical("remove", row, None, texp)
-        if due:
-            self.statistics.purge_passes += 1
-            policy = self.removal_policy.value
-            self._sweep_seconds.labels(policy).observe(
-                time.perf_counter() - started)
-            if processed:
-                self._tuples_expired.labels(policy).inc(processed)
+        self.statistics.purge_passes += 1
+        policy = self.removal_policy.value
+        self._sweep_seconds.labels(policy).observe(time.perf_counter() - started)
+        if total:
+            self._tuples_expired.labels(policy).inc(total)
         self._maybe_verify()
-        return processed
+        return total
 
     def vacuum(self, now: Optional[TimeLike] = None) -> int:
         """Batch reclamation under lazy removal (alias of the eager path)."""
         return self.process_expirations(now)
-
-    # -- durability hooks --------------------------------------------------------------
-
-    def _wal_physical(
-        self,
-        kind: str,
-        row: Row,
-        texp: Optional[Timestamp],
-        previous: Optional[Timestamp],
-    ) -> None:
-        """Append one physical WAL record for a mutation on this table.
-
-        ``texp`` is the resulting stored expiration (``None`` only for
-        ``remove`` records); ``previous`` is the row's pre-mutation state,
-        which is what lets recovery roll an in-flight transaction back
-        through :meth:`undo_insert` / :meth:`undo_delete`.  Partitioned
-        tables inherit this unchanged: records are routed into the
-        database's single log and re-sharded by the relation at replay.
-        """
-        fields = {
-            "table": self.name,
-            "row": list(row),
-            "prev": encode_prev(previous),
-        }
-        if kind == "upsert":
-            fields["texp"] = encode_exp(texp)
-        self.database._wal_append(kind, **fields)
 
     # -- invariant hooks ---------------------------------------------------------------
 
@@ -515,8 +693,12 @@ class Table:
         self.constraints.append(constraint)
 
     def __repr__(self) -> str:
+        partitioned = (
+            "" if self.partitions is None
+            else f", partitions={self.partitions} on {self.partition_key!r}"
+        )
         return (
             f"Table({self.name!r}, arity={self.schema.arity}, "
             f"live={len(self)}, physical={self.physical_size}, "
-            f"policy={self.removal_policy.value})"
+            f"policy={self.removal_policy.value}{partitioned})"
         )

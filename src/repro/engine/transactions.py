@@ -110,12 +110,13 @@ class Transaction:
         try:
             for op in self._ops:
                 table = self.database.table(op.table)
+                # The state rollback restores is what the verb starts from:
+                # a LAZY row that already expired counts as absent.
+                previous = table.preimage(op.row)
                 if op.kind == "insert":
-                    previous = table.relation.expiration_or_none(op.row)
                     table.insert(op.row, expires_at=op.expires_at, ttl=op.ttl)
                     undo.append(("insert", op.table, op.row, previous))
                 else:
-                    previous = table.relation.expiration_or_none(op.row)
                     if table.delete(op.row):
                         undo.append(("delete", op.table, op.row, previous))
         except Exception:

@@ -366,7 +366,7 @@ def _describe(db: Database, name: str) -> SqlResult:
         table = db.table(name)
         upcoming = table.next_expiration()
         partitioned = ""
-        if getattr(table, "partitions", None) is not None:
+        if table.partitions is not None:
             partitioned = (
                 f"; partitions={table.partitions} "
                 f"by hash({table.partition_key})"

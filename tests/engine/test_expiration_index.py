@@ -102,13 +102,48 @@ class TestPolicyEnum:
         assert RemovalPolicy.LAZY.value == "lazy"
 
 
-class TestWheelHeapDifferential:
-    """Wheel ≡ heap on the raw bulk path and the cached-minimum query.
+class TestMinimumUnderReschedule:
+    """``next_expiration`` after a last-write reschedule (the override path).
 
-    Complements the pop_due equivalence in ``test_timer_wheel.py``: this
-    trace interleaves ``pop_due_raw`` (bounded and unbounded, the sweep
-    kernels' path) with ``next_expiration`` probes after *every* op, so a
-    stale cached minimum in the wheel cannot hide behind a later pop.
+    An ``override`` that *shortens* a lifetime reschedules through the same
+    entry; a stale minimum here would make the trigger scheduler sleep
+    past the new deadline.
+    """
+
+    def test_shorten_moves_the_minimum(self):
+        index = ExpirationIndex()
+        index.schedule((1,), 100)
+        index.schedule((2,), 200)
+        assert index.next_expiration() == ts(100)
+        index.schedule((2,), 40)  # shorten the non-minimum entry
+        assert index.next_expiration() == ts(40)
+        index.schedule((2,), 10)  # shorten the minimum itself
+        assert index.next_expiration() == ts(10)
+
+    def test_lengthen_sole_minimum_recomputes(self):
+        index = ExpirationIndex()
+        index.schedule((1,), 5)
+        index.schedule((2,), 50)
+        assert index.next_expiration() == ts(5)
+        index.schedule((1,), 500)  # the old minimum moved away
+        assert index.next_expiration() == ts(50)
+
+    def test_to_infinity_and_back(self):
+        index = ExpirationIndex()
+        index.schedule((1,), 7)
+        assert index.next_expiration() == ts(7)
+        index.schedule((1,), INFINITY)
+        assert index.next_expiration() is None
+        index.schedule((1,), 3)
+        assert index.next_expiration() == ts(3)
+
+
+class TestRawPopsAgainstModel:
+    """The raw bulk path and the minimum query against a dict model.
+
+    The trace interleaves ``pop_due_raw`` (bounded and unbounded, the
+    sweep kernel's path) with ``next_expiration`` probes after *every*
+    op, so a stale minimum cannot hide behind a later pop.
     """
 
     @settings(max_examples=120, deadline=None)
@@ -123,44 +158,46 @@ class TestWheelHeapDifferential:
             ),
             max_size=50,
         ),
-        wheel_size=st.sampled_from([2, 4, 16]),
     )
-    def test_raw_pops_and_minimum_agree(self, operations, wheel_size):
-        from repro.engine.timer_wheel import TimerWheelIndex
-
-        wheel = TimerWheelIndex(wheel_size=wheel_size)
-        heap = ExpirationIndex()
+    def test_raw_pops_and_minimum_agree(self, operations):
+        index = ExpirationIndex()
+        model = {}
         now = 0
         for op, key, value in operations:
             row = (key,)
             if op == "schedule":
-                wheel.schedule(row, now + value)
-                heap.schedule(row, now + value)
+                index.schedule(row, now + value)
+                model[row] = now + value
             elif op == "forever":
-                wheel.schedule(row, INFINITY)
-                heap.schedule(row, INFINITY)
+                index.schedule(row, INFINITY)
+                model.pop(row, None)
             elif op == "remove":
-                wheel.remove(row)
-                heap.remove(row)
-            elif op == "pop":
-                now += value
-                due_wheel = wheel.pop_due_raw(now)
-                due_heap = heap.pop_due_raw(now)
-                # Same multiset; ties in texp may order freely, but both
-                # must come out sorted by texp.
-                assert sorted(due_wheel) == sorted(due_heap)
-                assert [t for _, t in due_wheel] == sorted(
-                    t for _, t in due_wheel
-                )
-            else:  # drain: the unbounded sweep path (limit=None)
-                due_wheel = wheel.pop_due_raw(None)
-                due_heap = heap.pop_due_raw(None)
-                assert sorted(due_wheel) == sorted(due_heap)
-                assert len(wheel) == len(heap) == 0
+                index.remove(row)
+                model.pop(row, None)
+            else:
+                # pop: bounded by the clock; drain: the unbounded sweep
+                # path (limit=None).
+                if op == "pop":
+                    now += value
+                limit = now if op == "pop" else None
+                due = index.pop_due_raw(limit)
+                expected = [
+                    (r, t) for r, t in model.items()
+                    if limit is None or t <= limit
+                ]
+                for r, _ in expected:
+                    del model[r]
+                # Same multiset; ties in texp may order freely, but the
+                # pops must come out sorted by texp.
+                assert sorted(due) == sorted(expected)
+                assert [t for _, t in due] == sorted(t for _, t in due)
             # The trigger scheduler's hot-path query agrees after every op.
-            assert wheel.next_expiration() == heap.next_expiration()
-            assert len(wheel) == len(heap)
-        assert dict(wheel.pending()) == dict(heap.pending())
+            assert index.next_expiration() == (
+                ts(min(model.values())) if model else None
+            )
+            assert len(index) == len(model)
+            assert all(r in index for r in model)
+        assert dict(index.pending_raw()) == model
 
 
 class TestPropertyBased:

@@ -100,8 +100,9 @@ class TestOverrideSemantics:
 class TestRenewDueInterleavings:
     def test_renew_after_due_before_sweep_on_partitioned_lazy(self):
         # The row comes due, sits in the lazy due buffer, then is renewed
-        # before the batch vacuum runs: the sweep must skip it (a renewed
-        # tuple never expired) and the audit must stay clean.
+        # before the batch vacuum runs: the renewal reclaims the lapsed
+        # incarnation and admits a fresh one, which the sweep must skip
+        # (its buffered entry is stale), and the audit must stay clean.
         db = Database()
         table = make_table(
             db, removal_policy=RemovalPolicy.LAZY, lazy_batch_size=1_000,
@@ -125,7 +126,7 @@ class TestRenewDueInterleavings:
         )
         table.insert((1, 1), expires_at=5)
         db.advance_to(5)
-        table.override((1, 1), ttl=50)  # resurrect the buffered row
+        table.override((1, 1), ttl=50)  # re-admit the buffered row
         assert table.vacuum() == 0
         assert (1, 1) in table.read()
         assert db.verify(strict=True, deep=True) == []

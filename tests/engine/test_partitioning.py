@@ -1,7 +1,7 @@
 """Tests for hash-partitioned tables and partition-parallel sweeps.
 
-The core guarantee is *equivalence*: a :class:`PartitionedTable` must be
-indistinguishable from a flat :class:`Table` on rows, per-tuple expiration
+The core guarantee is *equivalence*: a table created with ``partitions=N``
+must be indistinguishable from a flat :class:`Table` on rows, per-tuple expiration
 times, and expression-level ``texp(e)`` / validity, under both removal
 policies.  The differential tests drive identical workloads through both
 and compare after every step.
@@ -15,12 +15,9 @@ from repro.core.timestamps import INFINITY, ts
 from repro.engine.clock import LogicalClock
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
-from repro.engine.partitioning import (
-    PartitionedTable,
-    ShardedExpirationIndex,
-    ShardedRelation,
-)
+from repro.engine.partitioning import ShardedRelation
 from repro.engine.persistence import database_from_dict, database_to_dict
+from repro.engine.table import Table
 from repro.errors import CatalogError, EngineError
 
 POLICIES = [RemovalPolicy.EAGER, RemovalPolicy.LAZY]
@@ -170,7 +167,7 @@ class TestParallelSweep:
 
     def test_standalone_table_sweeps_without_database(self):
         clock = LogicalClock()
-        table = PartitionedTable("T", Schema(["k"]), clock, partitions=3)
+        table = Table("T", Schema(["k"]), clock, partitions=3)
         clock.on_advance(table.on_clock_advance)
         for i in range(20):
             table.insert((i,), expires_at=5)
@@ -217,13 +214,15 @@ class TestShardedRelation:
             ShardedRelation(Schema(["k"]), key_index=5, partitions=2)
 
     def test_index_routing_and_pop(self):
-        index = ShardedExpirationIndex(key_index=0, partitions=3)
-        index.schedule((1,), ts(5))
-        index.schedule((2,), ts(3))
-        assert index.next_expiration() == ts(3)
-        due = index.pop_due(5)
-        assert sorted(due) == [((1,), ts(5)), ((2,), ts(3))]
-        assert index.next_expiration() is None
+        """Each shard keeps its own index; the table reads across them."""
+        clock = LogicalClock()
+        table = Table("T", Schema(["k"]), clock, partitions=3)
+        table.insert((1,), expires_at=5)
+        table.insert((2,), expires_at=3)
+        assert [len(shard.index) for shard in table._shards] == [0, 1, 1]
+        assert table.next_expiration() == ts(3)
+        assert table.process_expirations(5) == 2
+        assert table.next_expiration() is None
 
 
 class TestDatabaseIntegration:
@@ -238,7 +237,6 @@ class TestDatabaseIntegration:
         db = Database()
         db.sql("CREATE TABLE S (sid, uid) PARTITION BY HASH (uid) PARTITIONS 4")
         table = db.table("S")
-        assert isinstance(table, PartitionedTable)
         assert table.partitions == 4
         assert table.partition_key == "uid"
         db.sql("INSERT INTO S VALUES (1, 10) EXPIRES AT 30")
@@ -293,7 +291,6 @@ class TestDatabaseIntegration:
             table.insert((i, i % 5), expires_at=20 + i)
         restored = database_from_dict(database_to_dict(db))
         loaded = restored.table("T")
-        assert isinstance(loaded, PartitionedTable)
         assert loaded.partitions == 3
         assert loaded.partition_key == "v"
         assert dict(loaded.read().items()) == dict(table.read().items())

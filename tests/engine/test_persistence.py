@@ -79,20 +79,100 @@ class TestRoundtrip:
         )
 
 
-class TestIndexFactoryAndViewSettings:
-    """Round-trip regressions for the substrate and view knobs that the
-    snapshot format previously silently dropped."""
+#: A snapshot exactly as PR 17 wrote it: every table spec names the
+#: expiration-index substrate it ran on (``index_factory``), a knob that
+#: no longer exists.
+PR17_SNAPSHOT = {
+    "format": 1,
+    "now": 0,
+    "tables": [
+        {"name": "F", "columns": ["k", "v"], "removal_policy": "eager",
+         "lazy_batch_size": 64, "index_factory": "heap",
+         "rows": [[[0, 0], 10], [[1, 1], 11], [[2, 0], 12], [[3, 1], 13],
+                  [[9, 9], None]]},
+        {"name": "P", "columns": ["k", "v"], "removal_policy": "lazy",
+         "lazy_batch_size": 64, "index_factory": "timer_wheel",
+         "partitions": 3, "partition_key": "k", "layout": "columnar",
+         "rows": [[[0, 0], 10], [[3, 1], 13], [[1, 1], 11], [[2, 0], 12]]},
+        {"name": "S", "columns": ["k"], "removal_policy": "eager",
+         "lazy_batch_size": 64, "expiry": "since_last_modification",
+         "default_ttl": 6, "index_factory": "skip_list",
+         "rows": [[[1], 6]]},
+    ],
+    "views": [
+        {"name": "W", "policy": "patch", "patch_limit": 5,
+         "expression": {"kind": "difference",
+                        "left": {"kind": "base", "name": "F"},
+                        "right": {"kind": "base", "name": "P"}}},
+    ],
+}
 
-    def _partitioned_timer_wheel_db(self):
+
+class TestIndexFactoryAndViewSettings:
+    """Directories written before there was one expiration index still
+    open, and the view knobs the format once dropped round-trip."""
+
+    def test_old_index_factory_key_ignored(self):
+        """``"heap"``, ``"timer_wheel"`` or a name never known: all load."""
+        restored = database_from_dict(json.loads(json.dumps(PR17_SNAPSHOT)))
+        assert restored.verify(strict=True, deep=True) == []
+        assert restored.table("P").partitions == 3
+        assert restored.table("P").layout == "columnar"
+        assert restored.table("S").default_ttl == 6
+        assert len(restored.table("F")) == 5
+        for spec in database_to_dict(restored)["tables"]:
+            assert "index_factory" not in spec  # and is not written back
+        # The restored tables behave: expirations still sweep and fire.
+        fired = []
+        restored.table("P").triggers.register(
+            "t", lambda event: fired.append(event.tuple.row)
+        )
+        restored.advance_to(11)
+        restored.table("P").vacuum()
+        assert sorted(fired) == [(0, 0), (1, 1)]
+        assert sorted(restored.table("F").read().rows()) == [
+            (2, 0), (3, 1), (9, 9)
+        ]
+        assert restored.verify(strict=True, deep=True) == []
+
+    def test_old_create_table_wal_record_recovers(self, tmp_path):
+        """A durable directory whose log holds PR 17 ``create_table``
+        records (``index_factory`` in the spec) recovers and audits."""
+        from repro.engine.recovery import recover_database
+        from repro.engine.wal import WriteAheadLog
+
+        wal = WriteAheadLog(tmp_path, fsync="never")
+        wal.append("create_table", spec={
+            "columns": ["k", "v"], "index_factory": "timer_wheel",
+            "layout": "columnar", "lazy_batch_size": 64, "name": "P",
+            "partition_key": "k", "partitions": 3, "removal_policy": "lazy",
+        })
+        wal.append("create_table", spec={
+            "columns": ["k", "v"], "index_factory": "heap",
+            "lazy_batch_size": 64, "name": "F", "removal_policy": "eager",
+        })
+        for key in range(4):
+            for name in ("P", "F"):
+                wal.append("upsert", table=name, row=[key, key % 2],
+                           texp=10 + key, prev="absent")
+        wal.append("clock", now=11)
+        wal.close()
+
+        recovered = recover_database(tmp_path)
+        assert recovered.verify(strict=True, deep=True) == []
+        assert recovered.table("P").partitions == 3
+        for name in ("P", "F"):
+            assert sorted(recovered.table(name).read().rows()) == [
+                (2, 0), (3, 1)
+            ]
+        recovered.close()
+
+    def test_patch_limit_roundtrip(self):
         from repro.engine.database import Database
-        from repro.engine.timer_wheel import TimerWheelIndex
 
         db = Database()
-        db.create_table(
-            "P", ["k", "v"], partitions=3, partition_key="k",
-            index_factory=TimerWheelIndex,
-        )
-        db.create_table("F", ["k", "v"], index_factory=TimerWheelIndex)
+        db.create_table("P", ["k", "v"], partitions=3, partition_key="k")
+        db.create_table("F", ["k", "v"])
         for key in range(12):
             db.table("P").insert((key, key % 4), expires_at=10 + key)
             db.table("F").insert((key, key % 4), expires_at=10 + key)
@@ -100,54 +180,11 @@ class TestIndexFactoryAndViewSettings:
             "W", db.table_expr("F").difference(db.table_expr("P")),
             policy=MaintenancePolicy.PATCH, patch_limit=5,
         )
-        return db
-
-    def test_index_factory_roundtrip(self):
-        from repro.engine.timer_wheel import TimerWheelIndex
-
-        db = self._partitioned_timer_wheel_db()
-        restored = database_from_dict(database_to_dict(db))
-        assert restored.table("P").index_factory is TimerWheelIndex
-        assert restored.table("F").index_factory is TimerWheelIndex
-        assert restored.table("P").partitions == 3
-        # The restored substrate behaves: expirations still sweep.
-        db.advance_to(15)
-        restored.advance_to(15)
-        assert set(restored.table("P").read().rows()) == set(
-            db.table("P").read().rows()
-        )
-
-    def test_patch_limit_roundtrip(self):
-        db = self._partitioned_timer_wheel_db()
         restored = database_from_dict(database_to_dict(db))
         view = restored.view("W")
         assert view.policy is MaintenancePolicy.PATCH
         assert view.patch_limit == 5
         assert set(view.read().rows()) == set(db.view("W").read().rows())
-
-    def test_unknown_custom_factory_warns_and_degrades(self):
-        from repro.engine.database import Database
-        from repro.engine.expiration_index import ExpirationIndex
-
-        class OddIndex(ExpirationIndex):
-            pass
-
-        db = Database()
-        db.create_table("T", ["k"], index_factory=OddIndex)
-        with pytest.warns(UserWarning, match="not one of the persistable"):
-            data = database_to_dict(db)
-        assert "index_factory" not in data["tables"][0]
-
-    def test_unknown_factory_name_rejected(self):
-        from repro.engine.database import Database
-
-        data = database_to_dict(Database())
-        data["tables"] = [{
-            "name": "T", "columns": ["k"], "removal_policy": "eager",
-            "index_factory": "skip_list", "rows": [],
-        }]
-        with pytest.raises(EngineError, match="unknown index_factory"):
-            database_from_dict(data)
 
 
 class TestValidation:

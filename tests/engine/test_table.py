@@ -162,3 +162,21 @@ class TestDeletes:
         table.renew((1, 2), ttl=9)
         clock.advance_to(20)
         assert fired == [9]
+
+
+class TestOverrideReschedules:
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    @pytest.mark.parametrize("partitions", [None, 3])
+    def test_override_then_next_expiration_on_tables(self, layout, partitions):
+        """The full path: Table.override -> index reschedule -> minimum."""
+        db = Database()
+        table = db.create_table("T", ["k"], layout=layout, partitions=partitions)
+        for i in range(6):
+            table.insert((i,), expires_at=100 + i)
+        assert table.next_expiration() == ts(100)
+        table.override((4,), expires_at=9)  # revocation-style shortening
+        assert table.next_expiration() == ts(9)
+        db.advance_to(9)
+        assert (4,) not in table.read()
+        assert table.next_expiration() == ts(100)
+        db.close()

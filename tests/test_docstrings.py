@@ -38,7 +38,6 @@ MODULES = [
     "repro.engine.persistence",
     "repro.engine.statistics",
     "repro.engine.table",
-    "repro.engine.timer_wheel",
     "repro.engine.transactions",
     "repro.engine.triggers",
     "repro.engine.views",
