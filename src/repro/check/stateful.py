@@ -290,9 +290,7 @@ class _Harness:
         )
         # Columnar storage under the same op mix: batch kernels, the
         # swap-remove sweep path, and snapshot/WAL layout round-trips all
-        # get differential coverage against the dict oracle.  The backend
-        # follows the environment (REPRO_NUMPY), so the numpy kernels are
-        # fuzzed wherever numpy is present.
+        # get differential coverage against the dict oracle.
         self.db.create_table(
             "col", ["k", "v"], lazy_batch_size=8, layout="columnar",
         )

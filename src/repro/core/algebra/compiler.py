@@ -87,7 +87,6 @@ from repro.core.columnar import (
     ColumnBatch,
     ColumnarRelation,
     from_raw,
-    numpy_module,
     to_raw,
 )
 from repro.core.intervals import IntervalSet
@@ -458,36 +457,11 @@ def _columnar_stream(
     )
 
 
-def _col_list(batch: ColumnBatch, index: int) -> list:
-    """Attribute column ``index`` as a plain list (tolist() for ndarrays)."""
-    column = batch.columns[index]
-    return column.tolist() if batch.is_numpy else column
-
-
-def _texp_list(batch: ColumnBatch) -> list:
-    return batch.texp.tolist() if batch.is_numpy else batch.texp
-
-
 def _keys_of(batch: ColumnBatch, indexes: List[int]) -> list:
     """Join-key values per row, sliced straight off the key column(s)."""
     if len(indexes) == 1:
-        return _col_list(batch, indexes[0])
-    return list(zip(*(_col_list(batch, i) for i in indexes)))
-
-
-def _gather(batch: ColumnBatch, indices: List[int], texp) -> ColumnBatch:
-    """Select ``indices`` (with repetition) out of a batch's columns."""
-    if batch.is_numpy:
-        np = numpy_module()
-        idx = np.asarray(indices, dtype=np.intp)
-        return ColumnBatch(
-            [col[idx] for col in batch.columns], texp, owned=True
-        )
-    return ColumnBatch(
-        [[col[i] for i in indices] for col in batch.columns],
-        texp,
-        owned=True,
-    )
+        return batch.columns[indexes[0]]
+    return list(zip(*(batch.columns[i] for i in indexes)))
 
 
 def _concat_batches(batches: List[ColumnBatch]) -> ColumnBatch:
@@ -495,17 +469,6 @@ def _concat_batches(batches: List[ColumnBatch]) -> ColumnBatch:
     if len(batches) == 1:
         return batches[0]
     arity = len(batches[0].columns)
-    if all(batch.is_numpy for batch in batches):
-        np = numpy_module()
-        return ColumnBatch(
-            [
-                np.concatenate([batch.columns[i] for batch in batches])
-                for i in range(arity)
-            ],
-            np.concatenate([batch.texp for batch in batches]),
-            owned=True,
-        )
-    batches = [batch.to_python() for batch in batches]
     return ColumnBatch(
         [
             list(itertools.chain.from_iterable(b.columns[i] for b in batches))
@@ -518,16 +481,6 @@ def _concat_batches(batches: List[ColumnBatch]) -> ColumnBatch:
 
 def _apply_mask(batch: ColumnBatch, mask) -> ColumnBatch:
     """Keep the rows a predicate mask selected (whole-column filter)."""
-    if batch.is_numpy:
-        np = numpy_module()
-        selected = np.asarray(mask, dtype=bool)
-        if selected.all():
-            return batch
-        return ColumnBatch(
-            [col[selected] for col in batch.columns],
-            batch.texp[selected],
-            owned=True,
-        )
     if all(mask):
         return batch
     compress = itertools.compress
@@ -541,11 +494,9 @@ def _apply_mask(batch: ColumnBatch, mask) -> ColumnBatch:
 def _compile_mask(predicate: Predicate):
     """Compile a resolved predicate into a whole-column mask builder.
 
-    The returned ``build(columns, n, np)`` produces a boolean selection
-    vector for ``n`` rows: a list-comprehension compare per column in pure
-    Python, or one vectorised ufunc per comparison when ``np`` is the
-    numpy module (columns are then ndarrays).  Semantics match
-    :func:`compile_predicate` row-at-a-time evaluation elementwise.
+    The returned ``build(columns, n)`` produces a boolean selection vector
+    for ``n`` rows, one list-comprehension compare per column.  Semantics
+    match :func:`compile_predicate` row-at-a-time evaluation elementwise.
     """
     if isinstance(predicate, Comparison):
         compare = _COMPARATORS[predicate.op]
@@ -553,92 +504,63 @@ def _compile_mask(predicate: Predicate):
         if isinstance(left, Attribute) and isinstance(right, Attribute):
             i, j = left.ref - 1, right.ref - 1
 
-            def build(columns, n, np):
-                a, b = columns[i], columns[j]
-                if np is not None:
-                    return compare(a, b)
-                return [compare(x, y) for x, y in zip(a, b)]
+            def build(columns, n):
+                return [compare(x, y) for x, y in zip(columns[i], columns[j])]
 
             return build
         if isinstance(left, Attribute):
             i, value = left.ref - 1, right.evaluate(())
 
-            def build(columns, n, np):
-                a = columns[i]
-                if np is not None:
-                    return compare(a, value)
-                return [compare(x, value) for x in a]
+            def build(columns, n):
+                return [compare(x, value) for x in columns[i]]
 
             return build
         if isinstance(right, Attribute):
             value, j = left.evaluate(()), right.ref - 1
 
-            def build(columns, n, np):
-                b = columns[j]
-                if np is not None:
-                    return compare(value, b)
-                return [compare(value, y) for y in b]
+            def build(columns, n):
+                return [compare(value, y) for y in columns[j]]
 
             return build
         constant = compare(left.evaluate(()), right.evaluate(()))
 
-        def build(columns, n, np):
-            if np is not None:
-                return np.full(n, constant, dtype=bool)
+        def build(columns, n):
             return [constant] * n
 
         return build
     if isinstance(predicate, And):
         parts = [_compile_mask(child) for child in predicate.children]
 
-        def build(columns, n, np):
-            mask = parts[0](columns, n, np)
+        def build(columns, n):
+            mask = parts[0](columns, n)
             for part in parts[1:]:
-                other = part(columns, n, np)
-                if np is not None:
-                    mask = np.logical_and(mask, other)
-                else:
-                    mask = [x and y for x, y in zip(mask, other)]
+                mask = [x and y for x, y in zip(mask, part(columns, n))]
             return mask
 
         return build
     if isinstance(predicate, Or):
         parts = [_compile_mask(child) for child in predicate.children]
 
-        def build(columns, n, np):
-            mask = parts[0](columns, n, np)
+        def build(columns, n):
+            mask = parts[0](columns, n)
             for part in parts[1:]:
-                other = part(columns, n, np)
-                if np is not None:
-                    mask = np.logical_or(mask, other)
-                else:
-                    mask = [x or y for x, y in zip(mask, other)]
+                mask = [x or y for x, y in zip(mask, part(columns, n))]
             return mask
 
         return build
     if isinstance(predicate, Not):
         inner = _compile_mask(predicate.child)
 
-        def build(columns, n, np):
-            mask = inner(columns, n, np)
-            if np is not None:
-                return np.logical_not(mask)
-            return [not x for x in mask]
+        def build(columns, n):
+            return [not x for x in inner(columns, n)]
 
         return build
     if isinstance(predicate, TruePredicate):
-        def build(columns, n, np):
-            if np is not None:
-                return np.ones(n, dtype=bool)
+        def build(columns, n):
             return [True] * n
 
         return build
     raise EvaluationError(f"uncompilable predicate {type(predicate).__name__}")
-
-
-def _run_mask(build, batch: ColumnBatch):
-    np = numpy_module() if batch.is_numpy else None
-    return build(batch.columns, len(batch), np)
 
 
 def _predicate_columns(predicate: Predicate) -> set:
@@ -666,10 +588,9 @@ def _batch_to_members(batch: ColumnBatch) -> Dict[tuple, Timestamp]:
     raw ints and decodes one Timestamp per *distinct* row, instead of one
     per pair.
     """
-    plain = batch.to_python()
     merged_raw: Dict[tuple, int] = {}
     get = merged_raw.get
-    for row, raw in zip(plain.iter_rows(), plain.texp):
+    for row, raw in zip(batch.iter_rows(), batch.texp):
         existing = get(row)
         if existing is None or existing < raw:
             merged_raw[row] = raw
@@ -868,7 +789,10 @@ class _Compiler:
             if inner.batch is not None:
                 # Vectorised predicate mask over whole column slices.
                 started = time.perf_counter()
-                batch = _apply_mask(inner.batch, _run_mask(mask_build, inner.batch))
+                source = inner.batch
+                batch = _apply_mask(
+                    source, mask_build(source.columns, len(source))
+                )
                 return _columnar_stream(
                     ctx, "select_mask", batch, inner.expiration,
                     inner.validity, started, dup_free,
@@ -1009,9 +933,7 @@ class _Compiler:
                 view: List[Any] = [None] * arity
                 for orig, pos in position.items():
                     view[orig] = batch.columns[pos]
-                np = numpy_module() if batch.is_numpy else None
-                mask = mask_build(view, len(batch), np)
-                batch = _apply_mask(batch, mask)
+                batch = _apply_mask(batch, mask_build(view, len(batch)))
                 ctx.stats.note_columnar("select_mask", len(batch))
             out = ColumnBatch(
                 [batch.columns[pos] for pos in out_positions],
@@ -1196,43 +1118,24 @@ class _Compiler:
                     flags = [match is not None for match in matches]
                     right_idx = list(compress(matches, flags))
                     ctx.stats.hash_probes += len(right_idx)
-                    if lb.is_numpy and rb.is_numpy:
-                        np = numpy_module()
-                        selected = np.asarray(flags, dtype=bool)
-                        ri = np.asarray(right_idx, dtype=np.intp)
-                        # Equation (2): elementwise min of the parents.
-                        texp = np.minimum(lb.texp[selected], rb.texp[ri])
-                        batch = ColumnBatch(
-                            [col[selected] for col in lb.columns]
-                            + [col[ri] for col in rb.columns],
-                            texp,
-                            owned=True,
+                    rt = rb.texp
+                    # Equation (2): elementwise min of the parents.
+                    texp = [
+                        a if a < b else b
+                        for a, b in zip(
+                            compress(lb.texp, flags),
+                            [rt[j] for j in right_idx],
                         )
-                    else:
-                        lbp, rbp = lb.to_python(), rb.to_python()
-                        rt = rbp.texp
-                        texp = [
-                            a if a < b else b
-                            for a, b in zip(
-                                compress(lbp.texp, flags),
-                                [rt[j] for j in right_idx],
-                            )
-                        ]
-                        batch = ColumnBatch(
-                            [
-                                list(compress(col, flags))
-                                for col in lbp.columns
-                            ]
-                            + [
-                                [col[j] for j in right_idx]
-                                for col in rbp.columns
-                            ],
-                            texp,
-                            owned=True,
-                        )
+                    ]
+                    batch = ColumnBatch(
+                        [list(compress(col, flags)) for col in lb.columns]
+                        + [[col[j] for j in right_idx] for col in rb.columns],
+                        texp,
+                        owned=True,
+                    )
                     if residual_mask is not None:
                         batch = _apply_mask(
-                            batch, _run_mask(residual_mask, batch)
+                            batch, residual_mask(batch.columns, len(batch))
                         )
                     return _columnar_stream(
                         ctx, "hash_join", batch,
@@ -1263,33 +1166,22 @@ class _Compiler:
                             add_left(i)
                             add_right(j)
                 ctx.stats.hash_probes += probes
-                if lb.is_numpy and rb.is_numpy:
-                    np = numpy_module()
-                    li = np.asarray(left_idx, dtype=np.intp)
-                    ri = np.asarray(right_idx, dtype=np.intp)
-                    # Equation (2): elementwise min of the parents.
-                    texp = np.minimum(lb.texp[li], rb.texp[ri])
-                    batch = ColumnBatch(
-                        [col[li] for col in lb.columns]
-                        + [col[ri] for col in rb.columns],
-                        texp,
-                        owned=True,
-                    )
-                else:
-                    lbp, rbp = lb.to_python(), rb.to_python()
-                    lt, rt = lbp.texp, rbp.texp
-                    texp = [
-                        lt[i] if lt[i] < rt[j] else rt[j]
-                        for i, j in zip(left_idx, right_idx)
-                    ]
-                    batch = ColumnBatch(
-                        [[col[i] for i in left_idx] for col in lbp.columns]
-                        + [[col[j] for j in right_idx] for col in rbp.columns],
-                        texp,
-                        owned=True,
-                    )
+                lt, rt = lb.texp, rb.texp
+                # Equation (2): elementwise min of the parents.
+                texp = [
+                    lt[i] if lt[i] < rt[j] else rt[j]
+                    for i, j in zip(left_idx, right_idx)
+                ]
+                batch = ColumnBatch(
+                    [[col[i] for i in left_idx] for col in lb.columns]
+                    + [[col[j] for j in right_idx] for col in rb.columns],
+                    texp,
+                    owned=True,
+                )
                 if residual_mask is not None:
-                    batch = _apply_mask(batch, _run_mask(residual_mask, batch))
+                    batch = _apply_mask(
+                        batch, residual_mask(batch.columns, len(batch))
+                    )
                 return _columnar_stream(
                     ctx, "hash_join", batch,
                     ts_min((left_stream.expiration, right_stream.expiration)),
@@ -1397,11 +1289,11 @@ class _Compiler:
                 # dict(zip(...)) builds the key map at C speed; it keeps
                 # the *last* texp per key, which is only the max when keys
                 # are unique -- fall back to the max-merge loop otherwise.
-                best_raw: Dict[Any, int] = dict(zip(rkeys, _texp_list(rb)))
+                best_raw: Dict[Any, int] = dict(zip(rkeys, rb.texp))
                 best_get = best_raw.get
                 if len(best_raw) != len(rkeys):
                     best_raw.clear()
-                    for key, raw in zip(rkeys, _texp_list(rb)):
+                    for key, raw in zip(rkeys, rb.texp):
                         current = best_get(key)
                         if current is None or current < raw:
                             best_raw[key] = raw
@@ -1413,30 +1305,17 @@ class _Compiler:
                 keep_texp = [
                     raw if raw < match else match
                     for raw, match in zip(
-                        compress(_texp_list(lb), flags),
+                        compress(lb.texp, flags),
                         compress(matches, flags),
                     )
                 ]
                 # Survivors come out via compress (C speed) rather than a
                 # per-index gather.
-                if lb.is_numpy:
-                    np = numpy_module()
-                    texp = np.asarray(keep_texp, dtype=np.int64)
-                    selected = np.asarray(flags, dtype=bool)
-                    batch = ColumnBatch(
-                        [col[selected] for col in lb.columns],
-                        texp,
-                        owned=True,
-                    )
-                else:
-                    batch = ColumnBatch(
-                        [
-                            list(compress(col, flags))
-                            for col in lb.columns
-                        ],
-                        keep_texp,
-                        owned=True,
-                    )
+                batch = ColumnBatch(
+                    [list(compress(col, flags)) for col in lb.columns],
+                    keep_texp,
+                    owned=True,
+                )
                 return _columnar_stream(
                     ctx, "semijoin", batch,
                     ts_min((left_stream.expiration, right_stream.expiration)),
@@ -1491,7 +1370,7 @@ class _Compiler:
                 ctx.stats.note_columnar("antijoin_build", len(rb))
                 dies_raw: Dict[Any, int] = {}
                 raw_get = dies_raw.get
-                for key, raw in zip(_keys_of(rb, right_key_idx), _texp_list(rb)):
+                for key, raw in zip(_keys_of(rb, right_key_idx), rb.texp):
                     current = raw_get(key)
                     if current is None or current < raw:
                         dies_raw[key] = raw
@@ -1708,20 +1587,16 @@ class CompiledPlan:
                 # outright; an aliasing one -- a pure scan handing out the
                 # base relation's live storage -- must be copied so later
                 # result or base mutation cannot leak through.
-                plain = batch.to_python()
-                ctx.stats.note_columnar("root_adopt", len(plain))
-                ctx.stats.tuples_emitted += len(plain)
-                if plain.owned:
-                    columns = plain.columns
-                    texp = plain.texp
+                ctx.stats.note_columnar("root_adopt", len(batch))
+                ctx.stats.tuples_emitted += len(batch)
+                if batch.owned:
+                    columns = batch.columns
+                    texp = batch.texp
                 else:
-                    columns = [list(col) for col in plain.columns]
-                    texp = list(plain.texp)
+                    columns = [list(col) for col in batch.columns]
+                    texp = list(batch.texp)
                 relation = ColumnarRelation._from_columns(
-                    self.schema,
-                    columns,
-                    texp,
-                    backend="numpy" if batch.is_numpy else "python",
+                    self.schema, columns, texp
                 )
                 return EvalResult(
                     relation, stream.expiration, stream.validity, stamp
@@ -1730,11 +1605,10 @@ class CompiledPlan:
             # the surviving rows column-wise: no Timestamp decode, no
             # row-dict relation build.  ``zip(*merged)`` re-slices the
             # distinct row tuples back into columns at C speed.
-            plain = batch.to_python()
-            ctx.stats.note_columnar("root_dedup", len(plain))
+            ctx.stats.note_columnar("root_dedup", len(batch))
             merged: Dict[tuple, int] = {}
             get = merged.get
-            for row, raw in zip(plain.iter_rows(), plain.texp):
+            for row, raw in zip(batch.iter_rows(), batch.texp):
                 existing = get(row)
                 if existing is None or existing < raw:
                     merged[row] = raw
@@ -1745,10 +1619,7 @@ class CompiledPlan:
             # call just to transpose it.
             columns = [[row[i] for row in merged] for i in range(arity)]
             relation = ColumnarRelation._from_columns(
-                self.schema,
-                columns,
-                merged.values(),
-                backend="numpy" if batch.is_numpy else "python",
+                self.schema, columns, merged.values()
             )
             return EvalResult(
                 relation, stream.expiration, stream.validity, stamp

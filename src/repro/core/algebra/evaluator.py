@@ -112,30 +112,6 @@ class EvalStats:
 
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def merge(self, other: "EvalStats") -> None:
-        """Accumulate another stats bag into this one.
-
-        .. deprecated:: 1.1
-           Aggregation across evaluations belongs to the metrics registry
-           (``db.metrics``); ``Database.evaluate`` flushes every per-query
-           bag there.  This path will be removed one release after 1.1.
-        """
-        import warnings
-
-        warnings.warn(
-            "EvalStats.merge() is deprecated: cross-query aggregation is "
-            "registry-backed; read db.metrics instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.tuples_scanned += other.tuples_scanned
-        self.tuples_emitted += other.tuples_emitted
-        self.partitions_built += other.partitions_built
-        self.hash_probes += other.hash_probes
-        self.operators_evaluated += other.operators_evaluated
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -168,8 +144,8 @@ class Evaluator:
 
     ``trace``, when given, is an open :class:`~repro.obs.tracing.Span`;
     every operator evaluated hangs a child span off it with its inclusive
-    wall time, rows emitted, and cumulative tuples scanned (the substrate
-    of ``EXPLAIN ANALYZE`` under the interpreted engine).
+    wall time, rows emitted, and cumulative tuples scanned (the same
+    span shape the compiled plan hangs off ``EXPLAIN ANALYZE``).
     """
 
     def __init__(self, catalog: Catalog, tau: TimeLike = 0, trace=None) -> None:
@@ -577,17 +553,13 @@ def evaluate(
     expression: Expression,
     catalog: Catalog,
     tau: TimeLike = 0,
-    engine: str = "interpreted",
 ) -> EvalResult:
     """Materialise ``expression`` against ``catalog`` at time ``tau``.
 
-    The standalone spelling of the canonical evaluation surface
-    (:meth:`repro.engine.database.Database.evaluate`): ``engine``
-    (default ``"interpreted"`` here -- the reference evaluator; a
-    :class:`~repro.engine.database.Database` defaults to ``"compiled"``)
-    selects the row-at-a-time reference evaluator or the one-shot
-    compiled evaluator.  Both produce identical results; there is no
-    plan/result caching at this level (use a database or a
+    One-shot use of the row-at-a-time reference :class:`Evaluator`;
+    :func:`~repro.core.algebra.compiler.evaluate_compiled` is the compiled
+    counterpart and produces identical results.  There is no plan/result
+    caching at this level (use a database or a
     :class:`~repro.core.algebra.plan_cache.PlanCache` for that).
 
     >>> from repro.core.relation import relation_from_rows
@@ -600,12 +572,4 @@ def evaluate(
     >>> result.relation.expiration_of((25,))
     Timestamp(15)
     """
-    if engine == "compiled":
-        from repro.core.algebra.compiler import CompiledEvaluator
-
-        return CompiledEvaluator(catalog, tau).evaluate(expression)
-    if engine != "interpreted":
-        raise EvaluationError(
-            f"engine must be 'compiled' or 'interpreted', got {engine!r}"
-        )
     return Evaluator(catalog, tau).evaluate(expression)

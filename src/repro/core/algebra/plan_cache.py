@@ -174,7 +174,6 @@ class PlanCache:
         cached: bool = True,
         partitioning=(),
         executor=None,
-        bypass_results: Optional[bool] = None,
     ) -> EvalResult:
         """Evaluate ``expression`` at ``tau``, serving from cache when sound.
 
@@ -184,8 +183,6 @@ class PlanCache:
         ``cached=False`` (``EXPLAIN ANALYZE``, differential testing)
         forces a real execution -- reusing the compiled plan but never a
         cached result, and without touching the hit/miss counters.
-        ``bypass_results=True`` is the deprecated spelling of
-        ``cached=False`` and keeps working as a shim.
 
         ``version`` is the engine's catalog (data) version; ``schema_version``
         gates reuse of the compiled plan itself.  ``floor`` (typically the
@@ -203,9 +200,6 @@ class PlanCache:
         ``executor``, when given, fans compiled per-shard pipelines out over
         the pool during execution.
         """
-        if bypass_results is not None:  # pre-1.6 shim for cached=False
-            cached = not bypass_results
-        bypass_results = not cached
         tau = ts(tau)
         eval_stats = stats if stats is not None else EvalStats()
         entry = self._entries.get(expression)
@@ -215,32 +209,32 @@ class PlanCache:
         ):
             entry = None  # DDL / repartitioning invalidated the plan itself
 
-        if entry is not None and not bypass_results:
-            cached = entry.result
+        if entry is not None and cached:
+            held = entry.result
             if (
-                cached is not None
+                held is not None
                 and entry.result_version == version
-                and cached.tau <= tau
+                and held.tau <= tau
                 and (floor is None or floor <= tau)
-                and cached.validity.contains(tau)
+                and held.validity.contains(tau)
             ):
                 self._hits.inc()
-                if cached.tau < tau:
+                if held.tau < tau:
                     self._validity_served.inc()
                 eval_stats.cache_hits += 1
                 if trace is not None:
                     trace.child("cache_hit").note(
-                        cached_tau=cached.tau, served_at=tau
+                        cached_tau=held.tau, served_at=tau
                     )
                 self._entries.move_to_end(expression)
                 return EvalResult(
-                    relation=cached.relation.exp_at(tau),
-                    expiration=cached.expiration,
-                    validity=cached.validity & IntervalSet.from_onwards(tau),
+                    relation=held.relation.exp_at(tau),
+                    expiration=held.expiration,
+                    validity=held.validity & IntervalSet.from_onwards(tau),
                     tau=tau,
                 )
 
-        if not bypass_results:
+        if cached:
             self._misses.inc()
             eval_stats.cache_misses += 1
         if entry is None:

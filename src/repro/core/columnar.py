@@ -13,10 +13,7 @@ parallel per-attribute arrays plus a raw ``int64`` expiration array::
 so ``exp_τ(R)`` becomes a single-pass compare of a machine-int column
 against a scalar, and the compiled evaluator's batch kernels
 (``core/algebra/compiler.py``) can move whole column slices instead of
-``(row, texp)`` pairs.  An optional numpy backend (``REPRO_NUMPY=1`` or
-``Database(columnar_backend="numpy")``) layers cached ``ndarray`` views
-over the same storage for vectorised masks; the ``array``/list storage
-remains the source of truth, so the two backends never diverge.
+``(row, texp)`` pairs.
 
 Duplicate policy, ``exp_at``, max-merge-on-insert, and the whole
 :class:`Relation` API are preserved bit-for-bit -- the differential suite
@@ -30,7 +27,6 @@ arrays dense so sweeps and scans never skip tombstones.
 
 from __future__ import annotations
 
-import os
 from array import array
 from itertools import compress as _compress
 from typing import (
@@ -51,76 +47,25 @@ from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
 from repro.core.tuples import ExpiringTuple, Row, make_row
 from repro.errors import RelationError, TimeError
 
-try:  # pragma: no cover - exercised via the numpy CI job
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy genuinely absent
-    _np = None
-
 __all__ = [
     "RAW_INFINITY",
     "ColumnBatch",
     "ColumnarRelation",
     "from_raw",
-    "numpy_available",
-    "resolve_backend",
     "to_raw",
 ]
 
 #: Raw encoding of the infinite timestamp.  Finite ticks are non-negative
 #: and must stay strictly below this sentinel so that ``raw > tau`` keeps
 #: the total order of the time domain; ``int64`` max leaves every
-#: realistic tick representable while fitting ``array('q')`` and numpy's
-#: native integer dtype.
+#: realistic tick representable while fitting ``array('q')``.
 RAW_INFINITY = (1 << 63) - 1
-
-_ENV_FLAG = "REPRO_NUMPY"
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 #: Interned finite timestamps, so batch-to-pair fallbacks do not allocate
 #: a fresh Timestamp per row for the (few, repeated) tick values of a
 #: workload.  Bounded to keep pathological tick ranges from leaking.
 _TS_CACHE: Dict[int, Timestamp] = {}
 _TS_CACHE_LIMIT = 1 << 16
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy backend can be used in this process."""
-    return _np is not None
-
-
-def numpy_module():
-    """The imported numpy module, or ``None`` when unavailable."""
-    return _np
-
-
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend request to ``"python"`` or ``"numpy"``.
-
-    ``None``/``"auto"`` consults the ``REPRO_NUMPY`` environment flag, so
-    a deployment can flip every columnar table to numpy without touching
-    call sites.  Requesting numpy when it is not importable is an error --
-    silently degrading would invalidate benchmark comparisons.
-    """
-    if name in (None, "", "auto"):
-        if os.environ.get(_ENV_FLAG, "").strip().lower() in _TRUTHY:
-            if _np is None:
-                raise RelationError(
-                    f"{_ENV_FLAG} requested the numpy backend but numpy is "
-                    "not importable"
-                )
-            return "numpy"
-        return "python"
-    if name == "python":
-        return "python"
-    if name == "numpy":
-        if _np is None:
-            raise RelationError(
-                "columnar backend 'numpy' requested but numpy is not importable"
-            )
-        return "numpy"
-    raise RelationError(
-        f"unknown columnar backend {name!r} (expected 'python' or 'numpy')"
-    )
 
 
 def to_raw(stamp: Timestamp) -> int:
@@ -172,35 +117,16 @@ class ColumnBatch:
     def __len__(self) -> int:
         return len(self.texp)
 
-    @property
-    def is_numpy(self) -> bool:
-        return _np is not None and isinstance(self.texp, _np.ndarray)
-
     def iter_rows(self) -> Iterator[Row]:
         if self.columns:
             return zip(*self.columns)
         return iter([()] * len(self.texp))
 
     def pairs(self) -> Iterator[Tuple[Row, Timestamp]]:
-        """Fallback bridge to the row engine's ``(row, texp)`` streams.
-
-        Always decodes through plain-list columns so ndarray batches do
-        not leak numpy scalar types into row-engine tuples.
-        """
-        plain = self.to_python()
+        """Fallback bridge to the row engine's ``(row, texp)`` streams."""
         decode = from_raw
-        for row, raw in zip(plain.iter_rows(), plain.texp):
+        for row, raw in zip(self.iter_rows(), self.texp):
             yield row, decode(raw)
-
-    def to_python(self) -> "ColumnBatch":
-        """A batch with plain-list columns (exit ramp from numpy views)."""
-        if not self.is_numpy:
-            return self
-        return ColumnBatch(
-            [col.tolist() for col in self.columns],
-            self.texp.tolist(),
-            owned=True,
-        )
 
 
 class ColumnarRelation(Relation):
@@ -214,13 +140,12 @@ class ColumnarRelation(Relation):
     consumers (equality, pretty-printing, audits) working unmodified.
     """
 
-    __slots__ = ("_cols", "_texp", "_rowmap", "backend", "_version", "_np_cache")
+    __slots__ = ("_cols", "_texp", "_rowmap")
 
     def __init__(
         self,
         schema: Schema | Sequence[str] | int,
         tuples: Optional[Mapping[Row, Timestamp]] = None,
-        backend: Optional[str] = None,
     ) -> None:
         if isinstance(schema, Schema):
             self.schema = schema
@@ -228,12 +153,9 @@ class ColumnarRelation(Relation):
             self.schema = anonymous_schema(schema)
         else:
             self.schema = Schema(schema)
-        self.backend = resolve_backend(backend)
         self._cols: List[List[Any]] = [[] for _ in range(self.schema.arity)]
         self._texp = array("q")
         self._rowmap: Optional[Dict[Row, int]] = None
-        self._version = 0
-        self._np_cache = None
         if tuples:
             for row, stamp in tuples.items():
                 self.insert(row, expires_at=stamp)
@@ -246,7 +168,6 @@ class ColumnarRelation(Relation):
         schema: Schema,
         columns: Sequence[Sequence[Any]],
         texp_raw: Iterable[int],
-        backend: str = "python",
     ) -> "ColumnarRelation":
         """Adopt already-deduplicated column data (trusted fast path).
 
@@ -257,7 +178,6 @@ class ColumnarRelation(Relation):
         """
         relation = cls.__new__(cls)
         relation.schema = schema
-        relation.backend = backend
         relation._cols = [
             col if type(col) is list else list(col) for col in columns
         ]
@@ -265,14 +185,10 @@ class ColumnarRelation(Relation):
             texp_raw if type(texp_raw) is array else array("q", texp_raw)
         )
         relation._rowmap = None
-        relation._version = 0
-        relation._np_cache = None
         return relation
 
     @classmethod
-    def from_relation(
-        cls, source: Relation, backend: Optional[str] = None
-    ) -> "ColumnarRelation":
+    def from_relation(cls, source: Relation) -> "ColumnarRelation":
         """Columnar copy of any relation (used by tests and benchmarks)."""
         arity = source.schema.arity
         cols: List[List[Any]] = [[] for _ in range(arity)]
@@ -281,15 +197,9 @@ class ColumnarRelation(Relation):
             for i in range(arity):
                 cols[i].append(row[i])
             texp.append(to_raw(stamp))
-        return cls._from_columns(
-            source.schema, cols, texp, resolve_backend(backend)
-        )
+        return cls._from_columns(source.schema, cols, texp)
 
     # -- internal plumbing ---------------------------------------------------
-
-    def _touch(self) -> None:
-        self._version += 1
-        self._np_cache = None
 
     def _iter_rows(self) -> Iterator[Row]:
         if self._cols:
@@ -312,26 +222,6 @@ class ColumnarRelation(Relation):
             for row, raw in zip(self._iter_rows(), self._texp)
         }
 
-    def np_arrays(self):
-        """Cached ``(columns, texp)`` ndarray views for the numpy backend.
-
-        Arrays are converted once per mutation generation (the version
-        counter invalidates the cache), so repeated scans of a stable
-        relation pay the conversion only once.  The texp view is a copy,
-        not ``frombuffer``: a zero-copy view would pin the backing
-        ``array('q')`` buffer and make every later append/pop raise
-        ``BufferError``.
-        """
-        if _np is None:
-            raise RelationError("numpy backend requested but numpy is absent")
-        cache = self._np_cache
-        if cache is not None and cache[0] == self._version:
-            return cache[1], cache[2]
-        texp = _np.array(self._texp, dtype=_np.int64)
-        cols = [_np.asarray(col) for col in self._cols]
-        self._np_cache = (self._version, cols, texp)
-        return cols, texp
-
     # -- batch access for the compiled evaluator -----------------------------
 
     def batch(
@@ -348,18 +238,6 @@ class ColumnarRelation(Relation):
         columns no downstream kernel touches are never materialised.
         """
         texp = self._texp
-        if self.backend == "numpy" and _np is not None:
-            np_cols, np_texp = self.np_arrays()
-            if keep is not None:
-                np_cols = [np_cols[i] for i in keep]
-            if tau_raw is None:
-                return ColumnBatch(np_cols, np_texp)
-            mask = np_texp > tau_raw
-            if bool(mask.all()):
-                return ColumnBatch(np_cols, np_texp)
-            return ColumnBatch(
-                [col[mask] for col in np_cols], np_texp[mask], owned=True
-            )
         cols = self._cols if keep is None else [self._cols[i] for i in keep]
         if tau_raw is None:
             return ColumnBatch(cols, texp)
@@ -397,7 +275,6 @@ class ColumnarRelation(Relation):
             elif texp[pos] < raw:
                 texp[pos] = raw
             count += 1
-        self._touch()
         return count
 
     def bulk_restore(
@@ -423,7 +300,6 @@ class ColumnarRelation(Relation):
                 texp.append(to_raw(stamp))
             else:
                 texp[pos] = to_raw(stamp)
-        self._touch()
 
     def insert(
         self, values: Iterable[Any], expires_at: TimeLike = None
@@ -443,7 +319,6 @@ class ColumnarRelation(Relation):
             texp[pos] = raw
         else:
             raw = texp[pos]
-        self._touch()
         return ExpiringTuple(row, from_raw(raw))
 
     def override(
@@ -462,7 +337,6 @@ class ColumnarRelation(Relation):
             texp.append(raw)
         else:
             texp[pos] = raw
-        self._touch()
         return ExpiringTuple(row, from_raw(raw))
 
     def _swap_remove(self, rowmap: Dict[Row, int], pos: int, row: Row) -> None:
@@ -488,7 +362,6 @@ class ColumnarRelation(Relation):
         if pos is None:
             return False
         self._swap_remove(rowmap, pos, row)
-        self._touch()
         return True
 
     def purge_expired(self, tau: TimeLike) -> int:
@@ -503,7 +376,6 @@ class ColumnarRelation(Relation):
             ]
             self._texp = array("q", compress(texp, flags))
             self._rowmap = None
-            self._touch()
         return purged
 
     def _sweep_due(
@@ -539,8 +411,6 @@ class ColumnarRelation(Relation):
             processed += 1
             if collect:
                 expired.append((row, tick))
-        if processed:
-            self._touch()
         return processed, expired
 
     # -- the model's primitives ----------------------------------------------
@@ -548,11 +418,7 @@ class ColumnarRelation(Relation):
     def exp_at(self, tau: TimeLike) -> "ColumnarRelation":
         raw = to_raw(ts(tau))
         texp = self._texp
-        if self.backend == "numpy" and _np is not None and len(texp):
-            _, np_texp = self.np_arrays()
-            flags = (np_texp > raw).tolist()
-        else:
-            flags = [t > raw for t in texp]
+        flags = [t > raw for t in texp]
         if all(flags):
             return self.copy()
         compress = _compress
@@ -560,7 +426,6 @@ class ColumnarRelation(Relation):
             self.schema,
             [list(compress(col, flags)) for col in self._cols],
             array("q", compress(texp, flags)),
-            self.backend,
         )
 
     def expiration_of(self, values: Iterable[Any]) -> Timestamp:
@@ -616,11 +481,10 @@ class ColumnarRelation(Relation):
             self.schema,
             [list(col) for col in self._cols],
             array("q", self._texp),
-            self.backend,
         )
 
     def __repr__(self) -> str:
         return (
             f"ColumnarRelation(schema={list(self.schema.names)!r}, "
-            f"tuples={len(self._texp)}, backend={self.backend!r})"
+            f"tuples={len(self._texp)})"
         )

@@ -202,9 +202,8 @@ class Relation:
         removal is the engine's concern, see ``repro.engine``).
         """
         stamp = ts(tau)
-        survivors = {
-            row: texp for row, texp in self._tuples.items() if stamp < texp
-        }
+        # Through ``items()`` so a subclass that merges shards inherits this.
+        survivors = {row: texp for row, texp in self.items() if stamp < texp}
         return Relation._from_trusted(self.schema, survivors)
 
     def expiration_of(self, values: Iterable[Any]) -> Timestamp:

@@ -1,8 +1,8 @@
 """Construction-time configuration for :class:`~repro.engine.database.Database`.
 
-The database grew its knobs one PR at a time -- engine selection, plan
-cache sizing, invariant auditing, durability, columnar backends -- and the
-server layer (PR 8) needs to ship *all* of them across one API boundary
+The database grew its knobs one PR at a time -- plan cache sizing,
+invariant auditing, durability -- and the server layer (PR 8) needs to
+ship *all* of them across one API boundary
 (``repro.connect``, the CLI ``serve`` subcommand, recovery).  This module
 folds them into one frozen dataclass, :class:`DatabaseConfig`, accepted by
 ``Database(config=...)``.
@@ -36,10 +36,6 @@ class DatabaseConfig:
         Physical expiration processing for new tables:
         :attr:`~repro.engine.expiration_index.RemovalPolicy.EAGER`
         (sweep on clock advance) by default; ``LAZY`` defers to vacuums.
-    ``engine``
-        ``"compiled"`` (fused pipelines through the validity-aware plan
-        cache -- the default) or ``"interpreted"`` (the reference
-        row-at-a-time evaluator).
     ``plan_cache_capacity``
         LRU entries in the plan/result cache (``128``).
     ``check_invariants``
@@ -50,24 +46,19 @@ class DatabaseConfig:
         durability).
     ``wal_fsync``
         ``"always"`` / ``"commit"`` (default) / ``"never"``.
-    ``columnar_backend``
-        Default backend for ``layout="columnar"`` tables: ``"python"``,
-        ``"numpy"``, or ``None``/``"auto"`` (numpy iff ``REPRO_NUMPY``).
 
-    >>> DatabaseConfig().engine
-    'compiled'
-    >>> DatabaseConfig(engine="interpreted").replace(wal_fsync="never").engine
-    'interpreted'
+    >>> DatabaseConfig().wal_fsync
+    'commit'
+    >>> DatabaseConfig(plan_cache_capacity=8).replace(wal_fsync="never").wal_fsync
+    'never'
     """
 
     start_time: int = 0
     default_removal_policy: RemovalPolicy = RemovalPolicy.EAGER
-    engine: str = "compiled"
     plan_cache_capacity: int = 128
     check_invariants: bool = False
     wal_dir: Optional[Union[str, Path]] = None
     wal_fsync: str = "commit"
-    columnar_backend: Optional[str] = None
 
     def replace(self, **changes) -> "DatabaseConfig":
         """A copy with ``changes`` applied (sugar over ``dataclasses.replace``)."""

@@ -24,10 +24,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.algebra.evaluator import EvalResult, EvalStats, Evaluator
+from repro.core.algebra.evaluator import EvalResult, EvalStats
 from repro.core.algebra.expressions import BaseRef, Expression
 from repro.core.algebra.plan_cache import PlanCache
-from repro.core.columnar import resolve_backend
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.timestamps import TimeLike, Timestamp, ts
@@ -46,7 +45,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 
 #: EvalStats field -> (counter family, help); flushed after every
-#: evaluation, labelled by the engine that ran it.
+#: evaluation under the ``engine`` label.
 EVAL_COUNTERS: Dict[str, tuple] = {
     "tuples_scanned": (
         "repro_eval_tuples_scanned_total", "Tuples read by operators."),
@@ -66,6 +65,11 @@ EVAL_COUNTERS: Dict[str, tuple] = {
 }
 
 __all__ = ["Database", "DatabaseConfig"]
+
+#: The one value the ``repro_eval_*{engine}`` families carry: a database
+#: evaluates through the compiled path only (the label predates that and
+#: dashboards key on it).
+_ENGINE_LABEL = "compiled"
 
 #: Sentinel distinguishing "keyword not passed" from an explicit value, so
 #: the legacy keywords can override ``config`` fields only when given.
@@ -95,13 +99,11 @@ class Database:
         self,
         start_time: TimeLike = _UNSET,
         default_removal_policy: RemovalPolicy = _UNSET,
-        engine: str = _UNSET,
         plan_cache_capacity: int = _UNSET,
         metrics: Optional[MetricsRegistry] = None,
         check_invariants: bool = _UNSET,
         wal_dir: Optional[Union[str, Path]] = _UNSET,
         wal_fsync: str = _UNSET,
-        columnar_backend: Optional[str] = _UNSET,
         config: Optional[DatabaseConfig] = None,
     ) -> None:
         # One canonical configuration surface (DatabaseConfig); the
@@ -114,12 +116,10 @@ class Database:
             for name, value in (
                 ("start_time", start_time),
                 ("default_removal_policy", default_removal_policy),
-                ("engine", engine),
                 ("plan_cache_capacity", plan_cache_capacity),
                 ("check_invariants", check_invariants),
                 ("wal_dir", wal_dir),
                 ("wal_fsync", wal_fsync),
-                ("columnar_backend", columnar_backend),
             )
             if value is not _UNSET
         }
@@ -129,21 +129,10 @@ class Database:
         self.config = config
         start_time = config.start_time
         default_removal_policy = config.default_removal_policy
-        engine = config.engine
         plan_cache_capacity = config.plan_cache_capacity
         check_invariants = config.check_invariants
         wal_dir = config.wal_dir
         wal_fsync = config.wal_fsync
-        columnar_backend = config.columnar_backend
-        if engine not in ("compiled", "interpreted"):
-            raise ValueError(
-                f"engine must be 'compiled' or 'interpreted', got {engine!r}"
-            )
-        #: Default backend for ``layout="columnar"`` tables: ``"python"``,
-        #: ``"numpy"``, or ``None``/``"auto"`` (numpy iff ``REPRO_NUMPY``
-        #: is set and importable).  Resolved once here so the environment
-        #: is sampled at construction, not per table.
-        self.columnar_backend = resolve_backend(columnar_backend)
         self.clock = LogicalClock(start_time)
         #: The single source of truth for every counter in the system.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -152,7 +141,6 @@ class Database:
         self.tracer = Tracer(enabled=False)
         self.statistics = EngineStatistics(registry=self.metrics)
         self.default_removal_policy = default_removal_policy
-        self.engine = engine
         self.plan_cache = PlanCache(plan_cache_capacity, registry=self.metrics)
         #: SQL text -> (AST, planned expression) for repeated queries, in
         #: front of the plan cache (see :mod:`repro.engine.statement_cache`).
@@ -240,7 +228,6 @@ class Database:
         partitions: Optional[int] = None,
         partition_key: Optional[Any] = None,
         layout: str = "row",
-        columnar_backend: Optional[str] = None,
         expiry: str = "absolute",
         default_ttl: Optional[int] = None,
     ) -> Table:
@@ -253,9 +240,7 @@ class Database:
         ``layout="columnar"`` stores the table as parallel per-attribute
         columns with a raw-int expiration array
         (:class:`~repro.core.columnar.ColumnarRelation`); compiled plans
-        then run whole-column batch kernels over it.  ``columnar_backend``
-        overrides the database-wide :attr:`columnar_backend` for this
-        table.
+        then run whole-column batch kernels over it.
 
         ``expiry="since_last_modification"`` (with a mandatory
         ``default_ttl``, the idle timeout) makes the table renewal-on-
@@ -272,11 +257,6 @@ class Database:
             raise CatalogError(
                 f"table {name!r}: partition_key given without partitions"
             )
-        backend = (
-            resolve_backend(columnar_backend)
-            if columnar_backend is not None
-            else self.columnar_backend
-        )
         table = Table(
             name,
             resolved,
@@ -286,7 +266,6 @@ class Database:
             lazy_batch_size=lazy_batch_size,
             database=self,
             layout=layout,
-            columnar_backend=backend,
             expiry=expiry,
             default_ttl=default_ttl,
             partitions=partitions,
@@ -463,7 +442,6 @@ class Database:
         self,
         expression: Expression,
         at: TimeLike = None,
-        engine: Optional[str] = None,
         trace: bool = False,
         cached: bool = True,
     ) -> EvalResult:
@@ -474,19 +452,17 @@ class Database:
         :meth:`~repro.core.algebra.plan_cache.PlanCache.evaluate` accept
         the same keywords with the same defaults.
 
-        ``engine`` (default: the database's configured engine,
-        ``"compiled"`` unless overridden) selects the evaluator for this
-        call: ``"compiled"`` uses the fused-pipeline evaluator through
-        the validity-aware plan cache, ``"interpreted"`` the
-        row-at-a-time reference evaluator.  Both produce identical rows,
-        expiration times, and validity intervals; per-query counters land
-        in :attr:`last_eval_stats` and are flushed into :attr:`metrics`.
+        Evaluation runs the fused-pipeline compiled evaluator through the
+        validity-aware plan cache; per-query counters land in
+        :attr:`last_eval_stats` and are flushed into :attr:`metrics`.
+        (The row-at-a-time reference interpreter,
+        :class:`~repro.core.algebra.evaluator.Evaluator`, is constructed
+        directly by the checkers that compare against it.)
 
-        ``cached`` (default ``True``) allows the compiled engine to serve
-        a previously cached result when it is provably still valid
-        (``τ' ∈ I(e)`` and the catalog unchanged); ``cached=False``
-        forces a real execution while still reusing the compiled plan.
-        The interpreted engine never caches.
+        ``cached`` (default ``True``) allows serving a previously cached
+        result when it is provably still valid (``τ' ∈ I(e)`` and the
+        catalog unchanged); ``cached=False`` forces a real execution
+        while still reusing the compiled plan.
 
         ``trace`` (default ``False``; or an enabled :attr:`tracer`)
         records a span tree for this evaluation -- per-operator wall time
@@ -496,49 +472,39 @@ class Database:
         hit/miss counters.
         """
         stamp = self.clock.now if at is None else ts(at)
-        which = engine if engine is not None else self.engine
         tracing = trace or self.tracer.enabled
         span: Optional[Span] = None
         if tracing:
             span = self.tracer.root(
-                "evaluate", engine=which, tau=stamp
+                "evaluate", engine=_ENGINE_LABEL, tau=stamp
             ).start()
         started = time.perf_counter()
+        stats = EvalStats()
         try:
-            if which == "compiled":
-                stats = EvalStats()
-                result = self.plan_cache.evaluate(
-                    expression,
-                    self.catalog,
-                    stamp,
-                    version=self._catalog_version,
-                    schema_version=self._schema_version,
-                    floor=self.clock.now,
-                    stats=stats,
-                    resolver=self.schema_resolver,
-                    trace=span,
-                    cached=cached and not tracing,
-                    partitioning=self._partition_scheme,
-                    executor=self.executor if self._has_partitioned else None,
-                )
-            elif which == "interpreted":
-                evaluator = Evaluator(self.catalog, stamp, trace=span)
-                result = evaluator.evaluate(expression)
-                stats = evaluator.stats
-            else:
-                raise ValueError(
-                    f"engine must be 'compiled' or 'interpreted', got {which!r}"
-                )
+            result = self.plan_cache.evaluate(
+                expression,
+                self.catalog,
+                stamp,
+                version=self._catalog_version,
+                schema_version=self._schema_version,
+                floor=self.clock.now,
+                stats=stats,
+                resolver=self.schema_resolver,
+                trace=span,
+                cached=cached and not tracing,
+                partitioning=self._partition_scheme,
+                executor=self.executor if self._has_partitioned else None,
+            )
         finally:
             if span is not None:
                 span.finish()
         elapsed = time.perf_counter() - started
-        self._eval_queries.labels(which).inc()
-        self._eval_seconds.labels(which).observe(elapsed)
+        self._eval_queries.labels(_ENGINE_LABEL).inc()
+        self._eval_seconds.labels(_ENGINE_LABEL).observe(elapsed)
         for fld, counter in self._eval_counters.items():
             value = getattr(stats, fld)
             if value:
-                counter.labels(which).inc(value)
+                counter.labels(_ENGINE_LABEL).inc(value)
         for kernel, rows in stats.columnar_kernel_rows.items():
             self._columnar_kernel_rows.labels(kernel).inc(rows)
         if span is not None:

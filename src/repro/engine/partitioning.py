@@ -5,13 +5,13 @@ argues that physical removal of expired tuples must be *bulk* work to keep
 up with high-churn workloads.  This module supplies the storage-layer half
 of that story: :class:`ShardedRelation`, a drop-in
 :class:`~repro.core.relation.Relation` that hash-partitions rows on one key
-column into ``N`` independent shard relations.  Every operation routes by
-``hash(row[key]) % N``; reads merge.
+column into ``N`` independent shard relations; reads merge.
 
 A :class:`~repro.engine.table.Table` created with ``partitions=N`` stores
-its rows in one, keeps an expiration index and a due buffer beside each
-shard, and sweeps them with one bulk kernel per shard, timed and counted
-in the ``repro_partition_*`` families.
+its rows in one, writes each row to the shard ``hash(row[key]) % N``,
+keeps an expiration index and a due buffer beside each shard, and sweeps
+them with one bulk kernel per shard, timed and counted in the
+``repro_partition_*`` families.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import TimeLike, Timestamp, ts, ts_max, ts_min
-from repro.core.tuples import ExpiringTuple, Row, make_row
+from repro.core.timestamps import Timestamp
+from repro.core.tuples import Row, make_row
 from repro.errors import EngineError
 
 __all__ = ["ShardedRelation"]
@@ -30,11 +30,11 @@ __all__ = ["ShardedRelation"]
 class ShardedRelation(Relation):
     """A relation hash-partitioned on one key column.
 
-    Behaves exactly like a flat :class:`Relation` (same rows, same
-    max-merge duplicate rule, same ``exp_τ``), but stores its tuples in
-    ``partitions`` independent shard relations.  The compiled evaluator
-    detects the :attr:`shards` attribute and fans per-shard pipelines out
-    over a thread pool; sequential callers are oblivious.
+    Reads exactly like a flat :class:`Relation` (same rows, same
+    ``exp_τ``) over ``partitions`` independent shard relations; writes go
+    through the owning :class:`~repro.engine.table.Table`, which routes
+    each row once.  The compiled evaluator detects the :attr:`shards`
+    attribute and fans per-shard pipelines out over a thread pool.
     """
 
     __slots__ = ("key_index", "shard_count", "shards")
@@ -62,10 +62,10 @@ class ShardedRelation(Relation):
             relation_factory(schema) for _ in range(partitions)
         )
 
-    # The flat superclass reads ``self._tuples`` in the few methods not
-    # overridden below (``same_content``, ``__eq__``, ``pretty``); a merged
-    # read-only snapshot keeps those working on either side of a
-    # flat/sharded comparison.  Mutators never touch it -- they all route.
+    # The flat superclass reads ``self._tuples`` in the methods not
+    # overridden below (``same_content``, ``__eq__``, ``pretty``, the
+    # whole-relation expiration bounds); a merged read-only snapshot keeps
+    # those working on either side of a flat/sharded comparison.
     @property  # type: ignore[override]
     def _tuples(self):
         merged = {}
@@ -77,8 +77,6 @@ class ShardedRelation(Relation):
         """The shard relation owning ``row``."""
         return self.shards[hash(row[self.key_index]) % self.shard_count]
 
-    # -- construction & mutation (all routed) ------------------------------
-
     def partition(self, entries: Iterable[tuple]) -> List[list]:
         """``entries`` (tuples led by their row) bucketed by owning shard."""
         key = self.key_index
@@ -88,46 +86,18 @@ class ShardedRelation(Relation):
             buckets[hash(entry[0][key]) % n].append(entry)
         return buckets
 
-    def bulk_load(self, pairs: Iterable[Tuple[Row, Timestamp]]) -> int:
-        count = 0
-        for shard, bucket in zip(self.shards, self.partition(pairs)):
-            if bucket:
-                count += shard.bulk_load(bucket)
-        return count
+    def _written_through_table(self, *args, **kwargs):
+        # The inherited mutators would write into the merged ``_tuples``
+        # snapshot above and lose the row silently.
+        raise EngineError(
+            "a ShardedRelation is written through its Table, which routes "
+            "each row to the owning shard's relation"
+        )
 
-    def bulk_restore(self, ops) -> None:
-        for shard, bucket in zip(self.shards, self.partition(ops)):
-            if bucket:
-                shard.bulk_restore(bucket)
-
-    def insert(self, values: Iterable[Any], expires_at: TimeLike = None) -> ExpiringTuple:
-        row = make_row(values)
-        self._check_arity(row)
-        return self.shard_of(row).insert(row, expires_at=expires_at)
-
-    def override(self, values: Iterable[Any], expires_at: TimeLike) -> ExpiringTuple:
-        row = make_row(values)
-        self._check_arity(row)
-        return self.shard_of(row).override(row, expires_at=expires_at)
-
-    def delete(self, values: Iterable[Any]) -> bool:
-        row = make_row(values)
-        return self.shard_of(row).delete(row)
-
-    def purge_expired(self, tau: TimeLike) -> int:
-        stamp = ts(tau)
-        return sum(shard.purge_expired(stamp) for shard in self.shards)
+    insert = override = delete = _written_through_table
+    bulk_load = bulk_restore = purge_expired = _written_through_table
 
     # -- the model's primitives (merged reads) -----------------------------
-
-    def exp_at(self, tau: TimeLike) -> Relation:
-        stamp = ts(tau)
-        survivors = {}
-        for shard in self.shards:
-            for row, texp in shard.items():
-                if stamp < texp:
-                    survivors[row] = texp
-        return Relation._from_trusted(self.schema, survivors)
 
     def expiration_of(self, values: Iterable[Any]) -> Timestamp:
         row = make_row(values)
@@ -136,12 +106,6 @@ class ShardedRelation(Relation):
     def expiration_or_none(self, values: Iterable[Any]) -> Optional[Timestamp]:
         row = make_row(values)
         return self.shard_of(row).expiration_or_none(row)
-
-    def earliest_expiration(self) -> Timestamp:
-        return ts_min(shard.earliest_expiration() for shard in self.shards)
-
-    def latest_expiration(self) -> Timestamp:
-        return ts_max(shard.latest_expiration() for shard in self.shards)
 
     # -- iteration & access ------------------------------------------------
 
@@ -152,10 +116,6 @@ class ShardedRelation(Relation):
     def items(self) -> Iterator[Tuple[Row, Timestamp]]:
         for shard in self.shards:
             yield from shard.items()
-
-    def expiring_tuples(self) -> Iterator[ExpiringTuple]:
-        for row, stamp in self.items():
-            yield ExpiringTuple(row, stamp)
 
     def contains(self, values: Iterable[Any]) -> bool:
         row = make_row(values)

@@ -61,9 +61,6 @@ def table_spec(table: Table, include_rows: bool = True) -> Dict[str, Any]:
         spec["partitions"] = table.partitions
         spec["partition_key"] = table.partition_key
     if table.layout != "row":
-        # The layout persists; the columnar *backend* does not -- it is a
-        # machine-local choice (numpy availability, REPRO_NUMPY) resolved
-        # afresh by whoever loads the snapshot.
         spec["layout"] = table.layout
     if table.expiry != "absolute":
         spec["expiry"] = table.expiry
@@ -154,7 +151,7 @@ def database_from_dict(
     """Rebuild a database from a snapshot dict.
 
     ``db_kwargs`` are forwarded to the :class:`Database` constructor
-    (``engine=``, ``check_invariants=``, ...); ``include_views=False``
+    (``check_invariants=``, ``metrics=``, ...); ``include_views=False``
     restores tables only, which crash recovery uses so it can replay the
     log before materialising views.
     """

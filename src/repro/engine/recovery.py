@@ -190,8 +190,8 @@ def recover_database(
 ) -> Database:
     """Rebuild the database persisted in ``wal_dir`` and re-attach its log.
 
-    ``db_kwargs`` are forwarded to :class:`Database` (``engine=``,
-    ``check_invariants=``, ``metrics=``, ...).  The returned database has
+    ``db_kwargs`` are forwarded to :class:`Database`
+    (``check_invariants=``, ``metrics=``, ...).  The returned database has
     the recovered WAL attached (subsequent mutations append to it) and a
     :class:`RecoveryReport` as ``db.last_recovery``.
 

@@ -12,16 +12,13 @@ its numbers: every attribute is a property over a counter family in a
 source of truth), under the unified ``repro_<subsystem>_<name>_total``
 naming scheme.  The attribute API is unchanged -- ``stats.inserts += 1``
 still works and lands in the registry -- and :meth:`snapshot` now returns
-a genuinely frozen :class:`StatisticsSnapshot`.
-
-Migration note (one release): :meth:`reset` mutates shared registry state
-underneath every other reader and is deprecated; take a :meth:`snapshot`
-and :meth:`diff` against it instead.
+a genuinely frozen :class:`StatisticsSnapshot`.  The counters are shared
+registry state and are never zeroed: to measure an interval, take a
+:meth:`snapshot` and :meth:`diff` against it.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional
 
 from repro.obs.registry import MetricsRegistry
@@ -146,24 +143,6 @@ class EngineStatistics:
             if delta:
                 result[name] = delta
         return result
-
-    def reset(self) -> None:
-        """Zero every counter.
-
-        .. deprecated:: 1.1
-           The counters live in the shared metrics registry; zeroing them
-           underneath other readers breaks monotonicity.  Take a
-           :meth:`snapshot` and :meth:`diff` against it instead.  This
-           path will be removed one release after 1.1.
-        """
-        warnings.warn(
-            "EngineStatistics.reset() is deprecated: counters are registry-"
-            "backed and shared; use snapshot()/diff() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        for counter in self._counters.values():
-            counter.set(0)
 
 
 def _counter_property(field: str) -> property:

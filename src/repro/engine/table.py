@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
-from repro.core.columnar import ColumnarRelation, resolve_backend
+from repro.core.columnar import ColumnarRelation
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.timestamps import TimeLike, Timestamp, ts
@@ -146,7 +146,6 @@ class Table:
         lazy_batch_size: int = 64,
         database: Optional["Database"] = None,
         layout: str = "row",
-        columnar_backend: Optional[str] = None,
         expiry: str = EXPIRY_ABSOLUTE,
         default_ttl: Optional[int] = None,
         partitions: Optional[int] = None,
@@ -178,9 +177,7 @@ class Table:
         #: Under lazy removal, vacuum once this many expirations are pending.
         self.lazy_batch_size = lazy_batch_size
         self.database = database
-        #: Physical storage layout ("row" dict vs "columnar" arrays); the
-        #: backend is resolved once at creation so later environment flips
-        #: cannot leave a table's shards disagreeing.
+        #: Physical storage layout ("row" dict vs "columnar" arrays).
         self.layout = layout
         #: Table-level expiry policy: "absolute" (texp stamped at insert)
         #: or "since_last_modification" (renewal-on-touch, Zeek-broker
@@ -189,15 +186,13 @@ class Table:
         #: TTL applied when an insert names neither expires_at nor ttl,
         #: and the idle timeout :meth:`touch` restarts.
         self.default_ttl = default_ttl
-        self.columnar_backend = (
-            resolve_backend(columnar_backend) if layout == "columnar" else None
-        )
         #: Shard count and the name of the column hashed to pick a shard;
         #: both ``None`` on a flat table.
         self.partitions = partitions
         self.partition_key: Optional[str] = None
+        new_relation = ColumnarRelation if layout == "columnar" else Relation
         if partitions is None:
-            self.relation: Relation = self._new_relation(schema)
+            self.relation: Relation = new_relation(schema)
             shard_relations: Tuple[Relation, ...] = (self.relation,)
         else:
             self._key_index = schema.index(
@@ -205,8 +200,7 @@ class Table:
             )
             self.partition_key = schema.name(self._key_index + 1)
             self.relation = ShardedRelation(
-                schema, self._key_index, partitions,
-                relation_factory=self._new_relation,
+                schema, self._key_index, partitions, new_relation
             )
             shard_relations = self.relation.shards
         self._shards: Tuple[_Shard, ...] = tuple(
@@ -223,11 +217,6 @@ class Table:
             self._sweep_seconds, self._tuples_expired,
             self._shard_sweep_seconds, self._shard_tuples_expired,
         ) = declare_expiration_families(self.statistics.registry)
-
-    def _new_relation(self, schema: Schema) -> Relation:
-        if self.layout == "columnar":
-            return ColumnarRelation(schema, backend=self.columnar_backend)
-        return Relation(schema)
 
     # -- the mutation pipeline ------------------------------------------------
 

@@ -38,9 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("commit", "always", "never"),
         help="WAL fsync policy (with --wal-dir)",
     )
-    parser.add_argument(
-        "--engine", default="compiled", choices=("compiled", "interpreted")
-    )
     parser.add_argument("--check-invariants", action="store_true")
     parser.add_argument(
         "--retransmit-interval",
@@ -58,7 +55,6 @@ async def serve(args: argparse.Namespace) -> int:
         from repro.server.client import _open_durable
 
         config = DatabaseConfig(
-            engine=args.engine,
             check_invariants=args.check_invariants,
             wal_fsync=args.fsync,
         )
@@ -67,9 +63,7 @@ async def serve(args: argparse.Namespace) -> int:
         db,
         host=args.host,
         port=args.port,
-        config=DatabaseConfig(
-            engine=args.engine, check_invariants=args.check_invariants
-        ),
+        config=DatabaseConfig(check_invariants=args.check_invariants),
         retransmit_interval=args.retransmit_interval or None,
     )
     if db is not None:

@@ -336,6 +336,7 @@ def _explain(db: Database, statement: ExplainStatement) -> SqlResult:
     expression = plan_query(statement.query, _source_resolver(db))
     rewritten = optimise(expression, db.schema_resolver)
     result = db.evaluate(rewritten, trace=statement.analyze)
+    cache = db.plan_cache.stats
     lines = [
         f"plan:       {expression!r}",
         f"rewritten:  {rewritten!r}",
@@ -344,15 +345,10 @@ def _explain(db: Database, statement: ExplainStatement) -> SqlResult:
         f"rows now:   {len(result.relation)}",
         f"texp(e):    {result.expiration}",
         f"valid in:   {result.validity!r}",
-        f"engine:     {db.engine}",
+        f"cache:      {cache.hits} hit(s) / {cache.misses} miss(es) "
+        f"overall (hit rate {cache.hit_rate:.0%}), "
+        f"{cache.validity_served} served by validity alone",
     ]
-    if db.engine == "compiled":
-        cache = db.plan_cache.stats
-        lines.append(
-            f"cache:      {cache.hits} hit(s) / {cache.misses} miss(es) "
-            f"overall (hit rate {cache.hit_rate:.0%}), "
-            f"{cache.validity_served} served by validity alone"
-        )
     if statement.analyze:
         trace = db.trace_last_query()
         if trace is not None:
@@ -373,9 +369,7 @@ def _describe(db: Database, name: str) -> SqlResult:
             )
         layout_note = ""
         if table.layout != "row":
-            layout_note = (
-                f"; layout={table.layout}({table.columnar_backend})"
-            )
+            layout_note = f"; layout={table.layout}"
         message = (
             f"table {name}({', '.join(table.schema.names)}); "
             f"{len(table)} live tuple(s), {table.physical_size} stored; "

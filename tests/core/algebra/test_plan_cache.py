@@ -8,9 +8,7 @@ engine's version bumping (mutations invalidate; expiration processing
 does not).
 """
 
-import pytest
-
-from repro.core.algebra.evaluator import EvalStats, evaluate
+from repro.core.algebra.evaluator import EvalStats, Evaluator, evaluate
 from repro.core.algebra.expressions import BaseRef
 from repro.core.algebra.plan_cache import PlanCache
 from repro.core.algebra.predicates import col
@@ -161,7 +159,7 @@ class TestDatabaseIntegration:
         if first.validity.contains(db.now):
             assert db.plan_cache.stats.hits == before + 1
         # Served content must equal a fresh interpreted evaluation.
-        fresh = db.evaluate(expr, engine="interpreted")
+        fresh = Evaluator(db.catalog, db.now).evaluate(expr)
         assert result.relation.same_content(fresh.relation)
 
     def test_insert_invalidates(self):
@@ -189,22 +187,6 @@ class TestDatabaseIntegration:
         db.create_table("Extra", ["x"])
         db.evaluate(expr)
         assert db.plan_cache.stats.compilations == 2
-
-    def test_interpreted_engine_bypasses_cache(self):
-        db = self.build()
-        db.engine = "interpreted"
-        expr = db.table_expr("Sessions").project(1)
-        db.evaluate(expr)
-        db.evaluate(expr)
-        assert db.plan_cache.stats.hits == 0
-        assert db.plan_cache.stats.misses == 0
-
-    def test_engine_validation(self):
-        with pytest.raises(ValueError):
-            Database(engine="vectorised")
-        db = self.build()
-        with pytest.raises(ValueError):
-            db.evaluate(db.table_expr("Sessions"), engine="nope")
 
     def test_past_time_queries_recompute(self):
         """A cached result must not leak pre-purge tuples into past reads."""

@@ -5,12 +5,8 @@
 same sweep semantics -- stored as parallel attribute arrays plus a raw
 ``int64`` expiration column.  These tests pin the raw-tick encoding, the
 swap-remove density invariant, the trusted bulk paths recovery uses, and
-the :class:`ColumnBatch` bridge the compiled kernels consume, over both
-backends where numpy is importable.
+the :class:`ColumnBatch` bridge the compiled kernels consume.
 """
-
-import os
-from array import array
 
 import pytest
 
@@ -18,18 +14,16 @@ from repro.core.columnar import (
     RAW_INFINITY,
     ColumnarRelation,
     from_raw,
-    numpy_available,
-    resolve_backend,
     to_raw,
 )
 from repro.core.relation import Relation
 from repro.core.timestamps import INFINITY, Timestamp, ts
 from repro.errors import RelationError, TimeError
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
-
-@pytest.fixture(params=BACKENDS)
+# The layout has one backend; the single-valued parameter stays so these
+# cases keep the ``[python]`` ids that committed test baselines name.
+@pytest.fixture(params=["python"])
 def backend(request):
     return request.param
 
@@ -51,30 +45,9 @@ class TestRawEncoding:
         assert from_raw(12345) is from_raw(12345)
 
 
-class TestResolveBackend:
-    def test_explicit_python(self):
-        assert resolve_backend("python") == "python"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(RelationError):
-            resolve_backend("arrow")
-
-    def test_auto_follows_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NUMPY", raising=False)
-        assert resolve_backend(None) == "python"
-        if numpy_available():
-            monkeypatch.setenv("REPRO_NUMPY", "1")
-            assert resolve_backend("auto") == "numpy"
-
-    @pytest.mark.skipif(numpy_available(), reason="numpy importable")
-    def test_numpy_absent_is_an_error(self):
-        with pytest.raises(RelationError):
-            resolve_backend("numpy")
-
-
 class TestMutation:
     def test_insert_max_merge(self, backend):
-        relation = ColumnarRelation(2, backend=backend)
+        relation = ColumnarRelation(2)
         relation.insert((1, 2), expires_at=5)
         stored = relation.insert((1, 2), expires_at=3)
         # A duplicate keeps the *later* expiration (paper Eq. 3).
@@ -84,13 +57,13 @@ class TestMutation:
         assert len(relation) == 1
 
     def test_override_is_unconditional(self, backend):
-        relation = ColumnarRelation(1, backend=backend)
+        relation = ColumnarRelation(1)
         relation.insert((1,), expires_at=9)
         relation.override((1,), 3)
         assert relation.expiration_of((1,)).value == 3
 
     def test_delete_keeps_arrays_dense(self, backend):
-        relation = ColumnarRelation(2, backend=backend)
+        relation = ColumnarRelation(2)
         for i in range(6):
             relation.insert((i, i * 10), expires_at=i + 1)
         assert relation.delete((2, 20))
@@ -102,7 +75,7 @@ class TestMutation:
             assert relation.expiration_of((i, i * 10)).value == i + 1
 
     def test_contains_and_expiration_or_none(self, backend):
-        relation = ColumnarRelation(1, backend=backend)
+        relation = ColumnarRelation(1)
         relation.insert((7,))
         assert relation.contains((7,))
         assert relation.expiration_or_none((7,)) is INFINITY
@@ -112,18 +85,18 @@ class TestMutation:
 
     def test_arity_checked(self, backend):
         with pytest.raises(RelationError):
-            ColumnarRelation(2, backend=backend).insert((1,))
+            ColumnarRelation(2).insert((1,))
 
 
 class TestBulkPaths:
     def test_bulk_load_max_merges(self, backend):
-        relation = ColumnarRelation(1, backend=backend)
+        relation = ColumnarRelation(1)
         relation.bulk_load([((1,), ts(5)), ((2,), ts(8)), ((1,), ts(3))])
         assert relation.expiration_of((1,)).value == 5
         assert relation.expiration_of((2,)).value == 8
 
     def test_bulk_restore_overrides_and_deletes(self, backend):
-        relation = ColumnarRelation(1, backend=backend)
+        relation = ColumnarRelation(1)
         relation.insert((1,), expires_at=9)
         relation.bulk_restore(
             [((1,), ts(2)), ((2,), INFINITY), ((3,), None), ((2,), None)]
@@ -136,7 +109,7 @@ class TestBulkPaths:
 
 class TestModelPrimitives:
     def test_exp_at_filters_by_raw_compare(self, backend):
-        relation = ColumnarRelation(1, backend=backend)
+        relation = ColumnarRelation(1)
         relation.insert((1,), expires_at=5)
         relation.insert((2,), expires_at=10)
         relation.insert((3,))
@@ -149,14 +122,14 @@ class TestModelPrimitives:
         assert all_live.same_content(relation)
 
     def test_purge_expired(self, backend):
-        relation = ColumnarRelation(1, backend=backend)
+        relation = ColumnarRelation(1)
         relation.insert((1,), expires_at=5)
         relation.insert((2,), expires_at=10)
         assert relation.purge_expired(5) == 1
         assert sorted(relation.rows()) == [(2,)]
 
     def test_sweep_due_skips_renewed_and_absent(self, backend):
-        relation = ColumnarRelation(1, backend=backend)
+        relation = ColumnarRelation(1)
         relation.insert((1,), expires_at=5)
         relation.insert((2,), expires_at=5)
         relation.override((2,), 20)  # renewed after its entry was scheduled
@@ -167,7 +140,7 @@ class TestModelPrimitives:
         assert sorted(relation.rows()) == [(2,)]
 
     def test_earliest_and_latest(self, backend):
-        relation = ColumnarRelation(1, backend=backend)
+        relation = ColumnarRelation(1)
         assert relation.earliest_expiration() is INFINITY
         assert relation.latest_expiration().value == 0
         relation.insert((1,), expires_at=5)
@@ -179,7 +152,7 @@ class TestModelPrimitives:
 class TestRelationParity:
     def test_same_content_and_equality_with_row_layout(self, backend):
         row = Relation(2)
-        col = ColumnarRelation(2, backend=backend)
+        col = ColumnarRelation(2)
         for target in (row, col):
             target.insert((1, 2), expires_at=5)
             target.insert((3, 4))
@@ -189,13 +162,13 @@ class TestRelationParity:
     def test_from_relation_copies(self, backend):
         row = Relation(["a"])
         row.insert((1,), expires_at=5)
-        col = ColumnarRelation.from_relation(row, backend=backend)
+        col = ColumnarRelation.from_relation(row)
         assert col.same_content(row)
         col.insert((2,))
         assert not row.contains((2,))
 
     def test_copy_is_independent(self, backend):
-        relation = ColumnarRelation(1, backend=backend)
+        relation = ColumnarRelation(1)
         relation.insert((1,), expires_at=5)
         clone = relation.copy()
         clone.delete((1,))
@@ -204,14 +177,14 @@ class TestRelationParity:
 
 class TestColumnBatch:
     def test_unfiltered_batch_aliases_live_storage(self):
-        relation = ColumnarRelation(2, backend="python")
+        relation = ColumnarRelation(2)
         relation.insert((1, 2), expires_at=5)
         batch = relation.batch()
         assert batch.columns[0] is relation._cols[0]
         assert batch.texp is relation._texp
 
     def test_filtered_batch(self, backend):
-        relation = ColumnarRelation(1, backend=backend)
+        relation = ColumnarRelation(1)
         relation.insert((1,), expires_at=5)
         relation.insert((2,), expires_at=10)
         batch = relation.batch(to_raw(ts(5)))
@@ -219,7 +192,7 @@ class TestColumnBatch:
         assert list(batch.iter_rows()) == [(2,)]
 
     def test_pairs_decode_to_native_types(self, backend):
-        relation = ColumnarRelation(1, backend=backend)
+        relation = ColumnarRelation(1)
         relation.insert((1,), expires_at=5)
         relation.insert((2,))
         pairs = dict(relation.batch().pairs())
@@ -234,39 +207,3 @@ class TestColumnBatch:
         batch = ColumnBatch([], [5, 7])
         assert len(batch) == 2
         assert list(batch.iter_rows()) == [(), ()]
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
-class TestNumpyBackend:
-    def test_np_arrays_cache_invalidated_by_mutation(self):
-        relation = ColumnarRelation(1, backend="numpy")
-        relation.insert((1,), expires_at=5)
-        _, first = relation.np_arrays()
-        _, again = relation.np_arrays()
-        assert again is first  # stable generation -> cached
-        relation.insert((2,), expires_at=9)
-        _, fresh = relation.np_arrays()
-        assert len(fresh) == 2
-
-    def test_append_after_np_view_does_not_pin_buffer(self):
-        # Regression: a frombuffer view over array('q') would make this
-        # append raise BufferError; the cache must hold a copy.
-        relation = ColumnarRelation(1, backend="numpy")
-        relation.insert((1,), expires_at=5)
-        relation.np_arrays()
-        relation.insert((2,), expires_at=6)
-        relation.delete((1,))
-        assert sorted(relation.rows()) == [(2,)]
-
-    def test_batch_is_ndarray_backed(self):
-        import numpy as np
-
-        relation = ColumnarRelation(1, backend="numpy")
-        relation.insert((1,), expires_at=5)
-        relation.insert((2,), expires_at=10)
-        batch = relation.batch(to_raw(ts(5)))
-        assert batch.is_numpy
-        assert isinstance(batch.texp, np.ndarray)
-        plain = batch.to_python()
-        assert not plain.is_numpy
-        assert plain.texp == [10]

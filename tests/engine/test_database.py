@@ -93,13 +93,6 @@ class TestStatisticsDiffing:
         assert delta["expirations_processed"] == 1
         assert "explicit_deletes" not in delta
 
-    def test_reset(self):
-        db = Database()
-        table = db.create_table("T", ["a"])
-        table.insert((1,))
-        db.statistics.reset()
-        assert db.statistics.inserts == 0
-
     def test_as_dict_stable(self):
         stats = Database().statistics
         assert list(stats.as_dict()) == list(stats.as_dict())

@@ -183,29 +183,51 @@ class TestParallelSweep:
 
 
 class TestShardedRelation:
+    # A sharded relation is written through its table, which routes once.
+    @staticmethod
+    def sharded(columns, partitions):
+        table = Table("T", Schema(columns), LogicalClock(), partitions=partitions)
+        return table, table.relation
+
     def test_routing_is_stable(self):
-        rel = ShardedRelation(Schema(["k", "v"]), key_index=0, partitions=4)
-        rel.insert((7, "x"), expires_at=10)
+        table, rel = self.sharded(["k", "v"], 4)
+        table.insert((7, "x"), expires_at=10)
         assert rel.shard_of((7, "anything")).contains((7, "x"))
         assert rel.contains((7, "x"))
         assert len(rel) == 1
 
     def test_max_merge_across_duplicate_inserts(self):
-        rel = ShardedRelation(Schema(["k"]), key_index=0, partitions=2)
-        rel.insert((1,), expires_at=5)
-        rel.insert((1,), expires_at=3)  # earlier: ignored by max-merge
+        table, rel = self.sharded(["k"], 2)
+        table.insert((1,), expires_at=5)
+        table.insert((1,), expires_at=3)  # earlier: ignored by max-merge
         assert rel.expiration_of((1,)) == ts(5)
 
     def test_equality_with_flat_relation(self):
         from repro.core.relation import Relation
 
         flat = Relation(Schema(["k"]))
-        sharded = ShardedRelation(Schema(["k"]), key_index=0, partitions=3)
-        for rel in (flat, sharded):
-            rel.insert((1,), expires_at=5)
-            rel.insert((2,), expires_at=INFINITY)
+        table, sharded = self.sharded(["k"], 3)
+        for target in (flat, table):
+            target.insert((1,), expires_at=5)
+            target.insert((2,), expires_at=INFINITY)
         assert sharded.same_content(flat)
         assert flat.same_content(sharded)
+
+    @pytest.mark.parametrize("verb, args", [
+        ("insert", ((1,), 5)),
+        ("override", ((1,), 5)),
+        ("delete", ((1,),)),
+        ("bulk_load", ([((1,), ts(5))],)),
+        ("bulk_restore", ([((1,), None)],)),
+        ("purge_expired", (5,)),
+    ])
+    def test_direct_mutation_is_refused(self, verb, args):
+        """The inherited mutators would write a snapshot and lose the row."""
+        table, rel = self.sharded(["k"], 2)
+        table.insert((1,), expires_at=9)
+        with pytest.raises(EngineError, match="Table"):
+            getattr(rel, verb)(*args)
+        assert rel.expiration_of((1,)) == ts(9)
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(EngineError):

@@ -63,13 +63,6 @@ class TestEngineStatisticsView:
         stats = EngineStatistics()
         assert list(stats.as_dict()) == list(ENGINE_COUNTERS)
 
-    def test_reset_warns_but_works(self):
-        stats = EngineStatistics()
-        stats.inserts += 3
-        with pytest.warns(DeprecationWarning):
-            stats.reset()
-        assert stats.inserts == 0
-
     def test_standalone_table_gets_private_registry(self):
         from repro.core.schema import Schema
         from repro.engine.clock import LogicalClock
@@ -80,15 +73,6 @@ class TestEngineStatisticsView:
 
 
 class TestEvalStatsShim:
-    def test_merge_warns_but_accumulates(self):
-        a = EvalStats(tuples_scanned=3, cache_hits=1)
-        b = EvalStats(tuples_scanned=2, operators_evaluated=4)
-        with pytest.warns(DeprecationWarning):
-            a.merge(b)
-        assert a.tuples_scanned == 5
-        assert a.operators_evaluated == 4
-        assert a.cache_hits == 1
-
     def test_as_dict(self):
         stats = EvalStats(tuples_scanned=2)
         assert stats.as_dict()["tuples_scanned"] == 2
@@ -125,12 +109,12 @@ class TestDatabaseAccessors:
         db = Database()
         db.create_table("T", ["a", "b"]).insert((1, 2), expires_at=10)
         expr = db.table_expr("T").project(1)
-        db.evaluate(expr, engine="compiled")
-        db.evaluate(expr, engine="interpreted")
+        db.evaluate(expr)
         snap = db.metrics.snapshot()
+        # The label survives with the one value a Database emits.
         assert snap['repro_eval_queries_total{engine="compiled"}'] == 1
-        assert snap['repro_eval_queries_total{engine="interpreted"}'] == 1
         assert snap['repro_eval_seconds{engine="compiled"}']["count"] == 1
+        assert not any('engine="interpreted"' in series for series in snap)
 
     def test_prom_text_covers_required_families(self):
         db = Database()

@@ -6,6 +6,7 @@ that this exact code works unchanged against ``repro://host:port``.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
@@ -165,35 +166,48 @@ class TestDatabaseConfig:
     def test_config_object_replaces_kwarg_soup(self):
         config = DatabaseConfig(
             start_time=3,
-            engine="interpreted",
+            default_removal_policy=RemovalPolicy.LAZY,
             plan_cache_capacity=7,
             check_invariants=True,
         )
         db = Database(config=config)
         assert db.clock.now == ts(3)
-        assert db.engine == "interpreted"
+        assert db.default_removal_policy is RemovalPolicy.LAZY
         assert db.plan_cache.capacity == 7
         assert db.config is config
         db.close()
 
     def test_kwargs_override_config(self):
-        config = DatabaseConfig(engine="interpreted", start_time=2)
-        db = Database(config=config, engine="compiled")
-        assert db.engine == "compiled"
+        config = DatabaseConfig(plan_cache_capacity=3, start_time=2)
+        db = Database(config=config, plan_cache_capacity=11)
+        assert db.plan_cache.capacity == 11
         assert db.clock.now == ts(2)  # untouched fields come from config
-        assert db.config.engine == "compiled"  # the merged view
+        assert db.config.plan_cache_capacity == 11  # the merged view
         db.close()
 
     def test_plain_kwargs_still_work(self):
-        db = Database(start_time=5, engine="interpreted")
+        db = Database(start_time=5, plan_cache_capacity=11)
         assert db.clock.now == ts(5)
         assert db.config.start_time == 5
         db.close()
 
+    def test_removed_switches_are_type_errors(self):
+        # What runs a query is not configurable: no alias, no shim.
+        with pytest.raises(TypeError):
+            Database(engine="interpreted")
+        with pytest.raises(TypeError):
+            Database(columnar_backend="python")
+        with pytest.raises(TypeError):
+            DatabaseConfig(engine="compiled")
+        assert [f.name for f in dataclasses.fields(DatabaseConfig)] == [
+            "start_time", "default_removal_policy", "plan_cache_capacity",
+            "check_invariants", "wal_dir", "wal_fsync",
+        ]
+
     def test_config_is_immutable(self):
         config = DatabaseConfig()
         with pytest.raises(AttributeError):
-            config.engine = "interpreted"
+            config.wal_fsync = "never"
 
     def test_connect_threads_config_through(self):
         config = DatabaseConfig(start_time=4)
@@ -203,13 +217,10 @@ class TestDatabaseConfig:
     def test_durable_connect_keeps_config_across_a_restart(self, tmp_path):
         # Regression: the recovery branch forwarded four hand-picked
         # fields, so a restart silently fell back to defaults for the rest.
-        import importlib.util
-
-        backend = "numpy" if importlib.util.find_spec("numpy") else "python"
         config = DatabaseConfig(
-            columnar_backend=backend,
-            engine="interpreted",
+            default_removal_policy=RemovalPolicy.LAZY,
             plan_cache_capacity=9,
+            check_invariants=True,
             wal_fsync="never",
             start_time=3,  # ignored on restart: the clock is recovered
         )
@@ -221,12 +232,15 @@ class TestDatabaseConfig:
             db = session.db
             assert db.now == ts(8)
             assert db.wal.fsync_policy == "never"
-            assert db.columnar_backend == backend
+            assert db.default_removal_policy is RemovalPolicy.LAZY
             restarted = db.config
-        for field in ("columnar_backend", "engine", "plan_cache_capacity",
-                      "check_invariants", "default_removal_policy",
-                      "wal_fsync"):
-            assert getattr(restarted, field) == getattr(fresh, field), field
+        # Every field but start_time (the recovered clock's business) and
+        # wal_dir (recovery attaches the log itself, after construction).
+        for field in dataclasses.fields(DatabaseConfig):
+            if field.name not in ("start_time", "wal_dir"):
+                assert getattr(restarted, field.name) == getattr(
+                    fresh, field.name
+                ), field.name
 
 
 class TestSqlDeprecation:
@@ -278,18 +292,18 @@ class TestEvaluateSurface:
         db.close()
 
     def test_module_evaluate_engine_keyword(self, catalog):
-        from repro.core.algebra import evaluate
+        # The keyword is gone: ``evaluate`` is the reference interpreter,
+        # ``evaluate_compiled`` the compiled path, and they agree.
+        from repro.core.algebra import evaluate, evaluate_compiled
         from repro.core.algebra.expressions import BaseRef
-        from repro.errors import EvaluationError
 
-        expr = BaseRef("Pol")
-        interpreted = evaluate(expr, catalog, tau=0, engine="interpreted")
-        compiled = evaluate(expr, catalog, tau=0, engine="compiled")
-        assert sorted(interpreted.relation.rows()) == sorted(
-            compiled.relation.rows()
-        )
-        with pytest.raises(EvaluationError, match="engine"):
-            evaluate(expr, catalog, tau=0, engine="quantum")
+        expr = BaseRef("Pol").project(2)
+        interpreted = evaluate(expr, catalog, tau=0)
+        compiled = evaluate_compiled(expr, catalog, tau=0)
+        assert compiled.relation.same_content(interpreted.relation)
+        assert compiled.validity == interpreted.validity
+        with pytest.raises(TypeError):
+            evaluate(expr, catalog, tau=0, engine="compiled")
 
 
 class TestCloseIdempotency:
