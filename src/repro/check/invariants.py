@@ -292,8 +292,6 @@ def _plan_cache_consistent(db: "Database", ticks: _TickMaps) -> Iterator[Violati
         # to serve at `now` cannot produce a wrong answer, so skip them.
         if entry.schema_version != db.schema_version:
             continue
-        if entry.partitioning != db._partition_scheme:
-            continue
         cached = entry.result
         if cached is None or entry.result_version != db.catalog_version:
             continue

@@ -180,13 +180,9 @@ class _Context:
     ``trace`` is ``None`` on the hot path; when set (``EXPLAIN ANALYZE``,
     ``Database.evaluate(trace=True)``) it is the span under which the
     currently-building operator hangs its own span.
-
-    ``executor``, when set, lets source stages over hash-partitioned base
-    relations fan per-shard work out over the pool (the ``parallel_source``
-    path); ``None`` keeps every stage sequential.
     """
 
-    __slots__ = ("lookup", "tau", "stats", "trace", "executor")
+    __slots__ = ("lookup", "tau", "stats", "trace")
 
     def __init__(
         self,
@@ -194,26 +190,17 @@ class _Context:
         tau: Timestamp,
         stats: EvalStats,
         trace=None,
-        executor=None,
     ) -> None:
         self.lookup = lookup
         self.tau = tau
         self.stats = stats
         self.trace = trace
-        self.executor = executor
 
 
 class _Stream:
     """One stage's output: a (possibly lazy) pair stream plus metadata.
 
-    ``shards``, when not ``None``, is the same payload as ``pairs`` but
-    still split per partition shard (a list of pair lists): the handoff
-    that lets a fused consumer keep the fan-out alive for its own parallel
-    kernel instead of consuming the merged stream.  Shards are disjoint by
-    construction (hash partitioning), so concatenating them and max-merging
-    at the consumer is exactly the flat semantics.
-
-    ``batch``, when not ``None``, is the same payload again as a
+    ``batch``, when not ``None``, is the same payload as a
     :class:`ColumnBatch` of column slices with raw-int expirations -- the
     handoff between columnar batch kernels.  ``pairs`` is then a lazy
     decode of the batch, so batch-unaware consumers fall back
@@ -226,8 +213,7 @@ class _Stream:
     """
 
     __slots__ = (
-        "pairs", "expiration", "validity", "shards", "batch", "dup_free",
-        "billed",
+        "pairs", "expiration", "validity", "batch", "dup_free", "billed",
     )
 
     def __init__(
@@ -235,7 +221,6 @@ class _Stream:
         pairs: Pairs,
         expiration: Timestamp,
         validity: IntervalSet,
-        shards: Optional[List[List[Tuple[tuple, Timestamp]]]] = None,
         batch: Optional[ColumnBatch] = None,
         dup_free: bool = False,
         billed: bool = False,
@@ -243,7 +228,6 @@ class _Stream:
         self.pairs = pairs
         self.expiration = expiration
         self.validity = validity
-        self.shards = shards
         self.batch = batch
         self.dup_free = dup_free
         self.billed = billed
@@ -379,44 +363,6 @@ def _partition_bounds(
     else:
         invalidation = INFINITY
     return value, expiration, invalidation, dies_at
-
-
-def _parallel_source(
-    ctx: _Context,
-    shards,
-    predicate: Optional[Callable[[tuple], bool]] = None,
-    label: str = "shard_scan",
-) -> List[List[Tuple[tuple, Timestamp]]]:
-    """Materialise ``exp_τ`` (and an optional filter) per shard, in parallel.
-
-    The compiled evaluator's ``parallel_source`` stage: one worker per
-    shard streams the shard's ``row -> texp`` dict through the expiration
-    filter (and the fused select predicate, when pushed down).  Under a
-    trace each shard hangs a child span with its wall time and row count,
-    which is what makes EXPLAIN ANALYZE show per-shard timings.
-    """
-    tau = ctx.tau
-
-    def scan(indexed):
-        index, shard = indexed
-        started = time.perf_counter()
-        if predicate is None:
-            pairs = [pair for pair in shard._tuples.items() if tau < pair[1]]
-        else:
-            pairs = [
-                pair
-                for pair in shard._tuples.items()
-                if tau < pair[1] and predicate(pair[0])
-            ]
-        return index, pairs, time.perf_counter() - started
-
-    results = list(ctx.executor.map(scan, enumerate(shards)))
-    if ctx.trace is not None:
-        for index, pairs, elapsed in results:
-            span = ctx.trace.child(label, shard=index, stage="parallel")
-            span.add_time(elapsed)
-            span.note(rows=len(pairs))
-    return [pairs for _, pairs, _ in results]
 
 
 # ---------------------------------------------------------------------------
@@ -597,30 +543,52 @@ def _batch_to_members(batch: ColumnBatch) -> Dict[tuple, Timestamp]:
     return {row: from_raw(raw) for row, raw in merged_raw.items()}
 
 
-def _parallel_columnar_source(ctx: _Context, shards, tau_raw: int) -> ColumnBatch:
-    """Per-shard whole-column exp-filter, fanned out on the pool.
+# ---------------------------------------------------------------------------
+# The source stage
+# ---------------------------------------------------------------------------
 
-    The columnar counterpart of :func:`_parallel_source`: each worker
-    runs its shard's raw ``texp > τ`` scan, and the disjoint shard batches
-    concatenate into one merged batch (hash partitioning guarantees no
-    cross-shard duplicates).
+
+def _is_columnar(relation) -> bool:
+    """Whether ``relation`` (flat, or every shard of it) stores columns."""
+    shards = getattr(relation, "shards", None)
+    return isinstance(relation if shards is None else shards[0], ColumnarRelation)
+
+
+def _scan(ctx: _Context, relation, keep: Optional[List[int]] = None):
+    """``exp_τ(R)`` off a stored relation: the one scan every leaf runs.
+
+    Columnar storage comes back as one :class:`ColumnBatch` -- each
+    shard's whole-column raw filter, concatenated (hash partitioning makes
+    shards disjoint), pruned to the ``keep`` columns when given -- and row
+    storage as a lazy pair stream chaining each shard's
+    :func:`_live_pairs`.  A flat relation is the one-shard case.  Under a
+    trace every shard of a partitioned relation hangs a ``shard_scan``
+    span (rows, pull time) off the current operator by instrumenting this
+    same scan, so a traced run executes what an untraced one does.
     """
-
-    def scan(indexed):
-        index, shard = indexed
-        started = time.perf_counter()
-        batch = shard.batch(tau_raw)
-        return index, batch, time.perf_counter() - started
-
-    results = list(ctx.executor.map(scan, enumerate(shards)))
-    if ctx.trace is not None:
-        for index, batch, elapsed in results:
-            span = ctx.trace.child(
-                "shard_scan", shard=index, stage="parallel", kernel="columnar"
-            )
-            span.add_time(elapsed)
-            span.note(rows=len(batch))
-    return _concat_batches([batch for _, batch, _ in results])
+    ctx.stats.tuples_scanned += len(relation)
+    shards = getattr(relation, "shards", None)
+    parts = (relation,) if shards is None else shards
+    trace = ctx.trace if shards is not None else None
+    if isinstance(parts[0], ColumnarRelation):
+        tau_raw = to_raw(ctx.tau)
+        batches = []
+        for index, part in enumerate(parts):
+            started = time.perf_counter()
+            batch = part.batch(tau_raw, keep)
+            if trace is not None:
+                span = trace.child("shard_scan", shard=index, stage="batch")
+                span.add_time(time.perf_counter() - started)
+                span.note(rows=len(batch))
+            batches.append(batch)
+        return _concat_batches(batches)
+    streams = [_live_pairs(part, ctx.tau) for part in parts]
+    if trace is not None:
+        streams = [
+            _timed_pairs(pairs, trace.child("shard_scan", shard=index, stage="fused"))
+            for index, pairs in enumerate(streams)
+        ]
+    return itertools.chain.from_iterable(streams)
 
 
 def _key_getter(indexes: List[int]) -> Callable[[tuple], Any]:
@@ -682,10 +650,8 @@ class _Compiler:
         return _traced(operator_label(node), fused, self._compile_node(node))
 
     def _compile_node(self, node: Expression) -> _Runner:
-        if isinstance(node, BaseRef):
-            return self._compile_base(node)
-        if isinstance(node, Literal):
-            return self._compile_literal(node)
+        if isinstance(node, (BaseRef, Literal)):
+            return self._compile_leaf(node)
         if isinstance(node, Select):
             return self._compile_select(node)
         if isinstance(node, Project):
@@ -712,65 +678,28 @@ class _Compiler:
 
     # -- leaves ------------------------------------------------------------
 
-    def _compile_base(self, node: BaseRef) -> _Runner:
+    def _leaf_relation(self, node) -> Callable[[_Context], Relation]:
+        """How a ``BaseRef`` / ``Literal`` finds its relation at execution."""
+        if isinstance(node, Literal):
+            relation = node.relation
+            return lambda ctx: relation
         self.schema_of(node)  # fail on unknown names at compile time
         name = node.name
+        return lambda ctx: ctx.lookup(name)
+
+    def _compile_leaf(self, node) -> _Runner:
+        resolve = self._leaf_relation(node)
 
         def run(ctx: _Context) -> _Stream:
             ctx.stats.operators_evaluated += 1
-            relation = ctx.lookup(name)
-            ctx.stats.tuples_scanned += len(relation)
-            tau = ctx.tau
-            shards = getattr(relation, "shards", None)
-            if shards is not None and ctx.executor is not None and len(shards) > 1:
-                if isinstance(shards[0], ColumnarRelation):
-                    started = time.perf_counter()
-                    batch = _parallel_columnar_source(ctx, shards, to_raw(tau))
-                    return _columnar_stream(
-                        ctx, "scan_filter", batch, INFINITY,
-                        IntervalSet.from_onwards(tau), started, True,
-                    )
-                shard_lists = _parallel_source(ctx, shards)
-                return _Stream(
-                    itertools.chain.from_iterable(shard_lists),
-                    INFINITY,
-                    IntervalSet.from_onwards(tau),
-                    shards=shard_lists,
-                )
-            if isinstance(relation, ColumnarRelation):
-                # Whole-column expiration filter: one pass over the raw
-                # int64 texp array, no Timestamp objects on the hot path.
-                started = time.perf_counter()
-                batch = relation.batch(to_raw(tau))
+            started = time.perf_counter()
+            scanned = _scan(ctx, resolve(ctx))
+            validity = IntervalSet.from_onwards(ctx.tau)
+            if isinstance(scanned, ColumnBatch):
                 return _columnar_stream(
-                    ctx, "scan_filter", batch, INFINITY,
-                    IntervalSet.from_onwards(tau), started, True,
+                    ctx, "scan_filter", scanned, INFINITY, validity, started, True
                 )
-            return _Stream(
-                _live_pairs(relation, tau), INFINITY,
-                IntervalSet.from_onwards(tau),
-            )
-
-        return run
-
-    def _compile_literal(self, node: Literal) -> _Runner:
-        relation = node.relation
-
-        def run(ctx: _Context) -> _Stream:
-            ctx.stats.operators_evaluated += 1
-            ctx.stats.tuples_scanned += len(relation)
-            tau = ctx.tau
-            if isinstance(relation, ColumnarRelation):
-                started = time.perf_counter()
-                batch = relation.batch(to_raw(tau))
-                return _columnar_stream(
-                    ctx, "scan_filter", batch, INFINITY,
-                    IntervalSet.from_onwards(tau), started, True,
-                )
-            return _Stream(
-                _live_pairs(relation, tau), INFINITY,
-                IntervalSet.from_onwards(tau),
-            )
+            return _Stream(scanned, INFINITY, validity)
 
         return run
 
@@ -797,27 +726,6 @@ class _Compiler:
                     ctx, "select_mask", batch, inner.expiration,
                     inner.validity, started, dup_free,
                 )
-            if (
-                inner.shards is not None
-                and ctx.executor is not None
-                and ctx.trace is None
-            ):
-                # Parallel select kernel: filter each shard list on the
-                # pool, keeping the fan-out alive for downstream stages.
-                # (Skipped under a trace so the per-operator spans keep
-                # billing rows through the instrumented merged stream.)
-                filtered = list(
-                    ctx.executor.map(
-                        lambda pairs: [p for p in pairs if matches(p[0])],
-                        inner.shards,
-                    )
-                )
-                return _Stream(
-                    itertools.chain.from_iterable(filtered),
-                    inner.expiration,
-                    inner.validity,
-                    shards=filtered,
-                )
             pairs = (pair for pair in inner.pairs if matches(pair[0]))
             return _Stream(pairs, inner.expiration, inner.validity)
 
@@ -839,7 +747,7 @@ class _Compiler:
         fused_scan = self._compile_pruned_scan(node, indexes)
 
         def run(ctx: _Context) -> _Stream:
-            if fused_scan is not None and ctx.trace is None:
+            if fused_scan is not None:
                 stream = fused_scan(ctx)
                 if stream is not None:
                     return stream
@@ -875,9 +783,9 @@ class _Compiler:
         so the scan materialises just those column slices -- the row path
         has no analogue, since it must move whole tuples regardless.  The
         returned runner yields ``None`` when the resolved relation is not
-        an unsharded columnar one (the caller then falls back to the
-        generic pipeline); trace runs skip it so per-operator spans keep
-        their shape.
+        columnar (the caller then falls back to the generic pipeline).
+        Under a trace the ``Project`` span names the operators fused into
+        it and carries the row counts their own spans would have.
         """
         select_node: Optional[Select] = None
         base_node = node.child
@@ -899,33 +807,25 @@ class _Compiler:
         position = {orig: pos for pos, orig in enumerate(pruned)}
         out_positions = [position[i] for i in indexes]
         arity = base_schema.arity
+        fused_labels = ",".join(
+            operator_label(fused_node)
+            for fused_node in (select_node, base_node)
+            if fused_node is not None
+        )
         fused_ops = 2 if select_node is None else 3
         distinct_out = len(set(indexes)) == len(indexes)
-        if isinstance(base_node, BaseRef):
-            base_name = base_node.name
-
-            def resolve_relation(ctx: _Context):
-                return ctx.lookup(base_name)
-
-        else:
-            literal_relation = base_node.relation
-
-            def resolve_relation(ctx: _Context):
-                return literal_relation
+        resolve_relation = self._leaf_relation(base_node)
 
         def fused(ctx: _Context) -> Optional[_Stream]:
             relation = resolve_relation(ctx)
-            if (
-                not isinstance(relation, ColumnarRelation)
-                or getattr(relation, "shards", None) is not None
-            ):
+            if not _is_columnar(relation):
                 return None
             ctx.stats.operators_evaluated += fused_ops
-            ctx.stats.tuples_scanned += len(relation)
             started = time.perf_counter()
-            tau = ctx.tau
-            batch = relation.batch(to_raw(tau), keep=pruned)
+            batch = _scan(ctx, relation, keep=pruned)
             ctx.stats.note_columnar("scan_filter", len(batch))
+            if ctx.trace is not None:
+                ctx.trace.note(fuses=fused_labels, live_rows=len(batch))
             if mask_build is not None:
                 # The mask builder indexes columns by their original
                 # schema position: hand it a sparse view with the pruned
@@ -935,6 +835,8 @@ class _Compiler:
                     view[orig] = batch.columns[pos]
                 batch = _apply_mask(batch, mask_build(view, len(batch)))
                 ctx.stats.note_columnar("select_mask", len(batch))
+                if ctx.trace is not None:
+                    ctx.trace.note(selected_rows=len(batch))
             out = ColumnBatch(
                 [batch.columns[pos] for pos in out_positions],
                 batch.texp,
@@ -942,7 +844,7 @@ class _Compiler:
             )
             return _columnar_stream(
                 ctx, "project_gather", out, INFINITY,
-                IntervalSet.from_onwards(tau), started, False,
+                IntervalSet.from_onwards(ctx.tau), started, False,
             )
 
         return fused
@@ -1190,47 +1092,15 @@ class _Compiler:
                 )
 
             if right_key is not None:
-                if (
-                    right_stream.shards is not None
-                    and ctx.executor is not None
-                    and ctx.trace is None
-                ):
-                    # Parallel build kernel: bucket each shard list on the
-                    # pool, then merge the partial bucket maps (the join
-                    # key need not be the partition key, so a key can span
-                    # shards).
-                    def build(pairs):
-                        partial: Dict[Any, List[Tuple[tuple, Timestamp]]] = {}
-                        partial_get = partial.get
-                        for row, texp in pairs:
-                            key = right_key(row)
-                            bucket = partial_get(key)
-                            if bucket is None:
-                                partial[key] = [(row, texp)]
-                            else:
-                                bucket.append((row, texp))
-                        return partial
-
-                    partials = list(ctx.executor.map(build, right_stream.shards))
-                    buckets = partials[0]
-                    bucket_get = buckets.get
-                    for partial in partials[1:]:
-                        for key, bucket in partial.items():
-                            existing = bucket_get(key)
-                            if existing is None:
-                                buckets[key] = bucket
-                            else:
-                                existing.extend(bucket)
-                else:
-                    buckets = {}
-                    bucket_get = buckets.get
-                    for row, texp in right_stream.pairs:
-                        key = right_key(row)
-                        bucket = bucket_get(key)
-                        if bucket is None:
-                            buckets[key] = [(row, texp)]
-                        else:
-                            bucket.append((row, texp))
+                buckets = {}
+                bucket_get = buckets.get
+                for row, texp in right_stream.pairs:
+                    key = right_key(row)
+                    bucket = bucket_get(key)
+                    if bucket is None:
+                        buckets[key] = [(row, texp)]
+                    else:
+                        bucket.append((row, texp))
 
                 def generate() -> Iterator[Tuple[tuple, Timestamp]]:
                     probes = 0
@@ -1562,20 +1432,16 @@ class CompiledPlan:
         tau: TimeLike = 0,
         stats: Optional[EvalStats] = None,
         trace=None,
-        executor=None,
     ) -> EvalResult:
         """Run the plan at ``tau`` and materialise the root result.
 
         ``trace``, when given, is an open span; every operator hangs a
         child span off it with pull-time and row-count attributes.
-        ``executor`` enables the parallel per-shard source/select/build
-        kernels over hash-partitioned base relations.
         """
         lookup = _make_lookup(catalog)
         stamp = ts(tau)
         ctx = _Context(
-            lookup, stamp, stats if stats is not None else EvalStats(), trace,
-            executor,
+            lookup, stamp, stats if stats is not None else EvalStats(), trace
         )
         stream = self._root(ctx)
         batch = stream.batch

@@ -66,15 +66,11 @@ class PlanCacheStats:
 
 
 class _Entry:
-    __slots__ = ("plan", "schema_version", "partitioning", "result",
-                 "result_version")
+    __slots__ = ("plan", "schema_version", "result", "result_version")
 
-    def __init__(
-        self, plan: CompiledPlan, schema_version: int, partitioning=()
-    ) -> None:
+    def __init__(self, plan: CompiledPlan, schema_version: int) -> None:
         self.plan = plan
         self.schema_version = schema_version
-        self.partitioning = partitioning
         self.result: Optional[EvalResult] = None
         self.result_version: int = -1
 
@@ -172,8 +168,6 @@ class PlanCache:
         resolver: Optional[SchemaResolver] = None,
         trace: Optional[Span] = None,
         cached: bool = True,
-        partitioning=(),
-        executor=None,
     ) -> EvalResult:
         """Evaluate ``expression`` at ``tau``, serving from cache when sound.
 
@@ -185,7 +179,9 @@ class PlanCache:
         cached result, and without touching the hit/miss counters.
 
         ``version`` is the engine's catalog (data) version; ``schema_version``
-        gates reuse of the compiled plan itself.  ``floor`` (typically the
+        gates reuse of the compiled plan itself -- and with it the physical
+        design, since a table's shard count and layout are fixed at
+        ``CREATE TABLE`` and every create or drop bumps it.  ``floor`` (typically the
         database clock's *now*) rejects hits for past-time queries: a cached
         result restricted to a past ``τ'`` can be more complete than a fresh
         evaluation against an eagerly-purged store, so hits are only served
@@ -193,21 +189,12 @@ class PlanCache:
 
         ``trace`` hangs per-operator spans off the given span during plan
         execution.
-
-        ``partitioning`` is part of the plan key: a fingerprint of the
-        catalog's partitioned-table schemes, so a plan (and result) cached
-        against one physical layout is invalidated when the layout changes.
-        ``executor``, when given, fans compiled per-shard pipelines out over
-        the pool during execution.
         """
         tau = ts(tau)
         eval_stats = stats if stats is not None else EvalStats()
         entry = self._entries.get(expression)
-        if entry is not None and (
-            entry.schema_version != schema_version
-            or entry.partitioning != partitioning
-        ):
-            entry = None  # DDL / repartitioning invalidated the plan itself
+        if entry is not None and entry.schema_version != schema_version:
+            entry = None  # DDL invalidated the plan itself
 
         if entry is not None and cached:
             held = entry.result
@@ -252,14 +239,12 @@ class PlanCache:
             self._compilations.inc()
             self._fused.inc(plan.fused_operators)
             self._materialised.inc(plan.materialised_operators)
-            entry = _Entry(plan, schema_version, partitioning)
+            entry = _Entry(plan, schema_version)
             self._entries[expression] = entry
             if len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions.inc()
-        result = entry.plan.execute(
-            catalog, tau, eval_stats, trace=trace, executor=executor
-        )
+        result = entry.plan.execute(catalog, tau, eval_stats, trace=trace)
         entry.result = result
         entry.result_version = version
         self._entries.move_to_end(expression)

@@ -17,12 +17,10 @@ exact assertions.
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.algebra.evaluator import EvalResult, EvalStats
 from repro.core.algebra.expressions import BaseRef, Expression
@@ -30,7 +28,6 @@ from repro.core.algebra.plan_cache import PlanCache
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.timestamps import TimeLike, Timestamp, ts
-from repro.distributed.metrics import declare_replication_families
 from repro.engine.clock import LogicalClock
 from repro.engine.config import DatabaseConfig
 from repro.engine.expiration_index import RemovalPolicy
@@ -160,22 +157,12 @@ class Database:
         self._eval_seconds = self.metrics.histogram(
             "repro_eval_seconds", "Wall time per evaluation.",
             labels=("engine",))
-        # Expiration and replication families are declared up front so one
-        # prom dump covers the whole system even before the first sweep or
-        # simulation publishes into them.
+        # Expiration families are declared up front so a prom dump covers
+        # them even before the first sweep publishes into them.
         declare_expiration_families(self.metrics)
-        declare_replication_families(self.metrics)
         self._tables: Dict[str, Table] = {}
         self._views: Dict[str, MaterialisedView] = {}
-        # Shared worker pool for partition-parallel sweeps/scans; created
-        # lazily on first use so unpartitioned databases never pay for it.
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
-        # Fingerprint of every partitioned table's scheme; part of the plan
-        # cache key so plans compiled against one layout are never reused
-        # against another.
-        self._partition_scheme: Tuple = ()
-        self._has_partitioned = False
         # Data version: bumped on every unpredictable mutation (insert,
         # delete, renewal, DDL).  Physical expiration processing does NOT
         # bump it -- expiry is exactly what a result's I(e) already
@@ -234,8 +221,9 @@ class Database:
         """Create and register a table; returns it for convenience.
 
         ``partitions=N`` hash-partitions the table on ``partition_key``
-        (default: the first column); its expiration sweeps and compiled
-        scans run per-shard on :attr:`executor`.
+        (default: the first column): each shard keeps its own storage,
+        expiration index and due buffer, swept and scanned shard after
+        shard on the calling thread.
 
         ``layout="columnar"`` stores the table as parallel per-attribute
         columns with a raw-int expiration array
@@ -273,7 +261,6 @@ class Database:
         )
         self._tables[name] = table
         self.clock.on_advance(table.on_clock_advance)
-        self._refresh_partition_scheme()
         self.note_schema_change()
         if self.wal is not None:
             from repro.engine.persistence import table_spec
@@ -297,52 +284,22 @@ class Database:
                 f"table {name!r} still referenced by views {dependents!r}"
             )
         del self._tables[name]
-        self._refresh_partition_scheme()
         self.note_schema_change()
         self._wal_append("drop_table", name=name)
 
-    def _refresh_partition_scheme(self) -> None:
-        # Partitioning *and* storage layout both select which compiled
-        # kernels fire at execution time, so both are fingerprinted into
-        # the plan-cache key: a plan compiled against one physical design
-        # is never reused (nor its cached results served) under another.
-        self._partition_scheme = tuple(
-            (name, table.partitions, table.partition_key, table.layout)
-            for name, table in sorted(self._tables.items())
-            if table.partitions is not None or table.layout != "row"
-        )
-        self._has_partitioned = any(
-            table.partitions is not None for table in self._tables.values()
-        )
-
-    @property
-    def executor(self) -> ThreadPoolExecutor:
-        """The shared worker pool for partition-parallel work (lazy)."""
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(8, os.cpu_count() or 1),
-                thread_name_prefix="repro-partition",
-            )
-            self._closed = False
-        return self._executor
-
     def close(self) -> None:
-        """Release the worker pool and the WAL.
+        """Sync and close the WAL.
 
         Idempotent and safe to call from teardown paths that may race a
         prior close (e.g. the server closing a database once per
         connection-owner *and* once at shutdown): a second call is a
         no-op, and the WAL handle is only synced/closed while it is still
-        live.  Using the database again after ``close()`` recreates the
-        worker pool on demand; WAL appends stay rejected (the log is
-        closed for good).
+        live.  A closed database stays closed: reads keep working, WAL
+        appends stay rejected (the log is closed for good).
         """
         if self._closed:
             return
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         wal = self.wal
         if wal is not None and not wal.closed:
             wal.sync()
@@ -350,7 +307,7 @@ class Database:
 
     @property
     def closed(self) -> bool:
-        """Whether :meth:`close` has run (resets on renewed use of the pool)."""
+        """Whether :meth:`close` has run."""
         return self._closed
 
     def table(self, name: str) -> Table:
@@ -492,8 +449,6 @@ class Database:
                 resolver=self.schema_resolver,
                 trace=span,
                 cached=cached and not tracing,
-                partitioning=self._partition_scheme,
-                executor=self.executor if self._has_partitioned else None,
             )
         finally:
             if span is not None:

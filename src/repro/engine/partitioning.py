@@ -1,4 +1,4 @@
-"""Hash-partitioned storage for partition-parallel expiration sweeps.
+"""Hash-partitioned storage: one bulk expiration sweep per shard.
 
 The paper's companion report ("Efficient Management of Short-Lived Data")
 argues that physical removal of expired tuples must be *bulk* work to keep
@@ -11,7 +11,10 @@ A :class:`~repro.engine.table.Table` created with ``partitions=N`` stores
 its rows in one, writes each row to the shard ``hash(row[key]) % N``,
 keeps an expiration index and a due buffer beside each shard, and sweeps
 them with one bulk kernel per shard, timed and counted in the
-``repro_partition_*`` families.
+``repro_partition_*`` families.  That is all partitioning means: nothing
+here starts a thread, and shards are swept and scanned one after another
+on the calling thread (measured in EXPERIMENTS.md X21: under the GIL a
+pool made every partitioned scan and every small sweep slower).
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ class ShardedRelation(Relation):
     Reads exactly like a flat :class:`Relation` (same rows, same
     ``exp_τ``) over ``partitions`` independent shard relations; writes go
     through the owning :class:`~repro.engine.table.Table`, which routes
-    each row once.  The compiled evaluator detects the :attr:`shards`
-    attribute and fans per-shard pipelines out over a thread pool.
+    each row once.  The compiled evaluator's source stage detects the
+    :attr:`shards` attribute and scans shard after shard -- a flat
+    relation is its one-shard case.
     """
 
     __slots__ = ("key_index", "shard_count", "shards")

@@ -123,11 +123,10 @@ class Table:
     identical to a flat table -- same insert/delete/read/trigger/constraint
     semantics, same per-policy expiration metrics -- plus:
 
-    * sweeps and vacuums run the bulk kernel per shard, fanned out on the
-      owning database's shared thread pool (sequentially when the table is
-      standalone);
-    * the compiled evaluator scans, filters, and builds hash-join inputs
-      per shard in parallel (it detects ``relation.shards``);
+    * sweeps and vacuums run the bulk kernel shard after shard, on the
+      calling thread, over each shard's own index and due buffer;
+    * the compiled evaluator's source stage scans ``relation.shards`` one
+      after another (a flat relation is its one-shard case);
     * per-shard sweep timings and expiry counts land in the
       ``repro_partition_*`` metric families.
 
@@ -606,25 +605,24 @@ class Table:
         The storage kernel skips entries renewed (re-inserted with a later
         expiration) between coming due and being processed -- a renewed
         tuple never expired -- comparing raw ticks, straight off the texp
-        array on columnar shards.  Above one shard the kernels fan out on
-        the database's executor; triggers and WAL appends run here, on
-        the calling thread, and statistics are written once per sweep.
+        array on columnar shards.  Kernels, triggers and WAL appends all
+        run here, shard after shard on the calling thread, and every
+        kernel runs before the first trigger fires (a trigger sees the
+        whole batch gone, as on a flat table); statistics are written
+        once per sweep.
         """
         database = self.database
         wal = database.wal if database is not None else None
         triggers = self.triggers if len(self.triggers) > 0 else None
         collect = wal is not None or triggers is not None
 
-        def kernel(job):
-            shard, due = job
+        results = []
+        for shard, due in jobs:
             shard_started = time.perf_counter()
             processed, expired = shard.relation._sweep_due(due, stamp, collect)
-            return shard, processed, expired, time.perf_counter() - shard_started
-
-        if database is not None and len(jobs) > 1:
-            results = list(database.executor.map(kernel, jobs))
-        else:
-            results = [kernel(job) for job in jobs]
+            results.append(
+                (shard, processed, expired, time.perf_counter() - shard_started)
+            )
 
         name = self.name
         total = fired = 0

@@ -1,4 +1,4 @@
-"""Tests for hash-partitioned tables and partition-parallel sweeps.
+"""Tests for hash-partitioned tables and their per-shard sweeps and scans.
 
 The core guarantee is *equivalence*: a table created with ``partitions=N``
 must be indistinguishable from a flat :class:`Table` on rows, per-tuple expiration
@@ -7,8 +7,16 @@ policies.  The differential tests drive identical workloads through both
 and compare after every step.
 """
 
+import os
+import random
+import signal
+import threading
+
 import pytest
 
+from repro.core.algebra.compiler import compile_expression
+from repro.core.algebra.evaluator import evaluate
+from repro.core.algebra.expressions import BaseRef
 from repro.core.algebra.predicates import col
 from repro.core.schema import Schema
 from repro.core.timestamps import INFINITY, ts
@@ -19,6 +27,7 @@ from repro.engine.partitioning import ShardedRelation
 from repro.engine.persistence import database_from_dict, database_to_dict
 from repro.engine.table import Table
 from repro.errors import CatalogError, EngineError
+from tests.core.algebra.test_compiler_differential import random_catalog
 
 POLICIES = [RemovalPolicy.EAGER, RemovalPolicy.LAZY]
 
@@ -126,7 +135,7 @@ class TestDifferentialEquivalence:
 
 
 class TestParallelSweep:
-    def test_sweep_uses_executor_and_counts(self):
+    def test_sweep_counts_per_shard(self):
         db = Database()
         table = db.create_table("T", ["k"], partitions=4)
         for i in range(100):
@@ -320,12 +329,136 @@ class TestDatabaseIntegration:
         db.advance_to(25)
         assert dict(loaded.read().items()) == dict(table.read().items())
 
-    def test_close_is_idempotent_and_pool_recreates(self):
+    def test_close_is_idempotent(self):
         db = Database()
-        db.create_table("T", ["k"], partitions=2)
-        pool = db.executor
-        assert pool is db.executor  # cached
+        table = db.create_table("T", ["k"], partitions=2)
         db.close()
         db.close()  # idempotent
-        assert db.executor is not pool  # fresh pool on demand
-        db.close()
+        assert db.closed
+        table.insert((1,), expires_at=5)
+        db.advance_to(5)  # a closed database still sweeps; nothing reopens it
+        assert len(table) == 0
+        assert db.closed
+
+
+class TestSingleThreaded:
+    """``partitions=N`` is routing plus per-shard storage; nothing starts a thread."""
+
+    @staticmethod
+    def swept_and_scanned():
+        """A 4-shard table that has swept across shards and served a scan."""
+        db = Database()
+        table = db.create_table("T", ["k", "v"], partitions=4)
+        for i in range(32):
+            table.insert((i, i % 3), expires_at=5 if i < 16 else 9)
+        db.advance_to(5)
+        assert len(db.evaluate(db.table_expr("T")).relation) == 16
+        return db, table
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_sweeps_and_scans(self):
+        """A copy of a built state keeps working (it hung on the inherited pool)."""
+        db, table = self.swept_and_scanned()
+        pid = os.fork()
+        if pid == 0:
+            outcome = 1
+            try:
+                signal.alarm(5)
+                db.advance_to(9)
+                rows = db.evaluate(db.table_expr("T"), cached=False).relation
+                outcome = 0 if len(table) == 0 and len(rows) == 0 else 2
+            finally:
+                os._exit(outcome)
+        _, status = os.waitpid(pid, 0)
+        assert status == 0
+
+    def test_no_thread_is_started(self):
+        before = threading.active_count()
+        db, table = self.swept_and_scanned()
+        scan = db.table_expr("T")
+        for expression in (
+            scan,
+            scan.select(col(2) >= 1),
+            scan.join(scan, on=[(1, 1)]),
+        ):
+            db.evaluate(expression, cached=False)
+        db.advance_to(9)
+        assert len(table) == 0
+        assert threading.active_count() == before
+        assert not hasattr(Database(), "executor")
+
+    def test_pool_keywords_are_type_errors(self):
+        # No alias, no shim: the pool and the fingerprint it needed are gone.
+        db, _ = self.swept_and_scanned()
+        scan = db.table_expr("T")
+        plan = compile_expression(scan, db.schema_resolver)
+        with pytest.raises(TypeError):
+            plan.execute(db.catalog, db.now, executor=None)
+        with pytest.raises(TypeError):
+            db.plan_cache.evaluate(scan, db.catalog, db.now, partitioning=())
+        with pytest.raises(TypeError):
+            db.plan_cache.evaluate(scan, db.catalog, db.now, executor=None)
+
+
+LAYOUTS = ["row", "columnar"]
+SHARDINGS = [None, 4]
+
+
+def shaped_database(layout, partitions):
+    """The differential suite's random catalog loaded into tables of one shape."""
+    db = Database()
+    for name, relation in random_catalog(random.Random(21)).items():
+        table = db.create_table(
+            name, relation.schema, layout=layout, partitions=partitions
+        )
+        for row, texp in relation.items():
+            table.insert(row, expires_at=texp)
+    db.advance_to(6)
+    return db
+
+
+@pytest.mark.parametrize("partitions", SHARDINGS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", ["scan", "select", "project_select", "join"])
+def test_explain_analyze_runs_what_runs(shape, layout, partitions):
+    """A traced run executes the operators an untraced run does, on every shape."""
+    db = shaped_database(layout, partitions)
+    expression = {
+        "scan": BaseRef("R"),
+        "select": BaseRef("R").select(col(1) >= 2),
+        "project_select": BaseRef("R").select(col(1) >= 2).project(2),
+        "join": BaseRef("S").join(BaseRef("R"), on=[(1, 1)]),  # R is the build side
+    }[shape]
+    traced = db.evaluate(expression, trace=True)
+    traced_stats = db.last_eval_stats
+    span = db.trace_last_query()
+    plain = db.evaluate(expression, cached=False)
+    plain_stats = db.last_eval_stats
+    reference = evaluate(expression, db.catalog, tau=db.now)
+    for result in (traced, plain):
+        assert result.relation.same_content(reference.relation)
+        assert result.expiration == reference.expiration
+        assert result.validity == reference.validity
+    for counter in ("operators_evaluated", "tuples_scanned", "hash_probes"):
+        assert getattr(traced_stats, counter) == getattr(plain_stats, counter)
+    assert traced_stats.columnar_kernel_rows == plain_stats.columnar_kernel_rows
+
+    shard_scans = [s for s in span.walk() if s.name == "shard_scan"]
+    if partitions is None:
+        assert shard_scans == []
+    else:
+        scanned = sum(
+            len(db.table(name)) for name in expression.base_names()
+        )
+        assert len(shard_scans) == partitions * len(expression.base_names())
+        assert sum(s.attrs["rows"] for s in shard_scans) == scanned
+    if layout == "columnar" and shape == "project_select":
+        project = span.find("Project")
+        assert project.attrs["fuses"] == "Select,BaseRef(R)"
+        assert project.attrs["live_rows"] == len(db.table("R"))
+        assert project.attrs["selected_rows"] == project.attrs["rows"]
+        assert [child.attrs["kernel"] for child in project.children
+                if child.name == "columnar_batch"] == ["project_gather"]
+        assert {"scan_filter", "select_mask", "project_gather"} <= set(
+            plain_stats.columnar_kernel_rows
+        )

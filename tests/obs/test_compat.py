@@ -123,7 +123,6 @@ class TestDatabaseAccessors:
             "repro_plan_cache_hits_total",
             "repro_expiration_tuples_expired_total",
             "repro_views_recomputations_total",
-            "repro_replication_retransmissions_avoided_total",
         ):
             assert family in text, family
 
