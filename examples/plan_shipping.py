@@ -17,7 +17,13 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro import Database, IncrementalView, evaluate, load_database, save_database
+from repro import (
+    Database,
+    MaintenancePolicy,
+    evaluate,
+    load_database,
+    save_database,
+)
 from repro.core.algebra.serde import expression_from_dict, expression_to_dict
 from repro.core.qos import QosAnswerer, QosContract, StalenessBound
 from repro.workloads.news import figure1_database
@@ -69,7 +75,7 @@ def main() -> None:
     live.create_table("Pol", ["uid", "deg"])
     live.create_table("El", ["uid", "deg"])
     expr = live.table_expr("Pol").difference(live.table_expr("El"))
-    view = IncrementalView(live, "watch", expr)
+    view = live.materialise("watch", expr, policy=MaintenancePolicy.DELTA)
     live.table("Pol").insert((1, 25), expires_at=30)
     live.table("Pol").insert((2, 25), expires_at=30)
     print(f"  after 2 Pol inserts: {sorted(view.read().rows())}")
@@ -78,7 +84,7 @@ def main() -> None:
     live.advance_to(10)
     print(f"  after the shadow expires: {sorted(view.read().rows())}")
     print(f"  deltas applied: {view.delta_applications}, "
-          f"rebuilds: {view.refreshes - 1}")
+          f"rebuilds: {view.recomputations}")
 
 
 if __name__ == "__main__":

@@ -62,7 +62,6 @@ from repro.core.algebra import (
 )
 from repro.engine import (
     Database,
-    IncrementalView,
     MaintenancePolicy,
     Table,
     load_database,
@@ -113,7 +112,6 @@ __all__ = [
     "val",
     "Database",
     "DatabaseConfig",
-    "IncrementalView",
     "MaintenancePolicy",
     "ReproServer",
     "Result",

@@ -3,8 +3,9 @@
 The fuzzer drives one :class:`~repro.engine.database.Database` -- flat and
 hash-partitioned tables in row and columnar layouts (``pcol``, partitioned
 *and* columnar, is the shape ``AuthzStore`` runs on), an idle-timeout
-table, three materialised views (monotonic, SCHRODINGER difference, PATCH
-difference), audit triggers, the plan cache -- through a random but *fully
+table, five materialised views (a monotonic one, which folds inserts by
+shape; the same difference under SCHRODINGER, PATCH and DELTA; a DELTA
+aggregate), audit triggers, the plan cache -- through a random but *fully
 concrete* operation sequence, in lockstep with a trivially-correct oracle:
 a ``row -> expiration`` dict per table plus an integer clock.
 Concreteness is the point: every op is a plain tuple of ints, so any
@@ -96,6 +97,7 @@ import shutil
 import struct
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -116,7 +118,7 @@ __all__ = [
 ]
 
 _TABLES = ("flat", "part", "col", "pcol", "slm")
-_VIEWS = ("v_mono", "v_diff", "v_patch")
+_VIEWS = ("v_mono", "v_diff", "v_patch", "v_delta", "v_count")
 _POLICIES = {"eager": RemovalPolicy.EAGER, "lazy": RemovalPolicy.LAZY}
 #: Idle timeout of the since-last-modification table.
 _SLM_TTL = 6
@@ -316,6 +318,17 @@ class _Harness:
         self.db.materialise(
             "v_patch", diff, policy=MaintenancePolicy.PATCH
         )
+        # The insert-folding maintainer on its two non-monotonic shapes
+        # (``v_mono`` gets it by shape): deltas, patches behind renewed
+        # matches and partition re-aggregation all meet the dict oracle.
+        self.db.materialise(
+            "v_delta", diff, policy=MaintenancePolicy.DELTA
+        )
+        self.db.materialise(
+            "v_count",
+            BaseRef("flat").aggregate(group_by=[2], function="count"),
+            policy=MaintenancePolicy.DELTA,
+        )
         #: Oracle: per-table row -> expiration (math.inf = immortal) + clock.
         self.model: Dict[str, Dict[tuple, float]] = {t: {} for t in _TABLES}
         self.now = 0
@@ -356,6 +369,9 @@ class _Harness:
         flat = set(self._visible("flat"))
         if name == "v_mono":
             return {(k,) for k, _ in flat}
+        if name == "v_count":
+            sizes = Counter(v for _, v in flat)
+            return {(k, v, sizes[v]) for k, v in flat}
         return flat - set(self._visible("part"))
 
     # -- op application -------------------------------------------------

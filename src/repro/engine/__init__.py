@@ -15,7 +15,7 @@ from repro.engine.constraints import (
 )
 from repro.engine.database import Database
 from repro.engine.expiration_index import ExpirationIndex, RemovalPolicy
-from repro.engine.maintenance import IncrementalView, supports_incremental
+from repro.engine.maintenance import supports_incremental
 from repro.engine.partitioning import ShardedRelation
 from repro.engine.persistence import (
     database_from_dict,
@@ -45,7 +45,6 @@ __all__ = [
     "Database",
     "ExpirationIndex",
     "RemovalPolicy",
-    "IncrementalView",
     "supports_incremental",
     "ShardedRelation",
     "database_from_dict",

@@ -31,13 +31,14 @@ from repro.core.timestamps import TimeLike, Timestamp, ts
 from repro.engine.clock import LogicalClock
 from repro.engine.config import DatabaseConfig
 from repro.engine.expiration_index import RemovalPolicy
+from repro.engine.maintenance import IncrementalView, supports_incremental
 from repro.engine.statement_cache import StatementCache
 from repro.engine.statistics import EngineStatistics
 from repro.engine.table import Table, declare_expiration_families
 from repro.engine.transactions import Transaction
 from repro.engine.views import MaintenancePolicy, MaterialisedView
 from repro.engine.wal import WriteAheadLog
-from repro.errors import CatalogError, WalError
+from repro.errors import CatalogError, ViewError, WalError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 
@@ -483,7 +484,19 @@ class Database:
         policy: MaintenancePolicy = MaintenancePolicy.SCHRODINGER,
         patch_limit: Optional[int] = None,
     ) -> MaterialisedView:
-        """Create a named materialised view maintained under ``policy``.
+        """Create a named materialised view -- the only way one comes to exist.
+
+        The expression's shape picks the class.  A monotonic base-linear
+        expression (σ/π/⋈/∪/∩ naming each table once) needs no policy
+        (Theorem 1) and gets the insert-folding
+        :class:`~repro.engine.maintenance.IncrementalView`: base inserts
+        are folded in as deltas at the next read, never recomputed.
+        ``policy=MaintenancePolicy.DELTA`` asks for the same on the two
+        non-monotonic shapes that can fold (a difference of base-disjoint
+        monotonic sides, an aggregate over a monotonic child) and raises
+        :class:`~repro.errors.ViewError` on any other.  Everything else is
+        a :class:`~repro.engine.views.MaterialisedView` under ``RECOMPUTE``,
+        ``SCHRODINGER`` or ``PATCH``, which a base insert marks stale.
 
         ``patch_limit`` (PATCH policy only) bounds the helper patch queue;
         shedding trades space for a finite guarantee horizon, past which
@@ -493,9 +506,19 @@ class Database:
             raise CatalogError(f"name {name!r} already in use")
         for base in expression.base_names():
             self.table(base)  # validate references
-        view = MaterialisedView(
-            name, expression, self, policy=policy, patch_limit=patch_limit
-        )
+        foldable = supports_incremental(expression)
+        if policy is MaintenancePolicy.DELTA and not foldable:
+            raise ViewError(
+                f"view {name!r}: the DELTA policy needs a monotonic base-linear "
+                f"expression, a difference of two with disjoint bases, or an "
+                f"aggregate over one"
+            )
+        if foldable and (
+            policy is MaintenancePolicy.DELTA or expression.is_monotonic()
+        ):
+            view = IncrementalView(name, expression, self, policy, patch_limit)
+        else:
+            view = MaterialisedView(name, expression, self, policy, patch_limit)
         self._views[name] = view
         # SQL planning inlines view definitions, so a view is part of what
         # a planned statement was resolved against, exactly like a table.

@@ -1,347 +1,249 @@
-"""Incremental maintenance of materialised views under base *updates*.
+"""Insert-folding maintenance of materialised views under base *updates*.
 
 The paper assumes "that there are no updates to the source data" and names
-lifting that restriction as future work, pointing at the classical
-incremental view-maintenance literature (its references [5], [23]).  This
-module implements insert-propagation on top of the expiration machinery:
+lifting that restriction as future work (Section 5).  :class:`IncrementalView`
+is that extension: a :class:`~repro.engine.views.MaterialisedView` that a
+base *insert* does not mark stale.  It inherits everything else and is built
+by :meth:`Database.materialise <repro.engine.database.Database.materialise>`
+only -- for every monotonic base-linear expression, whatever the policy, and
+under ``MaintenancePolicy.DELTA`` for the two non-monotonic shapes below.
 
-* **Monotonic, base-linear expressions** (each base relation referenced at
-  most once): an insert of tuple ``t`` into base ``B`` contributes exactly
-  ``e(catalog[B := {t}])`` -- the algebra's operators all distribute over
-  union on insertion deltas, and the expiration rules (min for ×/⋈/∩, max
-  merging for π/∪) are preserved because the delta is evaluated by the
-  ordinary evaluator and merged with the state's max rule.
-* **Difference** ``L −exp R`` over monotonic, base-disjoint sides: a
-  left-side delta row enters the view unless currently matched in R (in
-  which case it becomes a *patch*, due when the match expires); a
-  right-side delta row can knock a visible tuple out of the view --
-  re-scheduling it as a patch if it outlives the new match.
+* **Lazy fold.**  The insert listener is O(1): it records the stored tuple
+  in a per-base batch.  The next read folds each batch with *one* execution
+  of a compiled plan over ``catalog[B := batch]`` -- the operators all
+  distribute over union on insertion deltas, and the expiration rules (min
+  for ×/⋈/∩, max merging for π/∪) hold because the delta runs through the
+  ordinary plan and is max-merged into the state.  The plan is executed
+  directly, never through the plan cache: a delta is not a result.
+* **Overflow → stale.**  A batch that outgrows the stored result is dropped
+  and the view marked stale: an unread view holds O(result) memory, and
+  bulk seeding costs one refresh rather than one giant fold.
+* **Trimming.**  State rows with ``texp ≤ τ`` are dropped when a read at
+  ``τ`` serves the state, and when folding has doubled it, so reads move
+  forward in time only.
+* **Difference** ``L −exp R`` over monotonic, base-disjoint sides: a delta
+  row is re-placed from the two side states -- visible, or hidden behind its
+  match with a *patch* due when the match expires (Theorem 3's queue).
 * **Aggregation** over a monotonic, base-linear child: the child state is
-  maintained incrementally and only the *affected partitions* are
-  re-aggregated.
+  folded and only the *affected partitions* -- those a delta row joined or
+  an expired member left -- are re-aggregated.
 
-Explicit deletes (as opposed to expirations, which need no action at all)
-mark the view stale; the next read falls back to a full refresh.  An
-:class:`IncrementalView` therefore answers every read as if freshly
-recomputed, while touching only deltas on the hot path -- the bench
-``bench_incremental_updates.py`` counts the work saved.
+Explicit deletes and overrides (as opposed to expirations, which need no
+action at all) still mark the view stale: the next read refreshes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List
 
-from repro.core.aggregates import get_aggregate, strategy_expiration
-from repro.core.algebra.evaluator import Evaluator
+from repro.core.algebra.compiler import compile_expression
+from repro.core.algebra.evaluator import EvalResult
 from repro.core.algebra.expressions import (
     Aggregate,
     BaseRef,
     Difference,
     Expression,
-    Literal,
 )
-from repro.core.patching import DifferencePatcher, Patch
+from repro.core.intervals import IntervalSet
+from repro.core.patching import Patch
 from repro.core.relation import Relation
-from repro.core.timestamps import TimeLike, Timestamp, ts
-from repro.core.tuples import ExpiringTuple, Row, make_row
-from repro.engine.database import Database
-from repro.errors import ViewError
+from repro.core.timestamps import INFINITY, Timestamp
+from repro.core.tuples import ExpiringTuple, Row
+from repro.engine.views import MaterialisedView
 
 __all__ = ["IncrementalView", "supports_incremental"]
 
+#: A pending batch may always grow this large before it counts as
+#: outgrowing the stored result, so small and empty views fold too.
+_MIN_BATCH = 16
 
-def _is_base_linear(expression: Expression) -> bool:
-    """Each base relation referenced at most once in the whole tree."""
-    names = [
-        node.name for node in expression.walk() if isinstance(node, BaseRef)
-    ]
-    return len(names) == len(set(names))
+
+def _foldable(expression: Expression) -> bool:
+    """Monotonic, and each base relation referenced at most once in the tree."""
+    names = [n.name for n in expression.walk() if isinstance(n, BaseRef)]
+    return expression.is_monotonic() and len(names) == len(set(names))
 
 
 def supports_incremental(expression: Expression) -> bool:
     """Whether :class:`IncrementalView` can maintain this expression."""
-    if expression.is_monotonic():
-        return _is_base_linear(expression)
     if isinstance(expression, Difference):
         left, right = expression.left, expression.right
         return (
-            left.is_monotonic()
-            and right.is_monotonic()
-            and _is_base_linear(left)
-            and _is_base_linear(right)
+            _foldable(left)
+            and _foldable(right)
             and not (left.base_names() & right.base_names())
         )
     if isinstance(expression, Aggregate):
-        return expression.child.is_monotonic() and _is_base_linear(expression.child)
-    return False
+        return _foldable(expression.child)
+    return _foldable(expression)
 
 
-class IncrementalView:
-    """A self-maintaining materialisation that also absorbs base inserts.
+class IncrementalView(MaterialisedView):
+    """A materialised view that folds base inserts in instead of going stale.
 
-    Reads (:meth:`read`) always equal a fresh recomputation; the counters
-    :attr:`delta_applications` vs :attr:`refreshes` expose how much of the
-    maintenance happened incrementally.
+    :attr:`delta_applications` (base rows folded) against the inherited
+    ``recomputations`` says how much of the maintenance was incremental.
     """
 
-    def __init__(self, database: Database, name: str, expression: Expression) -> None:
-        if not supports_incremental(expression):
-            raise ViewError(
-                f"incremental view {name!r}: unsupported expression shape "
-                f"(needs monotonic base-linear, a difference of such with "
-                f"disjoint bases, or an aggregate over such)"
-            )
-        self.database = database
-        self.name = name
-        self.expression = expression
-        self.delta_applications = 0
-        self.refreshes = 0
-        self._stale = False
+    _forward_only = True
+    #: Base rows folded in as deltas.
+    delta_applications = 0
 
-        self._kind = (
-            "difference"
-            if isinstance(expression, Difference)
-            else "aggregate" if isinstance(expression, Aggregate) else "monotonic"
-        )
-        self._state: Relation
-        self._left_state: Optional[Relation] = None
-        self._right_state: Optional[Relation] = None
-        self._child_state: Optional[Relation] = None
-        self._patcher = DifferencePatcher()
-        self._last_read = database.clock.now
-
-        self._rebuild()
-        for base in expression.base_names():
-            database.table(base).insert_listeners.append(self._on_insert)
-            database.table(base).delete_listeners.append(self._on_delete)
-
-    # -- full (re)materialisation -------------------------------------------
-
-    def _rebuild(self) -> None:
-        now = self.database.clock.now
-        evaluator = Evaluator(self.database.catalog, now)
-        if self._kind == "difference":
-            assert isinstance(self.expression, Difference)
-            self._left_state = evaluator.evaluate(self.expression.left).relation
-            self._right_state = evaluator.evaluate(self.expression.right).relation
-            self._state = Relation(self._left_state.schema)
-            self._patcher = DifferencePatcher()
-            for row, left_texp in self._left_state.items():
-                right_texp = self._right_state.expiration_or_none(row)
-                if right_texp is None:
-                    self._state.insert(row, expires_at=left_texp)
-                elif right_texp < left_texp:
-                    self._patcher.add(Patch(row, right_texp, left_texp))
-        elif self._kind == "aggregate":
-            assert isinstance(self.expression, Aggregate)
-            self._child_state = evaluator.evaluate(self.expression.child).relation
-            self._state = self._aggregate_from_child(self._child_state, now)
+    def __init__(self, name, expression, database, *policy) -> None:
+        # What a base insert runs through: its side of a difference, the
+        # child of an aggregate, else the expression itself.
+        if isinstance(expression, Difference):
+            folded = (expression.left, expression.right)
+        elif isinstance(expression, Aggregate):
+            folded = (expression.child,)
         else:
-            self._state = evaluator.evaluate(self.expression).relation
-        self._stale = False
-        self.refreshes += 1
-
-    # -- aggregation helpers -----------------------------------------------------
-
-    def _aggregate_from_child(self, child: Relation, now: Timestamp) -> Relation:
-        node = self.expression
-        assert isinstance(node, Aggregate)
-        evaluator = Evaluator({"__child__": child}, now)
-        return evaluator.evaluate(
-            Aggregate(BaseRef("__child__"), node.group_by, node.spec, node.strategy)
-        ).relation
-
-    def _partition_key(self, row: Row) -> Tuple:
-        node = self.expression
-        assert isinstance(node, Aggregate)
-        assert self._child_state is not None
-        schema = self._child_state.schema
-        return tuple(row[schema.index(ref)] for ref in node.group_by)
-
-    def _reaggregate_partition(self, key: Tuple, now: Timestamp) -> None:
-        """Replace the state rows of one partition from the child state."""
-        node = self.expression
-        assert isinstance(node, Aggregate) and self._child_state is not None
-        # Drop existing result rows of this partition (they embed the full
-        # child row, so the grouping attributes are at the same positions).
-        doomed = [
-            row for row in self._state.rows() if self._partition_key(row) == key
+            folded = (expression,)
+        self._plans = [
+            compile_expression(part, database.schema_resolver) for part in folded
         ]
-        for row in doomed:
-            self._state.delete(row)
-        members = [
-            (row, texp)
-            for row, texp in self._child_state.exp_at(now).items()
-            if self._partition_key(row) == key
-        ]
-        if not members:
-            return
-        function = get_aggregate(node.spec.function_name)
-        schema = self._child_state.schema
-        value_index = (
-            schema.index(node.spec.attribute) if node.spec.attribute is not None else None
-        )
-        items = [
-            (row[value_index] if value_index is not None else None, texp)
-            for row, texp in members
-        ]
-        value = function.apply([v for v, _ in items])
-        partition_expiration = strategy_expiration(items, function, now, node.strategy)
-        for row, texp in members:
-            tuple_expiration = texp if texp < partition_expiration else partition_expiration
-            # override (not max-merge): the partition's aggregate value and
-            # expirations may legitimately shrink when a new member changes
-            # the aggregate.
-            self._state.override(row + (value,), tuple_expiration)
+        if isinstance(expression, Aggregate):
+            schema = self._plans[0].schema
+            indexes = [schema.index(ref) for ref in expression.group_by]
+            self._key = lambda row: tuple(row[i] for i in indexes)
+            # The aggregate again, over a stand-in for the members of the
+            # partitions to redo.
+            self._redo = compile_expression(
+                Aggregate(
+                    BaseRef("members"), expression.group_by,
+                    expression.spec, expression.strategy,
+                ),
+                lambda name: schema,
+            )
+        super().__init__(name, expression, database, *policy)
 
-    # -- delta propagation ---------------------------------------------------------
+    def _build(self, stamp: Timestamp) -> EvalResult:
+        self._pending: Dict[str, List[ExpiringTuple]] = {}
+        self._unfolded = 0
+        states = []
+        for plan in self._plans:
+            # A row-layout copy: the relation ``evaluate`` hands out also
+            # sits in the plan cache, and the states here are mutated.
+            relation = self.database.evaluate(plan.expression, at=stamp).relation
+            states.append(
+                Relation._from_trusted(relation.schema, dict(relation.items()))
+            )
+        if isinstance(self.expression, Difference):
+            result = self._build_difference(*states, stamp)
+        else:
+            state = states[0]
+            if isinstance(self.expression, Aggregate):
+                state = self._redo.execute({"members": state}, stamp).relation
+            result = EvalResult(
+                state, INFINITY, IntervalSet.from_onwards(stamp), stamp
+            )
+        #: base name -> (the plan its batch runs through, the state fed).
+        self._routes = {
+            base: (plan, state)
+            for plan, state in zip(self._plans, states)
+            for base in plan.expression.base_names()
+        }
+        #: States kept beside the result: (L, R), or an aggregate's child.
+        self._beside = [s for s in states if s is not result.relation]
+        #: How large a pending batch may grow (and, doubled, the state
+        #: before it is trimmed): the result's size when last trimmed.
+        self._room = max(len(result.relation), _MIN_BATCH)
+        return result
+
+    # -- recording and folding deltas -----------------------------------------
 
     def _on_insert(self, table, stored: ExpiringTuple) -> None:
         if self._stale:
             return  # a refresh is pending anyway
-        now = self.database.clock.now
-        if self._kind == "monotonic":
-            delta = self._delta(self.expression, table.name, stored, now)
-            for row, texp in delta.items():
-                self._state.insert(row, expires_at=texp)
-            self.delta_applications += 1
-            return
+        self._pending.setdefault(table.name, []).append(stored)
+        self._unfolded += 1
+        if self._unfolded > self._room:
+            # The batch outgrew the stored result: a refresh costs no more
+            # than folding it and nothing has to be held until then.
+            self._pending.clear()
+            self._stale = True
 
-        if self._kind == "difference":
-            assert isinstance(self.expression, Difference)
-            assert self._left_state is not None and self._right_state is not None
-            if table.name in self.expression.left.base_names():
-                delta = self._delta(self.expression.left, table.name, stored, now)
-                for row, left_texp in delta.items():
-                    self._left_state.insert(row, expires_at=left_texp)
-                    effective = self._left_state.expiration_of(row)
-                    right_texp = self._right_state.exp_at(now).expiration_or_none(row)
-                    if right_texp is None:
-                        self._state.insert(row, expires_at=effective)
-                    else:
-                        # Matched in R: hidden now; maybe re-appears later.
-                        self._state.delete(row)
-                        if right_texp < effective:
-                            self._patcher.add(Patch(row, right_texp, effective))
-            else:
-                delta = self._delta(self.expression.right, table.name, stored, now)
-                for row, right_texp in delta.items():
-                    self._right_state.insert(row, expires_at=right_texp)
-                    effective = self._right_state.expiration_of(row)
-                    left_texp = self._left_state.exp_at(now).expiration_or_none(row)
-                    if left_texp is None:
-                        continue
-                    # The new match hides the tuple (it may be visible now).
-                    self._state.delete(row)
-                    if effective < left_texp:
-                        self._patcher.add(Patch(row, effective, left_texp))
-            self.delta_applications += 1
-            return
+    def _catch_up(self, stamp: Timestamp) -> None:
+        difference = self._patcher is not None
+        aggregate = bool(self._beside) and not difference
+        rows: List[Row] = []  # the delta rows a side state took in
+        if self._unfolded:
+            pending, self._pending = self._pending, {}
+            self.delta_applications += self._unfolded
+            self._unfolded = 0
+            for base, batch in pending.items():
+                delta = self._fold(base, batch, stamp)
+                if self._beside:
+                    rows += delta.rows()
+        state = self._result.relation
+        if aggregate:
+            # The partitions to redo: those a delta row joined, and those
+            # whose membership shrank (detected via expired child rows).
+            child, key = self._beside[0], self._key
+            redo = set(map(key, rows))
+            redo.update(key(row) for row, texp in child.items() if not stamp < texp)
+        if self._beside or len(state) > 2 * self._room:
+            # Side states are re-read below and must be current; a
+            # monotonic state (a join's can dwarf its inputs, and a fold
+            # costs only those) waits until it has doubled, or for a read.
+            self._trim(stamp)
+        if difference:
+            # A due patch is re-derived like a delta row, not trusted: a
+            # later right-side insert may have renewed the match it waited
+            # out (and queued its own patch then).
+            due = self._patcher.due_patches(stamp)
+            self.patches_applied += len(due)
+            self.database.statistics.view_patches_applied += len(due)
+            for row in rows + [patch.row for patch in due]:
+                self._place(row)
+        elif aggregate and redo:
+            # Result rows embed the full child row, so the grouping
+            # attributes sit at the same positions.
+            for row in [row for row in state.rows() if key(row) in redo]:
+                state.delete(row)
+            members = {r: texp for r, texp in child.items() if key(r) in redo}
+            members = Relation._from_trusted(child.schema, members)
+            state.bulk_load(
+                self._redo.execute({"members": members}, stamp).relation.items()
+            )
 
-        # aggregate
-        assert isinstance(self.expression, Aggregate)
-        assert self._child_state is not None
-        delta = self._delta(self.expression.child, table.name, stored, now)
-        touched: Set[Tuple] = set()
-        for row, texp in delta.items():
-            self._child_state.insert(row, expires_at=texp)
-            touched.add(self._partition_key(row))
-        for key in touched:
-            self._reaggregate_partition(key, now)
-        self.delta_applications += 1
+    def _trim(self, stamp: Timestamp) -> None:
+        state = self._result.relation
+        for relation in (state, *self._beside):
+            relation.purge_expired(stamp)
+        self._room = max(len(state), _MIN_BATCH)
 
-    def _delta(
-        self,
-        expression: Expression,
-        base_name: str,
-        stored: ExpiringTuple,
-        now: Timestamp,
+    def _visible(self, stamp: Timestamp) -> Relation:
+        if not self._beside:  # else catching up has trimmed already
+            self._trim(stamp)  # a read is O(result) anyway
+        return self._result.relation.copy()
+
+    def _fold(
+        self, base: str, batch: List[ExpiringTuple], stamp: Timestamp
     ) -> Relation:
-        """``e`` with ``base_name`` replaced by the singleton delta."""
-        singleton = Relation(self.database.table(base_name).schema)
-        singleton.insert(stored.row, expires_at=stored.expires_at)
+        """Merge ``e(catalog[base := batch])`` into the state it feeds."""
+        plan, target = self._routes[base]
+        database = self.database
+        delta_base = Relation(database.table(base).schema)
+        delta_base.bulk_load((stored.row, stored.expires_at) for stored in batch)
 
         def catalog(name: str) -> Relation:
-            if name == base_name:
-                return singleton
-            return self.database.table(name).relation
+            return delta_base if name == base else database.table(name).relation
 
-        return Evaluator(catalog, now).evaluate(expression).relation
+        delta = plan.execute(catalog, stamp).relation
+        target.bulk_load(delta.items())
+        return delta
 
-    def _on_delete(self, table, row: Row) -> None:
-        # Explicit deletes are rare in this model; fall back to refresh.
-        self._stale = True
-
-    # -- reading --------------------------------------------------------------------
-
-    def read(self, at: TimeLike = None) -> Relation:
-        """The view content at ``at``; always equals a fresh recomputation."""
-        stamp = self.database.clock.now if at is None else ts(at)
-        if stamp < self._last_read:
-            raise ViewError(f"incremental reads cannot go back in time ({stamp})")
-        self._last_read = stamp
-        if self._stale:
-            self._rebuild()
-        if self._kind == "difference":
-            self._apply_due_patches(stamp)
-            return self._state.exp_at(stamp)
-        if self._kind == "aggregate":
-            return self._read_aggregate(stamp)
-        return self._state.exp_at(stamp)
-
-    def contains(self, values, at: TimeLike = None) -> bool:
-        """Point-membership probe: is ``values`` in the view at ``at``?
-
-        Semantically ``values in read(at).rows()`` but without cloning the
-        state relation: after the same staleness handling as :meth:`read`,
-        membership is one stored-expiration lookup.  The hot path of a
-        served ``check()``.
-        """
-        stamp = self.database.clock.now if at is None else ts(at)
-        if stamp < self._last_read:
-            raise ViewError(f"incremental reads cannot go back in time ({stamp})")
-        self._last_read = stamp
-        row = make_row(values)
-        if self._stale:
-            self._rebuild()
-        if self._kind == "difference":
-            self._apply_due_patches(stamp)
-        elif self._kind == "aggregate":
-            return self._read_aggregate(stamp).contains(row)
-        texp = self._state.expiration_or_none(row)
-        return texp is not None and stamp < texp
-
-    def _apply_due_patches(self, stamp: Timestamp) -> None:
-        assert self._right_state is not None
-        for patch in self._patcher.due_patches(stamp):
-            if not stamp < patch.expires_at:
-                continue
-            # The patch was computed against the right state at queue time;
-            # a later right-side insert may have extended the match.
-            right_texp = self._right_state.exp_at(stamp).expiration_or_none(patch.row)
-            if right_texp is None:
-                self._state.insert(patch.row, expires_at=patch.expires_at)
-            elif right_texp < patch.expires_at:
-                self._patcher.add(Patch(patch.row, right_texp, patch.expires_at))
-
-    def _read_aggregate(self, stamp: Timestamp) -> Relation:
-        # Partitions whose membership shrank since materialisation need
-        # re-aggregation; detect them via expired child rows.
-        assert self._child_state is not None
-        stale_keys = {
-            self._partition_key(row)
-            for row, texp in self._child_state.items()
-            if texp <= stamp
-        }
-        if stale_keys:
-            visible_child = self._child_state.exp_at(stamp)
-            for key in stale_keys:
-                self._reaggregate_partition(key, stamp)
-            self._child_state = visible_child
-        return self._state.exp_at(stamp)
-
-    def __repr__(self) -> str:
-        return (
-            f"IncrementalView({self.name!r}, kind={self._kind}, "
-            f"deltas={self.delta_applications}, refreshes={self.refreshes})"
-        )
+    def _place(self, row: Row) -> None:
+        """Re-derive one row of ``L − R`` from the two (trimmed) side states."""
+        left = self._beside[0].expiration_or_none(row)
+        if left is None:
+            return
+        right = self._beside[1].expiration_or_none(row)
+        state = self._result.relation
+        if right is None:
+            state.insert(row, expires_at=left)
+        else:
+            # Matched in R: hidden now; re-appears if it outlives the match.
+            state.delete(row)
+            if right < left:
+                self._patcher.add(Patch(row, right, left))

@@ -2,7 +2,7 @@
 
 The paper's central systems idea: materialise query results once, then
 maintain them *as independently of the base relations as possible*, in
-synchrony purely through expiration times.
+synchrony purely through expiration times (Section 3).
 
 * A **monotonic** view (Theorem 1) is maintenance-free forever: reads just
   apply ``exp_τ`` to the stored result.  No policy needed, no base access.
@@ -17,7 +17,14 @@ synchrony purely through expiration times.
     expressions over monotonic children: keep the helper priority queue
     and patch re-appearing tuples in; *never* recompute.
 
-Reads are counted so benches can report recomputations avoided.
+All of that assumes the bases change through expiration only: a base
+insert, explicit delete or ``override`` marks a :class:`MaterialisedView`
+stale and the next read refreshes it.  The subclass
+:class:`~repro.engine.maintenance.IncrementalView` (the paper's Section 5
+future work) folds inserts in instead.  Neither is constructed directly:
+:meth:`Database.materialise <repro.engine.database.Database.materialise>`
+is the one door, and picks the subclass for every monotonic base-linear
+expression and for :attr:`MaintenancePolicy.DELTA`.
 """
 
 from __future__ import annotations
@@ -30,8 +37,7 @@ from repro.core.algebra.expressions import Difference, Expression
 from repro.core.intervals import IntervalSet
 from repro.core.patching import DifferencePatcher, compute_difference_with_patches
 from repro.core.relation import Relation
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
-from repro.core.tuples import make_row
+from repro.core.timestamps import TimeLike, Timestamp, ts
 from repro.errors import StaleViewError, ViewError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
@@ -46,6 +52,9 @@ class MaintenancePolicy(enum.Enum):
     RECOMPUTE = "recompute"
     SCHRODINGER = "schrodinger"
     PATCH = "patch"
+    #: Fold base inserts in as deltas; for the shapes see
+    #: :func:`repro.engine.maintenance.supports_incremental`.
+    DELTA = "delta"
 
 
 class MaterialisedView:
@@ -55,6 +64,12 @@ class MaterialisedView:
     with :meth:`read`, which transparently hides all expiration handling,
     exactly as the paper prescribes for the querying user.
     """
+
+    #: Base rows recorded but not folded in yet (the insert-folding
+    #: subclass's business), and whether the state was patched or trimmed
+    #: forward, so that reads cannot go back in time.
+    _unfolded = 0
+    _forward_only = False
 
     def __init__(
         self,
@@ -69,13 +84,12 @@ class MaterialisedView:
         self.database = database
         self.policy = policy
         self.is_monotonic = expression.is_monotonic()
+        #: Full re-evaluations after the initial build.
         self.recomputations = 0
-        self.reads = 0
-        self.reads_from_materialisation = 0
         self.patches_applied = 0
-        self._patch_limit = patch_limit
+        #: The configured patch-queue bound (PATCH policy), or ``None``.
+        self.patch_limit = patch_limit
         self._result: Optional[EvalResult] = None
-        self._patch_state: Optional[Relation] = None
         self._patcher: Optional[DifferencePatcher] = None
         self._last_read = database.clock.now
         #: Set by base-table listeners on inserts / explicit deletes; the
@@ -85,8 +99,18 @@ class MaterialisedView:
         #: the server's subscription layer hangs off this to learn that
         #: shipped state may have drifted without polling every view.
         self.refresh_listeners: list = []
-        self._subscribed_tables: list = []
-        if policy is MaintenancePolicy.PATCH and not self._patchable():
+        # The two read counters, bound once: a point probe is too short to
+        # pay the statistics object's property round trips.
+        counters = database.statistics._counters
+        self._count_read = counters["view_reads"].labels().inc
+        self._count_served = (
+            counters["view_reads_from_materialisation"].labels().inc
+        )
+        if policy is MaintenancePolicy.PATCH and not (
+            isinstance(expression, Difference)
+            and expression.left.is_monotonic()
+            and expression.right.is_monotonic()
+        ):
             raise ViewError(
                 f"view {name!r}: the PATCH policy needs a difference of "
                 f"monotonic sub-expressions at the root (Theorem 3)"
@@ -95,46 +119,38 @@ class MaterialisedView:
             table = database.table(base)
             table.insert_listeners.append(self._on_base_mutation)
             table.delete_listeners.append(self._on_base_mutation)
-            self._subscribed_tables.append(table)
         # The initial materialisation is not a *re*-computation; benches
         # count only the maintenance work after this point, so it goes
-        # uncounted rather than being counted and rolled back (counters
-        # are monotone).
+        # uncounted rather than counted and rolled back (counters are
+        # monotone).
         self._materialise(database.clock.now)
 
-    @property
-    def patch_limit(self) -> Optional[int]:
-        """The configured patch-queue bound (PATCH policy), or ``None``."""
-        return self._patch_limit
-
     def _on_base_mutation(self, table, payload) -> None:
+        # Insert listeners are handed the stored ExpiringTuple; delete
+        # listeners (explicit deletes and overrides) the bare row.
+        if type(payload) is tuple:
+            self._stale = True
+        else:
+            self._on_insert(table, payload)
+
+    def _on_insert(self, table, stored) -> None:
         self._stale = True
 
     def _unsubscribe(self) -> None:
         """Detach the base-table listeners (called on ``drop_view``)."""
-        for table in self._subscribed_tables:
-            if self._on_base_mutation in table.insert_listeners:
-                table.insert_listeners.remove(self._on_base_mutation)
-            if self._on_base_mutation in table.delete_listeners:
-                table.delete_listeners.remove(self._on_base_mutation)
-        self._subscribed_tables = []
-
-    def _patchable(self) -> bool:
-        return (
-            isinstance(self.expression, Difference)
-            and self.expression.left.is_monotonic()
-            and self.expression.right.is_monotonic()
-        )
+        for base in self.expression.base_names():
+            table = self.database.table(base)  # pinned while the view lives
+            table.insert_listeners.remove(self._on_base_mutation)
+            table.delete_listeners.remove(self._on_base_mutation)
 
     # -- materialisation ------------------------------------------------------
 
     def refresh(self, at: TimeLike = None) -> None:
         """(Re-)materialise from the base relations at ``at`` (default now).
 
-        Evaluation goes through :meth:`Database.evaluate`, so refreshes use
-        the database's configured engine -- under the default compiled
-        engine, a refresh cycle compiles each view expression once and can
-        serve repeat refreshes straight from the validity-aware plan cache.
+        Evaluation goes through :meth:`Database.evaluate`, so a refresh
+        cycle compiles each view expression once and can serve repeat
+        refreshes straight from the validity-aware plan cache.
         """
         stamp = self.database.clock.now if at is None else ts(at)
         self._materialise(stamp)
@@ -146,57 +162,56 @@ class MaterialisedView:
         with self.database.tracer.span(
             "view_refresh", view=self.name, policy=self.policy.value
         ) as span:
-            if self.policy is MaintenancePolicy.PATCH:
-                assert isinstance(self.expression, Difference)
-                # Theorem 3 in one pass: the anti-semijoin that computes the
-                # difference gathers the helper queue for free, and its
-                # output *is* exp_τ(L) −exp exp_τ(R) -- no second evaluation
-                # of the whole Difference.
-                left = self.database.evaluate(self.expression.left, at=stamp).relation
-                right = self.database.evaluate(self.expression.right, at=stamp).relation
-                self._patch_state, self._patcher = compute_difference_with_patches(
-                    left, right, tau=stamp, limit=self._patch_limit
-                )
-                validity = IntervalSet.from_onwards(stamp)
-                horizon = self._patcher.guaranteed_until
-                if horizon.is_finite:
-                    validity = validity - IntervalSet.from_onwards(horizon)
-                self._result = EvalResult(
-                    relation=self._patch_state,
-                    expiration=horizon,
-                    validity=validity,
-                    tau=stamp,
-                )
-            else:
-                self._result = self.database.evaluate(self.expression, at=stamp)
+            self._result = self._build(stamp)
             span.note(rows=len(self._result.relation))
         self._stale = False
         self._last_read = stamp
         for listener in self.refresh_listeners:
             listener(self)
 
+    def _build(self, stamp: Timestamp) -> EvalResult:
+        """Evaluate the stored result from the bases at ``stamp``."""
+        node = self.expression
+        if self.policy is not MaintenancePolicy.PATCH:
+            return self.database.evaluate(node, at=stamp)
+        return self._build_difference(
+            self.database.evaluate(node.left, at=stamp).relation,
+            self.database.evaluate(node.right, at=stamp).relation,
+            stamp,
+        )
+
+    def _build_difference(
+        self, left: Relation, right: Relation, stamp: Timestamp
+    ) -> EvalResult:
+        # Theorem 3 in one pass: the anti-semijoin that computes the
+        # difference gathers the helper queue for free, and its output
+        # *is* exp_τ(L) −exp exp_τ(R) -- no second evaluation of the whole
+        # Difference.
+        state, self._patcher = compute_difference_with_patches(
+            left, right, tau=stamp, limit=self.patch_limit
+        )
+        self._forward_only = True
+        validity = IntervalSet.from_onwards(stamp)
+        horizon = self._patcher.guaranteed_until
+        if horizon.is_finite:
+            validity = validity - IntervalSet.from_onwards(horizon)
+        return EvalResult(state, horizon, validity, stamp)
+
     @property
     def expiration(self) -> Timestamp:
-        """``texp(e)`` of the current materialisation (``∞`` for PATCH)."""
-        if self.policy is MaintenancePolicy.PATCH and self._patcher is not None:
-            return self._patcher.guaranteed_until
-        assert self._result is not None
+        """``texp(e)`` of the current materialisation (``∞`` when patched)."""
         return self._result.expiration
 
     @property
     def validity(self):
         """The Schrödinger validity set ``I(e)`` of the materialisation."""
-        assert self._result is not None
         return self._result.validity
 
     @property
     def storage_size(self) -> int:
-        """Materialised tuples (plus pending patches under PATCH)."""
-        assert self._result is not None
-        size = len(self._result.relation)
-        if self._patcher is not None and self._patch_state is not None:
-            size = len(self._patch_state) + len(self._patcher)
-        return size
+        """Materialised tuples (plus pending patches when patched)."""
+        patches = len(self._patcher) if self._patcher is not None else 0
+        return len(self._result.relation) + patches
 
     # -- reading ------------------------------------------------------------------
 
@@ -207,45 +222,12 @@ class MaterialisedView:
         they expire, and the policy decides when base access is needed.
         """
         stamp = self.database.clock.now if at is None else ts(at)
-        self.reads += 1
-        self.database.statistics.view_reads += 1
-        assert self._result is not None
+        self._count_read()
         with self.database.tracer.span(
             "view_read", view=self.name, policy=self.policy.value
         ) as span:
-            if self._stale:
-                # A base table saw an insert or explicit delete since the
-                # materialisation: expiration alone no longer models the
-                # drift (this holds for monotonic views too -- Theorem 1
-                # assumes the bases change through expiration only).
-                span.note(decision="refresh_stale")
-                self.refresh(stamp)
-                return self._serve(self._result.relation, stamp, fresh=True)
-
-            if self.is_monotonic:
-                # Theorem 1: the materialisation is valid forever.
-                span.note(decision="materialised")
-                return self._serve(self._result.relation, stamp)
-
-            if self.policy is MaintenancePolicy.PATCH:
-                span.note(decision="patch")
-                return self._read_patched(stamp)
-
-            if self.policy is MaintenancePolicy.RECOMPUTE:
-                if stamp < self._result.expiration:
-                    span.note(decision="materialised")
-                    return self._serve(self._result.relation, stamp)
-                span.note(decision="recompute")
-                self.refresh(stamp)
-                return self._serve(self._result.relation, stamp, fresh=True)
-
-            # SCHRODINGER: exact validity intervals.
-            if self._result.validity.contains(stamp):
-                span.note(decision="materialised")
-                return self._serve(self._result.relation, stamp)
-            span.note(decision="recompute")
-            self.refresh(stamp)
-            return self._serve(self._result.relation, stamp, fresh=True)
+            span.note(decision=self._bring_current(stamp))
+            return self._visible(stamp)
 
     def contains(self, values, at: TimeLike = None) -> bool:
         """Point-membership probe: is ``values`` in the view at ``at``?
@@ -258,91 +240,92 @@ class MaterialisedView:
         correct purely by expiration.
         """
         stamp = self.database.clock.now if at is None else ts(at)
-        row = make_row(values)
-        self.reads += 1
-        self.database.statistics.view_reads += 1
-        assert self._result is not None
-        fresh = False
-        if self._stale:
-            self.refresh(stamp)
-            fresh = True
-        elif self.policy is MaintenancePolicy.PATCH and not self.is_monotonic:
-            # Patches can re-introduce rows; apply the due ones first.
-            return self._read_patched(stamp).contains(row)
-        elif not self.is_monotonic:
-            if self.policy is MaintenancePolicy.RECOMPUTE:
-                if not stamp < self._result.expiration:
-                    self.refresh(stamp)
-                    fresh = True
-            elif not self._result.validity.contains(stamp):
-                self.refresh(stamp)
-                fresh = True
-        if not fresh:
-            self.reads_from_materialisation += 1
-            self.database.statistics.view_reads_from_materialisation += 1
-        texp = self._result.relation.expiration_or_none(row)
+        self._count_read()
+        if self.is_monotonic and not self._stale and not self._unfolded:
+            self._count_served()  # Theorem 1, and nothing to fold
+        else:
+            self._bring_current(stamp)
+        texp = self._result.relation.expiration_or_none(values)
         return texp is not None and stamp < texp
 
-    def _serve(self, relation: Relation, stamp: Timestamp, fresh: bool = False) -> Relation:
-        if not fresh:
-            self.reads_from_materialisation += 1
-            self.database.statistics.view_reads_from_materialisation += 1
-        self._last_read = stamp
-        return relation.exp_at(stamp)
-
-    def _audit_serveable(self, stamp: Timestamp) -> Optional[Relation]:
-        """What a :meth:`read` at ``stamp`` would serve *from storage*.
-
-        Side-effect-free twin of :meth:`read` for the invariant checker:
-        returns the relation the materialisation (plus pending patches,
-        under PATCH) would yield, or ``None`` whenever a real read would
-        refresh or raise instead of serving -- those cases audit nothing.
-        """
-        if self._result is None or self._stale:
-            return None
+    def _standing(self, stamp: Timestamp) -> str:
+        """How a read at ``stamp`` is answered; decides, changes nothing."""
+        result = self._result
+        if self._stale:
+            # A base table changed by something other than expiration
+            # since the materialisation (this holds for monotonic views
+            # too -- Theorem 1 assumes the bases only ever expire).
+            return "refresh_stale"
         if self.is_monotonic:
-            return self._result.relation.exp_at(stamp)
-        if self.policy is MaintenancePolicy.PATCH:
-            assert self._patcher is not None and self._patch_state is not None
-            if stamp < self._last_read or not self._patcher.guaranteed_until > stamp:
-                return None
-            state = self._patch_state.copy()
-            for patch in self._patcher.pending():
-                if patch.due <= stamp < patch.expires_at:
-                    state.insert(patch.row, expires_at=patch.expires_at)
-            return state.exp_at(stamp)
+            return "materialised"  # Theorem 1: valid forever
+        if self._patcher is not None:
+            return "patch" if self._patcher.guaranteed_until > stamp else "truncated"
         if self.policy is MaintenancePolicy.RECOMPUTE:
-            if stamp < self._result.expiration:
-                return self._result.relation.exp_at(stamp)
-            return None
-        # SCHRODINGER
-        if self._result.validity.contains(stamp):
-            return self._result.relation.exp_at(stamp)
-        return None
+            valid = stamp < result.expiration
+        else:  # exact validity intervals (a folded aggregate's are [τ, ∞))
+            valid = result.validity.contains(stamp)
+        return "materialised" if valid else "recompute"
 
-    def _read_patched(self, stamp: Timestamp) -> Relation:
-        assert self._patcher is not None and self._patch_state is not None
-        if stamp < self._last_read:
+    def _bring_current(self, stamp: Timestamp) -> str:
+        """Make the stored relation exact at ``stamp``; names the decision."""
+        if self._forward_only and stamp < self._last_read:
             raise ViewError(
-                f"view {self.name!r}: patched reads cannot go back in time "
-                f"({stamp} < {self._last_read})"
+                f"view {self.name!r}: patched and folded reads cannot go "
+                f"back in time ({stamp} < {self._last_read})"
             )
-        if not self._patcher.guaranteed_until > stamp:
+        if not self._stale and (self._unfolded or stamp != self._last_read):
+            self._catch_up(stamp)  # something to fold, or time has moved
+        decision = self._standing(stamp)
+        if decision == "truncated":
             raise StaleViewError(
                 f"view {self.name!r}: patch queue was truncated; the "
                 f"materialisation is only guaranteed before "
                 f"{self._patcher.guaranteed_until}"
             )
-        applied = self._patcher.apply_to(self._patch_state, stamp)
-        self.patches_applied += applied
-        self.database.statistics.view_patches_applied += applied
-        self.reads_from_materialisation += 1
-        self.database.statistics.view_reads_from_materialisation += 1
+        if decision in ("refresh_stale", "recompute"):
+            self.refresh(stamp)
+        else:
+            if decision == "patch":
+                applied = self._patcher.apply_to(self._result.relation, stamp)
+                self.patches_applied += applied
+                self.database.statistics.view_patches_applied += applied
+            self._count_served()
         self._last_read = stamp
-        return self._patch_state.exp_at(stamp)
+        return decision
+
+    def _catch_up(self, stamp: Timestamp) -> None:
+        """Hook: fold recorded base inserts in (nothing to do here)."""
+
+    def _visible(self, stamp: Timestamp) -> Relation:
+        return self._result.relation.exp_at(stamp)
+
+    def _audit_serveable(self, stamp: Timestamp) -> Optional[Relation]:
+        """What a :meth:`read` at ``stamp`` would serve *from storage*.
+
+        Twin of :meth:`read` for the invariant checker: returns the
+        relation the materialisation (plus due patches) would yield, or
+        ``None`` whenever a real read would refresh or raise instead of
+        serving -- those cases audit nothing.  Recorded inserts are folded
+        first (a fold changes no answer); beyond that nothing is mutated.
+        """
+        if self._result is None or self._stale or (
+            self._forward_only and stamp < self._last_read
+        ):
+            return None
+        self._catch_up(stamp)
+        decision = self._standing(stamp)
+        relation = self._result.relation
+        if decision == "patch":
+            relation = relation.copy()
+            for patch in self._patcher.pending():
+                if patch.due <= stamp < patch.expires_at:
+                    relation.insert(patch.row, expires_at=patch.expires_at)
+        elif decision != "materialised":
+            return None
+        return relation.exp_at(stamp)
 
     def __repr__(self) -> str:
         return (
-            f"MaterialisedView({self.name!r}, policy={self.policy.value}, "
+            f"{type(self).__name__}({self.name!r}, policy={self.policy.value}, "
             f"monotonic={self.is_monotonic}, expiration={self.expiration})"
         )

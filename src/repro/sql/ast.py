@@ -16,7 +16,12 @@ dialect surfaces expiration times, matching the paper's design)::
         [ORDER BY col [ASC|DESC], ...] [LIMIT n]
         [WITH STRATEGY name]
         [{UNION | EXCEPT | INTERSECT} SELECT ...]* ;
-    CREATE MATERIALIZED VIEW name AS query [WITH POLICY name] ;
+    CREATE MATERIALIZED VIEW name AS query
+        [WITH POLICY {RECOMPUTE | SCHRODINGER | PATCH | DELTA}] ;
+        -- a monotonic query (σ/π/⋈ naming each table once) folds base
+        -- inserts whatever the policy; DELTA asks for the same on
+        -- ``a EXCEPT b`` over disjoint tables (a GROUP BY query plans as
+        -- π over the aggregate, which does not fold yet: ViewError)
     DROP TABLE name ;   DROP VIEW name ;
     SHOW TABLES ;       SHOW VIEWS ;
     DESCRIBE name ;     EXPLAIN [ANALYZE] query ;
@@ -259,7 +264,7 @@ class DeleteStatement(Statement):
 class CreateView(Statement):
     name: str
     query: QueryNode
-    policy: Optional[str] = None  # "recompute" | "patch" | "schrodinger"
+    policy: Optional[str] = None  # a MaintenancePolicy value, lower-case
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,6 @@ from repro.sql.planner import plan_query
 
 __all__ = ["SqlResult", "execute_sql", "execute_script", "execute_statement"]
 
-_POLICIES = {
-    "recompute": MaintenancePolicy.RECOMPUTE,
-    "patch": MaintenancePolicy.PATCH,
-    "schrodinger": MaintenancePolicy.SCHRODINGER,
-}
 
 
 @dataclass
@@ -245,7 +240,7 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
 
     if isinstance(statement, CreateView):
         expression = plan_query(statement.query, _source_resolver(db))
-        policy = _POLICIES[statement.policy] if statement.policy else MaintenancePolicy.SCHRODINGER
+        policy = MaintenancePolicy(statement.policy or "schrodinger")
         db.materialise(statement.name, expression, policy=policy)
         return SqlResult(
             kind="create_view",

@@ -246,7 +246,9 @@ class _Parser:
             policy = None
             if self._accept_keyword("WITH"):
                 self._expect_keyword("POLICY")
-                policy_token = self._expect_keyword("RECOMPUTE", "PATCH", "SCHRODINGER")
+                policy_token = self._expect_keyword(
+                    "RECOMPUTE", "PATCH", "SCHRODINGER", "DELTA"
+                )
                 policy = policy_token.value.lower()
             return CreateView(name=name, query=query, policy=policy)
         if self._peek().is_keyword("VIEW"):

@@ -34,6 +34,7 @@ KEYWORDS = frozenset(
         "COUNT",
         "CREATE",
         "DELETE",
+        "DELTA",
         "DESC",
         "DESCRIBE",
         "DROP",

@@ -32,14 +32,17 @@ revocation (a :meth:`~repro.engine.table.Table.override` to ``now``) is
 never served after it commits.  The hierarchy paths are served from
 materialised views probed point-wise (``contains``):
 
-* two :class:`~repro.engine.maintenance.IncrementalView`\\ s (role chain,
-  group chain) -- monotonic join trees, so Theorem 1 makes them
-  maintenance-free under pure expiration, and membership *inserts*
-  propagate in O(delta); only an explicit revocation marks them stale;
-* one registered :class:`~repro.engine.views.MaterialisedView` over a
-  *semijoin chain* (``RoleGrants ⋉ GroupRoles ⋉ GroupMembers``) listing
+* the role chain and the group chain -- monotonic join trees, so
+  Theorem 1 makes them maintenance-free under pure expiration, and
+  ``Database.materialise`` builds them as insert-folding views
+  (:mod:`repro.engine.maintenance`): membership *inserts* are folded in
+  as deltas; only an explicit revocation marks them stale;
+* a *semijoin chain* (``RoleGrants ⋉ GroupRoles ⋉ GroupMembers``) listing
   the role grants currently backed by at least one live member -- the
-  admin's "what is in force" view, audited by ``verify(deep=True)``.
+  admin's "what is in force" view.
+
+All three are registered views: snapshotted, logged, droppable,
+``subscribe``-able and audited by ``verify(deep=True)``.
 
 Renewal versus revocation is the asymmetry this workload foregrounds:
 ``refresh_token`` is the paper's max-merge re-insert (it can only ever
@@ -57,7 +60,6 @@ from repro.core.algebra.expressions import BaseRef
 from repro.core.schema import Schema
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
-from repro.engine.maintenance import IncrementalView
 
 __all__ = [
     "GRANT_SCHEMA",
@@ -181,28 +183,44 @@ class AuthzStore:
             layout=layout, removal_policy=RemovalPolicy.LAZY,
             lazy_batch_size=4096,
         )
-        # Hierarchy resolution is lazy: the incremental views are built on
-        # the first probe that needs them, so bulk seeding pays one full
-        # evaluation instead of a per-insert delta each (each delta scans
-        # the *other* join inputs -- O(n^2) across a seeding loop).  Once
-        # built, membership inserts propagate in O(delta); revocations
-        # mark them stale and the next probe rebuilds (renew-cheap,
+        # Hierarchy resolution: three registered, monotonic views, which
+        # ``materialise`` therefore builds insert-folding.  Membership
+        # inserts are folded in at the next probe, a seeding burst that
+        # outgrows the stored result costs one refresh, and revocations
+        # mark them stale so the next probe rebuilds (renew-cheap,
         # revoke-rare).
-        self._role_view: Optional[IncrementalView] = None
-        self._group_view: Optional[IncrementalView] = None
+        def view(name, expression):
+            # A store over a recovered database attaches to its views too.
+            if name in db.view_names():
+                return db.view(name)
+            return db.materialise(name, expression)
+
+        #: The member->grant join view.
+        self.role_view = view(
+            "authz_role_grants",
+            BaseRef("Members")
+            .join(BaseRef("RoleGrants"), on=[("role", "holder")])
+            .project("member", "relation", "object"),
+        )
+        #: The member->group->role->grant chain view.
+        self.group_view = view(
+            "authz_group_grants",
+            BaseRef("GroupMembers")
+            .join(BaseRef("GroupRoles"), on=[("grp", "team")])
+            .join(BaseRef("RoleGrants"), on=[("role_name", "holder")])
+            .project("member", "relation", "object"),
+        )
         # The admin's "in force" listing: role grants whose role is backed
-        # by at least one live member via the group chain -- a semijoin
-        # chain, registered so ``verify(deep=True)`` audits it.
-        if "authz_live_group_grants" not in db.view_names():
-            db.materialise(
-                "authz_live_group_grants",
-                BaseRef("RoleGrants").semijoin(
-                    BaseRef("GroupRoles").semijoin(
-                        BaseRef("GroupMembers"), on=[("team", "grp")]
-                    ),
-                    on=[("holder", "role_name")],
+        # by at least one live member via the group chain (a semijoin chain).
+        view(
+            "authz_live_group_grants",
+            BaseRef("RoleGrants").semijoin(
+                BaseRef("GroupRoles").semijoin(
+                    BaseRef("GroupMembers"), on=[("team", "grp")]
                 ),
-            )
+                on=[("holder", "role_name")],
+            ),
+        )
         self._audit_seq = 0
         self._checks, self._check_seconds, self._writes = (
             declare_authz_families(db.metrics)
@@ -210,37 +228,10 @@ class AuthzStore:
 
     # -- the hot path -------------------------------------------------------
 
-    @property
-    def role_view(self) -> IncrementalView:
-        """The member->grant join view, built on first use."""
-        if self._role_view is None:
-            self._role_view = IncrementalView(
-                self.database,
-                "authz_role_grants",
-                BaseRef("Members")
-                .join(BaseRef("RoleGrants"), on=[("role", "holder")])
-                .project("member", "relation", "object"),
-            )
-        return self._role_view
-
-    @property
-    def group_view(self) -> IncrementalView:
-        """The member->group->role->grant chain view, built on first use."""
-        if self._group_view is None:
-            self._group_view = IncrementalView(
-                self.database,
-                "authz_group_grants",
-                BaseRef("GroupMembers")
-                .join(BaseRef("GroupRoles"), on=[("grp", "team")])
-                .join(BaseRef("RoleGrants"), on=[("role_name", "holder")])
-                .project("member", "relation", "object"),
-            )
-        return self._group_view
-
     def warm_views(self) -> None:
-        """Force-build the hierarchy views (call after bulk seeding)."""
-        self.role_view
-        self.group_view
+        """Bring the hierarchy views current (call after bulk seeding)."""
+        self.role_view.read()
+        self.group_view.read()
 
     def _alive(self, table, row: tuple) -> bool:
         """One stored-expiration probe: is ``row`` unexpired right now?"""

@@ -14,7 +14,7 @@ import pytest
 from repro.core.timestamps import FOREVER, ts
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
-from repro.engine.maintenance import IncrementalView
+from repro.engine.views import MaintenancePolicy
 from repro.engine.recovery import recover_database
 from repro.errors import EngineError, RelationError
 
@@ -154,8 +154,8 @@ class TestViewsObserveRevocation:
         right = db.create_table("R", ["c", "d"])
         from repro.core.algebra.expressions import BaseRef
 
-        view = IncrementalView(
-            db, "J",
+        view = db.materialise(
+            "J",
             BaseRef("L").join(BaseRef("R"), on=[("b", "c")]).project("a", "d"),
         )
         left.insert((1, 10), ttl=100)
@@ -225,7 +225,7 @@ class TestPointProbes:
         table = make_table(db)
         from repro.core.algebra.expressions import BaseRef
 
-        view = IncrementalView(db, "V", BaseRef("T").project("k", "v"))
+        view = db.materialise("V", BaseRef("T").project("k", "v"))
         table.insert((1, 1), expires_at=10)  # O(delta) propagation
         assert view.contains((1, 1))
         assert not view.contains((1, 1), at=10)
@@ -254,7 +254,7 @@ class TestViewsObserveShortening:
         table = make_table(db)
         table.insert((1, 1), ttl=100)
         table.insert((2, 2), ttl=100)
-        view = IncrementalView(db, "V", BaseRef("T").project("k"))
+        view = db.materialise("V", BaseRef("T").project("k"))
         assert set(view.read().rows()) == {(1,), (2,)}
         table.override((2, 2), expires_at=5)  # shorten, still alive
         db.advance_to(4)
@@ -268,7 +268,7 @@ class TestViewsObserveShortening:
         db.create_table("L", ["a", "b"])
         db.create_table("R2", ["a", "b"])
         expr = db.table_expr("L").difference(db.table_expr("R2"))
-        view = IncrementalView(db, "V", expr)
+        view = db.materialise("V", expr, policy=MaintenancePolicy.DELTA)
         db.table("L").insert((1, 1), ttl=100)
         db.table("R2").insert((1, 1), ttl=50)  # knocks the tuple out
         assert set(view.read().rows()) == set()
@@ -288,7 +288,7 @@ class TestViewsObserveShortening:
             group_by=[2], function="count",
             strategy=ExpirationStrategy.EXACT,
         )
-        view = IncrementalView(db, "V", expr)
+        view = db.materialise("V", expr, policy=MaintenancePolicy.DELTA)
         db.table("G").insert((1, 7), ttl=100)
         db.table("G").insert((2, 7), ttl=100)
         assert set(view.read().rows()) == {(1, 7, 2), (2, 7, 2)}

@@ -18,7 +18,6 @@ from repro.distributed import (
 )
 from repro.engine.constraints import CheckConstraint, KeyConstraint
 from repro.engine.database import Database
-from repro.engine.maintenance import IncrementalView
 from repro.engine.persistence import database_from_dict, database_to_dict
 from repro.engine.views import MaintenancePolicy
 from repro.core.algebra.predicates import col
@@ -154,7 +153,7 @@ class TestNewsServiceStory:
     def test_incremental_view_with_live_sql_traffic(self, service):
         db = service
         expr = db.table_expr("Pol").difference(db.table_expr("El"))
-        view = IncrementalView(db, "live_watch", expr)
+        view = db.materialise("live_watch", expr, policy=MaintenancePolicy.DELTA)
         db.sql("INSERT INTO Pol VALUES (7, 45) EXPIRES AT 70")
         db.sql("INSERT INTO El VALUES (7, 45) EXPIRES AT 30")
         # note: El rows are (uid, deg); the difference matches whole rows,

@@ -29,3 +29,21 @@ def test_importing_the_package_pulls_in_no_third_party_module():
         env=env, check=True, capture_output=True, text=True,
     ).stdout
     assert json.loads(output) == []
+
+
+def test_no_engine_module_imports_the_reference_interpreter():
+    """``repro.engine`` runs compiled plans only; the row-at-a-time
+    ``Evaluator`` is constructed by ``repro.check``, ``repro.baselines``
+    and ``core/`` helpers (``EvalResult`` / ``EvalStats`` are data, and
+    fine)."""
+    import ast
+
+    engine = Path(__file__).resolve().parents[1] / "src" / "repro" / "engine"
+    offenders = []
+    for path in sorted(engine.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+                if "Evaluator" in names:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -108,3 +108,23 @@ class TestQuickstartFlow:
         db.advance_to(10)
         assert sorted(view.read().rows()) == [(25,)]
         assert view.recomputations == 0
+
+
+class TestOneDoorForViews:
+    def test_incremental_view_is_not_a_public_constructor(self):
+        """``Database.materialise`` is the only way a view comes to exist;
+        what left the package surface with PR 22, and what stayed."""
+        import repro.engine
+        from repro.engine.maintenance import IncrementalView
+        from repro.engine.views import MaterialisedView
+
+        assert "IncrementalView" not in repro.__all__
+        assert "IncrementalView" not in repro.engine.__all__
+        assert not hasattr(repro, "IncrementalView")
+        assert issubclass(IncrementalView, MaterialisedView)
+        # Still public: the shape test and the policy enum (one value more).
+        assert "supports_incremental" in repro.engine.__all__
+        assert "MaintenancePolicy" in repro.__all__
+        assert [p.name for p in repro.MaintenancePolicy] == [
+            "RECOMPUTE", "SCHRODINGER", "PATCH", "DELTA",
+        ]

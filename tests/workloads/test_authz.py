@@ -55,12 +55,12 @@ class TestHierarchy:
     def test_incremental_views_absorb_membership_inserts(self, store):
         store.grant_role("editor", "write", "doc", ttl=100)
         store.warm_views()
-        before = store.role_view.refreshes
+        before = store.role_view.recomputations
         for m in range(10):
             store.assign_role(f"m{m}", "editor", ttl=100)
             assert store.check(f"m{m}", "write", "doc")
         # The hot loop was absorbed as deltas, not rebuilds.
-        assert store.role_view.refreshes == before
+        assert store.role_view.recomputations == before
         assert store.role_view.delta_applications >= 10
 
     def test_semijoin_admin_view_lists_live_grants(self, store):
@@ -137,6 +137,52 @@ class TestRevocationDurability:
         assert recovered.check("bob", "read", "doc")
         assert recovered.database.verify(strict=True, deep=True) == []
         recovered.database.close()
+
+
+class TestHierarchyViewsAreRegistered:
+    def _seeded(self):
+        store = AuthzStore(partitions=2)
+        for i in range(40):
+            store.grant(f"u{i}", "read", f"d{i}", ttl=500)
+            store.assign_role(f"u{i}", f"role{i % 5}", ttl=500)
+            store.join_group(f"u{i}", f"team{i % 4}", ttl=500)
+        for r in range(5):
+            store.grant_role(f"role{r}", "write", f"d{r}", ttl=500)
+        for t in range(4):
+            store.map_group_role(f"team{t}", f"role{t}", ttl=500)
+        store.revoke_role("u3", "role3")
+        store.leave_group("u7", "team3")
+        return store
+
+    def test_snapshot_round_trip_answers_the_same_checks(self, tmp_path):
+        from repro.engine.persistence import load_database, save_database
+
+        store = self._seeded()
+        save_database(store.database, tmp_path / "authz.json")
+        restored = AuthzStore(load_database(tmp_path / "authz.json"), partitions=2)
+        assert {"authz_role_grants", "authz_group_grants",
+                "authz_live_group_grants"} <= set(restored.database.view_names())
+        probes = [
+            (f"u{i}", relation, f"d{j}")
+            for i in range(20) for relation in ("read", "write") for j in range(5)
+        ]
+        assert len(probes) == 200
+        answers = [store.check(*probe) for probe in probes]
+        assert any(answers) and not all(answers)
+        assert [restored.check(*probe) for probe in probes] == answers
+        assert restored.database.verify(strict=True, deep=True) == []
+
+    def test_views_are_audited_subscribable_and_droppable(self):
+        store = self._seeded()
+        db = store.database
+        assert store.role_view is db.view("authz_role_grants")
+        assert db.verify(strict=True, deep=True) == []
+        session = db.session()
+        sub = session.subscribe("authz_group_grants")
+        assert ("u1", "write", "d1") in set(sub.read())
+        session.close()
+        db.drop_view("authz_group_grants")
+        assert "authz_group_grants" not in db.view_names()
 
 
 class TestMetrics:
