@@ -94,13 +94,13 @@ import math
 import os
 import random
 import shutil
-import struct
 import tempfile
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.codec import HEADER
 from repro.core.algebra.expressions import BaseRef
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
@@ -520,7 +520,7 @@ class _Harness:
             with open(log_path, "ab") as handle:
                 # A header promising 96 payload bytes of which only a few
                 # reached disk before the "power went out".
-                handle.write(struct.pack(">II", 96, 0) + b"interrupted")
+                handle.write(HEADER.pack(96, 0) + b"interrupted")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the torn-tail warning is the point
             self.db = recover_database(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from repro.codec import decode_items, encode_items
 from repro.core.aggregates import ExpirationStrategy
 from repro.core.algebra.expressions import (
     Aggregate,
@@ -48,7 +49,6 @@ from repro.core.algebra.predicates import (
 )
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import ts
 from repro.errors import AlgebraError
 
 __all__ = [
@@ -120,10 +120,6 @@ def predicate_from_dict(data: Dict[str, Any]) -> Predicate:
 # -- expressions ------------------------------------------------------------------
 
 
-def _texp_to_json(texp) -> Any:
-    return None if texp.is_infinite else texp.value
-
-
 def expression_to_dict(expression: Expression) -> Dict[str, Any]:
     """Serialise an expression tree (Literal relations included inline)."""
     if isinstance(expression, BaseRef):
@@ -133,9 +129,7 @@ def expression_to_dict(expression: Expression) -> Dict[str, Any]:
         return {
             "kind": "literal",
             "schema": list(relation.schema.names),
-            "rows": [
-                [list(row), _texp_to_json(texp)] for row, texp in relation.items()
-            ],
+            "rows": encode_items(relation.items()),
         }
     if isinstance(expression, Select):
         return {
@@ -201,8 +195,8 @@ def expression_from_dict(data: Dict[str, Any]) -> Expression:
         return BaseRef(data["name"])
     if kind == "literal":
         relation = Relation(Schema(data["schema"]))
-        for values, texp in data["rows"]:
-            relation.insert(tuple(values), expires_at=ts(texp))
+        for row, texp in decode_items(data["rows"]):
+            relation.insert(row, expires_at=texp)
         return Literal(relation)
     if kind == "select":
         return Select(

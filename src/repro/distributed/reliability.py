@@ -19,6 +19,9 @@ Components:
 
 * :class:`RetryPolicy` -- exponential backoff with deterministic jitter
   and a max-attempts cap; pure (no hidden state beyond a seeded RNG).
+  Defined, like :class:`SessionStats`, beside its production user in
+  :mod:`repro.server.session` (the simulator imports the served engine's
+  core, never the reverse) and re-exported here.
 * :class:`ReliableSender` -- wraps payloads in sequence-numbered
   :class:`Envelope`\\ s, schedules retransmissions on the simulation's
   :class:`EventQueue`, cancels expired or superseded ones, and retires
@@ -40,7 +43,8 @@ from typing import Callable, Dict, Optional, Set, Tuple
 from repro.core.timestamps import TimeLike, Timestamp, ts
 from repro.distributed.events import EventQueue
 from repro.distributed.protocols import Ack, Envelope, Message
-from repro.errors import ProtocolError, SimulationError
+from repro.errors import ProtocolError
+from repro.server.session import RetryPolicy, SessionStats
 
 __all__ = [
     "RetryPolicy",
@@ -52,86 +56,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with jitter, capped delay, and capped attempts.
-
-    The first retransmission of an envelope fires ``base_delay`` ticks
-    after the original send (plus jitter); each subsequent one multiplies
-    the delay by ``multiplier`` up to ``max_delay``.  After
-    ``max_attempts`` retransmissions the sender gives up (the envelope is
-    counted as abandoned; anti-entropy is then the only repair path).
-    """
-
-    base_delay: int = 4
-    multiplier: float = 2.0
-    max_delay: int = 64
-    jitter: int = 2
-    max_attempts: int = 8
-
-    def __post_init__(self) -> None:
-        if self.base_delay < 1:
-            raise SimulationError(f"base_delay must be >= 1, got {self.base_delay}")
-        if self.multiplier < 1.0:
-            raise SimulationError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.max_delay < self.base_delay:
-            raise SimulationError("max_delay must be >= base_delay")
-        if self.jitter < 0:
-            raise SimulationError(f"jitter must be non-negative, got {self.jitter}")
-        if self.max_attempts < 1:
-            raise SimulationError(f"max_attempts must be >= 1, got {self.max_attempts}")
-
-    def delay(self, attempt: int, rng: random.Random) -> int:
-        """Ticks to wait before retransmission number ``attempt`` (0-based)."""
-        delay = self.base_delay * (self.multiplier ** attempt)
-        delay = min(int(delay), self.max_delay)
-        if self.jitter:
-            delay += rng.randint(0, self.jitter)
-        return delay
-
-    def max_total_delay(self) -> int:
-        """Upper bound on the whole retry schedule (for simulation horizons)."""
-        total = 0
-        for attempt in range(self.max_attempts + 1):
-            delay = self.base_delay * (self.multiplier ** attempt)
-            total += min(int(delay), self.max_delay) + self.jitter
-        return total
-
-
-@dataclass(frozen=True)
 class ReliabilityConfig:
     """Session-layer knobs a simulation accepts as one object."""
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     seed: int = 0
-
-
-class SessionStats:
-    """Counters for one reliable session (sender + receiver side)."""
-
-    def __init__(self) -> None:
-        self.sent = 0
-        self.acked = 0
-        self.retransmissions = 0
-        self.retransmissions_avoided = 0
-        self.cells_avoided = 0
-        self.superseded = 0
-        self.abandoned = 0
-        self.acks_sent = 0
-        self.duplicates_dropped = 0
-
-    def as_dict(self) -> dict:
-        """All counters by name, for reports."""
-        return {
-            "sent": self.sent,
-            "acked": self.acked,
-            "retransmissions": self.retransmissions,
-            "retransmissions_avoided": self.retransmissions_avoided,
-            "cells_avoided": self.cells_avoided,
-            "superseded": self.superseded,
-            "abandoned": self.abandoned,
-            "acks_sent": self.acks_sent,
-            "duplicates_dropped": self.duplicates_dropped,
-        }
 
 
 class _PendingEntry:

@@ -7,7 +7,8 @@
 * materialised views with the Section-3 maintenance policies;
 * expiration processing driven by clock advances (eager tables) or
   explicit vacuuming (lazy tables);
-* algebra evaluation and a SQL front door (:meth:`Database.sql`).
+* algebra evaluation and a SQL front door (:func:`repro.sql.execute_sql`,
+  or a :meth:`Database.session`).
 
 Time never passes implicitly: call :meth:`advance_to` / :meth:`tick`.
 This determinism is what lets the test suite state the paper's theorems as
@@ -16,12 +17,11 @@ exact assertions.
 
 from __future__ import annotations
 
-import json
 import time
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
+from repro.codec import read_json
 from repro.core.algebra.evaluator import EvalResult, EvalStats
 from repro.core.algebra.expressions import BaseRef, Expression
 from repro.core.algebra.plan_cache import PlanCache
@@ -72,10 +72,6 @@ _ENGINE_LABEL = "compiled"
 #: Sentinel distinguishing "keyword not passed" from an explicit value, so
 #: the legacy keywords can override ``config`` fields only when given.
 _UNSET: Any = object()
-
-# The Session surface (repro.connect) is the blessed client entry point;
-# direct ad-hoc Database.sql() keeps working but nudges once per process.
-_sql_deprecation_warned = False
 
 
 class Database:
@@ -608,7 +604,7 @@ class Database:
             raise WalError("cannot compact while a transaction is applying")
         base_rows = set()
         if self.wal.snapshot_path.exists():
-            data = json.loads(self.wal.snapshot_path.read_text())
+            data = read_json(self.wal.snapshot_path)
             for spec in data.get("tables", ()):
                 for values, _ in spec.get("rows", ()):
                     base_rows.add((spec["name"], tuple(values)))
@@ -620,32 +616,7 @@ class Database:
         """Begin a buffered transaction (see :class:`Transaction`)."""
         return Transaction(self)
 
-    # -- SQL ---------------------------------------------------------------------------
-
-    def sql(self, text: str):
-        """Execute a SQL statement (see :mod:`repro.sql` for the dialect).
-
-        .. deprecated:: 1.6
-           Ad-hoc ``Database.sql(...)`` remains supported, but the blessed
-           client surface is a session -- ``repro.connect(...)`` (or
-           :meth:`session`), whose ``execute()`` / ``query()`` /
-           ``subscribe()`` behave identically in-process and over a
-           socket.  A :class:`DeprecationWarning` is emitted once per
-           process.
-        """
-        global _sql_deprecation_warned
-        if not _sql_deprecation_warned:
-            _sql_deprecation_warned = True
-            warnings.warn(
-                "ad-hoc Database.sql(...) is deprecated in favour of the "
-                "session surface: repro.connect(...) / Database.session() "
-                "-> Session.execute()/query()/subscribe()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        from repro.sql import execute_sql
-
-        return execute_sql(self, text)
+    # -- sessions ----------------------------------------------------------------------
 
     def session(self):
         """A :class:`~repro.server.client.LocalSession` over this database.

@@ -8,10 +8,10 @@ limit).  Loading replays the snapshot into a fresh
 :class:`~repro.engine.database.Database`, re-materialising the views at
 the restored clock time.
 
-Snapshots are written *crash-safely*: :func:`save_database` writes to a
-temporary file in the target directory and atomically ``os.replace``\\ s it
-into place, so a crash mid-save can never leave a torn snapshot -- readers
-see either the old complete snapshot or the new complete snapshot.
+Snapshots are written *crash-safely*: :func:`save_database` goes through
+:func:`repro.codec.replace_file`, so a crash mid-save can never leave a
+torn snapshot -- readers see either the old complete snapshot or the new
+complete snapshot.
 
 Not captured (they hold Python callables): triggers, constraints, and
 incremental-view subscriptions -- re-register them after loading.  Values
@@ -22,13 +22,11 @@ the attribute domain every workload in this repository uses.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
+from repro.codec import decode_items, encode_items, read_json, replace_file
 from repro.core.algebra.serde import expression_from_dict, expression_to_dict
-from repro.core.timestamps import ts
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.table import Table
@@ -67,18 +65,14 @@ def table_spec(table: Table, include_rows: bool = True) -> Dict[str, Any]:
     if table.default_ttl is not None:
         spec["default_ttl"] = table.default_ttl
     if include_rows:
-        rows = []
-        for row, texp in table.relation.items():
-            for value in row:
+        spec["rows"] = rows = encode_items(table.relation.items())
+        for values, _ in rows:
+            for value in values:
                 if not isinstance(value, _JSON_SCALARS):
                     raise EngineError(
                         f"cannot snapshot non-JSON value {value!r} in "
                         f"table {table.name!r}"
                     )
-            rows.append(
-                [list(row), None if texp.is_infinite else texp.value]
-            )
-        spec["rows"] = rows
     return spec
 
 
@@ -126,9 +120,7 @@ def restore_table(db: Database, spec: Dict[str, Any]) -> Table:
         expiry=spec.get("expiry", "absolute"),
         default_ttl=spec.get("default_ttl"),
     )
-    table.bulk_load(
-        [(tuple(values), ts(texp)) for values, texp in spec.get("rows", ())]
-    )
+    table.bulk_load(decode_items(spec.get("rows", ())))
     return table
 
 
@@ -166,32 +158,15 @@ def database_from_dict(
 
 
 def save_database(db: Database, path: Union[str, Path]) -> None:
-    """Write a JSON snapshot to ``path`` atomically.
+    """Write a JSON snapshot to ``path`` atomically and durably.
 
-    The snapshot is serialised to a temporary file in the same directory
-    and moved into place with ``os.replace``, so a crash at any point
-    leaves either the previous snapshot or the new one -- never a torn
-    file.
+    A crash at any point leaves either the previous snapshot or the new
+    one -- never a torn file (:func:`repro.codec.replace_file`).
     """
-    path = Path(path)
     payload = json.dumps(database_to_dict(db), indent=1, sort_keys=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent or "."
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    replace_file(path, [payload.encode("utf-8")])
 
 
 def load_database(path: Union[str, Path]) -> Database:
     """Load a JSON snapshot from ``path``."""
-    return database_from_dict(json.loads(Path(path).read_text()))
+    return database_from_dict(read_json(path))

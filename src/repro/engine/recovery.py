@@ -46,20 +46,14 @@ without changing the outcome.
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.codec import decode_exp, decode_prev, read_json
 from repro.engine.database import Database
-from repro.engine.wal import (
-    WalRecord,
-    WriteAheadLog,
-    declare_wal_families,
-    decode_exp,
-    decode_prev,
-)
+from repro.engine.wal import WriteAheadLog, declare_wal_families
 from repro.errors import RecoveryError
 from repro.obs.registry import MetricsRegistry
 
@@ -95,11 +89,11 @@ class RecoveryReport:
         )
 
 
-def _final_time(db: Database, records: List[WalRecord]) -> int:
+def _final_time(db: Database, records: List[Dict[str, Any]]) -> int:
     """The clock value recovery will end at (snapshot time or last advance)."""
     final = db.now.value
     for record in records:
-        if record.kind == "clock" and record["now"] > final:
+        if record["kind"] == "clock" and record["now"] > final:
             final = record["now"]
     return final
 
@@ -131,7 +125,10 @@ class _PhysicalBatch:
 
 
 def _replay_physical(
-    db: Database, record: WalRecord, final_time: int, batch: _PhysicalBatch
+    db: Database,
+    record: Dict[str, Any],
+    final_time: int,
+    batch: _PhysicalBatch,
 ) -> bool:
     """Buffer one upsert/remove; returns True if skipped-as-expired.
 
@@ -145,7 +142,7 @@ def _replay_physical(
         # (checkpoint-race replay); the drop supersedes it.
         return False
     row = tuple(record["row"])
-    if record.kind == "remove":
+    if record["kind"] == "remove":
         batch.add(record["table"], row, None)
         return False
     texp = decode_exp(record["texp"])
@@ -161,7 +158,7 @@ def _replay_physical(
 
 def _rollback_open_transactions(
     db: Database,
-    open_txns: "Dict[int, List[WalRecord]]",
+    open_txns: Dict[int, List[Dict[str, Any]]],
 ) -> int:
     """Undo every unbracketed transaction's records, newest first."""
     undone = 0
@@ -172,7 +169,7 @@ def _rollback_open_transactions(
             table = db.table(record["table"])
             row = tuple(record["row"])
             previous = decode_prev(record["prev"])
-            if record.kind == "upsert":
+            if record["kind"] == "upsert":
                 table.undo_insert(row, previous)
             else:
                 # ``remove`` records always have a concrete previous state
@@ -227,8 +224,8 @@ def recover_database(
     snapshot_data: Optional[Dict[str, Any]] = None
     if wal.snapshot_path.exists():
         try:
-            snapshot_data = json.loads(wal.snapshot_path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
+            snapshot_data = read_json(wal.snapshot_path)
+        except (OSError, ValueError) as error:
             raise RecoveryError(
                 f"unreadable snapshot {wal.snapshot_path}: {error}"
             ) from error
@@ -254,10 +251,10 @@ def recover_database(
     lap("snapshot")
 
     final_time = _final_time(db, records)
-    open_txns: Dict[int, List[WalRecord]] = {}
+    open_txns: Dict[int, List[Dict[str, Any]]] = {}
     batch = _PhysicalBatch(db)
     for record in records:
-        kind = record.kind
+        kind = record["kind"]
         report.records_replayed += 1
         if kind in ("upsert", "remove"):
             skipped = _replay_physical(db, record, final_time, batch)

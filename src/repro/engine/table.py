@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
+from repro.codec import encode_exp, encode_prev
 from repro.core.columnar import ColumnarRelation
 from repro.core.relation import Relation
 from repro.core.schema import Schema
@@ -36,7 +37,6 @@ from repro.engine.expiration_index import ExpirationIndex, RemovalPolicy
 from repro.engine.partitioning import ShardedRelation
 from repro.engine.statistics import EngineStatistics
 from repro.engine.triggers import TriggerManager
-from repro.engine.wal import encode_exp, encode_prev
 from repro.errors import EngineError, RelationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard

@@ -11,18 +11,15 @@ short-lived-data log-compaction analysis of the paper's companion report
 Physical format
 ---------------
 
-The log is a single append-only file of *frames*::
-
-    +----------------+----------------+------------------+
-    | length (u32 BE)| crc32 (u32 BE) | payload (length) |
-    +----------------+----------------+------------------+
-
-The payload is one JSON object (compact separators, sorted keys) -- the
-same value domain the snapshot format already imposes.  A reader stops at
-the first frame whose header is short, whose payload is short, or whose
-CRC mismatches: everything before that point is trusted, everything from
+The log is a single append-only file of the frames :mod:`repro.codec`
+defines (length, CRC32, one compact JSON object -- the same value domain
+the snapshot format already imposes); that module's docstring has the
+format and says why this reader and the wire's disagree about a bad frame.
+This reader's side: it stops at the first frame that is incomplete or can
+never decode.  Everything before that point is trusted, everything from
 it on is a *torn tail* left by a crash mid-append and is truncated away by
-recovery (warn-and-truncate, never crash).
+recovery (warn-and-truncate, never crash).  :meth:`WriteAheadLog.append`
+refuses a record :func:`scan_log` would not read back.
 
 Logical records (the ``kind`` field of each payload):
 
@@ -56,7 +53,7 @@ Compaction
 ----------
 
 :meth:`WriteAheadLog.compact` rewrites the log in place (atomically, via
-a temp file and ``os.replace``) keeping only what recovery still needs:
+:func:`repro.codec.replace_file`) keeping only what recovery still needs:
 
 * the final physical record per ``(table, row)`` -- earlier records are
   *superseded*;
@@ -80,30 +77,21 @@ Metrics land in the ``repro_wal_*`` families
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 import warnings
-import zlib
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from repro.core.timestamps import Timestamp, ts
+from repro.codec import FrameError, decode_frame, encode_frame, replace_file
 from repro.errors import WalError
 
 __all__ = [
     "FSYNC_POLICIES",
-    "WalRecord",
     "WriteAheadLog",
     "declare_wal_families",
-    "decode_exp",
-    "decode_prev",
-    "encode_exp",
-    "encode_prev",
     "scan_log",
 ]
 
-_HEADER = struct.Struct(">II")  # (payload length, crc32)
 #: Sanity bound on a single frame; a length field beyond this is treated
 #: as torn-tail garbage rather than an allocation request.
 _MAX_FRAME = 64 * 1024 * 1024
@@ -179,44 +167,9 @@ def declare_wal_families(registry):
     }
 
 
-class WalRecord(dict):
-    """One decoded log record: a dict with attribute sugar for ``kind``."""
-
-    @property
-    def kind(self) -> str:
-        return self["kind"]
-
-
-def encode_exp(stamp: Timestamp) -> Optional[int]:
-    """JSON encoding of an expiration: ``None`` = never expires."""
-    return None if stamp.is_infinite else stamp.value
-
-
-def decode_exp(value: Optional[int]) -> Timestamp:
-    return ts(value)
-
-
-def encode_prev(stamp: Optional[Timestamp]) -> Union[str, int, None]:
-    """JSON encoding of a row's *previous* state: ``"absent"`` = no row."""
-    if stamp is None:
-        return "absent"
-    return encode_exp(stamp)
-
-
-def decode_prev(value: Union[str, int, None]) -> Optional[Timestamp]:
-    if value == "absent":
-        return None
-    return ts(value)
-
-
-def _encode_frame(payload: Dict[str, Any]) -> bytes:
-    body = json.dumps(
-        payload, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
-    return _HEADER.pack(len(body), zlib.crc32(body)) + body
-
-
-def scan_log(path: Union[str, Path]) -> Tuple[List[WalRecord], int, bool]:
+def scan_log(
+    path: Union[str, Path],
+) -> Tuple[List[Dict[str, Any]], int, bool]:
     """Decode every trustworthy frame in ``path``.
 
     Returns ``(records, valid_length, torn)``: the decoded records, the
@@ -229,29 +182,15 @@ def scan_log(path: Union[str, Path]) -> Tuple[List[WalRecord], int, bool]:
     if not path.exists():
         return [], 0, False
     blob = path.read_bytes()
-    records: List[WalRecord] = []
+    records: List[Dict[str, Any]] = []
     offset = 0
-    total = len(blob)
-    while offset + _HEADER.size <= total:
-        length, crc = _HEADER.unpack_from(blob, offset)
-        if length > _MAX_FRAME:
-            return records, offset, True
-        start = offset + _HEADER.size
-        end = start + length
-        if end > total:
-            return records, offset, True  # torn payload
-        body = blob[start:end]
-        if zlib.crc32(body) != crc:
-            return records, offset, True  # corrupt frame
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return records, offset, True
-        if not isinstance(payload, dict) or "kind" not in payload:
-            return records, offset, True
-        records.append(WalRecord(payload))
-        offset = end
-    return records, offset, offset != total
+    try:
+        while decoded := decode_frame(blob, offset, _MAX_FRAME):
+            record, offset = decoded
+            records.append(record)
+    except FrameError:
+        pass  # garbage is a torn tail too: stop at the last good boundary
+    return records, offset, offset != len(blob)
 
 
 class WriteAheadLog:
@@ -289,9 +228,9 @@ class WriteAheadLog:
         #: is, and is what the first :meth:`records` call hands over.
         #: Anything that rewrites the records on disk (append, reset,
         #: compact) drops it.
-        self._opening_scan: Optional[Tuple[List[WalRecord], int, bool]] = (
-            scan_log(self.log_path)
-        )
+        self._opening_scan: Optional[
+            Tuple[List[Dict[str, Any]], int, bool]
+        ] = scan_log(self.log_path)
         #: Monotone transaction-id source for this process's appends.
         #: Continues past any txn id already in the log so recovery can
         #: never confuse a pre-crash transaction with a post-recovery one.
@@ -310,7 +249,7 @@ class WriteAheadLog:
     def snapshot_path(self) -> Path:
         return self.directory / self.SNAPSHOT_NAME
 
-    def _scan(self) -> Tuple[List[WalRecord], int, bool]:
+    def _scan(self) -> Tuple[List[Dict[str, Any]], int, bool]:
         """The opening scan while it still describes the file, else a new one."""
         if self._opening_scan is not None:
             return self._opening_scan
@@ -331,8 +270,14 @@ class WriteAheadLog:
         """
         if self._file.closed:
             raise WalError("write-ahead log is closed")
-        payload = {"kind": kind, **fields}
-        frame = _encode_frame(payload)
+        try:
+            frame = encode_frame({"kind": kind, **fields}, _MAX_FRAME)
+        except FrameError as error:
+            # scan_log would read it back as a torn tail and recovery would
+            # truncate it together with every record behind it.
+            raise WalError(
+                f"refusing to log a {kind!r} record: {error}"
+            ) from None
         self._opening_scan = None
         self._file.write(frame)
         self._file.flush()
@@ -369,7 +314,7 @@ class WriteAheadLog:
 
     # -- reading -----------------------------------------------------------
 
-    def records(self) -> List[WalRecord]:
+    def records(self) -> List[Dict[str, Any]]:
         """Every trustworthy record currently in the segment.
 
         The first call on an unchanged log is handed the opening scan's
@@ -474,7 +419,7 @@ class WriteAheadLog:
         for i, record in enumerate(records):
             kind = record["kind"]
             if kind in DDL_KINDS:
-                kept.append(dict(record))
+                kept.append(record)
                 stats["kept"] += 1
                 continue
             if kind == "clock" or kind in TXN_KINDS:
@@ -519,14 +464,12 @@ class WriteAheadLog:
         kept.append({"kind": "clock", "now": now})
         stats["kept"] += 1
 
-        tmp = self.log_path.with_name(self.log_path.name + ".compact.tmp")
-        with open(tmp, "wb") as fh:
-            for payload in kept:
-                fh.write(_encode_frame(payload))
-            fh.flush()
-            os.fsync(fh.fileno())
+        # Replace first: a failed rewrite must leave the log appendable.
+        replace_file(
+            self.log_path,
+            (encode_frame(payload, _MAX_FRAME) for payload in kept),
+        )
         self._file.close()
-        os.replace(tmp, self.log_path)
         self._file = open(self.log_path, "ab")
 
         if self._families is not None:

@@ -18,7 +18,7 @@ Quick start::
     db = Database()
     ...
     print(db.metrics.to_prom_text())      # every family, Prometheus format
-    db.sql("EXPLAIN ANALYZE SELECT ...")  # span tree with per-operator rows
+    db.session().execute("EXPLAIN ANALYZE SELECT ...")  # per-operator spans
 """
 
 from repro.obs.registry import (

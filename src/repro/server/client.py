@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.codec import decode_exp, decode_items
 from repro.core.timestamps import Timestamp, ts
 from repro.engine.config import DatabaseConfig
 from repro.engine.database import Database
@@ -40,8 +41,6 @@ from repro.errors import RemoteError, SessionError, WireProtocolError
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
-    decode_exp,
-    decode_items,
     encode_frame,
     read_frame,
     write_frame,
@@ -110,26 +109,6 @@ def _result_from_sql(result: SqlResult, db: Database) -> Result:
         names=tuple(result.names),
         now=db.clock.now,
         data_version=db.catalog_version,
-    )
-
-
-def _result_from_payload(payload: dict) -> Result:
-    rows = None
-    items = None
-    if "rows" in payload:
-        rows = [tuple(row) for row in payload["rows"]]
-    if "items" in payload:
-        items = decode_items(payload["items"])
-    return Result(
-        kind=payload.get("result_kind", ""),
-        message=payload.get("message", ""),
-        columns=tuple(payload.get("columns", ())),
-        rows=rows,
-        items=items,
-        rowcount=payload.get("rowcount", 0),
-        names=tuple(payload.get("names", ())),
-        now=decode_exp(payload.get("now")) if payload.get("now") is not None else ts(0),
-        data_version=payload.get("data_version", 0),
     )
 
 
@@ -363,7 +342,9 @@ class _WireSubscription(Subscription):
 
 
 class _WireSessionState:
-    """Push handling shared by the sync and async wire sessions."""
+    """The reply and push vocabulary of both wire sessions: plain functions
+    of frames already received.  The two classes add only their transport
+    (how a frame is sent and how the next one is awaited)."""
 
     def __init__(self) -> None:
         self.token: Optional[str] = None
@@ -372,6 +353,76 @@ class _WireSessionState:
         self.data_version = 0
         self.subscriptions: Dict[int, _WireSubscription] = {}
         self._ids = itertools.count(1)
+        self.closed = False
+        self.resumed = False
+
+    def _hello(
+        self, resume: Optional[str], acks: Optional[dict] = None
+    ) -> dict:
+        """The ``hello`` request; with ``resume``, the delivery state too."""
+        hello: dict = {
+            "kind": "hello",
+            "id": next(self._ids),
+            "version": PROTOCOL_VERSION,
+        }
+        if resume is not None:
+            hello["resume"] = resume
+            hello["acks"] = self._ack_state() if acks is None else acks
+        return hello
+
+    def _checked(
+        self, reply: dict, message: str = "", error: str = "ReproError"
+    ) -> dict:
+        """``reply`` with its time noted, or the ``RemoteError`` it carries."""
+        if reply.get("kind") == "error":
+            raise RemoteError(
+                reply.get("message", message), reply.get("error", error)
+            )
+        self._note_time(reply)
+        return reply
+
+    def _adopt_hello(self, reply: dict) -> None:
+        """Take the session identity from ``hello-ok`` (or fail for good)."""
+        if reply.get("kind") == "error":
+            self.closed = True
+        self._checked(reply, "hello rejected", "ServerError")
+        self.token = reply["session"]
+        self.resumed = bool(reply.get("resumed"))
+        self.data_version = reply.get("data_version", self.data_version)
+
+    def _result(self, reply: dict) -> Result:
+        """A ``result`` frame as the transport-independent :class:`Result`."""
+        self.data_version = reply.get("data_version", self.data_version)
+        rows = None
+        items = None
+        if "rows" in reply:
+            rows = [tuple(row) for row in reply["rows"]]
+        if "items" in reply:
+            items = decode_items(reply["items"])
+        now = reply.get("now")
+        return Result(
+            kind=reply.get("result_kind", ""),
+            message=reply.get("message", ""),
+            columns=tuple(reply.get("columns", ())),
+            rows=rows,
+            items=items,
+            rowcount=reply.get("rowcount", 0),
+            names=tuple(reply.get("names", ())),
+            now=ts(0) if now is None else decode_exp(now),
+            data_version=reply.get("data_version", 0),
+        )
+
+    def _open_subscription(self, reply: dict, view: str) -> _WireSubscription:
+        """A ``sub-ok`` frame as a registered subscription at its snapshot."""
+        sub = _WireSubscription(
+            self,
+            int(reply["sub"]),
+            reply.get("view", view),
+            tuple(reply.get("columns", ())),
+        )
+        sub.apply_snapshot(reply)
+        self.subscriptions[sub.sub_id] = sub
+        return sub
 
     def _note_time(self, frame: dict) -> None:
         raw = frame.get("now")
@@ -432,8 +483,6 @@ class NetworkSession(Session, _WireSessionState):
         self._sock: Optional[socket.socket] = None
         self._decoder = FrameDecoder()
         self._inbox: List[dict] = []
-        self.closed = False
-        self.resumed = False
         self._connect(resume=None)
 
     # -- transport -----------------------------------------------------------
@@ -443,26 +492,9 @@ class NetworkSession(Session, _WireSessionState):
             (self.host, self.port), timeout=self.timeout
         )
         self._decoder = FrameDecoder()
-        hello: dict = {
-            "kind": "hello",
-            "id": next(self._ids),
-            "version": PROTOCOL_VERSION,
-        }
-        if resume is not None:
-            hello["resume"] = resume
-            hello["acks"] = self._ack_state()
+        hello = self._hello(resume)
         self._send(hello)
-        reply = self._await_reply(hello["id"])
-        if reply.get("kind") == "error":
-            self.closed = True
-            raise RemoteError(
-                reply.get("message", "hello rejected"),
-                reply.get("error", "ServerError"),
-            )
-        self.token = reply["session"]
-        self.resumed = bool(reply.get("resumed"))
-        self._note_time(reply)
-        self.data_version = reply.get("data_version", self.data_version)
+        self._adopt_hello(self._await_reply(hello["id"]))
 
     def _send(self, payload: dict) -> None:
         assert self._sock is not None
@@ -499,13 +531,7 @@ class NetworkSession(Session, _WireSessionState):
         rid = next(self._ids)
         payload["id"] = rid
         self._send(payload)
-        reply = self._await_reply(rid)
-        if reply.get("kind") == "error":
-            raise RemoteError(
-                reply.get("message", ""), reply.get("error", "ReproError")
-            )
-        self._note_time(reply)
-        return reply
+        return self._checked(self._await_reply(rid))
 
     def poll(self, timeout: float = 0.0) -> int:
         """Absorb queued pushes without issuing a request.
@@ -540,27 +566,14 @@ class NetworkSession(Session, _WireSessionState):
     # -- the session surface -------------------------------------------------
 
     def execute(self, text: str) -> Result:
-        reply = self._rpc({"kind": "sql", "text": text})
-        result = _result_from_payload(reply)
-        self.data_version = reply.get("data_version", self.data_version)
-        return result
+        return self._result(self._rpc({"kind": "sql", "text": text}))
 
     def query(self, text: str) -> Result:
-        reply = self._rpc({"kind": "query", "text": text})
-        result = _result_from_payload(reply)
-        self.data_version = reply.get("data_version", self.data_version)
-        return result
+        return self._result(self._rpc({"kind": "query", "text": text}))
 
     def subscribe(self, view: str) -> _WireSubscription:
         reply = self._rpc({"kind": "subscribe", "view": view})
-        sub = _WireSubscription(
-            self,
-            int(reply["sub"]),
-            reply.get("view", view),
-            tuple(reply.get("columns", ())),
-        )
-        sub.apply_snapshot(reply)
-        self.subscriptions[sub.sub_id] = sub
+        sub = self._open_subscription(reply, view)
         self._send(sub.ack_payload())
         return sub
 
@@ -628,8 +641,6 @@ class AsyncSession(_WireSessionState):
         super().__init__()
         self._reader = reader
         self._writer = writer
-        self.closed = False
-        self.resumed = False
 
     @classmethod
     async def open(cls, host: str, port: int, resume: Optional[str] = None,
@@ -648,27 +659,10 @@ class AsyncSession(_WireSessionState):
     @classmethod
     async def _handshake(cls, reader, writer, resume, acks) -> "AsyncSession":
         session = cls(reader, writer)
-        hello: dict = {
-            "kind": "hello",
-            "id": next(session._ids),
-            "version": PROTOCOL_VERSION,
-        }
-        if resume is not None:
-            hello["resume"] = resume
-            hello["acks"] = acks or {}
+        hello = session._hello(resume, acks)
         write_frame(writer, hello)
         await writer.drain()
-        reply = await session._await_reply(hello["id"])
-        if reply.get("kind") == "error":
-            session.closed = True
-            raise RemoteError(
-                reply.get("message", "hello rejected"),
-                reply.get("error", "ServerError"),
-            )
-        session.token = reply["session"]
-        session.resumed = bool(reply.get("resumed"))
-        session._note_time(reply)
-        session.data_version = reply.get("data_version", 0)
+        session._adopt_hello(await session._await_reply(hello["id"]))
         return session
 
     async def _await_reply(self, rid: int) -> dict:
@@ -692,37 +686,20 @@ class AsyncSession(_WireSessionState):
         payload["id"] = rid
         write_frame(self._writer, payload)
         await self._writer.drain()
-        reply = await self._await_reply(rid)
-        if reply.get("kind") == "error":
-            raise RemoteError(
-                reply.get("message", ""), reply.get("error", "ReproError")
-            )
-        self._note_time(reply)
-        return reply
+        return self._checked(await self._await_reply(rid))
 
     async def execute(self, text: str) -> Result:
         """Run one SQL statement (any kind) and return its result."""
-        reply = await self._rpc({"kind": "sql", "text": text})
-        self.data_version = reply.get("data_version", self.data_version)
-        return _result_from_payload(reply)
+        return self._result(await self._rpc({"kind": "sql", "text": text}))
 
     async def query(self, text: str) -> Result:
         """Run one row-producing statement; the server refuses DDL/DML."""
-        reply = await self._rpc({"kind": "query", "text": text})
-        self.data_version = reply.get("data_version", self.data_version)
-        return _result_from_payload(reply)
+        return self._result(await self._rpc({"kind": "query", "text": text}))
 
     async def subscribe(self, view: str) -> _WireSubscription:
         """Open a client-side materialisation of the named view."""
         reply = await self._rpc({"kind": "subscribe", "view": view})
-        sub = _AsyncWireSubscription(
-            self,
-            int(reply["sub"]),
-            reply.get("view", view),
-            tuple(reply.get("columns", ())),
-        )
-        sub.apply_snapshot(reply)
-        self.subscriptions[sub.sub_id] = sub
+        sub = self._open_subscription(reply, view)
         write_frame(self._writer, sub.ack_payload())
         await self._writer.drain()
         return sub
@@ -785,10 +762,6 @@ class AsyncSession(_WireSessionState):
             "this subscription degraded to invalidate-and-refetch; "
             "await session.refetch(subscription) to restore it"
         )
-
-
-class _AsyncWireSubscription(_WireSubscription):
-    """Wire subscription whose lazy refetch must be awaited explicitly."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,17 @@
 """Wire framing and message vocabulary for the served engine.
 
-The physical format reuses the write-ahead log's framing discipline
-(:mod:`repro.engine.wal`) byte for byte::
+A connection carries the frames of :mod:`repro.codec` (length, CRC32, one
+compact JSON object with a ``kind``; that module's docstring has the format
+and says why the log's reader and this one disagree about a bad frame).
+This module holds the stream side of that disagreement: an *incomplete*
+frame -- bytes still in flight -- waits for more input, while a frame that
+can never decode means framing sync with the peer is lost, so
+:class:`FrameDecoder` and :func:`read_frame` raise the connection-fatal
+:class:`~repro.errors.WireProtocolError`.
 
-    +----------------+----------------+------------------+
-    | length (u32 BE)| crc32 (u32 BE) | payload (length) |
-    +----------------+----------------+------------------+
-
-with one JSON object per frame (compact separators, sorted keys).  The
-difference is the failure contract: a WAL reader truncates a torn tail and
-carries on, because everything before it is still trustworthy; a *stream*
-reader that sees a bad CRC or an absurd length has lost framing sync with
-its peer, and the only safe reaction is to drop the connection.
-:class:`FrameDecoder` therefore raises :class:`~repro.errors.WireProtocolError`
-(connection-fatal) on corruption, while an *incomplete* frame -- bytes
-still in flight -- simply waits for more input.
-
-Timestamps travel as the WAL encodes them: an integer tick, with ``None``
-for ``∞`` (:func:`~repro.engine.wal.encode_exp`).  Rows travel as JSON
-arrays and come back as tuples.
+Timestamps travel as an integer tick with ``None`` for ``∞``, relation
+content as ``[[...values], texp]`` pairs (:func:`repro.codec.encode_exp`,
+:func:`repro.codec.encode_items`).
 
 Message kinds (the ``kind`` field; requests carry ``id``, responses echo
 it as ``re``; subscription traffic carries ``sub``/``epoch``/``seq``):
@@ -53,12 +46,9 @@ server → client
 from __future__ import annotations
 
 import asyncio
-import json
-import struct
-import zlib
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.core.timestamps import Timestamp, ts
+from repro import codec
 from repro.errors import WireProtocolError
 
 __all__ = [
@@ -66,10 +56,6 @@ __all__ = [
     "MAX_FRAME",
     "FrameDecoder",
     "encode_frame",
-    "encode_items",
-    "decode_items",
-    "encode_exp",
-    "decode_exp",
     "read_frame",
     "write_frame",
 ]
@@ -77,44 +63,21 @@ __all__ = [
 #: Bumped on incompatible wire changes; ``hello`` negotiates equality.
 PROTOCOL_VERSION = 1
 
-_HEADER = struct.Struct(">II")  # (payload length, crc32) -- same as the WAL
-
 #: Connection-fatal bound on a single frame; a length beyond this is
 #: framing-desync garbage, not an allocation request.
 MAX_FRAME = 16 * 1024 * 1024
 
 
-def encode_exp(stamp: Timestamp) -> Optional[int]:
-    """JSON encoding of an expiration time: ``None`` = never expires."""
-    return None if stamp.is_infinite else stamp.value
-
-
-def decode_exp(value: Optional[int]) -> Timestamp:
-    """Inverse of :func:`encode_exp`."""
-    return ts(value)
-
-
-def encode_items(items: Iterable[Tuple[tuple, Timestamp]]) -> List[list]:
-    """``(row, texp)`` pairs as JSON: ``[[...values], texp_or_null]``."""
-    return [[list(row), encode_exp(texp)] for row, texp in items]
-
-
-def decode_items(payload: Iterable[list]) -> List[Tuple[tuple, Timestamp]]:
-    """Inverse of :func:`encode_items` (rows back to tuples)."""
-    return [(tuple(row), decode_exp(texp)) for row, texp in payload]
+def _fatal(error: codec.FrameError) -> WireProtocolError:
+    return WireProtocolError(f"{error}; framing sync lost")
 
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """One wire frame: header (length, CRC32) plus compact JSON payload."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode(
-        "utf-8"
-    )
-    if len(body) > MAX_FRAME:
-        raise WireProtocolError(
-            f"frame payload of {len(body)} bytes exceeds MAX_FRAME "
-            f"({MAX_FRAME})"
-        )
-    return _HEADER.pack(len(body), zlib.crc32(body)) + body
+    try:
+        return codec.encode_frame(payload, MAX_FRAME)
+    except codec.FrameError as error:
+        raise WireProtocolError(str(error)) from None
 
 
 class FrameDecoder:
@@ -144,35 +107,18 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
         """Absorb ``data``; return every frame completed by it."""
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer.extend(data)
         frames: List[Dict[str, Any]] = []
-        while len(self._buffer) >= _HEADER.size:
-            length, crc = _HEADER.unpack_from(self._buffer, 0)
-            if length > MAX_FRAME:
-                raise WireProtocolError(
-                    f"frame length {length} exceeds MAX_FRAME ({MAX_FRAME}); "
-                    f"framing sync lost"
-                )
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                break  # torn frame: wait for the remaining bytes
-            body = bytes(self._buffer[_HEADER.size:end])
-            del self._buffer[:end]
-            if zlib.crc32(body) != crc:
-                raise WireProtocolError(
-                    "frame CRC mismatch; framing sync lost"
-                )
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise WireProtocolError(
-                    f"frame payload is not valid JSON: {error}"
-                ) from None
-            if not isinstance(payload, dict) or "kind" not in payload:
-                raise WireProtocolError(
-                    f"frame payload is not a message object: {payload!r}"
-                )
-            frames.append(payload)
+        offset = 0
+        try:
+            # ``None`` is a torn frame: wait for the remaining bytes.
+            while decoded := codec.decode_frame(buffer, offset, MAX_FRAME):
+                payload, offset = decoded
+                frames.append(payload)
+        except codec.FrameError as error:
+            raise _fatal(error) from None
+        del buffer[:offset]
         return frames
 
 
@@ -184,35 +130,22 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     half-frame is indistinguishable from corruption.
     """
     try:
-        header = await reader.readexactly(_HEADER.size)
+        header = await reader.readexactly(codec.HEADER.size)
     except asyncio.IncompleteReadError as error:
         if not error.partial:
             return None  # clean EOF between frames
         raise WireProtocolError(
             f"connection closed mid-header ({len(error.partial)} bytes)"
         ) from None
-    length, crc = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise WireProtocolError(
-            f"frame length {length} exceeds MAX_FRAME ({MAX_FRAME}); "
-            f"framing sync lost"
-        )
     try:
-        body = await reader.readexactly(length)
+        # A header alone is "incomplete" unless its length is out of bounds.
+        codec.decode_frame(header, 0, MAX_FRAME)
+        body = await reader.readexactly(codec.HEADER.unpack(header)[0])
+        payload, _ = codec.decode_frame(header + body, 0, MAX_FRAME)
     except asyncio.IncompleteReadError:
         raise WireProtocolError("connection closed mid-frame") from None
-    if zlib.crc32(body) != crc:
-        raise WireProtocolError("frame CRC mismatch; framing sync lost")
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise WireProtocolError(
-            f"frame payload is not valid JSON: {error}"
-        ) from None
-    if not isinstance(payload, dict) or "kind" not in payload:
-        raise WireProtocolError(
-            f"frame payload is not a message object: {payload!r}"
-        )
+    except codec.FrameError as error:
+        raise _fatal(error) from None
     return payload
 
 

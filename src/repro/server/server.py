@@ -32,6 +32,7 @@ import asyncio
 import time
 from typing import Dict, Optional, Tuple
 
+from repro.codec import encode_exp, encode_items
 from repro.engine.config import DatabaseConfig
 from repro.engine.database import Database
 from repro.errors import (
@@ -40,16 +41,9 @@ from repro.errors import (
     SessionError,
     WireProtocolError,
 )
-from repro.distributed.reliability import RetryPolicy
 from repro.obs.registry import MetricsRegistry
-from repro.server.protocol import (
-    PROTOCOL_VERSION,
-    encode_exp,
-    encode_items,
-    read_frame,
-    write_frame,
-)
-from repro.server.session import ServerSession, diff_states
+from repro.server.protocol import PROTOCOL_VERSION, read_frame, write_frame
+from repro.server.session import RetryPolicy, ServerSession, diff_states
 from repro.sql.executor import SqlResult, execute_sql
 
 __all__ = ["ReproServer", "declare_server_families"]

@@ -44,26 +44,111 @@ are dead.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import OrderedDict, deque
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
-from repro.core.timestamps import INFINITY, Timestamp, ts_max
-from repro.distributed.reliability import RetryPolicy, SessionStats
+from repro.codec import decode_exp, encode_exp, encode_items
+from repro.core.timestamps import Timestamp, ts_max
 from repro.engine.views import MaterialisedView
-from repro.errors import SessionError
-from repro.server.protocol import encode_exp, encode_items
+from repro.errors import SessionError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only
     from repro.engine.database import Database
 
 __all__ = [
     "PendingPatch",
+    "RetryPolicy",
     "ServerSubscription",
     "ServerSession",
+    "SessionStats",
     "diff_states",
 ]
 
 _session_tokens = itertools.count(1)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Exponential backoff with jitter, capped delay, and capped attempts.
+
+    The first retransmission of an envelope fires ``base_delay`` after
+    the original send (plus jitter); each subsequent one multiplies the
+    delay by ``multiplier`` up to ``max_delay``.  After ``max_attempts``
+    retransmissions the sender gives up.
+
+    The two users read the delays in different units.  The simulator
+    (:mod:`repro.distributed.reliability`) reads logical **ticks** and,
+    on giving up, counts the envelope as abandoned (anti-entropy is then
+    the only repair path).  The server (:meth:`ServerSession.retransmit_due`)
+    reads wall-clock **seconds** and ignores ``jitter``: with the defaults
+    the first resend goes out 4 s after the original and the subscription
+    degrades to invalidate-and-refetch after about five minutes.
+    """
+
+    base_delay: int = 4
+    multiplier: float = 2.0
+    max_delay: int = 64
+    jitter: int = 2
+    max_attempts: int = 8
+
+    def __post_init__(self) -> None:
+        if self.base_delay < 1:
+            raise SimulationError(f"base_delay must be >= 1, got {self.base_delay}")
+        if self.multiplier < 1.0:
+            raise SimulationError(f"multiplier must be >= 1, got {self.multiplier}")
+        if self.max_delay < self.base_delay:
+            raise SimulationError("max_delay must be >= base_delay")
+        if self.jitter < 0:
+            raise SimulationError(f"jitter must be non-negative, got {self.jitter}")
+        if self.max_attempts < 1:
+            raise SimulationError(f"max_attempts must be >= 1, got {self.max_attempts}")
+
+    def delay(self, attempt: int, rng: random.Random) -> int:
+        """Ticks to wait before retransmission number ``attempt`` (0-based)."""
+        delay = self.base_delay * (self.multiplier ** attempt)
+        delay = min(int(delay), self.max_delay)
+        if self.jitter:
+            delay += rng.randint(0, self.jitter)
+        return delay
+
+    def max_total_delay(self) -> int:
+        """Upper bound on the whole retry schedule (for simulation horizons)."""
+        total = 0
+        for attempt in range(self.max_attempts + 1):
+            delay = self.base_delay * (self.multiplier ** attempt)
+            total += min(int(delay), self.max_delay) + self.jitter
+        return total
+
+
+class SessionStats:
+    """Counters for one reliable session (sender + receiver side)."""
+
+    def __init__(self) -> None:
+        self.sent = 0
+        self.acked = 0
+        self.retransmissions = 0
+        self.retransmissions_avoided = 0
+        self.cells_avoided = 0
+        self.superseded = 0
+        self.abandoned = 0
+        self.acks_sent = 0
+        self.duplicates_dropped = 0
+
+    def as_dict(self) -> dict:
+        """All counters by name, for reports."""
+        return {
+            "sent": self.sent,
+            "acked": self.acked,
+            "retransmissions": self.retransmissions,
+            "retransmissions_avoided": self.retransmissions_avoided,
+            "cells_avoided": self.cells_avoided,
+            "superseded": self.superseded,
+            "abandoned": self.abandoned,
+            "acks_sent": self.acks_sent,
+            "duplicates_dropped": self.duplicates_dropped,
+        }
 
 
 def diff_states(
@@ -350,7 +435,8 @@ class ServerSession:
             self.enqueue(notice)
             return notice
         entry = PendingPatch(
-            payload["seq"], payload, decode_expiry(payload), sent_at
+            payload["seq"], payload, decode_exp(payload.get("_expires")),
+            sent_at,
         )
         sub.pending[entry.seq] = entry
         self.stats.sent += 1
@@ -454,11 +540,3 @@ class ServerSession:
         for sub_id in list(self.subscriptions):
             self.unsubscribe(sub_id)
         self.outbox.clear()
-
-
-def decode_expiry(payload: dict) -> Timestamp:
-    """The envelope-level expiry a patch payload carries (``∞`` if none)."""
-    raw = payload.get("_expires")
-    if raw is None:
-        return INFINITY
-    return Timestamp(raw)

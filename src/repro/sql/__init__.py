@@ -15,8 +15,7 @@ maintenance policies, and logical-time control statements.
 >>> session.query("SELECT deg FROM Pol").rows
 [(25,)]
 
-(Ad-hoc ``Database.sql(...)`` still works but is deprecated in favour of
-the session surface, which behaves identically over a socket.)
+Without a session, :func:`execute_sql` runs one statement on a database.
 """
 
 from repro.sql.ast import Statement

@@ -17,6 +17,7 @@ from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.recovery import recover_database
 from repro.errors import EngineError
+from repro.sql import execute_sql
 
 
 def populated(db: Database, name: str, **kwargs) -> None:
@@ -43,18 +44,20 @@ class TestDdl:
 
     def test_sql_layout_clause(self):
         db = Database()
-        db.sql("CREATE TABLE pol (uid, deg) LAYOUT COLUMNAR")
+        execute_sql(db, "CREATE TABLE pol (uid, deg) LAYOUT COLUMNAR")
         assert db.table("pol").layout == "columnar"
-        described = db.sql("DESCRIBE pol").message
+        described = execute_sql(db, "DESCRIBE pol").message
         assert described.endswith("; layout=columnar")
 
     def test_sql_layout_and_partitioning_either_order(self):
         db = Database()
-        db.sql(
+        execute_sql(
+            db,
             "CREATE TABLE a (k, v) LAYOUT COLUMNAR "
             "PARTITION BY HASH (k) PARTITIONS 4"
         )
-        db.sql(
+        execute_sql(
+            db,
             "CREATE TABLE b (k, v) PARTITION BY HASH (k) PARTITIONS 4 "
             "LAYOUT COLUMNAR"
         )
@@ -110,10 +113,11 @@ class TestQuerying:
 
     def test_explain_analyze_shows_batch_spans(self):
         db = Database()
-        db.sql("CREATE TABLE pol (uid, deg) LAYOUT COLUMNAR")
-        db.sql("INSERT INTO pol VALUES (1, 25) EXPIRES AT 10")
-        db.sql("INSERT INTO pol VALUES (2, 35) EXPIRES AT 15")
-        message = db.sql(
+        execute_sql(db, "CREATE TABLE pol (uid, deg) LAYOUT COLUMNAR")
+        execute_sql(db, "INSERT INTO pol VALUES (1, 25) EXPIRES AT 10")
+        execute_sql(db, "INSERT INTO pol VALUES (2, 35) EXPIRES AT 15")
+        message = execute_sql(
+            db,
             "EXPLAIN ANALYZE SELECT uid FROM pol WHERE deg >= 30"
         ).message
         assert "columnar_batch" in message

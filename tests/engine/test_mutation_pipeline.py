@@ -67,7 +67,7 @@ class Probe:
     def physical_records(self):
         return [
             record for record in self.db.wal.records()
-            if record.kind in ("upsert", "remove")
+            if record["kind"] in ("upsert", "remove")
         ]
 
     def observe(self, action):
@@ -307,7 +307,7 @@ class TestLazyReportsWhatExpired:
         assert table.physical_size == 0
         assert db.verify(strict=True) == []
         if make_db.durable:
-            last = [r for r in db.wal.records() if r.kind == "remove"][-1]
+            last = [r for r in db.wal.records() if r["kind"] == "remove"][-1]
             assert (last["row"], last["prev"]) == ([1], 2)
             assert "txn" not in last
             db.close()
@@ -335,8 +335,8 @@ class TestLazyReportsWhatExpired:
         assert db.verify(strict=True) == []
         if make_db.durable:
             kinds = [
-                (r.kind, r["prev"]) for r in db.wal.records()
-                if r.kind in ("upsert", "remove")
+                (r["kind"], r["prev"]) for r in db.wal.records()
+                if r["kind"] in ("upsert", "remove")
             ]
             assert kinds == [
                 ("upsert", "absent"), ("remove", 7), ("upsert", "absent"),

@@ -27,6 +27,7 @@ from repro.engine.partitioning import ShardedRelation
 from repro.engine.persistence import database_from_dict, database_to_dict
 from repro.engine.table import Table
 from repro.errors import CatalogError, EngineError
+from repro.sql import execute_sql
 from tests.core.algebra.test_compiler_differential import random_catalog
 
 POLICIES = [RemovalPolicy.EAGER, RemovalPolicy.LAZY]
@@ -266,22 +267,22 @@ class TestDatabaseIntegration:
 
     def test_sql_ddl_and_describe(self):
         db = Database()
-        db.sql("CREATE TABLE S (sid, uid) PARTITION BY HASH (uid) PARTITIONS 4")
+        execute_sql(db, "CREATE TABLE S (sid, uid) PARTITION BY HASH (uid) PARTITIONS 4")
         table = db.table("S")
         assert table.partitions == 4
         assert table.partition_key == "uid"
-        db.sql("INSERT INTO S VALUES (1, 10) EXPIRES AT 30")
-        assert db.sql("SELECT sid FROM S").rows == [(1,)]
-        described = db.sql("DESCRIBE S").message
+        execute_sql(db, "INSERT INTO S VALUES (1, 10) EXPIRES AT 30")
+        assert execute_sql(db, "SELECT sid FROM S").rows == [(1,)]
+        described = execute_sql(db, "DESCRIBE S").message
         assert "partitions=4" in described
         assert "hash(uid)" in described
 
     def test_explain_analyze_shows_shard_scans(self):
         db = Database()
-        db.sql("CREATE TABLE S (sid, uid) PARTITION BY HASH (uid) PARTITIONS 4")
+        execute_sql(db, "CREATE TABLE S (sid, uid) PARTITION BY HASH (uid) PARTITIONS 4")
         for i in range(20):
-            db.sql(f"INSERT INTO S VALUES ({i}, {i % 7}) EXPIRES AT 50")
-        message = db.sql("EXPLAIN ANALYZE SELECT sid FROM S WHERE uid = 3").message
+            execute_sql(db, f"INSERT INTO S VALUES ({i}, {i % 7}) EXPIRES AT 50")
+        message = execute_sql(db, "EXPLAIN ANALYZE SELECT sid FROM S WHERE uid = 3").message
         assert "shard_scan" in message
         db.close()
 

@@ -1,10 +1,16 @@
 """Tests for JSON snapshots of databases."""
 
 import json
+import os
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.timestamps import INFINITY, ts
+from repro.engine.config import DatabaseConfig
+from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.persistence import (
     database_from_dict,
@@ -14,6 +20,7 @@ from repro.engine.persistence import (
 )
 from repro.engine.views import MaintenancePolicy
 from repro.errors import EngineError
+from repro.server.protocol import FrameDecoder, encode_frame
 from repro.workloads.news import figure1_database
 
 
@@ -196,3 +203,195 @@ class TestValidation:
     def test_unknown_format(self):
         with pytest.raises(EngineError):
             database_from_dict({"format": 99})
+
+
+#: ``snapshot.json``, ``wal.log`` (compacted, then appended to),
+#: ``wal.precompact.log`` (the log as it stood before ``compact_wal``) and
+#: ``wire.frames`` exactly as the PR 22 commit wrote them for
+#: :func:`write_pinned_history` / :data:`PINNED_FRAMES`.
+PR22_DIRECTORY = Path(__file__).parent / "data" / "pr22_directory"
+
+#: A ``hello``, a ``result`` and a ``patch`` as they cross the wire.
+PINNED_FRAMES = [
+    {"kind": "hello", "id": 1, "version": 1, "resume": "s-7",
+     "acks": {"2": {"epoch": 0, "cum": 3}}},
+    {"kind": "result", "re": 4, "result_kind": "select", "message": "",
+     "columns": ["k", "v"], "rows": [[1, "v1"], [9, "forever"]],
+     "items": [[[1, "v1"], 50], [[9, "forever"], None]], "rowcount": 0,
+     "names": [], "now": 12, "floor": 12, "data_version": 7},
+    {"kind": "patch", "sub": 2, "epoch": 0, "seq": 4,
+     "upserts": [[[10, "late"], 40]], "removes": [[2, "v2"]], "now": 12,
+     "_expires": None},
+]
+
+#: What the pinned directory holds at its final clock, 12.
+PINNED_ROWS = {
+    "R": {(1, "v1"): ts(50), (2, "v2"): ts(20), (3, "v3"): ts(25),
+          (9, "forever"): INFINITY, (10, "late"): ts(40), (11, "post"): ts(60)},
+    "C": {(1, "v1"): ts(15), (3, "v3"): ts(25)},
+    "P": {(1, "v1"): ts(15), (2, "v2"): ts(20), (3, "v3"): ts(31)},
+}
+
+
+def write_pinned_history(path: Path) -> dict:
+    """The fixed script behind :data:`PR22_DIRECTORY`: a row, a columnar
+    and a partitioned table, a view, a checkpoint, then every kind of
+    record, a compaction and one more append.  Returns the files' bytes."""
+    db = Database(config=DatabaseConfig(wal_dir=path, wal_fsync="never"))
+    tables = [
+        db.create_table("R", ["k", "v"]),
+        db.create_table("C", ["k", "v"], layout="columnar",
+                        removal_policy=RemovalPolicy.LAZY),
+        db.create_table("P", ["k", "v"], partitions=2, partition_key="k"),
+    ]
+    for key in range(4):
+        for table in tables:
+            table.insert((key, f"v{key}"), expires_at=10 + 5 * key)
+    tables[0].insert((9, "forever"))
+    db.materialise("V", db.table_expr("R").project(2))
+    db.advance_to(3)
+    db.checkpoint()
+    tables[0].insert((10, "late"), expires_at=40)
+    tables[0].override((1, "v1"), expires_at=50)
+    tables[1].delete((2, "v2"))
+    tables[2].renew((3, "v3"), ttl=28)
+    with db.transaction() as txn:
+        txn.insert("R", (12, "txn"), expires_at=11)
+    db.materialise("W", db.table_expr("R").difference(db.table_expr("P")),
+                   policy=MaintenancePolicy.PATCH, patch_limit=4)
+    db.advance_to(12)
+    files = {"wal.precompact.log": db.wal.log_path.read_bytes()}
+    db.compact_wal()
+    tables[0].insert((11, "post"), expires_at=60)
+    db.close()
+    files["wal.log"] = db.wal.log_path.read_bytes()
+    files["snapshot.json"] = db.wal.snapshot_path.read_bytes()
+    files["wire.frames"] = b"".join(encode_frame(f) for f in PINNED_FRAMES)
+    return files
+
+
+class TestFormatPin:
+    """The bytes on disk and on the wire are the PR 22 commit's bytes."""
+
+    def test_the_same_script_writes_the_same_bytes(self, tmp_path):
+        written = write_pinned_history(tmp_path)
+        assert sorted(written) == sorted(
+            p.name for p in PR22_DIRECTORY.iterdir()
+        )
+        for name, content in written.items():
+            assert content == (PR22_DIRECTORY / name).read_bytes(), name
+
+    @pytest.mark.parametrize("log", ["wal.log", "wal.precompact.log"])
+    def test_pinned_directory_recovers(self, tmp_path, log):
+        shutil.copy(PR22_DIRECTORY / "snapshot.json", tmp_path)
+        shutil.copy(PR22_DIRECTORY / log, tmp_path / "wal.log")
+        expected = {name: dict(rows) for name, rows in PINNED_ROWS.items()}
+        if log == "wal.precompact.log":
+            del expected["R"][(11, "post")]  # appended after the compaction
+        with repro.connect(tmp_path) as session:
+            db = session.db
+            assert db.now == ts(12)
+            for name, rows in expected.items():
+                assert dict(db.table(name).read().items()) == rows, name
+            assert sorted(db.view_names()) == ["V", "W"]
+            assert sorted(db.view("V").read().rows()) == sorted(
+                {(row[1],) for row in expected["R"]}
+            )
+            assert not db.last_recovery.torn_tail_truncated
+
+    def test_pinned_frames_decode(self):
+        blob = (PR22_DIRECTORY / "wire.frames").read_bytes()
+        assert FrameDecoder().feed(blob) == PINNED_FRAMES
+
+
+class TestDurableRename:
+    """A checkpoint truncates ``wal.log`` after replacing the snapshot, so
+    the rename itself has to be on disk first: temp file fsynced, renamed,
+    *directory* fsynced -- and only then the log touched."""
+
+    pytestmark = pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="names fds via /proc"
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """``("fsync", file name or "dir")``, ``("replace", src, dst)`` and
+        ``("reset",)`` (the log's truncation) in call order."""
+        from repro.engine.wal import WriteAheadLog
+
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+        real_reset = WriteAheadLog.reset
+
+        def fsync(fd):
+            target = os.readlink(f"/proc/self/fd/{fd}")
+            calls.append(("fsync", "dir" if os.path.isdir(target)
+                          else os.path.basename(target)))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(
+                ("replace", os.path.basename(src), os.path.basename(dst))
+            )
+            return real_replace(src, dst)
+
+        def reset(wal):
+            calls.append(("reset",))
+            return real_reset(wal)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(WriteAheadLog, "reset", reset)
+        return calls
+
+    def _db(self, tmp_path):
+        db = Database(config=DatabaseConfig(wal_dir=tmp_path))
+        db.create_table("T", ["k"]).insert((1,), expires_at=10)
+        return db
+
+    def _durable_at(self, calls, name):
+        """Index of the directory fsync that made ``name``'s rename durable."""
+        (at,) = [i for i, call in enumerate(calls)
+                 if call[0] == "replace" and call[2] == name]
+        assert ("fsync", calls[at][1]) in calls[:at]  # content first
+        return calls.index(("fsync", "dir"), at)
+
+    def test_checkpoint_syncs_the_rename_before_truncating(
+        self, tmp_path, calls
+    ):
+        db = self._db(tmp_path)
+        del calls[:]
+        db.checkpoint()
+        assert self._durable_at(calls, "snapshot.json") < calls.index(("reset",))
+        db.close()
+
+    def test_compaction_syncs_the_rename_and_stays_appendable(
+        self, tmp_path, calls
+    ):
+        db = self._db(tmp_path)
+        db.advance_to(20)
+        del calls[:]
+        db.compact_wal()
+        self._durable_at(calls, "wal.log")
+        db.table("T").insert((2,), expires_at=30)  # the reopened handle
+        db.close()
+        with repro.connect(tmp_path) as session:
+            assert session.query("SELECT k FROM T").rows == [(2,)]
+
+    def test_failed_compaction_leaves_the_log_appendable(
+        self, tmp_path, monkeypatch
+    ):
+        db = self._db(tmp_path)
+
+        def refuse(src, dst):
+            raise OSError("no rename today")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            db.compact_wal()
+        monkeypatch.undo()
+        db.table("T").insert((2,), expires_at=30)
+        db.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wal.log"]
+        with repro.connect(tmp_path) as session:
+            assert session.query("SELECT k FROM T").rows == [(1,), (2,)]

@@ -149,7 +149,7 @@ class TestSingleLogScan:
         self._populate(tmp_path)
         recovered = recover_database(tmp_path)
         recovered.table("T").insert((99,), expires_at=60)
-        rows = [r["row"] for r in recovered.wal.records() if r.kind == "upsert"]
+        rows = [r["row"] for r in recovered.wal.records() if r["kind"] == "upsert"]
         assert rows[-1] == [99] and len(rows) == 6
         recovered.close()
 
@@ -328,7 +328,7 @@ class TestComposition:
 
         # The log records the view's definition, never its content.
         records, _, _ = scan_log(tmp_path / WriteAheadLog.LOG_NAME)
-        assert [r.kind for r in records].count("create_view") == 1
+        assert [r["kind"] for r in records].count("create_view") == 1
 
         recovered = recover_database(tmp_path)
         view = recovered.view("W")

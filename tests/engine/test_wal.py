@@ -1,20 +1,13 @@
 """Tests for the write-ahead log: frames, torn tails, compaction."""
 
-import struct
-import zlib
-
 import pytest
 
+from repro.codec import decode_exp, decode_prev, encode_exp, encode_prev
 from repro.core.timestamps import INFINITY, ts
-from repro.engine.wal import (
-    WriteAheadLog,
-    decode_exp,
-    decode_prev,
-    encode_exp,
-    encode_prev,
-    scan_log,
-)
+from repro.engine import wal as wal_module
+from repro.engine.wal import WriteAheadLog, scan_log
 from repro.errors import WalError
+from tests.test_codec import BAD_FRAMES
 
 
 class TestEncodings:
@@ -40,7 +33,7 @@ class TestFrames:
         wal.append("upsert", table="T", row=[1, 2], texp=9, prev="absent")
         wal.append("remove", table="T", row=[1, 2], prev=9)
         records = wal.records()
-        assert [r.kind for r in records] == ["clock", "upsert", "remove"]
+        assert [r["kind"] for r in records] == ["clock", "upsert", "remove"]
         assert records[1]["row"] == [1, 2]
         assert records[1]["texp"] == 9
         wal.close()
@@ -54,6 +47,27 @@ class TestFrames:
         wal.close()  # idempotent
         with pytest.raises(WalError):
             wal.append("clock", now=1)
+
+    def test_oversize_record_is_refused_before_any_byte(
+        self, tmp_path, monkeypatch
+    ):
+        """The log never writes what its own reader would call a torn
+        tail: at the parent the second append went to disk and the scan
+        stopped there, losing the three good records behind it."""
+        monkeypatch.setattr(wal_module, "_MAX_FRAME", 256)
+        wal = WriteAheadLog(tmp_path)
+        wal.append("clock", now=1)
+        before = wal.log_path.stat().st_size
+        with pytest.raises(WalError, match="exceeds the frame bound"):
+            wal.append("create_view", spec={"blob": "x" * 300})
+        assert wal.log_path.stat().st_size == before
+        for now in (2, 3, 4):
+            wal.append("clock", now=now)
+        wal.close()
+        records, length, torn = scan_log(wal.log_path)
+        assert [r["now"] for r in records] == [1, 2, 3, 4]
+        assert not torn
+        assert length == wal.log_path.stat().st_size
 
     def test_bad_fsync_policy_rejected(self, tmp_path):
         with pytest.raises(WalError):
@@ -95,10 +109,10 @@ class TestOpeningScan:
         assert reopened.next_txn_id() == 5
         with pytest.warns(UserWarning, match="torn tail"):
             assert reopened.truncate_torn_tail()
-        assert [r.kind for r in reopened.records()] == ["begin", "upsert"]
+        assert [r["kind"] for r in reopened.records()] == ["begin", "upsert"]
         assert len(log_scans) == 1
         # The list was handed over, not kept: the next read decodes anew.
-        assert [r.kind for r in reopened.records()] == ["begin", "upsert"]
+        assert [r["kind"] for r in reopened.records()] == ["begin", "upsert"]
         assert len(log_scans) == 2
         reopened.close()
 
@@ -118,7 +132,7 @@ class TestOpeningScan:
         wal.close()
         reopened = WriteAheadLog(tmp_path)
         reopened.compact(now=5)  # row 1 is expired: dropped
-        assert [r.kind for r in reopened.records()] == ["upsert", "clock"]
+        assert [r["kind"] for r in reopened.records()] == ["upsert", "clock"]
         reopened.close()
         again = WriteAheadLog(tmp_path)
         again.reset()
@@ -135,14 +149,7 @@ class TestTornTails:
         return wal.log_path, len(wal.log_path.read_bytes())
 
     @pytest.mark.parametrize(
-        "tail",
-        [
-            b"\x00\x00",                               # short header
-            struct.pack(">II", 40, 0) + b"abc",        # short payload
-            struct.pack(">II", 2**31, 0) + b"x" * 32,  # absurd length
-            struct.pack(">II", 3, 12345) + b"abc",     # CRC mismatch
-            struct.pack(">II", 2, zlib.crc32(b"[]")) + b"[]",  # not a record
-        ],
+        "tail", [frame.data for frame in BAD_FRAMES.values()]
     )
     def test_tail_is_detected_and_truncated(self, tmp_path, tail):
         path, valid = self._intact(tmp_path)
@@ -151,7 +158,7 @@ class TestTornTails:
         records, length, torn = scan_log(path)
         assert torn
         assert length == valid
-        assert [r.kind for r in records] == ["clock", "upsert"]
+        assert [r["kind"] for r in records] == ["clock", "upsert"]
         wal = WriteAheadLog(tmp_path)
         with pytest.warns(UserWarning, match="torn tail"):
             assert wal.truncate_torn_tail()
@@ -184,7 +191,7 @@ class TestCompaction:
         assert stats["expired"] == 1
         assert stats["demoted"] == 0
         records = wal.records()
-        assert [r.kind for r in records] == ["create_table", "upsert", "clock"]
+        assert [r["kind"] for r in records] == ["create_table", "upsert", "clock"]
         assert records[1]["texp"] == 20
         assert records[-1]["now"] == 10
         wal.close()
@@ -195,7 +202,7 @@ class TestCompaction:
         stats = wal.compact(now=10, base_rows={("T", (1,))})
         assert stats["demoted"] == 1
         records = wal.records()
-        assert [r.kind for r in records] == ["remove", "clock"]
+        assert [r["kind"] for r in records] == ["remove", "clock"]
         assert records[0]["row"] == [1]
         wal.close()
 
@@ -213,7 +220,7 @@ class TestCompaction:
         wal.append("remove", table="T", row=[3], prev=50)
         stats = wal.compact(now=10, base_rows={("T", (1,))})
         records = wal.records()
-        assert [(r.kind, r.get("row")) for r in records] == [
+        assert [(r["kind"], r.get("row")) for r in records] == [
             ("remove", [1]), ("clock", None),
         ]
         # Expired: row 2's two lapsed upserts and its tombstone, row 3's
@@ -243,7 +250,7 @@ class TestCompaction:
         before = state(db)
         stats = db.compact_wal()
         physical = sorted(
-            (r.kind, r["row"]) for r in db.wal.records() if "row" in r
+            (r["kind"], r["row"]) for r in db.wal.records() if "row" in r
         )
         assert physical == [("remove", [1]), ("upsert", [4])]
         assert stats["expired"] == 2  # row 3's upsert and its tombstone
@@ -259,7 +266,7 @@ class TestCompaction:
         wal.append("begin", txn=1)
         wal.append("remove", table="T", row=[1], prev=2, txn=1)
         assert not any(wal.compact(now=10).values())
-        assert [r.kind for r in wal.records()] == ["upsert", "begin", "remove"]
+        assert [r["kind"] for r in wal.records()] == ["upsert", "begin", "remove"]
         wal.close()
 
     def test_brackets_and_clocks_collapse_and_txn_tags_strip(self, tmp_path):
@@ -273,7 +280,7 @@ class TestCompaction:
         stats = wal.compact(now=2)
         assert stats["collapsed"] == 4  # two clocks + begin + commit
         records = wal.records()
-        assert [r.kind for r in records] == ["upsert", "clock"]
+        assert [r["kind"] for r in records] == ["upsert", "clock"]
         assert "txn" not in records[0]  # resolved bracket must not revive
         wal.close()
 
@@ -312,9 +319,9 @@ class TestCompaction:
             state = {}
             for r in records:
                 key = tuple(r["row"]) if "row" in r else None
-                if r.kind == "upsert":
+                if r["kind"] == "upsert":
                     state[key] = r["texp"]
-                elif r.kind == "remove":
+                elif r["kind"] == "remove":
                     state.pop(key, None)
             return {
                 k: t for k, t in state.items() if t is None or t > now

@@ -12,15 +12,16 @@ import pytest
 from repro.core.algebra.evaluator import Evaluator
 from repro.core.algebra.predicates import col
 from repro.engine.database import Database
+from repro.sql import execute_sql
 
 
 def make_db():
     database = Database()
-    database.sql("CREATE TABLE Pol (uid, deg)")
-    database.sql("CREATE TABLE El (uid)")
+    execute_sql(database, "CREATE TABLE Pol (uid, deg)")
+    execute_sql(database, "CREATE TABLE El (uid)")
     for uid, deg, texp in [(1, 25, 10), (2, 25, 15), (3, 35, 10), (4, 25, 20)]:
-        database.sql(f"INSERT INTO Pol VALUES ({uid}, {deg}) EXPIRES AT {texp}")
-    database.sql("INSERT INTO El VALUES (1) EXPIRES AT 8")
+        execute_sql(database, f"INSERT INTO Pol VALUES ({uid}, {deg}) EXPIRES AT {texp}")
+    execute_sql(database, "INSERT INTO El VALUES (1) EXPIRES AT 8")
     return database
 
 
@@ -38,7 +39,7 @@ def traced(request):
     """``(evaluator, span tree)`` of :data:`QUERY` under either evaluator."""
     database = make_db()
     if request.param == "compiled":
-        database.sql(f"EXPLAIN ANALYZE {QUERY}")
+        execute_sql(database, f"EXPLAIN ANALYZE {QUERY}")
         return request.param, database.trace_last_query()
     expression = (
         database.table_expr("Pol").select(col("deg") == 25).project("uid")
@@ -56,7 +57,7 @@ def traced(request):
 
 class TestExplainAnalyze:
     def test_message_contains_span_tree(self, db):
-        message = db.sql(f"EXPLAIN ANALYZE {QUERY}").message
+        message = execute_sql(db, f"EXPLAIN ANALYZE {QUERY}").message
         assert "analyze:" in message
         for operator in ("evaluate", "Difference", "Select", "BaseRef(Pol)"):
             assert operator in message, operator
@@ -103,22 +104,22 @@ class TestExplainAnalyze:
         assert tree.attrs["tuples_scanned"] > 0
 
     def test_plain_explain_has_no_tree(self, db):
-        message = db.sql(f"EXPLAIN {QUERY}").message
+        message = execute_sql(db, f"EXPLAIN {QUERY}").message
         assert "analyze:" not in message
         assert "plan:" in message
 
     def test_analyze_does_not_pollute_cache_counters(self, db):
         before = db.plan_cache.stats
-        db.sql(f"EXPLAIN ANALYZE {QUERY}")
+        execute_sql(db, f"EXPLAIN ANALYZE {QUERY}")
         after = db.plan_cache.stats
         assert after.hits == before.hits
         assert after.misses == before.misses
 
     def test_analyze_repeats_execute_for_real(self, db):
         """A second ANALYZE still shows real per-operator execution."""
-        db.sql(f"EXPLAIN ANALYZE {QUERY}")
+        execute_sql(db, f"EXPLAIN ANALYZE {QUERY}")
         first = db.trace_last_query()
-        db.sql(f"EXPLAIN ANALYZE {QUERY}")
+        execute_sql(db, f"EXPLAIN ANALYZE {QUERY}")
         second = db.trace_last_query()
         assert second is not first
         assert second.find("BaseRef(Pol)").attrs["rows"] == 4

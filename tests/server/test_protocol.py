@@ -9,26 +9,20 @@ loses framing sync must drop the connection, so every corruption here is a
 from __future__ import annotations
 
 import asyncio
-import struct
-import zlib
 
 import pytest
 
+from repro.codec import decode_exp, decode_items, encode_exp, encode_items
 from repro.core.timestamps import INFINITY, ts
 from repro.errors import WireProtocolError
 from repro.server.protocol import (
     MAX_FRAME,
     FrameDecoder,
-    decode_exp,
-    decode_items,
-    encode_exp,
     encode_frame,
-    encode_items,
     read_frame,
     write_frame,
 )
-
-_HEADER = struct.Struct(">II")
+from tests.test_codec import BAD_FRAMES
 
 
 class TestEncoding:
@@ -79,34 +73,33 @@ class TestTornFrames:
 
 
 class TestCorruption:
+    """What a dropped connection reports, per fatal row of the shared
+    corruption table (``tests/test_codec.py`` runs every row against all
+    three readers)."""
+
+    def _fatal(self, name: str, match: str) -> None:
+        with pytest.raises(WireProtocolError, match=match):
+            FrameDecoder().feed(BAD_FRAMES[name].data)
+
     def test_crc_mismatch_is_connection_fatal(self):
+        self._fatal("crc_mismatch", "CRC mismatch; framing sync lost")
         frame = bytearray(encode_frame({"kind": "ping", "id": 1}))
         frame[-1] ^= 0xFF  # flip a payload bit; the CRC no longer matches
         with pytest.raises(WireProtocolError, match="CRC"):
             FrameDecoder().feed(bytes(frame))
 
     def test_absurd_length_is_connection_fatal(self):
-        header = _HEADER.pack(MAX_FRAME + 1, 0)
-        with pytest.raises(WireProtocolError, match="MAX_FRAME"):
-            FrameDecoder().feed(header)
+        self._fatal("absurd_length", f"frame bound \\({MAX_FRAME}\\)")
 
     def test_non_json_payload_is_connection_fatal(self):
-        body = b"\xff\xfenot json"
-        frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
-        with pytest.raises(WireProtocolError, match="JSON"):
-            FrameDecoder().feed(frame)
+        self._fatal("non_utf8", "JSON")
+        self._fatal("non_json", "JSON")
 
     def test_non_object_payload_is_connection_fatal(self):
-        body = b"[1,2,3]"
-        frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
-        with pytest.raises(WireProtocolError, match="message object"):
-            FrameDecoder().feed(frame)
+        self._fatal("non_object", "message object")
 
     def test_object_without_kind_is_connection_fatal(self):
-        body = b'{"id":1}'
-        frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
-        with pytest.raises(WireProtocolError, match="message object"):
-            FrameDecoder().feed(frame)
+        self._fatal("no_kind", "message object")
 
 
 class TestAsyncHelpers:

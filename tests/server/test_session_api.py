@@ -7,7 +7,6 @@ that this exact code works unchanged against ``repro://host:port``.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -241,39 +240,6 @@ class TestDatabaseConfig:
                 assert getattr(restarted, field.name) == getattr(
                     fresh, field.name
                 ), field.name
-
-
-class TestSqlDeprecation:
-    def test_database_sql_warns_once_per_process(self):
-        import repro.engine.database as mod
-
-        db = Database()
-        db.create_table("T", ["k"])
-        old = mod._sql_deprecation_warned
-        mod._sql_deprecation_warned = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                db.sql("SELECT k FROM T")
-                db.sql("SELECT k FROM T")
-            relevant = [
-                w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "repro.connect" in str(w.message)
-            ]
-            assert len(relevant) == 1  # once per process, not per call
-        finally:
-            mod._sql_deprecation_warned = old
-        db.close()
-
-    def test_deprecated_path_still_works(self):
-        db = Database()
-        db.create_table("T", ["k"])
-        db.table("T").insert((1,), expires_at=10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert db.sql("SELECT k FROM T").rows == [(1,)]
-        db.close()
 
 
 class TestEvaluateSurface:

@@ -29,124 +29,129 @@ def db():
 
 class TestDdlDml:
     def test_create_show(self, db):
-        assert db.sql("SHOW TABLES").names == ("El", "Pol")
+        assert execute_sql(db, "SHOW TABLES").names == ("El", "Pol")
 
     def test_insert_rowcount(self, db):
-        result = db.sql("INSERT INTO Pol VALUES (7, 5), (8, 5) EXPIRES IN 3")
+        result = execute_sql(db, "INSERT INTO Pol VALUES (7, 5), (8, 5) EXPIRES IN 3")
         assert result.rowcount == 2
 
     def test_ttl_relative_to_now(self, db):
-        db.sql("ADVANCE TO 4")
-        db.sql("INSERT INTO Pol VALUES (9, 5) EXPIRES IN 3")
+        execute_sql(db, "ADVANCE TO 4")
+        execute_sql(db, "INSERT INTO Pol VALUES (9, 5) EXPIRES IN 3")
         assert db.table("Pol").relation.expiration_of((9, 5)) == 7
 
     def test_delete_where(self, db):
-        result = db.sql("DELETE FROM Pol WHERE deg = 25")
+        result = execute_sql(db, "DELETE FROM Pol WHERE deg = 25")
         assert result.rowcount == 2
         assert db.statistics.explicit_deletes == 2
 
     def test_delete_all(self, db):
-        assert db.sql("DELETE FROM El").rowcount == 3
+        assert execute_sql(db, "DELETE FROM El").rowcount == 3
 
     def test_drop_table(self, db):
-        db.sql("DROP TABLE El")
-        assert db.sql("SHOW TABLES").names == ("Pol",)
+        execute_sql(db, "DROP TABLE El")
+        assert execute_sql(db, "SHOW TABLES").names == ("Pol",)
 
     def test_vacuum(self, db):
         # Default removal is eager, so vacuum finds nothing extra.
-        assert db.sql("VACUUM").rowcount == 0
+        assert execute_sql(db, "VACUUM").rowcount == 0
 
 
 class TestQueries:
     def test_projection_figure_2c(self, db):
-        rows = sorted(db.sql("SELECT deg FROM Pol").relation.rows())
+        rows = sorted(execute_sql(db, "SELECT deg FROM Pol").relation.rows())
         assert rows == [(25,), (35,)]
 
     def test_selection(self, db):
-        rows = sorted(db.sql("SELECT uid FROM Pol WHERE deg = 25").relation.rows())
+        rows = sorted(execute_sql(db, "SELECT uid FROM Pol WHERE deg = 25").relation.rows())
         assert rows == [(1,), (2,)]
 
     def test_comparison_operators(self, db):
-        rows = db.sql("SELECT uid FROM El WHERE deg >= 85").relation
+        rows = execute_sql(db, "SELECT uid FROM El WHERE deg >= 85").relation
         assert sorted(rows.rows()) == [(2,), (4,)]
 
     def test_join_figure_2e(self, db):
-        result = db.sql(
+        result = execute_sql(
+            db,
             "SELECT * FROM Pol AS P JOIN El AS E ON P.uid = E.uid"
         ).relation
         assert sorted(result.rows()) == [(1, 25, 1, 75), (2, 25, 2, 85)]
 
     def test_join_projection_with_qualified_columns(self, db):
-        result = db.sql(
+        result = execute_sql(
+            db,
             "SELECT P.deg, E.deg FROM Pol AS P JOIN El AS E ON P.uid = E.uid"
         ).relation
         assert sorted(result.rows()) == [(25, 75), (25, 85)]
 
     def test_except_figure_3b(self, db):
-        rows = db.sql("SELECT uid FROM Pol EXCEPT SELECT uid FROM El").relation
+        rows = execute_sql(db, "SELECT uid FROM Pol EXCEPT SELECT uid FROM El").relation
         assert sorted(rows.rows()) == [(3,)]
 
     def test_union(self, db):
-        rows = db.sql("SELECT uid FROM Pol UNION SELECT uid FROM El").relation
+        rows = execute_sql(db, "SELECT uid FROM Pol UNION SELECT uid FROM El").relation
         assert sorted(rows.rows()) == [(1,), (2,), (3,), (4,)]
 
     def test_intersect(self, db):
-        rows = db.sql("SELECT uid FROM Pol INTERSECT SELECT uid FROM El").relation
+        rows = execute_sql(db, "SELECT uid FROM Pol INTERSECT SELECT uid FROM El").relation
         assert sorted(rows.rows()) == [(1,), (2,)]
 
     def test_group_by_count_figure_3a(self, db):
-        rows = db.sql(
+        rows = execute_sql(
+            db,
             "SELECT deg, COUNT(*) FROM Pol GROUP BY deg WITH STRATEGY conservative"
         ).relation
         assert sorted(rows.rows()) == [(25, 2), (35, 1)]
 
     def test_aggregate_without_group_by(self, db):
-        rows = db.sql("SELECT COUNT(*) FROM Pol").relation
+        rows = execute_sql(db, "SELECT COUNT(*) FROM Pol").relation
         assert list(rows.rows()) == [(3,)]
 
     def test_min_max_sum(self, db):
-        assert list(db.sql("SELECT MIN(deg) FROM El").relation.rows()) == [(75,)]
-        assert list(db.sql("SELECT MAX(deg) FROM El").relation.rows()) == [(90,)]
-        assert list(db.sql("SELECT SUM(deg) FROM El").relation.rows()) == [(250,)]
+        assert list(execute_sql(db, "SELECT MIN(deg) FROM El").relation.rows()) == [(75,)]
+        assert list(execute_sql(db, "SELECT MAX(deg) FROM El").relation.rows()) == [(90,)]
+        assert list(execute_sql(db, "SELECT SUM(deg) FROM El").relation.rows()) == [(250,)]
 
     def test_multiple_aggregates(self, db):
-        rows = db.sql(
+        rows = execute_sql(
+            db,
             "SELECT deg, COUNT(*), MIN(uid) FROM Pol GROUP BY deg"
         ).relation
         assert sorted(rows.rows()) == [(25, 2, 1), (35, 1, 3)]
 
     def test_time_advances_affect_queries(self, db):
-        db.sql("ADVANCE TO 10")
-        assert sorted(db.sql("SELECT deg FROM Pol").relation.rows()) == [(25,)]
+        execute_sql(db, "ADVANCE TO 10")
+        assert sorted(execute_sql(db, "SELECT deg FROM Pol").relation.rows()) == [(25,)]
 
     def test_expired_tuples_invisible_before_advance(self, db):
         # Evaluation always applies exp_τ at the current time; the clock
         # governs visibility, not physical removal.
-        rows = db.sql("SELECT uid FROM El").relation
+        rows = execute_sql(db, "SELECT uid FROM El").relation
         assert sorted(rows.rows()) == [(1,), (2,), (4,)]
 
     def test_ambiguous_column_rejected(self, db):
         with pytest.raises(SqlPlanError):
-            db.sql("SELECT uid FROM Pol AS P JOIN El AS E ON P.uid = E.uid WHERE deg = 25")
+            execute_sql(db, "SELECT uid FROM Pol AS P JOIN El AS E ON P.uid = E.uid WHERE deg = 25")
 
     def test_unknown_column(self, db):
         with pytest.raises(SqlPlanError):
-            db.sql("SELECT nope FROM Pol")
+            execute_sql(db, "SELECT nope FROM Pol")
 
     def test_nongrouped_column_rejected(self, db):
         with pytest.raises(SqlPlanError):
-            db.sql("SELECT uid, COUNT(*) FROM Pol GROUP BY deg")
+            execute_sql(db, "SELECT uid, COUNT(*) FROM Pol GROUP BY deg")
 
 
 class TestViews:
     def test_create_and_query_view(self, db):
-        db.sql("CREATE MATERIALIZED VIEW interests AS SELECT deg FROM Pol")
+        execute_sql(db, "CREATE MATERIALIZED VIEW interests AS SELECT deg FROM Pol")
         assert db.view("interests").is_monotonic
-        rows = db.sql("SELECT * FROM interests").relation
+        rows = execute_sql(db, "SELECT * FROM interests").relation
         assert sorted(rows.rows()) == [(25,), (35,)]
 
     def test_view_policy(self, db):
-        db.sql(
+        execute_sql(
+            db,
             "CREATE MATERIALIZED VIEW d AS "
             "SELECT uid FROM Pol EXCEPT SELECT uid FROM El "
             "WITH POLICY PATCH"
@@ -154,15 +159,15 @@ class TestViews:
         assert db.view("d").policy is MaintenancePolicy.PATCH
 
     def test_view_inlining_keeps_results_fresh(self, db):
-        db.sql("CREATE MATERIALIZED VIEW interests AS SELECT deg FROM Pol")
-        db.sql("ADVANCE TO 10")
-        rows = db.sql("SELECT * FROM interests").relation
+        execute_sql(db, "CREATE MATERIALIZED VIEW interests AS SELECT deg FROM Pol")
+        execute_sql(db, "ADVANCE TO 10")
+        rows = execute_sql(db, "SELECT * FROM interests").relation
         assert sorted(rows.rows()) == [(25,)]
 
     def test_drop_view(self, db):
-        db.sql("CREATE MATERIALIZED VIEW v AS SELECT deg FROM Pol")
-        db.sql("DROP VIEW v")
-        assert db.sql("SHOW VIEWS").names == ()
+        execute_sql(db, "CREATE MATERIALIZED VIEW v AS SELECT deg FROM Pol")
+        execute_sql(db, "DROP VIEW v")
+        assert execute_sql(db, "SHOW VIEWS").names == ()
 
 
 class TestScripts:
@@ -181,5 +186,5 @@ class TestScripts:
             database,
             "CREATE TABLE t (name, v); INSERT INTO t VALUES ('it''s', 1)",
         )
-        rows = database.sql("SELECT name FROM t WHERE name = 'it''s'").relation
+        rows = execute_sql(database, "SELECT name FROM t WHERE name = 'it''s'").relation
         assert list(rows.rows()) == [("it's",)]

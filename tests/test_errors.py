@@ -21,6 +21,7 @@ from repro.errors import (
     UnsupportedSqlError,
     ViewError,
 )
+from repro.sql import execute_sql
 
 
 class TestHierarchy:
@@ -50,8 +51,8 @@ class TestHierarchy:
         db.advance_to(5)
         for bad in (
             lambda: db.table("missing"),
-            lambda: db.sql("WOBBLE"),
-            lambda: db.sql("SELECT nope FROM missing"),
+            lambda: execute_sql(db, "WOBBLE"),
+            lambda: execute_sql(db, "SELECT nope FROM missing"),
             lambda: db.advance_to(2),  # clock moving backwards
         ):
             with pytest.raises(ReproError):

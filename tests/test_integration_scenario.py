@@ -21,7 +21,7 @@ from repro.engine.database import Database
 from repro.engine.persistence import database_from_dict, database_to_dict
 from repro.engine.views import MaintenancePolicy
 from repro.core.algebra.predicates import col
-from repro.sql import execute_script
+from repro.sql import execute_script, execute_sql
 
 
 @pytest.fixture
@@ -67,7 +67,8 @@ class TestNewsServiceStory:
                                  policy=MaintenancePolicy.PATCH)
         schro = db.materialise("watch_schro", watch_expr,
                                policy=MaintenancePolicy.SCHRODINGER)
-        db.sql(
+        execute_sql(
+            db,
             "CREATE MATERIALIZED VIEW hist AS "
             "SELECT deg, COUNT(*) FROM Pol GROUP BY deg WITH POLICY RECOMPUTE"
         )
@@ -89,7 +90,7 @@ class TestNewsServiceStory:
             assert set(patched.read().rows()) == truth_watch
             assert set(schro.read().rows()) == truth_watch
             truth_hist = set(
-                db.sql("SELECT deg, COUNT(*) FROM Pol GROUP BY deg").relation.rows()
+                execute_sql(db, "SELECT deg, COUNT(*) FROM Pol GROUP BY deg").relation.rows()
             )
             assert set(hist.read().rows()) == truth_hist
         assert patched.recomputations == 0
@@ -154,8 +155,8 @@ class TestNewsServiceStory:
         db = service
         expr = db.table_expr("Pol").difference(db.table_expr("El"))
         view = db.materialise("live_watch", expr, policy=MaintenancePolicy.DELTA)
-        db.sql("INSERT INTO Pol VALUES (7, 45) EXPIRES AT 70")
-        db.sql("INSERT INTO El VALUES (7, 45) EXPIRES AT 30")
+        execute_sql(db, "INSERT INTO Pol VALUES (7, 45) EXPIRES AT 70")
+        execute_sql(db, "INSERT INTO El VALUES (7, 45) EXPIRES AT 30")
         # note: El rows are (uid, deg); the difference matches whole rows,
         # so only identical tuples shadow each other.
         for when in (0, 10, 30, 50, 70):

@@ -1,5 +1,6 @@
 """``pyproject.toml`` says ``dependencies = []``; importing the package agrees."""
 
+import ast
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 from tests.test_public_api import PUBLIC_MODULES
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 _PROBE = """
 import importlib, json, sys
@@ -22,8 +25,7 @@ print(json.dumps(foreign))
 
 def test_importing_the_package_pulls_in_no_third_party_module():
     modules = PUBLIC_MODULES + ["repro.server", "repro.check"]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
     output = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(modules)],
         env=env, check=True, capture_output=True, text=True,
@@ -36,9 +38,7 @@ def test_no_engine_module_imports_the_reference_interpreter():
     ``Evaluator`` is constructed by ``repro.check``, ``repro.baselines``
     and ``core/`` helpers (``EvalResult`` / ``EvalStats`` are data, and
     fine)."""
-    import ast
-
-    engine = Path(__file__).resolve().parents[1] / "src" / "repro" / "engine"
+    engine = _SRC / "repro" / "engine"
     offenders = []
     for path in sorted(engine.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -47,3 +47,43 @@ def test_no_engine_module_imports_the_reference_interpreter():
                 if "Evaluator" in names:
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_import_repro_does_not_load_the_simulator():
+    """The served engine is not built on the simulator package: what the
+    two share (``RetryPolicy``, ``SessionStats``) lives on the production
+    side and ``repro.distributed`` imports it from there."""
+    output = subprocess.run(
+        [sys.executable, "-c",
+         "import repro, sys; print([m for m in sys.modules "
+         "if m.startswith('repro.distributed')])"],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    assert output.strip() == "[]"
+
+
+def _importers(module: str) -> list:
+    """Files under ``src/repro`` that import the stdlib ``module``."""
+    found = []
+    for path in sorted((_SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if module in names:
+                found.append(path.relative_to(_SRC / "repro").as_posix())
+    return found
+
+
+def test_bytes_have_one_owner():
+    """``repro.codec`` decides the frame header and the JSON encodings;
+    ``persistence`` dumps the snapshot document and the metrics registry
+    its export, and nobody else packs bytes or parses JSON."""
+    assert _importers("struct") == ["codec.py"]
+    assert _importers("json") == [
+        "codec.py", "engine/persistence.py", "obs/registry.py",
+    ]

@@ -10,6 +10,7 @@ import repro
 
 PUBLIC_MODULES = [
     "repro",
+    "repro.codec",
     "repro.core",
     "repro.core.timestamps",
     "repro.core.intervals",
@@ -128,3 +129,25 @@ class TestOneDoorForViews:
         assert [p.name for p in repro.MaintenancePolicy] == [
             "RECOMPUTE", "SCHRODINGER", "PATCH", "DELTA",
         ]
+
+
+class TestOneOwnerForBytes:
+    def test_what_left_with_the_codec(self):
+        """``repro.codec`` owns the value encodings (no alias is left in
+        the two modules that each had a copy); ``WalRecord`` and the
+        deprecated ``Database.sql`` are gone."""
+        import repro.codec
+        import repro.engine.wal
+        import repro.server.protocol
+
+        encodings = ["encode_exp", "decode_exp", "encode_prev",
+                     "decode_prev", "encode_items", "decode_items"]
+        for name in encodings:
+            assert name in repro.codec.__all__
+            assert not hasattr(repro.engine.wal, name)
+            assert not hasattr(repro.server.protocol, name)
+        assert not hasattr(repro.engine.wal, "WalRecord")
+        assert not hasattr(repro.Database, "sql")
+        # What a database speaks SQL through:
+        assert "execute_sql" in repro.__all__
+        assert hasattr(repro.Database, "session")
