@@ -8,9 +8,14 @@ shape; the same difference under SCHRODINGER, PATCH and DELTA; a DELTA
 aggregate), audit triggers, the plan cache -- through a random but *fully
 concrete* operation sequence, in lockstep with a trivially-correct oracle:
 a ``row -> expiration`` dict per table plus an integer clock.
-Concreteness is the point: every op is a plain tuple of ints, so any
+Concreteness is the point: every op is a plain tuple of literals, so any
 subsequence replays deterministically, which is what makes delta-debugging
-shrinks sound.
+shrinks sound.  Rows are ``(k, v)`` with ints on the tables the views read;
+``col`` and ``pcol`` draw ``v`` from the rest of the attribute domain
+(``str``, ``None``, ``bool``, ``float`` beside an ``int``), so the log's
+JSON row form and a snapshot column of mixed types -- where the packed
+encodings of :mod:`repro.codec` fall back -- are written, recovered and
+compacted under crash points too.
 
 After **every** op three things are checked:
 
@@ -129,6 +134,14 @@ _KEYS = 8
 _VALUES = 3
 _MAX_TTL = 12
 _MAX_ADVANCE = 4
+#: What ``v`` stands for on the tables that no view reads (no two values
+#: of a table are equal across types, as ``True == 1`` would be).
+_TYPED_VALUES = {"col": (0, "é", None), "pcol": (True, 2.5, 2)}
+
+
+def _row(rng: random.Random, table: str) -> tuple:
+    k, v = rng.randrange(_KEYS), rng.randrange(_VALUES)
+    return (k, _TYPED_VALUES[table][v] if table in _TYPED_VALUES else v)
 
 
 def declare_check_families(registry):
@@ -227,7 +240,7 @@ def generate_ops(
                 continue
         roll = rng.random()
         table = rng.choice(_TABLES)
-        row = (rng.randrange(_KEYS), rng.randrange(_VALUES))
+        row = _row(rng, table)
         if roll < 0.30:
             ops.append(("insert", table, row, rng.randint(1, _MAX_TTL)))
         elif roll < 0.35:
@@ -247,7 +260,7 @@ def generate_ops(
         elif roll < 0.85:
             subops: List[tuple] = []
             for _ in range(rng.randint(1, 4)):
-                srow = (rng.randrange(_KEYS), rng.randrange(_VALUES))
+                srow = _row(rng, table)
                 if rng.random() < 0.7:
                     subops.append(("insert", srow, rng.randint(1, _MAX_TTL)))
                 else:
@@ -483,8 +496,8 @@ class _Harness:
             got = set(execute_sql(self.db, text).rows)
             if got != expected:
                 raise CheckFailed(
-                    f"{text!r} returned {sorted(got)} != "
-                    f"oracle {sorted(expected)}"
+                    f"{text!r} returned {sorted(got, key=repr)} != "
+                    f"oracle {sorted(expected, key=repr)}"
                 )
         else:  # pragma: no cover - generator and apply must stay in sync
             raise ValueError(f"unknown op kind {kind!r}")
@@ -567,8 +580,8 @@ class _Harness:
             got = set(self.db.table(table).read().rows())
             if got != set(visible):
                 raise CheckFailed(
-                    f"table {table} reads {sorted(got)} != "
-                    f"oracle {sorted(visible)}"
+                    f"table {table} reads {sorted(got, key=repr)} != "
+                    f"oracle {sorted(visible, key=repr)}"
                 )
             relation = self.db.table(table).relation
             for row, expires in visible.items():
@@ -621,7 +634,7 @@ class _Harness:
                 if self._unfired[table]:
                     raise CheckFailed(
                         f"table {table} was swept but never reported "
-                        f"{sorted(self._unfired[table])} as expired"
+                        f"{sorted(self._unfired[table], key=repr)} as expired"
                     )
 
 

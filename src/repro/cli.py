@@ -7,6 +7,7 @@ Usage::
     echo "SHOW TABLES;" | python -m repro
     python -m repro obs [script.sql]     # run, then dump every metric
     python -m repro obs --json [script]  # ... as JSON instead of prom text
+    python -m repro wal state/           # a durable directory's log, readably
     python -m repro serve --port 7437    # serve the engine over TCP
 
 Statements end with ``;``; the shell keeps one in-memory
@@ -24,13 +25,16 @@ playground for watching tuples expire::
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 from typing import IO, List, Optional
 
 from repro.engine.database import Database
 from repro.errors import ReproError
 from repro.sql.executor import SqlResult, execute_sql
 
-__all__ = ["format_result", "run_statement", "run_stream", "run_obs", "main"]
+__all__ = [
+    "format_result", "run_statement", "run_stream", "run_obs", "run_wal", "main",
+]
 
 PROMPT = "sql> "
 CONTINUATION = "...> "
@@ -141,8 +145,57 @@ def run_obs(db: Database, args: List[str], out: IO[str]) -> int:
     return 1 if errors else 0
 
 
+def run_wal(args: List[str], out: IO[str]) -> int:
+    """The ``wal`` subcommand: a durable directory as JSON lines.
+
+    The log's records are binary (:mod:`repro.codec`), so this is what
+    ``cat wal.log`` used to be.  First line: the snapshot's frame 0 with
+    each table's ``row_count`` (``null`` without a snapshot); then one line
+    per log record in log order, a packed record in the shape of its JSON
+    form; last line ``{"records", "valid_length", "torn",
+    "bytes_per_record"}``.  Reads only -- a torn tail is reported, never
+    truncated -- and exits 1 on a torn tail or an unreadable snapshot.
+    """
+    from repro.codec import dump_json
+    from repro.engine.persistence import read_snapshot
+    from repro.engine.wal import WriteAheadLog, scan_log
+
+    if len(args) != 1 or not Path(args[0]).is_dir():
+        print("usage: python -m repro wal DIRECTORY", file=sys.stderr)
+        return 2
+    directory = Path(args[0])
+    status = 0
+    header = None
+    snapshot_path = directory / WriteAheadLog.SNAPSHOT_NAME
+    if snapshot_path.exists():
+        try:
+            header = read_snapshot(snapshot_path)
+        except (OSError, ValueError) as error:
+            print(f"error: unreadable snapshot {snapshot_path}: {error}",
+                  file=sys.stderr)
+            status = 1
+        else:
+            for spec in header["tables"]:
+                spec.pop("segments", None)
+                if "rows" in spec:  # format 1
+                    spec["row_count"] = len(spec.pop("rows"))
+    print(dump_json(header), file=out)
+    records, valid_length, torn = scan_log(directory / WriteAheadLog.LOG_NAME)
+    for record in records:
+        print(dump_json(record), file=out)
+    print(dump_json({
+        "records": len(records),
+        "valid_length": valid_length,
+        "torn": torn,
+        "bytes_per_record": (
+            round(valid_length / len(records), 1) if records else None
+        ),
+    }), file=out)
+    return 1 if torn else status
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point: interactive shell, script execution, or ``obs`` dump."""
+    """Entry point: interactive shell, script execution, or a subcommand."""
     args = sys.argv[1:] if argv is None else argv
     db = Database()
     if args:
@@ -151,6 +204,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
         if args[0] == "obs":
             return run_obs(db, args[1:], sys.stdout)
+        if args[0] == "wal":
+            return run_wal(args[1:], sys.stdout)
         if args[0] == "serve":
             from repro.server.run import main as serve_main
 

@@ -1,4 +1,4 @@
-"""The one owner of bytes: frames, value encodings, the snapshot file.
+"""The one owner of bytes: frames, payload encodings, the snapshot file.
 
 A tuple carries its ``texp`` wherever it goes, so the same ``(row, texp)``
 pair is what the write-ahead log, the snapshot and the socket hold.  Every
@@ -6,41 +6,82 @@ byte-level decision the three share is made here, once;
 :mod:`repro.engine.wal`, :mod:`repro.engine.persistence` and
 :mod:`repro.server.protocol` keep only what differs between them.
 
-**The frame.**  The log and the wire are sequences of frames::
+**The frame.**  The log, the snapshot and the wire are sequences of frames::
 
     +----------------+----------------+------------------+
     | length (u32 BE)| crc32 (u32 BE) | payload (length) |
     +----------------+----------------+------------------+
 
-The payload is one JSON object with a ``kind`` field, in compact separators
-and sorted keys (equal payloads are equal bytes).  :func:`encode_frame`
-refuses a payload longer than the caller's ``limit``.  :func:`decode_frame`
-is pure and has three outcomes: ``(payload, end)``; ``None`` for
-*incomplete* (the buffer ends before the frame does); :class:`FrameError`
-for *can never decode* -- a length over ``limit``, a CRC mismatch, a
-payload that is not UTF-8 JSON, or JSON that is not an object with ``kind``.
+:func:`encode_frame` and its siblings refuse a payload longer than the
+caller's ``limit``.  Decoding is pure and has three outcomes: ``(payload,
+end)``; ``None`` for *incomplete* (the buffer ends before the frame does);
+:class:`FrameError` for *can never decode* -- a length over ``limit``, a CRC
+mismatch, or a payload its decoder cannot read.
 
-**Two failure contracts.**  What a bad frame *means* is the one thing the
-readers keep for themselves.  The log reader
-(:func:`repro.engine.wal.scan_log`) takes both outcomes as a *torn tail*
-left by a crash mid-append: what precedes it is trusted, the rest is
-truncated with a warning, and it never raises.  A stream reader
+**Two payloads, told apart by the first byte.**  ``{`` opens a *message*:
+one JSON object with a ``kind`` field, in compact separators and sorted
+keys (equal payloads are equal bytes).  Every wire frame is one, and so are
+the log's ``clock`` / bracket / DDL records and the snapshot's frame 0 --
+few, and they nest specs.  Any other first byte is the tag of a *packed*
+payload, all integers little-endian (the byte order ``array('q')`` has on
+the hosts this runs on; a big-endian host swaps)::
+
+    upsert / remove, one per logged row mutation (:func:`encode_record`)
+    +-----+----------+----------+----------+-----------+-------+-----+
+    | tag | texp i64 | prev i64 | txn  u32 | len   u16 | table | row |
+    +-----+----------+----------+----------+-----------+-------+-----+
+      texp, prev: a tick, RAW_INFINITY = never expires, -1 = no row
+      (``remove`` has no state after: texp -1); txn 0 = no transaction
+      row: ``q`` + n x i64 when every value is exactly an ``int`` inside
+      int64 (``True`` is not: it would come back ``1``), else ``j`` + a
+      compact JSON array
+
+    segment, at most 2^16 rows of one table (:func:`encode_segment`)
+    +-----+-----------+----------+---------------+---------------------+
+    | tag | table u32 | rows u32 | ticks n x i64 | a column / attribute|
+    +-----+-----------+----------+---------------+---------------------+
+      column: form (``q`` = n x i64, ``j`` = a JSON array of n values;
+      one ``str`` among ints makes the whole column ``j``) + length u32
+      + bytes
+
+Both decode (:func:`decode_record`) to what the JSON form of the same
+record decodes to -- a dict with ``kind``, ``null`` for "never expires",
+``"absent"`` for "no row" -- except that a row is a tuple, so every reader
+downstream of the first byte is written once.  A CRC-valid payload whose
+tag this version does not know decodes to a record of an unknown *kind*
+(``"tag:<n>"``): the frame is intact and the next one can be trusted, so
+the log's replay warns and skips it exactly as it skips an unknown JSON
+``kind``, whereas a payload that fails its own internal lengths is a
+:class:`FrameError` like any other damage.
+
+**Three failure contracts.**  What a bad frame *means* is the one thing
+the readers keep for themselves.  The log reader
+(:func:`repro.engine.wal.scan_log`) takes both "incomplete" and "can never
+decode" as a *torn tail* left by a crash mid-append: what precedes it is
+trusted, the rest is truncated with a warning, and it never raises.  The
+snapshot reader (:func:`repro.engine.persistence.read_snapshot`) refuses the
+whole file: it was swapped in atomically, so anything short of every frame
+decoding is damage, not a crash.  A stream reader
 (:class:`repro.server.protocol.FrameDecoder`,
 :func:`repro.server.protocol.read_frame`) waits on "incomplete" -- the
 bytes are in flight -- but a frame that can never decode means framing sync
 with the peer is lost, and the only safe reaction is the connection-fatal
-:class:`~repro.errors.WireProtocolError`.  ``limit`` is an argument for the
-same reason: the log bounds a record at 64 MiB, a connection a frame at
+:class:`~repro.errors.WireProtocolError`.  The wire reads through
+:func:`decode_frame`, which knows messages only: a peer never gets to send
+a packed record, because nothing on a connection is a row mutation to
+replay and a tag there can only be garbage.  ``limit`` is an argument for
+the same reason: the log bounds a record at 64 MiB, a connection a frame at
 16 MiB, and each constant lives beside its reader.
 
-**Values: ``null`` is ``∞``.**  A finite expiration time is its integer
-tick and "never expires" is JSON ``null`` (:func:`encode_exp`); a row's
-*previous* state in a log record adds ``"absent"`` for "there was no row"
-(:func:`encode_prev`); a relation's content is a list of
-``[[...values], texp_or_null]`` pairs (:func:`encode_items`), and rows come
-back as tuples.
+**Values: ``null`` is ``∞``.**  In a message a finite expiration time is
+its integer tick and "never expires" is JSON ``null`` (:func:`encode_exp`);
+a row's *previous* state in a log record adds ``"absent"`` for "there was
+no row" (:func:`encode_prev`); a relation's content on the wire is a list
+of ``[[...values], texp_or_null]`` pairs (:func:`encode_items`), and rows
+come back as tuples.
 
-**The snapshot file** is plain JSON (:func:`read_json`).  It and the
+**The snapshot file** is a frame sequence (format 2; a file that starts
+with ``{`` is a format 1 JSON document, :func:`read_json`).  It and the
 compacted log are swapped in by :func:`replace_file`: temporary file in the
 same directory, fsync, rename over the old file, then fsync of the
 *directory* -- so the rename is on disk before anything that depends on it
@@ -52,12 +93,14 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import tempfile
 import zlib
+from array import array
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.timestamps import Timestamp, ts
+from repro.core.timestamps import RAW_INFINITY, Timestamp, ts
 
 __all__ = [
     "HEADER",
@@ -66,10 +109,14 @@ __all__ = [
     "decode_frame",
     "decode_items",
     "decode_prev",
+    "decode_record",
+    "dump_json",
     "encode_exp",
     "encode_frame",
     "encode_items",
     "encode_prev",
+    "encode_record",
+    "encode_segment",
     "read_json",
     "replace_file",
 ]
@@ -77,21 +124,40 @@ __all__ = [
 #: ``(payload length, crc32 of the payload)``, both unsigned 32-bit big-endian.
 HEADER = struct.Struct(">II")
 
+#: The raw ``prev`` / ``texp`` of "there is no row" (ticks are non-negative).
+_ABSENT = -1
+
+_TAG_UPSERT, _TAG_REMOVE, _TAG_SEGMENT = 1, 2, 3
+_PHYSICAL_TAGS = {"upsert": _TAG_UPSERT, "remove": _TAG_REMOVE}
+_PHYSICAL_KINDS = {tag: kind for kind, tag in _PHYSICAL_TAGS.items()}
+#: tag, texp, prev, txn, length of the table name.
+_RECORD = struct.Struct("<BqqIH")
+#: tag, table index, row count.
+_SEGMENT = struct.Struct("<BII")
+_U32 = struct.Struct("<I")
+_FORM_INTS, _FORM_JSON = b"qj"
+#: ``n x i64`` for the arities rows usually have; wider ones are built on use.
+_ROWS = tuple(struct.Struct(f"<{n}q") for n in range(17))
+_ONLY_INT = {int}
+_SWAP = sys.byteorder == "big"
+
 
 class FrameError(ValueError):
     """A frame that can never be encoded or decoded.  Never reaches a user:
     the log turns it into "torn tail" or :class:`~repro.errors.WalError`,
-    the wire into :class:`~repro.errors.WireProtocolError`."""
+    the snapshot into "unreadable snapshot", the wire into
+    :class:`~repro.errors.WireProtocolError`."""
 
 
 # -- the frame ----------------------------------------------------------------
 
 
-def encode_frame(payload: Dict[str, Any], limit: int) -> bytes:
-    """One frame: header (length, CRC32) plus the compact JSON payload."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode(
-        "utf-8"
-    )
+def dump_json(value: Any) -> str:
+    """Compact JSON with sorted keys: equal values are equal text."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def _frame(body: bytes, limit: int) -> bytes:
     if len(body) > limit:
         raise FrameError(
             f"frame payload of {len(body)} bytes exceeds the frame bound "
@@ -100,15 +166,11 @@ def encode_frame(payload: Dict[str, Any], limit: int) -> bytes:
     return HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
-def decode_frame(
+def _body(
     buffer: Union[bytes, bytearray], offset: int, limit: int
-) -> Optional[Tuple[Dict[str, Any], int]]:
-    """Decode the frame starting at ``buffer[offset]``.
-
-    Returns ``(payload, end)`` -- ``end`` is the offset of the next frame
-    -- or ``None`` when the buffer ends before the frame does.  Raises
-    :class:`FrameError` when no further bytes could make it decode.
-    """
+) -> Optional[Tuple[bytes, int]]:
+    """The CRC-checked payload of the frame at ``buffer[offset]`` and the
+    offset of the next frame; ``None`` when the buffer ends first."""
     start = offset + HEADER.size
     if len(buffer) < start:
         return None
@@ -123,13 +185,230 @@ def decode_frame(
     body = buffer[start:end]
     if zlib.crc32(body) != crc:
         raise FrameError("frame CRC mismatch")
+    return body, end
+
+
+def _message(body: bytes) -> Dict[str, Any]:
     try:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise FrameError(f"frame payload is not valid JSON: {error}") from None
     if not isinstance(payload, dict) or "kind" not in payload:
         raise FrameError(f"frame payload is not a message object: {payload!r}")
-    return payload, end
+    return payload
+
+
+def encode_frame(payload: Dict[str, Any], limit: int) -> bytes:
+    """One message frame: header (length, CRC32) plus the compact JSON."""
+    return _frame(dump_json(payload).encode("utf-8"), limit)
+
+
+def decode_frame(
+    buffer: Union[bytes, bytearray], offset: int, limit: int
+) -> Optional[Tuple[Dict[str, Any], int]]:
+    """Decode the *message* frame starting at ``buffer[offset]``.
+
+    Returns ``(payload, end)`` -- ``end`` is the offset of the next frame
+    -- or ``None`` when the buffer ends before the frame does.  Raises
+    :class:`FrameError` when no further bytes could make it decode; a
+    packed payload is such a frame here (this is the wire's decoder).
+    """
+    found = _body(buffer, offset, limit)
+    if found is None:
+        return None
+    return _message(found[0]), found[1]
+
+
+# -- packed payloads ----------------------------------------------------------
+
+
+def _values(values: Sequence[Any]) -> Tuple[bytes, bytes]:
+    """``values`` as ``(form, bytes)``: ``q`` and n x i64 when every one is
+    exactly an ``int`` (a ``bool`` is not) inside int64, else ``j`` and a
+    compact JSON array."""
+    if set(map(type, values)) == _ONLY_INT:
+        try:
+            packed = array("q", values)
+        except OverflowError:
+            pass
+        else:
+            if _SWAP:
+                packed.byteswap()
+            return b"q", packed.tobytes()
+    return b"j", dump_json(list(values)).encode("utf-8")
+
+
+def _int_array(data: bytes) -> array:
+    values = array("q")
+    values.frombytes(data)  # the caller checked len(data) % 8
+    if _SWAP:
+        values.byteswap()
+    return values
+
+
+def _json_array(data: bytes) -> list:
+    try:
+        values = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise FrameError(f"packed values are not valid JSON: {error}") from None
+    if type(values) is not list:
+        raise FrameError(f"packed values are not a JSON array: {values!r}")
+    return values
+
+
+def _raw(value: Union[str, int, None]) -> int:
+    """A message's expiration (``null`` = never, ``"absent"``) as a tick."""
+    if value is None:
+        return RAW_INFINITY
+    if value == "absent":
+        return _ABSENT
+    if not 0 <= value < RAW_INFINITY:
+        raise FrameError(f"expiration tick {value} is outside [0, 2^63 - 1)")
+    return value
+
+
+def encode_record(record: Dict[str, Any], limit: int) -> bytes:
+    """One log record as a frame: ``upsert`` / ``remove`` packed, every
+    other kind a message."""
+    tag = _PHYSICAL_TAGS.get(record["kind"])
+    if tag is None:
+        return encode_frame(record, limit)
+    table = record["table"].encode("utf-8")
+    try:
+        head = _RECORD.pack(
+            tag,
+            _raw(record["texp"]) if tag == _TAG_UPSERT else _ABSENT,
+            _raw(record.get("prev", "absent")),
+            record.get("txn") or 0,
+            len(table),
+        )
+    except struct.error as error:
+        raise FrameError(f"record does not fit the packed layout: {error}") from None
+    return _frame(b"".join((head, table, *_values(record["row"]))), limit)
+
+
+def _physical(body: bytes) -> Dict[str, Any]:
+    try:
+        tag, texp, prev, txn, name_length = _RECORD.unpack_from(body)
+    except struct.error:
+        raise FrameError("packed record is shorter than its header") from None
+    at = _RECORD.size + name_length
+    if at >= len(body):
+        raise FrameError("packed record's table name runs past the payload")
+    try:
+        table = body[_RECORD.size:at].decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise FrameError(f"packed record's table name: {error}") from None
+    form = body[at]
+    at += 1
+    if form == _FORM_INTS:
+        arity, odd = divmod(len(body) - at, 8)
+        if odd:
+            raise FrameError("packed int row is not a multiple of 8 bytes")
+        unpack = _ROWS[arity] if arity < len(_ROWS) else struct.Struct(f"<{arity}q")
+        row = unpack.unpack_from(body, at)
+    elif form == _FORM_JSON:
+        row = tuple(_json_array(body[at:]))
+    else:
+        raise FrameError(f"unknown packed row form {form:#x}")
+    record = {
+        "kind": _PHYSICAL_KINDS[tag],
+        "table": table,
+        "row": row,
+        "prev": (
+            "absent" if prev == _ABSENT
+            else None if prev == RAW_INFINITY else prev
+        ),
+    }
+    if tag == _TAG_UPSERT:
+        record["texp"] = None if texp == RAW_INFINITY else texp
+    if txn:
+        record["txn"] = txn
+    return record
+
+
+def encode_segment(
+    table: int, ticks: array, columns: Sequence[Sequence[Any]], limit: int
+) -> bytes:
+    """One snapshot segment as a frame: ``len(ticks)`` rows of the table at
+    index ``table`` of frame 0, their raw expiration ticks
+    (``array('q')``), and one sequence of values per attribute."""
+    if _SWAP:
+        ticks = array("q", ticks)
+        ticks.byteswap()
+    parts = [_SEGMENT.pack(_TAG_SEGMENT, table, len(ticks)), ticks.tobytes()]
+    for column in columns:
+        form, values = _values(column)
+        parts += (form, _U32.pack(len(values)), values)
+    return _frame(b"".join(parts), limit)
+
+
+def _segment(body: bytes) -> Dict[str, Any]:
+    try:
+        _, table, count = _SEGMENT.unpack_from(body)
+    except struct.error:
+        raise FrameError("segment is shorter than its header") from None
+    at = _SEGMENT.size + 8 * count
+    if at > len(body):
+        raise FrameError("segment's ticks run past the payload")
+    ticks = _int_array(body[_SEGMENT.size:at])
+    columns: List[Sequence[Any]] = []
+    while at < len(body):
+        form = body[at]
+        try:
+            (length,) = _U32.unpack_from(body, at + 1)
+        except struct.error:
+            raise FrameError("segment column header cut short") from None
+        at += 1 + _U32.size
+        data = body[at:at + length]
+        at += length
+        if at > len(body):
+            raise FrameError("segment column runs past the payload")
+        if form == _FORM_INTS:
+            if length != 8 * count:
+                raise FrameError("segment int column does not hold one i64 per row")
+            columns.append(_int_array(data))
+        elif form == _FORM_JSON:
+            values = _json_array(data)
+            if len(values) != count:
+                raise FrameError("segment JSON column does not hold one value per row")
+            columns.append(values)
+        else:
+            raise FrameError(f"unknown segment column form {form:#x}")
+    return {"kind": "segment", "table": table, "ticks": ticks, "columns": columns}
+
+
+_PACKED = {
+    _TAG_UPSERT: _physical, _TAG_REMOVE: _physical, _TAG_SEGMENT: _segment,
+}
+
+
+def decode_record(
+    buffer: Union[bytes, bytearray], offset: int, limit: int
+) -> Optional[Tuple[Dict[str, Any], int]]:
+    """Decode the frame starting at ``buffer[offset]``, message or packed.
+
+    :func:`decode_frame`'s three outcomes, for the log and the snapshot.  The
+    first payload byte picks the decoder; a message's ``row`` comes back as
+    a tuple, as a packed record's does.  A tag this version does not know
+    is a record of kind ``"tag:<n>"``, not an error: the frame is intact.
+    """
+    found = _body(buffer, offset, limit)
+    if found is None:
+        return None
+    body, end = found
+    if not body:
+        raise FrameError("frame payload is empty")
+    first = body[0]
+    if first == 0x7B:  # "{"
+        record = _message(body)
+        if "row" in record:
+            record["row"] = tuple(record["row"])
+        return record, end
+    decoder = _PACKED.get(first)
+    if decoder is None:
+        return {"kind": f"tag:{first}"}, end
+    return decoder(body), end
 
 
 # -- values -------------------------------------------------------------------

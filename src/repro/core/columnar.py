@@ -41,11 +41,19 @@ from typing import (
     Tuple,
 )
 
-from repro.core.relation import Relation
+from repro.core.relation import Relation, _split_raw
 from repro.core.schema import Schema, anonymous_schema
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
+from repro.core.timestamps import (
+    INFINITY,
+    RAW_INFINITY,
+    TimeLike,
+    Timestamp,
+    from_raw,
+    to_raw,
+    ts,
+)
 from repro.core.tuples import ExpiringTuple, Row, make_row
-from repro.errors import RelationError, TimeError
+from repro.errors import RelationError
 
 __all__ = [
     "RAW_INFINITY",
@@ -54,42 +62,6 @@ __all__ = [
     "from_raw",
     "to_raw",
 ]
-
-#: Raw encoding of the infinite timestamp.  Finite ticks are non-negative
-#: and must stay strictly below this sentinel so that ``raw > tau`` keeps
-#: the total order of the time domain; ``int64`` max leaves every
-#: realistic tick representable while fitting ``array('q')``.
-RAW_INFINITY = (1 << 63) - 1
-
-#: Interned finite timestamps, so batch-to-pair fallbacks do not allocate
-#: a fresh Timestamp per row for the (few, repeated) tick values of a
-#: workload.  Bounded to keep pathological tick ranges from leaking.
-_TS_CACHE: Dict[int, Timestamp] = {}
-_TS_CACHE_LIMIT = 1 << 16
-
-
-def to_raw(stamp: Timestamp) -> int:
-    """Encode a :class:`Timestamp` as a raw machine int."""
-    value = stamp._value
-    if value is None:
-        return RAW_INFINITY
-    if value >= RAW_INFINITY:
-        raise TimeError(
-            f"finite timestamp {value} too large for columnar storage"
-        )
-    return value
-
-
-def from_raw(raw: int) -> Timestamp:
-    """Decode a raw machine int back into an (interned) :class:`Timestamp`."""
-    if raw == RAW_INFINITY:
-        return INFINITY
-    cached = _TS_CACHE.get(raw)
-    if cached is None:
-        cached = Timestamp(raw)
-        if len(_TS_CACHE) < _TS_CACHE_LIMIT:
-            _TS_CACHE[raw] = cached
-    return cached
 
 
 class ColumnBatch:
@@ -263,9 +235,23 @@ class ColumnarRelation(Relation):
         rowmap = self._ensure_rowmap()
         cols = self._cols
         texp = self._texp
+        if not texp:
+            # Raw ticks into an empty relation (a snapshot load): the
+            # columns and the tick array are extended whole, unless a row
+            # repeats and has to be merged after all.
+            pairs = list(pairs)
+            if raw := _split_raw(pairs):
+                rows, ticks = raw
+                rowmap.update(zip(rows, range(len(rows))))
+                if len(rowmap) == len(rows):
+                    for col, values in zip(cols, zip(*rows)):
+                        col.extend(values)
+                    texp.extend(ticks)
+                    return len(rows)
+                rowmap.clear()
         count = 0
         for row, stamp in pairs:
-            raw = to_raw(stamp)
+            raw = stamp if type(stamp) is int else to_raw(stamp)
             pos = rowmap.get(row)
             if pos is None:
                 rowmap[row] = len(texp)
@@ -282,8 +268,9 @@ class ColumnarRelation(Relation):
     ) -> None:
         """Apply trusted ``(row, texp-or-None)`` ops with override semantics.
 
-        ``None`` deletes; anything else sets the expiration
-        unconditionally.  The WAL replay fast path.
+        ``None`` deletes; anything else (a :class:`Timestamp` or a raw
+        tick) sets the expiration unconditionally.  The WAL replay fast
+        path.
         """
         rowmap = self._ensure_rowmap()
         cols = self._cols
@@ -293,13 +280,15 @@ class ColumnarRelation(Relation):
             if stamp is None:
                 if pos is not None:
                     self._swap_remove(rowmap, pos, row)
-            elif pos is None:
+                continue
+            raw = stamp if type(stamp) is int else to_raw(stamp)
+            if pos is None:
                 rowmap[row] = len(texp)
                 for i, col in enumerate(cols):
                     col.append(row[i])
-                texp.append(to_raw(stamp))
+                texp.append(raw)
             else:
-                texp[pos] = to_raw(stamp)
+                texp[pos] = raw
 
     def insert(
         self, values: Iterable[Any], expires_at: TimeLike = None

@@ -27,11 +27,25 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.schema import Schema, anonymous_schema
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts, ts_max, ts_min
+from repro.core.timestamps import (
+    INFINITY,
+    TimeLike,
+    Timestamp,
+    from_raw,
+    ts,
+    ts_max,
+    ts_min,
+)
 from repro.core.tuples import ExpiringTuple, Row, make_row
 from repro.errors import RelationError, SchemaError
 
 __all__ = ["Relation", "relation_from_rows"]
+
+
+def _split_raw(pairs: List[Tuple[Row, Any]]) -> Optional[Tuple[tuple, tuple]]:
+    """``(rows, ticks)`` when every expiration in ``pairs`` is a raw tick."""
+    rows, stamps = zip(*pairs) if pairs else ((), ())
+    return (rows, stamps) if set(map(type, stamps)) == {int} else None
 
 
 class Relation:
@@ -90,14 +104,29 @@ class Relation:
 
         Rows must be hashable tuples of the right arity and expirations
         :class:`Timestamp` instances (e.g. pairs drained from another
-        relation's :meth:`items`); the per-row ``make_row`` + arity check of
+        relation's :meth:`items`) or raw ticks (what a snapshot segment
+        holds; they are stored as one interned :class:`Timestamp` per
+        distinct tick); the per-row ``make_row`` + arity check of
         :meth:`insert` is skipped.  Duplicates keep the later expiration,
         exactly like :meth:`insert`.  Returns the number of pairs loaded.
         """
         tuples = self._tuples
+        if not tuples:
+            # Raw ticks into an empty relation (a snapshot load): one dict
+            # build, unless a row repeats and has to be merged after all.
+            pairs = list(pairs)
+            if raw := _split_raw(pairs):
+                rows, ticks = raw
+                interned = {tick: from_raw(tick) for tick in set(ticks)}
+                tuples.update(zip(rows, map(interned.__getitem__, ticks)))
+                if len(tuples) == len(rows):
+                    return len(rows)
+                tuples.clear()
         get = tuples.get
         count = 0
         for row, stamp in pairs:
+            if type(stamp) is int:
+                stamp = from_raw(stamp)
             existing = get(row)
             if existing is None or existing < stamp:
                 tuples[row] = stamp
@@ -109,7 +138,8 @@ class Relation:
     ) -> None:
         """Apply trusted ``(row, texp-or-None)`` ops with override semantics.
 
-        ``None`` deletes the row; anything else sets its expiration
+        ``None`` deletes the row; anything else -- a :class:`Timestamp` or
+        the raw tick a log record holds -- sets its expiration
         unconditionally (no max-merge).  This is the WAL-replay fast path:
         rows are already-validated hashable tuples, so the per-record
         ``make_row`` + arity check of :meth:`override`/:meth:`delete` is
@@ -120,7 +150,7 @@ class Relation:
             if stamp is None:
                 tuples.pop(row, None)
             else:
-                tuples[row] = stamp
+                tuples[row] = from_raw(stamp) if type(stamp) is int else stamp
 
     def _sweep_due(
         self,

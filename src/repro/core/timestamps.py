@@ -14,7 +14,10 @@ This module provides:
   value with full ordering, hashing, and saturating arithmetic;
 * :func:`ts` -- a permissive coercion helper used throughout the library;
 * :func:`ts_min` / :func:`ts_max` -- n-ary minimum / maximum, the ``min`` and
-  ``max`` functions of arbitrary arity from the paper's data model.
+  ``max`` functions of arbitrary arity from the paper's data model;
+* :data:`RAW_INFINITY`, :func:`to_raw` / :func:`from_raw` -- the time domain
+  as machine ints, the form columnar storage, the expiration index and the
+  packed log and snapshot (:mod:`repro.codec`) hold.
 
 Finite timestamps are non-negative integers.  Arithmetic saturates at
 infinity: ``INFINITY + d == INFINITY`` for any finite ``d``.
@@ -23,7 +26,7 @@ infinity: ``INFINITY + d == INFINITY`` for any finite ``d``.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Union
+from typing import Dict, Iterable, Union
 
 from repro.errors import TimeError
 
@@ -35,6 +38,9 @@ __all__ = [
     "ts",
     "ts_min",
     "ts_max",
+    "RAW_INFINITY",
+    "to_raw",
+    "from_raw",
 ]
 
 
@@ -226,3 +232,42 @@ def ts_max(times: Iterable[TimeLike]) -> Timestamp:
         if result < stamp:
             result = stamp
     return result
+
+
+# -- raw ticks ----------------------------------------------------------------
+
+#: Raw encoding of the infinite timestamp.  Finite ticks are non-negative
+#: and must stay strictly below this sentinel so that ``raw > tau`` keeps
+#: the total order of the time domain; ``int64`` max leaves every
+#: realistic tick representable while fitting ``array('q')``.
+RAW_INFINITY = (1 << 63) - 1
+
+#: Interned finite timestamps, so raw-to-``Timestamp`` bridges do not
+#: allocate a fresh Timestamp per row for the (few, repeated) tick values of
+#: a workload.  Bounded to keep pathological tick ranges from leaking.
+_TS_CACHE: Dict[int, Timestamp] = {}
+_TS_CACHE_LIMIT = 1 << 16
+
+
+def to_raw(stamp: Timestamp) -> int:
+    """Encode a :class:`Timestamp` as a raw machine int."""
+    value = stamp._value
+    if value is None:
+        return RAW_INFINITY
+    if value >= RAW_INFINITY:
+        raise TimeError(
+            f"finite timestamp {value} too large for a raw int64 tick"
+        )
+    return value
+
+
+def from_raw(raw: int) -> Timestamp:
+    """Decode a raw machine int back into an (interned) :class:`Timestamp`."""
+    if raw == RAW_INFINITY:
+        return INFINITY
+    cached = _TS_CACHE.get(raw)
+    if cached is None:
+        cached = Timestamp(raw)
+        if len(_TS_CACHE) < _TS_CACHE_LIMIT:
+            _TS_CACHE[raw] = cached
+    return cached

@@ -21,7 +21,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.codec import read_json
 from repro.core.algebra.evaluator import EvalResult, EvalStats
 from repro.core.algebra.expressions import BaseRef, Expression
 from repro.core.algebra.plan_cache import PlanCache
@@ -602,12 +601,22 @@ class Database:
             raise WalError("compact_wal() needs a write-ahead log (wal_dir=)")
         if self._wal_txn is not None:
             raise WalError("cannot compact while a transaction is applying")
+        from repro.engine.persistence import read_snapshot
+
         base_rows = set()
         if self.wal.snapshot_path.exists():
-            data = read_json(self.wal.snapshot_path)
-            for spec in data.get("tables", ()):
-                for values, _ in spec.get("rows", ()):
-                    base_rows.add((spec["name"], tuple(values)))
+            try:
+                data = read_snapshot(self.wal.snapshot_path)
+            except ValueError as error:
+                raise WalError(
+                    f"unreadable snapshot {self.wal.snapshot_path}: {error}"
+                ) from error
+            for spec in data["tables"]:
+                name = spec["name"]
+                for values, _ in spec.get("rows", ()):  # format 1
+                    base_rows.add((name, tuple(values)))
+                for _, columns in spec.get("segments", ()):
+                    base_rows.update((name, row) for row in zip(*columns))
         return self.wal.compact(self.clock.now.value, base_rows)
 
     # -- transactions -----------------------------------------------------------------

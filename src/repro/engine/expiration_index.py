@@ -28,7 +28,7 @@ import heapq
 import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.timestamps import TimeLike, Timestamp, ts
+from repro.core.timestamps import RAW_INFINITY, TimeLike, Timestamp, ts
 from repro.core.tuples import Row
 
 __all__ = ["RemovalPolicy", "ExpirationIndex"]
@@ -85,26 +85,46 @@ class ExpirationIndex:
         heapq.heappush(self._heap, (stamp.value, next(self._counter), row))
 
     def bulk_schedule(self, entries: Iterable[Tuple[Row, TimeLike]]) -> None:
-        """Index many rows at once: append everything, heapify once.
+        """Index many rows at once, with the cheapest heap repair that fits.
 
         The trusted bulk-load fast path for snapshot restore and WAL
-        replay -- ``O(n)`` instead of n pushes' ``O(n log n)``.
-        Semantically one :meth:`schedule` per entry (later entries for the
-        same row supersede earlier ones; superseded and removed heap
-        residue is reclaimed lazily as usual).
+        replay.  Semantically one :meth:`schedule` per entry (later entries
+        for the same row supersede earlier ones; superseded and removed
+        heap residue is reclaimed lazily as usual).  An expiration is a raw
+        tick (``RAW_INFINITY`` = never; what the log and the snapshot hold,
+        so no :class:`Timestamp` is made per entry), a :class:`Timestamp`,
+        or ``None`` for never.
+
+        Entries arriving in expiration order into an empty index -- a
+        snapshot's segments -- are a valid min-heap as they stand.  A batch
+        that is small beside the heap (one replay flush into a loaded
+        table) is pushed, ``O(k log n)``; anything else is appended and
+        heapified once, ``O(n + k)``.
         """
         heap = self._heap
         live = self._live
         counter = self._counter
-        before = len(heap)
-        for row, expires_at in entries:
-            stamp = ts(expires_at)
-            if stamp.is_infinite:
+        fresh: List[Tuple[int, int, Row]] = []
+        ordered = True
+        last = 0
+        for row, tick in entries:
+            if type(tick) is not int and tick is not None:
+                tick = tick._value
+            if tick is None or tick == RAW_INFINITY:
                 live.pop(row, None)
                 continue
-            live[row] = stamp.value
-            heap.append((stamp.value, next(counter), row))
-        if len(heap) != before:
+            live[row] = tick
+            fresh.append((tick, next(counter), row))
+            if tick < last:
+                ordered = False
+            last = tick
+        if not heap and ordered:
+            heap.extend(fresh)
+        elif len(fresh) * len(heap).bit_length() < len(heap):
+            for entry in fresh:
+                heapq.heappush(heap, entry)
+        else:
+            heap.extend(fresh)
             heapq.heapify(heap)
 
     def remove(self, row: Row) -> None:

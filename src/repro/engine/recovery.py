@@ -5,7 +5,8 @@ from a WAL directory (see :mod:`repro.engine.wal`):
 
 1. **Snapshot.**  Load ``snapshot.json`` if present (tables only -- views
    wait until the log is replayed).  Snapshots are written atomically, so
-   one is either absent or complete.
+   one is either absent or complete; one that fails a frame's checksum
+   is refused whole (:func:`~repro.engine.persistence.read_snapshot`).
 2. **Torn tail.**  Scan the log; if a crash tore the final record (short
    frame, short payload, CRC mismatch, garbage), truncate the file back
    to the last intact frame boundary with a warning -- never crash.
@@ -31,7 +32,10 @@ from a WAL directory (see :mod:`repro.engine.wal`):
 The log is decoded **once**: opening it (:class:`WriteAheadLog`) scans
 the file, and that one scan seeds the transaction counter, locates the
 torn tail and is the record list replay consumes; the list is dropped as
-soon as replay is done with it.  Each phase's wall time lands in
+soon as replay is done with it.  Replay works on what the decoder
+produced: a record's row is already a tuple, its expiration a raw tick
+that is compared with the final clock as an ``int`` and handed to
+:meth:`Table.bulk_restore` as it is.  Each phase's wall time lands in
 :attr:`RecoveryReport.phase_seconds`.
 
 The recovered database adopts the log for subsequent appends, so
@@ -51,7 +55,8 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.codec import decode_exp, decode_prev, read_json
+from repro.codec import decode_prev
+from repro.core.timestamps import RAW_INFINITY
 from repro.engine.database import Database
 from repro.engine.wal import WriteAheadLog, declare_wal_families
 from repro.errors import RecoveryError
@@ -104,56 +109,32 @@ class _PhysicalBatch:
     Replay used to write every ``upsert``/``remove`` through a per-row
     relation/index call; on recovery-heavy logs those per-row paths (dict
     churn, one heap push per row) dominate wall time.  The batch instead
-    accumulates ``(row, texp-or-None)`` ops per table and flushes them
+    accumulates ``(row, raw tick or None)`` ops per table and flushes them
     through the trusted :meth:`Table.bulk_restore` (in-order
-    override/delete semantics, one heapify per shard) before any record
+    override/delete semantics, one heap repair per shard) before any record
     that *reads* table state (a clock advance's sweep, DDL) and at the
     end of the log.
     """
 
     def __init__(self, db: Database) -> None:
         self.db = db
-        self.pending: Dict[str, List[Tuple[tuple, Any]]] = {}
+        #: Per table name the ops since the last flush; ``None`` for a name
+        #: that is not a table (a pre-snapshot record of a table dropped
+        #: before the snapshot -- checkpoint-race replay; the drop
+        #: supersedes it).  Only DDL changes which names are tables, and
+        #: DDL flushes first.
+        self.pending: Dict[str, Optional[List[Tuple[tuple, Optional[int]]]]] = {}
 
-    def add(self, name: str, row: tuple, texp) -> None:
-        self.pending.setdefault(name, []).append((row, texp))
+    def ops(self, name: str) -> Optional[List[Tuple[tuple, Optional[int]]]]:
+        """The op list to append ``name``'s records to (``None``: skip them)."""
+        ops = self.pending[name] = [] if self.db.has_table(name) else None
+        return ops
 
     def flush(self) -> None:
         for name, ops in self.pending.items():
-            self.db.table(name).bulk_restore(ops)
+            if ops:
+                self.db.table(name).bulk_restore(ops)
         self.pending.clear()
-
-
-def _replay_physical(
-    db: Database,
-    record: Dict[str, Any],
-    final_time: int,
-    batch: _PhysicalBatch,
-) -> bool:
-    """Buffer one upsert/remove; returns True if skipped-as-expired.
-
-    State is written through the table's trusted bulk path (as snapshot
-    restore does): listener and data-version side effects are
-    pointless here -- views materialise after replay and the plan cache
-    of a fresh database is empty.
-    """
-    if not db.has_table(record["table"]):
-        # Pre-snapshot record for a table dropped before the snapshot
-        # (checkpoint-race replay); the drop supersedes it.
-        return False
-    row = tuple(record["row"])
-    if record["kind"] == "remove":
-        batch.add(record["table"], row, None)
-        return False
-    texp = decode_exp(record["texp"])
-    if texp.is_finite and texp.value <= final_time:
-        # Already past its expiration at recovery time: never apply it.
-        # Erase instead of ignore -- an older incarnation of the row may
-        # survive from the snapshot and must not outlive this state.
-        batch.add(record["table"], row, None)
-        return True
-    batch.add(record["table"], row, texp)
-    return False
 
 
 def _rollback_open_transactions(
@@ -167,7 +148,7 @@ def _rollback_open_transactions(
             if not db.has_table(record["table"]):
                 continue
             table = db.table(record["table"])
-            row = tuple(record["row"])
+            row = record["row"]
             previous = decode_prev(record["prev"])
             if record["kind"] == "upsert":
                 table.undo_insert(row, previous)
@@ -221,20 +202,21 @@ def recover_database(
     records = wal.records()
     lap("scan")
 
+    from repro.engine.persistence import (
+        database_from_dict,
+        read_snapshot,
+        restore_table,
+        restore_views,
+    )
+
     snapshot_data: Optional[Dict[str, Any]] = None
     if wal.snapshot_path.exists():
         try:
-            snapshot_data = read_json(wal.snapshot_path)
+            snapshot_data = read_snapshot(wal.snapshot_path)
         except (OSError, ValueError) as error:
             raise RecoveryError(
                 f"unreadable snapshot {wal.snapshot_path}: {error}"
             ) from error
-
-    from repro.engine.persistence import (
-        database_from_dict,
-        restore_table,
-        restore_views,
-    )
 
     if snapshot_data is not None:
         db = database_from_dict(
@@ -247,23 +229,39 @@ def recover_database(
     else:
         db = Database(**db_kwargs)
         view_specs = []
-    del snapshot_data  # the parsed JSON is dead weight from here on
+    del snapshot_data  # the decoded segments are dead weight from here on
     lap("snapshot")
 
     final_time = _final_time(db, records)
     open_txns: Dict[int, List[Dict[str, Any]]] = {}
     batch = _PhysicalBatch(db)
+    pending = batch.pending
+    skipped = 0
     for record in records:
         kind = record["kind"]
-        report.records_replayed += 1
-        if kind in ("upsert", "remove"):
-            skipped = _replay_physical(db, record, final_time, batch)
-            if skipped:
-                report.records_skipped_expired += 1
-                families["skipped"].inc()
-            txn = record.get("txn")
-            if txn is not None and txn in open_txns:
-                open_txns[txn].append(record)
+        if kind == "upsert" or kind == "remove":
+            # State is written through the table's trusted bulk path (as
+            # snapshot restore does): listener and data-version side
+            # effects are pointless here -- views materialise after replay
+            # and the plan cache of a fresh database is empty.
+            name = record["table"]
+            ops = pending[name] if name in pending else batch.ops(name)
+            if ops is not None:
+                texp = None
+                if kind == "upsert":
+                    texp = record["texp"]
+                    if texp is None:
+                        texp = RAW_INFINITY
+                    elif texp <= final_time:
+                        # Already past its expiration at recovery time:
+                        # never apply it.  Erase instead of ignore -- an
+                        # older incarnation of the row may survive from
+                        # the snapshot and must not outlive this state.
+                        texp = None
+                        skipped += 1
+                ops.append((record["row"], texp))
+            if "txn" in record and record["txn"] in open_txns:
+                open_txns[record["txn"]].append(record)
         elif kind == "clock":
             # The advance sweeps expirations, which must see every
             # buffered physical record first.
@@ -306,10 +304,13 @@ def recover_database(
                 stacklevel=2,
             )
     batch.flush()
+    report.records_replayed = len(records)
+    report.records_skipped_expired = skipped
     # Replay was the decoded log's only reader: free it before the views
     # and the audit build their own state on top.
     del records
     families["recovery_records"].inc(report.records_replayed)
+    families["skipped"].inc(skipped)
 
     if open_txns:
         report.transactions_rolled_back = _rollback_open_transactions(

@@ -308,7 +308,7 @@ class Table:
             # override needs no record kind of its own.
             fields = {
                 "table": self.name,
-                "row": list(row),
+                "row": row,
                 "prev": encode_prev(previous),
             }
             if stamp is not None:
@@ -501,12 +501,14 @@ class Table:
             if bucket
         ]
 
-    def bulk_load(self, pairs: Iterable[Tuple[Row, Timestamp]]) -> int:
+    def bulk_load(self, pairs: Iterable[Tuple[Row, TimeLike]]) -> int:
         """Max-merge trusted ``(row, expiration)`` pairs into storage and index.
 
         The path snapshot restore and benchmark seeding take instead of
-        one :meth:`insert` per row: rows are already-validated tuples, the
-        index is heapified once per shard, and nothing is logged, counted,
+        one :meth:`insert` per row: rows are already-validated tuples, an
+        expiration is a :class:`Timestamp` or the raw tick a snapshot
+        segment holds (``RAW_INFINITY`` = never), the index is heapified at
+        most once per shard, and nothing is logged, counted,
         announced to listeners or checked against constraints -- nor
         against the clock, on purpose: a lazy-policy snapshot may hold
         expired-but-unreclaimed tuples that the next vacuum will process.
@@ -525,10 +527,11 @@ class Table:
             shard.index.bulk_schedule(bucket)
         return count
 
-    def bulk_restore(self, ops: Iterable[Tuple[Row, Optional[Timestamp]]]) -> None:
+    def bulk_restore(self, ops: Iterable[Tuple[Row, Optional[TimeLike]]]) -> None:
         """Apply trusted ``(row, texp-or-None)`` ops last-write, in order.
 
-        The WAL-replay path (``None`` erases the row): storage applies
+        The WAL-replay path (``None`` erases the row; ``texp`` is a
+        :class:`Timestamp` or a log record's raw tick): storage applies
         every op, the index takes each row's *final* action only -- the
         state per-record replay would have converged to -- and, as with
         :meth:`bulk_load`, no log, counter, listener or constraint runs.
@@ -644,7 +647,7 @@ class Table:
                 # transaction, so it must never carry the id of one that
                 # happens to be applying (rollback would revive the row).
                 for row, tick in expired:
-                    wal.append("remove", table=name, row=list(row), prev=tick)
+                    wal.append("remove", table=name, row=row, prev=tick)
         if total:
             self.statistics.expirations_processed += total
             self.statistics.tuples_purged += total

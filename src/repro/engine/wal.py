@@ -12,14 +12,17 @@ Physical format
 ---------------
 
 The log is a single append-only file of the frames :mod:`repro.codec`
-defines (length, CRC32, one compact JSON object -- the same value domain
-the snapshot format already imposes); that module's docstring has the
-format and says why this reader and the wire's disagree about a bad frame.
-This reader's side: it stops at the first frame that is incomplete or can
-never decode.  Everything before that point is trusted, everything from
-it on is a *torn tail* left by a crash mid-append and is truncated away by
-recovery (warn-and-truncate, never crash).  :meth:`WriteAheadLog.append`
-refuses a record :func:`scan_log` would not read back.
+defines (length, CRC32, payload): ``upsert`` and ``remove`` -- one per row
+mutation, nearly all of any log -- in the packed binary payload, every
+other kind as one compact JSON object.  That module's docstring has both
+layouts and says why this reader and the wire's disagree about a bad
+frame; a log written before the packed payload existed is all JSON and
+reads through the same first-byte rule.  This reader's side: it stops at
+the first frame that is incomplete or can never decode.  Everything before
+that point is trusted, everything from it on is a *torn tail* left by a
+crash mid-append and is truncated away by recovery (warn-and-truncate,
+never crash).  :meth:`WriteAheadLog.append` refuses a record
+:func:`scan_log` would not read back.
 
 Logical records (the ``kind`` field of each payload):
 
@@ -82,7 +85,7 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from repro.codec import FrameError, decode_frame, encode_frame, replace_file
+from repro.codec import FrameError, decode_record, encode_record, replace_file
 from repro.errors import WalError
 
 __all__ = [
@@ -185,7 +188,7 @@ def scan_log(
     records: List[Dict[str, Any]] = []
     offset = 0
     try:
-        while decoded := decode_frame(blob, offset, _MAX_FRAME):
+        while decoded := decode_record(blob, offset, _MAX_FRAME):
             record, offset = decoded
             records.append(record)
     except FrameError:
@@ -271,7 +274,7 @@ class WriteAheadLog:
         if self._file.closed:
             raise WalError("write-ahead log is closed")
         try:
-            frame = encode_frame({"kind": kind, **fields}, _MAX_FRAME)
+            frame = encode_record({"kind": kind, **fields}, _MAX_FRAME)
         except FrameError as error:
             # scan_log would read it back as a torn tail and recovery would
             # truncate it together with every record behind it.
@@ -413,7 +416,7 @@ class WriteAheadLog:
         final_index: Dict[Tuple[str, tuple], int] = {}
         for i, record in enumerate(records):
             if record["kind"] in PHYSICAL_KINDS:
-                final_index[(record["table"], tuple(record["row"]))] = i
+                final_index[(record["table"], record["row"])] = i
 
         kept: List[Dict[str, Any]] = []
         for i, record in enumerate(records):
@@ -425,8 +428,12 @@ class WriteAheadLog:
             if kind == "clock" or kind in TXN_KINDS:
                 stats["collapsed"] += 1
                 continue
-            # Physical record.
-            key = (record["table"], tuple(record["row"]))
+            if kind not in PHYSICAL_KINDS:
+                raise WalError(
+                    f"refusing to compact a log holding a record of unknown "
+                    f"kind {kind!r} (written by a newer version?)"
+                )
+            key = (record["table"], record["row"])
             final = records[final_index[key]]
             lapsed = (
                 kind == "upsert"
@@ -467,7 +474,7 @@ class WriteAheadLog:
         # Replace first: a failed rewrite must leave the log appendable.
         replace_file(
             self.log_path,
-            (encode_frame(payload, _MAX_FRAME) for payload in kept),
+            (encode_record(payload, _MAX_FRAME) for payload in kept),
         )
         self._file.close()
         self._file = open(self.log_path, "ab")

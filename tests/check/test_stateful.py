@@ -166,6 +166,28 @@ class TestCrashPoints:
         modes = {op[1] for op in ops if op[0] == "crash"}
         assert modes == {"clean", "torn"}
 
+    def test_typed_values_reach_the_json_row_form(self):
+        """``col`` / ``pcol`` rows carry str, None, bool and float beside
+        ints, so crash points replay the ``j`` row form and checkpoint a
+        column of mixed types, not just packed ints."""
+        ops = generate_ops(random.Random(9), 600, crash_points=True)
+        drawn = {
+            table: {type(op[2][1]) for op in ops
+                    if op[0] == "insert" and op[1] == table}
+            for table in ("flat", "col", "pcol")
+        }
+        assert drawn["flat"] == {int}
+        assert drawn["col"] == {int, str, type(None)}
+        assert drawn["pcol"] == {bool, float, int}
+        failure = _replay(
+            [("insert", "col", (1, "é"), 9), ("insert", "col", (1, 0), 9),
+             ("insert", "pcol", (2, True), 9), ("checkpoint",),
+             ("insert", "col", (3, None), 9), ("crash", "torn"),
+             ("compact",), ("crash", "clean")],
+            "lazy", crash_points=True,
+        )[1]
+        assert failure is None
+
     def test_generation_without_crash_points_unchanged(self):
         assert generate_ops(random.Random(7), 200) == generate_ops(
             random.Random(7), 200, crash_points=False
@@ -184,9 +206,7 @@ class TestCrashPoints:
         from repro.engine import recovery
 
         monkeypatch.setattr(
-            recovery,
-            "_replay_physical",
-            lambda db, record, final, batch: False,
+            recovery._PhysicalBatch, "flush", lambda batch: batch.pending.clear()
         )
         crash_heavy = [
             ("immortal", "flat", (1, 1)),

@@ -114,49 +114,49 @@ CASES = {
         lambda t: None,
         lambda t: t.insert(ROW, expires_at=20),
         dict(stored=ts(20), inserted=[(ROW, ts(20))],
-             records=[dict(kind="upsert", row=[1, 7], texp=20, prev="absent")],
+             records=[dict(kind="upsert", row=(1, 7), texp=20, prev="absent")],
              counters={"inserts": 1}),
     ),
     "insert keeps the later expiration": (
         lambda t: t.insert(ROW, expires_at=30),
         lambda t: t.insert(ROW, expires_at=20),
         dict(stored=ts(30), inserted=[(ROW, ts(30))],
-             records=[dict(kind="upsert", row=[1, 7], texp=30, prev=30)],
+             records=[dict(kind="upsert", row=(1, 7), texp=30, prev=30)],
              counters={"inserts": 1}),
     ),
     "renew": (
         lambda t: t.insert(ROW, expires_at=5),
         lambda t: t.renew(ROW, 20),
         dict(stored=ts(20), inserted=[(ROW, ts(20))],
-             records=[dict(kind="upsert", row=[1, 7], texp=20, prev=5)],
+             records=[dict(kind="upsert", row=(1, 7), texp=20, prev=5)],
              counters={"inserts": 1}),
     ),
     "touch": (
         lambda t: t.insert(ROW, expires_at=3),
         lambda t: t.touch(ROW),
         dict(stored=ts(6), inserted=[(ROW, ts(6))],
-             records=[dict(kind="upsert", row=[1, 7], texp=6, prev=3)],
+             records=[dict(kind="upsert", row=(1, 7), texp=6, prev=3)],
              counters={"inserts": 1, "touches": 1}),
     ),
     "override shortens": (
         lambda t: t.insert(ROW, expires_at=30),
         lambda t: t.override(ROW, expires_at=4),
         dict(stored=ts(4), deleted=[ROW],
-             records=[dict(kind="upsert", row=[1, 7], texp=4, prev=30)],
+             records=[dict(kind="upsert", row=(1, 7), texp=4, prev=30)],
              counters={"overrides": 1}),
     ),
     "override pins forever": (
         lambda t: t.insert(ROW, expires_at=30),
         lambda t: t.override(ROW),
         dict(stored=INFINITY, deleted=[ROW],
-             records=[dict(kind="upsert", row=[1, 7], texp=None, prev=30)],
+             records=[dict(kind="upsert", row=(1, 7), texp=None, prev=30)],
              counters={"overrides": 1}),
     ),
     "delete": (
         lambda t: t.insert(ROW, expires_at=30),
         lambda t: t.delete(ROW),
         dict(stored=None, deleted=[ROW], result=True,
-             records=[dict(kind="remove", row=[1, 7], prev=30)],
+             records=[dict(kind="remove", row=(1, 7), prev=30)],
              counters={"explicit_deletes": 1}),
     ),
     "delete of an absent row": (
@@ -169,21 +169,21 @@ CASES = {
         lambda t: t.insert(ROW, expires_at=30),
         lambda t: t.undo_insert(ROW, None),
         dict(stored=None, deleted=[ROW],
-             records=[dict(kind="remove", row=[1, 7], prev=30)],
+             records=[dict(kind="remove", row=(1, 7), prev=30)],
              counters={}),
     ),
     "undo_insert to a previous texp": (
         lambda t: t.insert(ROW, expires_at=30),
         lambda t: t.undo_insert(ROW, ts(12)),
         dict(stored=ts(12), deleted=[ROW],
-             records=[dict(kind="upsert", row=[1, 7], texp=12, prev=30)],
+             records=[dict(kind="upsert", row=(1, 7), texp=12, prev=30)],
              counters={}),
     ),
     "undo_delete": (
         lambda t: None,
         lambda t: t.undo_delete(ROW, ts(15)),
         dict(stored=ts(15), inserted=[(ROW, ts(15))],
-             records=[dict(kind="upsert", row=[1, 7], texp=15, prev="absent")],
+             records=[dict(kind="upsert", row=(1, 7), texp=15, prev="absent")],
              counters={}),
     ),
     # Expiry is what every cached result's validity already predicts: the
@@ -193,7 +193,7 @@ CASES = {
         lambda t: (t.insert(ROW, expires_at=4), t.insert(OTHER, expires_at=50)),
         sweep,
         dict(stored=None, fired=[(ROW, 4)], version_bumped=False,
-             records=[dict(kind="remove", row=[1, 7], prev=4)],
+             records=[dict(kind="remove", row=(1, 7), prev=4)],
              counters={"expirations_processed": 1, "tuples_purged": 1,
                        "purge_passes": 1, "triggers_fired": 1}),
     ),
@@ -308,7 +308,7 @@ class TestLazyReportsWhatExpired:
         assert db.verify(strict=True) == []
         if make_db.durable:
             last = [r for r in db.wal.records() if r["kind"] == "remove"][-1]
-            assert (last["row"], last["prev"]) == ([1], 2)
+            assert (last["row"], last["prev"]) == ((1,), 2)
             assert "txn" not in last
             db.close()
             db = recover_database(make_db.path)

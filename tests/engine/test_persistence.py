@@ -1,13 +1,15 @@
-"""Tests for JSON snapshots of databases."""
+"""Tests for snapshots of databases."""
 
 import json
 import os
 import shutil
+from array import array
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.codec import HEADER, encode_segment
 from repro.core.timestamps import INFINITY, ts
 from repro.engine.config import DatabaseConfig
 from repro.engine.database import Database
@@ -16,10 +18,12 @@ from repro.engine.persistence import (
     database_from_dict,
     database_to_dict,
     load_database,
+    read_snapshot,
     save_database,
 )
 from repro.engine.views import MaintenancePolicy
-from repro.errors import EngineError
+from repro.engine.wal import scan_log
+from repro.errors import EngineError, RecoveryError
 from repro.server.protocol import FrameDecoder, encode_frame
 from repro.workloads.news import figure1_database
 
@@ -78,8 +82,9 @@ class TestRoundtrip:
     def test_file_roundtrip(self, figure1_db, tmp_path):
         path = tmp_path / "snapshot.json"
         save_database(figure1_db, path)
-        data = json.loads(path.read_text())
-        assert data["format"] == 1
+        data = read_snapshot(path)
+        assert data["format"] == 2
+        assert not path.read_bytes().startswith(b"{")  # frames, not a document
         restored = load_database(path)
         assert restored.table("El").relation.same_content(
             figure1_db.table("El").relation
@@ -204,12 +209,103 @@ class TestValidation:
         with pytest.raises(EngineError):
             database_from_dict({"format": 99})
 
+    def test_a_rejected_value_leaves_the_old_snapshot(self, figure1_db, tmp_path):
+        path = tmp_path / "snapshot.json"
+        save_database(figure1_db, path)
+        before = path.read_bytes()
+        figure1_db.create_table("Weird", ["a"]).insert((b"bytes",))
+        with pytest.raises(EngineError, match="non-JSON value b'bytes'"):
+            save_database(figure1_db, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
+
+
+def _frame_boundaries(blob):
+    """Byte offsets at which the frames of a format 2 snapshot end."""
+    offsets, offset = [], 0
+    while offset < len(blob):
+        (length, _) = HEADER.unpack_from(blob, offset)
+        offset += HEADER.size + length
+        offsets.append(offset)
+    assert offset == len(blob)
+    return offsets
+
+
+class TestDamagedSnapshot:
+    """A snapshot that is not exactly what was written is refused whole:
+    every frame carries a CRC, and the segments must add up to frame 0's
+    specs.  (A format 1 document had no checksum: a flipped digit in it
+    still loads as another expiration time.)"""
+
+    @pytest.fixture
+    def directory(self, tmp_path):
+        db = Database(config=DatabaseConfig(wal_dir=tmp_path))
+        db.create_table("R", ["k", "v"]).insert((1, "one"), expires_at=10)
+        db.table("R").insert((2, "two"))
+        db.create_table("C", ["k"], layout="columnar").insert((7,), expires_at=5)
+        db.checkpoint()
+        db.close()
+        return tmp_path
+
+    def _refused(self, directory, blob):
+        path = directory / "snapshot.json"
+        path.write_bytes(blob)
+        with pytest.raises(RecoveryError, match="unreadable snapshot"):
+            repro.connect(directory)
+        with pytest.raises(EngineError, match="unreadable snapshot"):
+            load_database(path)
+
+    def test_the_written_snapshot_loads(self, directory):
+        blob = (directory / "snapshot.json").read_bytes()
+        assert len(_frame_boundaries(blob)) == 3  # frame 0, R, C
+        assert len(load_database(directory / "snapshot.json").table("R")) == 2
+
+    def test_a_flipped_byte_in_any_frame_is_refused(self, directory):
+        blob = (directory / "snapshot.json").read_bytes()
+        start = 0
+        for end in _frame_boundaries(blob):
+            for at in (start, start + HEADER.size, end - 1):
+                damaged = bytearray(blob)
+                damaged[at] ^= 0x01
+                self._refused(directory, bytes(damaged))
+            start = end
+
+    def test_truncation_and_trailing_garbage_are_refused(self, directory):
+        blob = (directory / "snapshot.json").read_bytes()
+        cuts = {0}
+        for end in _frame_boundaries(blob)[:-1]:
+            cuts.update((end - 1, end, end + 1))
+        cuts.add(len(blob) - 1)
+        for cut in sorted(cuts):
+            self._refused(directory, blob[:cut])
+        self._refused(directory, blob + b"\x00")
+        self._refused(directory, blob + b"garbage after the last frame")
+
+    def test_segments_must_agree_with_frame_0(self, directory):
+        blob = (directory / "snapshot.json").read_bytes()
+        head, first, _ = _frame_boundaries(blob)
+        one_row = array("q", [5])
+        for segment in (
+            encode_segment(2, one_row, [[7]], 1 << 20),       # no such table
+            encode_segment(1, one_row, [[7], [8]], 1 << 20),  # two columns
+            encode_segment(1, array("q", [5, 6]), [[7, 8]], 1 << 20),  # 2 rows
+            blob[:head],                                       # a second frame 0
+        ):
+            self._refused(directory, blob[:first] + segment)
+        self._refused(directory, blob + blob[first:])  # C's rows twice
+
 
 #: ``snapshot.json``, ``wal.log`` (compacted, then appended to),
 #: ``wal.precompact.log`` (the log as it stood before ``compact_wal``) and
 #: ``wire.frames`` exactly as the PR 22 commit wrote them for
-#: :func:`write_pinned_history` / :data:`PINNED_FRAMES`.
+#: :func:`write_pinned_history` / :data:`PINNED_FRAMES`: a format 1 JSON
+#: snapshot and all-JSON logs.  Nothing writes these bytes any more (the
+#: wire frames excepted); every later version must still read them.
 PR22_DIRECTORY = Path(__file__).parent / "data" / "pr22_directory"
+
+#: The three files as the PR 24 commit wrote them for the same script: a
+#: segmented snapshot and packed ``upsert`` / ``remove`` records.
+PR24_DIRECTORY = Path(__file__).parent / "data" / "pr24_directory"
 
 #: A ``hello``, a ``result`` and a ``patch`` as they cross the wire.
 PINNED_FRAMES = [
@@ -271,15 +367,19 @@ def write_pinned_history(path: Path) -> dict:
 
 
 class TestFormatPin:
-    """The bytes on disk and on the wire are the PR 22 commit's bytes."""
+    """The bytes on disk are the PR 24 commit's bytes, the bytes on the
+    wire the PR 22 commit's, and both directories still recover."""
 
     def test_the_same_script_writes_the_same_bytes(self, tmp_path):
         written = write_pinned_history(tmp_path)
+        assert written.pop("wire.frames") == (
+            PR22_DIRECTORY / "wire.frames"
+        ).read_bytes()
         assert sorted(written) == sorted(
-            p.name for p in PR22_DIRECTORY.iterdir()
+            p.name for p in PR24_DIRECTORY.iterdir()
         )
         for name, content in written.items():
-            assert content == (PR22_DIRECTORY / name).read_bytes(), name
+            assert content == (PR24_DIRECTORY / name).read_bytes(), name
 
     @pytest.mark.parametrize("log", ["wal.log", "wal.precompact.log"])
     def test_pinned_directory_recovers(self, tmp_path, log):
@@ -302,6 +402,76 @@ class TestFormatPin:
     def test_pinned_frames_decode(self):
         blob = (PR22_DIRECTORY / "wire.frames").read_bytes()
         assert FrameDecoder().feed(blob) == PINNED_FRAMES
+
+    @staticmethod
+    def _tables(db):
+        return {name: dict(db.table(name).read().items())
+                for name in db.table_names()}
+
+    @pytest.mark.parametrize("log", ["wal.log", "wal.precompact.log"])
+    def test_pr24_directory_recovers(self, tmp_path, log):
+        shutil.copy(PR24_DIRECTORY / "snapshot.json", tmp_path)
+        shutil.copy(PR24_DIRECTORY / log, tmp_path / "wal.log")
+        expected = {name: dict(rows) for name, rows in PINNED_ROWS.items()}
+        if log == "wal.precompact.log":
+            del expected["R"][(11, "post")]  # appended after the compaction
+        with repro.connect(tmp_path) as session:
+            assert session.db.now == ts(12)
+            assert self._tables(session.db) == expected
+            assert sorted(session.db.view_names()) == ["V", "W"]
+            assert session.db.last_recovery.snapshot_loaded
+            assert not session.db.last_recovery.torn_tail_truncated
+
+    def test_both_directories_hold_the_same_history(self):
+        """Two encodings, one record list (rows as tuples either way)."""
+        for name in ("wal.log", "wal.precompact.log"):
+            old = scan_log(PR22_DIRECTORY / name)
+            new = scan_log(PR24_DIRECTORY / name)
+            assert old[0] == new[0] and not old[2] and not new[2], name
+            assert new[1] < 0.8 * old[1]  # and fewer bytes
+        old = read_snapshot(PR22_DIRECTORY / "snapshot.json")
+        new = read_snapshot(PR24_DIRECTORY / "snapshot.json")
+        assert (old["format"], new["format"]) == (1, 2)
+        assert self._tables(database_from_dict(old)) == self._tables(
+            database_from_dict(new)
+        )
+
+    def test_packed_records_after_a_json_log_recover(self, tmp_path):
+        """The upgrade: a PR 22 directory opened, written to and crashed
+        under this version is a JSON prefix and a packed suffix in one log,
+        behind a format 1 snapshot."""
+        shutil.copy(PR22_DIRECTORY / "snapshot.json", tmp_path)
+        shutil.copy(PR22_DIRECTORY / "wal.precompact.log", tmp_path / "wal.log")
+        prefix = (tmp_path / "wal.log").stat().st_size
+        with repro.connect(tmp_path) as session:
+            session.db.table("R").insert((13, "packed"), expires_at=70)
+            session.db.table("C").insert((14, "né"), expires_at=None)
+        blob = (tmp_path / "wal.log").read_bytes()
+        assert blob[8:9] == b"{" and blob[prefix + 8:prefix + 9] != b"{"
+        expected = {name: dict(rows) for name, rows in PINNED_ROWS.items()}
+        del expected["R"][(11, "post")]
+        expected["R"][(13, "packed")] = ts(70)
+        expected["C"][(14, "né")] = INFINITY
+        with repro.connect(tmp_path) as session:
+            assert self._tables(session.db) == expected
+
+    def test_compaction_reads_a_format_1_base(self, tmp_path):
+        """``compact_wal`` finds the base rows of an old snapshot through
+        the one snapshot reader: ``C``'s ``(2, "v2")`` is in the snapshot
+        and deleted in the log, so its ``remove`` must survive as a
+        tombstone -- with an empty base it would be dropped and the row
+        would come back."""
+        shutil.copy(PR22_DIRECTORY / "snapshot.json", tmp_path)
+        shutil.copy(PR22_DIRECTORY / "wal.precompact.log", tmp_path / "wal.log")
+        with repro.connect(tmp_path) as session:
+            session.db.compact_wal()
+            kept = [(r["kind"], r["table"], r["row"])
+                    for r in session.db.wal.records() if "row" in r]
+            assert ("remove", "C", (2, "v2")) in kept
+        expected = {name: dict(rows) for name, rows in PINNED_ROWS.items()}
+        del expected["R"][(11, "post")]
+        with repro.connect(tmp_path) as session:
+            assert self._tables(session.db) == expected
 
 
 class TestDurableRename:

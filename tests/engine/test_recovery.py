@@ -150,7 +150,7 @@ class TestSingleLogScan:
         recovered = recover_database(tmp_path)
         recovered.table("T").insert((99,), expires_at=60)
         rows = [r["row"] for r in recovered.wal.records() if r["kind"] == "upsert"]
-        assert rows[-1] == [99] and len(rows) == 6
+        assert rows[-1] == (99,) and len(rows) == 6
         recovered.close()
 
 

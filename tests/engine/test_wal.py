@@ -34,7 +34,7 @@ class TestFrames:
         wal.append("remove", table="T", row=[1, 2], prev=9)
         records = wal.records()
         assert [r["kind"] for r in records] == ["clock", "upsert", "remove"]
-        assert records[1]["row"] == [1, 2]
+        assert records[1]["row"] == (1, 2)
         assert records[1]["texp"] == 9
         wal.close()
 
@@ -149,7 +149,7 @@ class TestTornTails:
         return wal.log_path, len(wal.log_path.read_bytes())
 
     @pytest.mark.parametrize(
-        "tail", [frame.data for frame in BAD_FRAMES.values()]
+        "tail", [frame.data for frame in BAD_FRAMES.values() if frame.log == "torn"]
     )
     def test_tail_is_detected_and_truncated(self, tmp_path, tail):
         path, valid = self._intact(tmp_path)
@@ -203,7 +203,7 @@ class TestCompaction:
         assert stats["demoted"] == 1
         records = wal.records()
         assert [r["kind"] for r in records] == ["remove", "clock"]
-        assert records[0]["row"] == [1]
+        assert records[0]["row"] == (1,)
         wal.close()
 
     def test_final_remove_is_kept_only_as_a_base_tombstone(self, tmp_path):
@@ -221,7 +221,7 @@ class TestCompaction:
         stats = wal.compact(now=10, base_rows={("T", (1,))})
         records = wal.records()
         assert [(r["kind"], r.get("row")) for r in records] == [
-            ("remove", [1]), ("clock", None),
+            ("remove", (1,)), ("clock", None),
         ]
         # Expired: row 2's two lapsed upserts and its tombstone, row 3's
         # tombstone.  Superseded: row 1's upsert (its remove is kept) and
@@ -252,7 +252,7 @@ class TestCompaction:
         physical = sorted(
             (r["kind"], r["row"]) for r in db.wal.records() if "row" in r
         )
-        assert physical == [("remove", [1]), ("upsert", [4])]
+        assert physical == [("remove", (1,)), ("upsert", (4,))]
         assert stats["expired"] == 2  # row 3's upsert and its tombstone
         db.close()
         recovered = recover_database(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for the interactive SQL shell."""
 
 import io
+import json
 
 import pytest
 
@@ -108,3 +109,64 @@ class TestMain:
     def test_help(self, capsys):
         assert main(["--help"]) == 0
         assert "SQL shell" in capsys.readouterr().out
+
+
+class TestWalSubcommand:
+    """``python -m repro wal DIR``: the binary log as JSON lines."""
+
+    @pytest.fixture
+    def directory(self, tmp_path):
+        db = Database(wal_dir=tmp_path)
+        table = db.create_table("T", ["k", "v"])
+        table.insert((1, "one"), expires_at=10)
+        db.checkpoint()
+        table.insert((2, None))
+        table.delete((1, "one"))
+        db.advance_to(3)
+        db.close()
+        return tmp_path
+
+    def _lines(self, capsys):
+        return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+    def test_header_records_and_summary(self, directory, capsys):
+        size = (directory / "wal.log").stat().st_size
+        assert main(["wal", str(directory)]) == 0
+        header, *records, summary = self._lines(capsys)
+        assert (header["kind"], header["format"], header["now"]) == ("snapshot", 2, 0)
+        assert [(t["name"], t["row_count"]) for t in header["tables"]] == [("T", 1)]
+        assert records == [
+            {"kind": "upsert", "table": "T", "row": [2, None], "texp": None,
+             "prev": "absent"},
+            {"kind": "remove", "table": "T", "row": [1, "one"], "prev": 10},
+            {"kind": "clock", "now": 3},
+        ]
+        assert summary == {"records": 3, "valid_length": size, "torn": False,
+                           "bytes_per_record": round(size / 3, 1)}
+
+    def test_a_torn_tail_is_reported_and_left_alone(self, directory, capsys):
+        with open(directory / "wal.log", "ab") as log:
+            log.write(b"\x00\x00\x01\x00partial")
+        before = (directory / "wal.log").read_bytes()
+        assert main(["wal", str(directory)]) == 1
+        summary = self._lines(capsys)[-1]
+        assert summary["torn"] and summary["records"] == 3
+        assert summary["valid_length"] == len(before) - 11
+        assert (directory / "wal.log").read_bytes() == before
+
+    def test_an_unreadable_snapshot_fails_but_the_log_still_prints(
+        self, directory, capsys
+    ):
+        blob = bytearray((directory / "snapshot.json").read_bytes())
+        blob[-1] ^= 0x01
+        (directory / "snapshot.json").write_bytes(bytes(blob))
+        assert main(["wal", str(directory)]) == 1
+        captured = capsys.readouterr()
+        assert "unreadable snapshot" in captured.err
+        lines = captured.out.splitlines()
+        assert lines[0] == "null" and len(lines) == 5
+
+    def test_no_directory_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["wal", str(tmp_path / "missing")]) == 2
+        assert main(["wal"]) == 2
+        assert "usage" in capsys.readouterr().err

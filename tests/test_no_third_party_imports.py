@@ -80,10 +80,9 @@ def _importers(module: str) -> list:
 
 
 def test_bytes_have_one_owner():
-    """``repro.codec`` decides the frame header and the JSON encodings;
-    ``persistence`` dumps the snapshot document and the metrics registry
-    its export, and nobody else packs bytes or parses JSON."""
+    """``repro.codec`` decides the frame header, the packed payloads and
+    the JSON encodings (the snapshot's frame 0 goes through its
+    ``encode_frame``); the metrics registry dumps its export, and nobody
+    else packs bytes or parses JSON."""
     assert _importers("struct") == ["codec.py"]
-    assert _importers("json") == [
-        "codec.py", "engine/persistence.py", "obs/registry.py",
-    ]
+    assert _importers("json") == ["codec.py", "obs/registry.py"]
