@@ -288,15 +288,10 @@ def _view_freshness(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
 def _plan_cache_consistent(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
     now = db.clock.now
     for expression, entry in db.plan_cache.entries():
-        # Mirror the cache's own serve conditions: entries it would refuse
-        # to serve at `now` cannot produce a wrong answer, so skip them.
-        if entry.schema_version != db.schema_version:
+        # Only what the cache would serve at `now` can be served wrong.
+        if not entry.answers(now, db.catalog_version, db.schema_version, now):
             continue
         cached = entry.result
-        if cached is None or entry.result_version != db.catalog_version:
-            continue
-        if not (cached.tau <= now and cached.validity.contains(now)):
-            continue
         served = cached.relation.exp_at(now)
         fresh = Evaluator(db.catalog, now).evaluate(expression).relation
         if not served.same_content(fresh):

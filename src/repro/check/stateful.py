@@ -5,9 +5,11 @@ hash-partitioned tables in row and columnar layouts (``pcol``, partitioned
 *and* columnar, is the shape ``AuthzStore`` runs on), an idle-timeout
 table, five materialised views (a monotonic one, which folds inserts by
 shape; the same difference under SCHRODINGER, PATCH and DELTA; a DELTA
-aggregate), audit triggers, the plan cache -- through a random but *fully
-concrete* operation sequence, in lockstep with a trivially-correct oracle:
-a ``row -> expiration`` dict per table plus an integer clock.
+aggregate), two standing queries (a windowed count of ``flat``, a distinct
+count of ``part``'s ``k``), audit triggers, the plan cache -- through a
+random but *fully concrete* operation sequence, in lockstep with a
+trivially-correct oracle: a ``row -> expiration`` dict per table plus an
+integer clock.
 Concreteness is the point: every op is a plain tuple of literals, so any
 subsequence replays deterministically, which is what makes delta-debugging
 shrinks sound.  Rows are ``(k, v)`` with ints on the tables the views read;
@@ -62,7 +64,8 @@ Ops and semantics
 ``("txn", t, subops, poison)``  buffered transaction; ``poison=True``
                                 appends an already-expired insert so the
                                 commit aborts and must roll back cleanly;
-``("view", name)``              read a materialised view;
+``("view", name)``              read a materialised view, then both
+                                standing queries;
 ``("sql", t, k | None)``        a SQL point or full scan through the
                                 front door (exercising the plan cache).
 
@@ -342,6 +345,7 @@ class _Harness:
             BaseRef("flat").aggregate(group_by=[2], function="count"),
             policy=MaintenancePolicy.DELTA,
         )
+        self._watch_streams()
         #: Oracle: per-table row -> expiration (math.inf = immortal) + clock.
         self.model: Dict[str, Dict[tuple, float]] = {t: {} for t in _TABLES}
         self.now = 0
@@ -354,6 +358,14 @@ class _Harness:
         #: Tables the last op swept on request (LAZY owes nothing before).
         self._vacuumed: Tuple[str, ...] = ()
         self._register_triggers()
+
+    def _watch_streams(self) -> None:
+        """Standing queries (the third kind of held answer) on two tables."""
+        # Not at the top: ``Database.verify`` imports this package.
+        from repro.workloads.streaming import StreamStore
+
+        store = StreamStore(self.db)
+        self._standing = (store.count("flat"), store.distinct("part", "k"))
 
     def _register_triggers(self) -> None:
         for name in _TABLES:
@@ -483,6 +495,14 @@ class _Harness:
                     f"view {name} read {sorted(got)} != "
                     f"oracle {sorted(expected)}"
                 )
+            keys = {k for k, _ in self._visible("part")}
+            oracle = (len(self._visible("flat")), len(keys))
+            for query, count in zip(self._standing, oracle):
+                if query.read() != count:
+                    raise CheckFailed(
+                        f"standing query {query.name} read {query.read()} "
+                        f"!= oracle {count}"
+                    )
         elif kind == "sql":
             _, table, key = op
             if key is None:
@@ -546,6 +566,7 @@ class _Harness:
         # recover_database already ran verify(strict=True, deep=True);
         # the caller's post-op check() adds the oracle differential.
         self._register_triggers()
+        self._watch_streams()
 
     def _apply_txn(self, table: str, subops: tuple, poison: bool) -> None:
         txn = self.db.transaction()

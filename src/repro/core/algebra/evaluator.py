@@ -56,12 +56,13 @@ from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts, ts_max, ts_min
 from repro.core.tuples import Row
-from repro.errors import CatalogError, EvaluationError
+from repro.errors import CatalogError, EvaluationError, ViewError
 
 __all__ = [
     "EvalResult",
     "EvalStats",
     "Evaluator",
+    "HeldAnswer",
     "evaluate",
     "operator_label",
     "Catalog",
@@ -122,13 +123,99 @@ class EvalResult:
     validity: IntervalSet
     tau: Timestamp
 
-    def valid_at(self, time: TimeLike) -> bool:
-        """Whether the materialisation agrees with a recomputation at ``time``."""
-        return self.validity.contains(time)
 
-    def expired_view(self, time: TimeLike) -> Relation:
-        """``exp_time(result)``: the materialisation as seen at ``time``."""
-        return self.relation.exp_at(time)
+class HeldAnswer:
+    """An answer held at ``τ`` and the window it may be served in (§3.4).
+
+    The one serve rule of Schrödinger semantics: a held answer is served at
+    ``τ'`` iff nothing invalidated it since it was recorded (no pending
+    *cause*) and ``τ'`` lies in the *window* its build recorded
+    (:meth:`serves`).  Plan-cache entries, views and standing queries are
+    held answers.
+
+    Holders that move their state forward in time (``_forward_only``)
+    refuse reads before the held ``τ``.  :meth:`_bring_current` is the one
+    read protocol: that guard, then the :meth:`_catch_up` hook, then
+    either count a serve (``_served()``) or ``_renew(τ, cause)`` -- rebuild
+    and :meth:`hold` -- with the cause named: ``initial`` before the first
+    build, the pending cause, else ``validity``.  At the very held ``τ``
+    with nothing pending all three are already decided.  :meth:`read`
+    serves ``_serve(τ)`` at the holder's ``clock``.
+    """
+
+    __slots__ = ("held_at", "window", "cause", "_since")
+
+    _forward_only = False
+    #: Changes a listener recorded for the catch-up hook to fold in; the
+    #: hook resets it.
+    _unfolded = 0
+
+    def __init__(self, tau: Timestamp) -> None:
+        self.held_at = tau
+        self.window: Optional[IntervalSet] = None
+        self.cause: Optional[str] = "initial"
+        self._since: Optional[int] = None
+
+    def hold(self, tau: Timestamp, window: IntervalSet) -> None:
+        """Record an answer built at ``tau``, servable in ``window`` (which
+        holds ``tau``: an answer is exact where it was built)."""
+        self.held_at = tau
+        self.window = window
+        self.cause = None
+        # One unbounded interval -- the common window -- is a tick compare.
+        spans = window.intervals
+        unbounded = len(spans) == 1 and spans[0].end.is_infinite
+        self._since = spans[0].start._value if unbounded else None
+
+    def invalidate(self, cause: str) -> None:
+        """Name why the held answer may not be served; ``initial`` stays."""
+        if self.cause != "initial":
+            self.cause = cause
+
+    def admits(self, tau: Timestamp) -> bool:
+        """Whether a read at ``tau`` passes the forward-only guard."""
+        return not (self._forward_only and tau < self.held_at)
+
+    def serves(self, tau: Timestamp) -> bool:
+        """The serve rule: no pending cause and ``tau`` inside the window."""
+        if self.cause is not None:
+            return False
+        since = self._since
+        if since is None:
+            return self.window.contains(tau)
+        value = tau._value
+        return value is not None and since <= value
+
+    def _bring_current(self, tau: Timestamp) -> Optional[str]:
+        """Make the held answer servable at ``tau``: ``None`` when it was
+        served as held, else the cause it was renewed for."""
+        if tau is self.held_at and not self._unfolded and self.cause is None:
+            # Decided at this very τ, nothing recorded or invalidated since
+            # (and a build's window holds the τ it was built at).
+            self._served()
+            return None
+        if not self.admits(tau):
+            raise ViewError(
+                f"{type(self).__name__} {self.name!r} cannot go back in "
+                f"time: {tau} < last read {self.held_at}"
+            )
+        self._catch_up(tau)
+        if self.serves(tau):
+            self._served()
+            self.held_at = tau
+            return None
+        cause = self.cause or "validity"
+        self._renew(tau, cause)
+        return cause
+
+    def read(self, at: TimeLike = None):
+        """The answer at ``at`` (default: now), by the one serve rule."""
+        tau = self.clock.now if at is None else ts(at)
+        self._bring_current(tau)
+        return self._serve(tau)
+
+    def _catch_up(self, tau: Timestamp) -> None:
+        """Hook: fold recorded changes forward to ``tau``; may invalidate."""
 
 
 def operator_label(expression: Expression) -> str:

@@ -4,16 +4,17 @@ The paper's Section 3.4 machinery makes result caching *sound without
 invalidation messages*: an :class:`~repro.core.algebra.evaluator.EvalResult`
 carries the exact Schrödinger interval set ``I(e)`` -- every time ``τ' ≥ τ``
 at which the materialisation, restricted to unexpired tuples, equals a fresh
-recomputation.  A cached result can therefore be served at ``τ'`` iff
-
-* ``τ' ∈ I(e)`` -- expiration-driven drift is fully captured by the interval
-  set, so no clock-based invalidation is ever needed; and
-* the catalog has not been mutated since the result was computed --
-  ``I(e)`` only predicts the future of the *data the evaluation saw*.
-  Unpredictable changes (inserts, deletes, renewals, DDL) are detected with
-  a single integer version check, bumped by the engine on every such
-  mutation and **not** on physical expiration processing (expiry is exactly
-  what ``I(e)`` already accounts for -- the entire point of the cache).
+recomputation.  Each entry is a
+:class:`~repro.core.algebra.evaluator.HeldAnswer` whose window is ``I(e)``,
+so the one serve rule the views and standing queries follow decides a hit
+at ``τ'`` -- expiration-driven drift is fully captured by the interval
+set, so no clock-based invalidation is ever needed -- behind the cache's
+own guard: the catalog has not been mutated since the result was computed,
+as ``I(e)`` only predicts the future of the *data the evaluation saw*.
+Unpredictable changes (inserts, deletes, renewals, DDL) are detected with a
+single integer version check, bumped by the engine on every such mutation
+and **not** on physical expiration processing (expiry is exactly what
+``I(e)`` already accounts for -- the entire point of the cache).
 
 A hit at ``τ'`` is served as ``exp_τ'(cached)`` with validity
 ``I(e) ∩ [τ', ∞)``, which is itself a correct :class:`EvalResult` for an
@@ -37,10 +38,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.algebra.compiler import CompiledPlan, compile_expression
-from repro.core.algebra.evaluator import Catalog, EvalResult, EvalStats
+from repro.core.algebra.evaluator import Catalog, EvalResult, EvalStats, HeldAnswer
 from repro.core.algebra.expressions import Expression, SchemaResolver
 from repro.core.intervals import IntervalSet
-from repro.core.timestamps import TimeLike, Timestamp, ts
+from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Span
 
@@ -65,14 +66,27 @@ class PlanCacheStats:
         return self.hits / total if total else 0.0
 
 
-class _Entry:
+class _Entry(HeldAnswer):
+    """A compiled plan and its last result, held on the result's ``I(e)``."""
+
     __slots__ = ("plan", "schema_version", "result", "result_version")
 
     def __init__(self, plan: CompiledPlan, schema_version: int) -> None:
+        super().__init__(INFINITY)
         self.plan = plan
         self.schema_version = schema_version
         self.result: Optional[EvalResult] = None
         self.result_version: int = -1
+
+    def answers(self, tau, version, schema_version, floor) -> bool:
+        """The guards of :meth:`PlanCache.evaluate`, then the serve rule
+        (``I(e)`` starts at the result's ``τ``: no earlier ``tau`` hits)."""
+        return (
+            self.result_version == version
+            and self.schema_version == schema_version
+            and (floor is None or floor <= tau)
+            and self.serves(tau)
+        )
 
 
 class PlanCache:
@@ -193,33 +207,27 @@ class PlanCache:
         tau = ts(tau)
         eval_stats = stats if stats is not None else EvalStats()
         entry = self._entries.get(expression)
+        if (
+            cached
+            and entry is not None
+            and entry.answers(tau, version, schema_version, floor)
+        ):
+            held = entry.result
+            self._hits.inc()
+            if held.tau < tau:
+                self._validity_served.inc()
+            eval_stats.cache_hits += 1
+            if trace is not None:
+                trace.child("cache_hit").note(cached_tau=held.tau, served_at=tau)
+            self._entries.move_to_end(expression)
+            return EvalResult(
+                relation=held.relation.exp_at(tau),
+                expiration=held.expiration,
+                validity=held.validity & IntervalSet.from_onwards(tau),
+                tau=tau,
+            )
         if entry is not None and entry.schema_version != schema_version:
             entry = None  # DDL invalidated the plan itself
-
-        if entry is not None and cached:
-            held = entry.result
-            if (
-                held is not None
-                and entry.result_version == version
-                and held.tau <= tau
-                and (floor is None or floor <= tau)
-                and held.validity.contains(tau)
-            ):
-                self._hits.inc()
-                if held.tau < tau:
-                    self._validity_served.inc()
-                eval_stats.cache_hits += 1
-                if trace is not None:
-                    trace.child("cache_hit").note(
-                        cached_tau=held.tau, served_at=tau
-                    )
-                self._entries.move_to_end(expression)
-                return EvalResult(
-                    relation=held.relation.exp_at(tau),
-                    expiration=held.expiration,
-                    validity=held.validity & IntervalSet.from_onwards(tau),
-                    tau=tau,
-                )
 
         if cached:
             self._misses.inc()
@@ -247,6 +255,7 @@ class PlanCache:
         result = entry.plan.execute(catalog, tau, eval_stats, trace=trace)
         entry.result = result
         entry.result_version = version
+        entry.hold(tau, result.validity)
         self._entries.move_to_end(expression)
         self._entries_gauge.set(len(self._entries))
         return result

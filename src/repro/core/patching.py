@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.relation import Relation
 from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
@@ -124,18 +124,6 @@ class DifferencePatcher:
         if not heap:
             return None
         return heap[0][2].due
-
-    def pending(self) -> Iterator[Patch]:
-        """The queued (non-shed) patches, unordered and without popping.
-
-        A read-only walk for auditing: invariant checks replay pending
-        patches against a *copy* of the materialisation, so the real queue
-        must stay untouched.
-        """
-        dead = self._dead
-        for _, seq, patch in self._heap:
-            if seq not in dead:
-                yield patch
 
     def due_patches(self, now: TimeLike) -> List[Patch]:
         """Pop every patch whose row should be visible at time ``now``.

@@ -9,18 +9,19 @@ only -- for every monotonic base-linear expression, whatever the policy, and
 under ``MaintenancePolicy.DELTA`` for the two non-monotonic shapes below.
 
 * **Lazy fold.**  The insert listener is O(1): it records the stored tuple
-  in a per-base batch.  The next read folds each batch with *one* execution
-  of a compiled plan over ``catalog[B := batch]`` -- the operators all
-  distribute over union on insertion deltas, and the expiration rules (min
-  for ×/⋈/∩, max merging for π/∪) hold because the delta runs through the
-  ordinary plan and is max-merged into the state.  The plan is executed
-  directly, never through the plan cache: a delta is not a result.
+  in a per-base batch.  The next read's catch-up hook folds each batch with
+  *one* execution of a compiled plan over ``catalog[B := batch]`` -- the
+  operators all distribute over union on insertion deltas, and the
+  expiration rules (min for ×/⋈/∩, max merging for π/∪) hold because the
+  delta runs through the ordinary plan and is max-merged into the state.
+  The plan is executed directly, never through the plan cache: a delta is
+  not a result.
 * **Overflow → stale.**  A batch that outgrows the stored result is dropped
   and the view marked stale: an unread view holds O(result) memory, and
   bulk seeding costs one refresh rather than one giant fold.
 * **Trimming.**  State rows with ``texp ≤ τ`` are dropped when a read at
-  ``τ`` serves the state, and when folding has doubled it, so reads move
-  forward in time only.
+  ``τ`` serves the state, and when folding has doubled it, so reads (and
+  probes) move forward in time only.
 * **Difference** ``L −exp R`` over monotonic, base-disjoint sides: a delta
   row is re-placed from the two side states -- visible, or hidden behind its
   match with a *patch* due when the match expires (Theorem 3's queue).
@@ -152,7 +153,7 @@ class IncrementalView(MaterialisedView):
     # -- recording and folding deltas -----------------------------------------
 
     def _on_insert(self, table, stored: ExpiringTuple) -> None:
-        if self._stale:
+        if self.cause is not None:
             return  # a refresh is pending anyway
         self._pending.setdefault(table.name, []).append(stored)
         self._unfolded += 1
@@ -160,11 +161,15 @@ class IncrementalView(MaterialisedView):
             # The batch outgrew the stored result: a refresh costs no more
             # than folding it and nothing has to be held until then.
             self._pending.clear()
-            self._stale = True
+            self.invalidate("stale")
 
     def _catch_up(self, stamp: Timestamp) -> None:
-        difference = self._patcher is not None
-        aggregate = bool(self._beside) and not difference
+        if not (
+            self._unfolded or (self._beside and stamp != self.held_at)
+        ) or self.cause is not None:
+            return  # nothing to fold (a read trims a plain state), or stale
+        difference = len(self._beside) == 2
+        aggregate = len(self._beside) == 1
         rows: List[Row] = []  # the delta rows a side state took in
         if self._unfolded:
             pending, self._pending = self._pending, {}
@@ -190,7 +195,7 @@ class IncrementalView(MaterialisedView):
             # A due patch is re-derived like a delta row, not trusted: a
             # later right-side insert may have renewed the match it waited
             # out (and queued its own patch then).
-            due = self._patcher.due_patches(stamp)
+            due = self._queue_at(stamp).due_patches(stamp)
             self.patches_applied += len(due)
             self.database.statistics.view_patches_applied += len(due)
             for row in rows + [patch.row for patch in due]:

@@ -4,22 +4,26 @@ The paper's central systems idea: materialise query results once, then
 maintain them *as independently of the base relations as possible*, in
 synchrony purely through expiration times (Section 3).
 
-* A **monotonic** view (Theorem 1) is maintenance-free forever: reads just
-  apply ``exp_τ`` to the stored result.  No policy needed, no base access.
-* A **non-monotonic** view is exact until ``texp(e)`` (Theorem 2) and has
-  the larger Schrödinger validity set ``I(e)`` beyond it.  Three policies:
+A view is a :class:`~repro.core.algebra.evaluator.HeldAnswer`: a read at
+``τ`` serves the stored result iff nothing invalidated it and ``τ`` lies in
+the window its build recorded, and recomputes otherwise.  A maintenance
+policy is nothing but that window:
 
-  - :attr:`MaintenancePolicy.RECOMPUTE` -- serve from the materialisation
-    while ``now < texp(e)``; recompute (and re-materialise) otherwise;
-  - :attr:`MaintenancePolicy.SCHRODINGER` -- serve whenever ``now ∈ I(e)``;
-    recompute only in the genuinely invalid gaps (Section 3.4);
-  - :attr:`MaintenancePolicy.PATCH` -- Theorem 3, for difference-rooted
-    expressions over monotonic children: keep the helper priority queue
-    and patch re-appearing tuples in; *never* recompute.
+* a **monotonic** view (Theorem 1) is valid at all times -- reads apply
+  ``exp_τ`` to the stored result, whatever the policy, and never touch the
+  bases;
+* :attr:`MaintenancePolicy.RECOMPUTE` -- ``[0, texp(e))`` (Theorem 2);
+* :attr:`MaintenancePolicy.SCHRODINGER` -- the larger Schrödinger validity
+  set ``I(e)``, so only the genuinely invalid gaps recompute (Section 3.4);
+* :attr:`MaintenancePolicy.PATCH` -- Theorem 3, for difference-rooted
+  expressions over monotonic children: ``[τ, guaranteed_until)``, with the
+  helper priority queue's due patches applied as a read catches up, so it
+  *never* recomputes.  A truncated queue's horizon passing raises
+  :class:`~repro.errors.StaleViewError`.
 
 All of that assumes the bases change through expiration only: a base
-insert, explicit delete or ``override`` marks a :class:`MaterialisedView`
-stale and the next read refreshes it.  The subclass
+insert, explicit delete or ``override`` is a pending cause (``stale``) and
+the next read refreshes.  The subclass
 :class:`~repro.engine.maintenance.IncrementalView` (the paper's Section 5
 future work) folds inserts in instead.  Neither is constructed directly:
 :meth:`Database.materialise <repro.engine.database.Database.materialise>`
@@ -32,9 +36,9 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.algebra.evaluator import EvalResult
+from repro.core.algebra.evaluator import EvalResult, HeldAnswer
 from repro.core.algebra.expressions import Difference, Expression
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import ALL_TIME, IntervalSet
 from repro.core.patching import DifferencePatcher, compute_difference_with_patches
 from repro.core.relation import Relation
 from repro.core.timestamps import TimeLike, Timestamp, ts
@@ -57,19 +61,13 @@ class MaintenancePolicy(enum.Enum):
     DELTA = "delta"
 
 
-class MaterialisedView:
+class MaterialisedView(HeldAnswer):
     """One materialised expression registered with a database.
 
     Created via :meth:`repro.engine.database.Database.materialise`; read
     with :meth:`read`, which transparently hides all expiration handling,
     exactly as the paper prescribes for the querying user.
     """
-
-    #: Base rows recorded but not folded in yet (the insert-folding
-    #: subclass's business), and whether the state was patched or trimmed
-    #: forward, so that reads cannot go back in time.
-    _unfolded = 0
-    _forward_only = False
 
     def __init__(
         self,
@@ -79,6 +77,7 @@ class MaterialisedView:
         policy: MaintenancePolicy = MaintenancePolicy.SCHRODINGER,
         patch_limit: Optional[int] = None,
     ) -> None:
+        super().__init__(database.clock.now)
         self.name = name
         self.expression = expression
         self.database = database
@@ -90,11 +89,9 @@ class MaterialisedView:
         #: The configured patch-queue bound (PATCH policy), or ``None``.
         self.patch_limit = patch_limit
         self._result: Optional[EvalResult] = None
-        self._patcher: Optional[DifferencePatcher] = None
-        self._last_read = database.clock.now
-        #: Set by base-table listeners on inserts / explicit deletes; the
-        #: next read refreshes instead of serving the stale materialisation.
-        self._stale = False
+        #: Theorem 3's helper queue: the rows known to re-appear, and when
+        #: (empty unless a build of a difference gathered some).
+        self._patcher = DifferencePatcher()
         #: Callables ``(view)`` notified after every (re-)materialisation;
         #: the server's subscription layer hangs off this to learn that
         #: shipped state may have drifted without polling every view.
@@ -103,9 +100,7 @@ class MaterialisedView:
         # pay the statistics object's property round trips.
         counters = database.statistics._counters
         self._count_read = counters["view_reads"].labels().inc
-        self._count_served = (
-            counters["view_reads_from_materialisation"].labels().inc
-        )
+        self._served = counters["view_reads_from_materialisation"].labels().inc
         if policy is MaintenancePolicy.PATCH and not (
             isinstance(expression, Difference)
             and expression.left.is_monotonic()
@@ -129,12 +124,14 @@ class MaterialisedView:
         # Insert listeners are handed the stored ExpiringTuple; delete
         # listeners (explicit deletes and overrides) the bare row.
         if type(payload) is tuple:
-            self._stale = True
+            self.invalidate("stale")
         else:
             self._on_insert(table, payload)
 
     def _on_insert(self, table, stored) -> None:
-        self._stale = True
+        # Theorem 1 assumes the bases only ever expire -- so even a
+        # monotonic view is stale after anything else.
+        self.invalidate("stale")
 
     def _unsubscribe(self) -> None:
         """Detach the base-table listeners (called on ``drop_view``)."""
@@ -158,16 +155,28 @@ class MaterialisedView:
         self.recomputations += 1
         self.database._maybe_verify()
 
+    def _renew(self, stamp: Timestamp, cause: str) -> None:
+        self.refresh(stamp)
+
     def _materialise(self, stamp: Timestamp) -> None:
         with self.database.tracer.span(
             "view_refresh", view=self.name, policy=self.policy.value
         ) as span:
             self._result = self._build(stamp)
             span.note(rows=len(self._result.relation))
-        self._stale = False
-        self._last_read = stamp
+        self.hold(stamp, self._window(self._result))
         for listener in self.refresh_listeners:
             listener(self)
+
+    def _window(self, result: EvalResult) -> IntervalSet:
+        """The policy, as the window in which this build may be served."""
+        if self.is_monotonic:
+            return ALL_TIME  # Theorem 1: valid forever
+        if self.policy is MaintenancePolicy.RECOMPUTE:  # Theorem 2
+            return IntervalSet.single(0, result.expiration)  # texp(e) > τ
+        # I(e); a patched difference's is [τ, guaranteed_until), a folded
+        # aggregate's [τ, ∞).
+        return result.validity
 
     def _build(self, stamp: Timestamp) -> EvalResult:
         """Evaluate the stored result from the bases at ``stamp``."""
@@ -186,7 +195,7 @@ class MaterialisedView:
         # Theorem 3 in one pass: the anti-semijoin that computes the
         # difference gathers the helper queue for free, and its output
         # *is* exp_τ(L) −exp exp_τ(R) -- no second evaluation of the whole
-        # Difference.
+        # Difference.  Patched state moves forward only.
         state, self._patcher = compute_difference_with_patches(
             left, right, tau=stamp, limit=self.patch_limit
         )
@@ -209,9 +218,8 @@ class MaterialisedView:
 
     @property
     def storage_size(self) -> int:
-        """Materialised tuples (plus pending patches when patched)."""
-        patches = len(self._patcher) if self._patcher is not None else 0
-        return len(self._result.relation) + patches
+        """Materialised tuples plus pending patches."""
+        return len(self._result.relation) + len(self._patcher)
 
     # -- reading ------------------------------------------------------------------
 
@@ -219,110 +227,59 @@ class MaterialisedView:
         """The view's content at ``at`` (default: the database's now).
 
         Expiration times never surface here; tuples silently drop out as
-        they expire, and the policy decides when base access is needed.
+        they expire, and the recorded window decides when base access is
+        needed.
         """
         stamp = self.database.clock.now if at is None else ts(at)
         self._count_read()
         with self.database.tracer.span(
             "view_read", view=self.name, policy=self.policy.value
         ) as span:
-            span.note(decision=self._bring_current(stamp))
+            span.note(decision=self._bring_current(stamp) or "served")
             return self._visible(stamp)
 
     def contains(self, values, at: TimeLike = None) -> bool:
-        """Point-membership probe: is ``values`` in the view at ``at``?
-
-        Semantically ``values in read(at).rows()``, but without cloning
-        the whole materialisation: after the same staleness/validity
-        decisions as :meth:`read`, membership is one stored-expiration
-        lookup (``texp > τ``).  This is what lets a served ``check()``
-        fast path answer point queries in O(1) against views that stay
-        correct purely by expiration.
-        """
+        """Point-membership probe: ``values in read(at).rows()`` without
+        cloning the materialisation -- the read protocol, then one
+        stored-expiration lookup (``texp > τ``): an O(1) ``check()``
+        against views that stay correct purely by expiration."""
         stamp = self.database.clock.now if at is None else ts(at)
         self._count_read()
-        if self.is_monotonic and not self._stale and not self._unfolded:
-            self._count_served()  # Theorem 1, and nothing to fold
-        else:
-            self._bring_current(stamp)
+        self._bring_current(stamp)
         texp = self._result.relation.expiration_or_none(values)
         return texp is not None and stamp < texp
 
-    def _standing(self, stamp: Timestamp) -> str:
-        """How a read at ``stamp`` is answered; decides, changes nothing."""
-        result = self._result
-        if self._stale:
-            # A base table changed by something other than expiration
-            # since the materialisation (this holds for monotonic views
-            # too -- Theorem 1 assumes the bases only ever expire).
-            return "refresh_stale"
-        if self.is_monotonic:
-            return "materialised"  # Theorem 1: valid forever
-        if self._patcher is not None:
-            return "patch" if self._patcher.guaranteed_until > stamp else "truncated"
-        if self.policy is MaintenancePolicy.RECOMPUTE:
-            valid = stamp < result.expiration
-        else:  # exact validity intervals (a folded aggregate's are [τ, ∞))
-            valid = result.validity.contains(stamp)
-        return "materialised" if valid else "recompute"
+    def _catch_up(self, stamp: Timestamp) -> None:
+        """Insert the patches due by ``stamp`` (unless a refresh is pending)."""
+        if self.cause is None:
+            applied = self._queue_at(stamp).apply_to(self._result.relation, stamp)
+            if applied:
+                self.patches_applied += applied
+                self.database.statistics.view_patches_applied += applied
 
-    def _bring_current(self, stamp: Timestamp) -> str:
-        """Make the stored relation exact at ``stamp``; names the decision."""
-        if self._forward_only and stamp < self._last_read:
-            raise ViewError(
-                f"view {self.name!r}: patched and folded reads cannot go "
-                f"back in time ({stamp} < {self._last_read})"
-            )
-        if not self._stale and (self._unfolded or stamp != self._last_read):
-            self._catch_up(stamp)  # something to fold, or time has moved
-        decision = self._standing(stamp)
-        if decision == "truncated":
+    def _queue_at(self, stamp: Timestamp) -> DifferencePatcher:
+        """The patch queue, which must still cover ``stamp``."""
+        if not stamp < self._patcher.guaranteed_until:
             raise StaleViewError(
                 f"view {self.name!r}: patch queue was truncated; the "
                 f"materialisation is only guaranteed before "
                 f"{self._patcher.guaranteed_until}"
             )
-        if decision in ("refresh_stale", "recompute"):
-            self.refresh(stamp)
-        else:
-            if decision == "patch":
-                applied = self._patcher.apply_to(self._result.relation, stamp)
-                self.patches_applied += applied
-                self.database.statistics.view_patches_applied += applied
-            self._count_served()
-        self._last_read = stamp
-        return decision
-
-    def _catch_up(self, stamp: Timestamp) -> None:
-        """Hook: fold recorded base inserts in (nothing to do here)."""
+        return self._patcher
 
     def _visible(self, stamp: Timestamp) -> Relation:
         return self._result.relation.exp_at(stamp)
 
     def _audit_serveable(self, stamp: Timestamp) -> Optional[Relation]:
-        """What a :meth:`read` at ``stamp`` would serve *from storage*.
-
-        Twin of :meth:`read` for the invariant checker: returns the
-        relation the materialisation (plus due patches) would yield, or
-        ``None`` whenever a real read would refresh or raise instead of
-        serving -- those cases audit nothing.  Recorded inserts are folded
-        first (a fold changes no answer); beyond that nothing is mutated.
-        """
-        if self._result is None or self._stale or (
-            self._forward_only and stamp < self._last_read
-        ):
+        """What a :meth:`read` at ``stamp`` would serve *from storage*, for
+        the invariant checker: ``None`` where the guard or the serve rule
+        sends the read elsewhere; else caught up as the read would be
+        (which changes no answer), uncounted."""
+        if not (self.admits(stamp) and self.serves(stamp)):
             return None
         self._catch_up(stamp)
-        decision = self._standing(stamp)
-        relation = self._result.relation
-        if decision == "patch":
-            relation = relation.copy()
-            for patch in self._patcher.pending():
-                if patch.due <= stamp < patch.expires_at:
-                    relation.insert(patch.row, expires_at=patch.expires_at)
-        elif decision != "materialised":
-            return None
-        return relation.exp_at(stamp)
+        self.held_at = stamp
+        return self._result.relation.exp_at(stamp)
 
     def __repr__(self) -> str:
         return (

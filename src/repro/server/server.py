@@ -548,12 +548,10 @@ class ReproServer:
         sub = session.subscribe(view)
         self._streaming[session.token] = session
         self._adjust_subs(1)
-        now = self.db.clock.now
-        payload = sub.snapshot_payload(now)
+        payload = sub.snapshot_payload(self.db.clock.now, columns=True)
         payload["kind"] = "sub-ok"
         payload["re"] = rid
         payload["view"] = view.name
-        payload["columns"] = list(view.read(now).schema.names)
         self.families["snapshots"].inc()
         session.enqueue(payload)
 

@@ -217,18 +217,20 @@ class ServerSubscription:
 
     # -- state shipping -----------------------------------------------------
 
-    def snapshot_payload(self, now: Timestamp) -> dict:
+    def snapshot_payload(self, now: Timestamp, columns: bool = False) -> dict:
         """A full-state ``snapshot`` payload; resets the shipped baseline.
 
         Starts (or restarts, post-degrade) the epoch: seq 0 carries the
-        whole view, subsequent patches count up from 1.
+        whole view, subsequent patches count up from 1.  ``columns`` adds
+        the view's attribute names from the same read (a subscription's
+        first snapshot carries them).
         """
         relation = self.view.read(now)
         self.shipped = dict(relation.items())
         self.next_seq = 1
         self.degraded = False
         self.dirty = False
-        return {
+        payload = {
             "kind": "snapshot",
             "sub": self.sub_id,
             "epoch": self.epoch,
@@ -236,6 +238,9 @@ class ServerSubscription:
             "rows": encode_items(self.shipped.items()),
             "now": encode_exp(now),
         }
+        if columns:
+            payload["columns"] = list(relation.schema.names)
+        return payload
 
     def diff_payload(
         self,

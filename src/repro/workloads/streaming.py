@@ -16,19 +16,17 @@ story made runnable on the engine:
   stays flat because retention *is* expiration -- no operator state, no
   window buffers, no eviction logic.
 
-* **Standing queries are served from validity intervals.**  Each
-  standing query caches its answer together with the Schrödinger
-  validity interval ``I(e)`` of that answer and re-evaluates only on
-  cause.  Arrivals fold into the cached answer through the table's
-  insert listeners, never through a rescan.  The counting family goes
-  further, the way Theorem 3 keeps a non-monotonic materialisation
-  correct forever: every counted key is parked on one :class:`LiveKeys`
-  expiration schedule, a read patches the answer forward to ``τ`` in
-  O(keys expired since the last read), and the cached validity is
-  ``[τ, ∞)`` -- the clock cannot leave it.  Revocations
-  (``override``/delete) conservatively mark the query dirty through the
-  table's delete listeners, so a shortened lifetime is never served
-  stale; that and the first read are the only rescans a count makes.
+* **Standing queries are held answers.**  Each is a
+  :class:`~repro.core.algebra.evaluator.HeldAnswer` on the Schrödinger
+  validity ``I(e)`` of its answer, served by the one rule the plan cache
+  and the materialised views follow and re-evaluated only on a named
+  cause.  Arrivals fold in through the table's insert listeners, never
+  through a rescan.  The counting family's window is ``[τ, ∞)`` -- the
+  way Theorem 3 keeps a difference correct forever, every counted key is
+  parked on one :class:`LiveKeys` expiration schedule and a read patches
+  the answer forward in O(keys expired since the last read).  A
+  revocation (``override``/delete) is a cause through the delete
+  listeners, so a shortened lifetime is never served stale.
 
 Queries shipped: windowed :class:`WindowedCount`, :class:`DistinctCount`
 and :class:`ThresholdWatch` (per-group distinct counts against a
@@ -50,6 +48,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import MaxAggregate, MinAggregate
+from repro.core.algebra.evaluator import HeldAnswer
 from repro.core.approximate import (
     EXACT_TOLERANCE,
     Tolerance,
@@ -186,105 +185,52 @@ class LiveKeys:
 # -- standing queries --------------------------------------------------------
 
 
-class StandingQuery:
-    """A continuous query over one stream table, cached with its ``I(e)``.
+class StandingQuery(HeldAnswer):
+    """A continuous query over one stream table, held on its ``I(e)``.
 
-    Subclasses implement :meth:`_refresh` (full re-evaluation at a given
-    time, returning the new validity interval set) and
-    :meth:`_serve` (produce the answer from incremental state).  The base
-    class owns the serve/refresh protocol: a read refreshes only the
-    first time, when the clock has left the cached validity interval or
-    when a revocation marked the query dirty; otherwise the cached state
-    -- folded forward with the arrivals the listener observed -- is
-    served as-is.
+    Subclasses fold arrivals in (``_on_insert``), re-evaluate at ``τ``
+    returning the new validity (``_refresh``) and answer from their state
+    (``_serve``).  ``read`` is the held answer's protocol: it refreshes the
+    first time (``initial``), when the clock has left the held validity
+    (``validity``), or on a pending cause -- a revocation (``revoked``) or
+    what :meth:`_catch_up` names while folding expirations forward
+    (``drift``, ``depleted``).  Folding is destructive, so a standing query
+    only moves forward with the stream (:class:`~repro.errors.ViewError`).
     """
 
+    _forward_only = True
+
     def __init__(self, store: "StreamStore", name: str, table: Table) -> None:
+        super().__init__(Timestamp(0))
         self.store = store
         self.name = name
         self.table = table
-        self._validity: Optional[IntervalSet] = None
-        self._dirty = False
-        self._dirty_cause = "revoked"
-        #: time of the last served read; reads never go back behind it
-        self._served_at = Timestamp(0)
+        self.clock = table.clock
+        self._served = store._serves.labels(name, "cached").inc
         table.insert_listeners.append(self._on_insert)
         table.delete_listeners.append(self._on_delete)
-
-    # -- listener side (arrivals fold in, revocations dirty) ----------------
-
-    def _on_insert(self, table: Table, stored) -> None:  # pragma: no cover -
-        raise NotImplementedError  # overridden by every subclass
 
     def _on_delete(self, table: Table, row) -> None:
         # Conservative, like the materialised-view path: an override or
         # delete can remove tuples from the answer before their old texp,
         # which no validity interval computed earlier can know about.
-        self._dirty = True
-        self._dirty_cause = "revoked"
-
-    # -- the serve/refresh protocol -----------------------------------------
-
-    def read(self, at=None):
-        """The standing answer at ``at`` (default: now).
-
-        ``at`` may not precede the last served time (``EngineError``):
-        folding expirations forward is destructive, so a standing query
-        only moves forward with the stream.
-        """
-        tau = self.table.clock.now if at is None else ts(at)
-        if tau < self._served_at:
-            raise EngineError(
-                f"standing query {self.name!r} cannot go back in time: "
-                f"{tau} < last read {self._served_at}"
-            )
-        self._before_serve(tau)
-        self._served_at = tau
-        if self._dirty or self._validity is None or not self._validity.contains(tau):
-            if self._validity is None:
-                cause = "initial"
-            else:
-                cause = self._dirty_cause if self._dirty else "validity"
-            self._dirty_cause = "revoked"
-            started = time.perf_counter()
-            self._validity = self._refresh(tau)
-            self.store._refresh_seconds.observe(time.perf_counter() - started)
-            self._dirty = False
-            self.store._refreshes.labels(self.name, cause).inc()
-            self.store._serves.labels(self.name, "refresh").inc()
-        else:
-            self.store._serves.labels(self.name, "cached").inc()
-        return self._serve(tau)
+        self.invalidate("revoked")
 
     @property
     def validity(self) -> Optional[IntervalSet]:
-        """The cached answer's ``I(e)`` (None before the first read)."""
-        return self._validity
+        """The held answer's ``I(e)`` (None before the first read)."""
+        return self.window
 
-    def _before_serve(self, tau: Timestamp) -> None:
-        """Pre-serve hook: fold expirations forward, possibly going dirty.
-
-        Runs *before* the validity check, ``_served_at`` still the
-        previous read's time, so a subclass that discovers mid-drain that
-        its cached answer can no longer be bounded (an extent endpoint
-        died, a reservoir drained) refreshes on this very read instead of
-        serving one stale answer first.
-        """
-
-    def _refresh(self, tau: Timestamp) -> IntervalSet:
-        raise NotImplementedError
-
-    def _serve(self, tau: Timestamp):
-        raise NotImplementedError
-
-    # -- shared helpers ------------------------------------------------------
+    def _renew(self, tau: Timestamp, cause: str) -> None:
+        store = self.store
+        started = time.perf_counter()
+        self.hold(tau, self._refresh(tau))
+        store._refresh_seconds.observe(time.perf_counter() - started)
+        store._refreshes.labels(self.name, cause).inc()
+        store._serves.labels(self.name, "refresh").inc()
 
     def _live_items(self, tau: Timestamp) -> List[Tuple[tuple, Timestamp]]:
-        return [
-            (row, texp)
-            for row, texp in self.table.relation.items()
-            if tau < texp
-        ]
+        return [item for item in self.table.relation.items() if tau < item[1]]
 
 
 class _KeyedCount(StandingQuery):
@@ -297,15 +243,12 @@ class _KeyedCount(StandingQuery):
     an arrival found it, is admitted to one :class:`LiveKeys` schedule;
     a read advances the schedule to ``τ`` and answers from what is left,
     exactly, at every ``τ`` from the rescan onwards -- which is the
-    validity reported.  Subclasses say what the key is (:meth:`_admit`).
+    validity reported.  Subclasses say what the key is (``_admit``).
     """
 
     def __init__(self, store: "StreamStore", name: str, table: Table) -> None:
         self._live = LiveKeys()
         super().__init__(store, name, table)
-
-    def _admit(self, row: tuple, texp: Timestamp) -> None:
-        raise NotImplementedError
 
     def _on_insert(self, table: Table, stored) -> None:
         self._admit(stored.row, stored.expires_at)
@@ -371,7 +314,7 @@ class ReservoirSample(StandingQuery):
     Arrivals run classic Algorithm R against the arrivals-since-refill
     stream; expired members are evicted on read (an O(1) stored-
     expiration probe each, once per clock value: a member can only die
-    when the clock moves or a revocation dirties the query) and, when
+    when the clock moves or a revocation invalidates) and, when
     eviction drains the reservoir below half capacity, it is refilled by
     a uniform draw from live storage -- the expiring-stream analogue of a
     restart, counted in ``repro_streaming_query_refreshes_total``.
@@ -398,6 +341,7 @@ class ReservoirSample(StandingQuery):
 
     def _on_insert(self, table: Table, stored) -> None:
         self._arrivals += 1
+        self._unfolded += 1  # a read ahead of the clock must probe it
         if len(self._members) < self.capacity:
             if stored.row not in self._members:
                 self._members.append(stored.row)
@@ -419,12 +363,13 @@ class ReservoirSample(StandingQuery):
         self._arrivals = len(live)
         # The reservoir's own validity: it degrades gracefully (members
         # just vanish as they expire), so only *depletion* forces the next
-        # refill -- modelled as dirtiness in _serve, not as an interval.
+        # refill -- a cause named while catching up, not an interval.
         return IntervalSet.from_onwards(tau)
 
-    def _before_serve(self, tau: Timestamp) -> None:
-        if tau == self._served_at and not (
-            self._dirty or self.table.clock.now < tau
+    def _catch_up(self, tau: Timestamp) -> None:
+        self._unfolded = 0
+        if tau == self.held_at and not (
+            self.cause is not None or self.clock.now < tau
         ):
             return  # filtered at tau already; arrivals since are alive at now
         self._members = [r for r in self._members if self._alive(r, tau)]
@@ -432,8 +377,7 @@ class ReservoirSample(StandingQuery):
             len(self._members) < max(1, self.capacity // 2)
             and len(self.table) > len(self._members)
         ):
-            self._dirty = True  # depleted: refill (a fresh uniform draw)
-            self._dirty_cause = "depleted"
+            self.invalidate("depleted")  # refill: a fresh uniform draw
 
     def _serve(self, tau: Timestamp) -> List[tuple]:
         return list(self._members)
@@ -449,7 +393,7 @@ class ExtentAggregate(StandingQuery):
     drifts out of band.  Arrivals fold in exactly -- a value outside the
     current ``[lo, hi]`` widens it immediately -- and park their
     expiration on a heap; an expiring arrival that carried an endpoint
-    dirties the query (the extent may shrink, which only a rescan can
+    is a ``drift`` cause (the extent may shrink, which only a rescan can
     bound).
     """
 
@@ -480,6 +424,7 @@ class ExtentAggregate(StandingQuery):
             heapq.heappush(
                 self._pending, (stored.expires_at, next(self._seq), value)
             )
+            self._unfolded += 1
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
         items = [
@@ -499,14 +444,14 @@ class ExtentAggregate(StandingQuery):
         )
         return lo_validity & hi_validity
 
-    def _before_serve(self, tau: Timestamp) -> None:
+    def _catch_up(self, tau: Timestamp) -> None:
+        self._unfolded = 0
         while self._pending and self._pending[0][0] <= tau:
             _, _, value = heapq.heappop(self._pending)
             if self._lo is not None and (value == self._lo or value == self._hi):
                 # An endpoint-carrying arrival died: the extent may have
                 # shrunk in a way no precomputed band bounds -- rescan.
-                self._dirty = True
-                self._dirty_cause = "drift"
+                self.invalidate("drift")
 
     def _serve(self, tau: Timestamp) -> Optional[Any]:
         if self._lo is None:
@@ -705,10 +650,11 @@ class StreamStore:
 
     # -- standing queries ----------------------------------------------------
 
-    def _register(self, query: StandingQuery) -> StandingQuery:
-        if query.name in self._queries:
-            raise EngineError(f"standing query {query.name!r} already exists")
-        self._queries[query.name] = query
+    def _add(self, kind, name: str, stream: str, *args) -> StandingQuery:
+        if name in self._queries:  # before the query attaches its listeners
+            raise EngineError(f"standing query {name!r} already exists")
+        query = kind(self, name, self.stream(stream), *args)
+        self._queries[name] = query
         return query
 
     def query(self, name: str) -> StandingQuery:
@@ -722,9 +668,7 @@ class StreamStore:
     ) -> WindowedCount:
         """A standing windowed count over the stream."""
         name = name if name is not None else f"{stream}:count"
-        return self._register(
-            WindowedCount(self, name, self.stream(stream), tolerance)
-        )
+        return self._add(WindowedCount, name, stream, tolerance)
 
     def distinct(
         self,
@@ -735,9 +679,7 @@ class StreamStore:
     ) -> DistinctCount:
         """A standing distinct-count of one attribute over the stream."""
         name = name if name is not None else f"{stream}:distinct:{attribute}"
-        return self._register(
-            DistinctCount(self, name, self.stream(stream), attribute, tolerance)
-        )
+        return self._add(DistinctCount, name, stream, attribute, tolerance)
 
     def sample(
         self,
@@ -748,9 +690,7 @@ class StreamStore:
     ) -> ReservoirSample:
         """A bounded reservoir sample of the unexpired stream."""
         name = name if name is not None else f"{stream}:sample"
-        return self._register(
-            ReservoirSample(self, name, self.stream(stream), capacity, rng)
-        )
+        return self._add(ReservoirSample, name, stream, capacity, rng)
 
     def extent(
         self,
@@ -761,9 +701,7 @@ class StreamStore:
     ) -> ExtentAggregate:
         """A standing diameter/k-center extent over a numeric attribute."""
         name = name if name is not None else f"{stream}:extent:{attribute}"
-        return self._register(
-            ExtentAggregate(self, name, self.stream(stream), attribute, tolerance)
-        )
+        return self._add(ExtentAggregate, name, stream, attribute, tolerance)
 
     def watch(
         self,
@@ -775,8 +713,4 @@ class StreamStore:
     ) -> ThresholdWatch:
         """A per-group distinct-count threshold query (scan detection)."""
         name = name if name is not None else f"{stream}:watch:{group_by}"
-        return self._register(
-            ThresholdWatch(
-                self, name, self.stream(stream), group_by, distinct, threshold
-            )
-        )
+        return self._add(ThresholdWatch, name, stream, group_by, distinct, threshold)

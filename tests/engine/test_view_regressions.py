@@ -9,7 +9,11 @@ Each test pins one historical bug:
 3. a PATCH refresh evaluated the difference twice (once for the full
    expression, once inside the patch construction);
 4. patched reads past the truncated queue's ``guaranteed_until`` horizon
-   returned wrong rows instead of raising :class:`StaleViewError`.
+   returned wrong rows instead of raising :class:`StaleViewError`;
+5. a point probe (``contains``) on a folded or patched view before its last
+   serving read answered from state already trimmed forward, where
+   ``read`` at the same time refuses -- and so did a read before the time
+   a deep audit had caught the state up to.
 """
 
 import pytest
@@ -17,7 +21,7 @@ import pytest
 from repro.core.timestamps import INFINITY, ts
 from repro.engine.database import Database
 from repro.engine.views import MaintenancePolicy
-from repro.errors import StaleViewError
+from repro.errors import StaleViewError, ViewError
 
 
 def diff_expr(db):
@@ -97,7 +101,7 @@ class TestStalenessAfterMutation:
             "v", figure1_db.table_expr("Pol").project(1)
         )
         figure1_db.advance_to(10)  # eager removal physically deletes tuples
-        assert not view._stale
+        assert view.cause is None
         assert set(view.read().rows()) == {(2,)}
 
     def test_drop_view_unsubscribes_listeners(self, figure1_db):
@@ -199,3 +203,61 @@ class TestTruncatedQueueStaleness:
         view.refresh()
         truth = fresh(db, db.table_expr("L").difference(db.table_expr("R")))
         assert set(view.read().rows()) == truth
+
+
+class TestProbesDoNotGoBackInTime:
+    """``contains`` is a read: the forward-only guard applies to it too,
+    and an audit that catches the state up moves the guard like a read."""
+
+    def _probed(self, policy=None):
+        """Insert (1,) expiring at 5 and (2,) at 50, then read at 10."""
+        db = Database()
+        db.create_table("L", ["k"])
+        db.create_table("R", ["k"])
+        if policy is None:  # monotonic: folded by shape
+            view = db.materialise("v", db.table_expr("L"))
+        else:
+            view = db.materialise(
+                "v", db.table_expr("L").difference(db.table_expr("R")),
+                policy=policy,
+            )
+        db.table("L").insert((1,), expires_at=5)
+        db.table("L").insert((2,), expires_at=50)
+        db.advance_to(10)
+        assert set(view.read().rows()) == {(2,)}
+        return view
+
+    @pytest.mark.parametrize(
+        "policy",
+        [None, MaintenancePolicy.PATCH, MaintenancePolicy.DELTA],
+        ids=["folded", "patched", "folded-difference"],
+    )
+    def test_contains_before_the_last_read_is_refused(self, policy):
+        view = self._probed(policy)
+        with pytest.raises(ViewError):
+            view.read(at=3)
+        with pytest.raises(ViewError):
+            view.contains((1,), at=3)
+        assert view.contains((2,), at=10) and not view.contains((1,), at=10)
+
+    def test_a_probe_moves_the_guard_like_a_read(self):
+        view = self._probed()
+        assert view.contains((2,), at=20)
+        with pytest.raises(ViewError):
+            view.read(at=15)
+
+    def test_an_audit_moves_the_guard_like_a_read(self):
+        db = Database()
+        db.create_table("L", ["k"])
+        db.create_table("R", ["k"])
+        view = db.materialise(
+            "v", db.table_expr("L").difference(db.table_expr("R")),
+            policy=MaintenancePolicy.DELTA,
+        )
+        db.table("L").insert((1,), expires_at=5)
+        db.table("L").insert((2,), expires_at=50)
+        assert set(view.read().rows()) == {(1,), (2,)}
+        db.advance_to(10)
+        assert db.verify() == []  # catches the state up to 10 (and trims)
+        with pytest.raises(ViewError):
+            view.read(at=3)

@@ -251,6 +251,30 @@ class TestSubscribeDifferential:
 
         run(scenario())
 
+    def test_subscribe_reads_the_view_once(self):
+        """The ``sub-ok`` reply's rows and columns come from one view read
+        (each read copies the whole result)."""
+
+        async def scenario():
+            server = ReproServer()
+            session = await AsyncSession.over_loopback(server)
+            await session.execute("CREATE TABLE T (k, v)")
+            await session.execute("INSERT INTO T VALUES (1, 2) EXPIRES AT 50")
+            await session.execute(
+                "CREATE MATERIALIZED VIEW v AS SELECT v FROM T"
+            )
+            statistics = server.db.statistics
+            for _ in range(3):
+                before = statistics.view_reads
+                sub = await session.subscribe("v")
+                assert statistics.view_reads == before + 1
+                assert sub.columns == ("v",)
+                assert sub.read() == [(2,)]
+            await session.close()
+            await server.stop()
+
+        run(scenario())
+
     def test_unknown_view_subscription_is_a_remote_error(self):
         async def scenario():
             server = ReproServer()
