@@ -2,8 +2,8 @@
 
 Runs the stateful fuzzer (both removal policies by default) with the full
 invariant catalogue armed after every operation, prints one summary line
-per run plus the ``repro_check_*`` metric families, and -- on failure --
-the shrunk minimal reproducing op sequence.  Exit status 1 on any failure,
+per run plus the ``repro_check_*`` families and the lookup count, and --
+on failure -- the shrunk minimal reproducing op sequence.  Exit 1 on any failure,
 so the CI step fails loudly with the repro in the log.
 """
 
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
 
     print()
     for line in registry.to_prom_text().splitlines():
-        if "repro_check" in line:
+        if "repro_check" in line or "lookup_probes" in line:
             print(line)
         elif args.crash_points and "repro_wal" in line:
             print(line)

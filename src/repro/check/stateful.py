@@ -66,8 +66,11 @@ Ops and semantics
                                 commit aborts and must roll back cleanly;
 ``("view", name)``              read a materialised view, then both
                                 standing queries;
-``("sql", t, k | None)``        a SQL point or full scan through the
-                                front door (exercising the plan cache).
+``("sql", t, k | (lo, hi) | None)`` SQL through the front door: the
+                                point selects ``k`` and ``k + 3`` (one
+                                ``part`` shard), two ranges, or a full scan;
+``("fill", t, ttl)``            insert ``(k, 0)`` for keys from ``_KEYS`` up,
+                                lifting ``t`` above the lookup floor.
 
 Crash-point injection (``crash_points=True``)
 ---------------------------------------------
@@ -110,6 +113,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.codec import HEADER
 from repro.core.algebra.expressions import BaseRef
+from repro.core.relation import LOOKUP_FLOOR
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.recovery import recover_database
@@ -140,6 +144,11 @@ _MAX_ADVANCE = 4
 #: What ``v`` stands for on the tables that no view reads (no two values
 #: of a table are equal across types, as ``True == 1`` would be).
 _TYPED_VALUES = {"col": (0, "é", None), "pcol": (True, 2.5, 2)}
+_SHARDS = 3  # of ``part``: keys ``k`` and ``k + _SHARDS`` share a shard
+#: Rows per ``fill`` (each ``part`` shard gets the floor), lifetime, period.
+_FILL = {"flat": LOOKUP_FLOOR, "part": _SHARDS * LOOKUP_FLOOR}
+_FILL_TTL = 40
+_FILL_EVERY = 250
 
 
 def _row(rng: random.Random, table: str) -> tuple:
@@ -228,7 +237,10 @@ def generate_ops(
     need.
     """
     ops: List[tuple] = []
-    for _ in range(count):
+    for index in range(count):
+        if index % _FILL_EVERY < 2:  # draws nothing: the rest stays put
+            ops.append(("fill", ("flat", "part")[index % _FILL_EVERY], _FILL_TTL))
+            continue
         if crash_points:
             injected = rng.random()
             if injected < 0.04:
@@ -272,8 +284,9 @@ def generate_ops(
         elif roll < 0.95:
             ops.append(("view", rng.choice(_VIEWS)))
         else:
-            key = rng.randrange(_KEYS) if rng.random() < 0.5 else None
-            ops.append(("sql", table, key))
+            form = rng.random()
+            key = rng.randrange(_KEYS) if form < 0.5 else None
+            ops.append(("sql", table, (key, key + 3) if form < 0.25 else key))
     return ops
 
 
@@ -303,7 +316,7 @@ class _Harness:
         self.db = Database(**db_kwargs)
         self.db.create_table("flat", ["k", "v"], lazy_batch_size=8)
         self.db.create_table(
-            "part", ["k", "v"], partitions=3, partition_key="k",
+            "part", ["k", "v"], partitions=_SHARDS, partition_key="k",
             lazy_batch_size=8,
         )
         # Columnar storage under the same op mix: batch kernels, the
@@ -503,22 +516,33 @@ class _Harness:
                         f"standing query {query.name} read {query.read()} "
                         f"!= oracle {count}"
                     )
+        elif kind == "fill":
+            _, table, ttl = op
+            self.db.check_invariants = False  # audited once, after the op
+            for k in range(_KEYS, _KEYS + _FILL[table]):
+                self.db.table(table).insert((k, 0), ttl=ttl)
+                self._model_insert(table, (k, 0), self.now + ttl)
+            self.db.check_invariants = True
         elif kind == "sql":
             _, table, key = op
             if key is None:
-                text = f"SELECT * FROM {table}"
-                expected = set(self._visible(table))
-            else:
-                text = f"SELECT * FROM {table} WHERE k = {key}"
-                expected = {
-                    row for row in self._visible(table) if row[0] == key
-                }
-            got = set(execute_sql(self.db, text).rows)
-            if got != expected:
-                raise CheckFailed(
-                    f"{text!r} returned {sorted(got, key=repr)} != "
-                    f"oracle {sorted(expected, key=repr)}"
-                )
+                selects = [("", lambda k: True)]
+            elif isinstance(key, tuple):
+                low, high = key
+                selects = [(f" WHERE {low} <= k AND k < {high}", lambda k: low <= k < high),
+                           (f" WHERE k > {low} AND k <= {high}", lambda k: low < k <= high)]
+            else:  # back to back, so the second may build a lookup
+                selects = [(f" WHERE k = {p}", lambda k, p=p: k == p)
+                           for p in (key, key + _SHARDS)]
+            for where, keep in selects:
+                text = f"SELECT * FROM {table}{where}"
+                got = set(execute_sql(self.db, text).rows)
+                expected = {r for r in self._visible(table) if keep(r[0])}
+                if got != expected:
+                    raise CheckFailed(
+                        f"{text!r} returned {sorted(got, key=repr)} != "
+                        f"oracle {sorted(expected, key=repr)}"
+                    )
         else:  # pragma: no cover - generator and apply must stay in sync
             raise ValueError(f"unknown op kind {kind!r}")
 

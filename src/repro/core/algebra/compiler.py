@@ -77,11 +77,13 @@ from repro.core.algebra.predicates import (
     And,
     Attribute,
     Comparison,
+    OPERATORS,
     Constant,
     Not,
     Or,
     Predicate,
     TruePredicate,
+    compare,
 )
 from repro.core.columnar import (
     ColumnBatch,
@@ -107,16 +109,6 @@ __all__ = [
 #: duplicate rows (consumers max-merge or are duplicate-insensitive).
 Pairs = Iterable[Tuple[tuple, Timestamp]]
 
-_COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
 # ---------------------------------------------------------------------------
 # Predicate compilation
 # ---------------------------------------------------------------------------
@@ -130,18 +122,24 @@ def compile_predicate(predicate: Predicate, schema: Schema) -> Callable[[tuple],
     one call doing plain 0-based tuple indexing, with no per-row AST walk,
     name resolution, bounds re-checking or nested calls per connective.
     Constants are bound as closure cells, never spliced into the source.
+    A failed comparison re-runs interpreted, raising the ``EvaluationError``.
     """
     constants: List[Any] = []
-    body = _predicate_source(predicate.resolve(schema), constants)
-    return _predicate_factory(body, len(constants))(*constants)
+    resolved = predicate.resolve(schema)
+    body = _predicate_source(resolved, constants)
+    return _predicate_factory(body, len(constants))(resolved.matches, *constants)
 
 
 @functools.lru_cache(maxsize=256)
 def _predicate_factory(body: str, cells: int) -> Callable[..., Callable[[tuple], bool]]:
     # Constants live in cells, so the source depends on the predicate's
     # shape alone and the same few shapes recur across a workload's plans.
-    names = ", ".join(f"c{index}" for index in range(cells))
-    return eval(f"lambda {names}: lambda row: {body}")
+    names = "".join(f", c{index}" for index in range(cells))
+    namespace: Dict[str, Any] = {}
+    exec(f"def bind(explain{names}):\n def matches(row):\n  try:\n"
+         f"   return {body}\n  except TypeError:\n   explain(row)\n   raise\n"
+         f" return matches", namespace)
+    return namespace["bind"]
 
 
 def _predicate_source(predicate: Predicate, constants: List[Any]) -> str:
@@ -233,8 +231,8 @@ class _Stream:
         self.billed = billed
 
 
-def _live_pairs(relation, tau: Timestamp) -> Pairs:
-    """Stream ``exp_τ(R)`` off a row-layout relation without copying it.
+def _live_pairs(pairs: Pairs, tau: Timestamp) -> Pairs:
+    """Stream the pairs of ``pairs`` (stored rows) alive at ``τ``.
 
     The filter compares raw ticks (``None`` = ∞), as the columnar kernels
     do, so a scan pays no ``Timestamp.__lt__`` call per stored row.
@@ -243,7 +241,7 @@ def _live_pairs(relation, tau: Timestamp) -> Pairs:
     if tick is None:
         return iter(())  # nothing outlives ∞
     return (
-        pair for pair in relation.items()
+        pair for pair in pairs
         if (texp := pair[1]._value) is None or texp > tick
     )
 
@@ -441,37 +439,19 @@ def _compile_mask(predicate: Predicate):
     """Compile a resolved predicate into a whole-column mask builder.
 
     The returned ``build(columns, n)`` produces a boolean selection vector
-    for ``n`` rows, one list-comprehension compare per column.  Semantics
+    for ``n`` rows, one ``map`` of the comparison per column.  Semantics
     match :func:`compile_predicate` row-at-a-time evaluation elementwise.
     """
     if isinstance(predicate, Comparison):
-        compare = _COMPARATORS[predicate.op]
-        left, right = predicate.left, predicate.right
-        if isinstance(left, Attribute) and isinstance(right, Attribute):
-            i, j = left.ref - 1, right.ref - 1
-
-            def build(columns, n):
-                return [compare(x, y) for x, y in zip(columns[i], columns[j])]
-
-            return build
-        if isinstance(left, Attribute):
-            i, value = left.ref - 1, right.evaluate(())
-
-            def build(columns, n):
-                return [compare(x, value) for x in columns[i]]
-
-            return build
-        if isinstance(right, Attribute):
-            value, j = left.evaluate(()), right.ref - 1
-
-            def build(columns, n):
-                return [compare(value, y) for y in columns[j]]
-
-            return build
-        constant = compare(left.evaluate(()), right.evaluate(()))
+        left, op, right = predicate.left, predicate.op, predicate.right
 
         def build(columns, n):
-            return [constant] * n
+            try:
+                return list(map(OPERATORS[op], _side(left, columns, n),
+                                _side(right, columns, n)))
+            except TypeError:  # again, to raise the EvaluationError naming it
+                return list(map(functools.partial(compare, op),
+                                _side(left, columns, n), _side(right, columns, n)))
 
         return build
     if isinstance(predicate, And):
@@ -507,6 +487,13 @@ def _compile_mask(predicate: Predicate):
 
         return build
     raise EvaluationError(f"uncompilable predicate {type(predicate).__name__}")
+
+
+def _side(operand, columns, n):
+    """A comparison operand as a column slice, or its constant ``n`` times."""
+    if isinstance(operand, Attribute):
+        return columns[operand.ref - 1]
+    return itertools.repeat(operand.evaluate(()), n)
 
 
 def _predicate_columns(predicate: Predicate) -> set:
@@ -554,7 +541,39 @@ def _is_columnar(relation) -> bool:
     return isinstance(relation if shards is None else shards[0], ColumnarRelation)
 
 
-def _scan(ctx: _Context, relation, keep: Optional[List[int]] = None):
+_RANGE: Any = object()
+_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _probe_of(predicate: Predicate) -> Optional[tuple]:
+    """``(column, value, ask)`` for a resolved predicate's indexable conjunct,
+    ``col = c`` (``value`` is ``c``) or both bounds on one column (``_RANGE``),
+    else ``None``; ``ask(lookup)`` gives candidates the selection filters."""
+    bounds: Dict[int, list] = {}
+    for part in predicate.children if isinstance(predicate, And) else (predicate,):
+        if not isinstance(part, Comparison) or part.op not in _MIRRORED:
+            continue
+        left, op, right = part.left, part.op, part.right
+        if isinstance(left, Constant):
+            left, op, right = right, _MIRRORED[op], left
+        if not (isinstance(left, Attribute) and isinstance(right, Constant)):
+            continue
+        column, value = left.ref - 1, right.value
+        if op == "=":
+            try:
+                hash(value)
+            except TypeError:  # only a scan can compare it
+                continue
+            return column, value, lambda lookup: lookup.by_value.get(value, ())
+        bound = bounds.setdefault(column, [None, None])
+        bound[op[0] == "<"] = (value, len(op) == 1)  # (bound, strict)
+    for column, (low, high) in bounds.items():
+        if low is not None and high is not None:
+            return column, _RANGE, lambda lookup: lookup.between(low, high)
+    return None
+
+
+def _scan(ctx: _Context, relation, keep: Optional[List[int]] = None, probe=None):
     """``exp_τ(R)`` off a stored relation: the one scan every leaf runs.
 
     Columnar storage comes back as one :class:`ColumnBatch` -- each
@@ -565,12 +584,13 @@ def _scan(ctx: _Context, relation, keep: Optional[List[int]] = None):
     trace every shard of a partitioned relation hangs a ``shard_scan``
     span (rows, pull time) off the current operator by instrumenting this
     same scan, so a traced run executes what an untraced one does.
+    A selection's ``probe`` (:func:`_probe_of`) reads lookup candidates.
     """
-    ctx.stats.tuples_scanned += len(relation)
     shards = getattr(relation, "shards", None)
     parts = (relation,) if shards is None else shards
     trace = ctx.trace if shards is not None else None
     if isinstance(parts[0], ColumnarRelation):
+        ctx.stats.tuples_scanned += len(relation)
         tau_raw = to_raw(ctx.tau)
         batches = []
         for index, part in enumerate(parts):
@@ -582,12 +602,24 @@ def _scan(ctx: _Context, relation, keep: Optional[List[int]] = None):
                 span.note(rows=len(batch))
             batches.append(batch)
         return _concat_batches(batches)
-    streams = [_live_pairs(part, ctx.tau) for part in parts]
-    if trace is not None:
-        streams = [
-            _timed_pairs(pairs, trace.child("shard_scan", shard=index, stage="fused"))
-            for index, pairs in enumerate(streams)
-        ]
+    column, value, ask = probe or (None, _RANGE, None)
+    only = None if shards is None or value is _RANGE else relation.owner_of(column, value)
+    streams, answered = [], False
+    for index, part in enumerate(parts):
+        if only is not None and index != only:
+            continue
+        lookup = None if ask is None else part.lookup(column)
+        rows = None if lookup is None else ask(lookup)
+        answered = answered or rows is not None
+        ctx.stats.tuples_scanned += len(part if rows is None else rows)
+        pairs = _live_pairs(part.items() if rows is None else part.items_of(rows), ctx.tau)
+        if trace is not None:
+            pairs = _timed_pairs(pairs, trace.child("shard_scan", shard=index, stage="fused"))
+        streams.append(pairs)
+    if answered:
+        ctx.stats.lookup_probes += 1
+        if ctx.trace is not None:
+            ctx.trace.note(lookup=f"col({column + 1})")
     return itertools.chain.from_iterable(streams)
 
 
@@ -641,17 +673,17 @@ class _Compiler:
             return _Compiler.dup_free(node.left)
         return False  # Project, Union
 
-    def compile(self, node: Expression) -> _Runner:
+    def compile(self, node: Expression, probe=None) -> _Runner:
         fused = isinstance(node, _FUSED_NODES)
         if fused:
             self.fused_count += 1
         else:
             self.materialised_count += 1
-        return _traced(operator_label(node), fused, self._compile_node(node))
+        return _traced(operator_label(node), fused, self._compile_node(node, probe))
 
-    def _compile_node(self, node: Expression) -> _Runner:
+    def _compile_node(self, node: Expression, probe=None) -> _Runner:
         if isinstance(node, (BaseRef, Literal)):
-            return self._compile_leaf(node)
+            return self._compile_leaf(node, probe)
         if isinstance(node, Select):
             return self._compile_select(node)
         if isinstance(node, Project):
@@ -687,13 +719,13 @@ class _Compiler:
         name = node.name
         return lambda ctx: ctx.lookup(name)
 
-    def _compile_leaf(self, node) -> _Runner:
+    def _compile_leaf(self, node, probe=None) -> _Runner:
         resolve = self._leaf_relation(node)
 
         def run(ctx: _Context) -> _Stream:
             ctx.stats.operators_evaluated += 1
             started = time.perf_counter()
-            scanned = _scan(ctx, resolve(ctx))
+            scanned = _scan(ctx, resolve(ctx), probe=probe)
             validity = IntervalSet.from_onwards(ctx.tau)
             if isinstance(scanned, ColumnBatch):
                 return _columnar_stream(
@@ -706,10 +738,12 @@ class _Compiler:
     # -- fused unary stages -------------------------------------------------
 
     def _compile_select(self, node: Select) -> _Runner:
-        child = self.compile(node.child)
         child_schema = self.schema_of(node.child)
+        resolved = node.predicate.resolve(child_schema)
+        stored = isinstance(node.child, BaseRef)
+        child = self.compile(node.child, _probe_of(resolved) if stored else None)
         matches = compile_predicate(node.predicate, child_schema)
-        mask_build = _compile_mask(node.predicate.resolve(child_schema))
+        mask_build = _compile_mask(resolved)
         dup_free = self.dup_free(node)
 
         def run(ctx: _Context) -> _Stream:

@@ -93,6 +93,7 @@ class EvalStats:
     cache_misses: int = 0
     columnar_batches: int = 0
     columnar_rows: int = 0
+    lookup_probes: int = 0
 
     def __post_init__(self) -> None:
         #: Rows processed per columnar batch kernel (``scan_filter``,

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterator, Tuple
 
 from repro.core.schema import AttributeRef, Schema
 from repro.core.tuples import Row
-from repro.errors import PredicateError
+from repro.errors import EvaluationError, PredicateError
 
 __all__ = [
     "Operand",
@@ -43,9 +43,11 @@ __all__ = [
     "TruePredicate",
     "col",
     "val",
+    "OPERATORS",
+    "compare",
 ]
 
-_OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
+OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
     "!=": operator.ne,
     "<": operator.lt,
@@ -167,6 +169,16 @@ class Constant(Operand):
         return f"val({self.value!r})"
 
 
+def compare(op: str, left: Any, right: Any) -> bool:
+    """``left op right``; values the operator cannot compare raise an
+    :class:`~repro.errors.EvaluationError` naming it and both types."""
+    try:
+        return OPERATORS[op](left, right)
+    except TypeError:
+        raise EvaluationError(f"cannot compare {type(left).__name__} {op} "
+                              f"{type(right).__name__}") from None
+
+
 def _operand(value: object) -> Operand:
     if isinstance(value, Operand):
         return value
@@ -232,7 +244,7 @@ class Comparison(Predicate):
     __slots__ = ("left", "op", "right")
 
     def __init__(self, left: Operand, op: str, right: Operand) -> None:
-        if op not in _OPERATORS:
+        if op not in OPERATORS:
             raise PredicateError(f"unknown comparison operator {op!r}")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "op", op)
@@ -242,7 +254,7 @@ class Comparison(Predicate):
         raise AttributeError("Comparison predicates are immutable")
 
     def matches(self, row: Row) -> bool:
-        return _OPERATORS[self.op](self.left.evaluate(row), self.right.evaluate(row))
+        return compare(self.op, self.left.evaluate(row), self.right.evaluate(row))
 
     def resolve(self, schema: Schema) -> "Comparison":
         return Comparison(self.left.resolve(schema), self.op, self.right.resolve(schema))

@@ -24,6 +24,7 @@ for administrative corrections.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.schema import Schema, anonymous_schema
@@ -39,7 +40,49 @@ from repro.core.timestamps import (
 from repro.core.tuples import ExpiringTuple, Row, make_row
 from repro.errors import RelationError, SchemaError
 
-__all__ = ["Relation", "relation_from_rows"]
+__all__ = ["ColumnLookup", "Relation", "relation_from_rows"]
+
+#: Below this many rows a selection scans and builds no lookup.  Measured
+#: (CPython 3.11, x86-64, ``σ[k = c](T)`` with ``cached=False``, two rows a
+#: key): 14 us with a lookup at any size, 14 us + 0.1 us a row with a scan,
+#: a build about two scans; from 64 rows a probe saves 5 us, a third.
+LOOKUP_FLOOR = 64
+
+
+#: Type -> the family a range may bisect it in; other types never may.
+_ORDERED = {int: int, bool: int, float: int, str: str, bytes: bytes}
+
+
+class ColumnLookup:
+    """One column's rows by value (``by_value``), and sorted for ranges.
+
+    Never maintained: a probe re-reads each candidate's stored ``texp``, so
+    a row deleted, swept or overridden since stays listed harmlessly.  Each
+    :class:`Relation` method that can *add* a row drops the lookups.
+    """
+
+    __slots__ = ("by_value", "family", "keys", "ordered")
+
+    def __init__(self, rows: Iterable[Row], column: int) -> None:
+        self.by_value: Dict[Any, List[Row]] = {}
+        for row in rows:
+            self.by_value.setdefault(row[column], []).append(row)
+        families = {_ORDERED.get(type(key)) for key in self.by_value}
+        self.family = families.pop() if len(families) == 1 else None
+        # NaN satisfies no bound and would break the sort: left out.
+        keys = sorted(key for key in self.by_value if key == key) if self.family else []
+        self.keys = [key for key in keys for _ in self.by_value[key]]
+        self.ordered = [row for key in keys for row in self.by_value[key]]
+
+    def between(self, low: tuple, high: tuple) -> Optional[Sequence[Row]]:
+        """Rows between ``(bound, strict)`` pairs (``None``: unordered)."""
+        (low, low_strict), (high, high_strict) = low, high
+        bounds = {_ORDERED.get(type(low)), _ORDERED.get(type(high))}
+        if self.family is None or bounds != {self.family}:
+            return None
+        start = (bisect_right if low_strict else bisect_left)(self.keys, low)
+        stop = (bisect_left if high_strict else bisect_right)(self.keys, high)
+        return self.ordered[start:stop]
 
 
 def _split_raw(pairs: List[Tuple[Row, Any]]) -> Optional[Tuple[tuple, tuple]]:
@@ -62,7 +105,7 @@ class Relation:
     [(2, 25)]
     """
 
-    __slots__ = ("schema", "_tuples")
+    __slots__ = ("schema", "_tuples", "_lookups")
 
     def __init__(
         self,
@@ -76,6 +119,8 @@ class Relation:
         else:
             self.schema = Schema(schema)
         self._tuples: Dict[Row, Timestamp] = {}
+        #: column -> ``True`` once probed, then its lookup; ``None`` on an add.
+        self._lookups: Optional[Dict[int, Any]] = None
         if tuples:
             for row, stamp in tuples.items():
                 self.insert(row, expires_at=stamp)
@@ -97,6 +142,7 @@ class Relation:
         relation = cls.__new__(cls)
         relation.schema = schema
         relation._tuples = tuples
+        relation._lookups = None
         return relation
 
     def bulk_load(self, pairs: Iterable[Tuple[Row, Timestamp]]) -> int:
@@ -110,6 +156,7 @@ class Relation:
         :meth:`insert` is skipped.  Duplicates keep the later expiration,
         exactly like :meth:`insert`.  Returns the number of pairs loaded.
         """
+        self._lookups = None
         tuples = self._tuples
         if not tuples:
             # Raw ticks into an empty relation (a snapshot load): one dict
@@ -145,6 +192,7 @@ class Relation:
         ``make_row`` + arity check of :meth:`override`/:meth:`delete` is
         skipped.
         """
+        self._lookups = None
         tuples = self._tuples
         for row, stamp in ops:
             if stamp is None:
@@ -198,7 +246,9 @@ class Relation:
         self._check_arity(row)
         stamp = ts(expires_at)
         existing = self._tuples.get(row)
-        if existing is not None and stamp < existing:
+        if existing is None:
+            self._lookups = None
+        elif stamp < existing:
             stamp = existing
         self._tuples[row] = stamp
         return ExpiringTuple(row, stamp)
@@ -208,6 +258,8 @@ class Relation:
         row = make_row(values)
         self._check_arity(row)
         stamp = ts(expires_at)
+        if row not in self._tuples:
+            self._lookups = None
         self._tuples[row] = stamp
         return ExpiringTuple(row, stamp)
 
@@ -283,6 +335,26 @@ class Relation:
     def items(self) -> Iterator[Tuple[Row, Timestamp]]:
         """Iterate over ``(row, expiration)`` pairs."""
         return iter(self._tuples.items())
+
+    def items_of(self, rows: Iterable[Row]) -> Iterator[Tuple[Row, Timestamp]]:
+        """``(row, expiration)`` of those of ``rows`` still stored."""
+        get = self._tuples.get
+        return ((row, texp) for row in rows if (texp := get(row)) is not None)
+
+    def lookup(self, column: int) -> Optional[ColumnLookup]:
+        """``column``'s lookup, or ``None``: scan.  It is built at the
+        second probe that finds no row added since the previous one, and
+        never below :data:`LOOKUP_FLOOR` rows."""
+        if len(self._tuples) < LOOKUP_FLOOR:
+            return None
+        if self._lookups is None:
+            self._lookups = {}
+        state = self._lookups.get(column)
+        if state is None:  # the first probe since a row was last added
+            self._lookups[column] = True
+        elif state is True:
+            state = self._lookups[column] = ColumnLookup(self._tuples, column)
+        return state
 
     def expiring_tuples(self) -> Iterator[ExpiringTuple]:
         """Iterate over :class:`ExpiringTuple` views of the content."""

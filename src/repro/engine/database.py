@@ -59,6 +59,9 @@ EVAL_COUNTERS: Dict[str, tuple] = {
         "repro_columnar_batches_total", "Columnar batch-kernel invocations."),
     "columnar_rows": (
         "repro_columnar_rows_total", "Rows processed by columnar kernels."),
+    "lookup_probes": (
+        "repro_eval_lookup_probes_total",
+        "Selections answered from a column lookup instead of a scan."),
 }
 
 __all__ = ["Database", "DatabaseConfig"]

@@ -81,6 +81,10 @@ class ShardedRelation(Relation):
         """The shard relation owning ``row``."""
         return self.shards[hash(row[self.key_index]) % self.shard_count]
 
+    def owner_of(self, column: int, value: Any) -> Optional[int]:
+        """The one shard index a ``column == value`` row can have, if any."""
+        return hash(value) % self.shard_count if column == self.key_index else None
+
     def partition(self, entries: Iterable[tuple]) -> List[list]:
         """``entries`` (tuples led by their row) bucketed by owning shard."""
         key = self.key_index

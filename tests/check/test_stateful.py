@@ -246,3 +246,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "shrunk to" in out
+
+
+class TestColumnLookups:
+    """``fill`` lifts ``flat`` and each ``part`` shard above the lookup
+    floor, and a ``sql`` op's two selects let the second build and use it."""
+
+    def test_fills_and_every_select_form_are_generated(self):
+        ops = generate_ops(random.Random(9), 600)
+        fills = [op[1] for op in ops if op[0] == "fill"]
+        assert fills == ["flat", "part"] * 3
+        forms = {type(op[2]) for op in ops if op[0] == "sql"}
+        assert forms == {int, tuple, type(None)}
+
+    @pytest.mark.parametrize("policy", ["eager", "lazy"])
+    def test_the_lookup_answers_selects(self, policy):
+        registry = MetricsRegistry()
+        report = run_fuzz(
+            20060405, ops=600, policy=policy, registry=registry, shrink=False
+        )
+        assert report.ok, report.summary()
+        answered = registry.snapshot()[
+            'repro_eval_lookup_probes_total{engine="compiled"}'
+        ]
+        assert answered > 0
+
+    def test_the_cli_reports_the_count(self, capsys):
+        from repro.check.__main__ import main
+
+        assert main(["--ops", "300", "--seed", "20060405", "--policy", "eager"]) == 0
+        assert "repro_eval_lookup_probes_total" in capsys.readouterr().out

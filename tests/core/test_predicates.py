@@ -13,8 +13,11 @@ from repro.core.algebra.predicates import (
     col,
     val,
 )
+from repro.core.algebra.compiler import compile_predicate
 from repro.core.schema import Schema
-from repro.errors import PredicateError
+from repro.engine.database import Database
+from repro.errors import EvaluationError, PredicateError
+from repro.sql.executor import execute_sql
 
 
 class TestOperands:
@@ -152,3 +155,30 @@ class TestTruePredicate:
     def test_negation_unrepresentable(self):
         with pytest.raises(PredicateError):
             TruePredicate().negate()
+
+
+class TestMismatchedTypes:
+    """A comparison the operator cannot make is an ``EvaluationError``
+    naming the operator and both operand types, on every evaluator."""
+
+    MESSAGE = "cannot compare int < str"
+
+    def test_interpreted(self):
+        with pytest.raises(EvaluationError, match=self.MESSAGE):
+            (col(1) < val("x")).matches((3,))
+
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    def test_compiled(self, layout):
+        db = Database()
+        table = db.create_table("R", ["k", "v"], layout=layout)
+        table.insert((3, "y"), expires_at=10)
+        for predicate in (col("k") < val("x"), (col("v") == "y") & (col("k") < "x")):
+            with pytest.raises(EvaluationError, match=self.MESSAGE):
+                db.evaluate(db.table_expr("R").select(predicate))
+        with pytest.raises(EvaluationError, match=self.MESSAGE):
+            execute_sql(db, "SELECT k FROM R WHERE k < 'x'")
+
+    def test_other_type_errors_stay_type_errors(self):
+        matches = compile_predicate(col("k") == val(3), Schema(["k"]))
+        with pytest.raises(TypeError):
+            matches(None)  # not a row: no comparison failed

@@ -111,6 +111,24 @@ class TestTcpRoundTrip:
 
         run(scenario())
 
+    def test_a_mismatched_comparison_is_a_remote_error(self):
+        async def scenario():
+            server = ReproServer()
+            session = await AsyncSession.over_loopback(server)
+            await session.execute("CREATE TABLE R (k)")
+            await session.execute("INSERT INTO R VALUES (1), (2) EXPIRES AT 10")
+            with pytest.raises(RemoteError) as err:
+                await session.query("SELECT k FROM R WHERE k < 'x'")
+            assert err.value.remote_type == "EvaluationError"
+            assert "cannot compare int < str" in str(err.value)
+            # The connection survived: the same session answers.
+            result = await session.query("SELECT k FROM R")
+            assert sorted(result.rows) == [(1,), (2,)]
+            await session.close()
+            await server.stop()
+
+        run(scenario())
+
     def test_corrupt_frame_drops_the_connection(self):
         async def scenario():
             server = ReproServer()
