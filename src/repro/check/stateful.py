@@ -3,9 +3,10 @@
 The fuzzer drives one :class:`~repro.engine.database.Database` -- flat and
 hash-partitioned tables in row and columnar layouts (``pcol``, partitioned
 *and* columnar, is the shape ``AuthzStore`` runs on), an idle-timeout
-table, five materialised views (a monotonic one, which folds inserts by
+table, six materialised views (a monotonic one, which folds inserts by
 shape; the same difference under SCHRODINGER, PATCH and DELTA; a DELTA
-aggregate), two standing queries (a windowed count of ``flat``, a distinct
+aggregate; a SQL ``GROUP BY`` with no policy, folded per partition), two
+standing queries (a windowed count of ``flat``, a distinct
 count of ``part``'s ``k``), audit triggers, the plan cache -- through a
 random but *fully concrete* operation sequence, in lockstep with a
 trivially-correct oracle: a ``row -> expiration`` dict per table plus an
@@ -65,7 +66,11 @@ Ops and semantics
                                 appends an already-expired insert so the
                                 commit aborts and must roll back cleanly;
 ``("view", name)``              read a materialised view, then both
-                                standing queries;
+                                standing queries (with a registry, the
+                                rows the read folded in and any refresh
+                                -- labelled by the op kind that made it
+                                pending, ``overflow`` or ``validity`` --
+                                are counted per view);
 ``("sql", t, k | (lo, hi) | None)`` SQL through the front door: the
                                 point selects ``k`` and ``k + 3`` (one
                                 ``part`` shard), two ranges, or a full scan;
@@ -130,7 +135,7 @@ __all__ = [
 ]
 
 _TABLES = ("flat", "part", "col", "pcol", "slm")
-_VIEWS = ("v_mono", "v_diff", "v_patch", "v_delta", "v_count")
+_VIEWS = ("v_mono", "v_diff", "v_patch", "v_delta", "v_count", "v_group")
 _POLICIES = {"eager": RemovalPolicy.EAGER, "lazy": RemovalPolicy.LAZY}
 #: Idle timeout of the since-last-modification table.
 _SLM_TTL = 6
@@ -358,6 +363,13 @@ class _Harness:
             BaseRef("flat").aggregate(group_by=[2], function="count"),
             policy=MaintenancePolicy.DELTA,
         )
+        # π(agg(σ(flat))) keeping the group key, as SQL plans it, with the
+        # policy left to the shape: deletes and overrides fold too.
+        execute_sql(
+            self.db,
+            "CREATE MATERIALIZED VIEW v_group AS "
+            "SELECT v, COUNT(*) FROM flat WHERE k < 5 GROUP BY v",
+        )
         self._watch_streams()
         #: Oracle: per-table row -> expiration (math.inf = immortal) + clock.
         self.model: Dict[str, Dict[tuple, float]] = {t: {} for t in _TABLES}
@@ -370,6 +382,24 @@ class _Harness:
         self._checked = 0  # how much of ``fired`` check() has accounted for
         #: Tables the last op swept on request (LAZY owes nothing before).
         self._vacuumed: Tuple[str, ...] = ()
+        #: view -> the op kind that left a refresh pending on it, and the
+        #: view's (folds, refreshes) when last billed.
+        self._pending_cause: Dict[str, str] = {}
+        self._view_counts: Dict[str, Tuple[int, int]] = {}
+        self._kind = ""  # of the op applied last
+        self._view_folds = self._view_refreshes = None
+        if registry is not None:
+            self._view_folds = registry.counter(
+                "repro_check_view_folds_total",
+                "Base changes a fuzzed view's reads folded in, by view.",
+                labels=("view",),
+            )
+            self._view_refreshes = registry.counter(
+                "repro_check_view_refreshes_total",
+                "Fuzzed view refreshes, by view and by the op kind that "
+                "left them pending (overflow, or validity if none did).",
+                labels=("view", "cause"),
+            )
         self._register_triggers()
 
     def _watch_streams(self) -> None:
@@ -410,6 +440,8 @@ class _Harness:
         if name == "v_count":
             sizes = Counter(v for _, v in flat)
             return {(k, v, sizes[v]) for k, v in flat}
+        if name == "v_group":
+            return set(Counter(v for k, v in flat if k < 5).items())
         return flat - set(self._visible("part"))
 
     # -- op application -------------------------------------------------
@@ -545,6 +577,28 @@ class _Harness:
                     )
         else:  # pragma: no cover - generator and apply must stay in sync
             raise ValueError(f"unknown op kind {kind!r}")
+        self._kind = kind
+
+    def _count_views(self) -> None:
+        """Bill each view's folds and refreshes since the last op, and note
+        which op kind left a refresh pending."""
+        for name in _VIEWS:
+            view = self.db.view(name)
+            folds = getattr(view, "delta_applications", 0)
+            refreshes = view.recomputations
+            folds_before, refreshes_before = self._view_counts.get(name, (0, 0))
+            self._view_counts[name] = (folds, refreshes)
+            if folds > folds_before:
+                self._view_folds.labels(name).inc(folds - folds_before)
+            if refreshes > refreshes_before:
+                cause = self._pending_cause.pop(name, "validity")
+                self._view_refreshes.labels(name, cause).inc(
+                    refreshes - refreshes_before
+                )
+            if view.cause is not None:
+                self._pending_cause.setdefault(
+                    name, "overflow" if view.cause == "overflow" else self._kind
+                )
 
     def _model_insert(self, table: str, row: tuple, expires: float) -> None:
         # The engine's max-merge rule: a duplicate keeps the later
@@ -589,6 +643,8 @@ class _Harness:
             )
         # recover_database already ran verify(strict=True, deep=True);
         # the caller's post-op check() adds the oracle differential.
+        self._pending_cause.clear()  # the views were rebuilt
+        self._view_counts.clear()
         self._register_triggers()
         self._watch_streams()
 
@@ -619,7 +675,9 @@ class _Harness:
     # -- post-op checks -------------------------------------------------
 
     def check(self) -> None:
-        self.db.verify(strict=True)
+        self.db.verify(strict=True)  # deep: the audit catches views up
+        if self._view_folds is not None:
+            self._count_views()
         for table in _TABLES:
             visible = self._visible(table)
             got = set(self.db.table(table).read().rows())

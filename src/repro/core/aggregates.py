@@ -37,7 +37,7 @@ from typing import (
 
 from repro.core.intervals import Interval, IntervalSet
 from repro.core.timestamps import INFINITY, Timestamp, ts, ts_max, ts_min
-from repro.errors import AggregateError
+from repro.errors import AggregateError, EvaluationError
 
 __all__ = [
     "AggregateFunction",
@@ -49,6 +49,7 @@ __all__ = [
     "get_aggregate",
     "register_aggregate",
     "known_aggregates",
+    "mixed_type_error",
     "ExpirationStrategy",
     "PartitionItem",
     "conservative_expiration",
@@ -330,6 +331,15 @@ def get_aggregate(name: str) -> AggregateFunction:
 def known_aggregates() -> List[str]:
     """Names of all registered aggregate functions."""
     return sorted(_REGISTRY)
+
+
+def mixed_type_error(
+    function: AggregateFunction, items: Iterable[PartitionItem]
+) -> EvaluationError:
+    """What aggregating a partition whose values ``function`` cannot combine
+    (``max`` over an int and a str) raises, naming it and the types."""
+    types = " and ".join(sorted({type(value).__name__ for value, _ in items}))
+    return EvaluationError(f"cannot aggregate {function.name} over {types}")
 
 
 for _function in (

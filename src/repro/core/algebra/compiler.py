@@ -52,6 +52,7 @@ from repro.core.aggregates import (
     ExpirationStrategy,
     conservative_expiration,
     get_aggregate,
+    mixed_type_error,
     neutral_set_expiration,
     partition_head,
 )
@@ -100,6 +101,7 @@ from repro.errors import CatalogError, EvaluationError
 __all__ = [
     "CompiledPlan",
     "CompiledEvaluator",
+    "aggregate_partition",
     "compile_expression",
     "compile_predicate",
     "evaluate_compiled",
@@ -333,34 +335,50 @@ def _to_dict(pairs: Pairs) -> Dict[tuple, Timestamp]:
     return merged
 
 
-def _partition_bounds(
-    items: List[Tuple[Any, Timestamp]],
+def aggregate_partition(
+    partition: List[Tuple[tuple, Timestamp]],
+    value_index: Optional[int],
     function: Any,
     tau: Timestamp,
     strategy: "ExpirationStrategy",
-) -> Tuple[Any, Timestamp, Timestamp, Timestamp]:
-    """One partition's (value, strategy expiration, invalidation time, death).
+) -> Tuple[Any, List[Tuple[tuple, Timestamp]], Timestamp, Timestamp, Timestamp]:
+    """One partition of ``agg`` at ``tau``: ``(value, rows, strategy
+    expiration, invalidation time, death)``.
 
-    Semantically identical to ``function.apply`` + ``strategy_expiration``
-    + ``partition_invalidation_time`` from :mod:`repro.core.aggregates`,
-    all read off the head of *one* timeline scan.  Items must all be alive
-    at ``tau`` (compiled streams only carry tuples with ``texp > τ``), so
-    the timeline is non-empty.
+    ``rows`` extends each member by the value, its ``texp`` capped at the
+    strategy expiration.  Semantically identical to ``function.apply`` +
+    ``strategy_expiration`` + ``partition_invalidation_time`` from
+    :mod:`repro.core.aggregates`, all read off the head of *one* timeline
+    scan.  Members must be distinct and all alive at ``tau`` (compiled
+    streams only carry tuples with ``texp > τ``), so the timeline is
+    non-empty.  Values the function cannot combine raise
+    :class:`~repro.errors.EvaluationError`.
     """
-    value, nu, dies_at = partition_head(items, function, tau)
-    if strategy is ExpirationStrategy.CONSERVATIVE:
-        expiration = conservative_expiration(items)
-    elif strategy is ExpirationStrategy.NEUTRAL_SETS:
-        expiration = neutral_set_expiration(items, function)
+    if value_index is None:
+        items = [(None, texp) for _, texp in partition]
     else:
-        expiration = nu
+        items = [(row[value_index], texp) for row, texp in partition]
+    try:
+        value, nu, dies_at = partition_head(items, function, tau)
+        if strategy is ExpirationStrategy.CONSERVATIVE:
+            expiration = conservative_expiration(items)
+        elif strategy is ExpirationStrategy.NEUTRAL_SETS:
+            expiration = neutral_set_expiration(items, function)
+        else:
+            expiration = nu
+    except TypeError:
+        raise mixed_type_error(function, items) from None
     if expiration < nu and expiration < dies_at:
         invalidation = expiration
     elif nu < dies_at:
         invalidation = nu
     else:
         invalidation = INFINITY
-    return value, expiration, invalidation, dies_at
+    rows = [
+        (row + (value,), texp if texp < expiration else expiration)
+        for row, texp in partition
+    ]
+    return value, rows, expiration, invalidation, dies_at
 
 
 # ---------------------------------------------------------------------------
@@ -1399,25 +1417,18 @@ class _Compiler:
             ctx.stats.partitions_built += len(partitions)
 
             result: Dict[tuple, Timestamp] = {}
-            result_get = result.get
             expression_bound = child_stream.expiration
             invalid_pairs: List[Tuple[Timestamp, Timestamp]] = []
             for partition in partitions.values():
-                if value_index is None:
-                    items = [(None, texp) for _, texp in partition]
-                else:
-                    items = [(row[value_index], texp) for row, texp in partition]
-                value, partition_expiration, invalidation, dies_at = (
-                    _partition_bounds(items, function, tau, strategy)
+                _, rows, partition_expiration, invalidation, dies_at = (
+                    aggregate_partition(
+                        partition, value_index, function, tau, strategy
+                    )
                 )
                 if invalidation < expression_bound:
                     expression_bound = invalidation
-                for row, texp in partition:
-                    capped = texp if texp < partition_expiration else partition_expiration
-                    extended = row + (value,)
-                    existing = result_get(extended)
-                    if existing is None or existing < capped:
-                        result[extended] = capped
+                # Members are distinct, so their extended rows are too.
+                result.update(rows)
                 if partition_expiration < dies_at:
                     # Rows capped at the partition expiration are missing
                     # until their own texp; the longest-lived row covers

@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union as Typi
 from repro.core.aggregates import (
     ExpirationStrategy,
     get_aggregate,
+    mixed_type_error,
     partition_invalidation_time,
     strategy_expiration,
 )
@@ -607,13 +608,16 @@ class Evaluator:
                 (row[value_index] if value_index is not None else None, texp)
                 for row, texp in members
             ]
-            value = function.apply([v for v, _ in items])
-            partition_expiration = strategy_expiration(
-                items, function, self.tau, node.strategy
-            )
-            invalidation = partition_invalidation_time(
-                items, function, self.tau, node.strategy
-            )
+            try:
+                value = function.apply([v for v, _ in items])
+                partition_expiration = strategy_expiration(
+                    items, function, self.tau, node.strategy
+                )
+                invalidation = partition_invalidation_time(
+                    items, function, self.tau, node.strategy
+                )
+            except TypeError:
+                raise mixed_type_error(function, items) from None
             if invalidation < expression_bound:
                 expression_bound = invalidation
             for row, texp in members:

@@ -479,7 +479,7 @@ class Database:
         self,
         name: str,
         expression: Expression,
-        policy: MaintenancePolicy = MaintenancePolicy.SCHRODINGER,
+        policy: Optional[MaintenancePolicy] = None,
         patch_limit: Optional[int] = None,
     ) -> MaterialisedView:
         """Create a named materialised view -- the only way one comes to exist.
@@ -489,12 +489,17 @@ class Database:
         (Theorem 1) and gets the insert-folding
         :class:`~repro.engine.maintenance.IncrementalView`: base inserts
         are folded in as deltas at the next read, never recomputed.
-        ``policy=MaintenancePolicy.DELTA`` asks for the same on the two
+        ``policy=MaintenancePolicy.DELTA`` asks for the same on the
         non-monotonic shapes that can fold (a difference of base-disjoint
-        monotonic sides, an aggregate over a monotonic child) and raises
+        monotonic sides, an aggregate over a monotonic child, optionally
+        under a projection keeping its grouping attributes) and raises
         :class:`~repro.errors.ViewError` on any other.  Everything else is
         a :class:`~repro.engine.views.MaterialisedView` under ``RECOMPUTE``,
         ``SCHRODINGER`` or ``PATCH``, which a base insert marks stale.
+
+        An omitted ``policy`` is ``DELTA`` for a non-monotonic shape that
+        folds and ``SCHRODINGER`` otherwise (a monotonic view folds under
+        either, so the recorded policy of one stays what it always was).
 
         ``patch_limit`` (PATCH policy only) bounds the helper patch queue;
         shedding trades space for a finite guarantee horizon, past which
@@ -505,11 +510,17 @@ class Database:
         for base in expression.base_names():
             self.table(base)  # validate references
         foldable = supports_incremental(expression)
+        if policy is None:
+            policy = (
+                MaintenancePolicy.DELTA
+                if foldable and not expression.is_monotonic()
+                else MaintenancePolicy.SCHRODINGER
+            )
         if policy is MaintenancePolicy.DELTA and not foldable:
             raise ViewError(
                 f"view {name!r}: the DELTA policy needs a monotonic base-linear "
                 f"expression, a difference of two with disjoint bases, or an "
-                f"aggregate over one"
+                f"aggregate over one (under a projection keeping its groups)"
             )
         if foldable and (
             policy is MaintenancePolicy.DELTA or expression.is_monotonic()

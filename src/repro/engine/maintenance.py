@@ -6,7 +6,7 @@ is that extension: a :class:`~repro.engine.views.MaterialisedView` that a
 base *insert* does not mark stale.  It inherits everything else and is built
 by :meth:`Database.materialise <repro.engine.database.Database.materialise>`
 only -- for every monotonic base-linear expression, whatever the policy, and
-under ``MaintenancePolicy.DELTA`` for the two non-monotonic shapes below.
+under ``MaintenancePolicy.DELTA`` for the non-monotonic shapes below.
 
 * **Lazy fold.**  The insert listener is O(1): it records the stored tuple
   in a per-base batch.  The next read's catch-up hook folds each batch with
@@ -16,41 +16,62 @@ under ``MaintenancePolicy.DELTA`` for the two non-monotonic shapes below.
   delta runs through the ordinary plan and is max-merged into the state.
   The plan is executed directly, never through the plan cache: a delta is
   not a result.
-* **Overflow → stale.**  A batch that outgrows the stored result is dropped
-  and the view marked stale: an unread view holds O(result) memory, and
-  bulk seeding costs one refresh rather than one giant fold.
+* **Overflow.**  A batch that outgrows the stored result is dropped and the
+  view marked stale (cause ``overflow``): an unread view holds O(result)
+  memory, and bulk seeding costs one refresh rather than one giant fold.
 * **Trimming.**  State rows with ``texp ≤ τ`` are dropped when a read at
   ``τ`` serves the state, and when folding has doubled it, so reads (and
   probes) move forward in time only.
 * **Difference** ``L −exp R`` over monotonic, base-disjoint sides: a delta
   row is re-placed from the two side states -- visible, or hidden behind its
   match with a *patch* due when the match expires (Theorem 3's queue).
-* **Aggregation** over a monotonic, base-linear child: the child state is
-  folded and only the *affected partitions* -- those a delta row joined or
-  an expired member left -- are re-aggregated.
+* **Aggregation** ``agg(child)``, or ``π(agg(child))`` when the projection
+  keeps every grouping attribute (SQL's ``GROUP BY``), over a monotonic,
+  base-linear child: the child's members are kept per partition, and a
+  partition is redone only when a delta row joined it, a touched row left
+  it, or its invalidation time -- the change point ``ν`` of Equations 8-9,
+  kept in a heap -- has passed.  A redo runs the compiled aggregate's own
+  per-partition function
+  (:func:`~repro.core.algebra.compiler.aggregate_partition`) over the
+  partition's live members: no plan execution, no scan of the child.
 
 Explicit deletes and overrides (as opposed to expirations, which need no
-action at all) still mark the view stale: the next read refreshes.
+action at all) mark the view stale, and the next read refreshes -- unless
+the view aggregates a *row-preserving* child, a chain of σ over one base
+(``WHERE … GROUP BY``).  There the touched row is recorded and re-derived
+at the next catch-up from the base's stored ``texp``: absent or expired,
+it leaves its partition; otherwise it re-enters through the child plan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+import heapq
+import itertools
+import operator
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.algebra.compiler import compile_expression
+from repro.core.aggregates import get_aggregate
+from repro.core.algebra.compiler import (
+    _key_getter,
+    aggregate_partition,
+    compile_expression,
+)
 from repro.core.algebra.evaluator import EvalResult
 from repro.core.algebra.expressions import (
     Aggregate,
     BaseRef,
     Difference,
     Expression,
+    Project,
+    Select,
 )
 from repro.core.intervals import IntervalSet
 from repro.core.patching import Patch
 from repro.core.relation import Relation
-from repro.core.timestamps import INFINITY, Timestamp
+from repro.core.timestamps import INFINITY, Timestamp, to_raw
 from repro.core.tuples import ExpiringTuple, Row
 from repro.engine.views import MaterialisedView
+from repro.errors import EvaluationError
 
 __all__ = ["IncrementalView", "supports_incremental"]
 
@@ -65,6 +86,24 @@ def _foldable(expression: Expression) -> bool:
     return expression.is_monotonic() and len(names) == len(set(names))
 
 
+def _aggregate_of(expression: Expression) -> Optional[Aggregate]:
+    """The aggregate a grouped view maintains: the root, or the child of a
+    projection keeping every grouping attribute -- so that each result row
+    belongs to exactly one partition and a redo retracts exactly its own."""
+    if isinstance(expression, Project) and isinstance(expression.child, Aggregate):
+        if set(expression.child.group_by) <= set(expression.refs):
+            return expression.child
+        return None
+    return expression if isinstance(expression, Aggregate) else None
+
+
+def _row_source(child: Expression) -> Optional[str]:
+    """The base a chain of σ reads (its rows are that base's rows), or None."""
+    while isinstance(child, Select):
+        child = child.child
+    return child.name if isinstance(child, BaseRef) else None
+
+
 def supports_incremental(expression: Expression) -> bool:
     """Whether :class:`IncrementalView` can maintain this expression."""
     if isinstance(expression, Difference):
@@ -74,8 +113,9 @@ def supports_incremental(expression: Expression) -> bool:
             and _foldable(right)
             and not (left.base_names() & right.base_names())
         )
-    if isinstance(expression, Aggregate):
-        return _foldable(expression.child)
+    aggregate = _aggregate_of(expression)
+    if aggregate is not None:
+        return _foldable(aggregate.child)
     return _foldable(expression)
 
 
@@ -91,64 +131,109 @@ class IncrementalView(MaterialisedView):
     delta_applications = 0
 
     def __init__(self, name, expression, database, *policy) -> None:
-        # What a base insert runs through: its side of a difference, the
+        resolver = database.schema_resolver
+        self._aggregate = aggregate = _aggregate_of(expression)
+        # What a base change runs through: its side of a difference, the
         # child of an aggregate, else the expression itself.
         if isinstance(expression, Difference):
             folded = (expression.left, expression.right)
-        elif isinstance(expression, Aggregate):
-            folded = (expression.child,)
+        elif aggregate is not None:
+            folded = (aggregate.child,)
         else:
             folded = (expression,)
-        self._plans = [
-            compile_expression(part, database.schema_resolver) for part in folded
-        ]
-        if isinstance(expression, Aggregate):
+        self._plans = [compile_expression(part, resolver) for part in folded]
+        #: base name -> the plan its batch runs through.
+        self._routes = {
+            base: plan
+            for plan in self._plans
+            for base in plan.expression.base_names()
+        }
+        #: The base whose deletes and overrides are re-derived, not stale.
+        self._source: Optional[str] = None
+        if aggregate is not None:
             schema = self._plans[0].schema
-            indexes = [schema.index(ref) for ref in expression.group_by]
-            self._key = lambda row: tuple(row[i] for i in indexes)
-            # The aggregate again, over a stand-in for the members of the
-            # partitions to redo.
-            self._redo = compile_expression(
-                Aggregate(
-                    BaseRef("members"), expression.group_by,
-                    expression.spec, expression.strategy,
-                ),
-                lambda name: schema,
+            self._key = _key_getter(
+                [schema.index(ref) for ref in aggregate.group_by]
             )
+            spec = aggregate.spec
+            self._function = get_aggregate(spec.function_name)
+            self._value_index = (
+                None if spec.attribute is None else schema.index(spec.attribute)
+            )
+            if aggregate is expression:
+                self._out = lambda row: row
+            else:
+                extended = aggregate.infer_schema(resolver)
+                pick = operator.itemgetter(
+                    *[extended.index(ref) for ref in expression.refs]
+                )
+                self._out = (
+                    pick if len(expression.refs) > 1 else lambda row: (pick(row),)
+                )
+            self._schema = expression.infer_schema(resolver)
+            self._source = _row_source(aggregate.child)
+            self._tickets = itertools.count()
         super().__init__(name, expression, database, *policy)
 
     def _build(self, stamp: Timestamp) -> EvalResult:
         self._pending: Dict[str, List[ExpiringTuple]] = {}
+        #: Rows a delete or override touched, to re-derive (σ chains only).
+        self._touched: Set[Row] = set()
         self._unfolded = 0
-        states = []
-        for plan in self._plans:
-            # A row-layout copy: the relation ``evaluate`` hands out also
-            # sits in the plan cache, and the states here are mutated.
-            relation = self.database.evaluate(plan.expression, at=stamp).relation
-            states.append(
-                Relation._from_trusted(relation.schema, dict(relation.items()))
-            )
-        if isinstance(self.expression, Difference):
-            result = self._build_difference(*states, stamp)
+        #: The two side states of a difference.
+        self._sides: Tuple[Relation, ...] = ()
+        if self._aggregate is not None:
+            result = self._build_partitions(stamp)
         else:
-            state = states[0]
-            if isinstance(self.expression, Aggregate):
-                state = self._redo.execute({"members": state}, stamp).relation
-            result = EvalResult(
-                state, INFINITY, IntervalSet.from_onwards(stamp), stamp
-            )
-        #: base name -> (the plan its batch runs through, the state fed).
-        self._routes = {
-            base: (plan, state)
-            for plan, state in zip(self._plans, states)
-            for base in plan.expression.base_names()
-        }
-        #: States kept beside the result: (L, R), or an aggregate's child.
-        self._beside = [s for s in states if s is not result.relation]
+            states = []
+            for plan in self._plans:
+                # A row-layout copy: the relation ``evaluate`` hands out
+                # also sits in the plan cache, and the states are mutated.
+                relation = self.database.evaluate(plan.expression, at=stamp).relation
+                states.append(
+                    Relation._from_trusted(relation.schema, dict(relation.items()))
+                )
+            if isinstance(self.expression, Difference):
+                result = self._build_difference(*states, stamp)
+                self._sides = tuple(states)
+            else:
+                result = EvalResult(
+                    states[0], INFINITY, IntervalSet.from_onwards(stamp), stamp
+                )
+            #: base name -> the state its fold is merged into.
+            self._targets = {
+                base: state
+                for plan, state in zip(self._plans, states)
+                for base in plan.expression.base_names()
+            }
         #: How large a pending batch may grow (and, doubled, the state
         #: before it is trimmed): the result's size when last trimmed.
         self._room = max(len(result.relation), _MIN_BATCH)
         return result
+
+    def _build_partitions(self, stamp: Timestamp) -> EvalResult:
+        """One compiled execution of the child, partitioned as it is read."""
+        #: partition key -> (members ``{row: texp}``, value, ticket of its
+        #: scheduled redo).
+        self._groups: Dict[Any, Tuple[Dict[Row, Timestamp], Any, int]] = {}
+        #: ``(raw tick, ticket, key)``: when a partition's held rows stop
+        #: matching a recomputation, or it dies.  A ticket that no longer
+        #: matches its partition's is a leftover of an earlier redo.
+        self._due: List[Tuple[int, int, Any]] = []
+        child = self._plans[0].execute(self.database.catalog, stamp).relation
+        key = self._key
+        partitions: Dict[Any, Dict[Row, Timestamp]] = {}
+        for row, texp in child.items():
+            group = key(row)
+            members = partitions.get(group)
+            if members is None:
+                partitions[group] = {row: texp}
+            else:
+                members[row] = texp
+        state = Relation(self._schema)
+        for group, members in partitions.items():
+            self._redo(group, members, stamp, state)
+        return EvalResult(state, INFINITY, IntervalSet.from_onwards(stamp), stamp)
 
     # -- recording and folding deltas -----------------------------------------
 
@@ -156,42 +241,49 @@ class IncrementalView(MaterialisedView):
         if self.cause is not None:
             return  # a refresh is pending anyway
         self._pending.setdefault(table.name, []).append(stored)
+        self._count_change()
+
+    def _on_delete(self, table, row: Row) -> None:
+        if self._source is None:
+            self.invalidate("stale")
+        elif self.cause is None:
+            self._touched.add(row)
+            self._count_change()
+
+    def _count_change(self) -> None:
         self._unfolded += 1
         if self._unfolded > self._room:
             # The batch outgrew the stored result: a refresh costs no more
             # than folding it and nothing has to be held until then.
             self._pending.clear()
-            self.invalidate("stale")
+            self._touched.clear()
+            self.invalidate("overflow")
 
     def _catch_up(self, stamp: Timestamp) -> None:
-        if not (
-            self._unfolded or (self._beside and stamp != self.held_at)
-        ) or self.cause is not None:
-            return  # nothing to fold (a read trims a plain state), or stale
-        difference = len(self._beside) == 2
-        aggregate = len(self._beside) == 1
+        if self.cause is not None:
+            return  # stale: the read refreshes
+        if self._aggregate is not None:
+            try:
+                self._catch_up_partitions(stamp)
+            except EvaluationError:
+                # Partitions are half redone; the refresh raises it again.
+                self.invalidate("stale")
+                raise
+        elif self._unfolded or (self._sides and stamp != self.held_at):
+            self._catch_up_rows(stamp)  # else a read trims a plain state
+
+    def _catch_up_rows(self, stamp: Timestamp) -> None:
         rows: List[Row] = []  # the delta rows a side state took in
-        if self._unfolded:
-            pending, self._pending = self._pending, {}
-            self.delta_applications += self._unfolded
-            self._unfolded = 0
-            for base, batch in pending.items():
-                delta = self._fold(base, batch, stamp)
-                if self._beside:
-                    rows += delta.rows()
-        state = self._result.relation
-        if aggregate:
-            # The partitions to redo: those a delta row joined, and those
-            # whose membership shrank (detected via expired child rows).
-            child, key = self._beside[0], self._key
-            redo = set(map(key, rows))
-            redo.update(key(row) for row, texp in child.items() if not stamp < texp)
-        if self._beside or len(state) > 2 * self._room:
+        for base, delta in self._drain(stamp):
+            self._targets[base].bulk_load(delta.items())
+            if self._sides:
+                rows += delta.rows()
+        if self._sides or len(self._result.relation) > 2 * self._room:
             # Side states are re-read below and must be current; a
             # monotonic state (a join's can dwarf its inputs, and a fold
             # costs only those) waits until it has doubled, or for a read.
             self._trim(stamp)
-        if difference:
+        if self._sides:
             # A due patch is re-derived like a delta row, not trusted: a
             # later right-side insert may have renewed the match it waited
             # out (and queued its own patch then).
@@ -200,50 +292,81 @@ class IncrementalView(MaterialisedView):
             self.database.statistics.view_patches_applied += len(due)
             for row in rows + [patch.row for patch in due]:
                 self._place(row)
-        elif aggregate and redo:
-            # Result rows embed the full child row, so the grouping
-            # attributes sit at the same positions.
-            for row in [row for row in state.rows() if key(row) in redo]:
-                state.delete(row)
-            members = {r: texp for r, texp in child.items() if key(r) in redo}
-            members = Relation._from_trusted(child.schema, members)
-            state.bulk_load(
-                self._redo.execute({"members": members}, stamp).relation.items()
-            )
+
+    def _catch_up_partitions(self, stamp: Timestamp) -> None:
+        due, now = self._due, to_raw(stamp)
+        if not (self._unfolded or (due and due[0][0] <= now)):
+            return
+        #: partition key -> its members, being changed before the redo.
+        opened: Dict[Any, Dict[Row, Timestamp]] = {}
+        touched, self._touched = self._touched, set()
+        for _, delta in self._drain(stamp):
+            self._join(delta, opened)
+        if touched:
+            self._rederive(touched, stamp, opened)
+        groups = self._groups
+        while due and due[0][0] <= now:
+            _, ticket, group = heapq.heappop(due)
+            held = groups.get(group)
+            if held is not None and held[2] == ticket:
+                self._open(group, opened)
+        state = self._result.relation
+        for group, members in opened.items():
+            self._redo(group, members, stamp, state)
+        if len(due) > 2 * len(groups) + _MIN_BATCH:
+            # Mostly leftovers of earlier redos: keep each partition's own.
+            due[:] = [
+                entry for entry in due
+                if (held := groups.get(entry[2])) is not None
+                and held[2] == entry[1]
+            ]
+            heapq.heapify(due)
+        if len(state) > 2 * self._room:
+            self._trim(stamp)
+
+    def _drain(self, stamp: Timestamp) -> List[Tuple[str, Relation]]:
+        """Fold the pending batches: ``(base, delta)`` per base."""
+        pending, self._pending = self._pending, {}
+        self.delta_applications += self._unfolded
+        self._unfolded = 0
+        return [
+            (base, self._fold(
+                base, [(stored.row, stored.expires_at) for stored in batch], stamp
+            ))
+            for base, batch in pending.items()
+        ]
 
     def _trim(self, stamp: Timestamp) -> None:
         state = self._result.relation
-        for relation in (state, *self._beside):
+        for relation in (state, *self._sides):
             relation.purge_expired(stamp)
         self._room = max(len(state), _MIN_BATCH)
 
     def _visible(self, stamp: Timestamp) -> Relation:
-        if not self._beside:  # else catching up has trimmed already
+        if not self._sides:  # else catching up has trimmed already
             self._trim(stamp)  # a read is O(result) anyway
         return self._result.relation.copy()
 
     def _fold(
-        self, base: str, batch: List[ExpiringTuple], stamp: Timestamp
+        self, base: str, pairs: List[Tuple[Row, Timestamp]], stamp: Timestamp
     ) -> Relation:
-        """Merge ``e(catalog[base := batch])`` into the state it feeds."""
-        plan, target = self._routes[base]
+        """``e(catalog[base := pairs])`` for the part of the view ``base``
+        feeds: a side of a difference, an aggregate's child, or the view."""
         database = self.database
         delta_base = Relation(database.table(base).schema)
-        delta_base.bulk_load((stored.row, stored.expires_at) for stored in batch)
+        delta_base.bulk_load(pairs)
 
         def catalog(name: str) -> Relation:
             return delta_base if name == base else database.table(name).relation
 
-        delta = plan.execute(catalog, stamp).relation
-        target.bulk_load(delta.items())
-        return delta
+        return self._routes[base].execute(catalog, stamp).relation
 
     def _place(self, row: Row) -> None:
         """Re-derive one row of ``L − R`` from the two (trimmed) side states."""
-        left = self._beside[0].expiration_or_none(row)
+        left = self._sides[0].expiration_or_none(row)
         if left is None:
             return
-        right = self._beside[1].expiration_or_none(row)
+        right = self._sides[1].expiration_or_none(row)
         state = self._result.relation
         if right is None:
             state.insert(row, expires_at=left)
@@ -252,3 +375,74 @@ class IncrementalView(MaterialisedView):
             state.delete(row)
             if right < left:
                 self._patcher.add(Patch(row, right, left))
+
+    # -- partitions of a folded aggregate ----------------------------------------
+
+    def _open(self, group: Any, opened: Dict) -> Dict[Row, Timestamp]:
+        """The members of ``group``'s partition, its held rows retracted."""
+        members = opened.get(group)
+        if members is None:
+            held = self._groups.pop(group, None)
+            members = {}
+            if held is not None:
+                members, value, _ = held
+                delete, out = self._result.relation.delete, self._out
+                for row in members:
+                    delete(out(row + (value,)))
+            opened[group] = members
+        return members
+
+    def _join(self, delta: Relation, opened: Dict) -> None:
+        """Max-merge child delta rows into their (opened) partitions."""
+        key = self._key
+        for row, texp in delta.items():
+            members = self._open(key(row), opened)
+            existing = members.get(row)
+            if existing is None or existing < texp:
+                members[row] = texp
+
+    def _rederive(self, touched: Set[Row], stamp: Timestamp, opened: Dict) -> None:
+        """Rows a delete or override touched leave their partitions, and
+        those the base still holds alive re-enter through the child plan."""
+        key, groups = self._key, self._groups
+        for row in touched:
+            group = key(row)
+            members = opened.get(group)
+            if members is None:
+                held = groups.get(group)
+                if held is None or row not in held[0]:
+                    continue
+                members = self._open(group, opened)
+            members.pop(row, None)
+        stored = self.database.table(self._source).relation.expiration_or_none
+        alive = [
+            (row, texp) for row in touched
+            if (texp := stored(row)) is not None and stamp < texp
+        ]
+        if alive:
+            self._join(self._fold(self._source, alive, stamp), opened)
+
+    def _redo(
+        self, group: Any, members: Dict[Row, Timestamp], stamp: Timestamp,
+        state: Relation,
+    ) -> None:
+        """Aggregate ``group``'s members alive at ``stamp`` into ``state``
+        and schedule the partition's next redo."""
+        alive = [(row, texp) for row, texp in members.items() if stamp < texp]
+        if not alive:
+            return  # the partition is gone
+        value, rows, _, invalidation, dies_at = aggregate_partition(
+            alive, self._value_index, self._function, stamp,
+            self._aggregate.strategy,
+        )
+        out = self._out
+        state.bulk_load((out(row), texp) for row, texp in rows)
+        ticket = next(self._tickets)
+        if len(alive) < len(members):
+            members = dict(alive)
+        self._groups[group] = (members, value, ticket)
+        # Held rows stop matching a recomputation at the invalidation time;
+        # at the death all of them have expired and the members can go.
+        until = invalidation if invalidation < dies_at else dies_at
+        if until.is_finite:
+            heapq.heappush(self._due, (to_raw(until), ticket, group))

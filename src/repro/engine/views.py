@@ -25,10 +25,13 @@ All of that assumes the bases change through expiration only: a base
 insert, explicit delete or ``override`` is a pending cause (``stale``) and
 the next read refreshes.  The subclass
 :class:`~repro.engine.maintenance.IncrementalView` (the paper's Section 5
-future work) folds inserts in instead.  Neither is constructed directly:
-:meth:`Database.materialise <repro.engine.database.Database.materialise>`
-is the one door, and picks the subclass for every monotonic base-linear
-expression and for :attr:`MaintenancePolicy.DELTA`.
+future work) folds inserts in instead, and a grouped aggregate over a
+selection also explicit deletes and overrides.  Neither is constructed
+directly: :meth:`Database.materialise
+<repro.engine.database.Database.materialise>` is the one door, and picks
+the subclass for every monotonic base-linear expression and for
+:attr:`MaintenancePolicy.DELTA` -- which an omitted policy means wherever
+a non-monotonic shape can fold.
 """
 
 from __future__ import annotations
@@ -124,13 +127,16 @@ class MaterialisedView(HeldAnswer):
         # Insert listeners are handed the stored ExpiringTuple; delete
         # listeners (explicit deletes and overrides) the bare row.
         if type(payload) is tuple:
-            self.invalidate("stale")
+            self._on_delete(table, payload)
         else:
             self._on_insert(table, payload)
 
     def _on_insert(self, table, stored) -> None:
         # Theorem 1 assumes the bases only ever expire -- so even a
         # monotonic view is stale after anything else.
+        self.invalidate("stale")
+
+    def _on_delete(self, table, row) -> None:
         self.invalidate("stale")
 
     def _unsubscribe(self) -> None:

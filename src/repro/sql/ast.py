@@ -20,8 +20,9 @@ dialect surfaces expiration times, matching the paper's design)::
         [WITH POLICY {RECOMPUTE | SCHRODINGER | PATCH | DELTA}] ;
         -- a monotonic query (σ/π/⋈ naming each table once) folds base
         -- inserts whatever the policy; DELTA asks for the same on
-        -- ``a EXCEPT b`` over disjoint tables (a GROUP BY query plans as
-        -- π over the aggregate, which does not fold yet: ViewError)
+        -- ``a EXCEPT b`` over disjoint tables and on a GROUP BY whose
+        -- select list keeps the group columns, and is what an omitted
+        -- policy means on those shapes (SCHRODINGER on any other)
     DROP TABLE name ;   DROP VIEW name ;
     SHOW TABLES ;       SHOW VIEWS ;
     DESCRIBE name ;     EXPLAIN [ANALYZE] query ;

@@ -20,7 +20,7 @@ from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.engine.database import Database
 from repro.engine.views import MaintenancePolicy
-from repro.errors import SessionError, SqlPlanError
+from repro.errors import EvaluationError, SessionError, SqlPlanError
 from repro.sql.ast import (
     AdvanceTime,
     CreateTable,
@@ -114,9 +114,19 @@ def _present_rows(relation: Relation, query: QueryNode) -> list:
                 raise SqlPlanError(
                     f"ORDER BY column {item.column} is not in the select list"
                 )
-            keys.append((schema.index(item.column.name), item.descending))
-        for index, descending in reversed(keys):
-            rows.sort(key=lambda row: row[index], reverse=descending)
+            keys.append(
+                (item.column, schema.index(item.column.name), item.descending)
+            )
+        for column, index, descending in reversed(keys):
+            try:
+                rows.sort(key=lambda row: row[index], reverse=descending)
+            except TypeError:
+                types = " and ".join(
+                    sorted({type(row[index]).__name__ for row in rows})
+                )
+                raise EvaluationError(
+                    f"cannot order by {column}: cannot compare {types}"
+                ) from None
     else:
         rows.sort(key=repr)  # deterministic presentation for set results
     if query.limit is not None:
@@ -240,11 +250,17 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
 
     if isinstance(statement, CreateView):
         expression = plan_query(statement.query, _source_resolver(db))
-        policy = MaintenancePolicy(statement.policy or "schrodinger")
-        db.materialise(statement.name, expression, policy=policy)
+        policy = (
+            None if statement.policy is None
+            else MaintenancePolicy(statement.policy)
+        )
+        view = db.materialise(statement.name, expression, policy=policy)
         return SqlResult(
             kind="create_view",
-            message=f"materialized view {statement.name} created ({policy.value})",
+            message=(
+                f"materialized view {statement.name} created "
+                f"({view.policy.value})"
+            ),
         )
 
     if isinstance(statement, DropTable):

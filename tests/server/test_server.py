@@ -129,6 +129,28 @@ class TestTcpRoundTrip:
 
         run(scenario())
 
+    def test_a_mixed_type_aggregate_or_sort_is_a_remote_error(self):
+        async def scenario():
+            server = ReproServer()
+            session = await AsyncSession.over_loopback(server)
+            await session.execute("CREATE TABLE T (k, v)")
+            await session.execute("INSERT INTO T VALUES (1, 5), (2, 'x')")
+            for text, message in (
+                ("SELECT MAX(v) FROM T", "cannot aggregate max over int and str"),
+                ("SELECT k, v FROM T ORDER BY v", "cannot compare int and str"),
+            ):
+                with pytest.raises(RemoteError) as err:
+                    await session.query(text)
+                assert err.value.remote_type == "EvaluationError"
+                assert message in str(err.value)
+            # The connection survived: the same session answers.
+            result = await session.query("SELECT k FROM T")
+            assert sorted(result.rows) == [(1,), (2,)]
+            await session.close()
+            await server.stop()
+
+        run(scenario())
+
     def test_corrupt_frame_drops_the_connection(self):
         async def scenario():
             server = ReproServer()
