@@ -1,10 +1,11 @@
 """Experiment D2: the expiration-index substrate ([24]'s efficiency claim).
 
 Paper dependency: "there exist efficient ways to support expiration times
-with real-time performance guarantees".  The bench measures the heap-based
-index: throughput of schedule/pop cycles across index sizes (expected
-shape: near-O(log n) per operation, i.e. throughput decays only slowly
-with n) and the cost of renewal-heavy workloads (tombstone pressure).
+with real-time performance guarantees".  The bench measures the engine's
+index, a :class:`~repro.core.schedule.Schedule` of rows on raw ticks:
+throughput of schedule/pop cycles across index sizes (expected shape: near
+O(log n) per operation, i.e. throughput decays only slowly with n) and the
+cost of renewal-heavy workloads (the stale bucket entries renewals park).
 
 The heap-vs-timer-wheel comparison this script used to print is
 historical (EXPERIMENTS.md, D2): the wheel was retired when no user path
@@ -14,7 +15,7 @@ in the repo's benchmark could tell the two substrates apart.
 import random
 import time
 
-from repro.engine.expiration_index import ExpirationIndex
+from repro.core.schedule import Schedule
 
 try:
     from benchmarks._tables import emit
@@ -28,22 +29,26 @@ LIFETIME_SPAN = 10**6
 
 
 def churn(index_size, operations, renew_fraction, seed):
-    """Pre-fill an index, then run a schedule/expire churn; return ops/sec."""
+    """Pre-fill an index, then run a schedule/expire churn.
+
+    Returns ops/sec and the bucket entries left parked (held rows plus the
+    stale entries of renewed ones).
+    """
     rng = random.Random(seed)
-    index = ExpirationIndex()
+    index = Schedule()
     now = 0
     for key in range(index_size):
-        index.schedule((key,), now + rng.randint(1, LIFETIME_SPAN))
+        index.put((key,), now + rng.randint(1, LIFETIME_SPAN))
     started = time.perf_counter()
     for op in range(operations):
         if rng.random() < renew_fraction:
             key = rng.randrange(index_size)
-            index.schedule((key,), now + rng.randint(1, LIFETIME_SPAN))
+            index.put((key,), now + rng.randint(1, LIFETIME_SPAN))
         else:
             now += rng.randint(0, 3)
             index.pop_due(now)
     elapsed = time.perf_counter() - started
-    return operations / elapsed, index.heap_size
+    return operations / elapsed, sum(map(len, index.buckets.values()))
 
 
 def run_sweep(operations=4000, seed=7):
@@ -57,7 +62,7 @@ def run_sweep(operations=4000, seed=7):
 def print_index(rows=None):
     emit(
         "Expiration index: churn throughput vs index size",
-        ["index size", "ops/sec", "heap residue (tombstones)"],
+        ["index size", "ops/sec", "parked bucket entries"],
         rows if rows is not None else run_sweep(),
     )
 
@@ -75,13 +80,13 @@ def test_throughput_decays_slowly():
 
 
 def test_next_expiration_is_constant_time_observable():
-    index = ExpirationIndex()
+    index = Schedule()
     rng = random.Random(1)
     for key in range(50_000):
-        index.schedule((key,), rng.randint(1, 10**6))
+        index.put((key,), rng.randint(1, 10**6))
     started = time.perf_counter()
     for _ in range(10_000):
-        index.next_expiration()
+        index.next_due()
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0  # 10k peeks well under a second
 

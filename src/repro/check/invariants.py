@@ -90,7 +90,7 @@ class _TickMaps:
             table = self._database.table(name)
             scheduled: dict = {}
             for shard in table._shards:
-                scheduled.update(shard.index.pending_raw())
+                scheduled.update(shard.index.items())
             maps = self._maps[name] = (
                 scheduled,
                 {row: texp._value for row, texp in table.relation.items()},
@@ -236,7 +236,7 @@ def _shard_routing(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
         for shard_id, shard in enumerate(table._shards):
             for where, rows in (
                 ("stored in relation", shard.relation.rows()),
-                ("indexed in", (row for row, _ in shard.index.pending_raw())),
+                ("indexed in", (row for row, _ in shard.index.items())),
                 ("buffered in", (row for row, _ in shard.due)),
             ):
                 for row in rows:

@@ -579,6 +579,22 @@ class _Harness:
             raise ValueError(f"unknown op kind {kind!r}")
         self._kind = kind
 
+    def _check_patch_queues(self) -> None:
+        """Once caught up, a difference view queues one patch per row hidden
+        behind a match it outlives -- never one per renewal of the match.
+        A view with a pending cause may hold outdated patches until the
+        read that refreshes it."""
+        flat, part = self._visible("flat"), self._visible("part")
+        hidden = sum(1 for row, e in flat.items() if part.get(row, e) < e)
+        for name in ("v_patch", "v_delta"):
+            view = self.db.view(name)
+            queued = len(view._patcher)
+            if view.cause is None and queued != hidden:
+                raise CheckFailed(
+                    f"view {name} queues {queued} patch(es) for {hidden} "
+                    f"hidden row(s) that re-appear"
+                )
+
     def _count_views(self) -> None:
         """Bill each view's folds and refreshes since the last op, and note
         which op kind left a refresh pending."""
@@ -676,6 +692,7 @@ class _Harness:
 
     def check(self) -> None:
         self.db.verify(strict=True)  # deep: the audit catches views up
+        self._check_patch_queues()
         if self._view_folds is not None:
             self._count_views()
         for table in _TABLES:

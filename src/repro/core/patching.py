@@ -11,11 +11,13 @@ becomes ``∞``.  When a helper tuple expires (its S-side match is gone), it
 is inserted into the materialised difference with expiration ``texp_R(t)``,
 which is exactly when it disappears from ``R`` itself.
 
-The helper relation is a priority queue ordered by ``texp_S``; it contains
-at most ``|R ∩ S|`` entries (built in ``O(n log n)``), and the paper notes
-it can be gathered for free while the difference itself is computed, e.g.
-inside a hash/sort-merge anti-semijoin -- :func:`compute_difference_with_patches`
-does exactly that in a single pass.
+The helper relation is a priority queue ordered by ``texp_S``: the one
+expiration :class:`~repro.core.schedule.Schedule` the engine's index also
+keeps, keyed by row, so it holds at most one patch per row and at most
+``|R ∩ S|`` entries.  The paper notes it can be gathered for free while the
+difference itself is computed, e.g. inside a hash/sort-merge anti-semijoin
+-- :func:`compute_difference_with_patches` does exactly that in a single
+pass.
 
 A *queue limit* implements the paper's policy trade-off ("how many r to
 keep in the queue"): keeping only the patches due before a horizon saves
@@ -25,13 +27,12 @@ space and up-front transfer, at the price of a finite
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.relation import Relation
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
+from repro.core.schedule import Schedule
+from repro.core.timestamps import INFINITY, TimeLike, Timestamp, from_raw, to_raw, ts
 from repro.core.tuples import Row
 from repro.errors import RelationError
 
@@ -53,21 +54,17 @@ class DifferencePatcher:
     """The helper relation ``R(R −exp S)`` as a priority queue.
 
     Pop patches as time passes with :meth:`due_patches`; apply them to a
-    materialised difference with :meth:`apply_to`.  The queue is a plain
-    binary heap keyed by ``due`` (the helper tuples' expiration times), so
-    every operation is ``O(log n)`` -- the "standard algorithms" bound the
-    paper cites.
+    materialised difference with :meth:`apply_to`.  The queue is a
+    :class:`~repro.core.schedule.Schedule` keyed by row on its ``due`` tick
+    (the helper tuple's expiration), beside each row's ``expires_at``: a row
+    has at most one pending patch, and a re-queued row replaces its earlier
+    one.
     """
 
     def __init__(self, patches: Optional[List[Patch]] = None, limit: Optional[int] = None) -> None:
-        self._heap: List[Tuple[int, int, Patch]] = []
-        # Bounded mode only: a max-heap over the same entries (keyed on
-        # -due) plus a lazy-deletion set, so shedding the latest-due patch
-        # is O(log n) instead of the O(n) remove + heapify of a single heap.
-        self._max_heap: List[Tuple[int, int, int, Patch]] = []
-        self._dead: set = set()
-        self._size = 0
-        self._counter = itertools.count()
+        self._schedule = Schedule()
+        #: row -> the expiration its patch re-inserts it with.
+        self._expires: Dict[Row, Timestamp] = {}
         self._guaranteed_until = INFINITY
         self._limit = limit
         self.applied = 0
@@ -75,32 +72,39 @@ class DifferencePatcher:
             self.add(patch)
 
     def add(self, patch: Patch) -> None:
-        """Queue a patch; beyond the size limit the latest-due one is shed.
+        """Queue a patch, replacing any earlier patch of its row.
 
-        Shedding keeps the *earliest* patches (they are needed first) and
-        lowers :attr:`guaranteed_until` to the shed patch's due time: from
-        then on, correctness would have required the dropped tuple.
+        A patch due at ``∞`` (its S match never expires: the row never
+        re-appears) only drops the earlier one.  Beyond the size limit the
+        whole latest-due tick is shed: the *earliest* patches are kept
+        (they are needed first) and :attr:`guaranteed_until` drops to the
+        shed tick -- from then on, correctness would have required the
+        dropped tuples, so no patch due at or after it is queued again.
         """
-        if patch.due.is_infinite:
-            return  # its S match never expires; the row never re-appears
-        seq = next(self._counter)
-        heapq.heappush(self._heap, (patch.due.value, seq, patch))
-        self._size += 1
-        if self._limit is None:
+        due = to_raw(patch.due)
+        if due >= to_raw(self._guaranteed_until):
+            self.discard(patch.row)
             return
-        heapq.heappush(self._max_heap, (-patch.due.value, -seq, seq, patch))
-        if self._size > self._limit:
-            dead = self._dead
-            while True:
-                _, _, shed_seq, shed = heapq.heappop(self._max_heap)
-                if shed_seq not in dead:
-                    break
-                dead.discard(shed_seq)  # already popped from the min-heap
-            dead.add(shed_seq)
-            self._size -= 1
-            due = shed.due
-            if due < self._guaranteed_until:
-                self._guaranteed_until = due
+        self._schedule.put(patch.row, due)
+        self._expires[patch.row] = patch.expires_at
+        if self._limit is not None and len(self._schedule) > self._limit:
+            self._shed()
+
+    def discard(self, row: Row) -> None:
+        """Drop ``row``'s pending patch, if any."""
+        self._schedule.discard(row)
+        self._expires.pop(row, None)
+
+    def _shed(self) -> None:
+        """Drop every patch due at the latest pending tick."""
+        buckets, ticks = self._schedule.buckets, self._schedule.ticks
+        for tick in sorted(buckets, reverse=True):
+            shed = [row for row in buckets[tick] if ticks.get(row) == tick]
+            if shed:
+                break
+        for row in shed:
+            self.discard(row)
+        self._guaranteed_until = from_raw(tick)
 
     @property
     def guaranteed_until(self) -> Timestamp:
@@ -113,17 +117,12 @@ class DifferencePatcher:
         return self._guaranteed_until
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._schedule)
 
     def peek_due(self) -> Optional[Timestamp]:
         """The due time of the next pending patch, if any."""
-        heap, dead = self._heap, self._dead
-        while heap and heap[0][1] in dead:
-            dead.discard(heap[0][1])
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0][2].due
+        tick = self._schedule.next_due()
+        return None if tick is None else from_raw(tick)
 
     def due_patches(self, now: TimeLike) -> List[Patch]:
         """Pop every patch whose row should be visible at time ``now``.
@@ -131,20 +130,11 @@ class DifferencePatcher:
         A patch is due once its S-side match has expired, i.e. when
         ``due <= now`` (the helper tuple is no longer in ``exp_now(S)``).
         """
-        stamp = ts(now)
-        heap, dead = self._heap, self._dead
-        bounded = self._limit is not None
-        due: List[Patch] = []
-        while heap and ts(heap[0][0]) <= stamp:
-            _, seq, patch = heapq.heappop(heap)
-            if seq in dead:
-                dead.discard(seq)  # shed earlier; drop the stale entry
-                continue
-            if bounded:
-                dead.add(seq)  # its twin is still in the max-heap
-            self._size -= 1
-            due.append(patch)
-        return due
+        expires = self._expires
+        return [
+            Patch(row, from_raw(tick), expires.pop(row))
+            for row, tick in self._schedule.pop_due(to_raw(ts(now)))
+        ]
 
     def apply_to(self, materialised: Relation, now: TimeLike) -> int:
         """Insert all due patches into ``materialised``; returns the count.

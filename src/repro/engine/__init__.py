@@ -14,7 +14,7 @@ from repro.engine.constraints import (
     KeyConstraint,
 )
 from repro.engine.database import Database
-from repro.engine.expiration_index import ExpirationIndex, RemovalPolicy
+from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.maintenance import supports_incremental
 from repro.engine.partitioning import ShardedRelation
 from repro.engine.persistence import (
@@ -43,7 +43,6 @@ __all__ = [
     "ForeignKeyConstraint",
     "KeyConstraint",
     "Database",
-    "ExpirationIndex",
     "RemovalPolicy",
     "supports_incremental",
     "ShardedRelation",

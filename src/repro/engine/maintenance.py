@@ -30,7 +30,8 @@ under ``MaintenancePolicy.DELTA`` for the non-monotonic shapes below.
   base-linear child: the child's members are kept per partition, and a
   partition is redone only when a delta row joined it, a touched row left
   it, or its invalidation time -- the change point ``ν`` of Equations 8-9,
-  kept in a heap -- has passed.  A redo runs the compiled aggregate's own
+  kept on a :class:`~repro.core.schedule.Schedule` keyed by partition --
+  has passed.  A redo runs the compiled aggregate's own
   per-partition function
   (:func:`~repro.core.algebra.compiler.aggregate_partition`) over the
   partition's live members: no plan execution, no scan of the child.
@@ -45,8 +46,6 @@ it leaves its partition; otherwise it re-enters through the child plan.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import operator
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -68,6 +67,7 @@ from repro.core.algebra.expressions import (
 from repro.core.intervals import IntervalSet
 from repro.core.patching import Patch
 from repro.core.relation import Relation
+from repro.core.schedule import Schedule
 from repro.core.timestamps import INFINITY, Timestamp, to_raw
 from repro.core.tuples import ExpiringTuple, Row
 from repro.engine.views import MaterialisedView
@@ -172,7 +172,6 @@ class IncrementalView(MaterialisedView):
                 )
             self._schema = expression.infer_schema(resolver)
             self._source = _row_source(aggregate.child)
-            self._tickets = itertools.count()
         super().__init__(name, expression, database, *policy)
 
     def _build(self, stamp: Timestamp) -> EvalResult:
@@ -213,13 +212,11 @@ class IncrementalView(MaterialisedView):
 
     def _build_partitions(self, stamp: Timestamp) -> EvalResult:
         """One compiled execution of the child, partitioned as it is read."""
-        #: partition key -> (members ``{row: texp}``, value, ticket of its
-        #: scheduled redo).
-        self._groups: Dict[Any, Tuple[Dict[Row, Timestamp], Any, int]] = {}
-        #: ``(raw tick, ticket, key)``: when a partition's held rows stop
-        #: matching a recomputation, or it dies.  A ticket that no longer
-        #: matches its partition's is a leftover of an earlier redo.
-        self._due: List[Tuple[int, int, Any]] = []
+        #: partition key -> (members ``{row: texp}``, value).
+        self._groups: Dict[Any, Tuple[Dict[Row, Timestamp], Any]] = {}
+        #: partition key -> the raw tick its held rows stop matching a
+        #: recomputation, or it dies: its next redo.
+        self._due = Schedule()
         child = self._plans[0].execute(self.database.catalog, stamp).relation
         key = self._key
         partitions: Dict[Any, Dict[Row, Timestamp]] = {}
@@ -284,9 +281,8 @@ class IncrementalView(MaterialisedView):
             # costs only those) waits until it has doubled, or for a read.
             self._trim(stamp)
         if self._sides:
-            # A due patch is re-derived like a delta row, not trusted: a
-            # later right-side insert may have renewed the match it waited
-            # out (and queued its own patch then).
+            # A due patch re-derives its row like a delta row does.  A row
+            # holds one patch at most: re-placing it replaces the patch.
             due = self._queue_at(stamp).due_patches(stamp)
             self.patches_applied += len(due)
             self.database.statistics.view_patches_applied += len(due)
@@ -294,8 +290,8 @@ class IncrementalView(MaterialisedView):
                 self._place(row)
 
     def _catch_up_partitions(self, stamp: Timestamp) -> None:
-        due, now = self._due, to_raw(stamp)
-        if not (self._unfolded or (due and due[0][0] <= now)):
+        now, tick = to_raw(stamp), self._due.next_due()
+        if not self._unfolded and (tick is None or tick > now):
             return
         #: partition key -> its members, being changed before the redo.
         opened: Dict[Any, Dict[Row, Timestamp]] = {}
@@ -304,23 +300,11 @@ class IncrementalView(MaterialisedView):
             self._join(delta, opened)
         if touched:
             self._rederive(touched, stamp, opened)
-        groups = self._groups
-        while due and due[0][0] <= now:
-            _, ticket, group = heapq.heappop(due)
-            held = groups.get(group)
-            if held is not None and held[2] == ticket:
-                self._open(group, opened)
+        for group, _ in self._due.pop_due(now):
+            self._open(group, opened)
         state = self._result.relation
         for group, members in opened.items():
             self._redo(group, members, stamp, state)
-        if len(due) > 2 * len(groups) + _MIN_BATCH:
-            # Mostly leftovers of earlier redos: keep each partition's own.
-            due[:] = [
-                entry for entry in due
-                if (held := groups.get(entry[2])) is not None
-                and held[2] == entry[1]
-            ]
-            heapq.heapify(due)
         if len(state) > 2 * self._room:
             self._trim(stamp)
 
@@ -362,19 +346,19 @@ class IncrementalView(MaterialisedView):
         return self._routes[base].execute(catalog, stamp).relation
 
     def _place(self, row: Row) -> None:
-        """Re-derive one row of ``L − R`` from the two (trimmed) side states."""
+        """Re-derive one row of ``L − R`` from the two (trimmed) side states,
+        and its pending patch with it."""
         left = self._sides[0].expiration_or_none(row)
-        if left is None:
-            return
-        right = self._sides[1].expiration_or_none(row)
-        state = self._result.relation
-        if right is None:
-            state.insert(row, expires_at=left)
-        else:
+        right = None if left is None else self._sides[1].expiration_or_none(row)
+        if right is not None:
             # Matched in R: hidden now; re-appears if it outlives the match.
-            state.delete(row)
+            self._result.relation.delete(row)
             if right < left:
                 self._patcher.add(Patch(row, right, left))
+                return
+        elif left is not None:
+            self._result.relation.insert(row, expires_at=left)
+        self._patcher.discard(row)
 
     # -- partitions of a folded aggregate ----------------------------------------
 
@@ -385,7 +369,7 @@ class IncrementalView(MaterialisedView):
             held = self._groups.pop(group, None)
             members = {}
             if held is not None:
-                members, value, _ = held
+                members, value = held
                 delete, out = self._result.relation.delete, self._out
                 for row in members:
                     delete(out(row + (value,)))
@@ -430,6 +414,7 @@ class IncrementalView(MaterialisedView):
         and schedule the partition's next redo."""
         alive = [(row, texp) for row, texp in members.items() if stamp < texp]
         if not alive:
+            self._due.discard(group)
             return  # the partition is gone
         value, rows, _, invalidation, dies_at = aggregate_partition(
             alive, self._value_index, self._function, stamp,
@@ -437,12 +422,10 @@ class IncrementalView(MaterialisedView):
         )
         out = self._out
         state.bulk_load((out(row), texp) for row, texp in rows)
-        ticket = next(self._tickets)
         if len(alive) < len(members):
             members = dict(alive)
-        self._groups[group] = (members, value, ticket)
+        self._groups[group] = (members, value)
         # Held rows stop matching a recomputation at the invalidation time;
         # at the death all of them have expired and the members can go.
         until = invalidation if invalidation < dies_at else dies_at
-        if until.is_finite:
-            heapq.heappush(self._due, (to_raw(until), ticket, group))
+        self._due.put(group, to_raw(until))

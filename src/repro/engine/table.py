@@ -1,9 +1,9 @@
 """Expiration-enabled base tables.
 
 A :class:`Table` combines a :class:`~repro.core.relation.Relation` (logical
-content), an :class:`~repro.engine.expiration_index.ExpirationIndex`
-(efficient discovery of due tuples), a :class:`TriggerManager`, and a set
-of integrity constraints.  Storage comes in shards -- one for a flat
+content), a :class:`~repro.core.schedule.Schedule` as its expiration
+index (efficient discovery of due tuples), a :class:`TriggerManager`, and
+a set of integrity constraints.  Storage comes in shards -- one for a flat
 table, ``partitions`` hash shards otherwise -- each with its own index and
 due buffer; every verb runs one mutation pipeline against the shard that
 owns the row, and one sweep runs over all of them.  It implements the
@@ -30,10 +30,11 @@ from repro.codec import encode_exp, encode_prev
 from repro.core.columnar import ColumnarRelation
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import TimeLike, Timestamp, ts
+from repro.core.schedule import Schedule
+from repro.core.timestamps import RAW_INFINITY, TimeLike, Timestamp, to_raw, ts
 from repro.core.tuples import ExpiringTuple, Row, make_row
 from repro.engine.clock import LogicalClock
-from repro.engine.expiration_index import ExpirationIndex, RemovalPolicy
+from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.partitioning import ShardedRelation
 from repro.engine.statistics import EngineStatistics
 from repro.engine.triggers import TriggerManager
@@ -95,6 +96,17 @@ def declare_expiration_families(registry):
     )
 
 
+def _raw_pairs(pairs: Iterable[tuple]) -> List[Tuple[Row, int]]:
+    """Trusted ``(row, expiration)`` pairs on raw ticks: a pair holds the
+    raw tick a snapshot or log record carries, a :class:`Timestamp`, or
+    ``None`` for never."""
+    return [
+        (row, tick if type(tick) is int
+         else RAW_INFINITY if tick is None else to_raw(tick))
+        for row, tick in pairs
+    ]
+
+
 class _Shard:
     """One shard's storage, expiration index and LAZY due buffer.
 
@@ -107,9 +119,10 @@ class _Shard:
 
     def __init__(self, relation: Relation, label: str) -> None:
         self.relation = relation
-        self.index = ExpirationIndex()
+        #: Every stored row with a finite ``texp``, at its raw tick.
+        self.index = Schedule()
         #: Lazy removal: raw ``(row, tick)`` entries already popped from
-        #: the index (O(k log n) per advance), awaiting a vacuum.
+        #: the index, awaiting a vacuum.
         self.due: List[Tuple[Row, int]] = []
         #: The ``shard`` label of the ``repro_partition_*`` series.
         self.label = label
@@ -296,11 +309,11 @@ class Table:
             result = shard.relation.delete(row)
             if only_present and not result:
                 return False
-            shard.index.remove(row)
+            shard.index.discard(row)
         else:
             put = shard.relation.insert if merge else shard.relation.override
             result = put(row, stamp)
-            shard.index.schedule(row, result.expires_at)
+            shard.index.put(row, to_raw(result.expires_at))
         if logging and (stamp is not None or previous is not None):
             # ``prev`` is what transaction rollback at recovery restores.
             # An upsert logs the *resulting* (post-max-merge) expiration,
@@ -524,7 +537,7 @@ class Table:
                 # what storage kept, not what the pair asked for.
                 stored = relation.expiration_or_none
                 bucket = ((row, stored(row)) for row, _ in bucket)
-            shard.index.bulk_schedule(bucket)
+            shard.index.bulk_put(_raw_pairs(bucket))
         return count
 
     def bulk_restore(self, ops: Iterable[Tuple[Row, Optional[TimeLike]]]) -> None:
@@ -540,7 +553,7 @@ class Table:
             shard.relation.bulk_restore(bucket)
             # To the index an erased row and an immortal one are the same
             # thing, no entry: ``None`` schedules as "never".
-            shard.index.bulk_schedule(dict(bucket).items())
+            shard.index.bulk_put(_raw_pairs(dict(bucket).items()))
 
     # -- reading -----------------------------------------------------------------
 
@@ -560,8 +573,9 @@ class Table:
 
     def next_expiration(self) -> Optional[Timestamp]:
         """When the next tuple expires (the trigger scheduler's deadline)."""
-        pending = (shard.index.next_expiration() for shard in self._shards)
-        return min((stamp for stamp in pending if stamp is not None), default=None)
+        pending = (shard.index.next_due() for shard in self._shards)
+        tick = min((tick for tick in pending if tick is not None), default=None)
+        return None if tick is None else ts(tick)
 
     # -- expiration processing -------------------------------------------------------
 
@@ -576,7 +590,7 @@ class Table:
         limit = new._value
         pending = 0
         for shard in self._shards:
-            shard.due.extend(shard.index.pop_due_raw(limit))
+            shard.due.extend(shard.index.pop_due(limit))
             pending += len(shard.due)
         if pending >= self.lazy_batch_size:
             self.vacuum(new)
@@ -588,7 +602,7 @@ class Table:
         limit = stamp._value
         jobs = []
         for shard in self._shards:
-            due = shard.due + shard.index.pop_due_raw(limit)
+            due = shard.due + shard.index.pop_due(limit)
             if due:
                 shard.due = []
                 jobs.append((shard, due))

@@ -7,7 +7,7 @@ requests follow a Zipf popularity law, hits are served if an unexpired
 entry exists, misses insert a fresh entry with the object's TTL.
 
 Used by the quickstart-adjacent example and the expiration-index bench
-(high churn, heavy re-insertion -- the index's tombstone path).
+(high churn, heavy re-insertion -- the index's stale-entry path).
 """
 
 from __future__ import annotations

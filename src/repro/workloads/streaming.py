@@ -23,7 +23,7 @@ story made runnable on the engine:
   cause.  Arrivals fold in through the table's insert listeners, never
   through a rescan.  The counting family's window is ``[τ, ∞)`` -- the
   way Theorem 3 keeps a difference correct forever, every counted key is
-  parked on one :class:`LiveKeys` expiration schedule and a read patches
+  parked on one :class:`~repro.core.schedule.Schedule` and a read patches
   the answer forward in O(keys expired since the last read).  A
   revocation (``override``/delete) is a cause through the delete
   listeners, so a shortened lifetime is never served stale.
@@ -41,11 +41,9 @@ bands from :mod:`repro.core.approximate`).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.aggregates import MaxAggregate, MinAggregate
 from repro.core.algebra.evaluator import HeldAnswer
@@ -54,10 +52,10 @@ from repro.core.approximate import (
     Tolerance,
     approximate_validity,
 )
-from repro.core.columnar import RAW_INFINITY, to_raw
 from repro.core.intervals import IntervalSet
+from repro.core.schedule import Schedule
 from repro.core.schema import Schema
-from repro.core.timestamps import Timestamp, ts
+from repro.core.timestamps import RAW_INFINITY, Timestamp, to_raw, ts
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.table import Table
@@ -127,61 +125,6 @@ def declare_streaming_families(registry):
     return events, touches, serves, refreshes, refresh_seconds, resident
 
 
-# -- the expiration schedule -------------------------------------------------
-
-
-class LiveKeys:
-    """The counting family's one expiration schedule (DESIGN §5j).
-
-    ``ticks`` maps every live key to its max-merged expiration tick; a
-    finite tick also parks the key in that tick's bucket, and ``heap``
-    orders the bucket ticks -- raw ints throughout.  :meth:`advance`
-    removes what has expired by ``τ`` in O(keys expired since the last
-    call) and hands those keys back; a bucket entry whose key was since
-    renewed past the bucket's tick is skipped there, so a renewal costs
-    one stale entry until its old tick passes and nothing is ever
-    searched for.  ``len()`` is the number of live keys.
-    """
-
-    __slots__ = ("ticks", "buckets", "heap")
-
-    def __init__(self) -> None:
-        self.ticks: Dict[Any, int] = {}
-        self.buckets: Dict[int, List[Any]] = {}
-        self.heap: List[int] = []
-
-    def __len__(self) -> int:
-        return len(self.ticks)
-
-    def add(self, key: Any, texp: Timestamp) -> bool:
-        """Max-merge ``key`` in; whether it is new to the schedule."""
-        tick = to_raw(texp)
-        current = self.ticks.get(key)
-        if current is not None and current >= tick:
-            return False
-        self.ticks[key] = tick
-        if tick != RAW_INFINITY:  # an immortal key is parked nowhere
-            bucket = self.buckets.get(tick)
-            if bucket is None:
-                self.buckets[tick] = [key]
-                heapq.heappush(self.heap, tick)
-            else:
-                bucket.append(key)
-        return current is None
-
-    def advance(self, tau: Timestamp) -> List[Any]:
-        """Drop every key with ``texp <= τ``; the dropped keys."""
-        now, heap, ticks = tau.value, self.heap, self.ticks
-        expired: List[Any] = []
-        while heap and heap[0] <= now:
-            tick = heapq.heappop(heap)
-            for key in self.buckets.pop(tick):
-                if ticks[key] == tick:  # else renewed past this bucket
-                    del ticks[key]
-                    expired.append(key)
-        return expired
-
-
 # -- standing queries --------------------------------------------------------
 
 
@@ -240,28 +183,44 @@ class _KeyedCount(StandingQuery):
     stream row carrying it is live; tracking the per-key max expiration
     is the model's max-merge projection (Theorem 1: monotonic, so
     arrivals propagate as pure deltas).  Every key, whether a rescan or
-    an arrival found it, is admitted to one :class:`LiveKeys` schedule;
-    a read advances the schedule to ``τ`` and answers from what is left,
-    exactly, at every ``τ`` from the rescan onwards -- which is the
-    validity reported.  Subclasses say what the key is (``_admit``).
+    an arrival found it, is admitted to one :class:`Schedule` at its
+    max-merged tick, or to the set of immortal keys; a read pops what is
+    due by ``τ`` and answers from what is left, exactly, at every ``τ``
+    from the rescan onwards -- which is the validity reported.
+    Subclasses say what the key is (``_admit``).
     """
 
     def __init__(self, store: "StreamStore", name: str, table: Table) -> None:
-        self._live = LiveKeys()
+        self._live = Schedule()
+        self._immortal: Set[Any] = set()
         super().__init__(store, name, table)
+
+    def _add(self, key: Any, texp: Timestamp) -> bool:
+        """Max-merge ``key`` in; whether it is new to the count."""
+        live, immortal = self._live, self._immortal
+        if key in immortal:
+            return False
+        current = live.get(key)
+        tick = to_raw(texp)
+        if tick == RAW_INFINITY:
+            immortal.add(key)
+        if current is None or current < tick:
+            live.put(key, tick)  # ∞ unparks it
+        return current is None
 
     def _on_insert(self, table: Table, stored) -> None:
         self._admit(stored.row, stored.expires_at)
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
-        self._live = LiveKeys()
+        self._live = Schedule()
+        self._immortal = set()
         for row, texp in self._live_items(tau):
             self._admit(row, texp)
         return IntervalSet.from_onwards(tau)
 
     def _serve(self, tau: Timestamp):
-        self._live.advance(tau)
-        return len(self._live)
+        self._live.pop_due(to_raw(tau))
+        return len(self._live) + len(self._immortal)
 
 
 class WindowedCount(_KeyedCount):
@@ -283,7 +242,7 @@ class WindowedCount(_KeyedCount):
         super().__init__(store, name, table)
 
     def _admit(self, row: tuple, texp: Timestamp) -> None:
-        self._live.add(row, texp)
+        self._add(row, texp)
 
 
 class DistinctCount(_KeyedCount):
@@ -305,7 +264,7 @@ class DistinctCount(_KeyedCount):
         super().__init__(store, name, table)
 
     def _admit(self, row: tuple, texp: Timestamp) -> None:
-        self._live.add(row[self.attribute], texp)
+        self._add(row[self.attribute], texp)
 
 
 class ReservoirSample(StandingQuery):
@@ -391,10 +350,10 @@ class ExtentAggregate(StandingQuery):
     (:func:`~repro.core.approximate.approximate_validity` with the min/max
     aggregates): the cached extent is served until *either* endpoint
     drifts out of band.  Arrivals fold in exactly -- a value outside the
-    current ``[lo, hi]`` widens it immediately -- and park their
-    expiration on a heap; an expiring arrival that carried an endpoint
-    is a ``drift`` cause (the extent may shrink, which only a rescan can
-    bound).
+    current ``[lo, hi]`` widens it immediately -- and park their row on a
+    :class:`Schedule` at its stored ``texp``; an expiring row that
+    carried an endpoint is a ``drift`` cause (the extent may shrink, which
+    only a rescan can bound).
     """
 
     def __init__(
@@ -409,9 +368,8 @@ class ExtentAggregate(StandingQuery):
         self.tolerance = tolerance
         self._lo: Optional[Any] = None
         self._hi: Optional[Any] = None
-        self._pending: List[Tuple[Timestamp, int, Any]] = []
-        #: tiebreak for heap entries with equal expirations
-        self._seq = itertools.count()
+        #: Rows that arrived since the last rescan, at their stored texp.
+        self._rows = Schedule()
         super().__init__(store, name, table)
 
     def _on_insert(self, table: Table, stored) -> None:
@@ -420,17 +378,16 @@ class ExtentAggregate(StandingQuery):
             self._lo = value
         if self._hi is None or value > self._hi:
             self._hi = value
-        if stored.expires_at.is_finite:
-            heapq.heappush(
-                self._pending, (stored.expires_at, next(self._seq), value)
-            )
+        tick = to_raw(stored.expires_at)
+        self._rows.put(stored.row, tick)  # a renewal to ∞ unparks it
+        if tick != RAW_INFINITY:
             self._unfolded += 1
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
         items = [
             (row[self.attribute], texp) for row, texp in self._live_items(tau)
         ]
-        self._pending = []
+        self._rows = Schedule()
         if not items:
             self._lo = self._hi = None
             return IntervalSet.from_onwards(tau)
@@ -446,8 +403,8 @@ class ExtentAggregate(StandingQuery):
 
     def _catch_up(self, tau: Timestamp) -> None:
         self._unfolded = 0
-        while self._pending and self._pending[0][0] <= tau:
-            _, _, value = heapq.heappop(self._pending)
+        for row, _ in self._rows.pop_due(to_raw(tau)):
+            value = row[self.attribute]
             if self._lo is not None and (value == self._lo or value == self._hi):
                 # An endpoint-carrying arrival died: the extent may have
                 # shrunk in a way no precomputed band bounds -- rescan.
@@ -493,10 +450,10 @@ class ThresholdWatch(_KeyedCount):
     ``distinct`` are live -- e.g. per source address, the number of
     distinct ``(dst, dport)`` targets probed inside the window.  Groups
     at or above ``threshold`` are the alerts.  The counted key is the
-    ``(group, value)`` pair; a per-group counter goes up when the
-    schedule admits a new pair and down for every pair a read's
-    ``advance`` hands back, so serving costs the pairs that expired
-    since the last read, not the pairs tracked.
+    ``(group, value)`` pair; a per-group counter goes up when a new pair
+    is admitted and down for every pair a read pops off the schedule, so
+    serving costs the pairs that expired since the last read, not the
+    pairs tracked.
     """
 
     def __init__(
@@ -519,7 +476,7 @@ class ThresholdWatch(_KeyedCount):
     def _admit(self, row: tuple, texp: Timestamp) -> None:
         group = row[self.group_index]
         value = tuple(row[i] for i in self.distinct_indexes)
-        if self._live.add((group, value), texp):
+        if self._add((group, value), texp):
             self._counts[group] = self._counts.get(group, 0) + 1
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
@@ -528,7 +485,7 @@ class ThresholdWatch(_KeyedCount):
 
     def _serve(self, tau: Timestamp) -> Dict[Any, int]:
         counts = self._counts
-        for group, _ in self._live.advance(tau):
+        for (group, _), _ in self._live.pop_due(to_raw(tau)):
             if counts[group] == 1:
                 del counts[group]
             else:

@@ -71,19 +71,19 @@ class TestCleanDatabases:
 class TestCorruptionsAreCaught:
     def test_missing_index_entry(self):
         db = build_db()
-        db.table("flat")._shards[0].index.remove((0, 0))
+        db.table("flat")._shards[0].index.discard((0, 0))
         violations = db.verify(strict=False)
         assert "index-schedules-stored" in names_of(violations)
 
     def test_phantom_index_entry(self):
         db = build_db()
-        db.table("flat")._shards[0].index.schedule((77, 7), 30)
+        db.table("flat")._shards[0].index.put((77, 7), 30)
         violations = db.verify(strict=False)
         assert "index-entries-stored" in names_of(violations)
 
     def test_index_disagrees_on_time(self):
         db = build_db()
-        db.table("flat")._shards[0].index.schedule((0, 0), 55)  # stored says 10
+        db.table("flat")._shards[0].index.put((0, 0), 55)  # stored says 10
         violations = db.verify(strict=False)
         assert names_of(violations) >= {
             "index-schedules-stored", "index-entries-stored"
@@ -122,7 +122,7 @@ class TestCorruptionsAreCaught:
 
     def test_names_filter(self):
         db = build_db()
-        db.table("flat")._shards[0].index.remove((0, 0))
+        db.table("flat")._shards[0].index.discard((0, 0))
         only = run_invariants(db, names=["index-entries-stored"])
         assert only == []  # the corruption is invisible to that check
         found = run_invariants(db, names=["index-schedules-stored"])
@@ -134,7 +134,7 @@ class TestCorruptionsAreCaught:
 class TestStrictMode:
     def test_strict_raises_with_detail(self):
         db = build_db()
-        db.table("flat")._shards[0].index.remove((0, 0))
+        db.table("flat")._shards[0].index.discard((0, 0))
         with pytest.raises(InvariantViolation) as excinfo:
             db.verify()
         assert "index-schedules-stored" in str(excinfo.value)
@@ -147,7 +147,7 @@ class TestStrictMode:
 class TestDebugMode:
     def test_check_invariants_audits_every_mutation(self):
         db = build_db(check_invariants=True)
-        db.table("flat")._shards[0].index.remove((3, 0))  # corrupt behind the API
+        db.table("flat")._shards[0].index.discard((3, 0))  # corrupt behind the API
         with pytest.raises(InvariantViolation):
             db.table("flat").insert((8, 0), expires_at=40)
 

@@ -163,7 +163,7 @@ class TestPatchedDifference:
 
 
 class TestBoundedHeap:
-    """The O(log n) dual-heap shedding path of a size-limited patcher."""
+    """The shedding path of a size-limited patcher."""
 
     def test_interleaved_add_pop_and_shed(self):
         patcher = DifferencePatcher(limit=2)
@@ -216,9 +216,40 @@ class TestBoundedHeap:
         patcher = DifferencePatcher(limit=limit)
         for i, due in enumerate(dues):
             patcher.add(Patch((i,), ts(due), ts(100)))
-        kept = sorted(p.due.value for p in patcher.due_patches(1000))
-        assert kept == sorted(dues)[:limit]
         shed = sorted(dues)[limit:]
         expected_horizon = ts(min(shed)) if shed else INFINITY
         assert patcher.guaranteed_until == expected_horizon
+        # The earliest patches, less any due at the horizon: a whole tick
+        # is shed at once, and a read at the horizon is refused anyway.
+        kept = sorted(p.due.value for p in patcher.due_patches(1000))
+        assert kept == [d for d in sorted(dues)[:limit] if ts(d) < expected_horizon]
         assert len(patcher) == 0
+
+    def test_sheds_the_whole_latest_tick(self):
+        patcher = DifferencePatcher(limit=2)
+        patcher.add(Patch((1,), ts(5), ts(50)))
+        patcher.add(Patch((2,), ts(5), ts(50)))
+        patcher.add(Patch((3,), ts(3), ts(50)))  # over the limit: tick 5 goes
+        assert len(patcher) == 1
+        assert patcher.guaranteed_until == ts(5)
+        patcher.add(Patch((4,), ts(7), ts(50)))  # past the horizon: dropped
+        assert len(patcher) == 1
+        assert [p.row for p in patcher.due_patches(10)] == [(3,)]
+
+
+class TestOnePatchPerRow:
+    def test_requeued_row_replaces_its_patch(self):
+        patcher = DifferencePatcher()
+        patcher.add(Patch((1,), ts(3), ts(50)))
+        patcher.add(Patch((1,), ts(8), ts(60)))  # its match was renewed
+        assert len(patcher) == 1
+        assert patcher.peek_due() == ts(8)
+        assert patcher.due_patches(5) == []
+        assert patcher.due_patches(8) == [Patch((1,), ts(8), ts(60))]
+
+    def test_infinite_due_drops_the_pending_patch(self):
+        patcher = DifferencePatcher()
+        patcher.add(Patch((1,), ts(3), ts(50)))
+        patcher.add(Patch((1,), INFINITY, ts(50)))  # its match became immortal
+        assert len(patcher) == 0
+        assert patcher.peek_due() is None

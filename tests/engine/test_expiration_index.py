@@ -1,99 +1,83 @@
-"""Tests for the heap-based expiration index."""
+"""Tests for the engine's expiration index: a Schedule of rows on raw ticks."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.timestamps import INFINITY, ts
-from repro.engine.expiration_index import ExpirationIndex, RemovalPolicy
+from repro.core.schedule import Schedule
+from repro.core.timestamps import RAW_INFINITY
+from repro.engine.expiration_index import RemovalPolicy
 
 
 class TestScheduling:
     def test_schedule_and_pop(self):
-        index = ExpirationIndex()
-        index.schedule((1,), 5)
-        index.schedule((2,), 3)
+        index = Schedule()
+        index.put((1,), 5)
+        index.put((2,), 3)
         assert len(index) == 2
-        due = index.pop_due(4)
-        assert [(row, int(texp)) for row, texp in due] == [((2,), 3)]
+        assert index.pop_due(4) == [((2,), 3)]
         assert len(index) == 1
 
     def test_pop_order(self):
-        index = ExpirationIndex()
+        index = Schedule()
         for i, texp in enumerate([9, 2, 5]):
-            index.schedule((i,), texp)
+            index.put((i,), texp)
         due = index.pop_due(10)
-        assert [int(texp) for _, texp in due] == [2, 5, 9]
+        assert [texp for _, texp in due] == [2, 5, 9]
 
     def test_infinite_never_scheduled(self):
-        index = ExpirationIndex()
-        index.schedule((1,), INFINITY)
+        index = Schedule()
+        index.put((1,), RAW_INFINITY)
         assert len(index) == 0
-        assert index.next_expiration() is None
+        assert index.next_due() is None
 
     def test_next_expiration(self):
-        index = ExpirationIndex()
-        index.schedule((1,), 7)
-        index.schedule((2,), 3)
-        assert index.next_expiration() == ts(3)
+        index = Schedule()
+        index.put((1,), 7)
+        index.put((2,), 3)
+        assert index.next_due() == 3
 
     def test_boundary_inclusive(self):
         # A tuple with texp = τ is expired at τ (exp keeps texp > τ).
-        index = ExpirationIndex()
-        index.schedule((1,), 5)
-        assert index.pop_due(5) == [((1,), ts(5))]
+        index = Schedule()
+        index.put((1,), 5)
+        assert index.pop_due(5) == [((1,), 5)]
 
 
 class TestRescheduling:
     def test_reschedule_replaces(self):
-        index = ExpirationIndex()
-        index.schedule((1,), 5)
-        index.schedule((1,), 9)  # renewal
-        assert index.pop_due(5) == []  # old entry is a tombstone
-        assert index.pop_due(9) == [((1,), ts(9))]
+        index = Schedule()
+        index.put((1,), 5)
+        index.put((1,), 9)  # renewal
+        assert index.pop_due(5) == []  # the old bucket entry is stale
+        assert index.pop_due(9) == [((1,), 9)]
 
     def test_reschedule_to_infinity_unschedules(self):
-        index = ExpirationIndex()
-        index.schedule((1,), 5)
-        index.schedule((1,), INFINITY)
+        index = Schedule()
+        index.put((1,), 5)
+        index.put((1,), RAW_INFINITY)
         assert len(index) == 0
         assert index.pop_due(100) == []
 
     def test_remove(self):
-        index = ExpirationIndex()
-        index.schedule((1,), 5)
-        index.remove((1,))
+        index = Schedule()
+        index.put((1,), 5)
+        index.discard((1,))
         assert len(index) == 0
         assert index.pop_due(10) == []
 
-    def test_tombstones_reclaimed(self):
-        index = ExpirationIndex()
-        for _ in range(10):
-            index.schedule((1,), 5)
-        assert index.heap_size == 10
-        index.pop_due(10)
-        assert index.heap_size == 0
-
     def test_next_expiration_skips_tombstones(self):
-        index = ExpirationIndex()
-        index.schedule((1,), 3)
-        index.schedule((1,), 9)
-        assert index.next_expiration() == ts(9)
+        index = Schedule()
+        index.put((1,), 3)
+        index.put((1,), 9)
+        assert index.next_due() == 9
 
 
 class TestPendingAndClear:
     def test_pending(self):
-        index = ExpirationIndex()
-        index.schedule((1,), 5)
-        index.schedule((2,), 7)
-        assert dict(index.pending()) == {(1,): ts(5), (2,): ts(7)}
-
-    def test_clear(self):
-        index = ExpirationIndex()
-        index.schedule((1,), 5)
-        index.clear()
-        assert len(index) == 0
-        assert index.heap_size == 0
+        index = Schedule()
+        index.put((1,), 5)
+        index.put((2,), 7)
+        assert dict(index.items()) == {(1,): 5, (2,): 7}
 
 
 class TestPolicyEnum:
@@ -103,7 +87,7 @@ class TestPolicyEnum:
 
 
 class TestMinimumUnderReschedule:
-    """``next_expiration`` after a last-write reschedule (the override path).
+    """``next_due`` after a last-write reschedule (the override path).
 
     An ``override`` that *shortens* a lifetime reschedules through the same
     entry; a stale minimum here would make the trigger scheduler sleep
@@ -111,39 +95,39 @@ class TestMinimumUnderReschedule:
     """
 
     def test_shorten_moves_the_minimum(self):
-        index = ExpirationIndex()
-        index.schedule((1,), 100)
-        index.schedule((2,), 200)
-        assert index.next_expiration() == ts(100)
-        index.schedule((2,), 40)  # shorten the non-minimum entry
-        assert index.next_expiration() == ts(40)
-        index.schedule((2,), 10)  # shorten the minimum itself
-        assert index.next_expiration() == ts(10)
+        index = Schedule()
+        index.put((1,), 100)
+        index.put((2,), 200)
+        assert index.next_due() == 100
+        index.put((2,), 40)  # shorten the non-minimum entry
+        assert index.next_due() == 40
+        index.put((2,), 10)  # shorten the minimum itself
+        assert index.next_due() == 10
 
     def test_lengthen_sole_minimum_recomputes(self):
-        index = ExpirationIndex()
-        index.schedule((1,), 5)
-        index.schedule((2,), 50)
-        assert index.next_expiration() == ts(5)
-        index.schedule((1,), 500)  # the old minimum moved away
-        assert index.next_expiration() == ts(50)
+        index = Schedule()
+        index.put((1,), 5)
+        index.put((2,), 50)
+        assert index.next_due() == 5
+        index.put((1,), 500)  # the old minimum moved away
+        assert index.next_due() == 50
 
     def test_to_infinity_and_back(self):
-        index = ExpirationIndex()
-        index.schedule((1,), 7)
-        assert index.next_expiration() == ts(7)
-        index.schedule((1,), INFINITY)
-        assert index.next_expiration() is None
-        index.schedule((1,), 3)
-        assert index.next_expiration() == ts(3)
+        index = Schedule()
+        index.put((1,), 7)
+        assert index.next_due() == 7
+        index.put((1,), RAW_INFINITY)
+        assert index.next_due() is None
+        index.put((1,), 3)
+        assert index.next_due() == 3
 
 
 class TestRawPopsAgainstModel:
-    """The raw bulk path and the minimum query against a dict model.
+    """The sweep's pops and the minimum query against a dict model.
 
-    The trace interleaves ``pop_due_raw`` (bounded and unbounded, the
-    sweep kernel's path) with ``next_expiration`` probes after *every*
-    op, so a stale minimum cannot hide behind a later pop.
+    The trace interleaves ``pop_due`` (bounded and unbounded, the sweep
+    kernel's path) with ``next_due`` probes after *every* op, so a stale
+    minimum cannot hide behind a later pop.
     """
 
     @settings(max_examples=120, deadline=None)
@@ -160,19 +144,19 @@ class TestRawPopsAgainstModel:
         ),
     )
     def test_raw_pops_and_minimum_agree(self, operations):
-        index = ExpirationIndex()
+        index = Schedule()
         model = {}
         now = 0
         for op, key, value in operations:
             row = (key,)
             if op == "schedule":
-                index.schedule(row, now + value)
+                index.put(row, now + value)
                 model[row] = now + value
             elif op == "forever":
-                index.schedule(row, INFINITY)
+                index.put(row, RAW_INFINITY)
                 model.pop(row, None)
             elif op == "remove":
-                index.remove(row)
+                index.discard(row)
                 model.pop(row, None)
             else:
                 # pop: bounded by the clock; drain: the unbounded sweep
@@ -180,7 +164,7 @@ class TestRawPopsAgainstModel:
                 if op == "pop":
                     now += value
                 limit = now if op == "pop" else None
-                due = index.pop_due_raw(limit)
+                due = index.pop_due(limit)
                 expected = [
                     (r, t) for r, t in model.items()
                     if limit is None or t <= limit
@@ -192,12 +176,10 @@ class TestRawPopsAgainstModel:
                 assert sorted(due) == sorted(expected)
                 assert [t for _, t in due] == sorted(t for _, t in due)
             # The trigger scheduler's hot-path query agrees after every op.
-            assert index.next_expiration() == (
-                ts(min(model.values())) if model else None
-            )
+            assert index.next_due() == (min(model.values()) if model else None)
             assert len(index) == len(model)
             assert all(r in index for r in model)
-        assert dict(index.pending_raw()) == model
+        assert dict(index.items()) == model
 
 
 class TestPropertyBased:
@@ -214,15 +196,15 @@ class TestPropertyBased:
     )
     def test_pop_due_matches_model(self, operations, checkpoint):
         """The index agrees with a naive dict model under re-scheduling."""
-        index = ExpirationIndex()
+        index = Schedule()
         model = {}
         for key, texp in operations:
-            index.schedule((key,), texp)
+            index.put((key,), texp)
             model[(key,)] = texp  # raw index semantics: last schedule wins
         due = index.pop_due(checkpoint)
         expected = {row for row, texp in model.items() if texp <= checkpoint}
         assert {row for row, _ in due} == expected
         # What remains live matches the model's survivors.
-        assert dict(index.pending()) == {
-            row: ts(texp) for row, texp in model.items() if texp > checkpoint
+        assert dict(index.items()) == {
+            row: texp for row, texp in model.items() if texp > checkpoint
         }

@@ -94,7 +94,7 @@ class Probe:
         hits = [
             tick
             for shard in self.table._shards
-            for indexed, tick in shard.index.pending_raw()
+            for indexed, tick in shard.index.items()
             if indexed == row
         ]
         assert len(hits) <= 1

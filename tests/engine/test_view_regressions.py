@@ -13,7 +13,10 @@ Each test pins one historical bug:
 5. a point probe (``contains``) on a folded or patched view before its last
    serving read answered from state already trimmed forward, where
    ``read`` at the same time refuses -- and so did a read before the time
-   a deep audit had caught the state up to.
+   a deep audit had caught the state up to;
+6. a folded difference queued a new patch for a hidden row on every
+   renewal of its match, and again when each outdated patch came due, so
+   its queue grew without bound and a bounded queue went stale early.
 """
 
 import pytest
@@ -261,3 +264,26 @@ class TestProbesDoNotGoBackInTime:
         assert db.verify() == []  # catches the state up to 10 (and trims)
         with pytest.raises(ViewError):
             view.read(at=3)
+
+
+class TestOnePatchPerHiddenRow:
+    """A hidden row of a folded difference holds one pending patch, however
+    often its match is renewed."""
+
+    @pytest.mark.parametrize("limit", [None, 2], ids=["unbounded", "bounded"])
+    def test_renewing_the_match_keeps_one_patch(self, limit):
+        db = Database()
+        db.create_table("L", ["a"])
+        db.create_table("R", ["a"])
+        db.table("L").insert((1,), expires_at=1000)
+        view = db.materialise(
+            "v", db.table_expr("L").difference(db.table_expr("R")),
+            policy=MaintenancePolicy.DELTA, patch_limit=limit,
+        )
+        assert view.storage_size == 1
+        for _ in range(18):
+            db.table("R").insert((1,), expires_at=db.now.value + 15)
+            db.tick(10)
+            assert list(view.read().rows()) == []
+            assert view.storage_size == 1  # the pending patch, nothing else
+        assert view.recomputations == 0

@@ -25,6 +25,7 @@ MODULES = [
     "repro.core.qos",
     "repro.core.validity",
     "repro.core.patching",
+    "repro.core.schedule",
     "repro.core.rewriter",
     "repro.core.algebra.predicates",
     "repro.core.algebra.expressions",

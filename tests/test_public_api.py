@@ -23,6 +23,7 @@ PUBLIC_MODULES = [
     "repro.core.qos",
     "repro.core.validity",
     "repro.core.patching",
+    "repro.core.schedule",
     "repro.core.rewriter",
     "repro.core.algebra",
     "repro.core.algebra.predicates",
@@ -151,3 +152,25 @@ class TestOneOwnerForBytes:
         # What a database speaks SQL through:
         assert "execute_sql" in repro.__all__
         assert hasattr(repro.Database, "session")
+
+
+class TestOneSchedule:
+    def test_what_left_with_the_schedule(self):
+        """Every "key -> tick, hand back what is due" holder keeps one
+        ``repro.core.schedule.Schedule``; the private copies are gone
+        with no alias, and the removal policy stayed where it was."""
+        import repro.core.patching
+        import repro.engine
+        import repro.engine.expiration_index
+        import repro.workloads.streaming
+        from repro.core.schedule import Schedule
+
+        assert "ExpirationIndex" not in repro.engine.__all__
+        assert not hasattr(repro.engine, "ExpirationIndex")
+        assert not hasattr(repro.engine.expiration_index, "ExpirationIndex")
+        assert not hasattr(repro.workloads.streaming, "LiveKeys")
+        assert "RemovalPolicy" in repro.engine.__all__
+        patcher = repro.core.patching.DifferencePatcher()
+        assert isinstance(patcher._schedule, Schedule)
+        for gone in ("_heap", "_max_heap", "_dead", "_size", "_counter"):
+            assert not hasattr(patcher, gone)
