@@ -42,7 +42,7 @@ from repro.sql.ast import (
     VacuumStatement,
 )
 from repro.sql.parser import parse_statements
-from repro.sql.planner import plan_query
+from repro.sql.planner import _Environment, _plan_condition, plan_query
 
 __all__ = ["SqlResult", "execute_sql", "execute_script", "execute_statement"]
 
@@ -228,18 +228,7 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
 
     if isinstance(statement, DeleteStatement):
         table = db.table(statement.table)
-        if statement.where is None:
-            victims = list(table.read().rows())
-        else:
-            # Plan the predicate against the table's schema via a trivial
-            # single-source query environment.
-            probe = SelectQuery(
-                items=(),
-                source=_probe_source(statement.table),
-                where=statement.where,
-            )
-            predicate = _plan_delete_predicate(db, probe)
-            victims = [row for row in table.read().rows() if predicate.matches(row)]
+        victims = _victims(db, statement)
         for row in victims:
             table.delete(row)
         return SqlResult(
@@ -283,7 +272,7 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
         if statement.to is not None:
             now = db.advance_to(statement.to)
         else:
-            now = db.tick(statement.by or 1)
+            now = db.tick(statement.by)
         return SqlResult(kind="advance", message=f"now = {now}")
 
     if isinstance(statement, VacuumStatement):
@@ -297,14 +286,7 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
 
     if isinstance(statement, RenewStatement):
         table = db.table(statement.table)
-        if statement.where is None:
-            victims = list(table.read().rows())
-        else:
-            probe = SelectQuery(
-                items=(), source=_probe_source(statement.table), where=statement.where
-            )
-            predicate = _plan_delete_predicate(db, probe)
-            victims = [row for row in table.read().rows() if predicate.matches(row)]
+        victims = _victims(db, statement)
         for row in victims:
             table.insert(row, expires_at=statement.expires_at, ttl=statement.ttl)
         return SqlResult(
@@ -315,14 +297,7 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
 
     if isinstance(statement, OverrideStatement):
         table = db.table(statement.table)
-        if statement.where is None:
-            victims = list(table.read().rows())
-        else:
-            probe = SelectQuery(
-                items=(), source=_probe_source(statement.table), where=statement.where
-            )
-            predicate = _plan_delete_predicate(db, probe)
-            victims = [row for row in table.read().rows() if predicate.matches(row)]
+        victims = _victims(db, statement)
         for row in victims:
             table.override(row, expires_at=statement.expires_at, ttl=statement.ttl)
         return SqlResult(
@@ -401,19 +376,18 @@ def _describe(db: Database, name: str) -> SqlResult:
     raise SqlPlanError(f"unknown table or view {name!r}")
 
 
-def _probe_source(table_name: str):
-    from repro.sql.ast import TableSource
-
-    return TableSource(name=table_name)
-
-
-def _plan_delete_predicate(db: Database, probe: SelectQuery):
-    from repro.sql.planner import _Environment, _plan_condition
-
+def _victims(db: Database, statement) -> list:
+    """The live rows of a DELETE's, RENEW's or UPDATE's table that its
+    ``WHERE`` selects (all of them without one)."""
+    table = db.table(statement.table)
+    if statement.where is None:
+        return list(table.read().rows())
+    # Plan the predicate against the table's schema in a one-source
+    # environment, as a SELECT's WHERE would be.
     env = _Environment()
-    env.add(probe.source.binding, db.table(probe.source.name).schema)
-    assert probe.where is not None
-    return _plan_condition(probe.where, env)
+    env.add(statement.table, table.schema)
+    predicate = _plan_condition(statement.where, env)
+    return [row for row in table.read().rows() if predicate.matches(row)]
 
 
 def _prepare(db: Database, text: str) -> List[Tuple[Statement, Optional[Expression]]]:

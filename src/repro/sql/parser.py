@@ -52,63 +52,82 @@ __all__ = ["parse_sql", "parse_statements"]
 _AGGREGATE_KEYWORDS = ("COUNT", "MIN", "MAX", "SUM", "AVG")
 _COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
+_IDENT = TokenType.IDENT
+_KEYWORD = TokenType.KEYWORD
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
+_SYMBOL = TokenType.SYMBOL
+_EOF = TokenType.EOF
+
 
 class _Parser:
+    """A cursor over the token list.  Tokens are tuples read as
+    ``token[0]`` (type) and ``token[1]`` (value).  The EOF token is last
+    and the cursor never moves past it, so the current token is always
+    ``self._tokens[self._pos]``, and the one after any other token is in
+    bounds too."""
+
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
 
     # -- cursor helpers -------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.type is not TokenType.EOF:
-            self._pos += 1
-        return token
-
     def _error(self, message: str) -> SqlParseError:
-        token = self._peek()
-        return SqlParseError(f"{message} (near {token.value!r}, offset {token.position})")
+        token = self._tokens[self._pos]
+        return SqlParseError(f"{message} (near {token[1]!r}, offset {token[2]})")
+
+    def _at_keyword(self, *names: str) -> bool:
+        token = self._tokens[self._pos]
+        return token[0] is _KEYWORD and token[1] in names
+
+    def _at_keywords(self, first: str, second: str) -> bool:
+        """The current token is keyword ``first`` and the next ``second``."""
+        token = self._tokens[self._pos]
+        if token[0] is not _KEYWORD or token[1] != first:
+            return False
+        following = self._tokens[self._pos + 1]
+        return following[0] is _KEYWORD and following[1] == second
 
     def _expect_keyword(self, *names: str) -> Token:
-        token = self._peek()
-        if not token.is_keyword(*names):
+        token = self._tokens[self._pos]
+        if token[0] is not _KEYWORD or token[1] not in names:
             raise self._error(f"expected {' or '.join(names)}")
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _expect_symbol(self, symbol: str) -> Token:
-        token = self._peek()
-        if not token.is_symbol(symbol):
+        token = self._tokens[self._pos]
+        if token[0] is not _SYMBOL or token[1] != symbol:
             raise self._error(f"expected {symbol!r}")
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _expect_ident(self) -> str:
-        token = self._peek()
-        if token.type is not TokenType.IDENT:
+        token = self._tokens[self._pos]
+        if token[0] is not _IDENT:
             raise self._error("expected an identifier")
-        self._advance()
-        return token.value
+        self._pos += 1
+        return token[1]
 
     def _expect_int(self) -> int:
-        token = self._peek()
-        if token.type is not TokenType.NUMBER or not isinstance(token.value, int):
+        token = self._tokens[self._pos]
+        if token[0] is not _NUMBER or not isinstance(token[1], int):
             raise self._error("expected an integer")
-        self._advance()
-        return token.value
+        self._pos += 1
+        return token[1]
 
     def _accept_keyword(self, *names: str) -> bool:
-        if self._peek().is_keyword(*names):
-            self._advance()
+        token = self._tokens[self._pos]
+        if token[0] is _KEYWORD and token[1] in names:
+            self._pos += 1
             return True
         return False
 
     def _accept_symbol(self, symbol: str) -> bool:
-        if self._peek().is_symbol(symbol):
-            self._advance()
+        token = self._tokens[self._pos]
+        if token[0] is _SYMBOL and token[1] == symbol:
+            self._pos += 1
             return True
         return False
 
@@ -116,90 +135,65 @@ class _Parser:
 
     def parse_all(self) -> List[Statement]:
         statements: List[Statement] = []
-        while self._peek().type is not TokenType.EOF:
+        while self._tokens[self._pos][0] is not _EOF:
             statements.append(self.parse_statement())
             while self._accept_symbol(";"):
                 pass
         return statements
 
     def parse_statement(self) -> Statement:
-        token = self._peek()
-        if token.is_keyword("CREATE"):
-            return self._parse_create()
-        if token.is_keyword("INSERT"):
-            return self._parse_insert()
-        if token.is_keyword("DELETE"):
-            return self._parse_delete()
-        if token.is_keyword("SELECT"):
-            return self._parse_query()
-        if token.is_keyword("DROP"):
-            return self._parse_drop()
-        if token.is_keyword("SHOW"):
-            return self._parse_show()
-        if token.is_keyword("ADVANCE"):
-            return self._parse_advance()
-        if token.is_keyword("TICK"):
-            self._advance()
-            return AdvanceTime(by=1)
-        if token.is_keyword("VACUUM"):
-            self._advance()
-            name = None
-            if self._peek().type is TokenType.IDENT:
-                name = self._expect_ident()
-            return VacuumStatement(table=name)
-        if token.is_keyword("RENEW"):
-            return self._parse_renew()
-        if token.is_keyword("UPDATE"):
-            return self._parse_override()
-        if token.is_keyword("DESCRIBE"):
-            self._advance()
-            return DescribeStatement(name=self._expect_ident())
-        if token.is_keyword("EXPLAIN"):
-            self._advance()
-            analyze = False
-            if self._peek().is_keyword("ANALYZE"):
-                self._advance()
-                analyze = True
-            return ExplainStatement(query=self._parse_query(), analyze=analyze)
-        raise self._error("expected a statement")
+        token = self._tokens[self._pos]
+        parse = _STATEMENTS.get(token[1]) if token[0] is _KEYWORD else None
+        if parse is None:
+            raise self._error("expected a statement")
+        return parse(self)
 
-    def _parse_renew(self) -> "RenewStatement":
-        self._expect_keyword("RENEW")
-        table = self._expect_ident()
-        self._expect_keyword("EXPIRES")
-        expires_at = None
-        ttl = None
-        if self._accept_keyword("AT"):
-            expires_at = self._expect_int()
-        elif self._accept_keyword("IN"):
-            ttl = self._expect_int()
-        else:
-            raise self._error("expected AT or IN after EXPIRES")
-        where = None
-        if self._accept_keyword("WHERE"):
-            where = self._parse_condition()
-        return RenewStatement(table=table, expires_at=expires_at, ttl=ttl, where=where)
+    def _parse_tick(self) -> AdvanceTime:
+        self._pos += 1
+        return AdvanceTime(by=1)
 
-    def _parse_override(self) -> "OverrideStatement":
+    def _parse_vacuum(self) -> VacuumStatement:
+        self._pos += 1
+        name = None
+        if self._tokens[self._pos][0] is _IDENT:
+            name = self._expect_ident()
+        return VacuumStatement(table=name)
+
+    def _parse_describe(self) -> DescribeStatement:
+        self._pos += 1
+        return DescribeStatement(name=self._expect_ident())
+
+    def _parse_explain(self) -> ExplainStatement:
+        self._pos += 1
+        analyze = self._accept_keyword("ANALYZE")
+        return ExplainStatement(query=self._parse_query(), analyze=analyze)
+
+    def _parse_renew(self) -> RenewStatement:
+        return self._parse_retime(RenewStatement)
+
+    def _parse_override(self) -> OverrideStatement:
         # The dialect's UPDATE touches only expirations (the one mutable
         # "column" the model adds); value updates stay delete+insert.
-        self._expect_keyword("UPDATE")
+        return self._parse_retime(OverrideStatement)
+
+    def _parse_retime(self, node):
+        """``RENEW|UPDATE table EXPIRES (AT|IN) n [WHERE condition]``."""
+        self._pos += 1
         table = self._expect_ident()
         self._expect_keyword("EXPIRES")
-        expires_at = None
-        ttl = None
-        if self._accept_keyword("AT"):
-            expires_at = self._expect_int()
-        elif self._accept_keyword("IN"):
-            ttl = self._expect_int()
-        else:
-            raise self._error("expected AT or IN after EXPIRES")
+        expires_at, ttl = self._parse_expiry()
         where = None
         if self._accept_keyword("WHERE"):
             where = self._parse_condition()
-        return OverrideStatement(
-            table=table, expires_at=expires_at, ttl=ttl, where=where
-        )
+        return node(table=table, expires_at=expires_at, ttl=ttl, where=where)
+
+    def _parse_expiry(self) -> Tuple[Optional[int], Optional[int]]:
+        """``AT n`` or ``IN n`` after ``EXPIRES``, as ``(expires_at, ttl)``."""
+        if self._accept_keyword("AT"):
+            return self._expect_int(), None
+        if self._accept_keyword("IN"):
+            return None, self._expect_int()
+        raise self._error("expected AT or IN after EXPIRES")
 
     # -- DDL ------------------------------------------------------------------------
 
@@ -249,9 +243,9 @@ class _Parser:
                 policy_token = self._expect_keyword(
                     "RECOMPUTE", "PATCH", "SCHRODINGER", "DELTA"
                 )
-                policy = policy_token.value.lower()
+                policy = policy_token[1].lower()
             return CreateView(name=name, query=query, policy=policy)
-        if self._peek().is_keyword("VIEW"):
+        if self._at_keyword("VIEW"):
             raise UnsupportedSqlError(
                 "only MATERIALIZED views are supported "
                 "(the paper's maintenance story is about materialisation)"
@@ -294,38 +288,40 @@ class _Parser:
             rows.append(self._parse_value_row())
             while self._accept_symbol(","):
                 rows.append(self._parse_value_row())
-        elif self._peek().is_keyword("SELECT"):
+        elif self._at_keyword("SELECT"):
             query = self._parse_query()
         else:
             raise self._error("expected VALUES or SELECT after INSERT INTO")
         expires_at: Optional[int] = None
         ttl: Optional[int] = None
         if self._accept_keyword("EXPIRES"):
-            if self._accept_keyword("AT"):
-                expires_at = self._expect_int()
-            elif self._accept_keyword("IN"):
-                ttl = self._expect_int()
-            else:
-                raise self._error("expected AT or IN after EXPIRES")
+            expires_at, ttl = self._parse_expiry()
         return InsertStatement(
             table=table, rows=tuple(rows), query=query,
             expires_at=expires_at, ttl=ttl,
         )
 
     def _parse_value_row(self) -> Tuple[object, ...]:
+        """``( literal [, literal]* )``: the body of every ``INSERT ..
+        VALUES``, read in one local loop (no literal is the EOF token, so
+        the token after one is in bounds)."""
         self._expect_symbol("(")
-        values = [self._parse_literal()]
-        while self._accept_symbol(","):
-            values.append(self._parse_literal())
+        tokens = self._tokens
+        pos = self._pos
+        values = []
+        while True:
+            token = tokens[pos]
+            if token[0] is not _NUMBER and token[0] is not _STRING:
+                self._pos = pos
+                raise self._error("expected a number or string literal")
+            values.append(token[1])
+            token = tokens[pos + 1]
+            if token[0] is not _SYMBOL or token[1] != ",":
+                break
+            pos += 2
+        self._pos = pos + 1
         self._expect_symbol(")")
         return tuple(values)
-
-    def _parse_literal(self) -> object:
-        token = self._peek()
-        if token.type in (TokenType.NUMBER, TokenType.STRING):
-            self._advance()
-            return token.value
-        raise self._error("expected a number or string literal")
 
     def _parse_delete(self) -> DeleteStatement:
         self._expect_keyword("DELETE")
@@ -341,15 +337,15 @@ class _Parser:
     def _parse_query(self) -> QueryNode:
         left: QueryNode = self._parse_select_block()
         while True:
-            token = self._peek()
-            if token.is_keyword("UNION", "EXCEPT", "INTERSECT"):
-                self._advance()
-                if self._peek().is_keyword("ALL"):
+            token = self._tokens[self._pos]
+            if token[0] is _KEYWORD and token[1] in ("UNION", "EXCEPT", "INTERSECT"):
+                self._pos += 1
+                if self._at_keyword("ALL"):
                     raise UnsupportedSqlError(
                         "UNION/EXCEPT ALL: the model is set-based (SPCU)"
                     )
                 right = self._parse_select_block()
-                left = SetOperation(operator=token.value.lower(), left=left, right=right)
+                left = SetOperation(operator=token[1].lower(), left=left, right=right)
             else:
                 return left
 
@@ -362,14 +358,13 @@ class _Parser:
         source = self._parse_source()
         joins: List[JoinClause] = []
         while True:
-            if self._peek().is_keyword("LEFT", "RIGHT", "FULL", "OUTER"):
+            if self._at_keyword("LEFT", "RIGHT", "FULL", "OUTER"):
                 raise UnsupportedSqlError(
                     "outer joins introduce nulls, which the paper's model "
                     "deliberately excludes (Section 2.4); use JOIN"
                 )
-            if not self._peek().is_keyword("JOIN"):
+            if not self._accept_keyword("JOIN"):
                 break
-            self._advance()
             join_source = self._parse_source()
             self._expect_keyword("ON")
             condition = self._parse_condition()
@@ -396,9 +391,8 @@ class _Parser:
         if self._accept_keyword("LIMIT"):
             limit = self._expect_int()
         strategy = None
-        if self._peek().is_keyword("WITH") and self._peek(1).is_keyword("STRATEGY"):
-            self._advance()
-            self._advance()
+        if self._at_keywords("WITH", "STRATEGY"):
+            self._pos += 2
             strategy = self._expect_ident().lower()
         return SelectQuery(
             items=tuple(items),
@@ -426,16 +420,14 @@ class _Parser:
         alias = None
         if self._accept_keyword("AS"):
             alias = self._expect_ident()
-        elif self._peek().type is TokenType.IDENT:
+        elif self._tokens[self._pos][0] is _IDENT:
             alias = self._expect_ident()
         return TableSource(name=name, alias=alias)
 
     def _parse_select_item(self) -> SelectItem:
-        token = self._peek()
-        if token.is_symbol("*"):
-            self._advance()
+        if self._accept_symbol("*"):
             return SelectItem(expression=Star())
-        if token.is_keyword(*_AGGREGATE_KEYWORDS):
+        if self._at_keyword(*_AGGREGATE_KEYWORDS):
             call = self._parse_aggregate_call()
             alias = self._parse_optional_alias()
             return SelectItem(expression=call, alias=alias)
@@ -449,8 +441,8 @@ class _Parser:
         return None
 
     def _parse_aggregate_call(self) -> AggregateCall:
-        token = self._advance()  # the aggregate keyword
-        function = token.value.lower()
+        function = self._tokens[self._pos][1].lower()  # the aggregate keyword
+        self._pos += 1
         self._expect_symbol("(")
         argument: Optional[ColumnRef]
         if self._accept_symbol("*"):
@@ -503,13 +495,10 @@ class _Parser:
         # column [NOT] IN (SELECT ...)
         if isinstance(left, ColumnRef):
             negated = False
-            if self._peek().is_keyword("NOT") and self._peek(1).is_keyword("IN"):
-                self._advance()
-                self._advance()
+            if self._at_keywords("NOT", "IN"):
+                self._pos += 2
                 negated = True
-            elif self._peek().is_keyword("IN"):
-                self._advance()
-            else:
+            elif not self._accept_keyword("IN"):
                 return self._finish_comparison(left)
             self._expect_symbol("(")
             subquery = self._parse_query()
@@ -518,25 +507,43 @@ class _Parser:
         return self._finish_comparison(left)
 
     def _finish_comparison(self, left) -> CompareCondition:
-        token = self._peek()
-        if token.type is not TokenType.SYMBOL or token.value not in _COMPARE_OPS:
+        token = self._tokens[self._pos]
+        if token[0] is not _SYMBOL or token[1] not in _COMPARE_OPS:
             raise self._error("expected a comparison operator")
-        self._advance()
+        self._pos += 1
         right = self._parse_operand()
-        return CompareCondition(left=left, op=token.value, right=right)
+        return CompareCondition(left=left, op=token[1], right=right)
 
     def _parse_operand(self) -> Union[ColumnRef, "AggregateCall", int, float, str]:
-        token = self._peek()
-        if token.type in (TokenType.NUMBER, TokenType.STRING):
-            self._advance()
-            return token.value
-        if token.is_keyword(*_AGGREGATE_KEYWORDS):
+        token = self._tokens[self._pos]
+        kind = token[0]
+        if kind is _NUMBER or kind is _STRING:
+            self._pos += 1
+            return token[1]
+        if kind is _KEYWORD and token[1] in _AGGREGATE_KEYWORDS:
             # Aggregate operands are only meaningful in HAVING; the planner
             # rejects them elsewhere with a clear error.
             return self._parse_aggregate_call()
-        if token.type is TokenType.IDENT:
+        if kind is _IDENT:
             return self._parse_column_ref()
         raise self._error("expected a column reference, aggregate, or literal")
+
+
+_STATEMENTS = {
+    "CREATE": _Parser._parse_create,
+    "INSERT": _Parser._parse_insert,
+    "DELETE": _Parser._parse_delete,
+    "SELECT": _Parser._parse_query,
+    "DROP": _Parser._parse_drop,
+    "SHOW": _Parser._parse_show,
+    "ADVANCE": _Parser._parse_advance,
+    "TICK": _Parser._parse_tick,
+    "VACUUM": _Parser._parse_vacuum,
+    "RENEW": _Parser._parse_renew,
+    "UPDATE": _Parser._parse_override,
+    "DESCRIBE": _Parser._parse_describe,
+    "EXPLAIN": _Parser._parse_explain,
+}
 
 
 def parse_statements(text: str) -> List[Statement]:

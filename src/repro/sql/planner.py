@@ -196,6 +196,15 @@ def _split_equi_join(
 
 
 def _plan_select(query: SelectQuery, resolver: SourceResolver) -> Expression:
+    strategy = ExpirationStrategy.EXACT
+    if query.strategy is not None:
+        try:
+            strategy = _STRATEGIES[query.strategy]
+        except KeyError:
+            raise SqlPlanError(
+                f"unknown strategy {query.strategy!r}; "
+                f"known: {sorted(_STRATEGIES)}"
+            ) from None
     env = _Environment()
     expression, schema = resolver(query.source.name)
     env.add(query.source.binding, schema)
@@ -221,7 +230,7 @@ def _plan_select(query: SelectQuery, resolver: SourceResolver) -> Expression:
         item for item in query.items if isinstance(item.expression, AggregateCall)
     ]
     if aggregates or query.group_by:
-        return _plan_grouped(query, expression, env)
+        return _plan_grouped(query, expression, env, strategy)
 
     if query.having is not None:
         raise SqlPlanError("HAVING needs GROUP BY or aggregates in the select list")
@@ -305,18 +314,11 @@ def _rename_outputs(
 
 
 def _plan_grouped(
-    query: SelectQuery, expression: Expression, env: _Environment
+    query: SelectQuery,
+    expression: Expression,
+    env: _Environment,
+    strategy: ExpirationStrategy,
 ) -> Expression:
-    strategy = ExpirationStrategy.EXACT
-    if query.strategy is not None:
-        try:
-            strategy = _STRATEGIES[query.strategy]
-        except KeyError:
-            raise SqlPlanError(
-                f"unknown strategy {query.strategy!r}; "
-                f"known: {sorted(_STRATEGIES)}"
-            ) from None
-
     group_positions = [env.resolve(column) for column in query.group_by]
     group_names = {column.name for column in query.group_by}
 

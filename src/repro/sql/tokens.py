@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["TokenType", "Token", "KEYWORDS"]
 
@@ -90,19 +89,16 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source offset (for error messages)."""
+class Token(NamedTuple):
+    """One lexical token with its source offset (for error messages).
+
+    A plain tuple, so the lexer builds each one with ``tuple.__new__`` and
+    the parser reads ``token[0]`` / ``token[1]`` without an attribute
+    lookup."""
 
     type: TokenType
     value: Any
     position: int
-
-    def is_keyword(self, *names: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.value in names
-
-    def is_symbol(self, *symbols: str) -> bool:
-        return self.type is TokenType.SYMBOL and self.value in symbols
 
     def __repr__(self) -> str:
         return f"Token({self.type.value}, {self.value!r}@{self.position})"

@@ -1,7 +1,10 @@
 """End-to-end SQL tests, including the paper's figures driven via SQL."""
 
+import asyncio
+
 import pytest
 
+from repro.core.timestamps import ts
 from repro.engine.database import Database
 from repro.engine.views import MaintenancePolicy
 from repro.errors import SqlPlanError
@@ -140,6 +143,52 @@ class TestQueries:
     def test_nongrouped_column_rejected(self, db):
         with pytest.raises(SqlPlanError):
             execute_sql(db, "SELECT uid, COUNT(*) FROM Pol GROUP BY deg")
+
+    @pytest.mark.parametrize("text", [
+        "SELECT uid FROM Pol WITH STRATEGY nope",
+        "SELECT uid FROM Pol UNION SELECT uid FROM El WITH STRATEGY nope",
+        "SELECT deg, COUNT(*) FROM Pol GROUP BY deg WITH STRATEGY nope",
+    ])
+    def test_unknown_strategy_rejected_with_or_without_group_by(self, db, text):
+        with pytest.raises(SqlPlanError, match="unknown strategy 'nope'; known: "):
+            execute_sql(db, text)
+
+    def test_known_strategy_accepted_without_group_by(self, db):
+        rows = execute_sql(db, "SELECT uid FROM Pol WITH STRATEGY neutral").relation
+        assert sorted(rows.rows()) == [(1,), (2,), (3,)]
+
+
+class TestClock:
+    def test_advance_by_zero_keeps_the_clock_and_logs_nothing(self, tmp_path):
+        db = Database(wal_dir=tmp_path, wal_fsync="never")
+        execute_sql(db, "ADVANCE TO 3")
+        assert execute_sql(db, "ADVANCE BY 0").message == "now = 3"
+        assert db.now == ts(3)
+        clock = [r for r in db.wal.records() if r["kind"] == "clock"]
+        assert [r["now"] for r in clock] == [3]
+        execute_sql(db, "TICK")
+        assert db.now == ts(4)
+
+    def test_advance_by_zero_over_a_served_session(self):
+        from repro.server.client import connect
+        from repro.server.server import ReproServer
+
+        async def scenario():
+            server = ReproServer()
+            host, port = await server.start()
+
+            def sync_part():
+                with connect(f"repro://{host}:{port}") as session:
+                    session.execute("ADVANCE TO 5")
+                    assert session.execute("ADVANCE BY 0").now == ts(5)
+
+            try:
+                await asyncio.to_thread(sync_part)
+            finally:
+                await server.stop()
+            assert server.db.now == ts(5)
+
+        asyncio.run(scenario())
 
 
 class TestViews:
