@@ -1,12 +1,13 @@
-"""Plan shipping, snapshots, and QoS contracts -- the extension tour.
+"""Plan shipping, snapshots, and offline answers -- the extension tour.
 
 A field device works against a snapshot of the central database.  It
 
 1. receives the central database as a JSON snapshot (persistence),
 2. receives the *query plan* it should maintain as serialised algebra
    (plan shipping -- the loosely-coupled pattern the paper motivates),
-3. answers local queries under a staleness contract (QoS): slightly stale
-   answers are fine, contacting the server is expensive,
+3. answers local queries from its materialisation alone: a query outside
+   the validity set moves back to the nearest valid time (Section 3.3) --
+   slightly stale answers are fine, contacting the server is expensive,
 4. keeps a second view fresh under live inserts with the incremental
    maintainer.
 
@@ -25,7 +26,7 @@ from repro import (
     save_database,
 )
 from repro.core.algebra.serde import expression_from_dict, expression_to_dict
-from repro.core.qos import QosAnswerer, QosContract, StalenessBound
+from repro.core.validity import QueryAnswerer, QueryPolicy
 from repro.workloads.news import figure1_database
 
 
@@ -52,22 +53,22 @@ def main() -> None:
     print(f"device: materialised the plan; texp(e) = {materialised.expiration}, "
           f"valid in {materialised.validity}")
 
-    # Answer queries under a 3-tick staleness budget, offline.
-    contract = QosContract(staleness=StalenessBound(3))
-    answerer = QosAnswerer(plan, device.catalog, materialised, contract)
-    print("\nanswering under a 3-tick staleness contract:")
+    # Answer queries offline: an invalid time moves back to a valid one.
+    answerer = QueryAnswerer(
+        plan, device.catalog, materialised, QueryPolicy.MOVE_BACKWARD
+    )
+    print("\nanswering offline, moving invalid times backward:")
     for when in (1, 4, 8, 16):
         answer = answerer.answer(when)
         kind = (
-            "exact" if answer.effective_time == when and not answer.recomputed
-            else "recomputed" if answer.recomputed
+            "recomputed" if answer.recomputed
+            else "exact" if answer.effective_time == when
             else f"stale(as of {answer.effective_time})"
         )
         print(f"  t={when:>2}: {sorted(answer.relation.rows())}  [{kind}]")
-    report = answerer.report
-    print(f"  -> {report.exact} exact, {report.served_stale} stale, "
-          f"{report.recomputed} recomputed "
-          f"(worst staleness {report.worst_staleness})")
+    print(f"  -> {answerer.served_from_view} exact, "
+          f"{answerer.moved_backward} stale, "
+          f"{answerer.recomputations} recomputed")
 
     # -- live updates with the incremental maintainer -------------------------
     print("\nlive inserts with incremental maintenance:")

@@ -78,7 +78,9 @@ its integer tick and "never expires" is JSON ``null`` (:func:`encode_exp`);
 a row's *previous* state in a log record adds ``"absent"`` for "there was
 no row" (:func:`encode_prev`); a relation's content on the wire is a list
 of ``[[...values], texp_or_null]`` pairs (:func:`encode_items`), and rows
-come back as tuples.
+come back as tuples.  A rational (what ``AVG`` computes) is the one-key object
+``{"$fraction": [numerator, denominator]}`` in every JSON payload and decodes
+back to a :class:`~fractions.Fraction`, as it was in memory.
 
 **The snapshot file** is a frame sequence (format 2; a file that starts
 with ``{`` is a format 1 JSON document, :func:`read_json`).  It and the
@@ -97,6 +99,7 @@ import sys
 import tempfile
 import zlib
 from array import array
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -152,9 +155,32 @@ class FrameError(ValueError):
 # -- the frame ----------------------------------------------------------------
 
 
+_FRACTION = "$fraction"
+
+
+def _encode_value(value: Any) -> Any:
+    if type(value) is Fraction:
+        return {_FRACTION: [value.numerator, value.denominator]}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _decode_object(obj: Dict[str, Any]) -> Any:
+    if len(obj) == 1 and _FRACTION in obj:
+        numerator, denominator = obj[_FRACTION]
+        return Fraction(numerator, denominator)
+    return obj
+
+
+_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), sort_keys=True, default=_encode_value
+)
+_DECODER = json.JSONDecoder(object_hook=_decode_object)
+
+
 def dump_json(value: Any) -> str:
-    """Compact JSON with sorted keys: equal values are equal text."""
-    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+    """Compact JSON with sorted keys: equal values are equal text.  Raises
+    :class:`TypeError` for a value JSON has no form for."""
+    return _ENCODER.encode(value)
 
 
 def _frame(body: bytes, limit: int) -> bytes:
@@ -190,8 +216,8 @@ def _body(
 
 def _message(body: bytes) -> Dict[str, Any]:
     try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        payload = _DECODER.decode(body.decode("utf-8"))
+    except (ValueError, TypeError, ZeroDivisionError) as error:
         raise FrameError(f"frame payload is not valid JSON: {error}") from None
     if not isinstance(payload, dict) or "kind" not in payload:
         raise FrameError(f"frame payload is not a message object: {payload!r}")
@@ -248,8 +274,8 @@ def _int_array(data: bytes) -> array:
 
 def _json_array(data: bytes) -> list:
     try:
-        values = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        values = _DECODER.decode(data.decode("utf-8"))
+    except (ValueError, TypeError, ZeroDivisionError) as error:
         raise FrameError(f"packed values are not valid JSON: {error}") from None
     if type(values) is not list:
         raise FrameError(f"packed values are not a JSON array: {values!r}")

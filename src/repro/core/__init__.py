@@ -43,13 +43,6 @@ from repro.core.approximate import (
     approximate_expiration,
     approximate_validity,
 )
-from repro.core.qos import (
-    DelayBound,
-    QosAnswerer,
-    QosContract,
-    QosReport,
-    StalenessBound,
-)
 
 __all__ = [
     "FOREVER",
@@ -97,9 +90,4 @@ __all__ = [
     "Tolerance",
     "approximate_expiration",
     "approximate_validity",
-    "DelayBound",
-    "QosAnswerer",
-    "QosContract",
-    "QosReport",
-    "StalenessBound",
 ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union as TypingUnion
 
 from repro.core.aggregates import ExpirationStrategy, get_aggregate
-from repro.core.algebra.predicates import Attribute, Comparison, Predicate
+from repro.core.algebra.predicates import Predicate
 from repro.core.relation import Relation
 from repro.core.schema import AttributeRef, Schema
 from repro.errors import AlgebraError, SchemaError
@@ -445,24 +445,6 @@ class Join(Expression):
             left_schema.position(left_ref)
             right_schema.position(right_ref)
         return left_schema.concat(right_schema)
-
-    def combined_predicate(self, resolver: SchemaResolver) -> Predicate:
-        """The paper's ``p'``: the full predicate over the product schema."""
-        left_schema = self.left.infer_schema(resolver)
-        right_schema = self.right.infer_schema(resolver)
-        offset = left_schema.arity
-        parts: list[Predicate] = []
-        for left_ref, right_ref in self.on:
-            left_pos = left_schema.position(left_ref)
-            right_pos = right_schema.position(right_ref) + offset
-            parts.append(Comparison(Attribute(left_pos), "=", Attribute(right_pos)))
-        if self.predicate is not None:
-            parts.append(self.predicate)
-        if len(parts) == 1:
-            return parts[0]
-        from repro.core.algebra.predicates import And
-
-        return And(*parts)
 
     def _key(self) -> tuple:
         return (self.left, self.right, self.on, repr(self.predicate))

@@ -38,6 +38,7 @@ the attribute domain every workload in this repository uses.
 from __future__ import annotations
 
 from array import array
+from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -73,7 +74,8 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 2
-_JSON_SCALARS = (int, float, str, bool, type(None))
+#: The values :mod:`repro.codec` writes (a ``Fraction`` as its tagged pair).
+_JSON_SCALARS = (int, float, str, bool, type(None), Fraction)
 #: Rows per segment: bounds what one damaged frame can take with it and
 #: what a reader holds decoded at once.
 _SEGMENT_ROWS = 1 << 16

@@ -290,7 +290,8 @@ class Table:
         last-write otherwise -- or, when ``stamp`` is ``None``, remove the
         row (``only_present``: an absent row is a no-op returning
         ``False``); reschedule the expiration index; log ``upsert`` /
-        ``remove`` with the pre-image; count; bump the data version; fire
+        ``remove`` with the pre-image (an append that raises puts the
+        pre-image back and re-raises); count; bump the data version; fire
         the insert listeners with the stored tuple (``inserted``) or the
         delete listeners with the row; audit.  A put returns the stored
         :class:`ExpiringTuple`, a remove whether the row was present.
@@ -326,7 +327,18 @@ class Table:
             }
             if stamp is not None:
                 fields["texp"] = encode_exp(result.expires_at)
-            database._wal_append("remove" if stamp is None else "upsert", **fields)
+            try:
+                database._wal_append("remove" if stamp is None else "upsert", **fields)
+            except BaseException:
+                # Not logged, so not applied: the shard goes back to the
+                # pre-image and nothing downstream hears of the mutation.
+                if previous is None:
+                    shard.relation.delete(row)
+                    shard.index.discard(row)
+                else:
+                    shard.relation.override(row, previous)
+                    shard.index.put(row, to_raw(previous))
+                raise
         if counter is not None:
             statistics = self.statistics
             setattr(statistics, counter, getattr(statistics, counter) + 1)

@@ -275,7 +275,7 @@ class WriteAheadLog:
             raise WalError("write-ahead log is closed")
         try:
             frame = encode_record({"kind": kind, **fields}, _MAX_FRAME)
-        except FrameError as error:
+        except (FrameError, TypeError) as error:
             # scan_log would read it back as a torn tail and recovery would
             # truncate it together with every record behind it.
             raise WalError(

@@ -73,10 +73,11 @@ def _fatal(error: codec.FrameError) -> WireProtocolError:
 
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:
-    """One wire frame: header (length, CRC32) plus compact JSON payload."""
+    """One wire frame: header (length, CRC32) plus compact JSON payload; a
+    :class:`~repro.errors.WireProtocolError` if too large or unencodable."""
     try:
         return codec.encode_frame(payload, MAX_FRAME)
-    except codec.FrameError as error:
+    except (codec.FrameError, TypeError) as error:
         raise WireProtocolError(str(error)) from None
 
 

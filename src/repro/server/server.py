@@ -417,7 +417,13 @@ class ReproServer:
                     await wake.wait()
                     continue
                 payload = session.outbox.popleft()
-                size = write_frame(writer, payload)
+                try:
+                    size = write_frame(writer, payload)
+                except WireProtocolError as error:  # nothing was written
+                    fam["errors"].inc()
+                    size = write_frame(
+                        writer, _error_payload(payload.get("re"), error)
+                    )
                 fam["frames_out"].inc()
                 fam["bytes_out"].inc(size)
                 if not session.outbox:

@@ -2,7 +2,7 @@
 
 ``news`` carries the paper's exact Figure 1 fixture; the other modules
 implement the application domains the paper motivates (sessions, sensor
-monitoring, web caching, expiring authorization) plus generic seeded
+monitoring, expiring authorization, streams) plus generic seeded
 generators.
 """
 
@@ -14,7 +14,6 @@ from repro.workloads.authz import (
     AuthzStore,
     declare_authz_families,
 )
-from repro.workloads.cache import CACHE_SCHEMA, CacheStats, WebCache
 from repro.workloads.generators import (
     ConstantLifetime,
     GeometricLifetime,
@@ -59,9 +58,6 @@ __all__ = [
     "TOKEN_SCHEMA",
     "AuthzStore",
     "declare_authz_families",
-    "CACHE_SCHEMA",
-    "CacheStats",
-    "WebCache",
     "ConstantLifetime",
     "GeometricLifetime",
     "LifetimeDistribution",

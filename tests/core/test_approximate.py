@@ -121,6 +121,10 @@ class TestApproximateExpiration:
         assert tight <= loose
         exact = approximate_expiration(partition, function, ts(0), EXACT_TOLERANCE)
         assert exact <= tight
+        # Zero tolerance is Equation (9); what is served before the
+        # approximate expiration strays at most epsilon from the truth.
+        assert exact == exact_expiration(partition, function, ts(0))
+        assert max_observed_error(partition, function, ts(0), tight) <= epsilon
 
 
 class TestApproximateValidity:

@@ -67,6 +67,16 @@ class TestPatcher:
         assert patcher.guaranteed_until == ts(5)
         kept = sorted(p.row for p in patcher.due_patches(10))
         assert kept == [(1,), (3,)]
+        # A larger limit keeps more patches and guarantees no less.
+        kept, guarantees = [], []
+        for limit in (0, 1, 2, 3, None):
+            patcher = DifferencePatcher(limit=limit)
+            for row, due in (((1,), 3), ((2,), 5), ((3,), 4)):
+                patcher.add(Patch(row, ts(due), ts(9)))
+            kept.append(len(patcher))
+            guarantees.append(patcher.guaranteed_until)
+        assert kept == [0, 1, 2, 3, 3]
+        assert guarantees == sorted(guarantees) and guarantees[-1] == INFINITY
 
     def test_unlimited_guarantee_is_infinite(self):
         patcher = DifferencePatcher([Patch((1,), ts(3), ts(9))])

@@ -77,10 +77,10 @@ def acceptance_faults():
     ])
 
 
-def run_replication(strategy, reliable=False, anti_entropy=False, seed=3):
+def run_replication(strategy, reliable=False, anti_entropy=False, seed=3, loss=0.2):
     sim = ReplicationSimulation(
         ["k", "v"], acceptance_workload(), range(10, 200, 10), strategy,
-        link=Link(latency=2, loss_probability=0.2, seed=seed),
+        link=Link(latency=2, loss_probability=loss, seed=seed),
         reliability=(
             ReliabilityConfig(retry=RetryPolicy(), seed=1) if reliable else None
         ),
@@ -95,9 +95,11 @@ def run_replication(strategy, reliable=False, anti_entropy=False, seed=3):
 
 class TestEndToEndFaultTolerance:
     def test_unreliable_baseline_never_converges(self):
-        _, report = run_replication(ReplicationStrategy.EXPIRATION)
-        assert not report.converged
-        assert report.divergence_ticks > 0
+        for strategy in (ReplicationStrategy.EXPIRATION,
+                         ReplicationStrategy.EXPLICIT_DELETE):
+            _, report = run_replication(strategy)
+            assert not report.converged, strategy
+            assert report.divergence_ticks > 0, strategy
 
     def test_reliable_with_anti_entropy_converges_to_ground_truth(self):
         sim, report = run_replication(
@@ -117,6 +119,16 @@ class TestEndToEndFaultTolerance:
             ReplicationStrategy.EXPIRATION, reliable=True
         )
         assert not reliable_only.converged
+        # Not even on a link that loses nothing; anti-entropy repairs it.
+        _, lossless = run_replication(
+            ReplicationStrategy.EXPIRATION, reliable=True, loss=0.0
+        )
+        assert not lossless.converged
+        _, repaired = run_replication(
+            ReplicationStrategy.EXPIRATION, reliable=True, anti_entropy=True,
+            loss=0.0,
+        )
+        assert repaired.converged
 
     def test_expiration_awareness_saves_retransmissions(self):
         _, report = run_replication(

@@ -1,10 +1,14 @@
 """Tests for the write-ahead log: frames, torn tails, compaction."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.codec import decode_exp, decode_prev, encode_exp, encode_prev
 from repro.core.timestamps import INFINITY, ts
 from repro.engine import wal as wal_module
+from repro.engine.database import Database
+from repro.engine.recovery import recover_database
 from repro.engine.wal import WriteAheadLog, scan_log
 from repro.errors import WalError
 from tests.test_codec import BAD_FRAMES
@@ -331,3 +335,61 @@ class TestCompaction:
         wal.compact(now=10)
         assert final_visible(wal.records(), 10) == before
         wal.close()
+
+
+class TestUnloggableMutations:
+    """A mutation is applied only if it is logged."""
+
+    @pytest.mark.parametrize(
+        "shape", [{}, {"layout": "columnar"}, {"partitions": 3}],
+        ids=["row", "columnar", "partitioned"],
+    )
+    def test_a_value_the_log_cannot_encode_leaves_no_trace(self, tmp_path, shape):
+        """At the parent the row stayed readable, but no view heard of it
+        and it was gone after a restart."""
+        db = Database(wal_dir=tmp_path)
+        table = db.create_table("T", ["k"], **shape)
+        table.insert((1,), ttl=5)
+        view = db.materialise("v", db.table_expr("T"))
+        assert sorted(view.read().rows()) == [(1,)]
+        heard = []
+        table.insert_listeners.append(lambda _table, stored: heard.append(stored))
+        version = db.catalog_version
+        with pytest.raises(WalError, match="complex"):
+            table.insert((complex(1, 2),), ttl=5)
+        assert sorted(table.relation.rows()) == [(1,)]
+        assert table.next_expiration() == ts(5)
+        assert db.catalog_version == version
+        assert heard == []
+        assert sorted(view.read().rows()) == [(1,)]
+        db.close()
+        assert sorted(recover_database(tmp_path).table("T").relation.rows()) == [(1,)]
+
+    def test_a_failed_append_restores_a_present_row(self, tmp_path, monkeypatch):
+        db = Database(wal_dir=tmp_path)
+        table = db.create_table("T", ["k"])
+        table.insert((1,), expires_at=5)
+
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(db.wal, "append", refuse)
+        with pytest.raises(OSError):
+            table.override((1,), expires_at=9)
+        with pytest.raises(OSError):
+            table.delete((1,))
+        assert table.relation.expiration_of((1,)) == ts(5)
+        assert table.next_expiration() == ts(5)
+        monkeypatch.undo()
+        db.close()
+
+    def test_a_fraction_survives_the_log_and_the_snapshot(self, tmp_path):
+        db = Database(wal_dir=tmp_path)
+        table = db.create_table("T", ["k", "v"])
+        table.insert((1, Fraction(1, 3)), ttl=5)
+        db.checkpoint()
+        table.insert((2, Fraction(-7, 2)), ttl=5)
+        db.close()
+        rows = sorted(recover_database(tmp_path).table("T").relation.rows())
+        assert rows == [(1, Fraction(1, 3)), (2, Fraction(-7, 2))]
+        assert {type(v) for _, v in rows} == {Fraction}

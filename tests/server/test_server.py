@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import socket as socket_module
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -146,6 +147,83 @@ class TestTcpRoundTrip:
             # The connection survived: the same session answers.
             result = await session.query("SELECT k FROM T")
             assert sorted(result.rows) == [(1,), (2,)]
+            await session.close()
+            await server.stop()
+
+        run(scenario())
+
+    def test_an_avg_answers_over_the_wire_as_in_process(self):
+        """``AVG`` is a ``Fraction``; at the parent its reply was never
+        encoded, the writer task died, and the next statement on the same
+        connection timed out too."""
+
+        async def scenario():
+            server = ReproServer()
+            host, port = await server.start()
+
+            def sync_part():
+                statements = [
+                    "CREATE TABLE R (k, v)",
+                    "INSERT INTO R VALUES (1, 1), (2, 2) EXPIRES AT 10",
+                ]
+                with connect(f"repro://{host}:{port}", timeout=3) as remote, \
+                        connect() as local:
+                    for text in statements:
+                        remote.execute(text)
+                        local.execute(text)
+                    got = remote.query("SELECT AVG(v) FROM R")
+                    assert got.rows == local.query("SELECT AVG(v) FROM R").rows
+                    assert got.rows == [(Fraction(3, 2),)]
+                    assert type(got.rows[0][0]) is Fraction
+                    assert got.items == [((Fraction(3, 2),), ts(10))]
+                    assert sorted(remote.query("SELECT k FROM R").rows) == [
+                        (1,), (2,),
+                    ]
+
+            try:
+                await asyncio.to_thread(sync_part)
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+    def test_a_subscribed_avg_view_streams_and_the_connection_survives(self):
+        async def scenario():
+            server = ReproServer()
+            session = await AsyncSession.over_loopback(server)
+            await session.execute("CREATE TABLE R (k, v)")
+            await session.execute("INSERT INTO R VALUES (1, 1), (2, 2) EXPIRES AT 10")
+            await session.execute(
+                "CREATE MATERIALIZED VIEW va AS SELECT AVG(v) FROM R"
+            )
+            sub = await asyncio.wait_for(session.subscribe("va"), 3)
+            assert sub.read() == [(Fraction(3, 2),)]
+            await asyncio.wait_for(
+                session.execute("INSERT INTO R VALUES (3, 4) EXPIRES AT 10"), 3
+            )
+            await _drain(session)
+            assert sub.read() == [(Fraction(7, 3),)]
+            result = await asyncio.wait_for(session.query("SELECT k FROM R"), 3)
+            assert sorted(result.rows) == [(1,), (2,), (3,)]
+            await session.close()
+            await server.stop()
+
+        run(scenario())
+
+    def test_a_reply_that_cannot_be_encoded_is_an_error_reply(self):
+        """A value JSON has no form for fails its own request only."""
+
+        async def scenario():
+            server = ReproServer()
+            server.db.create_table("C", ["z"]).insert((complex(1, 2),))
+            server.db.create_table("K", ["k"]).insert((1,))
+            session = await AsyncSession.over_loopback(server)
+            with pytest.raises(RemoteError) as err:
+                await asyncio.wait_for(session.query("SELECT z FROM C"), 3)
+            assert err.value.remote_type == "WireProtocolError"
+            assert "complex" in str(err.value)
+            result = await asyncio.wait_for(session.query("SELECT k FROM K"), 3)
+            assert result.rows == [(1,)]
             await session.close()
             await server.stop()
 

@@ -83,6 +83,12 @@ BAD_FRAMES = {
     "non_utf8": BadFrame(_frame(b"\xff\xfenot json"), "JSON", SKIPPED),
     "non_json": BadFrame(_frame(b"{not json"), "JSON"),
     "no_kind": BadFrame(_frame(b'{"id":1}'), "message object"),
+    "zero_denominator": BadFrame(
+        _frame(b'{"kind":"clock","now":{"$fraction":[1,0]}}'), "JSON"
+    ),
+    "fraction_of_strings": BadFrame(
+        _frame(b'{"kind":"clock","now":{"$fraction":["1","2"]}}'), "JSON"
+    ),
     "empty_payload": BadFrame(_frame(b""), "JSON", "payload is empty"),
     "unknown_tag": BadFrame(_frame(b"\x7fwhatever"), "JSON", SKIPPED),
     "packed_header_cut_short": BadFrame(
@@ -293,6 +299,7 @@ _values = st.one_of(
     st.text(),
     st.sampled_from(["", "absent", "né", "null"]),
     st.none(),
+    st.fractions(),
 )
 _ticks = st.one_of(st.integers(min_value=0, max_value=RAW_INFINITY - 1),
                    st.none())

@@ -20,9 +20,7 @@ MODULES = [
     "repro.core.relation",
     "repro.core.aggregates",
     "repro.core.approximate",
-    "repro.core.difference_algorithms",
     "repro.core.monotonicity",
-    "repro.core.qos",
     "repro.core.validity",
     "repro.core.patching",
     "repro.core.schedule",
@@ -56,7 +54,6 @@ MODULES = [
     "repro.workloads.news",
     "repro.workloads.sessions",
     "repro.workloads.sensors",
-    "repro.workloads.cache",
     "repro.baselines.explicit_delete",
     "repro.baselines.periodic_recompute",
     "repro.cli",

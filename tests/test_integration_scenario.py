@@ -1,16 +1,16 @@
 """A full-stack story test: the news service, end to end.
 
 Drives every layer in one scenario -- SQL DDL/DML, triggers, constraints,
-all three view policies, the rewriter, QoS answering, a snapshot/restore,
-and shipping a difference view to a remote client -- asserting cross-layer
-consistency at each step.  If a refactor breaks the glue between two
+all three view policies, the rewriter, offline answering by moving a query
+back to a valid time, a snapshot/restore, and shipping a difference view
+to a remote client -- asserting cross-layer consistency at each step.  If a refactor breaks the glue between two
 subsystems, this is the test that notices.
 """
 
 import pytest
 
-from repro.core.qos import QosAnswerer, QosContract, StalenessBound
 from repro.core.rewriter import compare_plans
+from repro.core.validity import QueryAnswerer, QueryPolicy
 from repro.distributed import (
     DifferenceViewSimulation,
     Link,
@@ -134,22 +134,23 @@ class TestNewsServiceStory:
         assert report.consistency == 1.0
         assert report.recompute_requests == 0
 
-        # The same materialisation behind a staleness contract locally.
+        # The same materialisation answered locally, offline: a time
+        # outside its validity set moves back to the nearest valid one.
         from repro.core.algebra.expressions import Literal
 
         expr = Literal(left1).difference(Literal(right1))
         from repro.core.algebra.evaluator import evaluate
 
         materialised = evaluate(expr, {}, tau=0)
-        answerer = QosAnswerer(
-            expr, {}, materialised, QosContract(staleness=StalenessBound(6))
+        answerer = QueryAnswerer(
+            expr, {}, materialised, QueryPolicy.MOVE_BACKWARD
         )
         for when in range(0, 90, 5):
             answer = answerer.answer(when)
             truth = evaluate(expr, {}, tau=answer.effective_time)
             assert set(answer.relation.rows()) == set(truth.relation.rows())
-            if not answer.recomputed:
-                assert when - answer.effective_time.value <= 6
+            assert answer.effective_time.value <= when
+        assert answerer.recomputations == 0
 
     def test_incremental_view_with_live_sql_traffic(self, service):
         db = service

@@ -3,11 +3,18 @@
 This is the canonical reproduction suite: each test corresponds to one
 artefact of the paper (Figures 1-3, Tables 1-2, Theorems 1-3) and asserts
 the *exact* rows, expiration times, and validity behaviour printed there.
-The benchmark harnesses regenerate the same artefacts with output; these
-tests pin them down as assertions.
+``benchmarks/paper.py`` prints the same artefacts: the figure and case
+tests below also assert that its rows are the ones they pin, and
+:class:`TestPrinter` asserts every claim it checks over its seeded
+workloads (Table 1's sweep, Theorems 1-3 at scale, Sections 3.1-3.4 and
+the Section 1 replication claims).
 """
 
+import functools
+
 import pytest
+
+from benchmarks import paper
 
 from repro.core.aggregates import ExpirationStrategy
 from repro.core.algebra.evaluator import evaluate
@@ -19,22 +26,31 @@ from repro.core.timestamps import INFINITY, ts
 from repro.workloads.news import figure1_el, figure1_pol
 
 
+@functools.lru_cache(maxsize=None)
+def _artefact(regenerate):
+    return regenerate()
+
+
+def _printed(regenerate, table=0):
+    """The first column of a printed table -> the rest of its row."""
+    rows = _artefact(regenerate).tables[table][2]
+    return {row[0]: row[1] if len(row) == 2 else row[1:] for row in rows}
+
+
 class TestFigure1:
     """The example relations Pol and El at time 0."""
 
     def test_pol_rows_and_expirations(self, pol):
-        assert {(row, int(texp)) for row, texp in pol.items()} == {
-            ((1, 25), 10),
-            ((2, 25), 15),
-            ((3, 35), 10),
-        }
+        expected = {((1, 25), 10), ((2, 25), 15), ((3, 35), 10)}
+        assert {(row, int(texp)) for row, texp in pol.items()} == expected
+        printed = _artefact(paper.figure1).tables[0][2]
+        assert {((uid, deg), texp) for texp, uid, deg in printed} == expected
 
     def test_el_rows_and_expirations(self, el):
-        assert {(row, int(texp)) for row, texp in el.items()} == {
-            ((1, 75), 5),
-            ((2, 85), 3),
-            ((4, 90), 2),
-        }
+        expected = {((1, 75), 5), ((2, 85), 3), ((4, 90), 2)}
+        assert {(row, int(texp)) for row, texp in el.items()} == expected
+        printed = _artefact(paper.figure1).tables[1][2]
+        assert {((uid, deg), texp) for texp, uid, deg in printed} == expected
 
 
 class TestFigure2:
@@ -51,12 +67,14 @@ class TestFigure2:
     def test_2c_projection_at_0(self, catalog):
         result = evaluate(BaseRef("Pol").project(2), catalog, tau=0)
         assert set(result.relation.rows()) == {(25,), (35,)}
+        assert set(_printed(paper.figure2)["(c) pi_2(Pol) @ 0"]) == {(25,), (35,)}
         # <25> merges duplicates <1,25>@10 and <2,25>@15 -> max = 15.
         assert result.relation.expiration_of((25,)) == ts(15)
 
     def test_2d_projection_at_10(self, catalog):
         result = evaluate(BaseRef("Pol").project(2), catalog, tau=10)
         assert set(result.relation.rows()) == {(25,)}
+        assert set(_printed(paper.figure2)["(d) pi_2(Pol) @ 10"]) == {(25,)}
 
     def test_2d_materialisation_expires_identically(self, catalog):
         materialised = evaluate(BaseRef("Pol").project(2), catalog, tau=0)
@@ -65,19 +83,23 @@ class TestFigure2:
 
     def test_2e_join_at_0(self, catalog):
         result = evaluate(BaseRef("Pol").join(BaseRef("El"), on=[(1, 1)]), catalog)
-        assert set(result.relation.rows()) == {(1, 25, 1, 75), (2, 25, 2, 85)}
+        expected = {(1, 25, 1, 75), (2, 25, 2, 85)}
+        assert set(result.relation.rows()) == expected
+        assert set(_printed(paper.figure2)["(e) Pol JOIN El @ 0"]) == expected
 
     def test_2f_join_at_3(self, catalog):
         result = evaluate(
             BaseRef("Pol").join(BaseRef("El"), on=[(1, 1)]), catalog, tau=3
         )
         assert set(result.relation.rows()) == {(1, 25, 1, 75)}
+        assert set(_printed(paper.figure2)["(f) Pol JOIN El @ 3"]) == {(1, 25, 1, 75)}
 
     def test_2g_join_at_5_empty(self, catalog):
         result = evaluate(
             BaseRef("Pol").join(BaseRef("El"), on=[(1, 1)]), catalog, tau=5
         )
         assert len(result.relation) == 0
+        assert _printed(paper.figure2)["(g) Pol JOIN El @ 5"] == []
 
     def test_monotonic_materialisations_never_invalidate(self, catalog):
         expr = BaseRef("Pol").join(BaseRef("El"), on=[(1, 1)])
@@ -108,6 +130,8 @@ class TestFigure3:
             ((25, 2), 10),
             ((35, 1), 10),
         }
+        rows, _ = _printed(paper.figure3)["(a) histogram @ 0"]
+        assert set(rows) == {(25, 2), (35, 1)}
 
     def test_3a_should_contain_25_1_from_10_but_does_not(self, catalog):
         materialised = evaluate(self.histogram(), catalog, tau=0)
@@ -116,18 +140,24 @@ class TestFigure3:
         assert set(materialised.relation.exp_at(10).rows()) == set()
         # "Thus, from time 10 on, the result is invalid."
         assert materialised.expiration == ts(10)
+        assert _printed(paper.figure3)["(a) histogram @ 0"][1] == "10"
 
     def test_3b_difference_at_0(self, catalog):
         result = evaluate(self.difference(), catalog, tau=0)
         assert set(result.relation.rows()) == {(3,)}
+        assert set(_printed(paper.figure3)["(b) difference @ 0"][0]) == {(3,)}
 
     def test_3c_difference_at_3(self, catalog):
         result = evaluate(self.difference(), catalog, tau=3)
         assert set(result.relation.rows()) == {(2,), (3,)}
+        assert set(_printed(paper.figure3)["(c) difference @ 3"][0]) == {(2,), (3,)}
 
     def test_3d_difference_at_5(self, catalog):
         result = evaluate(self.difference(), catalog, tau=5)
         assert set(result.relation.rows()) == {(1,), (2,), (3,)}
+        assert set(_printed(paper.figure3)["(d) difference @ 5"][0]) == {
+            (1,), (2,), (3,),
+        }
 
     def test_difference_grows_monotonically_before_10(self, catalog):
         sizes = [
@@ -140,6 +170,7 @@ class TestFigure3:
     def test_difference_invalid_from_3(self, catalog):
         materialised = evaluate(self.difference(), catalog, tau=0)
         assert materialised.expiration == ts(3)
+        assert _printed(paper.figure3)["(b) difference @ 0"][1] == "3"
         assert materialised.validity == IntervalSet.from_pairs([(0, 3), (15, None)])
 
 
@@ -186,7 +217,18 @@ class TestTable2:
         right = relation_from_rows(["a"], right_rows)
         from repro.core.algebra.expressions import Literal
 
-        return evaluate(Literal(left).difference(Literal(right)), {})
+        result = evaluate(Literal(left).difference(Literal(right)), {})
+        # The printed case with these inputs shows this result, in both its
+        # "got" and its "paper" columns.
+        label = next(case[0] for case in paper.TABLE2_CASES
+                     if case[1:3] == (left_rows, right_rows))
+        shown = (
+            str(result.relation.expiration_of((1,)))
+            if (1,) in result.relation else "n.a.",
+            str(result.expiration),
+        )
+        assert _printed(paper.table2)[label] == shown + shown
+        return result
 
     def test_case_1_only_in_r(self):
         result = self.run_case(10, None, in_right=False)
@@ -227,3 +269,29 @@ class TestTheorem3EndToEnd:
         }
         for when, rows in sorted(expected.items()):
             assert set(view.view_at(when).rows()) == rows
+
+
+class TestPrinter:
+    """Every claim ``benchmarks/paper.py`` checks over its seeded workloads
+    holds, and the script prints every artefact."""
+
+    @pytest.mark.parametrize(
+        "regenerate", paper.ARTEFACTS, ids=[f.__name__ for f in paper.ARTEFACTS]
+    )
+    def test_every_check_holds(self, regenerate):
+        artefact = _artefact(regenerate)
+        assert artefact.tables and all(rows for _, _, rows in artefact.tables)
+        assert artefact.failed == []
+
+    def test_main_prints_every_table_and_exits_0(self, monkeypatch):
+        emitted = []
+        monkeypatch.setattr(paper, "emit", lambda *table: emitted.append(table))
+        monkeypatch.setattr(paper, "ARTEFACTS", tuple(
+            functools.partial(_artefact, regenerate) for regenerate in paper.ARTEFACTS
+        ))
+        assert paper.main() == 0
+        keys = [title.split(".")[0] for title, _, _ in emitted]
+        assert list(dict.fromkeys(keys)) == [
+            "F1", "F2", "F3", "T1", "T2", "TH1", "TH2", "TH3",
+            "S31", "S32", "S34a", "S34b", "D1",
+        ]

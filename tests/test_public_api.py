@@ -20,7 +20,6 @@ PUBLIC_MODULES = [
     "repro.core.aggregates",
     "repro.core.approximate",
     "repro.core.monotonicity",
-    "repro.core.qos",
     "repro.core.validity",
     "repro.core.patching",
     "repro.core.schedule",
@@ -174,3 +173,31 @@ class TestOneSchedule:
         assert isinstance(patcher._schedule, Schedule)
         for gone in ("_heap", "_max_heap", "_dead", "_size", "_counter"):
             assert not hasattr(patcher, gone)
+
+
+class TestUnreachedModules:
+    def test_what_left_with_the_legacy_benchmarks(self):
+        """Three modules that only the retired benchmark scripts reached
+        are gone with no alias: a second answerer beside
+        ``validity.QueryAnswerer`` (whose ``MOVE_BACKWARD`` serves a held
+        answer at a moved time), three more executors of ``−`` beside the
+        compiler's, and a web-cache workload."""
+        import repro.core
+        import repro.workloads
+
+        for gone in ("repro.core.qos", "repro.core.difference_algorithms",
+                     "repro.workloads.cache"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(gone)
+        for name in ("QosAnswerer", "QosContract", "QosReport",
+                     "StalenessBound", "DelayBound"):
+            assert name not in repro.core.__all__
+            assert not hasattr(repro.core, name)
+        for name in ("WebCache", "CacheStats", "CACHE_SCHEMA"):
+            assert name not in repro.workloads.__all__
+            assert not hasattr(repro.workloads, name)
+        # What stayed: the one answerer and its move policies.
+        from repro.core.validity import QueryAnswerer, QueryPolicy
+
+        assert QueryAnswerer.answer
+        assert {"MOVE_BACKWARD", "MOVE_FORWARD"} <= set(QueryPolicy.__members__)

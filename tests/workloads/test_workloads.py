@@ -12,7 +12,6 @@ from repro.workloads import (
     SessionStore,
     SessionWorkload,
     UniformLifetime,
-    WebCache,
     ZipfLifetime,
     figure1_el,
     figure1_pol,
@@ -165,19 +164,3 @@ class TestSensorFleet:
         fleet.run_until(8)
         fleet.database.advance_to(50)  # sensors stop reporting
         assert fleet.current_readings() == []
-
-
-class TestWebCache:
-    def test_hits_and_misses(self):
-        cache = WebCache(urls=40, ttl=15, seed=9)
-        stats = cache.run(400)
-        assert stats.requests == 400
-        assert stats.hits + stats.misses == 400
-        assert 0.2 < stats.hit_rate < 0.95
-
-    def test_expired_entries_are_misses(self):
-        cache = WebCache(urls=1, ttl=3, seed=0)
-        assert cache.request() is False  # cold miss
-        assert cache.request() is True  # hit
-        cache.database.advance_to(3)
-        assert cache.request() is False  # expired -> miss again
