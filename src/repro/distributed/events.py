@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.core.timestamps import TimeLike, Timestamp, ts
 from repro.errors import SimulationError
@@ -49,12 +49,6 @@ class EventQueue:
         """Schedule ``action`` after ``delay`` ticks from now."""
         self.schedule(self._now + delay, action)
 
-    def next_time(self) -> Optional[Timestamp]:
-        """When the next event fires, or ``None`` if the queue is empty."""
-        if not self._heap:
-            return None
-        return ts(self._heap[0][0])
-
     def run_until(self, horizon: TimeLike) -> int:
         """Execute events with ``time <= horizon``; returns the count."""
         stamp = ts(horizon)
@@ -66,18 +60,6 @@ class EventQueue:
             executed += 1
         if self._now < stamp and stamp.is_finite:
             self._now = stamp
-        return executed
-
-    def run_all(self, safety_limit: int = 10_000_000) -> int:
-        """Drain the queue completely (bounded by ``safety_limit`` events)."""
-        executed = 0
-        while self._heap:
-            value, _, action = heapq.heappop(self._heap)
-            self._now = ts(value)
-            action(self._now)
-            executed += 1
-            if executed > safety_limit:
-                raise SimulationError("event cascade exceeded the safety limit")
         return executed
 
     def __len__(self) -> int:

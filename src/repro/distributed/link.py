@@ -48,14 +48,7 @@ class LinkStats:
 
     def as_dict(self) -> dict:
         """All counters by name, for reports."""
-        return {
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "messages_lost": self.messages_lost,
-            "messages_queued": self.messages_queued,
-            "cells_sent": self.cells_sent,
-            "cells_delivered": self.cells_delivered,
-        }
+        return dict(vars(self))
 
 
 class Link:

@@ -164,6 +164,16 @@ class SyncReport:
             return 1.0
         return self.correct_answers / self.queries
 
+    def merge(self, other: "SyncReport") -> None:
+        """Add ``other``'s counters to this report's (a fan-out's total).
+
+        Every counter family sums; the total has converged only if every
+        part has.
+        """
+        for fld in REPLICATION_COUNTERS:
+            setattr(self, fld, getattr(self, fld) + getattr(other, fld))
+        self.converged = self.converged and other.converged
+
     # -- registry export -----------------------------------------------------
 
     def publish(self, registry: MetricsRegistry) -> None:

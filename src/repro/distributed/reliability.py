@@ -19,15 +19,22 @@ Components:
 
 * :class:`RetryPolicy` -- exponential backoff with deterministic jitter
   and a max-attempts cap; pure (no hidden state beyond a seeded RNG).
-  Defined, like :class:`SessionStats`, beside its production user in
-  :mod:`repro.server.session` (the simulator imports the served engine's
-  core, never the reverse) and re-exported here.
 * :class:`ReliableSender` -- wraps payloads in sequence-numbered
-  :class:`Envelope`\\ s, schedules retransmissions on the simulation's
-  :class:`EventQueue`, cancels expired or superseded ones, and retires
-  entries when :class:`Ack`\\ s arrive.
+  :class:`Envelope`\\ s, arms a retransmission timer on the simulation's
+  :class:`EventQueue` at each envelope's due time, and cancels the
+  pending envelope of a channel a newer send supersedes.  Everything else
+  -- sequence numbers, the pending envelopes, ack retirement, and the one
+  verdict that cancels an expired retransmission, gives up after
+  ``max_attempts`` or resends -- is :class:`~repro.server.session.SenderCore`,
+  the same core the served engine's subscriptions run over sockets.  It
+  is defined, like :class:`RetryPolicy` and :class:`SessionStats`, beside
+  its production user in :mod:`repro.server.session` (the simulator
+  imports the served engine's core, never the reverse); the two shared
+  types are re-exported here.
 * :class:`ReliableReceiver` -- deduplicates envelopes, tracks the
   cumulative/selective ack state, and hands payloads up exactly once.
+  It waits for every sequence number, so it stays separate from the
+  socket client's, which skips the ones the server pruned as dead.
 
 Both ends are transport-agnostic: they emit messages through callables the
 simulator wires to its links, so the session layer itself stays free of
@@ -38,13 +45,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set
 
-from repro.core.timestamps import TimeLike, Timestamp, ts
+from repro.core.timestamps import Timestamp
 from repro.distributed.events import EventQueue
 from repro.distributed.protocols import Ack, Envelope, Message
 from repro.errors import ProtocolError
-from repro.server.session import RetryPolicy, SessionStats
+from repro.server.session import RESEND, RetryPolicy, SenderCore, SessionStats
 
 __all__ = [
     "RetryPolicy",
@@ -63,29 +70,15 @@ class ReliabilityConfig:
     seed: int = 0
 
 
-class _PendingEntry:
-    """One unacknowledged envelope awaiting ack or retransmission."""
-
-    __slots__ = ("envelope", "expires_at", "channel", "attempt")
-
-    def __init__(
-        self,
-        envelope: Envelope,
-        expires_at: Optional[Timestamp],
-        channel: Optional[str],
-    ) -> None:
-        self.envelope = envelope
-        self.expires_at = expires_at
-        self.channel = channel
-        self.attempt = 0
-
-
 class ReliableSender:
     """The sending half of a reliable session.
 
     ``transmit(message, now)`` is the raw link hook; retransmissions are
     scheduled on ``events`` so they interleave deterministically with the
-    rest of the simulation.
+    rest of the simulation.  Sequence numbers, pending envelopes, ack
+    retirement and the retransmission verdict are the served engine's
+    :class:`~repro.server.session.SenderCore`; this class adds the
+    event-queue timers and channel supersession.
     """
 
     def __init__(
@@ -99,9 +92,10 @@ class ReliableSender:
         self._events = events
         self.policy = policy if policy is not None else RetryPolicy()
         self.stats = SessionStats()
-        self._rng = random.Random(seed)
-        self._next_seq = 0
-        self._pending: Dict[int, _PendingEntry] = {}
+        self._core = SenderCore(self.policy, self.stats, random.Random(seed))
+        #: channel -> seq of its latest send, the only one of the channel
+        #: that can still be pending.
+        self._channels: Dict[str, int] = {}
 
     # -- sending ---------------------------------------------------------------
 
@@ -118,68 +112,47 @@ class ReliableSender:
         stops mattering (the tuple's expiration time); a retransmission
         due after it is cancelled and counted as avoided traffic.
         ``channel`` marks payloads where a newer send supersedes older
-        ones (e.g. full snapshots): pending entries on the same channel
-        are cancelled immediately.
+        ones (e.g. full snapshots): the pending entry on the same channel
+        is cancelled immediately.
         """
+        seq = self._core.take_seq()
         if channel is not None:
-            self._supersede(channel)
-        envelope = Envelope(seq=self._next_seq, payload=payload)
-        self._next_seq += 1
-        entry = _PendingEntry(envelope, expires_at, channel)
-        self._pending[envelope.seq] = entry
-        self.stats.sent += 1
+            stale = self._channels.get(channel)
+            if stale is not None and self._core.pending.pop(stale, None):
+                self.stats.superseded += 1
+            self._channels[channel] = seq
+        envelope = Envelope(seq=seq, payload=payload)
+        entry = self._core.track(
+            seq, envelope, expires_at, envelope.size_cells(), now
+        )
         self._transmit(envelope, now)
-        self._arm_timer(entry, now)
+        self._arm_timer(seq, entry.due)
         return envelope
 
-    def _supersede(self, channel: str) -> None:
-        stale = [
-            seq for seq, entry in self._pending.items() if entry.channel == channel
-        ]
-        for seq in stale:
-            del self._pending[seq]
-            self.stats.superseded += 1
-
-    def _arm_timer(self, entry: _PendingEntry, now: Timestamp) -> None:
-        delay = self.policy.delay(entry.attempt, self._rng)
-        seq = entry.envelope.seq
-        self._events.schedule(now + delay, lambda at, seq=seq: self._on_timer(seq, at))
+    def _arm_timer(self, seq: int, due: Timestamp) -> None:
+        self._events.schedule(due, lambda at, seq=seq: self._on_timer(seq, at))
 
     def _on_timer(self, seq: int, at: Timestamp) -> None:
-        entry = self._pending.get(seq)
-        if entry is None:
+        core = self._core
+        if seq not in core.pending:
             return  # acked or superseded in the meantime
-        if entry.expires_at is not None and entry.expires_at <= at:
-            # The tuple is dead: the replica would ignore it anyway.  This
-            # cancellation is the paper-specific saving the benches report.
-            del self._pending[seq]
-            self.stats.retransmissions_avoided += 1
-            self.stats.cells_avoided += entry.envelope.size_cells()
-            return
-        if entry.attempt + 1 > self.policy.max_attempts:
-            del self._pending[seq]
-            self.stats.abandoned += 1
-            return
-        entry.attempt += 1
-        self.stats.retransmissions += 1
-        self._transmit(entry.envelope, at)
-        self._arm_timer(entry, at)
+        if core.retry(seq, at, at) == RESEND:
+            entry = core.pending[seq]
+            self._transmit(entry.message, at)
+            self._arm_timer(seq, entry.due)
 
     # -- acknowledgements --------------------------------------------------------
 
     def on_ack(self, ack: Ack, at: Timestamp) -> None:
         """Retire every pending envelope the ack covers."""
-        for seq in list(self._pending):
-            if seq <= ack.cumulative or seq in ack.selective:
-                del self._pending[seq]
-                self.stats.acked += 1
+        self._core.ack(ack.cumulative, ack.selective)
 
     # -- introspection ------------------------------------------------------------
 
     @property
     def in_flight(self) -> int:
         """How many envelopes are still awaiting acknowledgement."""
-        return len(self._pending)
+        return len(self._core.pending)
 
 
 class ReliableReceiver:

@@ -126,8 +126,8 @@ class DifferenceViewServer(Node):
             if visible_right.expiration_or_none(row) is None
         }
 
-    def ship_materialisation(self, now: Timestamp, view_name: str = "diff"):
-        """Materialise at ``now``; returns (expiration, validity) metadata.
+    def materialise(self, now: Timestamp, view_name: str = "diff") -> RecomputeResponse:
+        """The view at ``now`` with its expiration and validity metadata.
 
         The metadata is embedded in the response message (and counted in
         its size): a retransmitted or reordered response must remain
@@ -140,18 +140,17 @@ class DifferenceViewServer(Node):
         validity = difference_validity_exact(
             self.left.exp_at(now), self.right.exp_at(now), now
         )
-        expiration = validity.intervals[0].end if validity.intervals else ts(0)
-        self._send(
-            RecomputeResponse(
-                view_name=view_name,
-                snapshot=Snapshot(rows),
-                expires_at=expiration,
-                validity=validity,
-            ),
-            now,
-        )
         self.recomputations_served += 1
-        return expiration, validity
+        return RecomputeResponse(
+            view_name=view_name,
+            snapshot=Snapshot(rows),
+            expires_at=validity.intervals[0].end if validity.intervals else ts(0),
+            validity=validity,
+        )
+
+    def ship_materialisation(self, now: Timestamp, view_name: str = "diff") -> None:
+        """Materialise at ``now`` and send it."""
+        self._send(self.materialise(now, view_name), now)
 
     def ship_patches(self, now: Timestamp) -> int:
         """Theorem 3: ship the helper priority queue; returns its size."""

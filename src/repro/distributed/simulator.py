@@ -35,6 +35,7 @@ see :mod:`repro.workloads` for generators.
 from __future__ import annotations
 
 import enum
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.intervals import IntervalSet
@@ -86,6 +87,9 @@ __all__ = [
 
 #: One workload insertion: (arrival time, row, expiration time).
 WorkloadEntry = Tuple[int, Row, int]
+#: How long a message matters to the reliable sender, and the channel
+#: whose pending send it supersedes.
+_Terms = Tuple[Optional[Timestamp], Optional[str]]
 
 
 def _mirror_link(link: Link, seed_shift: int = 7919) -> Link:
@@ -124,16 +128,12 @@ class _ConvergenceTracker:
             self.pairs.append((self._open_since, tick))
             self._open_since = None
 
-    def finish(self, horizon: int) -> bool:
-        """Close any open window at the horizon; returns ``converged``."""
-        if self._open_since is not None:
+    def fill(self, report: SyncReport, horizon: int, quiesced_at: int) -> None:
+        """Close any open window at the horizon and report the windows."""
+        report.converged = self._open_since is None
+        if not report.converged:
             self.pairs.append((self._open_since, horizon + 1))
             self._open_since = None
-            return False
-        return True
-
-    def fill(self, report: SyncReport, horizon: int, quiesced_at: int) -> None:
-        report.converged = self.finish(horizon)
         report.divergence = IntervalSet.from_pairs(self.pairs)
         report.divergence_ticks = sum(end - start for start, end in self.pairs)
         report.max_staleness = max(
@@ -145,116 +145,86 @@ class _ConvergenceTracker:
         report.detail["divergence_windows"] = list(self.pairs)
 
 
-class ReplicationStrategy(enum.Enum):
-    """How a replicated base relation is kept in sync (experiment D1)."""
+class _Channel:
+    """The server->client channel both scenarios run over.
 
-    EXPLICIT_DELETE = "explicit_delete"
-    PERIODIC_SNAPSHOT = "periodic_snapshot"
-    EXPIRATION = "expiration"
+    It owns the forward link, the reverse link (mirrored from the forward
+    one when acks or repair requests need it), the scripted faults, the
+    reliable sender/receiver pair, node crashes, convergence probes and
+    the report's traffic columns.  A scenario subclass brings the rest:
+    its ``client`` and ``server``; ``_apply_payload(message, at)``, what
+    a delivered payload does; ``_delivery_terms(message)``, the
+    ``(expires_at, channel)`` the reliable sender gets; ``_schedule
+    (horizon)``, its own events; ``_truth(at)``, the rows the client
+    should see; ``_horizon()``, when its run is over; and optionally what
+    a query or a state-losing restart does beyond the defaults.
+    """
 
-
-class ReplicationSimulation:
-    """Server-to-client replication of one relation under a strategy."""
-
-    def __init__(
-        self,
-        schema: Schema | Sequence[str],
-        workload: Sequence[WorkloadEntry],
-        query_times: Sequence[int],
-        strategy: ReplicationStrategy,
-        link: Optional[Link] = None,
-        snapshot_period: int = 10,
-        client_skew: int = 0,
-        reliability: Optional[ReliabilityConfig] = None,
-        anti_entropy: Optional[AntiEntropyConfig] = None,
-        faults: Optional[FaultSchedule] = None,
-        back_link: Optional[Link] = None,
-        track_convergence: Optional[bool] = None,
-        probe_period: int = 1,
-        horizon: Optional[int] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-    ) -> None:
+    def __init__(self, strategy: enum.Enum, link: Link,
+                 reliability: Optional[ReliabilityConfig],
+                 faults: Optional[FaultSchedule], back_link: Optional[Link],
+                 track_convergence: Optional[bool], probe_period: int,
+                 horizon: Optional[int], metrics: Optional[MetricsRegistry],
+                 reverse_traffic: bool) -> None:
         if probe_period < 1:
             raise SimulationError(f"probe_period must be >= 1, got {probe_period}")
         #: When given, :meth:`run` publishes the final report here under
         #: the ``repro_replication_*`` families (pass ``db.metrics`` to
         #: land the simulation next to the engine's counters).
         self.metrics = metrics
-        self.schema = schema if isinstance(schema, Schema) else Schema(schema)
-        self.workload = sorted(workload, key=lambda entry: entry[0])
-        self.query_times = sorted(query_times)
         self.strategy = strategy
-        self.link = link if link is not None else Link()
-        self.snapshot_period = snapshot_period
+        self.link = link
         self.reliability = reliability
-        self.anti_entropy = anti_entropy
         self.faults = faults if faults is not None else FaultSchedule()
         self.probe_period = probe_period
         self._horizon_override = horizon
-        fault_tolerant = bool(reliability or anti_entropy or len(self.faults))
         self.track_convergence = (
-            fault_tolerant if track_convergence is None else track_convergence
+            bool(reverse_traffic or len(self.faults))
+            if track_convergence is None else track_convergence
         )
         # The reverse channel exists whenever something needs to travel
         # client -> server (acks, repair requests).
-        if back_link is not None:
-            self.back_link: Optional[Link] = back_link
-        elif reliability or anti_entropy:
-            self.back_link = _mirror_link(self.link)
-        else:
-            self.back_link = None
+        if back_link is None and reverse_traffic:
+            back_link = _mirror_link(self.link)
+        self.back_link: Optional[Link] = back_link
         links = [self.link] + ([self.back_link] if self.back_link else [])
         self.faults.apply_to_links(links)
         self.events = EventQueue()
         self.report = SyncReport(strategy=strategy.value)
-        self.client = Replica("client", self.schema, clock_skew=client_skew)
-        self.server = OriginServer("server", self.schema, self._send)
         self._crashed = False
         self._crash_drops = 0
-        self._lifetimes: Dict[Row, Timestamp] = {}
         self._tracker = _ConvergenceTracker()
+        self._sender: Optional[ReliableSender] = None
+        self._receiver: Optional[ReliableReceiver] = None
         if reliability is not None:
-            self._sender: Optional[ReliableSender] = ReliableSender(
-                self._transmit_data,
-                self.events,
-                policy=reliability.retry,
-                seed=reliability.seed,
-            )
-            self._receiver: Optional[ReliableReceiver] = ReliableReceiver(
+            self._sender = ReliableSender(self._transmit, self.events,
+                                          reliability.retry, reliability.seed)
+            self._receiver = ReliableReceiver(
                 self._apply_payload, self._send_ack, stats=self._sender.stats
             )
-        else:
-            self._sender = None
-            self._receiver = None
 
-    # -- transport ----------------------------------------------------------
+    # -- scenario hooks with a default --------------------------------------
+
+    def _quiesced_at(self) -> int:
+        return max(self.faults.last_activity(), 0)
+
+    def _prepare_answer(self, at: Timestamp) -> None:
+        """Runs before a live client answers a query."""
+
+    def _on_state_lost(self, at: Timestamp) -> None:
+        """Runs after a restart that lost the client's state."""
+
+    # -- transport ------------------------------------------------------------
 
     def _send(self, message: Message, now: Timestamp) -> None:
         """The server's outbound hook: raw or through the session layer."""
         if self._sender is None:
-            self._transmit_data(message, now)
+            self._transmit(message, now)
             return
-        channel = "snapshot" if isinstance(message, Snapshot) else None
-        self._sender.send(
-            message, now, expires_at=self._sender_expiry(message), channel=channel
-        )
+        expires_at, channel = self._delivery_terms(message)
+        self._sender.send(message, now, expires_at=expires_at, channel=channel)
 
-    def _sender_expiry(self, message: Message) -> Optional[Timestamp]:
-        """When the *sender* knows this message stops mattering.
-
-        For expiration-shipped inserts the lifetime is in the message; for
-        baseline inserts the server still knows it locally (the replica
-        does not).  A delete notice never stops mattering -- the baseline
-        must deliver it reliably, forever; that asymmetry is the paper's
-        point.
-        """
-        if isinstance(message, TupleInsert):
-            if message.expires_at is not None:
-                return message.expires_at
-            return self._lifetimes.get(message.row)
-        return None
-
-    def _transmit_data(self, message: Message, now: Timestamp) -> None:
+    def _transmit(self, message: Message, now: Timestamp) -> None:
         """Put one server->client message on the forward link."""
         size = message.size_cells()
         arrival = self.link.transmit(now, size)
@@ -273,71 +243,27 @@ class ReplicationSimulation:
 
         self.events.schedule(arrival, deliver)
 
-    def _apply_payload(self, message: Message, at: Timestamp) -> None:
-        """Hand one (deduplicated) payload to the replica."""
-        if isinstance(message, TupleInsert):
-            self.client.on_insert(message, at)
-        elif isinstance(message, DeleteNotice):
-            self.client.on_delete(message, at)
-        elif isinstance(message, Snapshot):
-            self.client.on_snapshot(message, at)
-        elif isinstance(message, Digest):
-            self._on_client_digest(message, at)
-        elif isinstance(message, RepairResponse):
-            assert self.anti_entropy is not None
-            changed = self.client.on_repair(message, at, self.anti_entropy.num_buckets)
-            if changed:
-                self.report.repairs_applied += 1
-        else:
-            raise SimulationError(f"unexpected message {message!r}")
+    def _up_link(self) -> Link:
+        """Client->server traffic travels on the reverse link when it exists."""
+        return self.back_link if self.back_link is not None else self.link
 
-    def _send_ack(self, ack: Ack, at: Timestamp) -> None:
-        """Client -> server acknowledgement over the reverse link."""
-        assert self.back_link is not None and self._sender is not None
-        size = ack.size_cells()
-        arrival = self.back_link.transmit(at, size)
+    def _send_up(self, message: Message, at: Timestamp, on_arrival) -> None:
+        """Client -> server: ``message`` over :meth:`_up_link`;
+        ``on_arrival(when)`` runs if it gets there."""
+        up = self._up_link()
+        size = message.size_cells()
+        arrival = up.transmit(at, size)
         if arrival is None:
             return
 
-        def deliver(when: Timestamp, ack=ack, size=size) -> None:
-            self.back_link.record_delivery(size)
-            self._sender.on_ack(ack, when)
+        def deliver(when: Timestamp) -> None:
+            up.record_delivery(size)
+            on_arrival(when)
 
         self.events.schedule(arrival, deliver)
 
-    # -- anti-entropy ----------------------------------------------------------
-
-    def _send_digest(self, at: Timestamp) -> None:
-        assert self.anti_entropy is not None
-        digest = self.server.make_digest(at, self.anti_entropy.num_buckets)
-        self.report.digests += 1
-        self._transmit_data(digest, at)
-
-    def _on_client_digest(self, digest: Digest, at: Timestamp) -> None:
-        """Client compares bucket hashes and pulls diverged buckets."""
-        assert self.anti_entropy is not None and self.back_link is not None
-        mine = bucket_hashes(
-            self.client.relation.exp_at(digest.at).rows(), digest.num_buckets
-        )
-        mismatched = diff_digests(mine, dict(digest.buckets))
-        if not mismatched:
-            return
-        request = RepairRequest(buckets=mismatched)
-        arrival = self.back_link.transmit(at, request.size_cells())
-        if arrival is None:
-            return
-
-        def serve(when: Timestamp, request=request) -> None:
-            self.back_link.record_delivery(request.size_cells())
-            response = self.server.make_repair(
-                when,
-                request.buckets,
-                self.anti_entropy.num_buckets,
-                with_expirations=self.strategy is ReplicationStrategy.EXPIRATION,
-            )
-            self._transmit_data(response, when)
-
-        self.events.schedule(arrival, serve)
+    def _send_ack(self, ack: Ack, at: Timestamp) -> None:
+        self._send_up(ack, at, lambda when: self._sender.on_ack(ack, when))
 
     # -- faults -----------------------------------------------------------------
 
@@ -358,32 +284,19 @@ class ReplicationSimulation:
             self.client.reset_state()
             if self._receiver is not None:
                 self._receiver.reset()
+            self._on_state_lost(at)
 
     # -- run ------------------------------------------------------------------
 
     def run(self) -> SyncReport:
         """Execute the scenario; returns the traffic/consistency report."""
-        horizon = self._horizon()
-        for time, row, expires_at in self.workload:
-            self.events.schedule(time, self._make_insert(row, ts(expires_at)))
-        if self.strategy is ReplicationStrategy.PERIODIC_SNAPSHOT:
-            for snap_time in range(
-                self.snapshot_period, horizon + 1, self.snapshot_period
-            ):
-                self.events.schedule(
-                    snap_time,
-                    lambda at: self.server.send_snapshot(at, with_expirations=False),
-                )
-        for query_time in self.query_times:
-            self.events.schedule(query_time, self._run_query)
+        horizon = self._horizon_override
+        if horizon is None:
+            horizon = self._horizon()
+        self._schedule(horizon)
         self._schedule_crashes()
-        if self.anti_entropy is not None:
-            for when in range(
-                self.anti_entropy.period, horizon + 1, self.anti_entropy.period
-            ):
-                self.events.schedule(when, self._send_digest)
         if self.track_convergence:
-            for when in range(0, horizon + 1, self.probe_period):
+            for when in range(self.events.now.value, horizon + 1, self.probe_period):
                 self.events.schedule(when, self._probe)
         self.events.run_until(horizon)
         self._fill_report(horizon)
@@ -391,25 +304,8 @@ class ReplicationSimulation:
             self.report.publish(self.metrics)
         return self.report
 
-    def _make_insert(self, row: Row, expires_at: Timestamp):
-        def action(at: Timestamp) -> None:
-            self._lifetimes[row] = expires_at
-            if self.strategy is ReplicationStrategy.EXPIRATION:
-                self.server.insert_expiration_based(row, expires_at, at)
-            elif self.strategy is ReplicationStrategy.EXPLICIT_DELETE:
-                self.server.insert_explicit_delete(row, expires_at, at)
-                if expires_at.is_finite:
-                    self.events.schedule(
-                        expires_at,
-                        lambda when, row=row: self.server.delete_explicit(row, when),
-                    )
-            else:  # PERIODIC_SNAPSHOT
-                self.server.insert_local_only(row, expires_at)
-
-        return action
-
     def _run_query(self, at: Timestamp) -> None:
-        truth = self.server.live_rows(at)
+        truth = self._truth(at)
         self.report.queries += 1
         if self._crashed:
             # The client is down: the query goes unanswered, which we
@@ -417,6 +313,7 @@ class ReplicationSimulation:
             self.report.incorrect_answers += 1
             self.report.missing_tuples += len(truth)
             return
+        self._prepare_answer(at)
         seen = self.client.visible_rows(at)
         if seen == truth:
             self.report.correct_answers += 1
@@ -426,29 +323,9 @@ class ReplicationSimulation:
             self.report.extra_tuples += len(seen - truth)
 
     def _probe(self, at: Timestamp) -> None:
-        truth = self.server.live_rows(at)
+        truth = self._truth(at)
         seen = set() if self._crashed else self.client.visible_rows(at)
         self._tracker.observe(at, seen != truth)
-
-    def _quiesced_at(self) -> int:
-        latest = max((time for time, _, _ in self.workload), default=0)
-        return max(latest, self.faults.last_activity())
-
-    def _horizon(self) -> int:
-        if self._horizon_override is not None:
-            return self._horizon_override
-        latest = 0
-        for time, _, expires_at in self.workload:
-            latest = max(latest, time, expires_at)
-        if self.query_times:
-            latest = max(latest, self.query_times[-1])
-        latest = max(latest, self.faults.last_activity())
-        margin = self.link.latency + self.link.jitter + 1
-        if self.reliability is not None:
-            margin += self.reliability.retry.max_total_delay()
-        if self.anti_entropy is not None:
-            margin += 2 * self.anti_entropy.period + 2 * self.link.latency
-        return latest + margin
 
     def _fill_report(self, horizon: int) -> None:
         stats = self.link.stats
@@ -473,6 +350,175 @@ class ReplicationSimulation:
             self.report.detail["crash_drops"] = self._crash_drops
         if self.track_convergence:
             self._tracker.fill(self.report, horizon, self._quiesced_at())
+
+
+class ReplicationStrategy(enum.Enum):
+    """How a replicated base relation is kept in sync (experiment D1)."""
+
+    EXPLICIT_DELETE = "explicit_delete"
+    PERIODIC_SNAPSHOT = "periodic_snapshot"
+    EXPIRATION = "expiration"
+
+
+class ReplicationSimulation(_Channel):
+    """Server-to-client replication of one relation under a strategy."""
+
+    def __init__(
+        self,
+        schema: Schema | Sequence[str],
+        workload: Sequence[WorkloadEntry],
+        query_times: Sequence[int],
+        strategy: ReplicationStrategy,
+        link: Optional[Link] = None,
+        snapshot_period: int = 10,
+        client_skew: int = 0,
+        reliability: Optional[ReliabilityConfig] = None,
+        anti_entropy: Optional[AntiEntropyConfig] = None,
+        faults: Optional[FaultSchedule] = None,
+        back_link: Optional[Link] = None,
+        track_convergence: Optional[bool] = None,
+        probe_period: int = 1,
+        horizon: Optional[int] = None,
+        metrics: Optional["MetricsRegistry"] = None,
+    ) -> None:
+        super().__init__(
+            strategy, link if link is not None else Link(), reliability,
+            faults, back_link, track_convergence, probe_period, horizon,
+            metrics, reverse_traffic=bool(reliability or anti_entropy),
+        )
+        self.schema = schema if isinstance(schema, Schema) else Schema(schema)
+        self.workload = sorted(workload, key=lambda entry: entry[0])
+        self.query_times = sorted(query_times)
+        self.snapshot_period = snapshot_period
+        self.anti_entropy = anti_entropy
+        self.client = Replica("client", self.schema, clock_skew=client_skew)
+        self.server = OriginServer("server", self.schema, self._send)
+        self._lifetimes: Dict[Row, Timestamp] = {}
+
+    # -- payloads ---------------------------------------------------------------
+
+    def _delivery_terms(self, message: Message) -> _Terms:
+        """When the *sender* knows this message stops mattering.
+
+        For expiration-shipped inserts the lifetime is in the message; for
+        baseline inserts the server still knows it locally (the replica
+        does not).  A delete notice never stops mattering -- the baseline
+        must deliver it reliably, forever; that asymmetry is the paper's
+        point.  A snapshot supersedes the one before it.
+        """
+        if isinstance(message, TupleInsert):
+            if message.expires_at is not None:
+                return message.expires_at, None
+            return self._lifetimes.get(message.row), None
+        if isinstance(message, Snapshot):
+            return None, "snapshot"
+        return None, None
+
+    def _apply_payload(self, message: Message, at: Timestamp) -> None:
+        """Hand one (deduplicated) payload to the replica."""
+        if isinstance(message, TupleInsert):
+            self.client.on_insert(message, at)
+        elif isinstance(message, DeleteNotice):
+            self.client.on_delete(message, at)
+        elif isinstance(message, Snapshot):
+            self.client.on_snapshot(message, at)
+        elif isinstance(message, Digest):
+            self._on_client_digest(message, at)
+        elif isinstance(message, RepairResponse):
+            assert self.anti_entropy is not None
+            changed = self.client.on_repair(message, at, self.anti_entropy.num_buckets)
+            if changed:
+                self.report.repairs_applied += 1
+        else:
+            raise SimulationError(f"unexpected message {message!r}")
+
+    # -- anti-entropy ----------------------------------------------------------
+
+    def _send_digest(self, at: Timestamp) -> None:
+        assert self.anti_entropy is not None
+        digest = self.server.make_digest(at, self.anti_entropy.num_buckets)
+        self.report.digests += 1
+        self._transmit(digest, at)
+
+    def _on_client_digest(self, digest: Digest, at: Timestamp) -> None:
+        """Client compares bucket hashes and pulls diverged buckets."""
+        assert self.anti_entropy is not None and self.back_link is not None
+        mine = bucket_hashes(
+            self.client.relation.exp_at(digest.at).rows(), digest.num_buckets
+        )
+        mismatched = diff_digests(mine, dict(digest.buckets))
+        if not mismatched:
+            return
+
+        def serve(when: Timestamp) -> None:
+            response = self.server.make_repair(
+                when,
+                mismatched,
+                self.anti_entropy.num_buckets,
+                with_expirations=self.strategy is ReplicationStrategy.EXPIRATION,
+            )
+            self._transmit(response, when)
+
+        self._send_up(RepairRequest(buckets=mismatched), at, serve)
+
+    # -- schedule -------------------------------------------------------------
+
+    def _schedule(self, horizon: int) -> None:
+        for time, row, expires_at in self.workload:
+            self.events.schedule(time, self._make_insert(row, ts(expires_at)))
+        if self.strategy is ReplicationStrategy.PERIODIC_SNAPSHOT:
+            for snap_time in range(
+                self.snapshot_period, horizon + 1, self.snapshot_period
+            ):
+                self.events.schedule(
+                    snap_time,
+                    lambda at: self.server.send_snapshot(at, with_expirations=False),
+                )
+        for query_time in self.query_times:
+            self.events.schedule(query_time, self._run_query)
+        if self.anti_entropy is not None:
+            for when in range(
+                self.anti_entropy.period, horizon + 1, self.anti_entropy.period
+            ):
+                self.events.schedule(when, self._send_digest)
+
+    def _make_insert(self, row: Row, expires_at: Timestamp):
+        def action(at: Timestamp) -> None:
+            self._lifetimes[row] = expires_at
+            if self.strategy is ReplicationStrategy.EXPIRATION:
+                self.server.insert_expiration_based(row, expires_at, at)
+            elif self.strategy is ReplicationStrategy.EXPLICIT_DELETE:
+                self.server.insert_explicit_delete(row, expires_at, at)
+                if expires_at.is_finite:
+                    self.events.schedule(
+                        expires_at,
+                        lambda when, row=row: self.server.delete_explicit(row, when),
+                    )
+            else:  # PERIODIC_SNAPSHOT
+                self.server.insert_local_only(row, expires_at)
+
+        return action
+
+    def _truth(self, at: Timestamp) -> set:
+        return self.server.live_rows(at)
+
+    def _quiesced_at(self) -> int:
+        latest = max((time for time, _, _ in self.workload), default=0)
+        return max(latest, self.faults.last_activity())
+
+    def _horizon(self) -> int:
+        latest = 0
+        for time, _, expires_at in self.workload:
+            latest = max(latest, time, expires_at)
+        if self.query_times:
+            latest = max(latest, self.query_times[-1])
+        latest = max(latest, self.faults.last_activity())
+        margin = self.link.latency + self.link.jitter + 1
+        if self.reliability is not None:
+            margin += self.reliability.retry.max_total_delay()
+        if self.anti_entropy is not None:
+            margin += 2 * self.anti_entropy.period + 2 * self.link.latency
+        return latest + margin
 
 
 class FanOutSimulation:
@@ -515,10 +561,8 @@ class FanOutSimulation:
             ReplicationSimulation(
                 self.schema, self.workload, self.query_times, strategy,
                 link=link, client_skew=skew,
-                reliability=(
-                    ReliabilityConfig(retry=reliability.retry,
-                                      seed=reliability.seed + index)
-                    if reliability is not None else None
+                reliability=reliability and replace(
+                    reliability, seed=reliability.seed + index
                 ),
                 anti_entropy=anti_entropy,
                 faults=faults,
@@ -531,19 +575,7 @@ class FanOutSimulation:
         reports = [simulation.run() for simulation in self.simulations]
         total = SyncReport(strategy=f"fanout:{self.strategy.value}")
         for report in reports:
-            total.queries += report.queries
-            total.correct_answers += report.correct_answers
-            total.incorrect_answers += report.incorrect_answers
-            total.missing_tuples += report.missing_tuples
-            total.extra_tuples += report.extra_tuples
-            total.messages += report.messages
-            total.cells += report.cells
-            total.messages_lost += report.messages_lost
-            total.retransmissions += report.retransmissions
-            total.retransmissions_avoided += report.retransmissions_avoided
-            total.cells_avoided += report.cells_avoided
-            total.repairs_applied += report.repairs_applied
-            total.converged = total.converged and report.converged
+            total.merge(report)
         total.detail = {
             "clients": len(reports),
             "worst_client_consistency": round(
@@ -569,7 +601,7 @@ class ViewMaintenanceStrategy(enum.Enum):
     PATCH = "patch"
 
 
-class DifferenceViewSimulation:
+class DifferenceViewSimulation(_Channel):
     """A remote client maintaining ``R −exp S`` under a strategy.
 
     The base relations are fixed at simulation start (the paper's
@@ -599,81 +631,25 @@ class DifferenceViewSimulation:
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         left.schema.check_union_compatible(right.schema)
-        self.metrics = metrics
+        super().__init__(
+            strategy, link if link is not None else Link(latency=0),
+            reliability, faults, back_link, track_convergence, probe_period,
+            horizon, metrics, reverse_traffic=bool(reliability),
+        )
         self.left = left
         self.right = right
         self.query_times = sorted(query_times)
-        self.strategy = strategy
-        self.link = link if link is not None else Link(latency=0)
-        self.reliability = reliability
-        self.faults = faults if faults is not None else FaultSchedule()
-        self.probe_period = probe_period
-        self._horizon_override = horizon
-        fault_tolerant = bool(reliability or len(self.faults))
-        self.track_convergence = (
-            fault_tolerant if track_convergence is None else track_convergence
-        )
-        if back_link is not None:
-            self.back_link: Optional[Link] = back_link
-        elif reliability:
-            self.back_link = _mirror_link(self.link)
-        else:
-            self.back_link = None
-        links = [self.link] + ([self.back_link] if self.back_link else [])
-        self.faults.apply_to_links(links)
-        self.events = EventQueue()
-        self.report = SyncReport(strategy=strategy.value)
         self.client = DifferenceViewClient("client", left.schema)
-        self.server = DifferenceViewServer("server", left, right, self._send_down)
-        self._crashed = False
-        self._crash_drops = 0
-        self._tracker = _ConvergenceTracker()
-        if reliability is not None:
-            self._sender: Optional[ReliableSender] = ReliableSender(
-                self._transmit_down,
-                self.events,
-                policy=reliability.retry,
-                seed=reliability.seed,
-            )
-            self._receiver: Optional[ReliableReceiver] = ReliableReceiver(
-                self._apply_payload, self._send_ack, stats=self._sender.stats
-            )
-        else:
-            self._sender = None
-            self._receiver = None
+        self.server = DifferenceViewServer("server", left, right, self._send)
 
-    # -- transport (down = server->client; up = client->server) ----------------
+    # -- payloads ---------------------------------------------------------------
 
-    def _send_down(self, message: Message, now: Timestamp) -> None:
-        if self._sender is None:
-            self._transmit_down(message, now)
-            return
-        expires_at = None
-        channel = None
+    def _delivery_terms(self, message: Message) -> _Terms:
         if isinstance(message, RecomputeResponse):
             # A response whose view has since expired is not worth
             # retransmitting: the client will have to re-request anyway.
-            expires_at = message.expires_at
-            channel = f"view:{message.view_name}"
-        self._sender.send(message, now, expires_at=expires_at, channel=channel)
-
-    def _transmit_down(self, message: Message, now: Timestamp) -> None:
-        size = message.size_cells()
-        arrival = self.link.transmit(now, size)
-        if arrival is None:
-            return
-
-        def deliver(at: Timestamp, message=message, size=size) -> None:
-            if self._crashed:
-                self._crash_drops += 1
-                return
-            self.link.record_delivery(size)
-            if self._receiver is not None and isinstance(message, Envelope):
-                self._receiver.on_envelope(message, at)
-            else:
-                self._apply_payload(message, at)
-
-        self.events.schedule(arrival, deliver)
+            return message.expires_at, f"view:{message.view_name}"
+        return None, None
 
     def _apply_payload(self, message: Message, at: Timestamp) -> None:
         if isinstance(message, RecomputeResponse):
@@ -683,58 +659,13 @@ class DifferenceViewSimulation:
         else:
             raise SimulationError(f"unexpected message {message!r}")
 
-    def _send_ack(self, ack: Ack, at: Timestamp) -> None:
-        assert self.back_link is not None and self._sender is not None
-        size = ack.size_cells()
-        arrival = self.back_link.transmit(at, size)
-        if arrival is None:
-            return
-
-        def deliver(when: Timestamp, ack=ack, size=size) -> None:
-            self.back_link.record_delivery(size)
-            self._sender.on_ack(ack, when)
-
-        self.events.schedule(arrival, deliver)
-
-    def _request_link(self) -> Link:
-        """Client->server requests travel on the reverse link when it exists."""
-        return self.back_link if self.back_link is not None else self.link
-
     def _request_recompute(self, at: Timestamp) -> None:
         """Client -> server: please re-materialise (counted as traffic)."""
-        request = RecomputeRequest(view_name="diff")
         self.report.recompute_requests += 1
-        up = self._request_link()
-        arrival = up.transmit(at, request.size_cells())
-        if arrival is None:
-            return
+        self._send_up(RecomputeRequest(view_name="diff"), at,
+                      self.server.ship_materialisation)
 
-        def serve(when: Timestamp) -> None:
-            up.record_delivery(request.size_cells())
-            self.server.ship_materialisation(when)
-
-        self.events.schedule(arrival, serve)
-
-    # -- faults -----------------------------------------------------------------
-
-    def _schedule_crashes(self) -> None:
-        for crash in self.faults.crashes:
-            self.events.schedule(crash.at, self._crash)
-            self.events.schedule(
-                crash.restart_at,
-                lambda at, lose=crash.lose_state: self._restart(at, lose),
-            )
-
-    def _crash(self, at: Timestamp) -> None:
-        self._crashed = True
-
-    def _restart(self, at: Timestamp, lose_state: bool) -> None:
-        self._crashed = False
-        if not lose_state:
-            return
-        self.client.reset_state()
-        if self._receiver is not None:
-            self._receiver.reset()
+    def _on_state_lost(self, at: Timestamp) -> None:
         if self.strategy is ViewMaintenanceStrategy.RECOMPUTE_ON_INVALID:
             # The invalidation watcher died with the old state; restart it
             # with a fresh materialisation.
@@ -745,11 +676,9 @@ class DifferenceViewSimulation:
         # Schrödinger recovers on the next query (empty validity forces a
         # round trip); PATCH has no recovery path by design.
 
-    # -- run --------------------------------------------------------------------
+    # -- schedule ---------------------------------------------------------------
 
-    def run(self) -> SyncReport:
-        """Execute the scenario; returns the traffic/consistency report."""
-        horizon = self._horizon()
+    def _schedule(self, horizon: int) -> None:
         # Initial shipment at time 0, installed synchronously (the client
         # bootstraps before any query arrives); traffic is still counted.
         self._install_state_synchronously(ts(0))
@@ -765,16 +694,6 @@ class DifferenceViewSimulation:
             # time; earlier query times degrade to "as soon as possible".
             effective = query_time if self.events.now < query_time else self.events.now
             self.events.schedule(effective, self._run_query)
-        self._schedule_crashes()
-        if self.track_convergence:
-            start = self.events.now.value
-            for when in range(start, horizon + 1, self.probe_period):
-                self.events.schedule(when, self._probe)
-        self.events.run_until(horizon)
-        self._fill_report(horizon)
-        if self.metrics is not None:
-            self.report.publish(self.metrics)
-        return self.report
 
     def _schedule_next_invalidation(self, at: Timestamp) -> None:
         expiration = self.client.expiration
@@ -793,44 +712,19 @@ class DifferenceViewSimulation:
 
     def _install_state_synchronously(self, at: Timestamp) -> None:
         """Full refresh with immediate installation; traffic still counted."""
-        from repro.core.patching import compute_difference_with_patches
-        from repro.core.validity import difference_validity_exact
-
-        materialised, _ = compute_difference_with_patches(
-            self.server.left, self.server.right, tau=at
-        )
-        rows = tuple((row, texp) for row, texp in materialised.items())
-        validity = difference_validity_exact(
-            self.server.left.exp_at(at), self.server.right.exp_at(at), at
-        )
-        expiration = (
-            validity.intervals[0].end if validity.intervals else ts(0)
-        )
-        response = RecomputeResponse(
-            view_name="diff",
-            snapshot=Snapshot(rows),
-            expires_at=expiration,
-            validity=validity,
-        )
+        response = self.server.materialise(at)
         self.link.record_send(response.size_cells())
         self.link.record_delivery(response.size_cells())
-        self.server.recomputations_served += 1
-        self.client.on_view_state(response, at, expiration=expiration, validity=validity)
+        self.client.on_view_state(response, at)
 
-    def _run_query(self, at: Timestamp) -> None:
-        truth = self.server.truth_at(at)
-        self.report.queries += 1
-        if self._crashed:
-            self.report.incorrect_answers += 1
-            self.report.missing_tuples += len(truth)
-            return
+    def _prepare_answer(self, at: Timestamp) -> None:
         if (
             self.strategy is ViewMaintenanceStrategy.SCHRODINGER
             and not self.client.can_answer_locally(at)
         ):
             # Synchronous round trip: the query waits for the fresh state.
             request = RecomputeRequest(view_name="diff")
-            up = self._request_link()
+            up = self._up_link()
             up.record_send(request.size_cells())
             up.record_delivery(request.size_cells())
             self.report.recompute_requests += 1
@@ -838,25 +732,11 @@ class DifferenceViewSimulation:
             self.client.remote_answers += 1
         else:
             self.client.local_answers += 1
-        seen = self.client.visible_rows(at)
-        if seen == truth:
-            self.report.correct_answers += 1
-        else:
-            self.report.incorrect_answers += 1
-            self.report.missing_tuples += len(truth - seen)
-            self.report.extra_tuples += len(seen - truth)
 
-    def _probe(self, at: Timestamp) -> None:
-        truth = self.server.truth_at(at)
-        seen = set() if self._crashed else self.client.visible_rows(at)
-        self._tracker.observe(at, seen != truth)
-
-    def _quiesced_at(self) -> int:
-        return max(self.faults.last_activity(), 0)
+    def _truth(self, at: Timestamp) -> set:
+        return self.server.truth_at(at)
 
     def _horizon(self) -> int:
-        if self._horizon_override is not None:
-            return self._horizon_override
         latest = max(self.query_times, default=0)
         for relation in (self.left, self.right):
             for _, texp in relation.items():
@@ -867,27 +747,3 @@ class DifferenceViewSimulation:
         if self.reliability is not None:
             margin += self.reliability.retry.max_total_delay()
         return latest + margin
-
-    def _fill_report(self, horizon: int) -> None:
-        stats = self.link.stats
-        self.report.messages = stats.messages_sent
-        self.report.cells = stats.cells_sent
-        self.report.messages_lost = stats.messages_lost
-        self.report.detail = dict(stats.as_dict())
-        if self.back_link is not None:
-            back = self.back_link.stats
-            self.report.messages += back.messages_sent
-            self.report.cells += back.cells_sent
-            self.report.messages_lost += back.messages_lost
-            self.report.detail["back"] = back.as_dict()
-        if self._sender is not None:
-            session = self._sender.stats
-            self.report.retransmissions = session.retransmissions
-            self.report.retransmissions_avoided = session.retransmissions_avoided
-            self.report.cells_avoided = session.cells_avoided
-            self.report.acks = session.acks_sent
-            self.report.detail["session"] = session.as_dict()
-        if self._crash_drops:
-            self.report.detail["crash_drops"] = self._crash_drops
-        if self.track_convergence:
-            self._tracker.fill(self.report, horizon, self._quiesced_at())

@@ -309,34 +309,20 @@ class ReproServer:
             hello = await read_frame(reader)
             if hello is None:
                 return
-            if hello.get("kind") != "hello":
-                self._write_now(
-                    writer,
-                    _error_payload(
-                        hello.get("id"),
-                        WireProtocolError(
-                            f"expected hello, got {hello.get('kind')!r}"
-                        ),
-                    ),
-                )
-                return
-            if hello.get("version") != PROTOCOL_VERSION:
-                self._write_now(
-                    writer,
-                    _error_payload(
-                        hello.get("id"),
-                        WireProtocolError(
-                            f"protocol version mismatch: client "
-                            f"{hello.get('version')!r}, server "
-                            f"{PROTOCOL_VERSION}"
-                        ),
-                    ),
-                )
-                return
-            session, resumed = self._open_session(hello.get("resume"))
             try:
+                if hello.get("kind") != "hello":
+                    raise WireProtocolError(
+                        f"expected hello, got {hello.get('kind')!r}"
+                    )
+                if hello.get("version") != PROTOCOL_VERSION:
+                    raise WireProtocolError(
+                        f"protocol version mismatch: client "
+                        f"{hello.get('version')!r}, server {PROTOCOL_VERSION}"
+                    )
+                acks = _resume_acks(hello.get("acks"))
+                session, resumed = self._open_session(hello.get("resume"))
                 session.check_floor()
-            except SessionError as error:
+            except (WireProtocolError, SessionError) as error:
                 self._write_now(writer, _error_payload(hello.get("id"), error))
                 return
             session.attached = True
@@ -357,13 +343,8 @@ class ReproServer:
             )
             if resumed:
                 fam["resumed"].inc()
-                before = (
-                    session.stats.retransmissions,
-                    session.stats.retransmissions_avoided,
-                )
-                for frame in session.resume_frames(
-                    hello.get("acks"), time.monotonic()
-                ):
+                before = _retrans_counts(session)
+                for frame in session.resume_frames(acks, time.monotonic()):
                     session.enqueue(frame)
                 self._publish_retrans(session, before)
             writer_task = asyncio.ensure_future(
@@ -504,20 +485,17 @@ class ReproServer:
             elif kind == "subscribe":
                 self._dispatch_subscribe(session, frame, rid)
             elif kind == "unsubscribe":
-                session.unsubscribe(int(frame.get("sub", -1)))
+                session.unsubscribe(_wire_int(frame, "sub"))
                 self._note_unsubscribed(session)
                 session.enqueue({"kind": "result", "re": rid,
                                  "result_kind": "unsubscribe", "message": "ok"})
             elif kind == "refetch":
                 self._dispatch_refetch(session, frame, rid)
             elif kind == "ack":
-                sub = session.subscriptions.get(int(frame.get("sub", -1)))
+                sub = session.subscriptions.get(_wire_int(frame, "sub"))
+                epoch, cum = _wire_int(frame, "epoch"), _wire_int(frame, "cum")
                 if sub is not None:
-                    sub.on_ack(
-                        int(frame.get("epoch", -1)),
-                        int(frame.get("cum", -1)),
-                        session.stats,
-                    )
+                    sub.on_ack(epoch, cum)
             elif kind == "ping":
                 session.enqueue(
                     {"kind": "pong", "re": rid,
@@ -564,7 +542,7 @@ class ReproServer:
     def _dispatch_refetch(
         self, session: ServerSession, frame: dict, rid
     ) -> None:
-        sub_id = int(frame.get("sub", -1))
+        sub_id = _wire_int(frame, "sub")
         sub = session.subscriptions.get(sub_id)
         if sub is None:
             raise SessionError(
@@ -660,14 +638,18 @@ class ReproServer:
                         diff_states(sub.shipped, current, now),
                     )
                     memo[id(sub.shipped)] = cached
-                payload = sub.diff_payload(
+                patch = sub.diff_payload(
                     now, current=current, precomputed=cached[1]
                 )
-                if payload is None:
+                if patch is None:
                     continue
+                payload, expires_at = patch
+                before = _retrans_counts(session)
                 notice = session.enqueue_patch(
-                    sub, payload, time.monotonic()
+                    sub, payload, expires_at, time.monotonic()
                 )
+                # A full outbox first retires envelopes whose tuples died.
+                self._publish_retrans(session, before)
                 queued += 1
                 if notice is not None:
                     fam["degrades"].inc()
@@ -699,10 +681,7 @@ class ReproServer:
         for session in list(self._streaming.values()):
             if session.closed or not session.attached:
                 continue
-            before = (
-                session.stats.retransmissions,
-                session.stats.retransmissions_avoided,
-            )
+            before = _retrans_counts(session)
             frames, degraded = session.retransmit_due(monotonic_now)
             for frame in frames:
                 session.enqueue(frame)
@@ -739,6 +718,32 @@ class ReproServer:
         size = write_frame(writer, payload)
         self.families["frames_out"].inc()
         self.families["bytes_out"].inc(size)
+
+
+def _retrans_counts(session: ServerSession) -> Tuple[int, int]:
+    return session.stats.retransmissions, session.stats.retransmissions_avoided
+
+
+def _wire_int(fields: dict, key: str) -> int:
+    """``fields[key]`` as a request field that must be an integer."""
+    value = fields.get(key)
+    if type(value) is not int:
+        raise WireProtocolError(
+            f"field {key!r} must be an integer, got {value!r}"
+        )
+    return value
+
+
+def _resume_acks(acks) -> Dict[int, Tuple[int, int]]:
+    """A resuming hello's ``{"<sub>": {"epoch": e, "cum": n}, ...}`` as
+    ``{sub: (e, n)}``; absent means none."""
+    try:
+        return {int(key): (_wire_int(state, "epoch"), _wire_int(state, "cum"))
+                for key, state in (acks or {}).items()}
+    except (AttributeError, ValueError, WireProtocolError):
+        raise WireProtocolError(
+            f"hello 'acks' is not a delivery state: {acks!r}"
+        ) from None
 
 
 def _error_payload(rid, error: Exception) -> dict:

@@ -15,23 +15,24 @@ clients disconnect and come back:
   plan cache's validity machinery worn as session state: a result the
   client holds is exactly as reusable as a cached plan result at ``τ' ≥ τ``
   with an unchanged version;
-* **subscriptions**: per-view patch streams maintained with the
-  reliability layer's discipline (:mod:`repro.distributed.reliability`)
-  ported from simulated links to sockets -- sequence-numbered envelopes,
-  cumulative acks, and **expiration-aware retransmission**: a pending
-  patch whose every tuple has expired is dropped instead of retransmitted
-  (the client would discard it anyway), counted in
-  ``repro_server_retransmissions_avoided_total``.
+* **subscriptions**: per-view patch streams over a :class:`SenderCore`,
+  the reliable-delivery core the simulator's
+  :class:`~repro.distributed.reliability.ReliableSender` runs too --
+  sequence-numbered envelopes, cumulative acks, and **expiration-aware
+  retransmission**: a pending patch whose every tuple has expired is
+  dropped instead of retransmitted (the client would discard it anyway),
+  counted in ``repro_server_retransmissions_avoided_total``.
 
 Backpressure is a two-rung ladder.  While a session keeps up, view changes
 stream as incremental patches.  When its outstanding traffic (queued
 frames plus unacknowledged envelopes) crosses ``max_outbox`` -- a slow
-consumer, or a long disconnect -- the subscription *degrades*: pending
-patches are discarded wholesale, the epoch is bumped, and one small
-``invalidate`` notice replaces them.  The client then refetches a full
-snapshot when (and only when) it actually needs the view again, which is
-the explicit-request maintenance mode of the paper's Section 4, reached
-lazily instead of eagerly.
+consumer, or a long disconnect -- the envelopes whose tuples have all
+expired retire first; if that is not enough the subscription *degrades*:
+pending patches are discarded wholesale, the epoch is bumped, and one
+small ``invalidate`` notice replaces them.  The client then refetches a
+full snapshot when (and only when) it actually needs the view again,
+which is the explicit-request maintenance mode of the paper's Section 4,
+reached lazily instead of eagerly.
 
 Patch deltas are computed against the last *shipped* state, under the
 expiration-replaces-deletion asymmetry: a tuple that merely expired needs
@@ -45,11 +46,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Deque, Dict, Iterable, List, Optional, Tuple,
+)
 
-from repro.codec import decode_exp, encode_exp, encode_items
+from repro.codec import encode_exp, encode_items
 from repro.core.timestamps import Timestamp, ts_max
 from repro.engine.views import MaterialisedView
 from repro.errors import SessionError, SimulationError
@@ -58,8 +61,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only
     from repro.engine.database import Database
 
 __all__ = [
-    "PendingPatch",
     "RetryPolicy",
+    "SenderCore",
     "ServerSubscription",
     "ServerSession",
     "SessionStats",
@@ -74,17 +77,19 @@ class RetryPolicy:
     """Exponential backoff with jitter, capped delay, and capped attempts.
 
     The first retransmission of an envelope fires ``base_delay`` after
-    the original send (plus jitter); each subsequent one multiplies the
-    delay by ``multiplier`` up to ``max_delay``.  After ``max_attempts``
-    retransmissions the sender gives up.
+    the original send plus up to ``jitter``; each subsequent one
+    multiplies the delay by ``multiplier`` up to ``max_delay``.  After
+    ``max_attempts`` retransmissions the sender gives up.
 
-    The two users read the delays in different units.  The simulator
-    (:mod:`repro.distributed.reliability`) reads logical **ticks** and,
-    on giving up, counts the envelope as abandoned (anti-entropy is then
-    the only repair path).  The server (:meth:`ServerSession.retransmit_due`)
-    reads wall-clock **seconds** and ignores ``jitter``: with the defaults
-    the first resend goes out 4 s after the original and the subscription
-    degrades to invalidate-and-refetch after about five minutes.
+    :class:`SenderCore` draws every delay through :meth:`delay`, in the
+    caller's unit: the simulator (:mod:`repro.distributed.reliability`)
+    reads logical **ticks** and, on giving up, counts the envelope as
+    abandoned (anti-entropy is then the only repair path); the server
+    (:meth:`ServerSession.retransmit_due`) reads wall-clock **seconds**,
+    jitter included, and degrades the subscription to
+    invalidate-and-refetch.  With the defaults the first resend goes out
+    4-6 s after the original and the server gives up after about five
+    minutes.
     """
 
     base_delay: int = 4
@@ -138,17 +143,7 @@ class SessionStats:
 
     def as_dict(self) -> dict:
         """All counters by name, for reports."""
-        return {
-            "sent": self.sent,
-            "acked": self.acked,
-            "retransmissions": self.retransmissions,
-            "retransmissions_avoided": self.retransmissions_avoided,
-            "cells_avoided": self.cells_avoided,
-            "superseded": self.superseded,
-            "abandoned": self.abandoned,
-            "acks_sent": self.acks_sent,
-            "duplicates_dropped": self.duplicates_dropped,
-        }
+        return dict(vars(self))
 
 
 def diff_states(
@@ -180,34 +175,131 @@ def diff_states(
     return upserts, removes
 
 
-class PendingPatch:
-    """One unacknowledged subscription envelope awaiting ack or expiry."""
+#: :meth:`SenderCore.retry` verdicts.
+RESEND, EXPIRED, ABANDONED = "resend", "expired", "abandoned"
 
-    __slots__ = ("seq", "payload", "expires_at", "attempts", "sent_at")
 
-    def __init__(
-        self, seq: int, payload: dict, expires_at: Timestamp, sent_at: float
-    ) -> None:
-        self.seq = seq
-        self.payload = payload
-        #: When the last tuple this envelope carries stops mattering; a
-        #: retransmission due after this (logical) time is cancelled.
-        self.expires_at = expires_at
-        self.attempts = 0
-        self.sent_at = sent_at
+@dataclass(eq=False, slots=True)
+class _Pending:
+    """One unacknowledged envelope: what to resend, and until when."""
+
+    message: Any
+    #: When the last thing the envelope carries stops mattering
+    #: (``None``: never -- a delete notice must arrive, forever).
+    expires_at: Optional[Timestamp]
+    cells: int
+    #: When the next retransmission is due, in the caller's unit.
+    due: Any
+    attempts: int = 0
+
+
+class SenderCore:
+    """The sending half of reliable delivery, written once for both ends.
+
+    Sequence numbers, the unacknowledged envelopes in seq order with each
+    one's next due time, cumulative-plus-selective ack retirement, and the
+    single verdict on an envelope whose retransmission is due
+    (:meth:`retry`).  It keeps no timer and reads no clock; callers pass
+    the time in their own unit: ticks for the simulator's
+    :class:`~repro.distributed.reliability.ReliableSender`, which arms an
+    event-queue timer at each ``due``, monotonic seconds for
+    :class:`ServerSession`, whose sweep asks for :meth:`overdue` seqs.
+    """
+
+    __slots__ = ("policy", "stats", "pending", "next_seq", "_first_seq", "_rng")
+
+    def __init__(self, policy: RetryPolicy, stats: SessionStats,
+                 rng: random.Random, first_seq: int = 0) -> None:
+        self.policy = policy
+        self.stats = stats
+        self._rng = rng
+        self.pending: Dict[int, _Pending] = {}
+        self.next_seq = self._first_seq = first_seq
+
+    def take_seq(self) -> int:
+        """The next sequence number."""
+        self.next_seq += 1
+        return self.next_seq - 1
+
+    def reset(self) -> None:
+        """Forget every pending envelope and restart the numbering."""
+        self.pending.clear()
+        self.next_seq = self._first_seq
+
+    def track(self, seq: int, message: Any, expires_at: Optional[Timestamp],
+              cells: int, at) -> _Pending:
+        """Hold ``message``, just sent at ``at``, until acked or given up."""
+        due = at + self.policy.delay(0, self._rng)
+        entry = self.pending[seq] = _Pending(message, expires_at, cells, due)
+        self.stats.sent += 1
+        return entry
+
+    def ack(self, cumulative: int, selective: Iterable[int] = ()) -> None:
+        """Retire every envelope with ``seq <= cumulative`` or in ``selective``."""
+        pending = self.pending
+        covered = [seq for seq in pending if seq <= cumulative]
+        covered += [seq for seq in selective if seq > cumulative and seq in pending]
+        for seq in covered:
+            del pending[seq]
+        self.stats.acked += len(covered)
+
+    def overdue(self, at) -> List[int]:
+        """The seqs whose retransmission is due at ``at``, in seq order."""
+        return [seq for seq, entry in self.pending.items() if entry.due <= at]
+
+    def retry(self, seq: int, now: Timestamp, at) -> str:
+        """The one verdict on envelope ``seq`` when it is to be resent.
+
+        Expirations are read at the logical time ``now``; ``at`` is the
+        time in the caller's retry unit.  An envelope whose every tuple
+        has expired is dropped and counted as avoided traffic
+        (:data:`EXPIRED`), one out of attempts is given up
+        (:data:`ABANDONED`); otherwise the resend is counted and the next
+        due time drawn, and the caller transmits ``pending[seq].message``
+        (:data:`RESEND`).
+        """
+        entry = self.pending[seq]
+        if self._expired(seq, entry, now):
+            return EXPIRED
+        if entry.attempts >= self.policy.max_attempts:
+            del self.pending[seq]
+            self.stats.abandoned += 1
+            return ABANDONED
+        entry.attempts += 1
+        entry.due = at + self.policy.delay(entry.attempts, self._rng)
+        self.stats.retransmissions += 1
+        return RESEND
+
+    def prune(self, now: Timestamp) -> None:
+        """Retire every envelope whose tuples have all expired by ``now``."""
+        for seq, entry in list(self.pending.items()):
+            self._expired(seq, entry, now)
+
+    def _expired(self, seq: int, entry: _Pending, now: Timestamp) -> bool:
+        if entry.expires_at is None or entry.expires_at > now:
+            return False
+        # The tuples are dead and the receiver would ignore them: the
+        # paper-specific saving the reports count.
+        del self.pending[seq]
+        self.stats.retransmissions_avoided += 1
+        self.stats.cells_avoided += entry.cells
+        return True
 
 
 class ServerSubscription:
     """One client's patch stream over one materialised view."""
 
+    #: Sequence numbers and unacknowledged envelopes, wired by
+    #: :meth:`ServerSession.subscribe` with the session's retry policy,
+    #: counters and jitter source.
+    sender: SenderCore
+
     def __init__(self, sub_id: int, view: MaterialisedView) -> None:
         self.sub_id = sub_id
         self.view = view
-        #: Bumped on every degrade/snapshot reset; acks from older epochs
-        #: are ignored (they describe a stream that no longer exists).
+        #: Bumped on every degrade; acks from older epochs are ignored
+        #: (they describe a stream that no longer exists).
         self.epoch = 0
-        self.next_seq = 1  # seq 0 is the epoch's snapshot
-        self.pending: "OrderedDict[int, PendingPatch]" = OrderedDict()
         #: Last state shipped to the client: row -> expiration time.
         self.shipped: Dict[tuple, Timestamp] = {}
         self.degraded = False
@@ -215,19 +307,25 @@ class ServerSubscription:
         #: when the catalog fingerprint moves; cleared after each diff.
         self.dirty = True
 
+    @property
+    def pending(self) -> Dict[int, _Pending]:
+        """Unacknowledged patch envelopes by seq."""
+        return self.sender.pending
+
     # -- state shipping -----------------------------------------------------
 
     def snapshot_payload(self, now: Timestamp, columns: bool = False) -> dict:
         """A full-state ``snapshot`` payload; resets the shipped baseline.
 
-        Starts (or restarts, post-degrade) the epoch: seq 0 carries the
-        whole view, subsequent patches count up from 1.  ``columns`` adds
-        the view's attribute names from the same read (a subscription's
-        first snapshot carries them).
+        Starts (or restarts, post-degrade) the epoch's numbering: seq 0
+        carries the whole view, which supersedes every pending patch, and
+        subsequent patches count up from 1.  ``columns`` adds the view's
+        attribute names from the same read (a subscription's first
+        snapshot carries them).
         """
         relation = self.view.read(now)
         self.shipped = dict(relation.items())
-        self.next_seq = 1
+        self.sender.reset()
         self.degraded = False
         self.dirty = False
         payload = {
@@ -247,10 +345,14 @@ class ServerSubscription:
         now: Timestamp,
         current: Optional[Dict[tuple, Timestamp]] = None,
         precomputed: Optional[Tuple[list, list]] = None,
-    ) -> Optional[dict]:
+    ) -> Optional[Tuple[dict, Timestamp]]:
         """The incremental ``patch`` payload since the last shipment.
 
-        Returns ``None`` when the client's copy is already right, which
+        Returns ``(payload, expires_at)``, where ``expires_at`` is the
+        latest time at which any carried change still matters (a remove
+        stops mattering when the removed tuple would have expired anyway);
+        it stays on the server, with the pending envelope.  Returns
+        ``None`` when the client's copy is already right, which
         includes every change that is *pure expiration*: a shipped tuple
         past its expiration time needs no removal message (the client
         expired it locally), so it is simply pruned from the baseline.
@@ -272,23 +374,16 @@ class ServerSubscription:
         self.dirty = False
         if not upserts and not removes:
             return None
-        seq = self.next_seq
-        self.next_seq += 1
-        return {
+        payload = {
             "kind": "patch",
             "sub": self.sub_id,
             "epoch": self.epoch,
-            "seq": seq,
+            "seq": self.sender.take_seq(),
             "upserts": encode_items(upserts),
             "removes": [list(row) for row, _ in removes],
             "now": encode_exp(now),
-            # Envelope-level expiry: the latest time at which any carried
-            # change still matters (a remove stops mattering when the
-            # removed tuple would have expired anyway).
-            "_expires": encode_exp(
-                ts_max(texp for _, texp in upserts + removes)
-            ),
         }
+        return payload, ts_max(texp for _, texp in upserts + removes)
 
     def degrade(self, now: Timestamp, reason: str) -> dict:
         """Fall down the backpressure ladder: drop patches, invalidate.
@@ -298,11 +393,14 @@ class ServerSubscription:
         stragglers' acks are ignored, and the returned ``invalidate``
         notice is the only thing left to deliver.
         """
-        self.pending.clear()
+        self.sender.reset()
         self.epoch += 1
-        self.next_seq = 1
         self.degraded = True
         self.shipped = {}
+        return self.invalidate_payload(now, reason)
+
+    def invalidate_payload(self, now: Timestamp, reason: str) -> dict:
+        """The ``invalidate`` notice of the current epoch."""
         return {
             "kind": "invalidate",
             "sub": self.sub_id,
@@ -311,13 +409,10 @@ class ServerSubscription:
             "now": encode_exp(now),
         }
 
-    def on_ack(self, epoch: int, cumulative: int, stats: SessionStats) -> None:
+    def on_ack(self, epoch: int, cumulative: int) -> None:
         """Retire every pending envelope the (current-epoch) ack covers."""
-        if epoch != self.epoch:
-            return  # a stream that no longer exists
-        for seq in [s for s in self.pending if s <= cumulative]:
-            del self.pending[seq]
-            stats.acked += 1
+        if epoch == self.epoch:  # else: a stream that no longer exists
+            self.sender.ack(cumulative)
 
 
 class ServerSession:
@@ -349,6 +444,8 @@ class ServerSession:
         #: Set by the server on attach: wakes the connection's writer task.
         self.on_enqueue = None
         self.stats = SessionStats()
+        #: Retry jitter, seeded per session so sessions spread apart.
+        self._rng = random.Random(self.token)
         self.closed = False
 
     # -- snapshot state ------------------------------------------------------
@@ -384,6 +481,8 @@ class ServerSession:
     def subscribe(self, view: MaterialisedView) -> ServerSubscription:
         """Open a patch stream over ``view``."""
         sub = ServerSubscription(next(self._next_sub_id), view)
+        # seq 0 is each epoch's snapshot; patches count from 1.
+        sub.sender = SenderCore(self.retry, self.stats, self._rng, first_seq=1)
         self.subscriptions[sub.sub_id] = sub
         view.refresh_listeners.append(self._make_refresh_listener(sub))
         return sub
@@ -426,71 +525,53 @@ class ServerSession:
             if self.on_enqueue is not None:
                 self.on_enqueue()
 
-    def enqueue_patch(
-        self, sub: ServerSubscription, payload: dict, sent_at: float
-    ) -> Optional[dict]:
+    def enqueue_patch(self, sub: ServerSubscription, payload: dict,
+                      expires_at: Timestamp, sent_at: float) -> Optional[dict]:
         """Queue one patch envelope, applying the backpressure ladder.
 
-        Returns the ``invalidate`` payload when the ladder degraded the
-        subscription instead of queueing (the caller counts it), else
-        ``None``.
+        A full outbox first retires the envelopes whose tuples have all
+        expired (counted as avoided); only if it is still full does the
+        subscription degrade.  Returns the ``invalidate`` payload when the
+        ladder degraded the subscription instead of queueing (the caller
+        counts it), else ``None``.
         """
         if self.outstanding() >= self.max_outbox:
-            notice = sub.degrade(self.db.clock.now, "backpressure")
-            self.enqueue(notice)
-            return notice
-        entry = PendingPatch(
-            payload["seq"], payload, decode_exp(payload.get("_expires")),
-            sent_at,
+            now = self.db.clock.now
+            for other in self.subscriptions.values():
+                other.sender.prune(now)
+            if self.outstanding() >= self.max_outbox:
+                notice = sub.degrade(now, "backpressure")
+                self.enqueue(notice)
+                return notice
+        sub.sender.track(
+            payload["seq"], payload, expires_at,
+            len(payload["upserts"]) + len(payload["removes"]), sent_at,
         )
-        sub.pending[entry.seq] = entry
-        self.stats.sent += 1
         self.enqueue(payload)
         return None
 
-    def resume_frames(self, acks: Optional[dict], sent_at: float) -> List[dict]:
+    def resume_frames(self, acks: Dict[int, Tuple[int, int]],
+                      sent_at: float) -> List[dict]:
         """Everything a resuming client is owed, expiration-pruned.
 
         ``acks`` is the client's per-subscription delivery state
-        (``{sub_id: {"epoch": e, "cum": n}}``); covered envelopes retire
-        first.  What remains is retransmitted *only if still alive*: an
+        (``{sub_id: (epoch, cum)}``); covered envelopes retire first.
+        Every remaining envelope then passes the sender core's verdict: an
         envelope whose every tuple has expired is dropped and counted as
-        avoided traffic -- the loosely-coupled saving, on real sockets.
+        avoided traffic -- the loosely-coupled saving, on real sockets --
+        and the rest are resent.
         """
         now = self.db.clock.now
         frames: List[dict] = []
         for sub in self.subscriptions.values():
-            state = (acks or {}).get(str(sub.sub_id))
-            if state:
-                sub.on_ack(
-                    int(state.get("epoch", -1)),
-                    int(state.get("cum", -1)),
-                    self.stats,
-                )
+            if sub.sub_id in acks:
+                sub.on_ack(*acks[sub.sub_id])
+            if not sub.degraded and self._retransmit(
+                sub, list(sub.pending), now, sent_at, frames
+            ):
+                sub.degrade(now, "retry-exhausted")
             if sub.degraded:
-                frames.append(
-                    {
-                        "kind": "invalidate",
-                        "sub": sub.sub_id,
-                        "epoch": sub.epoch,
-                        "reason": "resume",
-                        "now": encode_exp(now),
-                    }
-                )
-                continue
-            for seq in list(sub.pending):
-                entry = sub.pending[seq]
-                if entry.expires_at <= now:
-                    del sub.pending[seq]
-                    self.stats.retransmissions_avoided += 1
-                    self.stats.cells_avoided += len(
-                        entry.payload.get("upserts", ())
-                    ) + len(entry.payload.get("removes", ()))
-                    continue
-                entry.attempts += 1
-                entry.sent_at = sent_at
-                self.stats.retransmissions += 1
-                frames.append(entry.payload)
+                frames.append(sub.invalidate_payload(now, "resume"))
         return frames
 
     def retransmit_due(self, monotonic_now: float) -> Tuple[List[dict], int]:
@@ -504,29 +585,25 @@ class ServerSession:
         frames: List[dict] = []
         degraded = 0
         for sub in list(self.subscriptions.values()):
-            for seq in list(sub.pending):
-                entry = sub.pending[seq]
-                timeout = self.retry.base_delay * (
-                    self.retry.multiplier ** entry.attempts
-                )
-                timeout = min(timeout, self.retry.max_delay)
-                if monotonic_now - entry.sent_at < timeout:
-                    continue
-                if entry.expires_at <= now:
-                    del sub.pending[seq]
-                    self.stats.retransmissions_avoided += 1
-                    continue
-                if entry.attempts + 1 > self.retry.max_attempts:
-                    notice = sub.degrade(now, "retry-exhausted")
-                    self.enqueue(notice)
-                    self.stats.abandoned += 1
-                    degraded += 1
-                    break
-                entry.attempts += 1
-                entry.sent_at = monotonic_now
-                self.stats.retransmissions += 1
-                frames.append(entry.payload)
+            overdue = sub.sender.overdue(monotonic_now)
+            if self._retransmit(sub, overdue, now, monotonic_now, frames):
+                self.enqueue(sub.degrade(now, "retry-exhausted"))
+                degraded += 1
         return frames, degraded
+
+    @staticmethod
+    def _retransmit(sub: ServerSubscription, seqs: List[int], now: Timestamp,
+                    at: float, frames: List[dict]) -> bool:
+        """Pass ``seqs`` through the core's verdict, collecting resends;
+        True when one ran out of attempts (the caller degrades ``sub``)."""
+        sender = sub.sender
+        for seq in seqs:
+            verdict = sender.retry(seq, now, at)
+            if verdict == RESEND:
+                frames.append(sender.pending[seq].message)
+            elif verdict == ABANDONED:
+                return True
+        return False
 
     # -- teardown ------------------------------------------------------------
 

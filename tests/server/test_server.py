@@ -532,9 +532,7 @@ class TestRetransmitSweep:
                 kind="patch", sub=sub.sub_id, epoch=server_sub.epoch, seq=1,
                 upserts=[[[1], 50]], removes=[], now=0, _expires=50,
             )
-            from repro.server.session import PendingPatch
-
-            server_sub.pending[1] = PendingPatch(1, payload, ts(50), 0.0)
+            server_sub.sender.track(1, payload, ts(50), 1, 0.0)
             resent = server.retransmit_now(time.monotonic() + 1000.0)
             assert resent == 1
             await _drain(session)
@@ -709,3 +707,185 @@ class TestServerLifecycle:
             await server.stop()
 
         run(scenario())
+
+
+async def _raw_hello(server, **fields):
+    """A hand-driven loopback connection; returns ``(reader, writer, reply)``."""
+    from repro.server.protocol import read_frame, write_frame
+
+    reader, writer = server.open_loopback()
+    write_frame(writer, {"kind": "hello", "id": 0, "version": 1, **fields})
+    reply = await asyncio.wait_for(read_frame(reader), 2)
+    return reader, writer, reply
+
+
+async def _raw_request(reader, writer, frame: dict):
+    """Send ``frame``; returns ``(reply, pushes that arrived before it)``."""
+    from repro.server.protocol import read_frame, write_frame
+
+    write_frame(writer, frame)
+    pushes = []
+    while True:
+        reply = await asyncio.wait_for(read_frame(reader), 2)
+        if reply.get("re") == frame["id"]:
+            return reply, pushes
+        pushes.append(reply)
+
+
+class TestMalformedWireFields:
+    @pytest.mark.parametrize("frame", [
+        {"kind": "ack", "sub": "x", "epoch": 0, "cum": 1},
+        {"kind": "ack", "sub": 1, "epoch": 0, "cum": [1]},
+        {"kind": "unsubscribe", "id": 2, "sub": "x"},
+        {"kind": "refetch", "id": 2, "sub": [1]},
+    ])
+    def test_a_bad_field_is_an_error_reply_and_the_connection_lives(self, frame):
+        async def scenario():
+            server = ReproServer()
+            reader, writer, hello = await _raw_hello(server)
+            assert hello["kind"] == "hello-ok"
+            error, _ = await _raw_request(reader, writer, {"id": 2, **frame})
+            assert error["kind"] == "error"
+            assert error["error"] == "WireProtocolError"
+            pong, _ = await _raw_request(reader, writer, {"kind": "ping", "id": 3})
+            assert pong["kind"] == "pong"
+            await server.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("acks", [[1], {"1": 5}, {"1": {"epoch": "x"}},
+                                      {"x": {"epoch": 0, "cum": 0}}])
+    def test_bad_resume_acks_are_refused_and_the_session_stays_resumable(
+        self, acks
+    ):
+        async def scenario():
+            server = ReproServer()
+            session = await AsyncSession.over_loopback(server)
+            await session.execute("CREATE TABLE T (k)")
+            await session.execute(
+                "CREATE MATERIALIZED VIEW v AS SELECT k FROM T"
+            )
+            await session.subscribe("v")
+            token = session.token
+            session._writer.close()
+            await asyncio.sleep(0.05)
+
+            _, _, refused = await _raw_hello(server, resume=token, acks=acks)
+            assert refused["kind"] == "error"
+            assert refused["error"] == "WireProtocolError"
+            assert "acks" in refused["message"]
+            await asyncio.sleep(0.05)
+            _, _, resumed = await _raw_hello(
+                server, resume=token, acks={"1": {"epoch": 0, "cum": 0}}
+            )
+            assert resumed["kind"] == "hello-ok"
+            assert resumed["resumed"] is True
+            await server.stop()
+
+        run(scenario())
+
+
+class TestSenderCoreOnTheWire:
+    def test_a_patch_frame_carries_no_private_expiry(self):
+        async def scenario():
+            server = ReproServer()
+            reader, writer, _ = await _raw_hello(server)
+            for rid, text in enumerate(
+                ["CREATE TABLE T (k)",
+                 "CREATE MATERIALIZED VIEW v AS SELECT k FROM T"], start=1
+            ):
+                await _raw_request(reader, writer,
+                                   {"kind": "sql", "id": rid, "text": text})
+            sub_ok, _ = await _raw_request(
+                reader, writer, {"kind": "subscribe", "id": 3, "view": "v"}
+            )
+            assert sub_ok["kind"] == "sub-ok"
+            _, pushes = await _raw_request(reader, writer, {
+                "kind": "sql", "id": 4,
+                "text": "INSERT INTO T VALUES (1) EXPIRES AT 50",
+            })
+            if not pushes:  # the patch may trail the statement's result
+                _, pushes = await _raw_request(
+                    reader, writer, {"kind": "ping", "id": 5}
+                )
+            [patch] = [frame for frame in pushes if frame["kind"] == "patch"]
+            assert patch["upserts"] == [[[1], 50]]
+            assert "_expires" not in patch
+            await server.stop()
+
+        run(scenario())
+
+    def test_a_sweep_past_expiry_counts_the_cells_it_avoided(self):
+        async def scenario():
+            server = ReproServer()
+            session = await AsyncSession.over_loopback(server)
+            await session.execute("CREATE TABLE T (k)")
+            await session.execute(
+                "CREATE MATERIALIZED VIEW v AS SELECT k FROM T"
+            )
+            await session.subscribe("v")
+            # The subscriber stays silent (no acks) while a driver writes
+            # one two-row envelope that is dead by the sweep.
+            driver = await AsyncSession.over_loopback(server)
+            await driver.execute("INSERT INTO T VALUES (1), (2) EXPIRES AT 5")
+            await driver.execute("ADVANCE TO 10")
+            await driver.close()
+            stats = server.sessions[session.token].stats
+            assert server.retransmit_now(time.monotonic() + 1000.0) == 0
+            assert stats.retransmissions_avoided == 1
+            assert stats.cells_avoided == 2
+            await session.close()
+            await server.stop()
+
+        run(scenario())
+
+    def test_dead_envelopes_retire_before_backpressure_degrades(self):
+        async def scenario():
+            server = ReproServer(max_outbox=4)
+            session = await AsyncSession.over_loopback(server)
+            await session.execute("CREATE TABLE T (k)")
+            await session.execute(
+                "CREATE MATERIALIZED VIEW v AS SELECT k FROM T"
+            )
+            sub = await session.subscribe("v")
+            token = session.token
+            session._writer.close()  # detached: patches stay pending
+            await asyncio.sleep(0.05)
+            driver = await AsyncSession.over_loopback(server)
+            for k in range(4):
+                await driver.execute(f"INSERT INTO T VALUES ({k}) EXPIRES AT 2")
+            server_sub = server.sessions[token].subscriptions[sub.sub_id]
+            assert len(server_sub.pending) == 4
+            await driver.execute("ADVANCE TO 10")
+            await driver.execute("INSERT INTO T VALUES (9) EXPIRES AT 100")
+            await driver.close()
+            assert not server_sub.degraded
+            assert server.families["degrades"].value == 0
+            assert len(server_sub.pending) == 1  # the live fifth patch
+            stats = server.sessions[token].stats
+            assert stats.retransmissions_avoided == 4
+            assert stats.cells_avoided == 4
+            assert server.families["avoided"].value == 4
+            await server.stop()
+
+        run(scenario())
+
+    def test_server_retries_honour_the_policy_jitter(self):
+        from repro.engine.database import Database
+        from repro.server.session import RetryPolicy, ServerSession
+        from repro.sql.executor import execute_sql
+
+        db = Database()
+        execute_sql(db, "CREATE TABLE T (k)")
+        execute_sql(db, "CREATE MATERIALIZED VIEW v AS SELECT k FROM T")
+        session = ServerSession(db, retry=RetryPolicy(base_delay=4, jitter=3))
+        sub = session.subscribe(db.view("v"))
+        sub.snapshot_payload(db.clock.now)
+        for k in range(20):
+            execute_sql(db, f"INSERT INTO T VALUES ({k}) EXPIRES AT 99")
+            payload, expires_at = sub.diff_payload(db.clock.now)
+            assert session.enqueue_patch(sub, payload, expires_at, 0.0) is None
+        dues = [entry.due for entry in sub.pending.values()]
+        assert all(4 <= due <= 7 for due in dues)
+        assert len(set(dues)) > 1  # sent together, due apart
+        db.close()
