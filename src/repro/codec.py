@@ -18,13 +18,14 @@ end)``; ``None`` for *incomplete* (the buffer ends before the frame does);
 :class:`FrameError` for *can never decode* -- a length over ``limit``, a CRC
 mismatch, or a payload its decoder cannot read.
 
-**Two payloads, told apart by the first byte.**  ``{`` opens a *message*:
+**Payloads, told apart by the first byte.**  ``{`` opens a *message*:
 one JSON object with a ``kind`` field, in compact separators and sorted
-keys (equal payloads are equal bytes).  Every wire frame is one, and so are
-the log's ``clock`` / bracket / DDL records and the snapshot's frame 0 --
-few, and they nest specs.  Any other first byte is the tag of a *packed*
-payload, all integers little-endian (the byte order ``array('q')`` has on
-the hosts this runs on; a big-endian host swaps)::
+keys (equal payloads are equal bytes).  Every wire frame without a
+relation is one, and so are the log's ``clock`` / bracket / DDL records
+and the snapshot's frame 0 -- few, and they nest specs.  Any other first
+byte is the tag of a *packed* payload, all integers little-endian (the
+byte order ``array('q')`` has on the hosts this runs on; a big-endian host
+swaps)::
 
     upsert / remove, one per logged row mutation (:func:`encode_record`)
     +-----+----------+----------+----------+-----------+-------+-----+
@@ -44,15 +45,28 @@ the hosts this runs on; a big-endian host swaps)::
       one ``str`` among ints makes the whole column ``j``) + length u32
       + bytes
 
-Both decode (:func:`decode_record`) to what the JSON form of the same
-record decodes to -- a dict with ``kind``, ``null`` for "never expires",
-``"absent"`` for "no row" -- except that a row is a tuple, so every reader
-downstream of the first byte is written once.  A CRC-valid payload whose
-tag this version does not know decodes to a record of an unknown *kind*
-(``"tag:<n>"``): the frame is intact and the next one can be trusted, so
-the log's replay warns and skips it exactly as it skips an unknown JSON
-``kind``, whereas a payload that fails its own internal lengths is a
-:class:`FrameError` like any other damage.
+    message with blocks, the wire's relations (:class:`Block` and
+    :class:`Rows` fields)
+    +-----+-------------+--------------+-----------------------------+
+    | tag | control u32 | control JSON | a block per relation field  |
+    +-----+-------------+--------------+-----------------------------+
+      control: the message's other fields, a message's JSON
+      block: name (u8 length + UTF-8; not a control field's or an
+      earlier block's) + form u8 + rows u32 + arity u32 + size u32, then
+      ticks n x i64 (form ``t``, a Block; none for ``r``, Rows), then one
+      column per attribute, as a segment's
+
+The record and the segment decode (:func:`decode_record`) to what the
+JSON form of the same record decodes to -- a dict with ``kind``, ``null``
+for "never expires", ``"absent"`` for "no row" -- except that a row is a
+tuple, so every reader downstream of the first byte is written once.  A
+CRC-valid payload whose tag the log does not know -- a message with blocks
+included -- decodes to a record of an unknown *kind* (``"tag:<n>"``): the
+frame is intact and the next one can be trusted, so the log's replay warns
+and skips it exactly as it skips an unknown JSON ``kind``, whereas a
+payload that fails its own internal lengths is a :class:`FrameError` like
+any other damage.  A segment and a block share one body writer and one
+column reader.
 
 **Three failure contracts.**  What a bad frame *means* is the one thing
 the readers keep for themselves.  The log reader
@@ -67,20 +81,23 @@ decoding is damage, not a crash.  A stream reader
 bytes are in flight -- but a frame that can never decode means framing sync
 with the peer is lost, and the only safe reaction is the connection-fatal
 :class:`~repro.errors.WireProtocolError`.  The wire reads through
-:func:`decode_frame`, which knows messages only: a peer never gets to send
-a packed record, because nothing on a connection is a row mutation to
-replay and a tag there can only be garbage.  ``limit`` is an argument for
-the same reason: the log bounds a record at 64 MiB, a connection a frame at
-16 MiB, and each constant lives beside its reader.
+:func:`decode_frame`, which knows messages only, with or without blocks:
+a peer never gets to send a packed record or segment, because nothing on
+a connection is a row mutation to replay and such a tag there can only be
+garbage.  ``limit`` is an argument for the same reason: the log bounds a
+record at 64 MiB, a connection a frame at 16 MiB, and each constant lives
+beside its reader.
 
 **Values: ``null`` is ``∞``.**  In a message a finite expiration time is
 its integer tick and "never expires" is JSON ``null`` (:func:`encode_exp`);
 a row's *previous* state in a log record adds ``"absent"`` for "there was
-no row" (:func:`encode_prev`); a relation's content on the wire is a list
-of ``[[...values], texp_or_null]`` pairs (:func:`encode_items`), and rows
-come back as tuples.  A rational (what ``AVG`` computes) is the one-key object
-``{"$fraction": [numerator, denominator]}`` in every JSON payload and decodes
-back to a :class:`~fractions.Fraction`, as it was in memory.
+no row" (:func:`encode_prev`); a relation's content in a JSON payload is
+a list of ``[[...values], texp_or_null]`` pairs (:func:`encode_items`, the
+format 1 snapshot's and a view spec's), and rows come back as tuples.  On
+the wire a relation is a :class:`Block` (or, without its expirations,
+:class:`Rows`), packed.  A rational (what ``AVG`` computes) is the one-key
+object ``{"$fraction": [numerator, denominator]}`` in every JSON payload
+and decodes back to a :class:`~fractions.Fraction`, as it was in memory.
 
 **The snapshot file** is a frame sequence (format 2; a file that starts
 with ``{`` is a format 1 JSON document, :func:`read_json`).  It and the
@@ -103,11 +120,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.timestamps import RAW_INFINITY, Timestamp, ts
+from repro.core.timestamps import RAW_INFINITY, Timestamp, from_raw, to_raw, ts
+from repro.errors import TimeError
 
 __all__ = [
     "HEADER",
+    "Block",
     "FrameError",
+    "Rows",
     "decode_exp",
     "decode_frame",
     "decode_items",
@@ -131,12 +151,20 @@ HEADER = struct.Struct(">II")
 _ABSENT = -1
 
 _TAG_UPSERT, _TAG_REMOVE, _TAG_SEGMENT = 1, 2, 3
+#: A message whose relations follow its JSON as blocks: the wire's only.
+_TAG_BLOCKS = 4
 _PHYSICAL_TAGS = {"upsert": _TAG_UPSERT, "remove": _TAG_REMOVE}
 _PHYSICAL_KINDS = {tag: kind for kind, tag in _PHYSICAL_TAGS.items()}
 #: tag, texp, prev, txn, length of the table name.
 _RECORD = struct.Struct("<BqqIH")
 #: tag, table index, row count.
 _SEGMENT = struct.Struct("<BII")
+#: tag, length of the JSON control part.
+_BLOCKS = struct.Struct("<BI")
+#: form, row count, arity, bytes of the ticks and columns that follow.
+_BLOCK = struct.Struct("<BIII")
+#: A block with ticks (a :class:`Block`), a block of rows only (:class:`Rows`).
+_FORM_TICKED, _FORM_ROWS = b"tr"
 _U32 = struct.Struct("<I")
 _FORM_INTS, _FORM_JSON = b"qj"
 #: ``n x i64`` for the arities rows usually have; wider ones are built on use.
@@ -224,9 +252,46 @@ def _message(body: bytes) -> Dict[str, Any]:
     return payload
 
 
+class Block(list):
+    """A relation a message carries: ``(row, texp)`` pairs in order.
+
+    A field holding a ``Block`` is not JSON: :func:`encode_frame` ships it
+    once, packed -- raw ticks and one column per attribute -- and
+    :func:`decode_frame` hands it back as a ``Block`` of tuples and
+    :class:`~repro.core.timestamps.Timestamp` s.  A plain list in the same
+    field is JSON as before.
+    """
+
+    __slots__ = ()
+
+
+class Rows(list):
+    """Rows a message carries without their expiration times (a patch's
+    removes): a :class:`Block` without the ticks, handed back as a
+    ``Rows`` of tuples."""
+
+    __slots__ = ()
+
+
+_BLOCK_FORMS = {Block: _FORM_TICKED, Rows: _FORM_ROWS}
+
+
 def encode_frame(payload: Dict[str, Any], limit: int) -> bytes:
-    """One message frame: header (length, CRC32) plus the compact JSON."""
-    return _frame(dump_json(payload).encode("utf-8"), limit)
+    """One message frame: header (length, CRC32) plus the compact JSON,
+    or, when fields hold a :class:`Block` or :class:`Rows`, the JSON of
+    the other fields followed by the blocks."""
+    blocks = [key for key, value in payload.items()
+              if type(value) in _BLOCK_FORMS]
+    if not blocks:
+        return _frame(dump_json(payload).encode("utf-8"), limit)
+    control = payload.copy()
+    parts: List[bytes] = []
+    for key in blocks:
+        _block(parts, key, control.pop(key))
+    text = dump_json(control).encode("utf-8")
+    return _frame(
+        b"".join((_BLOCKS.pack(_TAG_BLOCKS, len(text)), text, *parts)), limit
+    )
 
 
 def decode_frame(
@@ -237,12 +302,16 @@ def decode_frame(
     Returns ``(payload, end)`` -- ``end`` is the offset of the next frame
     -- or ``None`` when the buffer ends before the frame does.  Raises
     :class:`FrameError` when no further bytes could make it decode; a
-    packed payload is such a frame here (this is the wire's decoder).
+    packed record or segment is such a frame here (this is the wire's
+    decoder: it reads messages, with or without blocks).
     """
     found = _body(buffer, offset, limit)
     if found is None:
         return None
-    return _message(found[0]), found[1]
+    body, end = found
+    if body and body[0] == _TAG_BLOCKS:
+        return _with_blocks(body), end
+    return _message(body), end
 
 
 # -- packed payloads ----------------------------------------------------------
@@ -353,19 +422,58 @@ def _physical(body: bytes) -> Dict[str, Any]:
     return record
 
 
+def _write_body(
+    parts: List[bytes],
+    ticks: Optional[array],
+    columns: Sequence[Sequence[Any]],
+) -> None:
+    """Append the raw ticks (n x i64; none when ``ticks`` is ``None``),
+    then each column as its form, its byte length (u32) and its bytes: the
+    one body of a snapshot segment and a wire block."""
+    if ticks is not None:
+        if _SWAP:
+            ticks = array("q", ticks)
+            ticks.byteswap()
+        parts.append(ticks.tobytes())
+    for column in columns:
+        form, values = _values(column)
+        parts += (form, _U32.pack(len(values)), values)
+
+
+def _read_column(
+    body: bytes, at: int, end: int, count: int, what: str
+) -> Tuple[Sequence[Any], int]:
+    """The column of ``count`` values at ``body[at]``, which must end by
+    ``end``, and the offset after it."""
+    if at + 1 + _U32.size > end:
+        raise FrameError(f"{what} column header cut short")
+    form = body[at]
+    (length,) = _U32.unpack_from(body, at + 1)
+    at += 1 + _U32.size
+    data = body[at:at + length]
+    at += length
+    if at > end:
+        raise FrameError(f"{what} column runs past the payload")
+    if form == _FORM_INTS:
+        if length != 8 * count:
+            raise FrameError(f"{what} int column does not hold one i64 per row")
+        return _int_array(data), at
+    if form == _FORM_JSON:
+        values = _json_array(data)
+        if len(values) != count:
+            raise FrameError(f"{what} JSON column does not hold one value per row")
+        return values, at
+    raise FrameError(f"unknown {what} column form {form:#x}")
+
+
 def encode_segment(
     table: int, ticks: array, columns: Sequence[Sequence[Any]], limit: int
 ) -> bytes:
     """One snapshot segment as a frame: ``len(ticks)`` rows of the table at
     index ``table`` of frame 0, their raw expiration ticks
     (``array('q')``), and one sequence of values per attribute."""
-    if _SWAP:
-        ticks = array("q", ticks)
-        ticks.byteswap()
-    parts = [_SEGMENT.pack(_TAG_SEGMENT, table, len(ticks)), ticks.tobytes()]
-    for column in columns:
-        form, values = _values(column)
-        parts += (form, _U32.pack(len(values)), values)
+    parts = [_SEGMENT.pack(_TAG_SEGMENT, table, len(ticks))]
+    _write_body(parts, ticks, columns)
     return _frame(b"".join(parts), limit)
 
 
@@ -380,28 +488,85 @@ def _segment(body: bytes) -> Dict[str, Any]:
     ticks = _int_array(body[_SEGMENT.size:at])
     columns: List[Sequence[Any]] = []
     while at < len(body):
-        form = body[at]
-        try:
-            (length,) = _U32.unpack_from(body, at + 1)
-        except struct.error:
-            raise FrameError("segment column header cut short") from None
-        at += 1 + _U32.size
-        data = body[at:at + length]
-        at += length
-        if at > len(body):
-            raise FrameError("segment column runs past the payload")
-        if form == _FORM_INTS:
-            if length != 8 * count:
-                raise FrameError("segment int column does not hold one i64 per row")
-            columns.append(_int_array(data))
-        elif form == _FORM_JSON:
-            values = _json_array(data)
-            if len(values) != count:
-                raise FrameError("segment JSON column does not hold one value per row")
-            columns.append(values)
-        else:
-            raise FrameError(f"unknown segment column form {form:#x}")
+        column, at = _read_column(body, at, len(body), count, "segment")
+        columns.append(column)
     return {"kind": "segment", "table": table, "ticks": ticks, "columns": columns}
+
+
+def _block(parts: List[bytes], name: str, items: Union[Block, Rows]) -> None:
+    """Append the block of field ``name``: its name (u8 length + UTF-8),
+    form, row count, arity and byte size (:data:`_BLOCK`), then its body."""
+    key = name.encode("utf-8")
+    form = _BLOCK_FORMS[type(items)]
+    ticks = None
+    rows: Sequence[tuple] = items
+    if form == _FORM_TICKED and items:
+        rows, texps = zip(*items)
+        try:
+            ticks = array("q", map(to_raw, texps))
+        except TimeError as error:
+            raise FrameError(str(error)) from None
+    columns = list(zip(*rows))
+    body: List[bytes] = []
+    _write_body(body, ticks, columns)
+    body = b"".join(body)
+    parts += (
+        bytes((len(key),)), key,
+        _BLOCK.pack(form, len(items), len(columns), len(body)), body,
+    )
+
+
+def _with_blocks(body: bytes) -> Dict[str, Any]:
+    """A message with blocks: its JSON control part, then each block into
+    the field it names, as a :class:`Block` or :class:`Rows`."""
+    try:
+        _, length = _BLOCKS.unpack_from(body)
+    except struct.error:
+        raise FrameError("block message is shorter than its header") from None
+    at = _BLOCKS.size + length
+    if at > len(body):
+        raise FrameError("block message's JSON runs past the payload")
+    message = _message(body[_BLOCKS.size:at])
+    while at < len(body):
+        start = at + 1 + body[at]
+        try:
+            name = body[at + 1:start].decode("utf-8")
+            form, count, arity, size = _BLOCK.unpack_from(body, start)
+        except (UnicodeDecodeError, struct.error):
+            raise FrameError("block header cut short") from None
+        if name in message:
+            raise FrameError(f"block {name!r} repeats a field of its message")
+        at = start + _BLOCK.size
+        end = at + size
+        if end > len(body):
+            raise FrameError(f"block {name!r} runs past the payload")
+        if form == _FORM_TICKED:
+            if at + 8 * count > end:
+                raise FrameError(f"block {name!r}'s ticks run past the payload")
+            ticks = _int_array(body[at:at + 8 * count])
+            at += 8 * count
+        elif form == _FORM_ROWS:
+            if not arity and count > 1:
+                # No tick and no column bounds this count by the bytes sent.
+                raise FrameError(f"block {name!r} repeats the empty row")
+        else:
+            raise FrameError(f"unknown block form {form:#x}")
+        columns = []
+        for _ in range(arity):
+            column, at = _read_column(body, at, end, count, "block")
+            columns.append(column)
+        if at != end:
+            raise FrameError(f"block {name!r} holds more columns than its arity")
+        rows = list(zip(*columns)) if arity else [()] * count
+        if form == _FORM_ROWS:
+            message[name] = Rows(rows)
+            continue
+        try:
+            stamps = {tick: from_raw(tick) for tick in set(ticks)}
+        except TimeError as error:
+            raise FrameError(f"block {name!r}: {error}") from None
+        message[name] = Block(zip(rows, map(stamps.__getitem__, ticks)))
+    return message
 
 
 _PACKED = {

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.codec import decode_exp, decode_items
+from repro.codec import decode_exp
 from repro.core.timestamps import Timestamp, ts
 from repro.engine.config import DatabaseConfig
 from repro.engine.database import Database
@@ -291,7 +291,7 @@ class _WireSubscription(Subscription):
         self.duplicates_dropped = 0
 
     def apply_snapshot(self, frame: dict) -> None:
-        self.state = dict(decode_items(frame.get("rows", ())))
+        self.state = dict(frame.get("rows", ()))
         self.epoch = int(frame.get("epoch", 0))
         self.applied = 0
         self.degraded = False
@@ -304,10 +304,9 @@ class _WireSubscription(Subscription):
         if seq <= self.applied:
             self.duplicates_dropped += 1
             return False  # retransmission of something already applied
-        for row, texp in decode_items(frame.get("upserts", ())):
-            self.state[row] = texp
+        self.state.update(frame.get("upserts", ()))
         for row in frame.get("removes", ()):
-            self.state.pop(tuple(row), None)
+            self.state.pop(row, None)
         self.applied = seq
         self.patches_applied += 1
         return True
@@ -393,12 +392,11 @@ class _WireSessionState:
     def _result(self, reply: dict) -> Result:
         """A ``result`` frame as the transport-independent :class:`Result`."""
         self.data_version = reply.get("data_version", self.data_version)
+        items = reply.get("items")  # presentation order: the rows first
         rows = None
-        items = None
-        if "rows" in reply:
-            rows = [tuple(row) for row in reply["rows"]]
-        if "items" in reply:
-            items = decode_items(reply["items"])
+        if items is not None:
+            shown = reply.get("shown")
+            rows = [row for row, _ in (items if shown is None else items[:shown])]
         now = reply.get("now")
         return Result(
             kind=reply.get("result_kind", ""),
@@ -519,12 +517,21 @@ class NetworkSession(Session, _WireSessionState):
                 if frame.get("re") == rid:
                     del self._inbox[i]
                     return frame
-            pushes = [f for f in self._inbox if f.get("re") is None]
+            self._absorb_inbox()
+            self._inbox.extend(self._read_some())
+
+    def _absorb(self, frame: dict) -> None:
+        for ack in self._handle_push(frame):
+            self._send(ack)
+
+    def _absorb_inbox(self) -> int:
+        """Handle the pushes buffered beside replies; returns how many."""
+        pushes = [f for f in self._inbox if f.get("re") is None]
+        if pushes:
             self._inbox = [f for f in self._inbox if f.get("re") is not None]
             for frame in pushes:
-                for ack in self._handle_push(frame):
-                    self._send(ack)
-            self._inbox.extend(self._read_some())
+                self._absorb(frame)
+        return len(pushes)
 
     def _rpc(self, payload: dict) -> dict:
         self._check_open()
@@ -538,10 +545,14 @@ class NetworkSession(Session, _WireSessionState):
 
         Returns the number of push frames handled; ``timeout`` bounds the
         wait for the *first* byte (0 = only what is already queued).
+        Pushes that arrived in the same chunk as an earlier reply are
+        handled first, without waiting.
         """
         self._check_open()
         assert self._sock is not None
-        handled = 0
+        handled = self._absorb_inbox()
+        if handled:
+            timeout = 0.0
         self._sock.settimeout(timeout if timeout > 0 else 0.000001)
         try:
             while True:
@@ -555,8 +566,7 @@ class NetworkSession(Session, _WireSessionState):
                     if frame.get("re") is not None:
                         self._inbox.append(frame)
                         continue
-                    for ack in self._handle_push(frame):
-                        self._send(ack)
+                    self._absorb(frame)
                     handled += 1
                 self._sock.settimeout(0.000001)  # drain what is left
         finally:
@@ -712,19 +722,22 @@ class AsyncSession(_WireSessionState):
         await self._writer.drain()
 
     async def poll(self, timeout: float = 0.0) -> int:
-        """Absorb pushes already in flight; returns how many."""
+        """Absorb pushes already in flight; returns how many.
+
+        ``timeout`` bounds the wait for a frame's first byte only: a frame
+        that has started is read to its end.
+        """
         import asyncio
 
         handled = 0
         while True:
             try:
-                frame = await asyncio.wait_for(
-                    read_frame(self._reader), timeout=max(timeout, 0.001)
+                first = await asyncio.wait_for(
+                    self._reader.readexactly(1), timeout=max(timeout, 0.001)
                 )
-            except asyncio.TimeoutError:
-                break
-            if frame is None:
-                break
+            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
+                break  # nothing in flight, or a clean EOF
+            frame = await read_frame(self._reader, first)
             if frame.get("re") is not None:
                 continue  # stray reply with nobody waiting: drop it
             await self._absorb(frame)

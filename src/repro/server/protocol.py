@@ -1,17 +1,24 @@
 """Wire framing and message vocabulary for the served engine.
 
 A connection carries the frames of :mod:`repro.codec` (length, CRC32, one
-compact JSON object with a ``kind``; that module's docstring has the format
-and says why the log's reader and this one disagree about a bad frame).
-This module holds the stream side of that disagreement: an *incomplete*
-frame -- bytes still in flight -- waits for more input, while a frame that
-can never decode means framing sync with the peer is lost, so
+message with a ``kind``; that module's docstring has the format and says
+why the log's reader and this one disagree about a bad frame).  This
+module holds the stream side of that disagreement: an *incomplete* frame
+-- bytes still in flight -- waits for more input, while a frame that can
+never decode means framing sync with the peer is lost, so
 :class:`FrameDecoder` and :func:`read_frame` raise the connection-fatal
 :class:`~repro.errors.WireProtocolError`.
 
-Timestamps travel as an integer tick with ``None`` for ``∞``, relation
-content as ``[[...values], texp]`` pairs (:func:`repro.codec.encode_exp`,
-:func:`repro.codec.encode_items`).
+Timestamps travel as an integer tick with ``None`` for ``∞``
+(:func:`repro.codec.encode_exp`).  A relation travels once, packed: a
+:class:`repro.codec.Block` of ``(row, texp)`` pairs, which
+:func:`encode_frame` packs into raw ticks and one column per attribute and
+:class:`FrameDecoder` hands back as a ``Block`` of tuples and
+``Timestamp`` s.  A ``result`` carries its relation as ``items`` in
+presentation order: the first ``shown`` of them are its rows (``shown``
+is absent when every item is shown).  ``sub-ok`` and ``snapshot`` carry
+``rows``; a ``patch`` carries ``upserts`` and ``removes`` when it has
+any, the removes as :class:`repro.codec.Rows` (rows without expirations).
 
 Message kinds (the ``kind`` field; requests carry ``id``, responses echo
 it as ``re``; subscription traffic carries ``sub``/``epoch``/``seq``):
@@ -61,7 +68,7 @@ __all__ = [
 ]
 
 #: Bumped on incompatible wire changes; ``hello`` negotiates equality.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Connection-fatal bound on a single frame; a length beyond this is
 #: framing-desync garbage, not an allocation request.
@@ -73,7 +80,8 @@ def _fatal(error: codec.FrameError) -> WireProtocolError:
 
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:
-    """One wire frame: header (length, CRC32) plus compact JSON payload; a
+    """One wire frame: header (length, CRC32) plus the message, its
+    :class:`~repro.codec.Block` fields packed; a
     :class:`~repro.errors.WireProtocolError` if too large or unencodable."""
     try:
         return codec.encode_frame(payload, MAX_FRAME)
@@ -84,11 +92,13 @@ def encode_frame(payload: Dict[str, Any]) -> bytes:
 class FrameDecoder:
     """Incremental frame decoder for one connection's byte stream.
 
-    Feed arbitrary chunks; complete frames come out as dicts.  Incomplete
-    input (a torn frame still in flight) is buffered until more bytes
-    arrive; corruption -- CRC mismatch, oversized length, non-JSON or
-    non-object payload -- raises :class:`~repro.errors.WireProtocolError`,
-    after which the connection must be dropped (framing sync is gone).
+    Feed arbitrary chunks; complete frames come out as dicts, with their
+    blocks unpacked.  Incomplete input (a torn frame still in flight) is
+    buffered until more bytes arrive; corruption -- CRC mismatch,
+    oversized length, non-JSON or non-object payload, a block's length
+    that does not add up -- raises
+    :class:`~repro.errors.WireProtocolError`, after which the connection
+    must be dropped (framing sync is gone).
 
     >>> decoder = FrameDecoder()
     >>> frame = encode_frame({"kind": "ping", "id": 1})
@@ -123,20 +133,29 @@ class FrameDecoder:
         return frames
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
+async def read_frame(
+    reader: asyncio.StreamReader, started: bytes = b""
+) -> Optional[Dict[str, Any]]:
     """Read exactly one frame; ``None`` on clean EOF at a frame boundary.
 
-    EOF in the middle of a frame (the peer died mid-send) raises
+    ``started`` is the frame's first bytes when the caller has already
+    read them -- a caller that waits for the next frame with a timeout
+    waits on its first byte, because cancelling this coroutine after the
+    header is consumed would lose framing sync.  EOF in the middle of a
+    frame (the peer died mid-send) raises
     :class:`~repro.errors.WireProtocolError` -- on a live connection a
     half-frame is indistinguishable from corruption.
     """
     try:
-        header = await reader.readexactly(codec.HEADER.size)
+        header = started + await reader.readexactly(
+            codec.HEADER.size - len(started)
+        )
     except asyncio.IncompleteReadError as error:
-        if not error.partial:
+        if not started and not error.partial:
             return None  # clean EOF between frames
         raise WireProtocolError(
-            f"connection closed mid-header ({len(error.partial)} bytes)"
+            f"connection closed mid-header "
+            f"({len(started) + len(error.partial)} bytes)"
         ) from None
     try:
         # A header alone is "incomplete" unless its length is out of bounds.

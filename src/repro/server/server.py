@@ -32,7 +32,7 @@ import asyncio
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.codec import encode_exp, encode_items
+from repro.codec import Block, encode_exp
 from repro.engine.config import DatabaseConfig
 from repro.engine.database import Database
 from repro.errors import (
@@ -568,13 +568,20 @@ class ReproServer:
         }
         if result.names:
             payload["names"] = list(result.names)
-        if result.relation is not None:
-            payload["columns"] = list(result.relation.schema.names)
-            # Both the presentation rows (ordered/limited) and the full
-            # item set with expirations: clients keep the paper's
-            # semantics, not a dead row list.
-            payload["rows"] = [list(row) for row in (result.rows or [])]
-            payload["items"] = encode_items(result.relation.items())
+        relation = result.relation
+        if relation is not None:
+            payload["columns"] = list(relation.schema.names)
+            # The full item set with expirations, so clients keep the
+            # paper's semantics rather than a dead row list, shipped once:
+            # the presentation rows (ordered, limited) first, then the rest.
+            rows = result.rows or []
+            items = list(relation.items_of(rows))
+            if len(items) < len(relation):
+                shown = set(rows)
+                items += [item for item in relation.items() if item[0] not in shown]
+            if len(rows) < len(items):
+                payload["shown"] = len(rows)
+            payload["items"] = Block(items)
         return payload
 
     # -- subscription pump ---------------------------------------------------
@@ -657,10 +664,10 @@ class ReproServer:
                 else:
                     fam["patches"].inc()
                     fam["patch_rows"].labels("upsert").inc(
-                        len(payload["upserts"])
+                        len(payload.get("upserts", ()))
                     )
                     fam["patch_rows"].labels("remove").inc(
-                        len(payload["removes"])
+                        len(payload.get("removes", ()))
                     )
         return queued
 

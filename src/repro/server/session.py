@@ -52,7 +52,7 @@ from typing import (
     TYPE_CHECKING, Any, Deque, Dict, Iterable, List, Optional, Tuple,
 )
 
-from repro.codec import encode_exp, encode_items
+from repro.codec import Block, Rows, encode_exp
 from repro.core.timestamps import Timestamp, ts_max
 from repro.engine.views import MaterialisedView
 from repro.errors import SessionError, SimulationError
@@ -333,7 +333,7 @@ class ServerSubscription:
             "sub": self.sub_id,
             "epoch": self.epoch,
             "seq": 0,
-            "rows": encode_items(self.shipped.items()),
+            "rows": Block(self.shipped.items()),
             "now": encode_exp(now),
         }
         if columns:
@@ -379,10 +379,14 @@ class ServerSubscription:
             "sub": self.sub_id,
             "epoch": self.epoch,
             "seq": self.sender.take_seq(),
-            "upserts": encode_items(upserts),
-            "removes": [list(row) for row, _ in removes],
             "now": encode_exp(now),
         }
+        # A patch carries the blocks it has: most carry no removes, and a
+        # removed row needs no expiration time.
+        if upserts:
+            payload["upserts"] = Block(upserts)
+        if removes:
+            payload["removes"] = Rows(row for row, _ in removes)
         return payload, ts_max(texp for _, texp in upserts + removes)
 
     def degrade(self, now: Timestamp, reason: str) -> dict:
@@ -545,7 +549,8 @@ class ServerSession:
                 return notice
         sub.sender.track(
             payload["seq"], payload, expires_at,
-            len(payload["upserts"]) + len(payload["removes"]), sent_at,
+            len(payload.get("upserts", ())) + len(payload.get("removes", ())),
+            sent_at,
         )
         self.enqueue(payload)
         return None

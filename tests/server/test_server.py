@@ -20,7 +20,7 @@ from repro.engine.config import DatabaseConfig
 from repro.engine.expiration_index import RemovalPolicy
 from repro.errors import RemoteError, SessionError
 from repro.server.client import AsyncSession, NetworkSession, connect
-from repro.server.protocol import encode_frame
+from repro.server.protocol import PROTOCOL_VERSION, encode_frame
 from repro.server.server import ReproServer
 
 
@@ -237,7 +237,8 @@ class TestTcpRoundTrip:
             def sync_part():
                 raw = socket_module.create_connection((host, port), timeout=5)
                 frame = bytearray(
-                    encode_frame({"kind": "hello", "id": 1, "version": 1})
+                    encode_frame({"kind": "hello", "id": 1,
+                                  "version": PROTOCOL_VERSION})
                 )
                 frame[-1] ^= 0xFF  # corrupt the payload: CRC mismatch
                 raw.sendall(bytes(frame))
@@ -714,7 +715,8 @@ async def _raw_hello(server, **fields):
     from repro.server.protocol import read_frame, write_frame
 
     reader, writer = server.open_loopback()
-    write_frame(writer, {"kind": "hello", "id": 0, "version": 1, **fields})
+    write_frame(writer, {"kind": "hello", "id": 0,
+                         "version": PROTOCOL_VERSION, **fields})
     reply = await asyncio.wait_for(read_frame(reader), 2)
     return reader, writer, reply
 
@@ -809,7 +811,7 @@ class TestSenderCoreOnTheWire:
                     reader, writer, {"kind": "ping", "id": 5}
                 )
             [patch] = [frame for frame in pushes if frame["kind"] == "patch"]
-            assert patch["upserts"] == [[[1], 50]]
+            assert patch["upserts"] == [((1,), ts(50))]
             assert "_expires" not in patch
             await server.stop()
 
@@ -888,4 +890,88 @@ class TestSenderCoreOnTheWire:
         dues = [entry.due for entry in sub.pending.values()]
         assert all(4 <= due <= 7 for due in dues)
         assert len(set(dues)) > 1  # sent together, due apart
+        db.close()
+
+
+class TestPollHandlesWhatIsAlreadyHere:
+    def test_network_poll_applies_a_push_buffered_beside_a_reply(self):
+        """A patch that arrives in the same ``recv`` chunk as the
+        statement's result waits in the session's inbox, and ``poll``
+        applies it; a ``poll`` that read only the socket left about half
+        of these reads one row short."""
+
+        async def scenario():
+            server = ReproServer()
+            host, port = await server.start()
+
+            def sync_part():
+                with connect(f"repro://{host}:{port}", timeout=5) as session:
+                    session.execute("CREATE TABLE T (k)")
+                    session.execute(
+                        "CREATE MATERIALIZED VIEW v AS SELECT k FROM T"
+                    )
+                    sub = session.subscribe("v")
+                    expected = []
+                    for k in range(30):
+                        session.execute(f"INSERT INTO T VALUES ({k}) EXPIRES AT 99")
+                        expected.append((k,))
+                        session.poll(0.2)
+                        assert sub.read() == expected, k
+                        assert not session._inbox
+
+            try:
+                await asyncio.to_thread(sync_part)
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+    def test_async_poll_finishes_a_frame_it_has_started(self):
+        """A poll that times out while a frame is half in does not consume
+        its header; a poll cancelled after the header left the next one
+        reading the middle of the frame as a length, a dropped
+        connection."""
+        from repro.engine.database import Database
+        from repro.server.protocol import FrameDecoder
+        from repro.server.session import ServerSession
+        from repro.sql.executor import execute_sql
+
+        db = Database()
+        execute_sql(db, "CREATE TABLE T (k)")
+        execute_sql(db, "CREATE MATERIALIZED VIEW v AS SELECT k FROM T")
+        server_session = ServerSession(db)
+        server_sub = server_session.subscribe(db.view("v"))
+        snapshot = server_sub.snapshot_payload(db.clock.now, columns=True)
+        execute_sql(db, "INSERT INTO T VALUES (1) EXPIRES AT 50")
+        patch, _ = server_sub.diff_payload(db.clock.now)
+        frame = encode_frame(patch)
+        assert len(frame) > 20
+        [sub_ok] = FrameDecoder().feed(encode_frame(snapshot))
+
+        class Sink:
+            def __init__(self):
+                self.frames = FrameDecoder()
+                self.acks = []
+
+            def write(self, data):
+                self.acks += self.frames.feed(data)
+
+            async def drain(self):
+                pass
+
+        async def scenario():
+            reader, sink = asyncio.StreamReader(), Sink()
+            session = AsyncSession(reader, sink)
+            sub = session._open_subscription(sub_ok, "v")
+            reader.feed_data(frame[:20])
+            asyncio.get_running_loop().call_later(
+                0.05, reader.feed_data, frame[20:]
+            )
+            handled = await session.poll(0.01)  # the rest is still in flight
+            handled += await session.poll(0.2)
+            assert handled == 1
+            assert sub.read() == [(1,)]
+            assert [ack["cum"] for ack in sink.acks] == [1]
+
+        run(scenario())
         db.close()

@@ -14,6 +14,7 @@ import asyncio
 import struct
 import zlib
 from array import array
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import pytest
@@ -22,7 +23,9 @@ from hypothesis import strategies as st
 
 from repro.codec import (
     HEADER,
+    Block,
     FrameError,
+    Rows,
     decode_frame,
     decode_record,
     encode_frame,
@@ -31,7 +34,7 @@ from repro.codec import (
     read_json,
     replace_file,
 )
-from repro.core.timestamps import RAW_INFINITY
+from repro.core.timestamps import INFINITY, RAW_INFINITY, Timestamp, ts
 from repro.engine.wal import WriteAheadLog, scan_log
 from repro.errors import WireProtocolError
 from repro.server import protocol
@@ -47,6 +50,25 @@ def _packed(name_length: int = 1, tail: bytes = b"Tq", tag: int = 1) -> bytes:
     """A packed record's fixed header (texp 5, prev absent, no txn)."""
     return struct.pack("<BqqIH", tag, 5, -1, 0, name_length) + tail
 
+
+def _block(count: int, arity: int, body: bytes, name: bytes = b"rows",
+           size: Optional[int] = None, form: bytes = b"t") -> bytes:
+    """One wire block: name, form, row count, arity, byte size, then
+    ``body``."""
+    size = len(body) if size is None else size
+    return (bytes((len(name),)) + name + form
+            + struct.pack("<III", count, arity, size) + body)
+
+
+def _blocks(*blocks: bytes, control: bytes = b'{"kind":"patch"}') -> bytes:
+    """A block message's payload: tag 4, the control's length, the control
+    JSON, then ``blocks``."""
+    return struct.pack("<BI", 4, len(control)) + control + b"".join(blocks)
+
+
+#: Two ticks (5 and "never"), then the column header of two int values.
+_TICKS = struct.pack("<2q", 5, RAW_INFINITY)
+_INTS = b"q" + struct.pack("<I", 16) + struct.pack("<2q", 1, 2)
 
 #: ``record`` of a CRC-valid payload whose first byte is a tag this version
 #: does not know: the log reads past it (an unknown record *kind*).
@@ -137,6 +159,68 @@ BAD_FRAMES = {
     "segment_unknown_column_form": BadFrame(
         _frame(struct.pack("<BII", 3, 0, 0) + b"z" + struct.pack("<I", 0)),
         "JSON", "unknown segment column form",
+    ),
+    # A message with blocks (tag 4) is the wire's own: the log and the
+    # snapshot read it as a record of an unknown kind.
+    "blocks_header_cut_short": BadFrame(
+        _frame(b"\x04\x05\x00"), "shorter than its header", SKIPPED
+    ),
+    "blocks_control_past_payload": BadFrame(
+        _frame(struct.pack("<BI", 4, 99) + b'{"kind":"patch"}'),
+        "JSON runs past the payload", SKIPPED,
+    ),
+    "blocks_control_is_not_a_message": BadFrame(
+        _frame(_blocks(control=b"[]")), "message object", SKIPPED
+    ),
+    "block_header_cut_short": BadFrame(
+        _frame(_blocks(b"\x04rows" + b"\x01\x00")), "block header cut short",
+        SKIPPED,
+    ),
+    "block_past_payload": BadFrame(
+        _frame(_blocks(_block(2, 1, _TICKS + _INTS, size=99))),
+        "runs past the payload", SKIPPED,
+    ),
+    "block_ticks_past_payload": BadFrame(
+        _frame(_blocks(_block(2, 0, _TICKS[:8]))), "ticks run past", SKIPPED
+    ),
+    "block_column_of_another_length": BadFrame(
+        _frame(_blocks(_block(
+            2, 1, _TICKS + b"q" + struct.pack("<I", 8) + b"\x00" * 8
+        ))),
+        "one i64 per row", SKIPPED,
+    ),
+    "block_unknown_column_form": BadFrame(
+        _frame(_blocks(_block(2, 1, _TICKS + b"z" + _INTS[1:]))),
+        "unknown block column form", SKIPPED,
+    ),
+    "block_fewer_columns_than_its_arity": BadFrame(
+        _frame(_blocks(_block(2, 2, _TICKS + _INTS))),
+        "column header cut short", SKIPPED,
+    ),
+    "block_more_columns_than_its_arity": BadFrame(
+        _frame(_blocks(_block(2, 1, _TICKS + _INTS + _INTS))),
+        "more columns than its arity", SKIPPED,
+    ),
+    "block_negative_tick": BadFrame(
+        _frame(_blocks(_block(1, 0, struct.pack("<q", -1)))), "non-negative",
+        SKIPPED,
+    ),
+    "block_unknown_form": BadFrame(
+        _frame(_blocks(_block(2, 1, _TICKS + _INTS, form=b"z"))),
+        "unknown block form", SKIPPED,
+    ),
+    "block_names_a_control_field": BadFrame(
+        _frame(_blocks(_block(2, 1, _TICKS + _INTS, name=b"kind"))),
+        "repeats a field", SKIPPED,
+    ),
+    "block_names_an_earlier_block": BadFrame(
+        _frame(_blocks(_block(2, 1, _TICKS + _INTS),
+                       _block(2, 1, _INTS, form=b"r"))),
+        "repeats a field", SKIPPED,
+    ),
+    "block_of_rows_repeats_the_empty_row": BadFrame(
+        _frame(_blocks(_block(2**32 - 1, 0, b"", form=b"r"))),
+        "repeats the empty row", SKIPPED,
     ),
 }
 LIMIT = 1 << 20
@@ -390,6 +474,73 @@ class TestValues:
         with pytest.raises(FrameError, match="packed layout"):
             encode_record({"kind": "remove", "table": "T" * 70_000,
                            "row": (1,)}, LIMIT)
+
+
+class TestBlocks:
+    """The wire's relations: a message whose :class:`Block` and
+    :class:`Rows` fields ship once, packed, after its other fields' JSON."""
+
+    @given(rows=st.lists(st.tuples(_values, _values), max_size=6),
+           ticks=st.lists(_ticks, min_size=6, max_size=6),
+           other=st.lists(st.tuples(st.integers(-(2**63), 2**63 - 1)),
+                          max_size=3))
+    def test_blocks_round_trip_with_their_types(self, rows, ticks, other):
+        items = Block(zip(rows, map(ts, ticks)))
+        payload = {"kind": "patch", "sub": 1, "now": None,
+                   "upserts": items, "removes": Rows(other)}
+        frame = encode_frame(payload, LIMIT)
+        assert frame[HEADER.size] == 4
+        decoded, end = decode_frame(frame, 0, LIMIT)
+        assert end == len(frame)
+        assert decoded == payload
+        assert type(decoded["upserts"]) is Block
+        for got, sent in zip(decoded["upserts"], items):
+            assert _typed(got[0]) == _typed(sent[0])
+            assert type(got[0]) is tuple and type(got[1]) is Timestamp
+        assert type(decoded["removes"]) is Rows
+        assert all(type(row) is tuple for row in decoded["removes"])
+        assert FrameDecoder().feed(protocol.encode_frame(payload)) == [payload]
+
+    def test_the_forms_a_block_takes(self):
+        blocks = {
+            "ints": Block([((1, -(2**63)), ts(3)), ((2, 2**63 - 1), INFINITY)]),
+            "big": Block([((2**63, 1),), ((2**70, 2),)]),
+            "mixed": Block([(("é''x", Fraction(1, 3)), ts(0)),
+                            ((True, 1.5), ts(9))]),
+            "empty": Block(),
+            "nullary": Block([((), ts(4))]),
+            "rows": Rows([(1, "é"), (2**70, Fraction(1, 3))]),
+            "no_rows": Rows(),
+            "nullary_rows": Rows([()]),
+        }
+        blocks["big"] = Block((row, ts(7)) for (row,) in blocks["big"])
+        payload = {"kind": "result", "re": 1, **blocks}
+        decoded, _ = decode_frame(encode_frame(payload, LIMIT), 0, LIMIT)
+        assert decoded == payload
+        for name, block in blocks.items():
+            assert type(decoded[name]) is type(block), name
+            rows = block if type(block) is Rows else [row for row, _ in block]
+            got = decoded[name] if type(block) is Rows else [
+                row for row, _ in decoded[name]
+            ]
+            assert list(map(_typed, got)) == list(map(_typed, rows)), name
+
+    def test_a_message_without_blocks_is_json_as_before(self):
+        payload = {"kind": "result", "items": [[[1], 5]], "rows": [[1]]}
+        frame = encode_frame(payload, LIMIT)
+        assert frame[HEADER.size:] == b'{"items":[[[1],5]],"kind":"result","rows":[[1]]}'
+        assert decode_frame(frame, 0, LIMIT)[0] == payload
+
+    def test_what_a_block_cannot_carry_is_refused(self):
+        with pytest.raises(FrameError):  # a finite tick at the ∞ sentinel
+            encode_frame({"kind": "patch", "upserts": Block(
+                [((1,), ts(RAW_INFINITY))])}, LIMIT)
+
+    def test_the_control_part_is_a_messages_json(self):
+        payload = {"kind": "patch", "now": Fraction(1, 2), "upserts": Block()}
+        frame = encode_frame(payload, LIMIT)
+        assert b'{"kind":"patch","now":{"$fraction":[1,2]}}' in frame
+        assert decode_frame(frame, 0, LIMIT)[0] == payload
 
 
 class TestFiles:
