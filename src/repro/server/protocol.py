@@ -98,7 +98,8 @@ class FrameDecoder:
     oversized length, non-JSON or non-object payload, a block's length
     that does not add up -- raises
     :class:`~repro.errors.WireProtocolError`, after which the connection
-    must be dropped (framing sync is gone).
+    must be dropped (framing sync is gone).  The error's ``frames`` holds
+    the frames the same chunk completed before the fault, which are good.
 
     >>> decoder = FrameDecoder()
     >>> frame = encode_frame({"kind": "ping", "id": 1})
@@ -128,7 +129,9 @@ class FrameDecoder:
                 payload, offset = decoded
                 frames.append(payload)
         except codec.FrameError as error:
-            raise _fatal(error) from None
+            fault = _fatal(error)
+            fault.frames = frames
+            raise fault from None
         del buffer[:offset]
         return frames
 

@@ -3,21 +3,24 @@
 One :class:`ReproServer` wraps one :class:`~repro.engine.database.Database`
 and serves it over two interchangeable transports:
 
-* real TCP via :meth:`ReproServer.start` / ``asyncio.start_server``;
+* real TCP via :meth:`ReproServer.start` / ``loop.create_server``;
 * an **in-process loopback** via :meth:`ReproServer.open_loopback`, which
-  cross-wires two :class:`asyncio.StreamReader` ends with no file
-  descriptors at all -- the load generator drives 10k+ concurrent clients
-  through it in a single process without touching ``ulimit``.
+  wires a client's :class:`asyncio.StreamReader` to the server with no
+  file descriptors at all -- the load generator drives 10k+ concurrent
+  clients through it in a single process without touching ``ulimit``.
 
-Everything above the transport is identical: each connection runs one
-handler task (reads frames, dispatches) and one writer task (drains the
-session's outbox), with the session itself outliving the connection for
-resume (:mod:`repro.server.session`).
+Everything above the transport is identical: each connection is one
+:class:`_Connection` protocol object whose ``data_received`` decodes the
+bytes, dispatches every complete frame and writes the session's outbox
+back as one ``transport.write``, all inside the loop's callback -- no
+task, no stream buffer and no writer wake-up per request (a socket reads
+into one buffer the server owns).  The session itself outlives the
+connection for resume (:mod:`repro.server.session`).
 
 The engine is single-threaded and so is the server: all statements execute
 on the event loop, serialised by construction, which is exactly the
 engine's existing concurrency contract.  After every statement that may
-have changed anything, :meth:`ReproServer._pump` diffs the subscribed
+have changed anything, :meth:`ReproServer.pump` diffs the subscribed
 views against their last shipped state -- cheaply skipped when the
 ``(catalog_version, now)`` fingerprint is unchanged and no view refreshed
 -- and queues patches, applying the backpressure ladder per session.
@@ -30,7 +33,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Dict, Optional, Set, Tuple
 
 from repro.codec import Block, encode_exp
 from repro.engine.config import DatabaseConfig
@@ -42,7 +46,7 @@ from repro.errors import (
     WireProtocolError,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.server.protocol import PROTOCOL_VERSION, read_frame, write_frame
+from repro.server.protocol import PROTOCOL_VERSION, FrameDecoder, encode_frame
 from repro.server.session import RetryPolicy, ServerSession, diff_states
 from repro.sql.executor import SqlResult, execute_sql
 
@@ -130,41 +134,167 @@ def declare_server_families(registry: MetricsRegistry) -> Dict[str, object]:
 
 
 class LoopbackWriter:
-    """Duck-typed ``StreamWriter`` that feeds a peer's ``StreamReader``.
+    """One end of the in-process transport: ``write``, ``drain``, ``close``.
 
-    The in-process transport: ``write`` becomes ``peer.feed_data``,
-    ``close`` becomes ``peer.feed_eof``.  No sockets, no file descriptors
+    ``write`` hands the bytes to ``feed`` and ``close`` calls ``hang_up``.
+    The server's end feeds the client's :class:`asyncio.StreamReader`; the
+    client's end hands bytes and hang-up to the server's
+    :class:`_Connection` one loop iteration later, so a write never
+    re-enters the server synchronously.  No sockets, no file descriptors
     -- which is what lets one process hold 10k+ concurrent "connections".
     """
 
-    def __init__(self, peer: asyncio.StreamReader) -> None:
-        self._peer = peer
+    def __init__(self, feed, hang_up) -> None:
+        self._feed, self._hang_up = feed, hang_up
         self._closed = False
 
     def write(self, data: bytes) -> None:
         if not self._closed:
-            self._peer.feed_data(bytes(data))
+            self._feed(bytes(data))
 
     async def drain(self) -> None:
-        # No kernel buffer to await; yield so a busy writer task cannot
-        # starve the loop.
+        # No kernel buffer to await; yield so a busy writer cannot starve
+        # the loop.
         await asyncio.sleep(0)
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self._peer.feed_eof()
+            self._hang_up()
 
-    def is_closing(self) -> bool:
-        return self._closed
+    abort = close  # nothing is buffered that a hang-up could drop
 
-    async def wait_closed(self) -> None:
-        return None
 
-    def get_extra_info(self, name: str, default=None):
-        if name == "peername":
-            return "loopback"
-        return default
+class _Connection(asyncio.BufferedProtocol):
+    """One connection, TCP or loopback, served in the loop's callbacks; frames
+    queued elsewhere (a pump, a sweep) schedule one flush per loop turn."""
+
+    def __init__(self, server: "ReproServer") -> None:
+        self.server = server
+        self.transport = self.session = None
+        self.decoder = FrameDecoder()
+        self._call_soon = asyncio.get_running_loop().call_soon
+        self._flush_due = self._paused = self._farewell = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server.families["connections"].inc()
+        self.server.families["active"].inc()
+
+    # A socket reads into the server's one buffer (``Protocol`` allocates
+    # 256 KiB per recv); the decoder copies what it keeps.
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.server._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self.server._read_buffer[:nbytes])
+
+    def data_received(self, data: bytes) -> None:
+        if self.transport is None:
+            return  # loopback bytes still in flight at the hang-up
+        try:
+            frames, fault = self.decoder.feed(data), False
+        except WireProtocolError as error:  # framing sync lost: answer the
+            frames, fault = error.frames, True  # good frames, then hang up
+        # One flush below covers every reply; it hangs up unless all ran.
+        self._flush_due = last = True
+        try:
+            for frame in frames:
+                if self.session is None:
+                    self._farewell = not self._hello(frame)
+                else:
+                    self.server.families["frames_in"].inc()
+                    self._farewell = self.server._dispatch(self.session, frame)
+                if self._farewell:
+                    break  # refused or said bye: nothing after it runs
+            last = fault or self._farewell
+        finally:  # after a bug too: answer what ran, then the loop reports it
+            self._flush(last)
+
+    def _hello(self, hello: dict) -> bool:
+        """Open or resume the session; False when the hello is refused."""
+        try:
+            if hello.get("kind") != "hello":
+                raise WireProtocolError(f"expected hello, got {hello.get('kind')!r}")
+            if hello.get("version") != PROTOCOL_VERSION:
+                raise WireProtocolError(
+                    f"protocol version mismatch: client "
+                    f"{hello.get('version')!r}, server {PROTOCOL_VERSION}")
+            acks = _resume_acks(hello.get("acks"))
+            session, resumed = self.server._open_session(hello.get("resume"))
+            session.check_floor()
+        except (WireProtocolError, SessionError) as error:
+            self._write([_error_payload(hello.get("id"), error)])
+            return False
+        self.session = session
+        session.attached, session.detached_at = True, None
+        session.on_enqueue = self._wake
+        session.enqueue({
+            "kind": "hello-ok", "re": hello.get("id"), "resumed": resumed,
+            "session": session.token, "data_version": session.data_version,
+            "now": encode_exp(self.server.db.clock.now),
+            "floor": encode_exp(session.floor), "version": PROTOCOL_VERSION})
+        if resumed:
+            self.server.families["resumed"].inc()
+            before = _retrans_counts(session)
+            for frame in session.resume_frames(acks, time.monotonic()):
+                session.enqueue(frame)
+            self.server._publish_retrans(session, before)
+        return True
+
+    def _wake(self) -> None:
+        if not self._flush_due:
+            self._flush_due = True
+            self._call_soon(self._flush)
+
+    def _flush(self, last: bool = False) -> None:
+        # ``last`` writes even while paused, then hangs up.
+        self._flush_due = False
+        outbox = self.session.outbox if self.session else None
+        if outbox and self.transport and (last or not self._paused):
+            self._write(list(outbox))
+            outbox.clear()
+        if last:
+            self.close()
+
+    def _write(self, payloads) -> None:
+        fam = self.server.families
+        frames = []
+        for payload in payloads:
+            try:
+                frames.append(encode_frame(payload))
+            except WireProtocolError as error:  # fails this reply only
+                fam["errors"].inc()
+                frames.append(encode_frame(_error_payload(payload.get("re"), error)))
+        data = b"".join(frames)
+        fam["frames_out"].inc(len(frames))
+        fam["bytes_out"].inc(len(data))
+        self.transport.write(data)
+
+    def pause_writing(self) -> None:
+        self._paused = True  # the outbox holds its frames until resumed
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._flush()
+
+    def close(self, exc: Optional[Exception] = None) -> None:
+        """Hang up and detach the session (idempotent)."""
+        transport, self.transport = self.transport, None
+        if transport is None:
+            return
+        transport.close()  # a transport sends what it holds, then closes
+        self.server._connections.discard(self)
+        self.server.families["active"].dec()
+        if self.session is not None:
+            self.session.on_enqueue = None
+            self.session.detach(time.monotonic())
+            if self._farewell or self.server._closed:
+                self.server._drop_session(self.session)
+        self.server._gc_sessions()
+
+    connection_lost = close
 
 
 class ReproServer:
@@ -214,7 +344,9 @@ class ReproServer:
         self.families = declare_server_families(db.metrics)
         self._server: Optional[asyncio.AbstractServer] = None
         self._sweep_task: Optional[asyncio.Task] = None
-        self._conn_tasks: set = set()
+        self._connections: Set[_Connection] = set()
+        #: What every socket connection reads into (see ``get_buffer``).
+        self._read_buffer = memoryview(bytearray(1 << 16))
         self._pump_fingerprint: Optional[Tuple[int, object]] = None
         self._closed = False
 
@@ -222,8 +354,8 @@ class ReproServer:
 
     async def start(self) -> Tuple[str, int]:
         """Bind the TCP listener; returns the bound ``(host, port)``."""
-        self._server = await asyncio.start_server(
-            self._on_tcp_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -251,13 +383,12 @@ class ReproServer:
             self._sweep_task = None
         if self._server is not None:
             self._server.close()
+        for conn in list(self._connections):
+            conn.transport.abort()  # the session goes too: drop what is queued
+            conn.close()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
         for session in list(self.sessions.values()):
             session.close()
         self.sessions.clear()
@@ -270,147 +401,18 @@ class ReproServer:
 
     # -- transports ----------------------------------------------------------
 
-    def _on_tcp_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.ensure_future(self._handle_connection(reader, writer))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-
     def open_loopback(self) -> Tuple[asyncio.StreamReader, LoopbackWriter]:
         """Open an in-process connection; returns the *client* end.
 
         Works without :meth:`start` -- no listener, no socket: the server
-        side runs as a task on the current loop, reading what the returned
-        writer feeds it and feeding what the returned reader yields.
+        side is a :class:`_Connection` on the current loop, fed by the
+        returned writer and feeding the returned reader.
         """
-        client_reader = asyncio.StreamReader()
-        server_reader = asyncio.StreamReader()
-        client_writer = LoopbackWriter(server_reader)
-        server_writer = LoopbackWriter(client_reader)
-        task = asyncio.ensure_future(
-            self._handle_connection(server_reader, server_writer)
-        )
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-        return client_reader, client_writer
-
-    # -- the connection ------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        fam = self.families
-        fam["connections"].inc()
-        fam["active"].inc()
-        session: Optional[ServerSession] = None
-        writer_task: Optional[asyncio.Task] = None
-        wake = asyncio.Event()
-        farewell = False
-        try:
-            hello = await read_frame(reader)
-            if hello is None:
-                return
-            try:
-                if hello.get("kind") != "hello":
-                    raise WireProtocolError(
-                        f"expected hello, got {hello.get('kind')!r}"
-                    )
-                if hello.get("version") != PROTOCOL_VERSION:
-                    raise WireProtocolError(
-                        f"protocol version mismatch: client "
-                        f"{hello.get('version')!r}, server {PROTOCOL_VERSION}"
-                    )
-                acks = _resume_acks(hello.get("acks"))
-                session, resumed = self._open_session(hello.get("resume"))
-                session.check_floor()
-            except (WireProtocolError, SessionError) as error:
-                self._write_now(writer, _error_payload(hello.get("id"), error))
-                return
-            session.attached = True
-            session.detached_at = None
-            session.on_enqueue = wake.set
-            self._write_now(
-                writer,
-                {
-                    "kind": "hello-ok",
-                    "re": hello.get("id"),
-                    "session": session.token,
-                    "resumed": resumed,
-                    "now": encode_exp(self.db.clock.now),
-                    "floor": encode_exp(session.floor),
-                    "data_version": session.data_version,
-                    "version": PROTOCOL_VERSION,
-                },
-            )
-            if resumed:
-                fam["resumed"].inc()
-                before = _retrans_counts(session)
-                for frame in session.resume_frames(acks, time.monotonic()):
-                    session.enqueue(frame)
-                self._publish_retrans(session, before)
-            writer_task = asyncio.ensure_future(
-                self._writer_loop(session, writer, wake)
-            )
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                fam["frames_in"].inc()
-                if self._dispatch(session, frame):
-                    farewell = True
-                    # Let the writer flush the bye-ok before teardown.
-                    while session.outbox:
-                        await asyncio.sleep(0)
-                    break
-        except WireProtocolError:
-            pass  # framing sync lost: the connection is already dead to us
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            fam["active"].dec()
-            if session is not None:
-                session.on_enqueue = None
-                session.detach(time.monotonic())
-                if farewell or self._closed:
-                    self._drop_session(session)
-            wake.set()  # unblock the writer so it can observe detachment
-            if writer_task is not None:
-                writer_task.cancel()
-                try:
-                    await writer_task
-                except asyncio.CancelledError:
-                    pass
-            try:
-                writer.close()
-                if hasattr(writer, "wait_closed"):
-                    await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-            self._gc_sessions()
-
-    async def _writer_loop(self, session: ServerSession, writer, wake) -> None:
-        fam = self.families
-        try:
-            while session.attached or session.outbox:
-                if not session.outbox:
-                    wake.clear()
-                    if not session.attached:
-                        break
-                    await wake.wait()
-                    continue
-                payload = session.outbox.popleft()
-                try:
-                    size = write_frame(writer, payload)
-                except WireProtocolError as error:  # nothing was written
-                    fam["errors"].inc()
-                    size = write_frame(
-                        writer, _error_payload(payload.get("re"), error)
-                    )
-                fam["frames_out"].inc()
-                fam["bytes_out"].inc(size)
-                if not session.outbox:
-                    await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass  # the handler notices EOF and tears the connection down
+        reader, conn = asyncio.StreamReader(), _Connection(self)
+        conn.connection_made(LoopbackWriter(reader.feed_data, reader.feed_eof))
+        later = conn._call_soon
+        return reader, LoopbackWriter(
+            partial(later, conn.data_received), partial(later, conn.close))
 
     # -- sessions ------------------------------------------------------------
 
@@ -717,14 +719,6 @@ class ReproServer:
             self.families["retransmissions"].inc(delta_sent)
         if delta_avoided:
             self.families["avoided"].inc(delta_avoided)
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _write_now(self, writer, payload: dict) -> None:
-        """Write one frame outside the writer task (pre-session replies)."""
-        size = write_frame(writer, payload)
-        self.families["frames_out"].inc()
-        self.families["bytes_out"].inc(size)
 
 
 def _retrans_counts(session: ServerSession) -> Tuple[int, int]:

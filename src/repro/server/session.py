@@ -445,7 +445,8 @@ class ServerSession:
         self.outbox: Deque[dict] = deque()
         self.attached = False
         self.detached_at: Optional[float] = None
-        #: Set by the server on attach: wakes the connection's writer task.
+        #: Set by the server on attach: schedules the connection's flush of
+        #: the outbox (at most one per loop iteration).
         self.on_enqueue = None
         self.stats = SessionStats()
         #: Retry jitter, seeded per session so sessions spread apart.
