@@ -75,11 +75,11 @@ decode" as a *torn tail* left by a crash mid-append: what precedes it is
 trusted, the rest is truncated with a warning, and it never raises.  The
 snapshot reader (:func:`repro.engine.persistence.read_snapshot`) refuses the
 whole file: it was swapped in atomically, so anything short of every frame
-decoding is damage, not a crash.  A stream reader
-(:class:`repro.server.protocol.FrameDecoder`,
-:func:`repro.server.protocol.read_frame`) waits on "incomplete" -- the
-bytes are in flight -- but a frame that can never decode means framing sync
-with the peer is lost, and the only safe reaction is the connection-fatal
+decoding is damage, not a crash.  The stream reader
+(:class:`repro.server.protocol.FrameDecoder`, which the server and both
+clients feed) waits on "incomplete" -- the bytes are in flight -- but a
+frame that can never decode means framing sync with the peer is lost, and
+the only safe reaction is the connection-fatal
 :class:`~repro.errors.WireProtocolError`.  The wire reads through
 :func:`decode_frame`, which knows messages only, with or without blocks:
 a peer never gets to send a packed record or segment, because nothing on

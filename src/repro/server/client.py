@@ -26,11 +26,13 @@ again.
 from __future__ import annotations
 
 import abc
+import asyncio
 import itertools
 import socket
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.codec import decode_exp
 from repro.core.timestamps import Timestamp, ts
@@ -38,13 +40,7 @@ from repro.engine.config import DatabaseConfig
 from repro.engine.database import Database
 from repro.engine.wal import WriteAheadLog
 from repro.errors import RemoteError, SessionError, WireProtocolError
-from repro.server.protocol import (
-    PROTOCOL_VERSION,
-    FrameDecoder,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
+from repro.server.protocol import PROTOCOL_VERSION, FrameDecoder, encode_frame
 from repro.sql.executor import SqlResult, execute_sql
 
 __all__ = [
@@ -56,12 +52,6 @@ __all__ = [
     "Subscription",
     "connect",
 ]
-
-#: Reply kinds (they echo ``re``); everything else on the wire is a push.
-_REPLY_KINDS = frozenset(
-    {"result", "error", "sub-ok", "snapshot", "pong", "bye-ok", "hello-ok"}
-)
-
 
 @dataclass
 class Result:
@@ -341,9 +331,13 @@ class _WireSubscription(Subscription):
 
 
 class _WireSessionState:
-    """The reply and push vocabulary of both wire sessions: plain functions
-    of frames already received.  The two classes add only their transport
-    (how a frame is sent and how the next one is awaited)."""
+    """The one frame loop under both wire sessions, free of I/O.
+
+    It owns the connection's :class:`FrameDecoder` and a ``write(bytes)``
+    callable, and turns received bytes into replies and applied pushes
+    (:meth:`_receive`).  The two session classes add only how the next
+    chunk is awaited and whether their verbs block or ``await``.
+    """
 
     def __init__(self) -> None:
         self.token: Optional[str] = None
@@ -352,18 +346,59 @@ class _WireSessionState:
         self.data_version = 0
         self.subscriptions: Dict[int, _WireSubscription] = {}
         self._ids = itertools.count(1)
+        self._pushes = 0  # push frames handled, for ``poll``'s count
         self.closed = False
         self.resumed = False
+
+    def _attach(self, write: Callable[[bytes], object]) -> None:
+        """Start a fresh byte stream whose frames go out through ``write``."""
+        self._write = write
+        self._decoder = FrameDecoder()
+        self._queue: Deque[dict] = deque()
+
+    def _send(self, payload: dict) -> None:
+        self._write(encode_frame(payload))
+
+    def _request(self, payload: dict) -> int:
+        """Send ``payload`` as a request; returns the id its reply echoes."""
+        if self.closed:
+            raise SessionError("session is closed")
+        rid = payload["id"] = next(self._ids)
+        self._send(payload)
+        return rid
+
+    def _receive(self, chunk: bytes, awaited: Optional[int] = None) -> Optional[dict]:
+        """Handle the frames ``chunk`` completes, in arrival order.
+
+        A push is applied and acked at once.  The reply to ``awaited`` is
+        returned, and the frames behind it stay queued for the next call
+        (a resumed session's replay sits right behind ``hello-ok``, before
+        its subscriptions are known).  A reply no request awaits -- one
+        whose request timed out, or to a fire-and-forget ``unsubscribe``
+        -- is dropped.
+        """
+        queue = self._queue
+        queue.extend(self._decoder.feed(chunk))
+        while queue:
+            frame = queue.popleft()
+            rid = frame.get("re")
+            if rid is None:
+                self._handle_push(frame)
+            elif rid == awaited:
+                return frame
+        return None
+
+    def _hung_up(self) -> Exception:
+        """What the server hanging up means to a request awaiting its reply."""
+        if self._decoder.buffered:
+            return WireProtocolError("server closed mid-frame")
+        return ConnectionError("server closed the connection")
 
     def _hello(
         self, resume: Optional[str], acks: Optional[dict] = None
     ) -> dict:
         """The ``hello`` request; with ``resume``, the delivery state too."""
-        hello: dict = {
-            "kind": "hello",
-            "id": next(self._ids),
-            "version": PROTOCOL_VERSION,
-        }
+        hello: dict = {"kind": "hello", "version": PROTOCOL_VERSION}
         if resume is not None:
             hello["resume"] = resume
             hello["acks"] = self._ack_state() if acks is None else acks
@@ -411,16 +446,32 @@ class _WireSessionState:
         )
 
     def _open_subscription(self, reply: dict, view: str) -> _WireSubscription:
-        """A ``sub-ok`` frame as a registered subscription at its snapshot."""
+        """A ``sub-ok`` frame's subscription, registered; :meth:`_restore`
+        then puts it at the frame's snapshot."""
         sub = _WireSubscription(
             self,
             int(reply["sub"]),
             reply.get("view", view),
             tuple(reply.get("columns", ())),
         )
-        sub.apply_snapshot(reply)
         self.subscriptions[sub.sub_id] = sub
         return sub
+
+    def _restore(self, sub: _WireSubscription, frame: dict) -> _WireSubscription:
+        """Reset ``sub`` to the snapshot ``frame`` carries and ack it."""
+        sub.apply_snapshot(frame)
+        self._send(sub.ack_payload())
+        return sub
+
+    def _unsubscribe(self, sub: _WireSubscription) -> None:
+        """Drop ``sub`` and tell the server, fire-and-forget: closing a
+        subscription does not wait, so its reply is dropped on arrival."""
+        self.subscriptions.pop(sub.sub_id, None)
+        if not self.closed:
+            try:
+                self._request({"kind": "unsubscribe", "sub": sub.sub_id})
+            except OSError:  # the connection is gone; so is the stream
+                pass
 
     def _note_time(self, frame: dict) -> None:
         raw = frame.get("now")
@@ -431,23 +482,21 @@ class _WireSessionState:
                 if stamp > self.floor:
                     self.floor = stamp
 
-    def _handle_push(self, frame: dict) -> List[dict]:
-        """Apply one push frame; returns ack payloads to transmit."""
+    def _handle_push(self, frame: dict) -> None:
+        """Apply one push frame, acking what it delivered."""
+        self._pushes += 1
         self._note_time(frame)
         kind = frame.get("kind")
         sub = self.subscriptions.get(int(frame.get("sub", -1)))
         if sub is None or sub.closed:
-            return []
+            return
         if kind == "patch":
             sub.apply_patch(frame)
-            return [sub.ack_payload()]  # cumulative: re-acks duplicates too
-        if kind == "snapshot":
-            sub.apply_snapshot(frame)
-            return [sub.ack_payload()]
-        if kind == "invalidate":
+            self._send(sub.ack_payload())  # cumulative: re-acks duplicates too
+        elif kind == "snapshot":
+            self._restore(sub, frame)
+        elif kind == "invalidate":
             sub.apply_invalidate(frame)
-            return []
-        return []
 
     def _ack_state(self) -> dict:
         """The per-subscription delivery state sent with a resume hello."""
@@ -467,7 +516,7 @@ class NetworkSession(Session, _WireSessionState):
     """A blocking-socket session speaking the frame protocol.
 
     One in-flight request at a time (requests are serialised on the
-    server's event loop anyway); subscription pushes are absorbed while
+    server's event loop anyway); subscription pushes are handled while
     waiting for replies and on explicit :meth:`poll`.  Reconnect with
     :meth:`reconnect` -- the server resumes the session by token and
     retransmits exactly the unexpired remainder.
@@ -479,8 +528,6 @@ class NetworkSession(Session, _WireSessionState):
         self.port = port
         self.timeout = timeout
         self._sock: Optional[socket.socket] = None
-        self._decoder = FrameDecoder()
-        self._inbox: List[dict] = []
         self._connect(resume=None)
 
     # -- transport -----------------------------------------------------------
@@ -489,59 +536,25 @@ class NetworkSession(Session, _WireSessionState):
         self._sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout
         )
-        self._decoder = FrameDecoder()
-        hello = self._hello(resume)
-        self._send(hello)
-        self._adopt_hello(self._await_reply(hello["id"]))
+        self._attach(self._sock.sendall)
+        self._adopt_hello(self._await(self._request(self._hello(resume))))
 
-    def _send(self, payload: dict) -> None:
+    def _await(self, rid: int) -> dict:
+        """Block (up to the timeout per ``recv``) for the reply to ``rid``."""
         assert self._sock is not None
-        self._sock.sendall(encode_frame(payload))
-
-    def _read_some(self) -> List[dict]:
-        """Block (up to the timeout) for at least one frame."""
-        assert self._sock is not None
-        while True:
+        reply = None
+        while reply is None:
             chunk = self._sock.recv(65536)
             if not chunk:
-                if self._decoder.buffered:
-                    raise WireProtocolError("server closed mid-frame")
-                raise ConnectionError("server closed the connection")
-            frames = self._decoder.feed(chunk)
-            if frames:
-                return frames
-
-    def _await_reply(self, rid: int) -> dict:
-        while True:
-            for i, frame in enumerate(self._inbox):
-                if frame.get("re") == rid:
-                    del self._inbox[i]
-                    return frame
-            self._absorb_inbox()
-            self._inbox.extend(self._read_some())
-
-    def _absorb(self, frame: dict) -> None:
-        for ack in self._handle_push(frame):
-            self._send(ack)
-
-    def _absorb_inbox(self) -> int:
-        """Handle the pushes buffered beside replies; returns how many."""
-        pushes = [f for f in self._inbox if f.get("re") is None]
-        if pushes:
-            self._inbox = [f for f in self._inbox if f.get("re") is not None]
-            for frame in pushes:
-                self._absorb(frame)
-        return len(pushes)
+                raise self._hung_up()
+            reply = self._receive(chunk, rid)
+        return reply
 
     def _rpc(self, payload: dict) -> dict:
-        self._check_open()
-        rid = next(self._ids)
-        payload["id"] = rid
-        self._send(payload)
-        return self._checked(self._await_reply(rid))
+        return self._checked(self._await(self._request(payload)))
 
     def poll(self, timeout: float = 0.0) -> int:
-        """Absorb queued pushes without issuing a request.
+        """Handle queued pushes without issuing a request.
 
         Returns the number of push frames handled; ``timeout`` bounds the
         wait for the *first* byte (0 = only what is already queued).
@@ -550,28 +563,19 @@ class NetworkSession(Session, _WireSessionState):
         """
         self._check_open()
         assert self._sock is not None
-        handled = self._absorb_inbox()
-        if handled:
-            timeout = 0.0
-        self._sock.settimeout(timeout if timeout > 0 else 0.000001)
+        before = self._pushes
+        self._receive(b"")
+        wait = timeout if timeout > 0 and self._pushes == before else 0.000001
         try:
-            while True:
-                try:
-                    chunk = self._sock.recv(65536)
-                except socket.timeout:
-                    break
-                if not chunk:
-                    break
-                for frame in self._decoder.feed(chunk):
-                    if frame.get("re") is not None:
-                        self._inbox.append(frame)
-                        continue
-                    self._absorb(frame)
-                    handled += 1
+            self._sock.settimeout(wait)
+            while chunk := self._sock.recv(65536):
+                self._receive(chunk)
                 self._sock.settimeout(0.000001)  # drain what is left
+        except socket.timeout:
+            pass
         finally:
             self._sock.settimeout(self.timeout)
-        return handled
+        return self._pushes - before
 
     # -- the session surface -------------------------------------------------
 
@@ -583,22 +587,10 @@ class NetworkSession(Session, _WireSessionState):
 
     def subscribe(self, view: str) -> _WireSubscription:
         reply = self._rpc({"kind": "subscribe", "view": view})
-        sub = self._open_subscription(reply, view)
-        self._send(sub.ack_payload())
-        return sub
+        return self._restore(self._open_subscription(reply, view), reply)
 
     def _refetch(self, sub: _WireSubscription) -> None:
-        reply = self._rpc({"kind": "refetch", "sub": sub.sub_id})
-        sub.apply_snapshot(reply)
-        self._send(sub.ack_payload())
-
-    def _unsubscribe(self, sub: _WireSubscription) -> None:
-        self.subscriptions.pop(sub.sub_id, None)
-        if not self.closed:
-            try:
-                self._rpc({"kind": "unsubscribe", "sub": sub.sub_id})
-            except (ConnectionError, OSError):
-                pass
+        self._restore(sub, self._rpc({"kind": "refetch", "sub": sub.sub_id}))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -615,7 +607,6 @@ class NetworkSession(Session, _WireSessionState):
         """Re-dial and resume: the server replays the unexpired remainder."""
         self._check_open()
         self.disconnect()
-        self._inbox = []
         self._connect(resume=self.token)
         # Whatever the server owed us was queued right behind hello-ok.
         self.poll(timeout=0.05)
@@ -651,12 +642,11 @@ class AsyncSession(_WireSessionState):
         super().__init__()
         self._reader = reader
         self._writer = writer
+        self._attach(writer.write)
 
     @classmethod
     async def open(cls, host: str, port: int, resume: Optional[str] = None,
                    acks: Optional[dict] = None) -> "AsyncSession":
-        import asyncio
-
         reader, writer = await asyncio.open_connection(host, port)
         return await cls._handshake(reader, writer, resume, acks)
 
@@ -669,34 +659,23 @@ class AsyncSession(_WireSessionState):
     @classmethod
     async def _handshake(cls, reader, writer, resume, acks) -> "AsyncSession":
         session = cls(reader, writer)
-        hello = session._hello(resume, acks)
-        write_frame(writer, hello)
-        await writer.drain()
-        session._adopt_hello(await session._await_reply(hello["id"]))
+        rid = session._request(session._hello(resume, acks))
+        session._adopt_hello(await session._await(rid))
         return session
 
-    async def _await_reply(self, rid: int) -> dict:
-        while True:
-            frame = await read_frame(self._reader)
-            if frame is None:
-                raise ConnectionError("server closed the connection")
-            if frame.get("re") == rid:
-                return frame
-            await self._absorb(frame)
-
-    async def _absorb(self, frame: dict) -> None:
-        for ack in self._handle_push(frame):
-            write_frame(self._writer, ack)
+    async def _await(self, rid: int) -> dict:
+        """The reply to ``rid``, once the writes before it have drained."""
         await self._writer.drain()
+        reply = None
+        while reply is None:
+            chunk = await self._reader.read(65536)
+            if not chunk:
+                raise self._hung_up()
+            reply = self._receive(chunk, rid)
+        return reply
 
     async def _rpc(self, payload: dict) -> dict:
-        if self.closed:
-            raise SessionError("session is closed")
-        rid = next(self._ids)
-        payload["id"] = rid
-        write_frame(self._writer, payload)
-        await self._writer.drain()
-        return self._checked(await self._await_reply(rid))
+        return self._checked(await self._await(self._request(payload)))
 
     async def execute(self, text: str) -> Result:
         """Run one SQL statement (any kind) and return its result."""
@@ -709,41 +688,38 @@ class AsyncSession(_WireSessionState):
     async def subscribe(self, view: str) -> _WireSubscription:
         """Open a client-side materialisation of the named view."""
         reply = await self._rpc({"kind": "subscribe", "view": view})
-        sub = self._open_subscription(reply, view)
-        write_frame(self._writer, sub.ack_payload())
-        await self._writer.drain()
-        return sub
+        return self._restore(self._open_subscription(reply, view), reply)
 
     async def refetch(self, sub: "_WireSubscription") -> None:
         """Restore a degraded subscription with a full snapshot."""
-        reply = await self._rpc({"kind": "refetch", "sub": sub.sub_id})
-        sub.apply_snapshot(reply)
-        write_frame(self._writer, sub.ack_payload())
-        await self._writer.drain()
+        self._restore(sub, await self._rpc({"kind": "refetch", "sub": sub.sub_id}))
 
     async def poll(self, timeout: float = 0.0) -> int:
-        """Absorb pushes already in flight; returns how many.
+        """Handle pushes already in flight; returns how many.
 
-        ``timeout`` bounds the wait for a frame's first byte only: a frame
-        that has started is read to its end.
+        ``timeout`` bounds the wait for the first chunk (pushes already
+        queued are handled first, without waiting).  A cancelled read
+        consumes nothing, so a frame cut off by the timeout is finished
+        by the next call.
         """
-        import asyncio
-
-        handled = 0
+        before = self._pushes
+        self._receive(b"")
+        if self._pushes > before:
+            timeout = 0.0
         while True:
             try:
-                first = await asyncio.wait_for(
-                    self._reader.readexactly(1), timeout=max(timeout, 0.001)
+                chunk = await asyncio.wait_for(
+                    self._reader.read(65536), timeout=max(timeout, 0.001)
                 )
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-                break  # nothing in flight, or a clean EOF
-            frame = await read_frame(self._reader, first)
-            if frame.get("re") is not None:
-                continue  # stray reply with nobody waiting: drop it
-            await self._absorb(frame)
-            handled += 1
+            except asyncio.TimeoutError:
+                break  # nothing in flight
+            if not chunk:
+                break  # a clean EOF
+            self._receive(chunk)
             timeout = 0.0  # only drain what is queued after the first
-        return handled
+        if self._pushes > before:
+            await self._writer.drain()
+        return self._pushes - before
 
     async def ping(self) -> Timestamp:
         """Round-trip liveness probe; returns the server's logical now."""
@@ -764,11 +740,6 @@ class AsyncSession(_WireSessionState):
                 self._writer.close()
             except (ConnectionError, RuntimeError, OSError):
                 pass
-
-    def _unsubscribe(self, sub: "_WireSubscription") -> None:
-        # Fire-and-forget: async unsubscribe happens via the RPC surface;
-        # dropping local state is enough for bookkeeping.
-        self.subscriptions.pop(sub.sub_id, None)
 
     def _refetch(self, sub: "_WireSubscription") -> None:
         raise SessionError(

@@ -6,8 +6,11 @@ why the log's reader and this one disagree about a bad frame).  This
 module holds the stream side of that disagreement: an *incomplete* frame
 -- bytes still in flight -- waits for more input, while a frame that can
 never decode means framing sync with the peer is lost, so
-:class:`FrameDecoder` and :func:`read_frame` raise the connection-fatal
-:class:`~repro.errors.WireProtocolError`.
+:class:`FrameDecoder` raises the connection-fatal
+:class:`~repro.errors.WireProtocolError`.  It is the wire's only reader:
+the server's connections and both client sessions feed it whatever bytes
+arrived.  A server that hangs up while the decoder holds part of a frame
+has torn it, which the clients report as the same error.
 
 Timestamps travel as an integer tick with ``None`` for ``∞``
 (:func:`repro.codec.encode_exp`).  A relation travels once, packed: a
@@ -52,8 +55,7 @@ server → client
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro import codec
 from repro.errors import WireProtocolError
@@ -63,8 +65,6 @@ __all__ = [
     "MAX_FRAME",
     "FrameDecoder",
     "encode_frame",
-    "read_frame",
-    "write_frame",
 ]
 
 #: Bumped on incompatible wire changes; ``hello`` negotiates equality.
@@ -134,51 +134,3 @@ class FrameDecoder:
             raise fault from None
         del buffer[:offset]
         return frames
-
-
-async def read_frame(
-    reader: asyncio.StreamReader, started: bytes = b""
-) -> Optional[Dict[str, Any]]:
-    """Read exactly one frame; ``None`` on clean EOF at a frame boundary.
-
-    ``started`` is the frame's first bytes when the caller has already
-    read them -- a caller that waits for the next frame with a timeout
-    waits on its first byte, because cancelling this coroutine after the
-    header is consumed would lose framing sync.  EOF in the middle of a
-    frame (the peer died mid-send) raises
-    :class:`~repro.errors.WireProtocolError` -- on a live connection a
-    half-frame is indistinguishable from corruption.
-    """
-    try:
-        header = started + await reader.readexactly(
-            codec.HEADER.size - len(started)
-        )
-    except asyncio.IncompleteReadError as error:
-        if not started and not error.partial:
-            return None  # clean EOF between frames
-        raise WireProtocolError(
-            f"connection closed mid-header "
-            f"({len(started) + len(error.partial)} bytes)"
-        ) from None
-    try:
-        # A header alone is "incomplete" unless its length is out of bounds.
-        codec.decode_frame(header, 0, MAX_FRAME)
-        body = await reader.readexactly(codec.HEADER.unpack(header)[0])
-        payload, _ = codec.decode_frame(header + body, 0, MAX_FRAME)
-    except asyncio.IncompleteReadError:
-        raise WireProtocolError("connection closed mid-frame") from None
-    except codec.FrameError as error:
-        raise _fatal(error) from None
-    return payload
-
-
-def write_frame(writer, payload: Dict[str, Any]) -> int:
-    """Encode and queue one frame on ``writer``; returns the frame size.
-
-    ``writer`` is an :class:`asyncio.StreamWriter` or anything
-    duck-compatible (the in-process loopback transport); the caller is
-    responsible for ``await writer.drain()`` at its own cadence.
-    """
-    frame = encode_frame(payload)
-    writer.write(frame)
-    return len(frame)

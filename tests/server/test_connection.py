@@ -17,13 +17,9 @@ import pytest
 
 from repro import codec
 from repro.server.client import AsyncSession, NetworkSession
-from repro.server.protocol import (
-    MAX_FRAME,
-    PROTOCOL_VERSION,
-    encode_frame,
-    read_frame,
-)
+from repro.server.protocol import MAX_FRAME, PROTOCOL_VERSION, encode_frame
 from repro.server.server import ReproServer
+from tests.server.wire import next_frame
 
 TRANSPORTS = ["tcp", "loopback"]
 
@@ -40,7 +36,7 @@ async def _open(server: ReproServer, transport: str):
 
 
 async def _replies(reader, count: int):
-    return [await asyncio.wait_for(read_frame(reader), 5) for _ in range(count)]
+    return [await asyncio.wait_for(next_frame(reader), 5) for _ in range(count)]
 
 
 async def _closed(reader) -> bool:
@@ -300,7 +296,7 @@ class TestSocketBackpressure:
             subscriber._writer.write(encode_frame({"kind": "bye", "id": 99}))
             frames = []
             while (frame := await asyncio.wait_for(
-                    read_frame(subscriber._reader), 5)) is not None:
+                    next_frame(subscriber._reader), 5)) is not None:
                 frames.append(frame)
             assert frames[-1] == {"kind": "bye-ok", "re": 99}
             assert subscriber.token not in server.sessions

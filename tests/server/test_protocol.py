@@ -8,20 +8,13 @@ loses framing sync must drop the connection, so every corruption here is a
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
 from repro.codec import decode_exp, decode_items, encode_exp, encode_items
 from repro.core.timestamps import INFINITY, ts
 from repro.errors import WireProtocolError
-from repro.server.protocol import (
-    MAX_FRAME,
-    FrameDecoder,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
+from repro.server.protocol import MAX_FRAME, FrameDecoder, encode_frame
+from tests.server.wire import CLIENTS, request_through
 from tests.test_codec import BAD_FRAMES
 
 
@@ -102,52 +95,19 @@ class TestCorruption:
         self._fatal("no_kind", "message object")
 
 
-class TestAsyncHelpers:
-    def _reader_with(self, data: bytes, eof: bool = True) -> asyncio.StreamReader:
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        if eof:
-            reader.feed_eof()
-        return reader
+class TestClientReader:
+    """The stream side of the contract at the client boundary: both
+    sessions read the wire through :class:`FrameDecoder` alone, so a
+    server hanging up between frames closes the connection, and one
+    hanging up inside a frame has torn it."""
 
-    def test_read_frame_round_trip(self):
-        async def scenario():
-            payload = {"kind": "sql", "id": 1, "text": "SELECT 1"}
-            reader = self._reader_with(encode_frame(payload))
-            assert await read_frame(reader) == payload
-            assert await read_frame(reader) is None  # clean EOF
-
-        asyncio.run(scenario())
-
-    def test_eof_mid_header_raises(self):
-        async def scenario():
-            reader = self._reader_with(encode_frame({"kind": "ping"})[:3])
-            with pytest.raises(WireProtocolError, match="mid-header"):
-                await read_frame(reader)
-
-        asyncio.run(scenario())
-
-    def test_eof_mid_body_raises(self):
-        async def scenario():
-            frame = encode_frame({"kind": "ping", "id": 9})
-            reader = self._reader_with(frame[:-2])
-            with pytest.raises(WireProtocolError, match="mid-frame"):
-                await read_frame(reader)
-
-        asyncio.run(scenario())
-
-    def test_write_frame_reports_size(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-
-            class Sink:
-                def write(self, data):
-                    reader.feed_data(data)
-
-            payload = {"kind": "pong", "re": 4}
-            size = write_frame(Sink(), payload)
-            assert size == len(encode_frame(payload))
-            reader.feed_eof()
-            assert await read_frame(reader) == payload
-
-        asyncio.run(scenario())
+    @pytest.mark.parametrize("client", CLIENTS)
+    @pytest.mark.parametrize("data, error", [
+        (b"", ConnectionError),
+        (encode_frame({"kind": "pong", "re": 999}), ConnectionError),
+        (encode_frame({"kind": "pong", "re": 2})[:3], WireProtocolError),
+        (encode_frame({"kind": "pong", "re": 2})[:-2], WireProtocolError),
+    ], ids=["between_frames", "after_a_stray_reply", "mid_header", "mid_body"])
+    def test_a_hang_up(self, client, data, error):
+        with pytest.raises(error):
+            request_through(client, data)

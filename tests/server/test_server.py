@@ -20,8 +20,9 @@ from repro.engine.config import DatabaseConfig
 from repro.engine.expiration_index import RemovalPolicy
 from repro.errors import RemoteError, SessionError
 from repro.server.client import AsyncSession, NetworkSession, connect
-from repro.server.protocol import PROTOCOL_VERSION, encode_frame
+from repro.server.protocol import PROTOCOL_VERSION, FrameDecoder, encode_frame
 from repro.server.server import ReproServer
+from tests.server.wire import CLIENTS, next_frame
 
 
 def run(coro):
@@ -257,11 +258,9 @@ class TestTcpRoundTrip:
         async def scenario():
             server = ReproServer()
             reader, writer = server.open_loopback()
-            from repro.server.protocol import read_frame, write_frame
-
-            write_frame(writer, {"kind": "hello", "id": 1, "version": 999})
+            writer.write(encode_frame({"kind": "hello", "id": 1, "version": 999}))
             await writer.drain()
-            reply = await read_frame(reader)
+            reply = await next_frame(reader)
             assert reply["kind"] == "error"
             assert "version" in reply["message"]
             await server.stop()
@@ -712,23 +711,19 @@ class TestServerLifecycle:
 
 async def _raw_hello(server, **fields):
     """A hand-driven loopback connection; returns ``(reader, writer, reply)``."""
-    from repro.server.protocol import read_frame, write_frame
-
     reader, writer = server.open_loopback()
-    write_frame(writer, {"kind": "hello", "id": 0,
-                         "version": PROTOCOL_VERSION, **fields})
-    reply = await asyncio.wait_for(read_frame(reader), 2)
+    writer.write(encode_frame({"kind": "hello", "id": 0,
+                               "version": PROTOCOL_VERSION, **fields}))
+    reply = await asyncio.wait_for(next_frame(reader), 2)
     return reader, writer, reply
 
 
 async def _raw_request(reader, writer, frame: dict):
     """Send ``frame``; returns ``(reply, pushes that arrived before it)``."""
-    from repro.server.protocol import read_frame, write_frame
-
-    write_frame(writer, frame)
+    writer.write(encode_frame(frame))
     pushes = []
     while True:
-        reply = await asyncio.wait_for(read_frame(reader), 2)
+        reply = await asyncio.wait_for(next_frame(reader), 2)
         if reply.get("re") == frame["id"]:
             return reply, pushes
         pushes.append(reply)
@@ -896,7 +891,7 @@ class TestSenderCoreOnTheWire:
 class TestPollHandlesWhatIsAlreadyHere:
     def test_network_poll_applies_a_push_buffered_beside_a_reply(self):
         """A patch that arrives in the same ``recv`` chunk as the
-        statement's result waits in the session's inbox, and ``poll``
+        statement's result waits in the session's queue, and ``poll``
         applies it; a ``poll`` that read only the socket left about half
         of these reads one row short."""
 
@@ -917,7 +912,7 @@ class TestPollHandlesWhatIsAlreadyHere:
                         expected.append((k,))
                         session.poll(0.2)
                         assert sub.read() == expected, k
-                        assert not session._inbox
+                        assert not session._queue
 
             try:
                 await asyncio.to_thread(sync_part)
@@ -931,36 +926,11 @@ class TestPollHandlesWhatIsAlreadyHere:
         its header; a poll cancelled after the header left the next one
         reading the middle of the frame as a length, a dropped
         connection."""
-        from repro.engine.database import Database
-        from repro.server.protocol import FrameDecoder
-        from repro.server.session import ServerSession
-        from repro.sql.executor import execute_sql
-
-        db = Database()
-        execute_sql(db, "CREATE TABLE T (k)")
-        execute_sql(db, "CREATE MATERIALIZED VIEW v AS SELECT k FROM T")
-        server_session = ServerSession(db)
-        server_sub = server_session.subscribe(db.view("v"))
-        snapshot = server_sub.snapshot_payload(db.clock.now, columns=True)
-        execute_sql(db, "INSERT INTO T VALUES (1) EXPIRES AT 50")
-        patch, _ = server_sub.diff_payload(db.clock.now)
-        frame = encode_frame(patch)
+        sub_ok, frame = _sub_ok_and_patch()
         assert len(frame) > 20
-        [sub_ok] = FrameDecoder().feed(encode_frame(snapshot))
-
-        class Sink:
-            def __init__(self):
-                self.frames = FrameDecoder()
-                self.acks = []
-
-            def write(self, data):
-                self.acks += self.frames.feed(data)
-
-            async def drain(self):
-                pass
 
         async def scenario():
-            reader, sink = asyncio.StreamReader(), Sink()
+            reader, sink = asyncio.StreamReader(), _Sink()
             session = AsyncSession(reader, sink)
             sub = session._open_subscription(sub_ok, "v")
             reader.feed_data(frame[:20])
@@ -974,4 +944,108 @@ class TestPollHandlesWhatIsAlreadyHere:
             assert [ack["cum"] for ack in sink.acks] == [1]
 
         run(scenario())
-        db.close()
+
+    def test_a_reply_no_request_awaits_is_dropped(self):
+        """One rule for stray replies in the frame loop under both
+        sessions: a reply whose request is no longer awaited (it timed
+        out, or it answers a fire-and-forget ``unsubscribe``) is dropped
+        on arrival, by ``poll`` and by a request waiting for its own."""
+        sub_ok, frame = _sub_ok_and_patch()
+        stray = encode_frame({"kind": "pong", "re": 41, "now": 7})
+
+        async def scenario():
+            reader, sink = asyncio.StreamReader(), _Sink()
+            session = AsyncSession(reader, sink)
+            sub = session._open_subscription(sub_ok, "v")
+            reader.feed_data(stray + frame)
+            assert await session.poll(0.05) == 1
+            assert sub.read() == [(1,)]
+            assert not session._queue
+            ping = asyncio.ensure_future(session.ping())
+            await asyncio.sleep(0)
+            request = sink.acks[-1]
+            assert request["kind"] == "ping"
+            reply = {"kind": "pong", "re": request["id"], "now": 3}
+            reader.feed_data(stray + encode_frame(reply))
+            assert await asyncio.wait_for(ping, 1) == ts(3)
+            assert not session._queue
+
+        run(scenario())
+
+
+class _Sink:
+    """A writer that decodes what a session sends."""
+
+    def __init__(self):
+        self.frames = FrameDecoder()
+        self.acks = []
+
+    def write(self, data):
+        self.acks += self.frames.feed(data)
+
+    async def drain(self):
+        pass
+
+
+def _sub_ok_and_patch():
+    """A ``sub-ok`` frame for an empty view and the encoded patch that then
+    inserts ``(1,)`` into it, as a server session produces them."""
+    from repro.engine.database import Database
+    from repro.server.session import ServerSession
+    from repro.sql.executor import execute_sql
+
+    db = Database()
+    execute_sql(db, "CREATE TABLE T (k)")
+    execute_sql(db, "CREATE MATERIALIZED VIEW v AS SELECT k FROM T")
+    server_session = ServerSession(db)
+    server_sub = server_session.subscribe(db.view("v"))
+    snapshot = server_sub.snapshot_payload(db.clock.now, columns=True)
+    execute_sql(db, "INSERT INTO T VALUES (1) EXPIRES AT 50")
+    patch, _ = server_sub.diff_payload(db.clock.now)
+    db.close()
+    [sub_ok] = FrameDecoder().feed(encode_frame(snapshot))
+    return sub_ok, encode_frame(patch)
+
+
+class TestCloseTellsTheServer:
+    @pytest.mark.parametrize("client", CLIENTS)
+    def test_a_closed_subscription_leaves_the_server(self, client):
+        """``sub.close()`` sends ``unsubscribe`` from either session, so a
+        later write leaves no envelope on the server waiting for an ack
+        that will never come."""
+        setup = ["CREATE TABLE T (k)",
+                 "CREATE MATERIALIZED VIEW v AS SELECT k FROM T"]
+        insert = "INSERT INTO T VALUES (1) EXPIRES AT 50"
+
+        def sync_part(host, port):
+            session = NetworkSession(host, port)
+            for text in setup:
+                session.execute(text)
+            session.subscribe("v").close()
+            session.execute(insert)
+            return session
+
+        async def scenario():
+            server = ReproServer()
+            host, port = await server.start()
+            try:
+                if client == "sync":
+                    session = await asyncio.to_thread(sync_part, host, port)
+                else:
+                    session = await AsyncSession.open(host, port)
+                    for text in setup:
+                        await session.execute(text)
+                    (await session.subscribe("v")).close()
+                    await session.execute(insert)
+                held = server.sessions[session.token]
+                assert held.subscriptions == {}
+                assert held.outstanding() == 0
+                assert server.families["subs"].value == 0
+                if client == "sync":
+                    await asyncio.to_thread(session.close)
+                else:
+                    await session.close()
+            finally:
+                await server.stop()
+
+        run(scenario())

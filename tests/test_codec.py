@@ -10,7 +10,6 @@ truncation warning, the message a dropped connection reports).
 
 from __future__ import annotations
 
-import asyncio
 import struct
 import zlib
 from array import array
@@ -38,7 +37,8 @@ from repro.core.timestamps import INFINITY, RAW_INFINITY, Timestamp, ts
 from repro.engine.wal import WriteAheadLog, scan_log
 from repro.errors import WireProtocolError
 from repro.server import protocol
-from repro.server.protocol import FrameDecoder, read_frame
+from repro.server.protocol import FrameDecoder
+from tests.server.wire import CLIENTS, request_through
 
 
 def _frame(body: bytes) -> bytes:
@@ -238,13 +238,6 @@ LOGGED = [
 ]
 
 
-def _reader_with(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return reader
-
-
 bad_frames = pytest.mark.parametrize("name", list(BAD_FRAMES))
 
 
@@ -327,12 +320,9 @@ class TestThreeReaders:
         assert decode_record(frame, 0, LIMIT) == (LOGGED[1], len(frame))
         with pytest.raises(WireProtocolError, match="JSON"):
             FrameDecoder().feed(frame)
-
-        async def scenario():
+        for client in CLIENTS:
             with pytest.raises(WireProtocolError, match="JSON"):
-                await read_frame(_reader_with(frame))
-
-        asyncio.run(scenario())
+                request_through(client, frame)
 
     @bad_frames
     def test_frame_decoder_waits_or_drops_the_connection(self, name):
@@ -348,20 +338,12 @@ class TestThreeReaders:
 
     @bad_frames
     def test_read_frame_raises_mid_frame(self, name):
-        async def scenario():
-            reader = _reader_with(BAD_FRAMES[name].data)
+        """A client reading a frame: in both sessions a reply that is
+        damaged, or cut off by the server hanging up, is the same
+        connection-fatal error."""
+        for client in CLIENTS:
             with pytest.raises(WireProtocolError):  # EOF mid-frame included
-                await read_frame(reader)
-
-        asyncio.run(scenario())
-
-    def test_read_frame_clean_eof_is_none(self):
-        async def scenario():
-            reader = _reader_with(protocol.encode_frame(GOOD[1]))
-            assert await read_frame(reader) == GOOD[1]
-            assert await read_frame(reader) is None
-
-        asyncio.run(scenario())
+                request_through(client, BAD_FRAMES[name].data)
 
     def test_frame_split_at_every_offset_yields_nothing_early(self):
         frame = protocol.encode_frame(GOOD[1])

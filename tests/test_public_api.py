@@ -153,6 +153,34 @@ class TestOneOwnerForBytes:
         assert hasattr(repro.Database, "session")
 
 
+class TestOneWireReader:
+    def test_what_left_with_the_frame_loop(self):
+        """``protocol.read_frame`` (a second decoder of the wire format)
+        and ``write_frame`` are gone with no alias, so ``FrameDecoder`` is
+        the wire's only reader; both client sessions drive the one frame
+        loop in ``_WireSessionState`` and route no frame themselves."""
+        from pathlib import Path
+
+        import repro.server.protocol
+        from repro.server import client, server
+
+        for name in ("read_frame", "write_frame"):
+            for module in (repro.server, repro.server.protocol, client, server):
+                assert not hasattr(module, name)
+        assert repro.server.protocol.__all__ == [
+            "PROTOCOL_VERSION", "MAX_FRAME", "FrameDecoder", "encode_frame"]
+        package = Path(repro.__file__).parent
+        assert not [path for path in package.rglob("*.py")
+                    if "readexactly" in path.read_text(encoding="utf-8")]
+        loop = ("_receive", "_request", "_unsubscribe", "_restore",
+                "_handle_push")
+        for cls in (client.NetworkSession, client.AsyncSession):
+            assert not set(loop) & set(vars(cls))
+            for gone in ("_inbox", "_read_some", "_absorb", "_absorb_inbox"):
+                assert not hasattr(cls, gone)
+        assert set(loop) <= set(vars(client._WireSessionState))
+
+
 class TestOneSchedule:
     def test_what_left_with_the_schedule(self):
         """Every "key -> tick, hand back what is due" holder keeps one
