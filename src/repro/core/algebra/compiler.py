@@ -81,6 +81,7 @@ from repro.core.algebra.predicates import (
     OPERATORS,
     Constant,
     Not,
+    Operand,
     Or,
     Predicate,
     TruePredicate,
@@ -112,6 +113,123 @@ __all__ = [
 Pairs = Iterable[Tuple[tuple, Timestamp]]
 
 # ---------------------------------------------------------------------------
+# Constants as slots
+# ---------------------------------------------------------------------------
+
+#: Constant types a template abstracts.  Anything else (``bool``, ``None``,
+#: tuples, ...) stays in the template by value, so it is part of the key.
+_SLOTTED = (int, float, str)
+
+
+class _Slot(Operand):
+    """A constant's place in a compiled template.
+
+    A plan compiled from a template reads ``constants[index]`` at execute
+    time; ``kind`` is the constant's type, so ``k = 1`` and ``k = 'a'``
+    make different templates.
+    """
+
+    __slots__ = ("index", "kind")
+
+    def __init__(self, index: int, kind: type) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "kind", kind)
+
+    def resolve(self, schema: Schema) -> "_Slot":
+        return self
+
+    def __repr__(self) -> str:
+        return f"slot({self.index}:{self.kind.__name__})"
+
+
+def _value(operand, constants: tuple) -> Any:
+    """A constant operand's value under ``constants``."""
+    if type(operand) is _Slot:
+        return constants[operand.index]
+    return operand.value
+
+
+def _map_operands(predicate: Predicate, change: Callable) -> Predicate:
+    """``predicate`` with every comparison operand passed through ``change``."""
+    if isinstance(predicate, Comparison):
+        left, right = change(predicate.left), change(predicate.right)
+        if left is predicate.left and right is predicate.right:
+            return predicate
+        return Comparison(left, predicate.op, right)
+    if isinstance(predicate, (And, Or)):
+        children = [_map_operands(child, change) for child in predicate.children]
+        if all(new is old for new, old in zip(children, predicate.children)):
+            return predicate
+        return type(predicate)(*children)
+    if isinstance(predicate, Not):
+        child = _map_operands(predicate.child, change)
+        return predicate if child is predicate.child else Not(child)
+    return predicate
+
+
+def _map_expression(node: Expression, change: Callable) -> Expression:
+    """``node`` with ``change`` applied to every predicate operand, in one
+    fixed order (fields in ``__slots__`` order, operands left to right);
+    only the nodes on a changed path are copied."""
+    changed = {}
+    for name in type(node).__slots__:
+        value = getattr(node, name)
+        if isinstance(value, Expression):
+            new = _map_expression(value, change)
+        elif isinstance(value, Predicate):
+            new = _map_operands(value, change)
+        else:
+            continue
+        if new is not value:
+            changed[name] = new
+    if not changed:
+        return node
+    clone = object.__new__(type(node))
+    for name in type(node).__slots__:
+        object.__setattr__(clone, name, changed.get(name, getattr(node, name)))
+    return clone
+
+
+def template_of(expression: Expression) -> Tuple[Expression, tuple]:
+    """``(template, constants)``: ``expression`` with each int, float or
+    str constant replaced by a slot, and those constants in slot order.
+
+    Two expressions that differ only in such constants (of the same types)
+    have equal templates; ``instantiate(*template_of(e)) == e``.  The pair
+    is memoised on ``expression`` (and set by :func:`instantiate`).
+    """
+    try:
+        return expression._template
+    except AttributeError:
+        pass
+    constants: List[Any] = []
+
+    def slot(operand):
+        if type(operand) is Constant and type(operand.value) in _SLOTTED:
+            constants.append(operand.value)
+            return _Slot(len(constants) - 1, type(operand.value))
+        return operand
+
+    pair = _map_expression(expression, slot), tuple(constants)
+    expression._set("_template", pair)
+    return pair
+
+
+def _filler(constants: tuple) -> Callable:
+    """The operand map that puts ``constants`` into their slots."""
+    return lambda operand: (
+        Constant(constants[operand.index]) if type(operand) is _Slot else operand)
+
+
+def instantiate(template: Expression, constants: tuple) -> Expression:
+    """The literal expression ``template`` stands for under ``constants``."""
+    expression = _map_expression(template, _filler(constants))
+    if expression is not template:
+        expression._set("_template", (template, constants))
+    return expression
+
+
+# ---------------------------------------------------------------------------
 # Predicate compilation
 # ---------------------------------------------------------------------------
 
@@ -126,10 +244,27 @@ def compile_predicate(predicate: Predicate, schema: Schema) -> Callable[[tuple],
     Constants are bound as closure cells, never spliced into the source.
     A failed comparison re-runs interpreted, raising the ``EvaluationError``.
     """
-    constants: List[Any] = []
+    return _predicate_binder(predicate, schema)(())
+
+
+def _predicate_binder(
+    predicate: Predicate, schema: Schema
+) -> Callable[[tuple], Callable[[tuple], bool]]:
+    """``bind(constants)``: :func:`compile_predicate`'s function for a
+    predicate whose slots read ``constants``.  The source is built here,
+    once; binding only fills the closure cells."""
     resolved = predicate.resolve(schema)
-    body = _predicate_source(resolved, constants)
-    return _predicate_factory(body, len(constants))(resolved.matches, *constants)
+    operands: List[Any] = []
+    body = _predicate_source(resolved, operands)
+    factory = _predicate_factory(body, len(operands))
+
+    def bind(constants: tuple) -> Callable[[tuple], bool]:
+        def explain(row):  # the interpreted predicate raises the error
+            return _map_operands(resolved, _filler(constants)).matches(row)
+
+        return factory(explain, *[_value(operand, constants) for operand in operands])
+
+    return bind
 
 
 @functools.lru_cache(maxsize=256)
@@ -144,29 +279,29 @@ def _predicate_factory(body: str, cells: int) -> Callable[..., Callable[[tuple],
     return namespace["bind"]
 
 
-def _predicate_source(predicate: Predicate, constants: List[Any]) -> str:
+def _predicate_source(predicate: Predicate, operands: List[Any]) -> str:
     if isinstance(predicate, Comparison):
-        left = _operand_source(predicate.left, constants)
-        right = _operand_source(predicate.right, constants)
+        left = _operand_source(predicate.left, operands)
+        right = _operand_source(predicate.right, operands)
         op = "==" if predicate.op == "=" else predicate.op
         return f"({left} {op} {right})"
     if isinstance(predicate, (And, Or)):
         word = " and " if isinstance(predicate, And) else " or "
         return "(" + word.join(
-            _predicate_source(child, constants) for child in predicate.children
+            _predicate_source(child, operands) for child in predicate.children
         ) + ")"
     if isinstance(predicate, Not):
-        return f"(not {_predicate_source(predicate.child, constants)})"
+        return f"(not {_predicate_source(predicate.child, operands)})"
     if isinstance(predicate, TruePredicate):
         return "True"
     raise EvaluationError(f"uncompilable predicate {type(predicate).__name__}")
 
 
-def _operand_source(operand, constants: List[Any]) -> str:
+def _operand_source(operand, operands: List[Any]) -> str:
     if isinstance(operand, Attribute):
         return f"row[{operand.ref - 1}]"
-    constants.append(operand.evaluate(()))
-    return f"c{len(constants) - 1}"
+    operands.append(operand)
+    return f"c{len(operands) - 1}"
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +314,36 @@ class _Context:
 
     ``trace`` is ``None`` on the hot path; when set (``EXPLAIN ANALYZE``,
     ``Database.evaluate(trace=True)``) it is the span under which the
-    currently-building operator hangs its own span.
+    currently-building operator hangs its own span.  ``constants`` fill
+    the plan's slots, and ``bound`` holds the predicate functions bound to
+    them, one per compiled predicate, kept by the plan across executions.
     """
 
-    __slots__ = ("lookup", "tau", "stats", "trace")
+    __slots__ = ("lookup", "tau", "stats", "trace", "constants", "bound")
 
     def __init__(
         self,
         lookup: Callable[[str], Relation],
         tau: Timestamp,
         stats: EvalStats,
-        trace=None,
+        trace,
+        constants: tuple,
+        bound: dict,
     ) -> None:
         self.lookup = lookup
         self.tau = tau
         self.stats = stats
         self.trace = trace
+        self.constants = constants
+        self.bound = bound
+
+    def matcher(self, bind: Callable) -> Callable[[tuple], bool]:
+        """The row predicate ``bind`` (a :func:`_predicate_binder`) makes
+        for this plan's constants, bound once per plan."""
+        matches = self.bound.get(bind)
+        if matches is None:
+            matches = self.bound[bind] = bind(self.constants)
+        return matches
 
 
 class _Stream:
@@ -456,62 +605,64 @@ def _apply_mask(batch: ColumnBatch, mask) -> ColumnBatch:
 def _compile_mask(predicate: Predicate):
     """Compile a resolved predicate into a whole-column mask builder.
 
-    The returned ``build(columns, n)`` produces a boolean selection vector
-    for ``n`` rows, one ``map`` of the comparison per column.  Semantics
-    match :func:`compile_predicate` row-at-a-time evaluation elementwise.
+    The returned ``build(columns, n, constants)`` produces a boolean
+    selection vector for ``n`` rows, one ``map`` of the comparison per
+    column, reading slots from ``constants``.  Semantics match
+    :func:`compile_predicate` row-at-a-time evaluation elementwise.
     """
     if isinstance(predicate, Comparison):
         left, op, right = predicate.left, predicate.op, predicate.right
 
-        def build(columns, n):
+        def build(columns, n, constants):
             try:
-                return list(map(OPERATORS[op], _side(left, columns, n),
-                                _side(right, columns, n)))
+                return list(map(OPERATORS[op], _side(left, columns, n, constants),
+                                _side(right, columns, n, constants)))
             except TypeError:  # again, to raise the EvaluationError naming it
                 return list(map(functools.partial(compare, op),
-                                _side(left, columns, n), _side(right, columns, n)))
+                                _side(left, columns, n, constants),
+                                _side(right, columns, n, constants)))
 
         return build
     if isinstance(predicate, And):
         parts = [_compile_mask(child) for child in predicate.children]
 
-        def build(columns, n):
-            mask = parts[0](columns, n)
+        def build(columns, n, constants):
+            mask = parts[0](columns, n, constants)
             for part in parts[1:]:
-                mask = [x and y for x, y in zip(mask, part(columns, n))]
+                mask = [x and y for x, y in zip(mask, part(columns, n, constants))]
             return mask
 
         return build
     if isinstance(predicate, Or):
         parts = [_compile_mask(child) for child in predicate.children]
 
-        def build(columns, n):
-            mask = parts[0](columns, n)
+        def build(columns, n, constants):
+            mask = parts[0](columns, n, constants)
             for part in parts[1:]:
-                mask = [x or y for x, y in zip(mask, part(columns, n))]
+                mask = [x or y for x, y in zip(mask, part(columns, n, constants))]
             return mask
 
         return build
     if isinstance(predicate, Not):
         inner = _compile_mask(predicate.child)
 
-        def build(columns, n):
-            return [not x for x in inner(columns, n)]
+        def build(columns, n, constants):
+            return [not x for x in inner(columns, n, constants)]
 
         return build
     if isinstance(predicate, TruePredicate):
-        def build(columns, n):
+        def build(columns, n, constants):
             return [True] * n
 
         return build
     raise EvaluationError(f"uncompilable predicate {type(predicate).__name__}")
 
 
-def _side(operand, columns, n):
+def _side(operand, columns, n, constants):
     """A comparison operand as a column slice, or its constant ``n`` times."""
     if isinstance(operand, Attribute):
         return columns[operand.ref - 1]
-    return itertools.repeat(operand.evaluate(()), n)
+    return itertools.repeat(_value(operand, constants), n)
 
 
 def _predicate_columns(predicate: Predicate) -> set:
@@ -565,29 +716,34 @@ _MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 def _probe_of(predicate: Predicate) -> Optional[tuple]:
     """``(column, value, ask)`` for a resolved predicate's indexable conjunct,
-    ``col = c`` (``value`` is ``c``) or both bounds on one column (``_RANGE``),
-    else ``None``; ``ask(lookup)`` gives candidates the selection filters."""
+    ``col = c`` (``value`` is the operand ``c``) or both bounds on one column
+    (``_RANGE``), else ``None``; ``ask(lookup, constants)`` gives candidates
+    the selection filters, reading slots from ``constants``."""
     bounds: Dict[int, list] = {}
     for part in predicate.children if isinstance(predicate, And) else (predicate,):
         if not isinstance(part, Comparison) or part.op not in _MIRRORED:
             continue
         left, op, right = part.left, part.op, part.right
-        if isinstance(left, Constant):
+        if not isinstance(left, Attribute):
             left, op, right = right, _MIRRORED[op], left
-        if not (isinstance(left, Attribute) and isinstance(right, Constant)):
+        if not (isinstance(left, Attribute) and isinstance(right, (Constant, _Slot))):
             continue
-        column, value = left.ref - 1, right.value
+        column = left.ref - 1
         if op == "=":
-            try:
-                hash(value)
-            except TypeError:  # only a scan can compare it
-                continue
-            return column, value, lambda lookup: lookup.by_value.get(value, ())
+            if type(right) is Constant:
+                try:
+                    hash(right.value)
+                except TypeError:  # only a scan can compare it
+                    continue
+            return column, right, lambda lookup, constants: lookup.by_value.get(
+                _value(right, constants), ())
         bound = bounds.setdefault(column, [None, None])
-        bound[op[0] == "<"] = (value, len(op) == 1)  # (bound, strict)
+        bound[op[0] == "<"] = (right, len(op) == 1)  # (bound, strict)
     for column, (low, high) in bounds.items():
         if low is not None and high is not None:
-            return column, _RANGE, lambda lookup: lookup.between(low, high)
+            return column, _RANGE, lambda lookup, constants: lookup.between(
+                (_value(low[0], constants), low[1]),
+                (_value(high[0], constants), high[1]))
     return None
 
 
@@ -621,13 +777,15 @@ def _scan(ctx: _Context, relation, keep: Optional[List[int]] = None, probe=None)
             batches.append(batch)
         return _concat_batches(batches)
     column, value, ask = probe or (None, _RANGE, None)
-    only = None if shards is None or value is _RANGE else relation.owner_of(column, value)
+    constants = ctx.constants
+    only = None if shards is None or value is _RANGE else relation.owner_of(
+        column, _value(value, constants))
     streams, answered = [], False
     for index, part in enumerate(parts):
         if only is not None and index != only:
             continue
         lookup = None if ask is None else part.lookup(column)
-        rows = None if lookup is None else ask(lookup)
+        rows = None if lookup is None else ask(lookup, constants)
         answered = answered or rows is not None
         ctx.stats.tuples_scanned += len(part if rows is None else rows)
         pairs = _live_pairs(part.items() if rows is None else part.items_of(rows), ctx.tau)
@@ -760,7 +918,7 @@ class _Compiler:
         resolved = node.predicate.resolve(child_schema)
         stored = isinstance(node.child, BaseRef)
         child = self.compile(node.child, _probe_of(resolved) if stored else None)
-        matches = compile_predicate(node.predicate, child_schema)
+        bind = _predicate_binder(node.predicate, child_schema)
         mask_build = _compile_mask(resolved)
         dup_free = self.dup_free(node)
 
@@ -772,12 +930,13 @@ class _Compiler:
                 started = time.perf_counter()
                 source = inner.batch
                 batch = _apply_mask(
-                    source, mask_build(source.columns, len(source))
+                    source, mask_build(source.columns, len(source), ctx.constants)
                 )
                 return _columnar_stream(
                     ctx, "select_mask", batch, inner.expiration,
                     inner.validity, started, dup_free,
                 )
+            matches = ctx.matcher(bind)
             pairs = (pair for pair in inner.pairs if matches(pair[0]))
             return _Stream(pairs, inner.expiration, inner.validity)
 
@@ -885,7 +1044,8 @@ class _Compiler:
                 view: List[Any] = [None] * arity
                 for orig, pos in position.items():
                     view[orig] = batch.columns[pos]
-                batch = _apply_mask(batch, mask_build(view, len(batch)))
+                batch = _apply_mask(
+                    batch, mask_build(view, len(batch), ctx.constants))
                 ctx.stats.note_columnar("select_mask", len(batch))
                 if ctx.trace is not None:
                     ctx.trace.note(selected_rows=len(batch))
@@ -1016,8 +1176,8 @@ class _Compiler:
         right = self.compile(node.right)
         left_schema = self.schema_of(node.left)
         right_schema = self.schema_of(node.right)
-        residual = (
-            compile_predicate(node.predicate, left_schema.concat(right_schema))
+        bind_residual = (
+            _predicate_binder(node.predicate, left_schema.concat(right_schema))
             if node.predicate is not None
             else None
         )
@@ -1089,7 +1249,7 @@ class _Compiler:
                     )
                     if residual_mask is not None:
                         batch = _apply_mask(
-                            batch, residual_mask(batch.columns, len(batch))
+                            batch, residual_mask(batch.columns, len(batch), ctx.constants)
                         )
                     return _columnar_stream(
                         ctx, "hash_join", batch,
@@ -1134,7 +1294,7 @@ class _Compiler:
                 )
                 if residual_mask is not None:
                     batch = _apply_mask(
-                        batch, residual_mask(batch.columns, len(batch))
+                        batch, residual_mask(batch.columns, len(batch), ctx.constants)
                     )
                 return _columnar_stream(
                     ctx, "hash_join", batch,
@@ -1143,6 +1303,7 @@ class _Compiler:
                     started, dup_free,
                 )
 
+            residual = None if bind_residual is None else ctx.matcher(bind_residual)
             if right_key is not None:
                 buckets = {}
                 bucket_get = buckets.get
@@ -1451,10 +1612,14 @@ class CompiledPlan:
     catalogs.  Execution materialises only the *root* into a
     :class:`Relation` (via the trusted bulk path); interior fused stages
     stream.
+
+    The runners read constants at execute time, from ``constants``: a plan
+    compiled from a :func:`template_of` template serves every expression of
+    that template through :meth:`bind`, each with its own constants.
     """
 
     __slots__ = ("expression", "schema", "_root", "fused_operators",
-                 "materialised_operators")
+                 "materialised_operators", "constants", "_bound")
 
     def __init__(
         self,
@@ -1463,6 +1628,7 @@ class CompiledPlan:
         root: _Runner,
         fused_operators: int = 0,
         materialised_operators: int = 0,
+        constants: tuple = (),
     ) -> None:
         self.expression = expression
         self.schema = schema
@@ -1470,6 +1636,17 @@ class CompiledPlan:
         #: Compile-time fusion decisions (streaming vs buffering stages).
         self.fused_operators = fused_operators
         self.materialised_operators = materialised_operators
+        self.constants = constants
+        self._bound: dict = {}
+
+    def bind(self, expression: Expression, constants: tuple) -> "CompiledPlan":
+        """This template's plan for ``expression``, whose
+        :func:`template_of` constants are ``constants``: the runners are
+        shared, nothing is compiled."""
+        return CompiledPlan(
+            expression, self.schema, self._root, self.fused_operators,
+            self.materialised_operators, constants,
+        )
 
     def execute(
         self,
@@ -1486,7 +1663,8 @@ class CompiledPlan:
         lookup = _make_lookup(catalog)
         stamp = ts(tau)
         ctx = _Context(
-            lookup, stamp, stats if stats is not None else EvalStats(), trace
+            lookup, stamp, stats if stats is not None else EvalStats(), trace,
+            self.constants, self._bound,
         )
         stream = self._root(ctx)
         batch = stream.batch

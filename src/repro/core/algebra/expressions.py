@@ -67,10 +67,13 @@ class Expression:
     """Base class for algebra expressions.
 
     Sub-classes are immutable value objects; the fluent methods below build
-    larger expressions without mutating their receivers.
+    larger expressions without mutating their receivers.  The one slot
+    here, ``_template``, is the compiler's memo of
+    :func:`~repro.core.algebra.compiler.template_of` for this node; it is
+    not part of the value.
     """
 
-    __slots__ = ()
+    __slots__ = ("_template",)
 
     # -- structure -----------------------------------------------------------
 

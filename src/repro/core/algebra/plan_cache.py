@@ -23,7 +23,13 @@ evaluation at ``τ'`` because ``exp_τ'' ∘ exp_τ' = exp_τ''`` for ``τ'' ≥
 Compiled plans are cached separately from results: a plan survives data
 mutations (it is keyed on schemas only) and is invalidated by a *schema*
 version, so steady-state evaluation after an insert pays re-execution but
-not re-compilation.
+not re-compilation.  Nor is a plan keyed on the expression's constants:
+it is compiled once per :func:`~repro.core.algebra.compiler.template_of`
+template (the expression with its int, float and str constants made
+slots, typed) and bound to each expression's constants, so ``k = 1`` and
+``k = 2`` share one compilation while their results and held answers
+stay apart, keyed on the literal expression.  The templates hold one
+generation of the schema version, at most :data:`TEMPLATE_CAPACITY`.
 
 Bookkeeping lives in the metrics registry (``repro_plan_cache_*`` /
 ``repro_compiler_*`` families); :attr:`PlanCache.stats` is a frozen
@@ -37,7 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.algebra.compiler import CompiledPlan, compile_expression
+from repro.core.algebra.compiler import CompiledPlan, compile_expression, template_of
 from repro.core.algebra.evaluator import Catalog, EvalResult, EvalStats, HeldAnswer
 from repro.core.algebra.expressions import Expression, SchemaResolver
 from repro.core.intervals import IntervalSet
@@ -45,7 +51,12 @@ from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Span
 
-__all__ = ["PlanCache", "PlanCacheStats"]
+__all__ = ["PlanCache", "PlanCacheStats", "TEMPLATE_CAPACITY"]
+
+#: Compiled templates kept, least recently used dropped first.  A constant,
+#: like the statement cache's bound: a template is one compiled plan, and a
+#: workload has a few dozen shapes.
+TEMPLATE_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,8 @@ class PlanCache:
         self.capacity = capacity
         self.registry = registry if registry is not None else MetricsRegistry()
         self._entries: "OrderedDict[Expression, _Entry]" = OrderedDict()
+        self._templates: "OrderedDict[Expression, CompiledPlan]" = OrderedDict()
+        self._templates_version = -1
         reg = self.registry
         self._hits = reg.counter(
             "repro_plan_cache_hits_total",
@@ -122,7 +135,8 @@ class PlanCache:
             "Evaluations that had to execute the plan.")
         self._compilations = reg.counter(
             "repro_plan_cache_compilations_total",
-            "Expression compilations (plan-cache misses without a plan).")
+            "Expression compilations (plan-cache misses without a plan "
+            "whose template is not compiled yet).")
         self._evictions = reg.counter(
             "repro_plan_cache_evictions_total", "LRU evictions.")
         self._validity_served = reg.counter(
@@ -156,6 +170,7 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every cached plan and result."""
         self._entries.clear()
+        self._templates.clear()
         self._entries_gauge.set(0)
 
     def entries(self):
@@ -233,21 +248,9 @@ class PlanCache:
             self._misses.inc()
             eval_stats.cache_misses += 1
         if entry is None:
-            compile_span = (
-                trace.child("compile").start() if trace is not None else None
-            )
-            plan = compile_expression(
-                expression, resolver if resolver is not None else _catalog_resolver(catalog)
-            )
-            if compile_span is not None:
-                compile_span.finish().note(
-                    fused=plan.fused_operators,
-                    materialised=plan.materialised_operators,
-                )
-            self._compilations.inc()
-            self._fused.inc(plan.fused_operators)
-            self._materialised.inc(plan.materialised_operators)
-            entry = _Entry(plan, schema_version)
+            template, constants = template_of(expression)
+            plan = self._template_plan(template, catalog, schema_version, resolver, trace)
+            entry = _Entry(plan.bind(expression, constants), schema_version)
             self._entries[expression] = entry
             if len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -259,6 +262,32 @@ class PlanCache:
         self._entries.move_to_end(expression)
         self._entries_gauge.set(len(self._entries))
         return result
+
+    def _template_plan(self, template, catalog, schema_version, resolver, trace) -> CompiledPlan:
+        """The plan compiled for ``template`` under ``schema_version``."""
+        if schema_version != self._templates_version:
+            self._templates.clear()
+            self._templates_version = schema_version
+        plan = self._templates.get(template)
+        if plan is not None:
+            self._templates.move_to_end(template)
+            return plan
+        compile_span = trace.child("compile").start() if trace is not None else None
+        plan = compile_expression(
+            template, resolver if resolver is not None else _catalog_resolver(catalog)
+        )
+        if compile_span is not None:
+            compile_span.finish().note(
+                fused=plan.fused_operators,
+                materialised=plan.materialised_operators,
+            )
+        self._compilations.inc()
+        self._fused.inc(plan.fused_operators)
+        self._materialised.inc(plan.materialised_operators)
+        self._templates[template] = plan
+        if len(self._templates) > TEMPLATE_CAPACITY:
+            self._templates.popitem(last=False)
+        return plan
 
 
 def _catalog_resolver(catalog: Catalog) -> SchemaResolver:

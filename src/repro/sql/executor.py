@@ -12,6 +12,7 @@ insertion and update" principle.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -19,6 +20,7 @@ from repro.core.algebra.expressions import Expression, Literal
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.engine.database import Database
+from repro.engine.statement_cache import MAX_TEXT_LENGTH
 from repro.engine.views import MaintenancePolicy
 from repro.errors import EvaluationError, SessionError, SqlPlanError
 from repro.sql.ast import (
@@ -41,11 +43,15 @@ from repro.sql.ast import (
     Statement,
     VacuumStatement,
 )
-from repro.sql.parser import parse_statements
+from repro.sql.lexer import tokenize
+from repro.sql.parser import parse_statements, parse_tokens
 from repro.sql.planner import _Environment, _plan_condition, plan_query
+from repro.sql.shapes import shape_of, slot
 
 __all__ = ["SqlResult", "execute_sql", "execute_script", "execute_statement"]
 
+#: A text worth lexing for its shape: one that starts with ``SELECT``.
+_QUERY_HEAD = re.compile(r"[ \t\r\n]*select\b", re.IGNORECASE | re.ASCII).match
 
 
 @dataclass
@@ -102,10 +108,15 @@ def _execute_query(
 
 
 def _present_rows(relation: Relation, query: QueryNode) -> list:
-    """Apply ORDER BY / LIMIT presentation to a query result."""
+    """Apply ORDER BY / LIMIT presentation to a query result.
+
+    Without ORDER BY a result is a set, presented in tuple order (by
+    ``repr`` when its values do not compare, as ints and strings do not)
+    so that every run and every transport shows the same list.
+    """
     rows = list(relation.rows())
     if not isinstance(query, SelectQuery):
-        return sorted(rows, key=repr)
+        return _in_set_order(rows)
     if query.order_by:
         schema = relation.schema
         keys = []
@@ -128,9 +139,18 @@ def _present_rows(relation: Relation, query: QueryNode) -> list:
                     f"cannot order by {column}: cannot compare {types}"
                 ) from None
     else:
-        rows.sort(key=repr)  # deterministic presentation for set results
+        rows = _in_set_order(rows)
     if query.limit is not None:
         rows = rows[: query.limit]
+    return rows
+
+
+def _in_set_order(rows: list) -> list:
+    """``rows`` sorted: by tuple order, or by ``repr`` if that fails."""
+    try:
+        rows.sort()
+    except TypeError:
+        rows.sort(key=repr)
     return rows
 
 
@@ -400,17 +420,38 @@ def _prepare(db: Database, text: str) -> List[Tuple[Statement, Optional[Expressi
     ``ADVANCE``, ``EXPLAIN``, scripts, and whatever fails to parse or plan
     -- costs the one failed probe and is parsed every time; script members
     are planned when their turn comes, after the statements before them.
+
+    A text that starts with ``SELECT`` and has no ``;`` is lexed first: if
+    its shape (:mod:`repro.sql.shapes`) is known, its literals are bound
+    into the shape's statement and plan; if not, it is parsed and planned
+    from those tokens and its shape recorded.  Any other text -- DML, DDL,
+    a script -- is parsed as is, with no per-token key work.
     """
     schema_version = db.schema_version
     cache = db.statement_cache
     prepared = cache.get(text, schema_version)
     if prepared is not None:
         return [prepared]
-    statements = parse_statements(text)
+    shaped = len(text) <= MAX_TEXT_LENGTH and ";" not in text and _QUERY_HEAD(text)
+    if shaped:
+        tokens = tokenize(text)
+        key, literals = shape_of(tokens)
+        slotted = cache.get_shape(key)
+        if slotted:
+            prepared = slotted.bind(literals)
+            cache.put(text, schema_version, prepared)
+            return [prepared]
+        statements = parse_tokens(tokens)
+    else:
+        statements = parse_statements(text)
     if len(statements) == 1 and isinstance(statements[0], (SelectQuery, SetOperation)):
         query = statements[0]
-        prepared = (query, plan_query(query, _source_resolver(db)))
+        resolver = _source_resolver(db)
+        prepared = (query, plan_query(query, resolver))
         cache.put(text, schema_version, prepared)
+        if shaped and slotted is None:
+            found = slot(tokens, literals, *prepared, lambda q: plan_query(q, resolver))
+            cache.put_shape(key, schema_version, found or False)
         return [prepared]
     return [(statement, None) for statement in statements]
 

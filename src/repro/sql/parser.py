@@ -548,7 +548,12 @@ _STATEMENTS = {
 
 def parse_statements(text: str) -> List[Statement]:
     """Parse a ``;``-separated script into statements."""
-    return _Parser(tokenize(text)).parse_all()
+    return parse_tokens(tokenize(text))
+
+
+def parse_tokens(tokens: List[Token]) -> List[Statement]:
+    """:func:`parse_statements` for a text already lexed by ``tokenize``."""
+    return _Parser(tokens).parse_all()
 
 
 def parse_sql(text: str) -> Statement:

@@ -20,15 +20,18 @@ from repro.core.algebra.compiler import (
     CompiledEvaluator,
     compile_expression,
     evaluate_compiled,
+    instantiate,
+    template_of,
 )
 from repro.core.algebra.evaluator import evaluate
 from repro.core.algebra.expressions import BaseRef, Expression
-from repro.core.algebra.predicates import col
+from repro.core.algebra.predicates import col, val
 from repro.core.columnar import ColumnarRelation
 from repro.core.relation import Relation
 from repro.core.timestamps import ts
 from repro.core.validity import recompute_equals_materialised, relevant_times
-from repro.errors import CatalogError
+from repro.engine.database import Database
+from repro.errors import CatalogError, EvaluationError
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +284,97 @@ def test_unknown_base_relation_fails_at_compile_time():
             BaseRef("Nope").project(1),
             lambda name: (_ for _ in ()).throw(CatalogError(name)),
         )
+
+
+# ---------------------------------------------------------------------------
+# Constants as slots: one compiled template, bound per expression
+# ---------------------------------------------------------------------------
+
+
+def assert_same_result(bound, fresh) -> None:
+    """Two ``EvalResult``s agree on rows, ``texp``, ``texp(e)`` and ``I(e)``."""
+    assert bound.relation.same_content(fresh.relation), (
+        f"rows/texp diverge:\nbound: {sorted(bound.relation.items())}\n"
+        f"fresh: {sorted(fresh.relation.items())}"
+    )
+    assert bound.relation.schema.names == fresh.relation.schema.names
+    assert bound.expiration == fresh.expiration
+    assert bound.validity == fresh.validity
+
+
+def outcome(run):
+    """``run()``'s result, or the type and message of what it raised."""
+    try:
+        return run()
+    except EvaluationError as error:
+        return type(error).__name__, str(error)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", range(40))
+def test_template_bound_to_redrawn_constants_agrees(seed, backend):
+    """The template's one compiled plan, bound to re-drawn constants, runs
+    what a fresh compilation of the literal tree runs."""
+    rng = random.Random(5000 + seed)
+    catalog = random_catalog(rng, backend)
+    expression = random_expression(rng, depth=rng.randrange(1, 5))
+    template, constants = template_of(expression)
+    resolver = lambda name: catalog[name].schema  # noqa: E731
+    shared = compile_expression(template, resolver)
+    for _ in range(3):
+        redrawn = tuple(rng.randrange(-1, 6) for _ in constants)
+        literal = instantiate(template, redrawn)
+        bound = shared.bind(literal, redrawn)
+        fresh = compile_expression(literal, resolver)
+        for tau in (0, rng.randrange(1, 20), rng.randrange(20, 45)):
+            assert_same_result(bound.execute(catalog, tau), fresh.execute(catalog, tau))
+            assert_equivalent(literal, catalog, tau)
+
+
+def test_template_abstracts_constants_by_type():
+    base = BaseRef("R")
+    assert template_of(base.select(col(1) >= 3))[0] == template_of(base.select(col(1) >= 4))[0]
+    ints, strings = (template_of(base.select(col(1) == value)) for value in (1, "a"))
+    assert ints[0] != strings[0]
+    assert (ints[1], strings[1]) == ((1,), ("a",))
+    # Anything but int, float and str stays in the template by value.
+    assert template_of(base.select(col(1) == True))[1] == ()  # noqa: E712
+    assert instantiate(*template_of(base.select(col(1) == 2))) == base.select(col(1) == 2)
+
+
+PROBES = [
+    lambda c, d: BaseRef("B").select(col(1) == c),
+    lambda c, d: BaseRef("B").select(val(c) == col(1)),
+    lambda c, d: BaseRef("B").select((col(1) >= c) & (col(1) < d)),
+    lambda c, d: BaseRef("B").select((col(1) > c) & (col(1) <= d) & (col(2) != c)),
+    lambda c, d: BaseRef("B").select(col(2) < d).project(2),
+]
+
+
+@pytest.mark.parametrize("shape", [{}, {"partitions": 3}, {"layout": "columnar"}])
+def test_template_bound_on_probe_and_scan_selections(shape):
+    """Through the plan cache, on tables large enough for column lookups:
+    every expression of a probe shape shares one compilation, and each
+    agrees with a fresh compilation of its literal tree -- errors too."""
+    db = Database()
+    table = db.create_table("B", ["k", "v"], **shape)
+    for i in range(200):
+        table.insert((i % 20, i), expires_at=5 + i % 7)
+    values = [(3, 9), (0, 19), (25, -1), (7.5, 12.0), ("x", "y"), (19, 3)]
+    for build in PROBES:
+        compilations = db.plan_cache.stats.compilations
+        for c, d in values:
+            literal = build(c, d)
+            for _ in range(2):  # the second probe builds the lookup
+                bound = outcome(lambda: db.evaluate(literal, cached=False))
+            fresh = outcome(lambda: compile_expression(
+                literal, db.schema_resolver).execute(db.catalog, db.now))
+            if isinstance(fresh, tuple):
+                assert bound == fresh, (literal, bound, fresh)
+            else:
+                assert_same_result(bound, fresh)
+        kinds = {tuple(map(type, pair)) for pair in values}
+        assert db.plan_cache.stats.compilations - compilations <= len(kinds)
+    if not shape:
+        db.evaluate(PROBES[0](4, 0), cached=False)
+        assert db.last_eval_stats.lookup_probes == 1

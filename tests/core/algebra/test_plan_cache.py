@@ -12,6 +12,7 @@ from repro.core.algebra.evaluator import EvalStats, Evaluator, evaluate
 from repro.core.algebra.expressions import BaseRef
 from repro.core.algebra.plan_cache import PlanCache
 from repro.core.algebra.predicates import col
+from repro.core.intervals import IntervalSet
 from repro.core.relation import Relation
 from repro.engine.database import Database
 
@@ -102,7 +103,7 @@ class TestPlanCache:
         cache.evaluate(DIFFERENCE, catalog, tau=3)  # before the cached τ
         assert cache.stats.hits == 0
 
-    def test_lru_eviction(self):
+    def test_lru_evicts_entries_not_the_shared_template(self):
         cache = PlanCache(capacity=2)
         catalog = difference_catalog()
         expressions = [
@@ -112,11 +113,34 @@ class TestPlanCache:
             cache.evaluate(expression, catalog, tau=0)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        # The evicted (oldest) plan recompiles; the newest still hits.
+        # The evicted (oldest) entry misses again, and is bound to the one
+        # template all three share, not recompiled; the newest still hits.
         cache.evaluate(expressions[0], catalog, tau=0)
-        assert cache.stats.compilations == 4
+        assert (cache.stats.misses, cache.stats.compilations) == (4, 1)
         cache.evaluate(expressions[2], catalog, tau=1)
         assert cache.stats.hits == 1
+
+    def test_one_template_keeps_each_expression_s_own_held_answer(self):
+        cache = PlanCache()
+        catalog = difference_catalog()
+        catalog["R"].insert((3,), expires_at=8)
+        one, two = (BaseRef("R").select(col(1) <= bound) for bound in (1, 2))
+        first = {e: cache.evaluate(e, catalog, tau=0) for e in (one, two)}
+        assert cache.stats.compilations == 1  # one template, bound twice
+        assert sorted(first[one].relation.rows()) == [(1,)]
+        assert sorted(first[two].relation.rows()) == [(1,), (2,)]
+        for tau in (4, 9):  # τ' inside each I(e): served by validity alone
+            for expression in (one, two):
+                served = cache.evaluate(expression, catalog, tau=tau)
+                assert served.relation.same_content(
+                    evaluate(expression, catalog, tau=tau).relation)
+                assert served.validity == first[expression].validity & (
+                    IntervalSet.from_onwards(tau))
+        assert cache.stats.hits == cache.stats.validity_served == 4
+        assert (cache.stats.misses, cache.stats.compilations) == (2, 1)
+        held = dict(cache.entries())
+        assert held[one].result is not held[two].result
+        assert held[one].plan.constants == (1,) and held[two].plan.constants == (2,)
 
     def test_stats_flow_into_eval_stats(self):
         cache = PlanCache()

@@ -13,10 +13,12 @@ import asyncio
 
 import pytest
 
+from repro.core.algebra.compiler import template_of
 from repro.engine import statement_cache
 from repro.engine.database import Database
 from repro.errors import (
     RemoteError,
+    ReproError,
     SessionError,
     SqlLexError,
     SqlParseError,
@@ -275,3 +277,128 @@ class TestOverTheWire:
             with pytest.raises(SessionError, match="row-producing"):
                 session.query("INSERT INTO T VALUES (1) EXPIRES AT 9")
             assert session.execute("SELECT k FROM T").rows == []
+
+
+#: Each shape of ``SELECTS`` that has literals, and a few more, with the
+#: literals to re-send it with: ints, floats and strings, values no row
+#: has, a mixed-type comparison that raises, ``LIMIT 0/1/2``, ``1 = 1``.
+VARIED = [
+    ("SELECT uid FROM Pol WHERE deg = {}", [25, 35, 25.0, "'25'", 99, 45]),
+    ("SELECT uid FROM Pol WHERE deg < {}", [30, 25.5, "'a'", 0]),
+    ("SELECT uid, deg FROM Pol ORDER BY deg DESC, uid LIMIT {}", [2, 0, 1]),
+    ("SELECT uid FROM Pol WHERE {} = {}", [(1, 1), (1, 2), ("'a'", "'a'"), (1, 1.0)]),
+    ("SELECT uid FROM Pol WHERE deg = {} OR uid = {}", [(25, 25), (35, 1), (1, 1)]),
+    ("SELECT deg, COUNT(*) AS n FROM Pol WHERE uid > {} GROUP BY deg "
+     "HAVING COUNT(*) >= {}", [(0, 1), (1, 2), (0, "'x'")]),
+    ("SELECT * FROM Pol AS P JOIN El AS E ON P.uid = E.uid WHERE E.deg > {}",
+     [70, 80, 75.5, "'z'"]),
+    ("SELECT deg FROM Pol WHERE uid = {} UNION SELECT deg FROM El WHERE uid = {}",
+     [(1, 4), (3, 1), ("'q'", 1)]),
+    ("SELECT uid FROM Pol WHERE uid IN (SELECT uid FROM El WHERE deg >= {})",
+     [75, 90, 0]),
+    ("SELECT uid FROM Pol WHERE uid IN (SELECT uid FROM El LIMIT {})", [0, 1, 0]),
+    ("SELECT * FROM v WHERE uid != {}", [1, 2, "'1'"]),
+    ("SELECT a, b FROM Wide WHERE a = {} AND b <= {}", [(1, 2), (7, 8), (1, 1)]),
+]
+
+
+def _texts(template: str, values) -> list:
+    return [template.format(*(value if isinstance(value, tuple) else (value,)))
+            for value in values]
+
+
+def _outcome(run, db: Database, text: str):
+    """What ``run`` made of ``text``: the result, or the error's type and
+    message."""
+    try:
+        result = run(db, text)
+    except ReproError as error:
+        return type(error).__name__, str(error)
+    items = None if result.relation is None else sorted(
+        result.relation.items(), key=repr)
+    columns = None if result.relation is None else result.relation.schema.names
+    return result.kind, result.rowcount, result.rows, items, columns
+
+
+class TestLiteralsAsSlots:
+    def test_history_with_varied_literals_equals_fresh_planning(self):
+        cached_db, fresh_db = Database(), Database()
+        for step in HISTORY:
+            assert _outcome(execute_sql, cached_db, step) == _outcome(
+                _fresh, fresh_db, step)
+            for template, values in VARIED:
+                for text in _texts(template, values):
+                    assert _outcome(execute_sql, cached_db, text) == _outcome(
+                        _fresh, fresh_db, text), (step, text)
+        snapshot = cached_db.metrics.snapshot()
+        assert snapshot["repro_sql_statement_cache_shape_hits_total"] >= len(HISTORY)
+
+    def test_varied_literals_over_a_probed_table(self):
+        """Tables large enough that ``col = c`` and two bounds probe a
+        column lookup: row, partitioned and columnar storage."""
+        cached_db, fresh_db = Database(), Database()
+        for db in (cached_db, fresh_db):
+            execute_script(db, """
+                CREATE TABLE R (k, v);
+                CREATE TABLE P (k, v) PARTITION BY HASH (k) PARTITIONS 3;
+                CREATE TABLE C (k, v) LAYOUT COLUMNAR;
+            """)
+            rows = ", ".join(f"({i % 25}, {i})" for i in range(150))
+            for name in ("R", "P", "C"):
+                execute_sql(db, f"INSERT INTO {name} VALUES {rows} EXPIRES IN 9")
+                execute_sql(db, f"INSERT INTO {name} VALUES ('k', 1) EXPIRES IN 4")
+        for name in ("R", "P", "C"):
+            for template, values in [
+                (f"SELECT k, v FROM {name} WHERE k = {{}}", [3, 4, 24, 30, 3.0, "'k'"]),
+                (f"SELECT v FROM {name} WHERE k >= {{}} AND k < {{}}",
+                 [(3, 9), (0, 25), (9, 3), (2.5, 4.5), ("'a'", "'z'")]),
+                (f"SELECT k FROM {name} WHERE {{}} > k", [5, 1]),
+            ]:
+                for text in _texts(template, values) * 2:
+                    assert _outcome(execute_sql, cached_db, text) == _outcome(
+                        _fresh, fresh_db, text), text
+        assert cached_db.metrics.snapshot()[
+            "repro_eval_lookup_probes_total{engine=\"compiled\"}"] > 0
+
+    def test_int_and_str_literals_never_share_a_plan(self):
+        db = Database()
+        execute_sql(db, "CREATE TABLE T (k)")
+        execute_sql(db, "INSERT INTO T VALUES (1), ('a'), ('1'), (2) EXPIRES AT 9")
+        texts = {"SELECT k FROM T WHERE k = 1": [(1,)],
+                 "SELECT k FROM T WHERE k = 'a'": [("a",)],
+                 "SELECT k FROM T WHERE k = '1'": [("1",)],
+                 "SELECT k FROM T WHERE k = 2": [(2,)]}
+        for text, rows in texts.items():
+            assert execute_sql(db, text).rows == rows
+        snapshot = db.metrics.snapshot()
+        assert snapshot["repro_sql_statement_cache_shape_hits_total"] == 2
+        assert snapshot["repro_plan_cache_compilations_total"] == 2
+        kinds = {}  # template -> the types of the constants bound to it
+        for expression, entry in db.plan_cache.entries():
+            template = repr(template_of(expression)[0])
+            kinds.setdefault(template, set()).update(map(type, entry.plan.constants))
+        assert sorted(sorted(kind.__name__ for kind in types)
+                      for types in kinds.values()) == [["int"], ["str"]]
+
+    def test_ddl_empties_the_text_and_the_shape_level(self):
+        db = Database()
+        execute_sql(db, "CREATE TABLE T (k)")
+        for text in ("SELECT k FROM T WHERE k = 1", "SELECT k FROM T WHERE k = 2"):
+            execute_sql(db, text)
+        hits = "repro_sql_statement_cache_shape_hits_total"
+        assert db.metrics.snapshot()[hits] == 1
+        execute_sql(db, "CREATE TABLE U (k)")
+        execute_sql(db, "SELECT k FROM T WHERE k = 3")  # a new generation
+        assert db.metrics.snapshot()[hits] == 1
+        assert len(db.statement_cache) == 1
+        execute_sql(db, "SELECT k FROM T WHERE k = 4")
+        assert db.metrics.snapshot()[hits] == 2
+
+    def test_dml_and_scripts_record_no_shape(self):
+        db = Database()
+        execute_sql(db, "CREATE TABLE T (k)")
+        for i in range(3):
+            execute_sql(db, f"INSERT INTO T VALUES ({i}) EXPIRES AT 9")
+            execute_script(db, f"SELECT k FROM T WHERE k = {i}; SELECT k FROM T")
+        assert db.statement_cache._shapes == {}
+        assert db.metrics.snapshot()["repro_sql_statement_cache_shape_hits_total"] == 0
