@@ -136,18 +136,24 @@ class DifferencePatcher:
             for row, tick in self._schedule.pop_due(to_raw(ts(now)))
         ]
 
-    def apply_to(self, materialised: Relation, now: TimeLike) -> int:
+    def apply_to(
+        self, materialised: Relation, now: TimeLike, changes: Optional[list] = None
+    ) -> int:
         """Insert all due patches into ``materialised``; returns the count.
 
         Rows whose own expiration has also passed (``texp_R <= now``) are
-        skipped -- they would be invisible anyway.
+        skipped -- they would be invisible anyway.  ``changes`` receives
+        what the patches changed, as :meth:`Relation.bulk_load` reports it.
         """
         stamp = ts(now)
-        applied = 0
-        for patch in self.due_patches(stamp):
-            if stamp < patch.expires_at:
-                materialised.insert(patch.row, expires_at=patch.expires_at)
-                applied += 1
+        applied = materialised.bulk_load(
+            [
+                (patch.row, patch.expires_at)
+                for patch in self.due_patches(stamp)
+                if stamp < patch.expires_at
+            ],
+            changes,
+        )
         self.applied += applied
         return applied
 

@@ -145,7 +145,11 @@ class Relation:
         relation._lookups = None
         return relation
 
-    def bulk_load(self, pairs: Iterable[Tuple[Row, Timestamp]]) -> int:
+    def bulk_load(
+        self,
+        pairs: Iterable[Tuple[Row, Timestamp]],
+        changes: Optional[List[Tuple[Row, Optional[Timestamp], Timestamp]]] = None,
+    ) -> int:
         """Max-merge many already-trusted ``(row, expiration)`` pairs.
 
         Rows must be hashable tuples of the right arity and expirations
@@ -155,10 +159,13 @@ class Relation:
         distinct tick); the per-row ``make_row`` + arity check of
         :meth:`insert` is skipped.  Duplicates keep the later expiration,
         exactly like :meth:`insert`.  Returns the number of pairs loaded.
+        ``changes``, when given, receives ``(row, before, after)`` for
+        every pair that changed what is stored (``before`` is ``None`` for
+        a new row).
         """
         self._lookups = None
         tuples = self._tuples
-        if not tuples:
+        if not tuples and changes is None:
             # Raw ticks into an empty relation (a snapshot load): one dict
             # build, unless a row repeats and has to be merged after all.
             pairs = list(pairs)
@@ -177,6 +184,8 @@ class Relation:
             existing = get(row)
             if existing is None or existing < stamp:
                 tuples[row] = stamp
+                if changes is not None:
+                    changes.append((row, existing, stamp))
             count += 1
         return count
 
@@ -267,6 +276,10 @@ class Relation:
         """Explicitly remove a row; returns whether it was present."""
         row = make_row(values)
         return self._tuples.pop(row, None) is not None
+
+    def pop(self, row: Row) -> Optional[Timestamp]:
+        """Remove an already-trusted row; its expiration, or ``None``."""
+        return self._tuples.pop(row, None)
 
     def _check_arity(self, row: Row) -> None:
         if len(row) != self.schema.arity:

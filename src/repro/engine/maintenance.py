@@ -129,6 +129,9 @@ class IncrementalView(MaterialisedView):
     _forward_only = True
     #: Base rows folded in as deltas.
     delta_applications = 0
+    #: While a followed aggregate catches up: the rows its opened
+    #: partitions held, with their expirations.
+    _retracted: Optional[Dict[Row, Timestamp]] = None
 
     def __init__(self, name, expression, database, *policy) -> None:
         resolver = database.schema_resolver
@@ -256,6 +259,14 @@ class IncrementalView(MaterialisedView):
             self._touched.clear()
             self.invalidate("overflow")
 
+    def settled(self, stamp: Timestamp) -> bool:
+        if not super().settled(stamp):
+            return False
+        if self._aggregate is None:
+            return True
+        tick = self._due.next_due()
+        return tick is None or to_raw(stamp) < tick
+
     def _catch_up(self, stamp: Timestamp) -> None:
         if self.cause is not None:
             return  # stale: the read refreshes
@@ -271,8 +282,10 @@ class IncrementalView(MaterialisedView):
 
     def _catch_up_rows(self, stamp: Timestamp) -> None:
         rows: List[Row] = []  # the delta rows a side state took in
+        # A plain state is the result: its loads are the log's entries.
+        log = None if self._sides or self.log is None else self.log.entries
         for base, delta in self._drain(stamp):
-            self._targets[base].bulk_load(delta.items())
+            self._targets[base].bulk_load(delta.items(), log)
             if self._sides:
                 rows += delta.rows()
         if self._sides or len(self._result.relation) > 2 * self._room:
@@ -295,16 +308,28 @@ class IncrementalView(MaterialisedView):
             return
         #: partition key -> its members, being changed before the redo.
         opened: Dict[Any, Dict[Row, Timestamp]] = {}
+        log = self.log
+        # What the opened partitions held, and what their redos load: the
+        # log gets the net of the two.
+        self._retracted = None if log is None else {}
+        added: Optional[list] = None if log is None else []
         touched, self._touched = self._touched, set()
-        for _, delta in self._drain(stamp):
-            self._join(delta, opened)
-        if touched:
-            self._rederive(touched, stamp, opened)
-        for group, _ in self._due.pop_due(now):
-            self._open(group, opened)
         state = self._result.relation
-        for group, members in opened.items():
-            self._redo(group, members, stamp, state)
+        try:
+            for _, delta in self._drain(stamp):
+                self._join(delta, opened)
+            if touched:
+                self._rederive(touched, stamp, opened)
+            for group, _ in self._due.pop_due(now):
+                self._open(group, opened)
+            for group, members in opened.items():
+                self._redo(group, members, stamp, state, added)
+        finally:
+            # Also what a failed fold half did: the refresh that follows
+            # diffs from the state as it was left.
+            if log is not None:
+                log.net(self._retracted, added)
+                self._retracted = None
         if len(state) > 2 * self._room:
             self._trim(stamp)
 
@@ -350,14 +375,17 @@ class IncrementalView(MaterialisedView):
         and its pending patch with it."""
         left = self._sides[0].expiration_or_none(row)
         right = None if left is None else self._sides[1].expiration_or_none(row)
+        state, log = self._result.relation, self.log
         if right is not None:
             # Matched in R: hidden now; re-appears if it outlives the match.
-            self._result.relation.delete(row)
+            before = state.pop(row)
+            if before is not None and log is not None:
+                log.entries.append((row, before, None))
             if right < left:
                 self._patcher.add(Patch(row, right, left))
                 return
         elif left is not None:
-            self._result.relation.insert(row, expires_at=left)
+            state.bulk_load([(row, left)], None if log is None else log.entries)
         self._patcher.discard(row)
 
     # -- partitions of a folded aggregate ----------------------------------------
@@ -370,9 +398,13 @@ class IncrementalView(MaterialisedView):
             members = {}
             if held is not None:
                 members, value = held
-                delete, out = self._result.relation.delete, self._out
+                pop, out = self._result.relation.pop, self._out
+                retracted = self._retracted
                 for row in members:
-                    delete(out(row + (value,)))
+                    held_row = out(row + (value,))
+                    texp = pop(held_row)
+                    if texp is not None and retracted is not None:
+                        retracted[held_row] = texp
             opened[group] = members
         return members
 
@@ -408,10 +440,11 @@ class IncrementalView(MaterialisedView):
 
     def _redo(
         self, group: Any, members: Dict[Row, Timestamp], stamp: Timestamp,
-        state: Relation,
+        state: Relation, added: Optional[list] = None,
     ) -> None:
         """Aggregate ``group``'s members alive at ``stamp`` into ``state``
-        and schedule the partition's next redo."""
+        (reporting the loads to ``added``) and schedule the partition's next
+        redo."""
         alive = [(row, texp) for row, texp in members.items() if stamp < texp]
         if not alive:
             self._due.discard(group)
@@ -421,7 +454,7 @@ class IncrementalView(MaterialisedView):
             self._aggregate.strategy,
         )
         out = self._out
-        state.bulk_load((out(row), texp) for row, texp in rows)
+        state.bulk_load(((out(row), texp) for row, texp in rows), added)
         if len(alive) < len(members):
             members = dict(alive)
         self._groups[group] = (members, value)

@@ -21,6 +21,11 @@ policy is nothing but that window:
   *never* recomputes.  A truncated queue's horizon passing raises
   :class:`~repro.errors.StaleViewError`.
 
+A view a server streams keeps a :class:`ChangeLog` while it has
+followers: every change a build, a fold or a due patch makes to the stored
+result, as ``(row, before, after)``.  Expiration appends nothing -- the
+followers expire rows themselves, as the paper's clients do.
+
 All of that assumes the bases change through expiration only: a base
 insert, explicit delete or ``override`` is a pending cause (``stale``) and
 the next read refreshes.  The subclass
@@ -37,7 +42,7 @@ a non-monotonic shape can fold.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.core.algebra.evaluator import EvalResult, HeldAnswer
 from repro.core.algebra.expressions import Difference, Expression
@@ -45,12 +50,134 @@ from repro.core.intervals import ALL_TIME, IntervalSet
 from repro.core.patching import DifferencePatcher, compute_difference_with_patches
 from repro.core.relation import Relation
 from repro.core.timestamps import TimeLike, Timestamp, ts
+from repro.core.tuples import Row
 from repro.errors import StaleViewError, ViewError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from repro.engine.database import Database
 
-__all__ = ["MaintenancePolicy", "MaterialisedView"]
+__all__ = ["ChangeLog", "MaintenancePolicy", "MaterialisedView", "diff_states"]
+
+#: One change to a stored result: ``(row, before, after)``, either side
+#: ``None`` where the row was (or is now) absent.
+Change = Tuple[Row, Optional[Timestamp], Optional[Timestamp]]
+#: ``(upserts, removes)``: ``(row, texp)`` pairs to set and to drop.
+Delta = Tuple[List[Tuple[Row, Timestamp]], List[Tuple[Row, Timestamp]]]
+
+
+def diff_states(
+    old: Mapping[Row, Timestamp], new: Mapping[Row, Timestamp], now: Timestamp
+) -> List[Change]:
+    """The changes taking a holder of ``old`` to ``new`` at ``now``.
+
+    A rebuild that does not fold runs this once: every row whose
+    expiration moved, and every row gone from ``new`` that had not expired
+    by ``now`` -- one that had needs no message, its holder expired it.
+    """
+    get = old.get
+    changes = [
+        (row, before, texp)
+        for row, texp in new.items()
+        if (before := get(row)) != texp
+    ]
+    changes += [
+        (row, texp, None)
+        for row, texp in old.items()
+        if row not in new and now < texp
+    ]
+    return changes
+
+
+class ChangeLog:
+    """What a view's stored result took since its oldest follower's cursor.
+
+    ``entries`` are :data:`Change` s in the order they were made; a
+    position counts every entry ever appended, so ``entries[0]`` sits at
+    ``start``.  Each follower (any hashable key) holds a cursor: the
+    position up to which it has taken the log.  :meth:`trim` drops what
+    every follower has taken, and past :attr:`LIMIT` entries everything
+    (a :meth:`take` that leaves more trims too): the followers behind then
+    find their cursor before ``start`` (:meth:`take` returns ``None``) and
+    start again from a snapshot.
+    """
+
+    __slots__ = ("entries", "start", "cursors")
+
+    #: Entries kept for a follower that stopped taking them.
+    LIMIT = 1 << 16
+
+    def __init__(self) -> None:
+        self.entries: List[Change] = []
+        self.start = 0
+        self.cursors: Dict[Hashable, int] = {}
+
+    @property
+    def end(self) -> int:
+        """The position the next entry gets."""
+        return self.start + len(self.entries)
+
+    def has_news(self, follower: Hashable) -> bool:
+        """Whether ``follower`` has entries to take (or fell off the log)."""
+        return self.cursors[follower] != self.end
+
+    def net(self, retracted: Dict[Row, Timestamp], added: List[Change]) -> None:
+        """Append a redo's net effect: rows ``retracted`` with their old
+        expirations, then ``added`` as :meth:`Relation.bulk_load` reported
+        them.  A row put back as it was appends nothing."""
+        final = {row: after for row, _, after in added}
+        entries = self.entries
+        for row, after in final.items():
+            before = retracted.get(row)
+            if before != after:
+                entries.append((row, before, after))
+        for row, before in retracted.items():
+            if row not in final:
+                entries.append((row, before, None))
+
+    def take(self, follower: Hashable, now: Timestamp) -> Optional[Delta]:
+        """The net ``(upserts, removes)`` past ``follower``'s cursor, which
+        moves to the end; ``None`` when the cursor fell off the log.
+
+        Per row the first ``before`` and the last ``after`` count: a row
+        ending where it began ships nothing, and a removal ships only while
+        the removed row has not expired by ``now``.
+        """
+        cursor, end = self.cursors[follower], self.end
+        if cursor == end:
+            return [], []
+        self.cursors[follower] = end
+        if cursor < self.start:
+            return None
+        net: Dict[Row, list] = {}
+        for row, before, after in self.entries[cursor - self.start:]:
+            seen = net.get(row)
+            if seen is None:
+                net[row] = [before, after]
+            else:
+                seen[1] = after
+        upserts = [
+            (row, after)
+            for row, (before, after) in net.items()
+            if after is not None and after != before
+        ]
+        removes = [
+            (row, before)
+            for row, (before, after) in net.items()
+            if after is None and before is not None and now < before
+        ]
+        if len(self.entries) > self.LIMIT:
+            self.trim()
+        return upserts, removes
+
+    def trim(self) -> None:
+        """Drop the entries every follower has taken (all, past LIMIT)."""
+        oldest = min(self.cursors.values(), default=self.end)
+        drop = oldest - self.start
+        if len(self.entries) - drop > self.LIMIT:
+            drop = len(self.entries)
+        if drop > 0:
+            del self.entries[:drop]
+            self.start += drop
 
 
 class MaintenancePolicy(enum.Enum):
@@ -95,10 +222,9 @@ class MaterialisedView(HeldAnswer):
         #: Theorem 3's helper queue: the rows known to re-appear, and when
         #: (empty unless a build of a difference gathered some).
         self._patcher = DifferencePatcher()
-        #: Callables ``(view)`` notified after every (re-)materialisation;
-        #: the server's subscription layer hangs off this to learn that
-        #: shipped state may have drifted without polling every view.
-        self.refresh_listeners: list = []
+        #: The changes kept for the view's followers; ``None`` while it has
+        #: none, so a view nobody streams appends nothing.
+        self.log: Optional[ChangeLog] = None
         # The two read counters, bound once: a point probe is too short to
         # pay the statistics object's property round trips.
         counters = database.statistics._counters
@@ -165,14 +291,20 @@ class MaterialisedView(HeldAnswer):
         self.refresh(stamp)
 
     def _materialise(self, stamp: Timestamp) -> None:
+        previous = self._result
         with self.database.tracer.span(
             "view_refresh", view=self.name, policy=self.policy.value
         ) as span:
             self._result = self._build(stamp)
             span.note(rows=len(self._result.relation))
         self.hold(stamp, self._window(self._result))
-        for listener in self.refresh_listeners:
-            listener(self)
+        if self.log is not None:
+            # A rebuild does not know what it changed: diff it, once.
+            self.log.entries += diff_states(
+                dict(previous.relation.items()),
+                dict(self._result.relation.items()),
+                stamp,
+            )
 
     def _window(self, result: EvalResult) -> IntervalSet:
         """The policy, as the window in which this build may be served."""
@@ -229,12 +361,14 @@ class MaterialisedView(HeldAnswer):
 
     # -- reading ------------------------------------------------------------------
 
-    def read(self, at: TimeLike = None) -> Relation:
+    def read(self, at: TimeLike = None, follower: Optional[Hashable] = None):
         """The view's content at ``at`` (default: the database's now).
 
         Expiration times never surface here; tuples silently drop out as
         they expire, and the recorded window decides when base access is
-        needed.
+        needed.  A ``follower``'s read is the view brought to ``at`` the
+        same way, but it returns what changed since that follower's last
+        one instead of the content: :meth:`ChangeLog.take`.
         """
         stamp = self.database.clock.now if at is None else ts(at)
         self._count_read()
@@ -242,6 +376,8 @@ class MaterialisedView(HeldAnswer):
             "view_read", view=self.name, policy=self.policy.value
         ) as span:
             span.note(decision=self._bring_current(stamp) or "served")
+            if follower is not None:
+                return self.log.take(follower, stamp)
             return self._visible(stamp)
 
     def contains(self, values, at: TimeLike = None) -> bool:
@@ -255,10 +391,38 @@ class MaterialisedView(HeldAnswer):
         texp = self._result.relation.expiration_or_none(values)
         return texp is not None and stamp < texp
 
+    # -- following ------------------------------------------------------------
+
+    def follow(self, follower: Hashable) -> None:
+        """Keep ``follower``'s changes from the stored state on: call it
+        right after the read whose result the follower holds."""
+        if self.log is None:
+            self.log = ChangeLog()
+        self.log.cursors[follower] = self.log.end
+
+    def unfollow(self, follower: Hashable) -> None:
+        """Stop keeping changes for ``follower``; the last one drops the log."""
+        log = self.log
+        if log is not None:
+            log.cursors.pop(follower, None)
+            if not log.cursors:
+                self.log = None
+
+    def settled(self, stamp: Timestamp) -> bool:
+        """Whether a read at ``stamp`` finds nothing to fold, apply or
+        rebuild: the stored state is that read's, up to expiration."""
+        if self.cause is not None or self._unfolded or not self.serves(stamp):
+            return False
+        due = self._patcher.peek_due()
+        return due is None or stamp < due
+
     def _catch_up(self, stamp: Timestamp) -> None:
         """Insert the patches due by ``stamp`` (unless a refresh is pending)."""
         if self.cause is None:
-            applied = self._queue_at(stamp).apply_to(self._result.relation, stamp)
+            log = self.log
+            applied = self._queue_at(stamp).apply_to(
+                self._result.relation, stamp, None if log is None else log.entries
+            )
             if applied:
                 self.patches_applied += applied
                 self.database.statistics.view_patches_applied += applied

@@ -18,8 +18,8 @@ Two usage styles, both exception-safe:
   incrementally rather than bracketed.
 
 Tracing is opt-in per tracer (``enabled``); a disabled tracer's ``span``
-context manager yields a shared no-op span, so instrumented code pays one
-flag check when tracing is off.
+returns the shared no-op span, itself a context manager, so instrumented
+code pays one flag check when tracing is off.
 """
 
 from __future__ import annotations
@@ -137,6 +137,12 @@ class _NoopSpan(Span):
     def add_time(self, seconds: float) -> None:
         pass
 
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
 
 #: The shared inert span handed out by disabled tracers.
 NOOP_SPAN = _NoopSpan()
@@ -169,7 +175,6 @@ class Tracer:
     def disable(self) -> None:
         self.enabled = False
 
-    @contextmanager
     def span(self, name: str, **attrs: object):
         """A timed span; nests under the innermost active span.
 
@@ -177,8 +182,11 @@ class Tracer:
         ``error=<ExceptionType>``, and the exception propagates.
         """
         if not self.enabled:
-            yield NOOP_SPAN
-            return
+            return NOOP_SPAN
+        return self._recorded(name, attrs)
+
+    @contextmanager
+    def _recorded(self, name: str, attrs: Dict[str, object]):
         if self._stack:
             span = self._stack[-1].child(name, **attrs)
         else:

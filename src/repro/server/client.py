@@ -53,6 +53,10 @@ __all__ = [
     "connect",
 ]
 
+#: The most one read from the connection takes.
+_CHUNK = 65536
+
+
 @dataclass
 class Result:
     """One statement's outcome, transport-independent.
@@ -544,7 +548,7 @@ class NetworkSession(Session, _WireSessionState):
         assert self._sock is not None
         reply = None
         while reply is None:
-            chunk = self._sock.recv(65536)
+            chunk = self._sock.recv(_CHUNK)
             if not chunk:
                 raise self._hung_up()
             reply = self._receive(chunk, rid)
@@ -559,22 +563,31 @@ class NetworkSession(Session, _WireSessionState):
         Returns the number of push frames handled; ``timeout`` bounds the
         wait for the *first* byte (0 = only what is already queued).
         Pushes that arrived in the same chunk as an earlier reply are
-        handled first, without waiting.
+        handled first, without waiting.  After the first chunk only bytes
+        already buffered are read, and nothing is waited for: a stream that
+        never pauses must not hold the caller (a socket timeout is a
+        millisecond at least, so a drain that waited for a lull read on
+        while the caller's clock ran).
         """
         self._check_open()
-        assert self._sock is not None
+        sock = self._sock
+        assert sock is not None
         before = self._pushes
         self._receive(b"")
-        wait = timeout if timeout > 0 and self._pushes == before else 0.000001
         try:
-            self._sock.settimeout(wait)
-            while chunk := self._sock.recv(65536):
+            # A zero timeout reads without waiting.
+            sock.settimeout(max(timeout, 0.0) if self._pushes == before else 0.0)
+            chunk = sock.recv(_CHUNK)
+            while chunk:
                 self._receive(chunk)
-                self._sock.settimeout(0.000001)  # drain what is left
-        except socket.timeout:
+                if len(chunk) < _CHUNK:
+                    break  # that was all there was
+                sock.settimeout(0.0)
+                chunk = sock.recv(_CHUNK)
+        except (socket.timeout, BlockingIOError):
             pass
         finally:
-            self._sock.settimeout(self.timeout)
+            sock.settimeout(self.timeout)
         return self._pushes - before
 
     # -- the session surface -------------------------------------------------
@@ -668,7 +681,7 @@ class AsyncSession(_WireSessionState):
         await self._writer.drain()
         reply = None
         while reply is None:
-            chunk = await self._reader.read(65536)
+            chunk = await self._reader.read(_CHUNK)
             if not chunk:
                 raise self._hung_up()
             reply = self._receive(chunk, rid)
@@ -697,26 +710,23 @@ class AsyncSession(_WireSessionState):
     async def poll(self, timeout: float = 0.0) -> int:
         """Handle pushes already in flight; returns how many.
 
-        ``timeout`` bounds the wait for the first chunk (pushes already
-        queued are handled first, without waiting).  A cancelled read
-        consumes nothing, so a frame cut off by the timeout is finished
-        by the next call.
+        Pushes already queued are handled, without reading; else one
+        chunk is read, ``timeout`` bounding the wait for it.  A cancelled
+        read consumes nothing, so a frame cut off by the timeout is
+        finished by the next call.
         """
         before = self._pushes
         self._receive(b"")
-        if self._pushes > before:
-            timeout = 0.0
-        while True:
+        if self._pushes == before:
             try:
                 chunk = await asyncio.wait_for(
-                    self._reader.read(65536), timeout=max(timeout, 0.001)
+                    self._reader.read(_CHUNK), timeout=max(timeout, 0.001)
                 )
             except asyncio.TimeoutError:
-                break  # nothing in flight
-            if not chunk:
-                break  # a clean EOF
+                chunk = b""  # nothing in flight
+            # One chunk is what the reader had buffered, up to _CHUNK; a
+            # poll that read on would wait for the next frame to arrive.
             self._receive(chunk)
-            timeout = 0.0  # only drain what is queued after the first
         if self._pushes > before:
             await self._writer.drain()
         return self._pushes - before

@@ -19,11 +19,11 @@ connection for resume (:mod:`repro.server.session`).
 
 The engine is single-threaded and so is the server: all statements execute
 on the event loop, serialised by construction, which is exactly the
-engine's existing concurrency contract.  After every statement that may
-have changed anything, :meth:`ReproServer.pump` diffs the subscribed
-views against their last shipped state -- cheaply skipped when the
-``(catalog_version, now)`` fingerprint is unchanged and no view refreshed
--- and queues patches, applying the backpressure ladder per session.
+engine's existing concurrency contract.  After every statement,
+:meth:`ReproServer.pump` ships each subscription what its view changed
+since the subscription's cursor -- a view the statement did not touch is
+skipped on its own state -- and queues patches, applying the backpressure
+ladder per session.
 
 Metrics land in the database's registry under the ``repro_server_*``
 families declared by :func:`declare_server_families`.
@@ -47,7 +47,7 @@ from repro.errors import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.server.protocol import PROTOCOL_VERSION, FrameDecoder, encode_frame
-from repro.server.session import RetryPolicy, ServerSession, diff_states
+from repro.server.session import RetryPolicy, ServerSession
 from repro.sql.executor import SqlResult, execute_sql
 
 __all__ = ["ReproServer", "declare_server_families"]
@@ -347,7 +347,6 @@ class ReproServer:
         self._connections: Set[_Connection] = set()
         #: What every socket connection reads into (see ``get_buffer``).
         self._read_buffer = memoryview(bytearray(1 << 16))
-        self._pump_fingerprint: Optional[Tuple[int, object]] = None
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -589,40 +588,32 @@ class ReproServer:
     # -- subscription pump ---------------------------------------------------
 
     def pump(self) -> int:
-        """Diff every live subscription against its last shipped state.
+        """Ship every live subscription what its view changed.
 
-        Called after each potentially-mutating statement.  Only sessions
-        holding subscriptions are visited (the ``_streaming`` index), and
-        within one pump each distinct view is read once and its state
-        shared by every subscriber diffing against it.  Skipped outright
-        when the ``(catalog_version, now)`` fingerprint is unchanged and no
-        view refreshed behind our back (their listeners set ``sub.dirty``).
-        Returns the number of envelopes queued (patches plus invalidates).
+        Called after each statement.  Only sessions holding subscriptions
+        are visited (the ``_streaming`` index).  A subscription is skipped
+        when its view is settled (no fold batch, touched row, stale cause
+        or due partition or patch tick at now) and its cursor is at the
+        end of the view's change log, so a write elsewhere costs nothing
+        per view row.  Otherwise the first subscription brings the view
+        current, which appends the changes to the log, and each one takes
+        the entries past its cursor (:meth:`ServerSubscription.diff_payload`).
+        The logs are then trimmed to their oldest cursor.  Returns the
+        number of envelopes queued (patches plus invalidates).
         """
         db = self.db
         now = db.clock.now
-        fingerprint = (db.catalog_version, now.value, now.is_infinite)
-        changed = fingerprint != self._pump_fingerprint
-        self._pump_fingerprint = fingerprint
         fam = self.families
         queued = 0
-        # Per-pump shared state: each distinct view is read once, and the
-        # (upserts, removes) diff is memoised per baseline *object* -- all
-        # subscribers that previously adopted the same shared ``current``
-        # hit the memo.  Values pin the baseline dicts so CPython cannot
-        # recycle an id mid-pump.
-        view_state: Dict[int, Tuple[dict, dict]] = {}
+        moved = {}  # the views whose logs were taken from, to trim
         for session in list(self._streaming.values()):
             if session.closed:
                 continue
             for sub in list(session.subscriptions.values()):
-                if not db.has_view(sub.view.name) or (
-                    db.view(sub.view.name) is not sub.view
-                ):
+                view = sub.view
+                if not db.has_view(view.name) or db.view(view.name) is not view:
                     # The view was dropped (or dropped and recreated) out
                     # from under the stream; the client must resubscribe.
-                    # Checked before the fingerprint short-circuit: DROP
-                    # VIEW moves neither the clock nor the data version.
                     notice = sub.degrade(now, "view-dropped")
                     session.unsubscribe(sub.sub_id)
                     session.enqueue(notice)
@@ -630,26 +621,18 @@ class ReproServer:
                     self._note_unsubscribed(session)
                     queued += 1
                     continue
-                if sub.degraded:
+                if sub.degraded or (
+                    view.settled(now) and not view.log.has_news(sub)
+                ):
                     continue
-                if not changed and not sub.dirty:
+                if sub.fell_behind():
+                    session.enqueue(sub.degrade(now, "lagging"))
+                    fam["degrades"].inc()
+                    fam["invalidates"].inc()
+                    queued += 1
                     continue
-                key = id(sub.view)
-                entry = view_state.get(key)
-                if entry is None:
-                    entry = (dict(sub.view.read(now).items()), {})
-                    view_state[key] = entry
-                current, memo = entry
-                cached = memo.get(id(sub.shipped))
-                if cached is None:
-                    cached = (
-                        sub.shipped,
-                        diff_states(sub.shipped, current, now),
-                    )
-                    memo[id(sub.shipped)] = cached
-                patch = sub.diff_payload(
-                    now, current=current, precomputed=cached[1]
-                )
+                moved[id(view)] = view
+                patch = sub.diff_payload(now)
                 if patch is None:
                     continue
                 payload, expires_at = patch
@@ -671,6 +654,9 @@ class ReproServer:
                     fam["patch_rows"].labels("remove").inc(
                         len(payload.get("removes", ()))
                     )
+        for view in moved.values():
+            if view.log is not None:
+                view.log.trim()
         return queued
 
     # -- retransmission ------------------------------------------------------

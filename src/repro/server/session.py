@@ -34,12 +34,15 @@ full snapshot when (and only when) it actually needs the view again,
 which is the explicit-request maintenance mode of the paper's Section 4,
 reached lazily instead of eagerly.
 
-Patch deltas are computed against the last *shipped* state, under the
-expiration-replaces-deletion asymmetry: a tuple that merely expired needs
-no message at all (the client expires it locally -- the headline saving),
-so removals are shipped only for tuples explicitly deleted while still
-unexpired, and a dropped envelope can always be skipped once its tuples
-are dead.
+A patch is what the view changed since the subscription's cursor in the
+view's :class:`~repro.engine.views.ChangeLog`, netted per row: the engine
+appends each change where it makes it (a fold, a partition redo, a due
+patch, or the one diff of a rebuild), so a patch costs the size of the
+change, not of the view.  The expiration-replaces-deletion asymmetry holds
+throughout: a tuple that merely expired needs no message at all (the client
+expires it locally -- the headline saving), so removals are shipped only
+for tuples explicitly deleted while still unexpired, and a dropped envelope
+can always be skipped once its tuples are dead.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ from typing import (
 
 from repro.codec import Block, Rows, encode_exp
 from repro.core.timestamps import Timestamp, ts_max
-from repro.engine.views import MaterialisedView
+# ``diff_states`` is the rebuild-time diff the views run; it keeps this
+# dotted name, which tracers hook.
+from repro.engine.views import MaterialisedView, diff_states
 from repro.errors import SessionError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only
@@ -144,35 +149,6 @@ class SessionStats:
     def as_dict(self) -> dict:
         """All counters by name, for reports."""
         return dict(vars(self))
-
-
-def diff_states(
-    shipped: Dict[tuple, Timestamp],
-    current: Dict[tuple, Timestamp],
-    now: Timestamp,
-) -> Tuple[list, list]:
-    """``(upserts, removes)`` taking a client from ``shipped`` to ``current``.
-
-    Pure expiration ships nothing: a tuple gone from ``current`` whose
-    expiration is ``<= now`` is pruned silently (the client expired it
-    locally), so removals cover only explicit deletions of unexpired
-    tuples.  Identical baselines short-circuit -- the server's pump memoises
-    this per ``(view, baseline object)``, so twenty subscribers sharing one
-    adopted baseline cost one scan, not twenty.
-    """
-    if shipped is current:
-        return [], []
-    upserts = [
-        (row, texp)
-        for row, texp in current.items()
-        if shipped.get(row) != texp
-    ]
-    removes = [
-        (row, texp)
-        for row, texp in shipped.items()
-        if row not in current and texp > now
-    ]
-    return upserts, removes
 
 
 #: :meth:`SenderCore.retry` verdicts.
@@ -287,7 +263,12 @@ class SenderCore:
 
 
 class ServerSubscription:
-    """One client's patch stream over one materialised view."""
+    """One client's patch stream over one materialised view.
+
+    It follows the view (:meth:`MaterialisedView.follow`) from its
+    snapshot on, and each patch carries what the view's change log took
+    since then; a degraded stream follows nothing until its refetch.
+    """
 
     #: Sequence numbers and unacknowledged envelopes, wired by
     #: :meth:`ServerSession.subscribe` with the session's retry policy,
@@ -300,12 +281,8 @@ class ServerSubscription:
         #: Bumped on every degrade; acks from older epochs are ignored
         #: (they describe a stream that no longer exists).
         self.epoch = 0
-        #: Last state shipped to the client: row -> expiration time.
-        self.shipped: Dict[tuple, Timestamp] = {}
         self.degraded = False
-        #: Set by the view's refresh listener and by the server's pump
-        #: when the catalog fingerprint moves; cleared after each diff.
-        self.dirty = True
+        view.follow(self)
 
     @property
     def pending(self) -> Dict[int, _Pending]:
@@ -315,7 +292,7 @@ class ServerSubscription:
     # -- state shipping -----------------------------------------------------
 
     def snapshot_payload(self, now: Timestamp, columns: bool = False) -> dict:
-        """A full-state ``snapshot`` payload; resets the shipped baseline.
+        """A full-state ``snapshot`` payload; the stream follows on from it.
 
         Starts (or restarts, post-degrade) the epoch's numbering: seq 0
         carries the whole view, which supersedes every pending patch, and
@@ -324,54 +301,44 @@ class ServerSubscription:
         snapshot carries them).
         """
         relation = self.view.read(now)
-        self.shipped = dict(relation.items())
+        self.view.follow(self)
         self.sender.reset()
         self.degraded = False
-        self.dirty = False
         payload = {
             "kind": "snapshot",
             "sub": self.sub_id,
             "epoch": self.epoch,
             "seq": 0,
-            "rows": Block(self.shipped.items()),
+            "rows": Block(relation.items()),
             "now": encode_exp(now),
         }
         if columns:
             payload["columns"] = list(relation.schema.names)
         return payload
 
-    def diff_payload(
-        self,
-        now: Timestamp,
-        current: Optional[Dict[tuple, Timestamp]] = None,
-        precomputed: Optional[Tuple[list, list]] = None,
-    ) -> Optional[Tuple[dict, Timestamp]]:
-        """The incremental ``patch`` payload since the last shipment.
+    def fell_behind(self) -> bool:
+        """Whether the view's log dropped changes this stream had not taken
+        (the stream degrades, and the refetch snapshots)."""
+        return self.view.log.cursors[self] < self.view.log.start
+
+    def diff_payload(self, now: Timestamp) -> Optional[Tuple[dict, Timestamp]]:
+        """The incremental ``patch`` payload since the last one.
 
         Returns ``(payload, expires_at)``, where ``expires_at`` is the
         latest time at which any carried change still matters (a remove
         stops mattering when the removed tuple would have expired anyway);
         it stays on the server, with the pending envelope.  Returns
-        ``None`` when the client's copy is already right, which
-        includes every change that is *pure expiration*: a shipped tuple
-        past its expiration time needs no removal message (the client
-        expired it locally), so it is simply pruned from the baseline.
-
-        ``current`` lets the caller share one view read across every
-        subscriber of the same view (the server's pump does); it must be
-        the ``row -> texp`` map of ``view.read(now)`` and is adopted as
-        the new baseline without being mutated.  ``precomputed`` goes one
-        step further: subscribers whose baseline is the *same object* (the
-        common case once they have adopted a shared ``current``) can reuse
-        one :func:`diff_states` result instead of re-scanning the view.
+        ``None`` when the client's copy is already right, which includes
+        every change that is *pure expiration*: the log holds none, and a
+        removal of a tuple expired by ``now`` is not shipped.
         """
-        if current is None:
-            current = dict(self.view.read(now).items())
-        if precomputed is None:
-            precomputed = diff_states(self.shipped, current, now)
-        upserts, removes = precomputed
-        self.shipped = current
-        self.dirty = False
+        delta = self.view.read(now, follower=self)
+        if delta is None:
+            raise SessionError(
+                f"subscription {self.sub_id} fell behind the change log of "
+                f"view {self.view.name!r}; degrade it and refetch"
+            )
+        upserts, removes = delta
         if not upserts and not removes:
             return None
         payload = {
@@ -400,7 +367,7 @@ class ServerSubscription:
         self.sender.reset()
         self.epoch += 1
         self.degraded = True
-        self.shipped = {}
+        self.view.unfollow(self)
         return self.invalidate_payload(now, reason)
 
     def invalidate_payload(self, now: Timestamp, reason: str) -> dict:
@@ -489,29 +456,17 @@ class ServerSession:
         # seq 0 is each epoch's snapshot; patches count from 1.
         sub.sender = SenderCore(self.retry, self.stats, self._rng, first_seq=1)
         self.subscriptions[sub.sub_id] = sub
-        view.refresh_listeners.append(self._make_refresh_listener(sub))
         return sub
 
-    def _make_refresh_listener(self, sub: ServerSubscription):
-        def on_refresh(view: MaterialisedView, _sub=sub) -> None:
-            _sub.dirty = True
-
-        on_refresh.repro_sub = sub  # tag for unsubscribe
-        return on_refresh
-
     def unsubscribe(self, sub_id: int) -> ServerSubscription:
-        """Drop a subscription (and its view refresh listener)."""
+        """Drop a subscription (and its cursor in the view's change log)."""
         try:
             sub = self.subscriptions.pop(sub_id)
         except KeyError:
             raise SessionError(
                 f"session {self.token}: unknown subscription {sub_id}"
             ) from None
-        sub.view.refresh_listeners[:] = [
-            listener
-            for listener in sub.view.refresh_listeners
-            if getattr(listener, "repro_sub", None) is not sub
-        ]
+        sub.view.unfollow(sub)
         return sub
 
     # -- outbound traffic ----------------------------------------------------

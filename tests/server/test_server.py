@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import socket as socket_module
+import threading
 import time
 from fractions import Fraction
 
@@ -971,6 +972,84 @@ class TestPollHandlesWhatIsAlreadyHere:
             assert not session._queue
 
         run(scenario())
+
+
+class TestPollReturnsWhileTheStreamRuns:
+    """A ``poll`` handles what has arrived and returns, even while pushes
+    keep coming.  Its drain used to wait for a lull after every chunk (a
+    socket or ``wait_for`` timeout of at least a millisecond), so under a
+    stream with a frame every fraction of a millisecond one ``poll`` ran
+    for as long as the stream did, and the caller's clock ran with it."""
+
+    PUSH = {"kind": "patch", "sub": 99, "epoch": 0, "seq": 1, "now": 1}
+    STREAM_SECONDS = 3.0
+
+    def test_network_poll(self):
+        listener = socket_module.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        streaming = threading.Event()
+        streaming.set()
+
+        def peer():
+            listener.settimeout(5)
+            conn, _ = listener.accept()
+            with conn:
+                decoder = FrameDecoder()
+                hello = []
+                while not hello:
+                    hello = decoder.feed(conn.recv(65536))
+                conn.sendall(encode_frame(
+                    {"kind": "hello-ok", "re": hello[0]["id"], "session": "s1"}))
+                frame = encode_frame(self.PUSH)
+                deadline = time.monotonic() + self.STREAM_SECONDS
+                try:
+                    while streaming.is_set() and time.monotonic() < deadline:
+                        conn.sendall(frame)
+                        time.sleep(0.0002)
+                except OSError:
+                    pass  # the client hung up
+
+        thread = threading.Thread(target=peer)
+        thread.start()
+        try:
+            session = NetworkSession("127.0.0.1", port, timeout=5)
+            began = time.monotonic()
+            handled = session.poll(0.5)
+            took = time.monotonic() - began
+            streaming.clear()
+            session.disconnect()
+        finally:
+            streaming.clear()
+            thread.join(10)
+            listener.close()
+        assert handled >= 1
+        assert took < 0.5, took
+
+    def test_async_poll(self):
+        frame = encode_frame(self.PUSH)
+
+        async def scenario():
+            reader, sink = asyncio.StreamReader(), _Sink()
+            session = AsyncSession(reader, sink)
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + self.STREAM_SECONDS
+            streaming = [True]
+
+            def feed():
+                if streaming[0] and loop.time() < deadline:
+                    reader.feed_data(frame)
+                    loop.call_soon(feed)
+
+            feed()
+            began = loop.time()
+            handled = await session.poll(0.5)
+            took = loop.time() - began
+            streaming[0] = False
+            return handled, took
+
+        handled, took = run(scenario())
+        assert handled >= 1
+        assert took < 0.5, took
 
 
 class _Sink:
