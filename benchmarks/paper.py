@@ -530,11 +530,11 @@ def loose_coupling() -> Artefact:
                 link=Link(latency=2, partitions=partitions, seed=101),
                 snapshot_period=10,
             ).run()
-            rows.append((strategy.value, report.messages, report.cells,
+            rows.append((strategy.value, report.messages, report.bytes,
                          f"{report.consistency:.3f}", report.extra_tuples,
                          report.missing_tuples))
         artefact.table(f"D1a: base-relation replication ({title})",
-                       ["strategy", "messages", "cells", "consistency", "extra",
+                       ["strategy", "messages", "bytes", "consistency", "extra",
                         "missing"], rows)
         replicas = {row[0]: row for row in rows}
         expiration, baseline = replicas["expiration"], replicas["explicit_delete"]
@@ -555,11 +555,11 @@ def loose_coupling() -> Artefact:
             left.copy(), right.copy(), list(range(0, 110, 3)), strategy,
             link=Link(latency=2),
         ).run()
-        rows.append((strategy.value, report.messages, report.cells,
+        rows.append((strategy.value, report.messages, report.bytes,
                      f"{report.consistency:.3f}", report.recompute_requests,
                      report.patches_shipped))
     artefact.table("D1b: remote difference view maintenance",
-                   ["strategy", "messages", "cells", "consistency", "recompute reqs",
+                   ["strategy", "messages", "bytes", "consistency", "recompute reqs",
                     "patches"], rows)
     views = {row[0]: row for row in rows}
     patch = views["patch"]

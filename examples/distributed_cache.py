@@ -5,8 +5,9 @@ intermittently connected client.  This example replicates a news-profile
 relation over a flaky link (latency, a mid-run partition) under the three
 maintenance strategies and prints the traffic/consistency trade-off, then
 ships a *difference view* to the client with the Theorem-3 patch queue --
-after which the client answers every query correctly without ever
-contacting the server again.
+after which the client answers every query correctly with no further
+frame from the server.  Both run the served engine's own server and
+client over a simulated link; traffic is frames and their bytes.
 
 Run:  python examples/distributed_cache.py
 """
@@ -34,7 +35,7 @@ def main() -> None:
     print("replicating a profile relation over a flaky link")
     print(f"  150 inserts in [0,60), queries every 2 ticks in [60,140),")
     print(f"  link latency 2, partition during {partition[0]}\n")
-    print(f"  {'strategy':<18} {'messages':>8} {'cells':>6} "
+    print(f"  {'strategy':<18} {'messages':>8} {'bytes':>6} "
           f"{'consistency':>11} {'stale extras':>12}")
     for strategy in ReplicationStrategy:
         report = ReplicationSimulation(
@@ -42,7 +43,7 @@ def main() -> None:
             link=Link(latency=2, partitions=partition, seed=5),
             snapshot_period=15,
         ).run()
-        print(f"  {report.strategy:<18} {report.messages:>8} {report.cells:>6} "
+        print(f"  {report.strategy:<18} {report.messages:>8} {report.bytes:>6} "
               f"{report.consistency:>11.3f} {report.extra_tuples:>12}")
 
     print("\nshipping a difference view (R - S) to the client")
@@ -50,18 +51,19 @@ def main() -> None:
         ["uid", "deg"], 100, 0.5, UniformLifetime(5, 80), seed=33
     )
     print(f"  |R| = {len(left)}, |S| = {len(right)}, queries every 3 ticks\n")
-    print(f"  {'strategy':<22} {'messages':>8} {'cells':>6} "
-          f"{'consistency':>11} {'round trips':>11}")
+    print(f"  {'strategy':<22} {'messages':>8} {'bytes':>6} "
+          f"{'consistency':>11} {'patches':>7}")
     for strategy in ViewMaintenanceStrategy:
         report = DifferenceViewSimulation(
             left.copy(), right.copy(), list(range(0, 100, 3)), strategy,
             link=Link(latency=2),
         ).run()
-        print(f"  {report.strategy:<22} {report.messages:>8} {report.cells:>6} "
-              f"{report.consistency:>11.3f} {report.recompute_requests:>11}")
+        print(f"  {report.strategy:<22} {report.messages:>8} {report.bytes:>6} "
+              f"{report.consistency:>11.3f} {report.patches_shipped:>7}")
 
     print("\nthe patch strategy is Theorem 3 over the wire: two messages,"
-          "\nperfect answers, and total radio silence afterwards.")
+          "\nperfect answers, and total radio silence afterwards; the other"
+          "\ntwo get a patch pushed at every change, which arrives late.")
 
 
 if __name__ == "__main__":

@@ -124,6 +124,13 @@ class DifferencePatcher:
         tick = self._schedule.next_due()
         return None if tick is None else from_raw(tick)
 
+    def pending(self) -> List[Patch]:
+        """Every queued patch, in no particular order (what a snapshot of
+        the patched view ships)."""
+        expires = self._expires
+        return [Patch(row, from_raw(tick), expires[row])
+                for row, tick in self._schedule.items()]
+
     def due_patches(self, now: TimeLike) -> List[Patch]:
         """Pop every patch whose row should be visible at time ``now``.
 

@@ -168,8 +168,9 @@ class Relation:
         if not tuples and changes is None:
             # Raw ticks into an empty relation (a snapshot load): one dict
             # build, unless a row repeats and has to be merged after all.
+            # Pairs of Timestamps (a fold's) skip the split at the first.
             pairs = list(pairs)
-            if raw := _split_raw(pairs):
+            if pairs and type(pairs[0][1]) is int and (raw := _split_raw(pairs)):
                 rows, ticks = raw
                 interned = {tick: from_raw(tick) for tick in set(ticks)}
                 tuples.update(zip(rows, map(interned.__getitem__, ticks)))

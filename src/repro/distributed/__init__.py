@@ -1,54 +1,24 @@
 """Loosely-coupled distributed substrate (the paper's Section-1 setting).
 
-A deterministic discrete-event simulator of a server and a remote client
-connected by a high-latency, lossy, partition-prone link.  Used by the D1
-and TH3/S34b benches to quantify the paper's claimed benefits: lower
-transaction volume, no deletion traffic, and consistency under
-disconnection for expiration-based maintenance.
-
-The fault-tolerance layer adds a reliable session
-(:mod:`repro.distributed.reliability`), anti-entropy repair
-(:mod:`repro.distributed.anti_entropy`), and scripted fault injection
-(:mod:`repro.distributed.faults`) on top of the same deterministic core.
+A deterministic discrete-event simulator that drives the served engine
+itself -- a real database behind :class:`~repro.server.server.ReproServer`
+and the production client's frame loop -- over high-latency, lossy,
+partition-prone :class:`Link` s instead of a socket
+(:mod:`repro.distributed.simulator`).  Used by the D1 artefact to
+quantify the paper's claimed benefits: fewer messages, no deletion
+traffic, and consistency under disconnection for expiration-based
+maintenance.  Scripted faults (:mod:`repro.distributed.faults`) are
+applied to the same deterministic core, and :class:`SyncReport` is what a
+run reports.  Reliable delivery is the server's own
+:class:`~repro.server.session.SenderCore`; its :class:`RetryPolicy` and
+:class:`SessionStats` live in :mod:`repro.server.session` and are
+re-exported here.
 """
 
-from repro.distributed.anti_entropy import (
-    AntiEntropyConfig,
-    apply_repair,
-    bucket_hashes,
-    bucket_of,
-    build_digest,
-    build_repair,
-    diff_digests,
-)
-from repro.distributed.client import DifferenceViewClient, Replica
 from repro.distributed.events import EventQueue
 from repro.distributed.faults import BurstLoss, FaultSchedule, LinkFlap, NodeCrash
 from repro.distributed.link import Link, LinkStats
 from repro.distributed.metrics import SyncReport
-from repro.distributed.node import Node
-from repro.distributed.protocols import (
-    Ack,
-    DeleteNotice,
-    Digest,
-    Envelope,
-    Message,
-    PatchShipment,
-    RecomputeRequest,
-    RecomputeResponse,
-    RepairRequest,
-    RepairResponse,
-    Snapshot,
-    TupleInsert,
-)
-from repro.distributed.reliability import (
-    ReliabilityConfig,
-    ReliableReceiver,
-    ReliableSender,
-    RetryPolicy,
-    SessionStats,
-)
-from repro.distributed.server import DifferenceViewServer, OriginServer
 from repro.distributed.simulator import (
     DifferenceViewSimulation,
     FanOutSimulation,
@@ -57,45 +27,19 @@ from repro.distributed.simulator import (
     ViewMaintenanceStrategy,
     WorkloadEntry,
 )
+from repro.server.session import RetryPolicy, SessionStats
 
 __all__ = [
-    "DifferenceViewClient",
-    "Replica",
     "EventQueue",
     "Link",
     "LinkStats",
     "SyncReport",
-    "Node",
-    "Ack",
-    "DeleteNotice",
-    "Digest",
-    "Envelope",
-    "Message",
-    "PatchShipment",
-    "RecomputeRequest",
-    "RecomputeResponse",
-    "RepairRequest",
-    "RepairResponse",
-    "Snapshot",
-    "TupleInsert",
-    "AntiEntropyConfig",
-    "apply_repair",
-    "bucket_hashes",
-    "bucket_of",
-    "build_digest",
-    "build_repair",
-    "diff_digests",
     "BurstLoss",
     "FaultSchedule",
     "LinkFlap",
     "NodeCrash",
-    "ReliabilityConfig",
-    "ReliableReceiver",
-    "ReliableSender",
     "RetryPolicy",
     "SessionStats",
-    "DifferenceViewServer",
-    "OriginServer",
     "DifferenceViewSimulation",
     "FanOutSimulation",
     "ReplicationSimulation",

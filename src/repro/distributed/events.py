@@ -2,8 +2,8 @@
 
 Events are ``(time, sequence, action)`` triples in a binary heap; the
 sequence number makes execution order deterministic for same-time events.
-Time is the shared *global* simulation time; individual nodes may observe
-it through skewed clocks (see :mod:`repro.distributed.node`), which is how
+Time is the shared *global* simulation time; a simulated client reads it
+through a skewed clock (:mod:`repro.distributed.simulator`), which is how
 the paper's "clocks of different sub-systems are not synchronised" setting
 is modelled.
 """

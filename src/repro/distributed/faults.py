@@ -13,8 +13,8 @@ Three fault kinds, layered over the existing deterministic
 
 * :class:`NodeCrash` -- the client stops processing deliveries at ``at``
   and resumes at ``restart_at``; with ``lose_state=True`` it also loses
-  its replica (and reliable-session) state, which is exactly the case
-  retransmission alone cannot repair and anti-entropy exists for.
+  its session, which retransmission cannot repair: it comes back as a
+  fresh session and subscribes again.
 * :class:`LinkFlap` -- a ``[at, at+duration)`` partition injected into
   the forward and reverse links.
 * :class:`BurstLoss` -- the loss probability jumps to ``probability``
@@ -37,10 +37,10 @@ __all__ = ["NodeCrash", "LinkFlap", "BurstLoss", "Fault", "FaultSchedule"]
 class NodeCrash:
     """The client node is down during ``[at, restart_at)``.
 
-    Messages delivered while down are dropped on the floor (the process
+    Frames delivered while down are dropped on the floor (the process
     is not there to read them); with ``lose_state=True`` the restart
-    comes back with an empty replica and a fresh session, as if the
-    node's disk died with it.
+    comes back with nothing, as if the node's disk died with it, and
+    opens a fresh session.
     """
 
     at: int

@@ -6,6 +6,7 @@ Delivery of a message submitted at time ``t``:
 
 * takes ``latency`` ticks (plus deterministic jitter from a seeded RNG,
   plus a size-proportional serialisation delay when ``bandwidth`` is set);
+  a message's size is the bytes of the frame it carries;
 * fails with probability ``loss_probability`` (the sender is not told);
 * is impossible while the link is *down*; depending on
   :attr:`Link.queue_during_partition` the message is then either dropped
@@ -43,8 +44,8 @@ class LinkStats:
         self.messages_delivered = 0
         self.messages_lost = 0
         self.messages_queued = 0
-        self.cells_sent = 0
-        self.cells_delivered = 0
+        self.bytes_sent = 0
+        self.bytes_delivered = 0
 
     def as_dict(self) -> dict:
         """All counters by name, for reports."""
@@ -74,7 +75,7 @@ class Link:
             )
         if bandwidth is not None and bandwidth <= 0:
             raise SimulationError(
-                f"bandwidth must be a positive cells-per-tick rate, got {bandwidth}"
+                f"bandwidth must be a positive bytes-per-tick rate, got {bandwidth}"
             )
         self.latency = latency
         self.jitter = jitter
@@ -116,13 +117,13 @@ class Link:
         """Whether the link is outside every partition window at ``at``."""
         return not self.down_times.contains(at)
 
-    def serialisation_delay(self, size_cells: int) -> int:
-        """Extra ticks to clock ``size_cells`` onto the wire (0 if unbounded)."""
+    def serialisation_delay(self, size: int) -> int:
+        """Extra ticks to clock ``size`` bytes onto the wire (0 if unbounded)."""
         if self.bandwidth is None:
             return 0
-        return -(-size_cells // self.bandwidth)  # ceil division
+        return -(-size // self.bandwidth)  # ceil division
 
-    def delivery_time(self, sent_at: TimeLike, size_cells: int = 1) -> Optional[Timestamp]:
+    def delivery_time(self, sent_at: TimeLike, size: int = 1) -> Optional[Timestamp]:
         """When a message sent at ``sent_at`` arrives, or ``None`` if lost.
 
         The caller schedules the receive event at the returned time; prefer
@@ -142,12 +143,12 @@ class Link:
                 return None  # partitioned forever
             self.stats.messages_queued += 1
             departure = healed
-        delay = self.latency + self.serialisation_delay(size_cells)
+        delay = self.latency + self.serialisation_delay(size)
         if self.jitter:
             delay += self._rng.randint(0, self.jitter)
         return departure + delay
 
-    def transmit(self, sent_at: TimeLike, size_cells: int) -> Optional[Timestamp]:
+    def transmit(self, sent_at: TimeLike, size: int) -> Optional[Timestamp]:
         """Send one message: accounts the send, and the loss if it is lost.
 
         Returns the arrival time, or ``None`` when the message never
@@ -155,23 +156,23 @@ class Link:
         never heals).  This is the only sending entry point the simulators
         use, so a lost message can never be missing from the stats.
         """
-        self.record_send(size_cells)
-        arrival = self.delivery_time(sent_at, size_cells)
+        self.record_send(size)
+        arrival = self.delivery_time(sent_at, size)
         if arrival is None:
             self.record_loss()
         return arrival
 
     # -- stats ----------------------------------------------------------------
 
-    def record_send(self, size_cells: int) -> None:
-        """Account one outbound message of ``size_cells``."""
+    def record_send(self, size: int) -> None:
+        """Account one outbound message of ``size``."""
         self.stats.messages_sent += 1
-        self.stats.cells_sent += size_cells
+        self.stats.bytes_sent += size
 
-    def record_delivery(self, size_cells: int) -> None:
-        """Account one delivered message of ``size_cells``."""
+    def record_delivery(self, size: int) -> None:
+        """Account one delivered message of ``size``."""
         self.stats.messages_delivered += 1
-        self.stats.cells_delivered += size_cells
+        self.stats.bytes_delivered += size
 
     def record_loss(self) -> None:
         """Account one lost message."""

@@ -45,19 +45,19 @@ REPLICATION_COUNTERS: Dict[str, tuple] = {
         "Client rows already gone from ground truth (the dangerous kind)."),
     "messages": (
         "repro_replication_messages_total",
-        "Messages shipped over the link(s), acks/digests/repairs included."),
-    "cells": (
-        "repro_replication_cells_total",
-        "Data cells shipped over the link(s)."),
+        "Frames shipped over the link(s) in both directions, acks excluded."),
+    "bytes": (
+        "repro_replication_bytes_total",
+        "Bytes of the frames counted in messages."),
     "messages_lost": (
         "repro_replication_messages_lost_total",
-        "Messages dropped by injected faults."),
+        "Frames dropped by the link(s), acks included."),
     "recompute_requests": (
         "repro_replication_recompute_requests_total",
-        "Full-recompute round trips requested by clients."),
+        "Refetches of a full snapshot requested by clients."),
     "patches_shipped": (
         "repro_replication_patches_shipped_total",
-        "Difference-view patches shipped (Theorem 3 traffic)."),
+        "Theorem-3 patches shipped in a subscription's first snapshot."),
     "retransmissions": (
         "repro_replication_retransmissions_total",
         "Reliable-session retransmissions actually sent."),
@@ -66,14 +66,9 @@ REPLICATION_COUNTERS: Dict[str, tuple] = {
         "Retransmissions cancelled because the tuple had already expired."),
     "cells_avoided": (
         "repro_replication_cells_avoided_total",
-        "Cells of retransmission traffic avoided via expiration."),
+        "Rows of retransmission traffic avoided via expiration."),
     "acks": (
-        "repro_replication_acks_total", "Acknowledgements received."),
-    "digests": (
-        "repro_replication_digests_total", "Anti-entropy digests exchanged."),
-    "repairs_applied": (
-        "repro_replication_repairs_applied_total",
-        "Anti-entropy repairs that changed at least one row."),
+        "repro_replication_acks_total", "Acknowledgements sent."),
 }
 
 #: SyncReport field -> (gauge family, help).  Gauges describe the *last*
@@ -112,9 +107,9 @@ def declare_replication_families(registry: MetricsRegistry) -> None:
 class SyncReport:
     """The outcome of one loosely-coupled maintenance run.
 
-    * Traffic: ``messages`` / ``cells`` as counted by the link(s); when a
-      reliable session or anti-entropy runs, acks, digests, and repairs
-      are included (reverse-channel traffic is traffic).
+    * Traffic: ``messages`` counts the frames crossing the links in both
+      directions after the subscription's handshake, ``bytes`` their
+      size; acks are counted apart, in ``acks``.
     * Consistency: a query is *correct* when the client's visible row set
       equals the server-side ground truth at the query's global time;
       ``missing_tuples`` / ``extra_tuples`` sum the per-query set
@@ -127,9 +122,8 @@ class SyncReport:
       longest single window and ``divergence_ticks`` their total measure.
     * Fault tolerance: ``retransmissions`` actually resent,
       ``retransmissions_avoided`` cancelled because the tuple had already
-      expired (with ``cells_avoided`` the traffic thereby saved -- the
-      paper-specific win), ``repairs_applied`` anti-entropy bucket
-      repairs that changed at least one row.
+      expired (with ``cells_avoided`` the rows thereby not resent -- the
+      paper-specific win).
     """
 
     strategy: str
@@ -139,7 +133,7 @@ class SyncReport:
     missing_tuples: int = 0
     extra_tuples: int = 0
     messages: int = 0
-    cells: int = 0
+    bytes: int = 0
     messages_lost: int = 0
     recompute_requests: int = 0
     patches_shipped: int = 0
@@ -147,8 +141,6 @@ class SyncReport:
     retransmissions_avoided: int = 0
     cells_avoided: int = 0
     acks: int = 0
-    digests: int = 0
-    repairs_applied: int = 0
     converged: bool = True
     converged_at: Optional[int] = None
     convergence_lag: Optional[int] = None
@@ -214,7 +206,7 @@ class SyncReport:
         return {
             "strategy": self.strategy,
             "messages": snap["messages"],
-            "cells": snap["cells"],
+            "bytes": snap["bytes"],
             "queries": snap["queries"],
             "consistency": round(float(snap["consistency"]), 4),
             "missing": snap["missing_tuples"],
@@ -228,12 +220,11 @@ class SyncReport:
         return {
             "strategy": self.strategy,
             "messages": snap["messages"],
-            "cells": snap["cells"],
+            "bytes": snap["bytes"],
             "lost": snap["messages_lost"],
             "retransmissions": snap["retransmissions"],
             "retrans_avoided": snap["retransmissions_avoided"],
             "cells_avoided": snap["cells_avoided"],
-            "repairs": snap["repairs_applied"],
             "consistency": round(float(snap["consistency"]), 4),
             "converged": self.converged,
             "converged_at": self.converged_at,

@@ -1,80 +1,81 @@
-"""End-to-end loosely-coupled maintenance simulations.
+"""End-to-end loosely-coupled maintenance, on the served engine's own stack.
 
-Two scenario classes, both deterministic given their seeds:
+The simulator runs the production client/server pair a third way, beside
+asyncio's sockets and the in-process loopback: a real
+:class:`~repro.engine.database.Database` behind a
+:class:`~repro.server.server.ReproServer`, whose connection core
+(:class:`~repro.server.server.ServerEnd`) exchanges real
+:mod:`repro.codec` frames with the client's frame loop
+(:class:`~repro.server.client._WireSessionState`) over a pair of
+deterministic, lossy :class:`~repro.distributed.link.Link` s on an
+:class:`~repro.distributed.events.EventQueue`.  One frame is one link
+message.  Deterministic given the links' seeds.
 
-* :class:`ReplicationSimulation` (experiment D1) -- a server relation is
-  replicated to a remote client over an unreliable link; compares the
-  **explicit-delete** baseline, **periodic snapshots**, and
-  **expiration-based** maintenance on traffic and consistency.
-* :class:`DifferenceViewSimulation` (experiments TH3 / S34b over a
-  network) -- a client materialises a *difference* view and keeps it
-  correct by **recompute-on-invalid**, **Schrödinger** (recompute only
-  when a query actually lands in an invalid gap), or the Theorem-3
-  **patch stream** shipped up front.
+Three scenarios, whose strategies are configurations of that one stack:
 
-Both accept the fault-tolerance stack as configuration:
+* :class:`ReplicationSimulation` (experiment D1a) -- a server relation
+  ``R`` reaches a remote client.  The origin's writes are local statements
+  on the server, each followed by the pump.  **Expiration**: inserts carry
+  their lifetime and the client subscribes to the view ``SELECT * FROM R``;
+  **explicit delete**: inserts carry none and a ``DELETE`` of each row runs
+  when its lifetime ends; **periodic snapshot**: the explicit-delete
+  database, which the client queries (``SELECT * FROM R``) every
+  ``snapshot_period`` ticks instead of subscribing.
+* :class:`FanOutSimulation` -- the same, with many clients on one server,
+  each over its own links and clock skew.
+* :class:`DifferenceViewSimulation` (D1b) -- the client subscribes to
+  ``R EXCEPT S`` materialised under the policy of the strategy's name.
+  The server pushes whatever the view changed; under PATCH the snapshot
+  carries the Theorem-3 queue and nothing follows it.
 
-* ``reliability=ReliabilityConfig(...)`` runs every data message through
-  the reliable session layer (sequence numbers, acks on a reverse link,
-  expiration-aware retransmission);
-* ``anti_entropy=AntiEntropyConfig(...)`` (replication only) adds the
-  periodic digest/repair exchange;
-* ``faults=FaultSchedule([...])`` injects scripted crashes, link flaps,
-  and loss bursts.
+**Counting.**  ``hello`` / ``hello-ok`` come before the run and are not
+counted.  The subscription's ``subscribe`` + ``sub-ok`` run synchronously
+at t=0 (and after a state-losing restart): they are counted, and faults do
+not apply to them.  ``messages`` counts every later frame in both
+directions except acks, which go in ``acks``; ``bytes`` is the size of
+the frames ``messages`` counts.
 
-When any of the three is configured (or ``track_convergence=True``), the
-simulation probes client-vs-truth divergence every ``probe_period`` ticks
-and fills the :class:`SyncReport` convergence fields: the divergence
-windows as an :class:`IntervalSet`, time-to-convergence, max staleness,
-retransmissions sent, and retransmissions avoided via expiration.
+**Clocks.**  Each tick: the database advances to ``t`` and the server
+pumps (what ``ADVANCE`` does); the origin's writes due at ``t`` run, each
+with its pump; the tick's deliveries follow, then queries and probes, then
+the retransmission sweep at ``t`` -- so a lossless run retransmits
+nothing.  A client reads at event time plus its skew and expires rows
+itself.
 
-The workload format is a list of ``(time, row, expires_at)`` insertions;
-see :mod:`repro.workloads` for generators.
+**Faults** (:class:`~repro.distributed.faults.FaultSchedule`): link
+flaps and loss bursts act on both links; a :class:`NodeCrash` drops what
+reaches the client while it is down, and one that loses state comes back
+as a fresh session that subscribes again.  Delivery is always the
+server's :class:`~repro.server.session.SenderCore`.
+
+When faults are scheduled (or ``track_convergence=True``) the run probes
+client-vs-truth divergence every ``probe_period`` ticks and fills the
+:class:`SyncReport` convergence fields.  The workload format is a list of
+``(time, row, expires_at)`` insertions; see :mod:`repro.workloads`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.intervals import IntervalSet
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.timestamps import Timestamp, ts
 from repro.core.tuples import Row
-from repro.distributed.anti_entropy import (
-    AntiEntropyConfig,
-    bucket_hashes,
-    diff_digests,
-)
-from repro.distributed.client import DifferenceViewClient, Replica
 from repro.distributed.events import EventQueue
 from repro.distributed.faults import FaultSchedule
 from repro.distributed.link import Link
 from repro.distributed.metrics import SyncReport
-from repro.obs.registry import MetricsRegistry
-from repro.distributed.protocols import (
-    Ack,
-    DeleteNotice,
-    Digest,
-    Envelope,
-    Message,
-    PatchShipment,
-    RecomputeRequest,
-    RecomputeResponse,
-    RepairRequest,
-    RepairResponse,
-    Snapshot,
-    TupleInsert,
-)
-from repro.distributed.reliability import (
-    ReliabilityConfig,
-    ReliableReceiver,
-    ReliableSender,
-)
-from repro.distributed.server import DifferenceViewServer, OriginServer
+from repro.engine.database import Database
+from repro.engine.views import MaintenancePolicy
 from repro.errors import SimulationError
+from repro.obs.registry import MetricsRegistry
+from repro.server.client import _WireSessionState
+from repro.server.protocol import encode_frame
+from repro.server.server import ReproServer, ServerEnd
 
 __all__ = [
     "ReplicationStrategy",
@@ -87,9 +88,9 @@ __all__ = [
 
 #: One workload insertion: (arrival time, row, expiration time).
 WorkloadEntry = Tuple[int, Row, int]
-#: How long a message matters to the reliable sender, and the channel
-#: whose pending send it supersedes.
-_Terms = Tuple[Optional[Timestamp], Optional[str]]
+
+#: The name of the view every subscribing client follows.
+_VIEW = "v"
 
 
 def _mirror_link(link: Link, seed_shift: int = 7919) -> Link:
@@ -120,8 +121,7 @@ class _ConvergenceTracker:
         self.pairs: List[Tuple[int, int]] = []
         self._open_since: Optional[int] = None
 
-    def observe(self, at: Timestamp, diverged: bool) -> None:
-        tick = at.value
+    def observe(self, tick: int, diverged: bool) -> None:
         if diverged and self._open_since is None:
             self._open_since = tick
         elif not diverged and self._open_since is not None:
@@ -145,211 +145,322 @@ class _ConvergenceTracker:
         report.detail["divergence_windows"] = list(self.pairs)
 
 
-class _Channel:
-    """The server->client channel both scenarios run over.
+class _SimServer(ReproServer):
+    """The served engine on simulated time: retransmission timers read the
+    run's tick, and each session's retry jitter is seeded by the order
+    sessions open in, so a run replays exactly."""
 
-    It owns the forward link, the reverse link (mirrored from the forward
-    one when acks or repair requests need it), the scripted faults, the
-    reliable sender/receiver pair, node crashes, convergence probes and
-    the report's traffic columns.  A scenario subclass brings the rest:
-    its ``client`` and ``server``; ``_apply_payload(message, at)``, what
-    a delivered payload does; ``_delivery_terms(message)``, the
-    ``(expires_at, channel)`` the reliable sender gets; ``_schedule
-    (horizon)``, its own events; ``_truth(at)``, the rows the client
-    should see; ``_horizon()``, when its run is over; and optionally what
-    a query or a state-losing restart does beyond the defaults.
+    def __init__(self, db: Database) -> None:
+        super().__init__(db=db)
+        #: The tick the run is at (set by the tick loop).
+        self.tick = 0
+        self._opened = 0
+
+    def _monotonic(self) -> int:
+        return self.tick
+
+    def _open_session(self, resume):
+        session, resumed = super()._open_session(resume)
+        if not resumed:
+            self._opened += 1
+            session._rng.seed(self._opened)
+        return session, resumed
+
+
+class _End(ServerEnd):
+    """The server's end of one simulated connection: each frame it writes
+    is one message on the client's forward link."""
+
+    def __init__(self, node: "_Node") -> None:
+        super().__init__(node.sim.server)
+        self.node = node
+
+    def _wake(self) -> None:
+        outbox = self.session.outbox
+        self._write(list(outbox))
+        outbox.clear()
+
+    def _transmit(self, frames: List[bytes]) -> None:
+        for frame in frames:
+            self.node.send(frame, down=True, ack=False)
+
+
+class _Session(_WireSessionState):
+    """The client's side of one connection: the production frame loop,
+    sending over the node's reverse link, with replies taken as they come
+    (a refetch's snapshot, a periodic query's result)."""
+
+    def __init__(self, node: "_Node") -> None:
+        super().__init__()
+        self.node = node
+        self._attach(None)  # frames go out through :meth:`_send`
+        #: The last periodic query's items and the request they answer.
+        self.rows: Dict[Row, Timestamp] = {}
+        self._answered = 0
+
+    def _send(self, payload: dict) -> None:
+        self.node.send(encode_frame(payload), down=False,
+                       ack=payload["kind"] == "ack")
+
+    def _on_reply(self, frame: dict) -> None:
+        kind = frame.get("kind")
+        if kind == "result" and frame["re"] > self._answered:
+            self._answered = frame["re"]
+            self.rows = dict(frame.get("items", ()))
+        elif kind == "snapshot":  # a refetch's: taken as a push would be
+            self._handle_push(frame)
+
+    def _refetch(self, sub) -> None:
+        # A read of a degraded subscription asks again, over the link; it
+        # shows what it holds until the snapshot arrives.
+        self.node.report.recompute_requests += 1
+        self._request({"kind": "refetch", "sub": sub.sub_id})
+
+
+class _Node:
+    """One remote client: its links, clock skew, crash state and report,
+    and the session it currently holds (a fresh one after state loss)."""
+
+    def __init__(self, sim: "_Simulation", link: Link, back_link: Link,
+                 skew: int) -> None:
+        self.sim = sim
+        self.link = link
+        self.back_link = back_link
+        self.skew = skew
+        self.report = SyncReport(strategy=sim.strategy.value)
+        self.tracker = _ConvergenceTracker()
+        self.crashed = False
+        self.crash_drops = 0
+        #: Every server session this node held, for the delivery counters.
+        self.ends: List[_End] = []
+        self.session: Optional[_Session] = None
+        self.sub = None
+        #: While a handshake runs: the frames it exchanges off the link.
+        self._handshake: Optional[list] = None
+        self._counting = False
+
+    # -- transport ------------------------------------------------------------
+
+    def send(self, frame: bytes, down: bool, ack: bool) -> None:
+        """One frame onto the forward (``down``) or reverse link."""
+        if self._handshake is not None:
+            self._handshake.append((down, frame))
+            if self._counting:
+                self._count(frame, ack)
+            return
+        self._count(frame, ack)
+        link = self.link if down else self.back_link
+        arrival = link.transmit(self.sim.tick, len(frame))
+        if arrival is None:
+            return
+        target = self.session if down else self.ends[-1]
+        self.sim.events.schedule(
+            arrival, lambda at: self._deliver(link, target, frame))
+
+    def _count(self, frame: bytes, ack: bool) -> None:
+        if ack:
+            self.report.acks += 1
+        else:
+            self.report.messages += 1
+            self.report.bytes += len(frame)
+
+    def _deliver(self, link: Link, target, frame: bytes) -> None:
+        if isinstance(target, _End):
+            link.record_delivery(len(frame))
+            if not target.session.closed:
+                target._receive(frame)
+            return
+        if self.crashed or target is not self.session:
+            self.crash_drops += 1  # nobody there to read it
+            return
+        link.record_delivery(len(frame))
+        target._receive(frame)
+
+    def call(self, payload: dict, counted: bool) -> dict:
+        """One request answered at once, off the link (a handshake)."""
+        self._handshake, self._counting = [], counted
+        try:
+            rid = self.session._request(payload)
+            reply = None
+            while self._handshake:
+                down, frame = self._handshake.pop(0)
+                if down:
+                    reply = self.session._receive(frame, rid) or reply
+                else:
+                    self.ends[-1]._receive(frame)
+            return reply
+        finally:
+            self._handshake = None
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def connect(self) -> None:
+        """Open a fresh session and, if the strategy subscribes, subscribe."""
+        self.session = _Session(self)
+        self.ends.append(_End(self))
+        self.session._adopt_hello(
+            self.call(self.session._hello(None), counted=False))
+        if self.sim.subscribes:
+            reply = self.session._checked(
+                self.call({"kind": "subscribe", "view": _VIEW}, counted=True))
+            self.sub = self.session._restore(
+                self.session._open_subscription(reply, _VIEW), reply)
+            self.report.patches_shipped += len(reply.get("patches", ()))
+
+    def crash(self, at: Timestamp) -> None:
+        self.crashed = True
+
+    def restart(self, at: Timestamp, lose_state: bool) -> None:
+        self.crashed = False
+        if lose_state:
+            # The old connection is gone; the server drops its session.
+            self.sim.server._drop_session(self.ends[-1].session)
+            self.connect()
+
+    # -- reads ----------------------------------------------------------------
+
+    def visible(self, tick: int, query: bool) -> Set[Row]:
+        """The rows the client shows at ``tick`` (a query may refetch)."""
+        session = self.session
+        session.now = ts(max(tick + self.skew, 0))
+        if self.sub is None:
+            return {row for row, texp in session.rows.items()
+                    if texp > session.now}
+        items = self.sub.items() if query else self.sub.visible(session.now)
+        return {row for row, _ in items}
+
+    def fill(self, horizon: int, quiesced_at: int, tracked: bool) -> None:
+        report = self.report
+        report.messages_lost = (self.link.stats.messages_lost
+                                + self.back_link.stats.messages_lost)
+        report.detail = dict(self.link.stats.as_dict())
+        report.detail["back"] = self.back_link.stats.as_dict()
+        session: Dict[str, int] = {}
+        for end in self.ends:
+            for name, value in end.session.stats.as_dict().items():
+                session[name] = session.get(name, 0) + value
+        report.retransmissions = session["retransmissions"]
+        report.retransmissions_avoided = session["retransmissions_avoided"]
+        report.cells_avoided = session["cells_avoided"]
+        report.detail["session"] = session
+        if self.crash_drops:
+            report.detail["crash_drops"] = self.crash_drops
+        if tracked:
+            self.tracker.fill(report, horizon, quiesced_at)
+
+
+class _Simulation:
+    """The tick loop every scenario runs: a database and its server, one
+    node per remote client, the scripted faults and the probes.
+
+    A scenario brings ``query_times``, ``subscribes`` (whether its clients
+    follow the view), ``_write(tick)`` (the origin's writes due then),
+    ``_poll(tick)`` (requests its clients send then), ``_truth(tick)``
+    and ``_horizon()``.
     """
 
-    def __init__(self, strategy: enum.Enum, link: Link,
-                 reliability: Optional[ReliabilityConfig],
-                 faults: Optional[FaultSchedule], back_link: Optional[Link],
+    subscribes = True
+
+    def __init__(self, strategy: enum.Enum, faults: Optional[FaultSchedule],
                  track_convergence: Optional[bool], probe_period: int,
-                 horizon: Optional[int], metrics: Optional[MetricsRegistry],
-                 reverse_traffic: bool) -> None:
+                 horizon: Optional[int],
+                 metrics: Optional[MetricsRegistry]) -> None:
         if probe_period < 1:
             raise SimulationError(f"probe_period must be >= 1, got {probe_period}")
-        #: When given, :meth:`run` publishes the final report here under
-        #: the ``repro_replication_*`` families (pass ``db.metrics`` to
-        #: land the simulation next to the engine's counters).
-        self.metrics = metrics
         self.strategy = strategy
-        self.link = link
-        self.reliability = reliability
         self.faults = faults if faults is not None else FaultSchedule()
-        self.probe_period = probe_period
-        self._horizon_override = horizon
         self.track_convergence = (
-            bool(reverse_traffic or len(self.faults))
-            if track_convergence is None else track_convergence
+            bool(len(self.faults)) if track_convergence is None
+            else track_convergence
         )
-        # The reverse channel exists whenever something needs to travel
-        # client -> server (acks, repair requests).
-        if back_link is None and reverse_traffic:
-            back_link = _mirror_link(self.link)
-        self.back_link: Optional[Link] = back_link
-        links = [self.link] + ([self.back_link] if self.back_link else [])
-        self.faults.apply_to_links(links)
+        self.probe_period = probe_period
+        #: When given, :meth:`run` publishes the final report here under
+        #: the ``repro_replication_*`` families.
+        self.metrics = metrics
+        self._horizon_override = horizon
         self.events = EventQueue()
-        self.report = SyncReport(strategy=strategy.value)
-        self._crashed = False
-        self._crash_drops = 0
-        self._tracker = _ConvergenceTracker()
-        self._sender: Optional[ReliableSender] = None
-        self._receiver: Optional[ReliableReceiver] = None
-        if reliability is not None:
-            self._sender = ReliableSender(self._transmit, self.events,
-                                          reliability.retry, reliability.seed)
-            self._receiver = ReliableReceiver(
-                self._apply_payload, self._send_ack, stats=self._sender.stats
-            )
+        self.db = Database()
+        self.server = _SimServer(self.db)
+        self.nodes: List[_Node] = []
+        self.tick = 0
 
-    # -- scenario hooks with a default --------------------------------------
+    def _add_node(self, link: Link, back_link: Optional[Link], skew: int) -> _Node:
+        node = _Node(self, link, back_link or _mirror_link(link), skew)
+        self.faults.apply_to_links([node.link, node.back_link])
+        self.nodes.append(node)
+        return node
+
+    def _margin(self, link: Link) -> int:
+        return (link.latency + link.jitter + 1
+                + self.server.retry.max_total_delay())
 
     def _quiesced_at(self) -> int:
         return max(self.faults.last_activity(), 0)
 
-    def _prepare_answer(self, at: Timestamp) -> None:
-        """Runs before a live client answers a query."""
-
-    def _on_state_lost(self, at: Timestamp) -> None:
-        """Runs after a restart that lost the client's state."""
-
-    # -- transport ------------------------------------------------------------
-
-    def _send(self, message: Message, now: Timestamp) -> None:
-        """The server's outbound hook: raw or through the session layer."""
-        if self._sender is None:
-            self._transmit(message, now)
-            return
-        expires_at, channel = self._delivery_terms(message)
-        self._sender.send(message, now, expires_at=expires_at, channel=channel)
-
-    def _transmit(self, message: Message, now: Timestamp) -> None:
-        """Put one server->client message on the forward link."""
-        size = message.size_cells()
-        arrival = self.link.transmit(now, size)
-        if arrival is None:
-            return
-
-        def deliver(at: Timestamp, message=message, size=size) -> None:
-            if self._crashed:
-                self._crash_drops += 1
-                return
-            self.link.record_delivery(size)
-            if self._receiver is not None and isinstance(message, Envelope):
-                self._receiver.on_envelope(message, at)
-            else:
-                self._apply_payload(message, at)
-
-        self.events.schedule(arrival, deliver)
-
-    def _up_link(self) -> Link:
-        """Client->server traffic travels on the reverse link when it exists."""
-        return self.back_link if self.back_link is not None else self.link
-
-    def _send_up(self, message: Message, at: Timestamp, on_arrival) -> None:
-        """Client -> server: ``message`` over :meth:`_up_link`;
-        ``on_arrival(when)`` runs if it gets there."""
-        up = self._up_link()
-        size = message.size_cells()
-        arrival = up.transmit(at, size)
-        if arrival is None:
-            return
-
-        def deliver(when: Timestamp) -> None:
-            up.record_delivery(size)
-            on_arrival(when)
-
-        self.events.schedule(arrival, deliver)
-
-    def _send_ack(self, ack: Ack, at: Timestamp) -> None:
-        self._send_up(ack, at, lambda when: self._sender.on_ack(ack, when))
-
-    # -- faults -----------------------------------------------------------------
-
-    def _schedule_crashes(self) -> None:
-        for crash in self.faults.crashes:
-            self.events.schedule(crash.at, self._crash)
-            self.events.schedule(
-                crash.restart_at,
-                lambda at, lose=crash.lose_state: self._restart(at, lose),
-            )
-
-    def _crash(self, at: Timestamp) -> None:
-        self._crashed = True
-
-    def _restart(self, at: Timestamp, lose_state: bool) -> None:
-        self._crashed = False
-        if lose_state:
-            self.client.reset_state()
-            if self._receiver is not None:
-                self._receiver.reset()
-            self._on_state_lost(at)
-
-    # -- run ------------------------------------------------------------------
+    @property
+    def client(self) -> _Node:
+        """The (first) remote client."""
+        return self.nodes[0]
 
     def run(self) -> SyncReport:
-        """Execute the scenario; returns the traffic/consistency report."""
+        """Execute the scenario; returns the (first) client's report."""
         horizon = self._horizon_override
         if horizon is None:
             horizon = self._horizon()
-        self._schedule(horizon)
-        self._schedule_crashes()
-        if self.track_convergence:
-            for when in range(self.events.now.value, horizon + 1, self.probe_period):
-                self.events.schedule(when, self._probe)
-        self.events.run_until(horizon)
-        self._fill_report(horizon)
+        for node in self.nodes:
+            node.connect()
+            for crash in self.faults.crashes:
+                self.events.schedule(crash.at, node.crash)
+                self.events.schedule(
+                    crash.restart_at,
+                    lambda at, node=node, lose=crash.lose_state:
+                    node.restart(at, lose))
+        queries = set(self.query_times)
+        for tick in range(horizon + 1):
+            self.tick = self.server.tick = tick
+            self.db.advance_to(tick)
+            self.server.pump()
+            self._write(tick)
+            self.events.run_until(tick)
+            self._poll(tick)
+            probe = self.track_convergence and tick % self.probe_period == 0
+            if tick in queries or probe:
+                truth = self._truth(tick)
+            for node in self.nodes:
+                if tick in queries:
+                    self._query(node, tick, truth)
+                if probe:
+                    seen = set() if node.crashed else node.visible(tick, False)
+                    node.tracker.observe(tick, seen != truth)
+            self.server.retransmit_now(tick)
+        for node in self.nodes:
+            node.fill(horizon, self._quiesced_at(), self.track_convergence)
         if self.metrics is not None:
-            self.report.publish(self.metrics)
-        return self.report
+            self.client.report.publish(self.metrics)
+        return self.client.report
 
-    def _run_query(self, at: Timestamp) -> None:
-        truth = self._truth(at)
-        self.report.queries += 1
-        if self._crashed:
+    def _query(self, node: _Node, tick: int, truth: Set[Row]) -> None:
+        report = node.report
+        report.queries += 1
+        if node.crashed:
             # The client is down: the query goes unanswered, which we
             # count as wrong-by-omission (everything live is missing).
-            self.report.incorrect_answers += 1
-            self.report.missing_tuples += len(truth)
+            report.incorrect_answers += 1
+            report.missing_tuples += len(truth)
             return
-        self._prepare_answer(at)
-        seen = self.client.visible_rows(at)
+        seen = node.visible(tick, True)
         if seen == truth:
-            self.report.correct_answers += 1
+            report.correct_answers += 1
         else:
-            self.report.incorrect_answers += 1
-            self.report.missing_tuples += len(truth - seen)
-            self.report.extra_tuples += len(seen - truth)
+            report.incorrect_answers += 1
+            report.missing_tuples += len(truth - seen)
+            report.extra_tuples += len(seen - truth)
 
-    def _probe(self, at: Timestamp) -> None:
-        truth = self._truth(at)
-        seen = set() if self._crashed else self.client.visible_rows(at)
-        self._tracker.observe(at, seen != truth)
+    def _poll(self, tick: int) -> None:
+        """Requests the clients send at ``tick`` (none by default)."""
 
-    def _fill_report(self, horizon: int) -> None:
-        stats = self.link.stats
-        self.report.messages = stats.messages_sent
-        self.report.cells = stats.cells_sent
-        self.report.messages_lost = stats.messages_lost
-        self.report.detail = dict(stats.as_dict())
-        if self.back_link is not None:
-            back = self.back_link.stats
-            self.report.messages += back.messages_sent
-            self.report.cells += back.cells_sent
-            self.report.messages_lost += back.messages_lost
-            self.report.detail["back"] = back.as_dict()
-        if self._sender is not None:
-            session = self._sender.stats
-            self.report.retransmissions = session.retransmissions
-            self.report.retransmissions_avoided = session.retransmissions_avoided
-            self.report.cells_avoided = session.cells_avoided
-            self.report.acks = session.acks_sent
-            self.report.detail["session"] = session.as_dict()
-        if self._crash_drops:
-            self.report.detail["crash_drops"] = self._crash_drops
-        if self.track_convergence:
-            self._tracker.fill(self.report, horizon, self._quiesced_at())
+    def _write(self, tick: int) -> None:
+        """The origin's writes due at ``tick`` (none by default)."""
 
 
 class ReplicationStrategy(enum.Enum):
@@ -360,7 +471,7 @@ class ReplicationStrategy(enum.Enum):
     EXPIRATION = "expiration"
 
 
-class ReplicationSimulation(_Channel):
+class ReplicationSimulation(_Simulation):
     """Server-to-client replication of one relation under a strategy."""
 
     def __init__(
@@ -372,135 +483,51 @@ class ReplicationSimulation(_Channel):
         link: Optional[Link] = None,
         snapshot_period: int = 10,
         client_skew: int = 0,
-        reliability: Optional[ReliabilityConfig] = None,
-        anti_entropy: Optional[AntiEntropyConfig] = None,
         faults: Optional[FaultSchedule] = None,
         back_link: Optional[Link] = None,
         track_convergence: Optional[bool] = None,
         probe_period: int = 1,
         horizon: Optional[int] = None,
-        metrics: Optional["MetricsRegistry"] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(
-            strategy, link if link is not None else Link(), reliability,
-            faults, back_link, track_convergence, probe_period, horizon,
-            metrics, reverse_traffic=bool(reliability or anti_entropy),
-        )
+        super().__init__(strategy, faults, track_convergence, probe_period,
+                         horizon, metrics)
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
         self.workload = sorted(workload, key=lambda entry: entry[0])
         self.query_times = sorted(query_times)
         self.snapshot_period = snapshot_period
-        self.anti_entropy = anti_entropy
-        self.client = Replica("client", self.schema, clock_skew=client_skew)
-        self.server = OriginServer("server", self.schema, self._send)
-        self._lifetimes: Dict[Row, Timestamp] = {}
-
-    # -- payloads ---------------------------------------------------------------
-
-    def _delivery_terms(self, message: Message) -> _Terms:
-        """When the *sender* knows this message stops mattering.
-
-        For expiration-shipped inserts the lifetime is in the message; for
-        baseline inserts the server still knows it locally (the replica
-        does not).  A delete notice never stops mattering -- the baseline
-        must deliver it reliably, forever; that asymmetry is the paper's
-        point.  A snapshot supersedes the one before it.
-        """
-        if isinstance(message, TupleInsert):
-            if message.expires_at is not None:
-                return message.expires_at, None
-            return self._lifetimes.get(message.row), None
-        if isinstance(message, Snapshot):
-            return None, "snapshot"
-        return None, None
-
-    def _apply_payload(self, message: Message, at: Timestamp) -> None:
-        """Hand one (deduplicated) payload to the replica."""
-        if isinstance(message, TupleInsert):
-            self.client.on_insert(message, at)
-        elif isinstance(message, DeleteNotice):
-            self.client.on_delete(message, at)
-        elif isinstance(message, Snapshot):
-            self.client.on_snapshot(message, at)
-        elif isinstance(message, Digest):
-            self._on_client_digest(message, at)
-        elif isinstance(message, RepairResponse):
-            assert self.anti_entropy is not None
-            changed = self.client.on_repair(message, at, self.anti_entropy.num_buckets)
-            if changed:
-                self.report.repairs_applied += 1
-        else:
-            raise SimulationError(f"unexpected message {message!r}")
-
-    # -- anti-entropy ----------------------------------------------------------
-
-    def _send_digest(self, at: Timestamp) -> None:
-        assert self.anti_entropy is not None
-        digest = self.server.make_digest(at, self.anti_entropy.num_buckets)
-        self.report.digests += 1
-        self._transmit(digest, at)
-
-    def _on_client_digest(self, digest: Digest, at: Timestamp) -> None:
-        """Client compares bucket hashes and pulls diverged buckets."""
-        assert self.anti_entropy is not None and self.back_link is not None
-        mine = bucket_hashes(
-            self.client.relation.exp_at(digest.at).rows(), digest.num_buckets
-        )
-        mismatched = diff_digests(mine, dict(digest.buckets))
-        if not mismatched:
-            return
-
-        def serve(when: Timestamp) -> None:
-            response = self.server.make_repair(
-                when,
-                mismatched,
-                self.anti_entropy.num_buckets,
-                with_expirations=self.strategy is ReplicationStrategy.EXPIRATION,
-            )
-            self._transmit(response, when)
-
-        self._send_up(RepairRequest(buckets=mismatched), at, serve)
-
-    # -- schedule -------------------------------------------------------------
-
-    def _schedule(self, horizon: int) -> None:
+        self.subscribes = strategy is not ReplicationStrategy.PERIODIC_SNAPSHOT
+        table = self.db.create_table("R", self.schema)
+        if self.subscribes:
+            self.db.materialise(_VIEW, self.db.table_expr("R"))
+        #: tick -> the origin's writes then, in order.
+        self._writes: Dict[int, list] = {}
+        expiring = strategy is ReplicationStrategy.EXPIRATION
         for time, row, expires_at in self.workload:
-            self.events.schedule(time, self._make_insert(row, ts(expires_at)))
-        if self.strategy is ReplicationStrategy.PERIODIC_SNAPSHOT:
-            for snap_time in range(
-                self.snapshot_period, horizon + 1, self.snapshot_period
-            ):
-                self.events.schedule(
-                    snap_time,
-                    lambda at: self.server.send_snapshot(at, with_expirations=False),
-                )
-        for query_time in self.query_times:
-            self.events.schedule(query_time, self._run_query)
-        if self.anti_entropy is not None:
-            for when in range(
-                self.anti_entropy.period, horizon + 1, self.anti_entropy.period
-            ):
-                self.events.schedule(when, self._send_digest)
+            self._writes.setdefault(time, []).append(partial(
+                table.insert, row, expires_at=expires_at if expiring else None))
+            if not expiring:
+                self._writes.setdefault(expires_at, []).append(
+                    partial(table.delete, row))
+        self._add_node(link if link is not None else Link(), back_link,
+                       client_skew)
 
-    def _make_insert(self, row: Row, expires_at: Timestamp):
-        def action(at: Timestamp) -> None:
-            self._lifetimes[row] = expires_at
-            if self.strategy is ReplicationStrategy.EXPIRATION:
-                self.server.insert_expiration_based(row, expires_at, at)
-            elif self.strategy is ReplicationStrategy.EXPLICIT_DELETE:
-                self.server.insert_explicit_delete(row, expires_at, at)
-                if expires_at.is_finite:
-                    self.events.schedule(
-                        expires_at,
-                        lambda when, row=row: self.server.delete_explicit(row, when),
-                    )
-            else:  # PERIODIC_SNAPSHOT
-                self.server.insert_local_only(row, expires_at)
+    def _write(self, tick: int) -> None:
+        for write in self._writes.get(tick, ()):
+            write()
+            self.server.pump()
 
-        return action
+    def _poll(self, tick: int) -> None:
+        if self.subscribes or tick == 0 or tick % self.snapshot_period:
+            return
+        for node in self.nodes:
+            if not node.crashed:
+                node.session._request({"kind": "query",
+                                       "text": "SELECT * FROM R"})
 
-    def _truth(self, at: Timestamp) -> set:
-        return self.server.live_rows(at)
+    def _truth(self, tick: int) -> Set[Row]:
+        return {row for time, row, expires_at in self.workload
+                if time <= tick < expires_at}
 
     def _quiesced_at(self) -> int:
         latest = max((time for time, _, _ in self.workload), default=0)
@@ -513,25 +540,19 @@ class ReplicationSimulation(_Channel):
         if self.query_times:
             latest = max(latest, self.query_times[-1])
         latest = max(latest, self.faults.last_activity())
-        margin = self.link.latency + self.link.jitter + 1
-        if self.reliability is not None:
-            margin += self.reliability.retry.max_total_delay()
-        if self.anti_entropy is not None:
-            margin += 2 * self.anti_entropy.period + 2 * self.link.latency
-        return latest + margin
+        return latest + self._margin(self.client.link)
 
 
 class FanOutSimulation:
     """One server publishing a relation to *many* heterogeneous clients.
 
-    The paper's open-architecture setting ("servers or lists"): each client
-    has its own link (latency, loss, partitions) and possibly skewed clock.
-    Under the explicit-delete baseline the server's deletion traffic scales
-    with (clients × expirations); under expiration-based maintenance it is
+    The paper's open-architecture setting ("servers or lists"): one
+    database and server, one session per client, each over its own links
+    (latency, loss, partitions) and with its own clock skew.  Under the
+    explicit-delete baseline the server's deletion traffic scales with
+    (clients × expirations); under expiration-based maintenance it is
     exactly (clients × inserts) and consistency survives any partition.
-
-    The fault-tolerance stack applies uniformly: each client simulation
-    gets its own session (seeded per client) over the shared configs.
+    Scripted faults act on every client.
     """
 
     def __init__(
@@ -542,37 +563,27 @@ class FanOutSimulation:
         strategy: ReplicationStrategy,
         links: Sequence[Link],
         client_skews: Optional[Sequence[int]] = None,
-        reliability: Optional[ReliabilityConfig] = None,
-        anti_entropy: Optional[AntiEntropyConfig] = None,
         faults: Optional[FaultSchedule] = None,
-        metrics: Optional["MetricsRegistry"] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not links:
             raise SimulationError("a fan-out needs at least one client link")
         skews = list(client_skews or [0] * len(links))
         if len(skews) != len(links):
             raise SimulationError("client_skews must match links in length")
-        self.schema = schema if isinstance(schema, Schema) else Schema(schema)
-        self.workload = sorted(workload, key=lambda entry: entry[0])
-        self.query_times = sorted(query_times)
         self.strategy = strategy
         self.metrics = metrics
-        self.simulations = [
-            ReplicationSimulation(
-                self.schema, self.workload, self.query_times, strategy,
-                link=link, client_skew=skew,
-                reliability=reliability and replace(
-                    reliability, seed=reliability.seed + index
-                ),
-                anti_entropy=anti_entropy,
-                faults=faults,
-            )
-            for index, (link, skew) in enumerate(zip(links, skews))
-        ]
+        self.simulation = ReplicationSimulation(
+            schema, workload, query_times, strategy, link=links[0],
+            client_skew=skews[0], faults=faults,
+        )
+        for link, skew in zip(links[1:], skews[1:]):
+            self.simulation._add_node(link, None, skew)
 
     def run(self) -> SyncReport:
         """Run every client's replication; returns the aggregate report."""
-        reports = [simulation.run() for simulation in self.simulations]
+        self.simulation.run()
+        reports = [node.report for node in self.simulation.nodes]
         total = SyncReport(strategy=f"fanout:{self.strategy.value}")
         for report in reports:
             total.merge(report)
@@ -588,31 +599,35 @@ class FanOutSimulation:
 
 
 class ViewMaintenanceStrategy(enum.Enum):
-    """How a remote difference view stays correct."""
+    """How a remote difference view stays correct: the maintenance policy
+    of the same name on the server's view."""
 
-    #: Request a fresh materialisation whenever ``texp(e)`` passes.
+    #: Recompute whenever ``texp(e)`` passes (Theorem 2).
     RECOMPUTE_ON_INVALID = "recompute_on_invalid"
 
-    #: Request a fresh materialisation only when a query lands in an
-    #: invalid gap of the Schrödinger validity set.
+    #: Recompute only in an invalid gap of the Schrödinger validity set.
     SCHRODINGER = "schrodinger"
 
-    #: Theorem 3: ship materialisation + patch queue once; never ask again.
+    #: Theorem 3: ship materialisation + patch queue once; never again.
     PATCH = "patch"
 
 
-class DifferenceViewSimulation(_Channel):
-    """A remote client maintaining ``R −exp S`` under a strategy.
+_POLICIES = {
+    ViewMaintenanceStrategy.RECOMPUTE_ON_INVALID: MaintenancePolicy.RECOMPUTE,
+    ViewMaintenanceStrategy.SCHRODINGER: MaintenancePolicy.SCHRODINGER,
+    ViewMaintenanceStrategy.PATCH: MaintenancePolicy.PATCH,
+}
+
+
+class DifferenceViewSimulation(_Simulation):
+    """A remote client following ``R −exp S`` under a strategy.
 
     The base relations are fixed at simulation start (the paper's
     no-updates assumption); everything that happens afterwards is driven
-    purely by expirations -- which is exactly the regime where the three
-    strategies differ.  The fault-tolerance stack (``reliability``,
-    ``faults``) wraps the server->client data channel; a state-losing
-    crash is where the strategies' recovery stories diverge: recompute /
-    Schrödinger clients re-request on demand, a patch client has nothing
-    left to patch and stays diverged (the Theorem-3 contract assumes the
-    queue survives).
+    purely by expirations.  The server materialises the difference under
+    the strategy's policy and pushes each change; a client cannot tell
+    the policies apart, except that a PATCH view's snapshot carries its
+    queue, after which no frame follows.
     """
 
     def __init__(
@@ -622,119 +637,33 @@ class DifferenceViewSimulation(_Channel):
         query_times: Sequence[int],
         strategy: ViewMaintenanceStrategy,
         link: Optional[Link] = None,
-        reliability: Optional[ReliabilityConfig] = None,
         faults: Optional[FaultSchedule] = None,
         back_link: Optional[Link] = None,
         track_convergence: Optional[bool] = None,
         probe_period: int = 1,
         horizon: Optional[int] = None,
-        metrics: Optional["MetricsRegistry"] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         left.schema.check_union_compatible(right.schema)
-        super().__init__(
-            strategy, link if link is not None else Link(latency=0),
-            reliability, faults, back_link, track_convergence, probe_period,
-            horizon, metrics, reverse_traffic=bool(reliability),
-        )
+        super().__init__(strategy, faults, track_convergence, probe_period,
+                         horizon, metrics)
         self.left = left
         self.right = right
         self.query_times = sorted(query_times)
-        self.client = DifferenceViewClient("client", left.schema)
-        self.server = DifferenceViewServer("server", left, right, self._send)
+        for name, relation in (("R", left), ("S", right)):
+            table = self.db.create_table(name, left.schema)
+            for row, texp in relation.items():
+                table.insert(row, expires_at=texp)
+        self.db.materialise(
+            _VIEW, self.db.table_expr("R").difference(self.db.table_expr("S")),
+            policy=_POLICIES[strategy])
+        self._add_node(link if link is not None else Link(latency=0),
+                       back_link, 0)
 
-    # -- payloads ---------------------------------------------------------------
-
-    def _delivery_terms(self, message: Message) -> _Terms:
-        if isinstance(message, RecomputeResponse):
-            # A response whose view has since expired is not worth
-            # retransmitting: the client will have to re-request anyway.
-            return message.expires_at, f"view:{message.view_name}"
-        return None, None
-
-    def _apply_payload(self, message: Message, at: Timestamp) -> None:
-        if isinstance(message, RecomputeResponse):
-            self.client.on_view_state(message, at)
-        elif isinstance(message, PatchShipment):
-            self.client.on_patches(message, at)
-        else:
-            raise SimulationError(f"unexpected message {message!r}")
-
-    def _request_recompute(self, at: Timestamp) -> None:
-        """Client -> server: please re-materialise (counted as traffic)."""
-        self.report.recompute_requests += 1
-        self._send_up(RecomputeRequest(view_name="diff"), at,
-                      self.server.ship_materialisation)
-
-    def _on_state_lost(self, at: Timestamp) -> None:
-        if self.strategy is ViewMaintenanceStrategy.RECOMPUTE_ON_INVALID:
-            # The invalidation watcher died with the old state; restart it
-            # with a fresh materialisation.
-            self._request_recompute(at)
-            self.events.schedule(
-                at + self.link.latency * 2 + 1, self._schedule_next_invalidation
-            )
-        # Schrödinger recovers on the next query (empty validity forces a
-        # round trip); PATCH has no recovery path by design.
-
-    # -- schedule ---------------------------------------------------------------
-
-    def _schedule(self, horizon: int) -> None:
-        # Initial shipment at time 0, installed synchronously (the client
-        # bootstraps before any query arrives); traffic is still counted.
-        self._install_state_synchronously(ts(0))
-        if self.strategy is ViewMaintenanceStrategy.PATCH:
-            self.report.patches_shipped = self.server.ship_patches(ts(0))
-            self.events.run_until(self.link.latency + self.link.jitter)
-
-        if self.strategy is ViewMaintenanceStrategy.RECOMPUTE_ON_INVALID:
-            self.events.schedule(self.events.now, self._schedule_next_invalidation)
-
-        for query_time in self.query_times:
-            # Under PATCH the patch shipment consumed a little simulated
-            # time; earlier query times degrade to "as soon as possible".
-            effective = query_time if self.events.now < query_time else self.events.now
-            self.events.schedule(effective, self._run_query)
-
-    def _schedule_next_invalidation(self, at: Timestamp) -> None:
-        expiration = self.client.expiration
-        if expiration.is_finite:
-            # The expiration may already have passed while the response was
-            # in flight; refresh immediately in that case.
-            when = expiration if self.events.now < expiration else self.events.now
-            self.events.schedule(when, self._on_invalidation)
-
-    def _on_invalidation(self, at: Timestamp) -> None:
-        self._request_recompute(at)
-        # After the fresh state arrives, watch for the next invalidation.
-        self.events.schedule(
-            at + self.link.latency * 2 + 1, self._schedule_next_invalidation
-        )
-
-    def _install_state_synchronously(self, at: Timestamp) -> None:
-        """Full refresh with immediate installation; traffic still counted."""
-        response = self.server.materialise(at)
-        self.link.record_send(response.size_cells())
-        self.link.record_delivery(response.size_cells())
-        self.client.on_view_state(response, at)
-
-    def _prepare_answer(self, at: Timestamp) -> None:
-        if (
-            self.strategy is ViewMaintenanceStrategy.SCHRODINGER
-            and not self.client.can_answer_locally(at)
-        ):
-            # Synchronous round trip: the query waits for the fresh state.
-            request = RecomputeRequest(view_name="diff")
-            up = self._up_link()
-            up.record_send(request.size_cells())
-            up.record_delivery(request.size_cells())
-            self.report.recompute_requests += 1
-            self._install_state_synchronously(at)
-            self.client.remote_answers += 1
-        else:
-            self.client.local_answers += 1
-
-    def _truth(self, at: Timestamp) -> set:
-        return self.server.truth_at(at)
+    def _truth(self, tick: int) -> Set[Row]:
+        hidden = set(self.right.exp_at(tick).rows())
+        return {row for row in self.left.exp_at(tick).rows()
+                if row not in hidden}
 
     def _horizon(self) -> int:
         latest = max(self.query_times, default=0)
@@ -743,7 +672,4 @@ class DifferenceViewSimulation(_Channel):
                 if texp.is_finite:
                     latest = max(latest, texp.value)
         latest = max(latest, self.faults.last_activity())
-        margin = self.link.latency + self.link.jitter + 2
-        if self.reliability is not None:
-            margin += self.reliability.retry.max_total_delay()
-        return latest + margin
+        return latest + self._margin(self.client.link)

@@ -22,9 +22,12 @@ policy is nothing but that window:
   :class:`~repro.errors.StaleViewError`.
 
 A view a server streams keeps a :class:`ChangeLog` while it has
-followers: every change a build, a fold or a due patch makes to the stored
-result, as ``(row, before, after)``.  Expiration appends nothing -- the
-followers expire rows themselves, as the paper's clients do.
+followers: every change a build or a fold makes to the stored result, as
+``(row, before, after)``.  Expiration appends nothing -- the followers
+expire rows themselves, as the paper's clients do -- and neither does a
+due patch: a PATCH view's follower holds the queue too, so there a
+queued row's value is its :class:`~repro.core.patching.Patch`, and a
+rebuild logs what it changed of either.
 
 All of that assumes the bases change through expiration only: a base
 insert, explicit delete or ``override`` is a pending cause (``stale``) and
@@ -47,7 +50,9 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Tuple
 from repro.core.algebra.evaluator import EvalResult, HeldAnswer
 from repro.core.algebra.expressions import Difference, Expression
 from repro.core.intervals import ALL_TIME, IntervalSet
-from repro.core.patching import DifferencePatcher, compute_difference_with_patches
+from repro.core.patching import (
+    DifferencePatcher, Patch, compute_difference_with_patches,
+)
 from repro.core.relation import Relation
 from repro.core.timestamps import TimeLike, Timestamp, ts
 from repro.core.tuples import Row
@@ -65,6 +70,12 @@ Change = Tuple[Row, Optional[Timestamp], Optional[Timestamp]]
 Delta = Tuple[List[Tuple[Row, Timestamp]], List[Tuple[Row, Timestamp]]]
 
 
+def _expiry(value) -> Timestamp:
+    """When a held value stops mattering: a row's expiration, or the one
+    a queued row's :class:`Patch` re-inserts it with."""
+    return value.expires_at if type(value) is Patch else value
+
+
 def diff_states(
     old: Mapping[Row, Timestamp], new: Mapping[Row, Timestamp], now: Timestamp
 ) -> List[Change]:
@@ -73,6 +84,7 @@ def diff_states(
     A rebuild that does not fold runs this once: every row whose
     expiration moved, and every row gone from ``new`` that had not expired
     by ``now`` -- one that had needs no message, its holder expired it.
+    A value may be a queued row's :class:`Patch` (:meth:`MaterialisedView._held`).
     """
     get = old.get
     changes = [
@@ -83,7 +95,7 @@ def diff_states(
     changes += [
         (row, texp, None)
         for row, texp in old.items()
-        if row not in new and now < texp
+        if row not in new and now < _expiry(texp)
     ]
     return changes
 
@@ -140,7 +152,7 @@ class ChangeLog:
 
         Per row the first ``before`` and the last ``after`` count: a row
         ending where it began ships nothing, and a removal ships only while
-        the removed row has not expired by ``now``.
+        the removed row has not expired by ``now``, with its expiration.
         """
         cursor, end = self.cursors[follower], self.end
         if cursor == end:
@@ -161,9 +173,10 @@ class ChangeLog:
             if after is not None and after != before
         ]
         removes = [
-            (row, before)
+            (row, texp)
             for row, (before, after) in net.items()
-            if after is None and before is not None and now < before
+            if after is None and before is not None
+            and now < (texp := _expiry(before))
         ]
         if len(self.entries) > self.LIMIT:
             self.trim()
@@ -291,20 +304,27 @@ class MaterialisedView(HeldAnswer):
         self.refresh(stamp)
 
     def _materialise(self, stamp: Timestamp) -> None:
-        previous = self._result
+        log = self.log
+        held = None if log is None else self._held()
         with self.database.tracer.span(
             "view_refresh", view=self.name, policy=self.policy.value
         ) as span:
             self._result = self._build(stamp)
             span.note(rows=len(self._result.relation))
         self.hold(stamp, self._window(self._result))
-        if self.log is not None:
+        if log is not None:
             # A rebuild does not know what it changed: diff it, once.
-            self.log.entries += diff_states(
-                dict(previous.relation.items()),
-                dict(self._result.relation.items()),
-                stamp,
-            )
+            log.entries += diff_states(held, self._held(), stamp)
+
+    def _held(self) -> Dict[Row, object]:
+        """What a follower holds: the stored rows with their expirations
+        and, under PATCH, each queued row with its :class:`Patch` -- the
+        follower applies due patches itself, so a row it may hold either
+        way is one the diff of a rebuild must name."""
+        held = dict(self._result.relation.items())
+        if self.policy is MaintenancePolicy.PATCH:
+            held.update((patch.row, patch) for patch in self._patcher.pending())
+        return held
 
     def _window(self, result: EvalResult) -> IntervalSet:
         """The policy, as the window in which this build may be served."""
@@ -416,13 +436,19 @@ class MaterialisedView(HeldAnswer):
         due = self._patcher.peek_due()
         return due is None or stamp < due
 
+    def pending_patches(self) -> List[Patch]:
+        """Theorem 3's queue: each row re-appears at its patch's ``due``
+        and lives until its ``expires_at``."""
+        return self._patcher.pending()
+
     def _catch_up(self, stamp: Timestamp) -> None:
-        """Insert the patches due by ``stamp`` (unless a refresh is pending)."""
+        """Insert the patches due by ``stamp`` (unless a refresh is pending).
+
+        A due patch appends nothing to the change log: every follower got
+        the queue with its snapshot and applies the patch itself.
+        """
         if self.cause is None:
-            log = self.log
-            applied = self._queue_at(stamp).apply_to(
-                self._result.relation, stamp, None if log is None else log.entries
-            )
+            applied = self._queue_at(stamp).apply_to(self._result.relation, stamp)
             if applied:
                 self.patches_applied += applied
                 self.database.statistics.view_patches_applied += applied

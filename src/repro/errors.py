@@ -123,11 +123,7 @@ class UnsupportedSqlError(SqlPlanError):
 
 
 class SimulationError(ReproError):
-    """Distributed-simulation misconfiguration or protocol violation."""
-
-
-class ProtocolError(SimulationError):
-    """A reliability or anti-entropy protocol invariant was violated."""
+    """Distributed-simulation misconfiguration (a link, a retry policy)."""
 
 
 class FaultInjectionError(SimulationError):

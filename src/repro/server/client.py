@@ -261,15 +261,22 @@ class LocalSession(Session):
 # ---------------------------------------------------------------------------
 
 
+def _queued(frame: dict):
+    """The ``patches`` a frame carries, as ``(row, (due, texp))`` pairs."""
+    for (due, *row), texp in frame.get("patches", ()):
+        yield tuple(row), (ts(due), texp)
+
+
 class _WireSubscription(Subscription):
     """Client-side replica of a server patch stream.
 
     Applies snapshots and in-order patches to a ``row -> texp`` map;
-    everything the server deliberately never sends -- pure expiration --
-    happens locally in :meth:`items` by filtering against the session's
-    observed time.  An ``invalidate`` flips :attr:`degraded`; the owning
-    session refetches on the next read (invalidate-and-refetch, reached
-    lazily).
+    everything the server deliberately never sends -- pure expiration, and
+    the due patches of the Theorem-3 queue a PATCH view's frames carry
+    (:attr:`patches`) -- happens locally in :meth:`items`, against the
+    session's observed time.  An ``invalidate`` flips :attr:`degraded`;
+    the owning session refetches on the next read (invalidate-and-refetch,
+    reached lazily).
     """
 
     def __init__(
@@ -278,36 +285,80 @@ class _WireSubscription(Subscription):
         super().__init__(sub_id, view, columns)
         self._session = session
         self.state: Dict[tuple, Timestamp] = {}
+        #: The view's patch queue: row -> (due, texp); the row re-appears
+        #: at ``due`` and lives until ``texp``.
+        self.patches: Dict[tuple, Tuple[Timestamp, Timestamp]] = {}
         self.epoch = 0
         self.applied = 0  # cumulative: highest seq applied this epoch
+        #: Envelopes that arrived past a gap, by seq, until it fills.
+        self._early: Dict[int, dict] = {}
         self.degraded = False
         self.patches_applied = 0
         self.duplicates_dropped = 0
 
     def apply_snapshot(self, frame: dict) -> None:
         self.state = dict(frame.get("rows", ()))
+        self.patches = dict(_queued(frame))
         self.epoch = int(frame.get("epoch", 0))
         self.applied = 0
+        self._early.clear()
         self.degraded = False
 
     def apply_patch(self, frame: dict) -> bool:
-        """Apply one patch envelope; False for stale/duplicate traffic."""
+        """Apply one patch envelope; False for anything not applied.
+
+        An envelope is applied only right after the one it follows:
+        ``after`` names that seq when the server retired the ones between
+        as expired, else it is ``seq - 1``.  One past a gap waits until
+        the gap fills; a duplicate or an envelope of another epoch is
+        dropped.  Either way the cumulative re-ack of :attr:`applied`
+        tells the server what is still missing.
+        """
         if int(frame.get("epoch", -1)) != self.epoch:
             return False  # a stream that no longer exists
         seq = int(frame.get("seq", -1))
         if seq <= self.applied:
             self.duplicates_dropped += 1
             return False  # retransmission of something already applied
-        self.state.update(frame.get("upserts", ()))
-        for row in frame.get("removes", ()):
-            self.state.pop(row, None)
-        self.applied = seq
-        self.patches_applied += 1
+        if not self._follows(frame):
+            self._early[seq] = frame  # past a gap: one before it is missing
+            return False
+        self._apply(frame)
+        early = self._early
+        while early and self._follows(early[first := min(early)]):
+            frame = early.pop(first)
+            if first > self.applied:  # else overtaken by an ``after``
+                self._apply(frame)
         return True
 
+    def _follows(self, frame: dict) -> bool:
+        return int(frame.get("after", frame["seq"] - 1)) <= self.applied
+
+    def _apply(self, frame: dict) -> None:
+        state, queue = self.state, self.patches
+        upserts = frame.get("upserts", ())
+        removes = frame.get("removes", ())
+        state.update(upserts)
+        for row in removes:
+            state.pop(row, None)
+        if queue:  # a row the patch names is no longer (so) queued
+            for row, _ in upserts:
+                queue.pop(row, None)
+            for row in removes:
+                queue.pop(row, None)
+        for row, entry in _queued(frame):  # queued anew, so not shown now
+            state.pop(row, None)
+            queue[row] = entry
+        self.applied = frame["seq"]
+        self.patches_applied += 1
+
     def apply_invalidate(self, frame: dict) -> None:
-        self.epoch = int(frame.get("epoch", self.epoch + 1))
+        epoch = int(frame.get("epoch", self.epoch + 1))
+        if epoch <= self.epoch:
+            return  # a resend: degraded already, or refetched since
+        self.epoch = epoch
         self.applied = 0
+        self._early.clear()
         self.degraded = True
 
     def ack_payload(self) -> dict:
@@ -323,7 +374,18 @@ class _WireSubscription(Subscription):
             raise SessionError(f"subscription to {self.view!r} is closed")
         if self.degraded:
             self._session._refetch(self)
-        now = self._session.now
+        return self.visible(self._session.now)
+
+    def visible(self, now: Timestamp) -> List[Tuple[tuple, Timestamp]]:
+        """The ``(row, texp)`` pairs held at ``now``: the queue's patches
+        due by then applied, expired rows left out."""
+        if self.patches:
+            state = self.state
+            for row, (due, texp) in list(self.patches.items()):
+                if due <= now:
+                    del self.patches[row]
+                    if state.get(row, texp) <= texp:
+                        state[row] = texp
         return [
             (row, texp) for row, texp in self.state.items() if texp > now
         ]
@@ -379,7 +441,7 @@ class _WireSessionState:
         (a resumed session's replay sits right behind ``hello-ok``, before
         its subscriptions are known).  A reply no request awaits -- one
         whose request timed out, or to a fire-and-forget ``unsubscribe``
-        -- is dropped.
+        -- goes to :meth:`_on_reply`.
         """
         queue = self._queue
         queue.extend(self._decoder.feed(chunk))
@@ -390,7 +452,12 @@ class _WireSessionState:
                 self._handle_push(frame)
             elif rid == awaited:
                 return frame
+            else:
+                self._on_reply(frame)
         return None
+
+    def _on_reply(self, frame: dict) -> None:
+        """A reply nobody waits for: a blocking session drops it."""
 
     def _hung_up(self) -> Exception:
         """What the server hanging up means to a request awaiting its reply."""
@@ -498,9 +565,13 @@ class _WireSessionState:
             sub.apply_patch(frame)
             self._send(sub.ack_payload())  # cumulative: re-acks duplicates too
         elif kind == "snapshot":
-            self._restore(sub, frame)
+            # A refetch's reply taken as a push (the simulator's client);
+            # one from an epoch since invalidated is stale.
+            if int(frame.get("epoch", -1)) >= sub.epoch:
+                self._restore(sub, frame)
         elif kind == "invalidate":
             sub.apply_invalidate(frame)
+            self._send(sub.ack_payload())  # the server holds it until acked
 
     def _ack_state(self) -> dict:
         """The per-subscription delivery state sent with a resume hello."""

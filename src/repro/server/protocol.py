@@ -22,6 +22,15 @@ presentation order: the first ``shown`` of them are its rows (``shown``
 is absent when every item is shown).  ``sub-ok`` and ``snapshot`` carry
 ``rows``; a ``patch`` carries ``upserts`` and ``removes`` when it has
 any, the removes as :class:`repro.codec.Rows` (rows without expirations).
+A PATCH view's ``sub-ok`` and ``snapshot`` carry its Theorem-3 queue as
+``patches``, a ``Block`` of ``((due, *row), texp)``: the client inserts
+each row itself once its clock reaches the raw tick ``due``, so a due
+patch travels in no frame of its own; a ``patch`` of such a view carries,
+as ``patches``, the rows a rebuild queued anew, and every row it names
+otherwise leaves the client's queue.  A client applies a ``patch`` only
+right after the seq it holds (``after``, present once the server retired
+envelopes as expired, names the seq it follows instead); its cumulative
+``ack`` says what it holds, and it acks an ``invalidate`` too.
 
 Message kinds (the ``kind`` field; requests carry ``id``, responses echo
 it as ``re``; subscription traffic carries ``sub``/``epoch``/``seq``):
@@ -46,9 +55,12 @@ server → client
 ``result``      one statement's outcome (rows carry expirations)
 ``error``       server-side failure (class name + message)
 ``sub-ok``      subscription opened: epoch 0, seq 0 snapshot
-``patch``       incremental upserts/removes (one seq/ack envelope)
-``snapshot``    full state reset (post-degrade refetch; new epoch)
-``invalidate``  the backpressure ladder's downgrade notice
+                (``patches``: a PATCH view's queue)
+``patch``       incremental upserts/removes (one seq/ack envelope;
+                ``patches``: rows a PATCH view queued anew)
+``snapshot``    full state reset (post-degrade refetch), with
+                ``patches`` as ``sub-ok``
+``invalidate``  the backpressure ladder's downgrade notice (acked)
 ``pong`` / ``bye-ok``
 =============== ==================================================
 """
@@ -68,7 +80,7 @@ __all__ = [
 ]
 
 #: Bumped on incompatible wire changes; ``hello`` negotiates equality.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Connection-fatal bound on a single frame; a length beyond this is
 #: framing-desync garbage, not an allocation request.

@@ -14,8 +14,12 @@ Everything above the transport is identical: each connection is one
 bytes, dispatches every complete frame and writes the session's outbox
 back as one ``transport.write``, all inside the loop's callback -- no
 task, no stream buffer and no writer wake-up per request (a socket reads
-into one buffer the server owns).  The session itself outlives the
-connection for resume (:mod:`repro.server.session`).
+into one buffer the server owns).  What it does between bytes in and
+bytes out -- the hello, the dispatch, the encoding -- is
+:class:`ServerEnd`, free of I/O, which the simulator
+(:mod:`repro.distributed.simulator`) drives over its lossy links too.
+The session itself outlives the connection for resume
+(:mod:`repro.server.session`).
 
 The engine is single-threaded and so is the server: all statements execute
 on the event loop, serialised by construction, which is exactly the
@@ -34,7 +38,7 @@ from __future__ import annotations
 import asyncio
 import time
 from functools import partial
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.codec import Block, encode_exp
 from repro.engine.config import DatabaseConfig
@@ -50,7 +54,7 @@ from repro.server.protocol import PROTOCOL_VERSION, FrameDecoder, encode_frame
 from repro.server.session import RetryPolicy, ServerSession
 from repro.sql.executor import SqlResult, execute_sql
 
-__all__ = ["ReproServer", "declare_server_families"]
+__all__ = ["ReproServer", "ServerEnd", "declare_server_families"]
 
 
 def declare_server_families(registry: MetricsRegistry) -> Dict[str, object]:
@@ -165,52 +169,41 @@ class LoopbackWriter:
     abort = close  # nothing is buffered that a hang-up could drop
 
 
-class _Connection(asyncio.BufferedProtocol):
-    """One connection, TCP or loopback, served in the loop's callbacks; frames
-    queued elsewhere (a pump, a sweep) schedule one flush per loop turn."""
+class ServerEnd:
+    """One connection's work between bytes in and bytes out, free of I/O.
+
+    :meth:`_receive` feeds a chunk to the decoder and runs every frame it
+    completes -- the ``hello`` first, then :meth:`ReproServer._dispatch`
+    -- and says whether the connection must hang up once the replies are
+    out; :meth:`_write` encodes payloads and hands the frames to
+    :meth:`_transmit`.  A transport subclass supplies :meth:`_transmit`
+    and :meth:`_wake` (the session queued a frame), and decides when the
+    session's outbox goes out.
+    """
 
     def __init__(self, server: "ReproServer") -> None:
         self.server = server
-        self.transport = self.session = None
+        self.session: Optional[ServerSession] = None
         self.decoder = FrameDecoder()
-        self._call_soon = asyncio.get_running_loop().call_soon
-        self._flush_due = self._paused = self._farewell = False
+        self._farewell = False
 
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        self.server._connections.add(self)
-        self.server.families["connections"].inc()
-        self.server.families["active"].inc()
-
-    # A socket reads into the server's one buffer (``Protocol`` allocates
-    # 256 KiB per recv); the decoder copies what it keeps.
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self.server._read_buffer
-
-    def buffer_updated(self, nbytes: int) -> None:
-        self.data_received(self.server._read_buffer[:nbytes])
-
-    def data_received(self, data: bytes) -> None:
-        if self.transport is None:
-            return  # loopback bytes still in flight at the hang-up
+    def _receive(self, data: bytes) -> bool:
+        """Run the frames ``data`` completes; True when the connection
+        must hang up after answering them (a corrupt frame, a refused
+        hello, a ``bye``)."""
         try:
             frames, fault = self.decoder.feed(data), False
         except WireProtocolError as error:  # framing sync lost: answer the
             frames, fault = error.frames, True  # good frames, then hang up
-        # One flush below covers every reply; it hangs up unless all ran.
-        self._flush_due = last = True
-        try:
-            for frame in frames:
-                if self.session is None:
-                    self._farewell = not self._hello(frame)
-                else:
-                    self.server.families["frames_in"].inc()
-                    self._farewell = self.server._dispatch(self.session, frame)
-                if self._farewell:
-                    break  # refused or said bye: nothing after it runs
-            last = fault or self._farewell
-        finally:  # after a bug too: answer what ran, then the loop reports it
-            self._flush(last)
+        for frame in frames:
+            if self.session is None:
+                self._farewell = not self._hello(frame)
+            else:
+                self.server.families["frames_in"].inc()
+                self._farewell = self.server._dispatch(self.session, frame)
+            if self._farewell:
+                break  # refused or said bye: nothing after it runs
+        return fault or self._farewell
 
     def _hello(self, hello: dict) -> bool:
         """Open or resume the session; False when the hello is refused."""
@@ -238,10 +231,66 @@ class _Connection(asyncio.BufferedProtocol):
         if resumed:
             self.server.families["resumed"].inc()
             before = _retrans_counts(session)
-            for frame in session.resume_frames(acks, time.monotonic()):
+            for frame in session.resume_frames(acks, self.server._monotonic()):
                 session.enqueue(frame)
             self.server._publish_retrans(session, before)
         return True
+
+    def _wake(self) -> None:
+        """The session queued a frame."""
+        raise NotImplementedError
+
+    def _transmit(self, frames: List[bytes]) -> None:
+        """Put encoded frames on the transport, in order."""
+        raise NotImplementedError
+
+    def _write(self, payloads) -> None:
+        fam = self.server.families
+        frames = []
+        for payload in payloads:
+            try:
+                frames.append(encode_frame(payload))
+            except WireProtocolError as error:  # fails this reply only
+                fam["errors"].inc()
+                frames.append(encode_frame(_error_payload(payload.get("re"), error)))
+        fam["frames_out"].inc(len(frames))
+        fam["bytes_out"].inc(sum(map(len, frames)))
+        self._transmit(frames)
+
+
+class _Connection(ServerEnd, asyncio.BufferedProtocol):
+    """One connection, TCP or loopback, served in the loop's callbacks; frames
+    queued elsewhere (a pump, a sweep) schedule one flush per loop turn."""
+
+    def __init__(self, server: "ReproServer") -> None:
+        super().__init__(server)
+        self.transport = None
+        self._call_soon = asyncio.get_running_loop().call_soon
+        self._flush_due = self._paused = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server.families["connections"].inc()
+        self.server.families["active"].inc()
+
+    # A socket reads into the server's one buffer (``Protocol`` allocates
+    # 256 KiB per recv); the decoder copies what it keeps.
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.server._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self.server._read_buffer[:nbytes])
+
+    def data_received(self, data: bytes) -> None:
+        if self.transport is None:
+            return  # loopback bytes still in flight at the hang-up
+        # One flush below covers every reply; it hangs up unless all ran.
+        self._flush_due = last = True
+        try:
+            last = self._receive(data)
+        finally:  # after a bug too: answer what ran, then the loop reports it
+            self._flush(last)
 
     def _wake(self) -> None:
         if not self._flush_due:
@@ -258,19 +307,8 @@ class _Connection(asyncio.BufferedProtocol):
         if last:
             self.close()
 
-    def _write(self, payloads) -> None:
-        fam = self.server.families
-        frames = []
-        for payload in payloads:
-            try:
-                frames.append(encode_frame(payload))
-            except WireProtocolError as error:  # fails this reply only
-                fam["errors"].inc()
-                frames.append(encode_frame(_error_payload(payload.get("re"), error)))
-        data = b"".join(frames)
-        fam["frames_out"].inc(len(frames))
-        fam["bytes_out"].inc(len(data))
-        self.transport.write(data)
+    def _transmit(self, frames: List[bytes]) -> None:
+        self.transport.write(b"".join(frames))
 
     def pause_writing(self) -> None:
         self._paused = True  # the outbox holds its frames until resumed
@@ -289,7 +327,7 @@ class _Connection(asyncio.BufferedProtocol):
         self.server.families["active"].dec()
         if self.session is not None:
             self.session.on_enqueue = None
-            self.session.detach(time.monotonic())
+            self.session.detach(self.server._monotonic())
             if self._farewell or self.server._closed:
                 self.server._drop_session(self.session)
         self.server._gc_sessions()
@@ -304,6 +342,10 @@ class ReproServer:
     from ``config``; passing an existing database serves it without taking
     ownership (``stop`` will not close it).
     """
+
+    #: The clock retransmission timers and detach times read: monotonic
+    #: seconds (the simulator's subclass reads its ticks).
+    _monotonic = staticmethod(time.monotonic)
 
     def __init__(
         self,
@@ -448,7 +490,7 @@ class ReproServer:
         connection teardown, and an unthrottled O(sessions) scan would
         make a mass disconnect quadratic.
         """
-        monotonic_now = time.monotonic()
+        monotonic_now = self._monotonic()
         if monotonic_now - self._last_gc < 1.0:
             return
         self._last_gc = monotonic_now
@@ -626,7 +668,7 @@ class ReproServer:
                 ):
                     continue
                 if sub.fell_behind():
-                    session.enqueue(sub.degrade(now, "lagging"))
+                    session.degrade(sub, "lagging", self._monotonic())
                     fam["degrades"].inc()
                     fam["invalidates"].inc()
                     queued += 1
@@ -638,7 +680,7 @@ class ReproServer:
                 payload, expires_at = patch
                 before = _retrans_counts(session)
                 notice = session.enqueue_patch(
-                    sub, payload, expires_at, time.monotonic()
+                    sub, payload, expires_at, self._monotonic()
                 )
                 # A full outbox first retires envelopes whose tuples died.
                 self._publish_retrans(session, before)
@@ -669,7 +711,7 @@ class ReproServer:
         deterministic tests.
         """
         if monotonic_now is None:
-            monotonic_now = time.monotonic()
+            monotonic_now = self._monotonic()
         fam = self.families
         resent = 0
         # Only streaming sessions can owe patch envelopes.

@@ -16,12 +16,11 @@ clients disconnect and come back:
   client holds is exactly as reusable as a cached plan result at ``τ' ≥ τ``
   with an unchanged version;
 * **subscriptions**: per-view patch streams over a :class:`SenderCore`,
-  the reliable-delivery core the simulator's
-  :class:`~repro.distributed.reliability.ReliableSender` runs too --
-  sequence-numbered envelopes, cumulative acks, and **expiration-aware
-  retransmission**: a pending patch whose every tuple has expired is
-  dropped instead of retransmitted (the client would discard it anyway),
-  counted in ``repro_server_retransmissions_avoided_total``.
+  the reliable-delivery core -- sequence-numbered envelopes, cumulative
+  acks, and **expiration-aware retransmission**: a pending patch whose
+  every tuple has expired is dropped instead of retransmitted (the client
+  would discard it anyway), counted in
+  ``repro_server_retransmissions_avoided_total``.
 
 Backpressure is a two-rung ladder.  While a session keeps up, view changes
 stream as incremental patches.  When its outstanding traffic (queued
@@ -43,6 +42,18 @@ throughout: a tuple that merely expired needs no message at all (the client
 expires it locally -- the headline saving), so removals are shipped only
 for tuples explicitly deleted while still unexpired, and a dropped envelope
 can always be skipped once its tuples are dead.
+
+A PATCH view (Theorem 3) ships its helper queue instead: every snapshot of
+it carries the pending patches with their due ticks, and the client
+inserts each one when its clock passes the tick, so a due patch costs no
+frame.  Any other change to such a view is a rebuild, whose patch names
+every row it moved, in the queue or out of it: a row a patch names leaves
+the client's queue, so a row deleted from the base can never come back
+from a queue the client held.
+
+A degrade's ``invalidate`` is held like a patch, as seq 0 of the new
+epoch, until the client acks it: a lossy link cannot leave a client
+unaware that its stream stopped.
 """
 
 from __future__ import annotations
@@ -56,10 +67,11 @@ from typing import (
 )
 
 from repro.codec import Block, Rows, encode_exp
-from repro.core.timestamps import Timestamp, ts_max
+from repro.core.patching import Patch
+from repro.core.timestamps import Timestamp, to_raw, ts_max
 # ``diff_states`` is the rebuild-time diff the views run; it keeps this
 # dotted name, which tracers hook.
-from repro.engine.views import MaterialisedView, diff_states
+from repro.engine.views import MaintenancePolicy, MaterialisedView, diff_states
 from repro.errors import SessionError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only
@@ -77,6 +89,14 @@ __all__ = [
 _session_tokens = itertools.count(1)
 
 
+def _queue_block(queued: Iterable[Tuple[tuple, Patch]]) -> Block:
+    """Queued rows as the wire's ``patches``: ``((due, *row), texp)`` each,
+    ``due`` the raw tick at which the row re-appears."""
+    return Block(
+        ((to_raw(patch.due), *row), patch.expires_at) for row, patch in queued
+    )
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with jitter, capped delay, and capped attempts.
@@ -87,14 +107,13 @@ class RetryPolicy:
     ``max_attempts`` retransmissions the sender gives up.
 
     :class:`SenderCore` draws every delay through :meth:`delay`, in the
-    caller's unit: the simulator (:mod:`repro.distributed.reliability`)
-    reads logical **ticks** and, on giving up, counts the envelope as
-    abandoned (anti-entropy is then the only repair path); the server
+    unit of the time its caller passes: the server
     (:meth:`ServerSession.retransmit_due`) reads wall-clock **seconds**,
-    jitter included, and degrades the subscription to
-    invalidate-and-refetch.  With the defaults the first resend goes out
-    4-6 s after the original and the server gives up after about five
-    minutes.
+    jitter included, and on giving up degrades the subscription to
+    invalidate-and-refetch; the simulator
+    (:mod:`repro.distributed.simulator`) runs the same server on logical
+    **ticks**.  With the defaults the first resend goes out 4-6 s (ticks)
+    after the original and the server gives up after about five minutes.
     """
 
     base_delay: int = 4
@@ -133,7 +152,12 @@ class RetryPolicy:
 
 
 class SessionStats:
-    """Counters for one reliable session (sender + receiver side)."""
+    """Counters for one session's reliable delivery, shared by the
+    :class:`SenderCore` of each of its subscriptions.
+
+    ``unacked`` is not a total but a running count: the envelopes held
+    for retransmission right now, across the subscriptions.
+    """
 
     def __init__(self) -> None:
         self.sent = 0
@@ -141,10 +165,8 @@ class SessionStats:
         self.retransmissions = 0
         self.retransmissions_avoided = 0
         self.cells_avoided = 0
-        self.superseded = 0
         self.abandoned = 0
-        self.acks_sent = 0
-        self.duplicates_dropped = 0
+        self.unacked = 0
 
     def as_dict(self) -> dict:
         """All counters by name, for reports."""
@@ -170,19 +192,20 @@ class _Pending:
 
 
 class SenderCore:
-    """The sending half of reliable delivery, written once for both ends.
+    """The sending half of reliable delivery, one per subscription.
 
     Sequence numbers, the unacknowledged envelopes in seq order with each
     one's next due time, cumulative-plus-selective ack retirement, and the
     single verdict on an envelope whose retransmission is due
-    (:meth:`retry`).  It keeps no timer and reads no clock; callers pass
-    the time in their own unit: ticks for the simulator's
-    :class:`~repro.distributed.reliability.ReliableSender`, which arms an
-    event-queue timer at each ``due``, monotonic seconds for
-    :class:`ServerSession`, whose sweep asks for :meth:`overdue` seqs.
+    (:meth:`retry`).  It keeps no timer and reads no clock: the caller
+    passes the time (monotonic seconds in a served
+    :class:`ServerSession`, whose sweep asks for :meth:`overdue` seqs;
+    ticks when the simulator drives the same server).  Every change to
+    the held envelopes moves the shared ``stats.unacked`` with it.
     """
 
-    __slots__ = ("policy", "stats", "pending", "next_seq", "_first_seq", "_rng")
+    __slots__ = ("policy", "stats", "pending", "next_seq", "pruned",
+                 "_first_seq", "_rng")
 
     def __init__(self, policy: RetryPolicy, stats: SessionStats,
                  rng: random.Random, first_seq: int = 0) -> None:
@@ -191,6 +214,9 @@ class SenderCore:
         self._rng = rng
         self.pending: Dict[int, _Pending] = {}
         self.next_seq = self._first_seq = first_seq
+        #: Whether an envelope of this numbering was retired as expired,
+        #: leaving a gap the receiver is told to step over (:meth:`after`).
+        self.pruned = False
 
     def take_seq(self) -> int:
         """The next sequence number."""
@@ -199,13 +225,31 @@ class SenderCore:
 
     def reset(self) -> None:
         """Forget every pending envelope and restart the numbering."""
+        self.stats.unacked -= len(self.pending)
         self.pending.clear()
         self.next_seq = self._first_seq
+        self.pruned = False
+
+    def after(self, seq: int) -> Optional[int]:
+        """The last seq a receiver must hold before it applies ``seq``.
+
+        ``None`` when that is ``seq - 1``, the receiver applies in order:
+        while no envelope was retired as expired, and whenever ``seq - 1``
+        is still held.  Otherwise it is the highest seq below ``seq``
+        still held: any lower one the receiver lacks was either acked (so
+        it has it) or is dead.
+        """
+        if not self.pruned or seq - 1 in self.pending:
+            return None
+        return max((held for held in self.pending if held < seq),
+                   default=self._first_seq - 1)
 
     def track(self, seq: int, message: Any, expires_at: Optional[Timestamp],
               cells: int, at) -> _Pending:
         """Hold ``message``, just sent at ``at``, until acked or given up."""
         due = at + self.policy.delay(0, self._rng)
+        if seq not in self.pending:
+            self.stats.unacked += 1
         entry = self.pending[seq] = _Pending(message, expires_at, cells, due)
         self.stats.sent += 1
         return entry
@@ -218,6 +262,7 @@ class SenderCore:
         for seq in covered:
             del pending[seq]
         self.stats.acked += len(covered)
+        self.stats.unacked -= len(covered)
 
     def overdue(self, at) -> List[int]:
         """The seqs whose retransmission is due at ``at``, in seq order."""
@@ -240,6 +285,7 @@ class SenderCore:
         if entry.attempts >= self.policy.max_attempts:
             del self.pending[seq]
             self.stats.abandoned += 1
+            self.stats.unacked -= 1
             return ABANDONED
         entry.attempts += 1
         entry.due = at + self.policy.delay(entry.attempts, self._rng)
@@ -257,6 +303,8 @@ class SenderCore:
         # The tuples are dead and the receiver would ignore them: the
         # paper-specific saving the reports count.
         del self.pending[seq]
+        self.pruned = True
+        self.stats.unacked -= 1
         self.stats.retransmissions_avoided += 1
         self.stats.cells_avoided += entry.cells
         return True
@@ -298,7 +346,9 @@ class ServerSubscription:
         carries the whole view, which supersedes every pending patch, and
         subsequent patches count up from 1.  ``columns`` adds the view's
         attribute names from the same read (a subscription's first
-        snapshot carries them).
+        snapshot carries them).  A PATCH view's snapshot carries its
+        pending patches too, as ``patches``: one ``((due, *row), texp)``
+        pair each, ``due`` the raw tick at which the row re-appears.
         """
         relation = self.view.read(now)
         self.view.follow(self)
@@ -314,14 +364,26 @@ class ServerSubscription:
         }
         if columns:
             payload["columns"] = list(relation.schema.names)
+        if self.holds_queue:
+            payload["patches"] = _queue_block(
+                (patch.row, patch) for patch in self.view.pending_patches()
+            )
         return payload
+
+    @property
+    def holds_queue(self) -> bool:
+        """Whether the client holds the view's patch queue (a PATCH view's
+        snapshots ship it), so a due patch needs no frame."""
+        return self.view.policy is MaintenancePolicy.PATCH
 
     def fell_behind(self) -> bool:
         """Whether the view's log dropped changes this stream had not taken
         (the stream degrades, and the refetch snapshots)."""
         return self.view.log.cursors[self] < self.view.log.start
 
-    def diff_payload(self, now: Timestamp) -> Optional[Tuple[dict, Timestamp]]:
+    def diff_payload(
+        self, now: Timestamp
+    ) -> Optional[Tuple[dict, Optional[Timestamp]]]:
         """The incremental ``patch`` payload since the last one.
 
         Returns ``(payload, expires_at)``, where ``expires_at`` is the
@@ -330,7 +392,10 @@ class ServerSubscription:
         it stays on the server, with the pending envelope.  Returns
         ``None`` when the client's copy is already right, which includes
         every change that is *pure expiration*: the log holds none, and a
-        removal of a tuple expired by ``now`` is not shipped.
+        removal of a tuple expired by ``now`` is not shipped.  Where the
+        client holds the view's queue, the rows a rebuild queued anew go in
+        ``patches``, and such a patch never stops mattering (``expires_at``
+        None): it replaces queue entries whose lifetimes it does not carry.
         """
         delta = self.view.read(now, follower=self)
         if delta is None:
@@ -341,19 +406,31 @@ class ServerSubscription:
         upserts, removes = delta
         if not upserts and not removes:
             return None
+        queued = None
+        if self.holds_queue:
+            queued = [pair for pair in upserts if type(pair[1]) is Patch]
+            if queued:
+                upserts = [pair for pair in upserts if type(pair[1]) is not Patch]
+        seq = self.sender.take_seq()
         payload = {
             "kind": "patch",
             "sub": self.sub_id,
             "epoch": self.epoch,
-            "seq": self.sender.take_seq(),
+            "seq": seq,
             "now": encode_exp(now),
         }
+        after = self.sender.after(seq)
+        if after is not None:
+            payload["after"] = after
         # A patch carries the blocks it has: most carry no removes, and a
         # removed row needs no expiration time.
         if upserts:
             payload["upserts"] = Block(upserts)
         if removes:
             payload["removes"] = Rows(row for row, _ in removes)
+        if queued:
+            payload["patches"] = _queue_block(queued)
+            return payload, None
         return payload, ts_max(texp for _, texp in upserts + removes)
 
     def degrade(self, now: Timestamp, reason: str) -> dict:
@@ -467,15 +544,14 @@ class ServerSession:
                 f"session {self.token}: unknown subscription {sub_id}"
             ) from None
         sub.view.unfollow(sub)
+        sub.sender.reset()
         return sub
 
     # -- outbound traffic ----------------------------------------------------
 
     def outstanding(self) -> int:
         """Frames owed to this client: queued plus unacknowledged."""
-        return len(self.outbox) + sum(
-            len(sub.pending) for sub in self.subscriptions.values()
-        )
+        return len(self.outbox) + self.stats.unacked
 
     def enqueue(self, payload: dict) -> None:
         """Queue one frame for the attached writer (dropped if detached --
@@ -486,7 +562,8 @@ class ServerSession:
                 self.on_enqueue()
 
     def enqueue_patch(self, sub: ServerSubscription, payload: dict,
-                      expires_at: Timestamp, sent_at: float) -> Optional[dict]:
+                      expires_at: Optional[Timestamp],
+                      sent_at: float) -> Optional[dict]:
         """Queue one patch envelope, applying the backpressure ladder.
 
         A full outbox first retires the envelopes whose tuples have all
@@ -500,9 +577,7 @@ class ServerSession:
             for other in self.subscriptions.values():
                 other.sender.prune(now)
             if self.outstanding() >= self.max_outbox:
-                notice = sub.degrade(now, "backpressure")
-                self.enqueue(notice)
-                return notice
+                return self.degrade(sub, "backpressure", sent_at)
         sub.sender.track(
             payload["seq"], payload, expires_at,
             len(payload.get("upserts", ())) + len(payload.get("removes", ())),
@@ -510,6 +585,14 @@ class ServerSession:
         )
         self.enqueue(payload)
         return None
+
+    def degrade(self, sub: ServerSubscription, reason: str, at) -> dict:
+        """Degrade ``sub`` and queue its ``invalidate``, held until acked
+        (resent by the sweep like a patch); returns the notice."""
+        notice = sub.degrade(self.db.clock.now, reason)
+        sub.sender.track(0, notice, None, 0, at)
+        self.enqueue(notice)
+        return notice
 
     def resume_frames(self, acks: Dict[int, Tuple[int, int]],
                       sent_at: float) -> List[dict]:
@@ -532,7 +615,9 @@ class ServerSession:
             ):
                 sub.degrade(now, "retry-exhausted")
             if sub.degraded:
-                frames.append(sub.invalidate_payload(now, "resume"))
+                notice = sub.invalidate_payload(now, "resume")
+                sub.sender.track(0, notice, None, 0, sent_at)
+                frames.append(notice)
         return frames
 
     def retransmit_due(self, monotonic_now: float) -> Tuple[List[dict], int]:
@@ -548,7 +633,7 @@ class ServerSession:
         for sub in list(self.subscriptions.values()):
             overdue = sub.sender.overdue(monotonic_now)
             if self._retransmit(sub, overdue, now, monotonic_now, frames):
-                self.enqueue(sub.degrade(now, "retry-exhausted"))
+                self.degrade(sub, "retry-exhausted", monotonic_now)
                 degraded += 1
         return frames, degraded
 
@@ -561,7 +646,11 @@ class ServerSession:
         for seq in seqs:
             verdict = sender.retry(seq, now, at)
             if verdict == RESEND:
-                frames.append(sender.pending[seq].message)
+                message = sender.pending[seq].message
+                after = sender.after(seq)
+                if after is not None and message["kind"] == "patch":
+                    message = {**message, "after": after}
+                frames.append(message)
             elif verdict == ABANDONED:
                 return True
         return False

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.relation import Relation, relation_from_rows
 from repro.core.schema import Schema
-from repro.core.timestamps import INFINITY, Timestamp, ts
+from repro.core.timestamps import INFINITY, RAW_INFINITY, Timestamp, from_raw, ts
 from repro.errors import RelationError
 
 rows_with_texps = st.lists(
@@ -75,6 +75,44 @@ class TestInsertion:
         rel = Relation(["a"])
         assert rel.expiration_or_none((1,)) is None
 
+
+
+class TestBulkLoad:
+    """Every shape of pairs lands, in an empty relation, as the one-by-one
+    max-merge would store it: the raw-tick fast path and the loop agree."""
+
+    PAIRS = [((1,), 5), ((2,), 8), ((1,), 9), ((3,), RAW_INFINITY), ((2,), 4)]
+
+    @staticmethod
+    def looped(pairs):
+        stored = {}
+        for row, stamp in pairs:
+            stamp = from_raw(stamp) if type(stamp) is int else stamp
+            if row not in stored or stored[row] < stamp:
+                stored[row] = stamp
+        return stored
+
+    @pytest.mark.parametrize("shape", ["timestamps", "raw", "mixed"])
+    def test_matches_the_loop(self, shape):
+        pairs = [
+            (row, from_raw(tick) if shape == "timestamps"
+             or (shape == "mixed" and index % 2) else tick)
+            for index, (row, tick) in enumerate(self.PAIRS)
+        ]
+        relation = Relation(["a"])
+        assert relation.bulk_load(pairs) == len(pairs)
+        assert dict(relation.items()) == self.looped(pairs)
+        assert relation.expiration_of((3,)) == INFINITY
+        assert relation.expiration_of((1,)) == ts(9)
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 40),
+                              st.booleans()), max_size=20))
+    def test_any_mix_matches_the_loop(self, draws):
+        pairs = [((row,), from_raw(tick) if stamped else tick)
+                 for row, tick, stamped in draws]
+        relation = Relation(["a"])
+        relation.bulk_load(pairs)
+        assert dict(relation.items()) == self.looped(pairs)
 
 class TestExpAt:
     def test_paper_semantics_strictly_greater(self, pol):

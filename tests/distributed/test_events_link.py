@@ -5,7 +5,6 @@ import pytest
 from repro.core.timestamps import ts
 from repro.distributed.events import EventQueue
 from repro.distributed.link import Link
-from repro.distributed.node import Node
 from repro.errors import SimulationError
 
 
@@ -114,7 +113,7 @@ class TestLink:
         link.record_loss()
         stats = link.stats.as_dict()
         assert stats["messages_sent"] == 1
-        assert stats["cells_sent"] == 10
+        assert stats["bytes_sent"] == 10
         assert stats["messages_lost"] == 1
 
     def test_loss_sampled_during_partition_still_loses(self):
@@ -133,23 +132,23 @@ class TestLink:
 
     def test_transmit_accounts_sends_and_losses(self):
         lossy = Link(loss_probability=1.0)
-        assert lossy.transmit(0, size_cells=4) is None
+        assert lossy.transmit(0, size=4) is None
         assert lossy.stats.messages_sent == 1
-        assert lossy.stats.cells_sent == 4
+        assert lossy.stats.bytes_sent == 4
         assert lossy.stats.messages_lost == 1
         clean = Link(latency=2)
-        assert clean.transmit(0, size_cells=4) == ts(2)
+        assert clean.transmit(0, size=4) == ts(2)
         assert clean.stats.messages_lost == 0
 
     def test_transmit_counts_forever_partition_as_lost(self):
         link = Link(latency=1, partitions=[(0, None)])
-        assert link.transmit(3, size_cells=2) is None
+        assert link.transmit(3, size=2) is None
         assert link.stats.messages_lost == 1
 
     def test_deterministic_across_identical_seeds(self):
         def trace(seed):
             link = Link(latency=2, jitter=3, loss_probability=0.4, seed=seed)
-            return [link.transmit(t, size_cells=1) for t in range(30)]
+            return [link.transmit(t, size=1) for t in range(30)]
 
         assert trace(11) == trace(11)
         assert trace(11) != trace(12)
@@ -158,7 +157,7 @@ class TestLink:
         link = Link(latency=2, bandwidth=2)
         assert link.serialisation_delay(1) == 1
         assert link.serialisation_delay(5) == 3  # ceil(5 / 2)
-        assert link.delivery_time(0, size_cells=5) == ts(5)
+        assert link.delivery_time(0, size=5) == ts(5)
         unbounded = Link(latency=2)
         assert unbounded.serialisation_delay(100) == 0
 
@@ -182,16 +181,3 @@ class TestLink:
         link.add_partition(5, 10)
         assert not link.is_up(7)
         assert link.delivery_time(7) == ts(11)
-
-
-class TestNode:
-    def test_skew(self):
-        assert Node("n", clock_skew=3).local_time(10) == ts(13)
-        assert Node("n", clock_skew=-3).local_time(10) == ts(7)
-
-    def test_skew_clamps_at_zero(self):
-        assert Node("n", clock_skew=-5).local_time(2) == ts(0)
-
-    def test_needs_name(self):
-        with pytest.raises(SimulationError):
-            Node("")

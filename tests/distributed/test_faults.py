@@ -1,18 +1,17 @@
 """Tests for fault injection and end-to-end fault tolerance.
 
-The end-to-end class is the issue's acceptance scenario: a seeded lossy
-link plus a partition window plus one state-losing crash/restart.  The
-expiration strategy with reliable delivery *and* anti-entropy must
-converge exactly to the server's ground truth after quiescence; the
-unreliable baseline must demonstrably not.
+The end-to-end scenario: a seeded lossy link, a burst of total loss, a
+partition window and one state-losing crash/restart.  Delivery is the
+server's own seq/ack stream, and a client that lost its state comes back
+as a fresh session that subscribes again, so both subscribing strategies
+converge exactly to the ground truth after quiescence -- with no repair
+protocol beside the stream.
 """
 
 import pytest
 
 from repro.distributed.faults import BurstLoss, FaultSchedule, LinkFlap, NodeCrash
 from repro.distributed.link import Link
-from repro.distributed.reliability import ReliabilityConfig, RetryPolicy
-from repro.distributed.anti_entropy import AntiEntropyConfig
 from repro.distributed.simulator import ReplicationSimulation, ReplicationStrategy
 from repro.errors import FaultInjectionError
 from repro.workloads.generators import UniformLifetime, random_stream
@@ -63,8 +62,8 @@ def acceptance_workload():
     workload = random_stream(
         ["k", "v"], 40, UniformLifetime(10, 30), arrival_span=50, seed=7
     )
-    # A few rows that outlive the whole run: the unreliable baseline has
-    # no second chance at these, so a lost insert diverges forever.
+    # A few rows that outlive the whole run: a lost insert of one of these
+    # is never made good by expiration.
     workload += [(5, (900 + i, "eternal"), 10_000) for i in range(4)]
     return workload
 
@@ -77,15 +76,10 @@ def acceptance_faults():
     ])
 
 
-def run_replication(strategy, reliable=False, anti_entropy=False, seed=3, loss=0.2):
+def run_replication(strategy, seed=3, loss=0.2):
     sim = ReplicationSimulation(
         ["k", "v"], acceptance_workload(), range(10, 200, 10), strategy,
         link=Link(latency=2, loss_probability=loss, seed=seed),
-        reliability=(
-            ReliabilityConfig(retry=RetryPolicy(), seed=1) if reliable else None
-        ),
-        anti_entropy=AntiEntropyConfig(period=20, num_buckets=8)
-        if anti_entropy else None,
         faults=acceptance_faults(),
         horizon=400,
     )
@@ -93,74 +87,46 @@ def run_replication(strategy, reliable=False, anti_entropy=False, seed=3, loss=0
     return sim, report
 
 
+def assert_converges_exactly(strategy, loss):
+    sim, report = run_replication(strategy, loss=loss)
+    assert report.converged
+    assert report.converged_at is not None
+    # Exact agreement with the origin's live rows after quiescence.
+    seen = sim.client.visible(400, query=False)
+    assert seen == sim._truth(400)
+    assert seen  # non-vacuous: the eternal rows remain
+    # The restarted client subscribed again: two handshakes.
+    assert len(sim.client.ends) == 2
+
+
 class TestEndToEndFaultTolerance:
-    def test_unreliable_baseline_never_converges(self):
-        for strategy in (ReplicationStrategy.EXPIRATION,
-                         ReplicationStrategy.EXPLICIT_DELETE):
-            _, report = run_replication(strategy)
-            assert not report.converged, strategy
-            assert report.divergence_ticks > 0, strategy
+    def test_expiration_converges_to_ground_truth(self):
+        assert_converges_exactly(ReplicationStrategy.EXPIRATION, loss=0.2)
 
-    def test_reliable_with_anti_entropy_converges_to_ground_truth(self):
-        sim, report = run_replication(
-            ReplicationStrategy.EXPIRATION, reliable=True, anti_entropy=True
-        )
-        assert report.converged
-        assert report.converged_at is not None
-        # Exact agreement with the origin's live rows after quiescence.
-        final = sim.events.now
-        assert sim.client.visible_rows(final) == sim.server.live_rows(final)
-        assert sim.client.visible_rows(final)  # non-vacuous: rows remain
+    def test_state_loss_survives_a_lossless_link(self):
+        # Nothing is lost on the link, so only the crash can leave the
+        # replica short; subscribing again makes it whole.
+        assert_converges_exactly(ReplicationStrategy.EXPIRATION, loss=0.0)
 
-    def test_retransmission_alone_cannot_survive_state_loss(self):
-        # Acked-then-lost rows are never retransmitted; without
-        # anti-entropy the replica stays short of ground truth.
-        _, reliable_only = run_replication(
-            ReplicationStrategy.EXPIRATION, reliable=True
-        )
-        assert not reliable_only.converged
-        # Not even on a link that loses nothing; anti-entropy repairs it.
-        _, lossless = run_replication(
-            ReplicationStrategy.EXPIRATION, reliable=True, loss=0.0
-        )
-        assert not lossless.converged
-        _, repaired = run_replication(
-            ReplicationStrategy.EXPIRATION, reliable=True, anti_entropy=True,
-            loss=0.0,
-        )
-        assert repaired.converged
+    def test_baseline_converges_to_ground_truth(self):
+        for loss in (0.0, 0.2):
+            assert_converges_exactly(ReplicationStrategy.EXPLICIT_DELETE, loss=loss)
 
     def test_expiration_awareness_saves_retransmissions(self):
-        _, report = run_replication(
-            ReplicationStrategy.EXPIRATION, reliable=True, anti_entropy=True
-        )
+        _, report = run_replication(ReplicationStrategy.EXPIRATION)
         assert report.retransmissions > 0
         assert report.retransmissions_avoided > 0
         assert report.cells_avoided > 0
 
-    def test_anti_entropy_heals_the_baseline_too(self):
-        sim, report = run_replication(
-            ReplicationStrategy.EXPLICIT_DELETE, reliable=True, anti_entropy=True
-        )
-        assert report.converged
-        final = sim.events.now
-        assert sim.client.visible_rows(final) == sim.server.live_rows(final)
-
     def test_expiration_converges_cheaper_than_baseline(self):
-        _, baseline = run_replication(
-            ReplicationStrategy.EXPLICIT_DELETE, reliable=True, anti_entropy=True
-        )
-        _, expiration = run_replication(
-            ReplicationStrategy.EXPIRATION, reliable=True, anti_entropy=True
-        )
+        _, baseline = run_replication(ReplicationStrategy.EXPLICIT_DELETE)
+        _, expiration = run_replication(ReplicationStrategy.EXPIRATION)
         assert expiration.converged and baseline.converged
-        assert expiration.cells < baseline.cells
+        assert expiration.bytes < baseline.bytes
         assert expiration.messages < baseline.messages
 
     def test_convergence_metrics_are_coherent(self):
-        _, report = run_replication(
-            ReplicationStrategy.EXPIRATION, reliable=True, anti_entropy=True
-        )
+        _, report = run_replication(ReplicationStrategy.EXPIRATION)
         windows = report.detail["divergence_windows"]
         assert report.divergence_ticks == sum(end - start for start, end in windows)
         assert report.max_staleness == max(end - start for start, end in windows)
@@ -173,27 +139,22 @@ class TestEndToEndFaultTolerance:
             ["k", "v"], acceptance_workload(), range(10, 200, 10),
             ReplicationStrategy.EXPIRATION,
             link=Link(latency=2, seed=3),
-            reliability=ReliabilityConfig(retry=RetryPolicy(), seed=1),
             faults=faults, horizon=400,
         )
         report = sim.run()
         assert report.converged
         assert report.detail.get("crash_drops", 0) > 0
+        assert report.retransmissions > 0
+        assert len(sim.client.ends) == 1  # the session survived the crash
 
     def test_deterministic_across_identical_seeds(self):
         rows = [
-            run_replication(
-                ReplicationStrategy.EXPIRATION, reliable=True, anti_entropy=True
-            )[1].fault_tolerance_row()
+            run_replication(ReplicationStrategy.EXPIRATION)[1].fault_tolerance_row()
             for _ in range(2)
         ]
         assert rows[0] == rows[1]
 
     def test_different_seed_changes_the_run(self):
-        a = run_replication(
-            ReplicationStrategy.EXPIRATION, reliable=True, seed=3
-        )[1].fault_tolerance_row()
-        b = run_replication(
-            ReplicationStrategy.EXPIRATION, reliable=True, seed=4
-        )[1].fault_tolerance_row()
-        assert a != b
+        a = run_replication(ReplicationStrategy.EXPIRATION, seed=3)[1]
+        b = run_replication(ReplicationStrategy.EXPIRATION, seed=4)[1]
+        assert a.fault_tolerance_row() != b.fault_tolerance_row()

@@ -1,48 +1,6 @@
-"""Tests for protocol messages and their size accounting."""
+"""Tests for the run report every simulation returns."""
 
-import pytest
-
-from repro.core.patching import Patch
-from repro.core.timestamps import ts
 from repro.distributed.metrics import SyncReport
-from repro.distributed.protocols import (
-    DeleteNotice,
-    PatchShipment,
-    RecomputeRequest,
-    RecomputeResponse,
-    Snapshot,
-    TupleInsert,
-)
-
-
-class TestSizes:
-    def test_insert_with_expiration_costs_one_extra_cell(self):
-        bare = TupleInsert(row=(1, 2))
-        timed = TupleInsert(row=(1, 2), expires_at=ts(9))
-        assert bare.size_cells() == 2
-        assert timed.size_cells() == 3
-
-    def test_delete_notice(self):
-        assert DeleteNotice(row=(1, 2, 3)).size_cells() == 3
-
-    def test_snapshot_mixed_rows(self):
-        snapshot = Snapshot(rows=(((1, 2), ts(5)), ((3, 4), None)))
-        assert snapshot.size_cells() == 3 + 2
-
-    def test_patch_shipment(self):
-        shipment = PatchShipment(
-            patches=(Patch((1, 2), ts(3), ts(9)), Patch((5,), ts(4), ts(8)))
-        )
-        # Each patch: row cells + due + expires_at.
-        assert shipment.size_cells() == (2 + 2) + (1 + 2)
-
-    def test_recompute_roundtrip_sizes(self):
-        request = RecomputeRequest(view_name="diff")
-        response = RecomputeResponse(
-            view_name="diff", snapshot=Snapshot(rows=(((1,), ts(2)),))
-        )
-        assert request.size_cells() == 1
-        assert response.size_cells() == 1 + 2
 
 
 class TestSyncReport:
@@ -51,7 +9,7 @@ class TestSyncReport:
 
     def test_summary_row_fields(self):
         report = SyncReport(strategy="x", queries=4, correct_answers=3,
-                            incorrect_answers=1, messages=7, cells=70)
+                            incorrect_answers=1, messages=7, bytes=70)
         row = report.summary_row()
         assert row["strategy"] == "x"
         assert row["consistency"] == 0.75

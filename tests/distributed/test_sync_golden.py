@@ -2,12 +2,12 @@
 
 ``data/sync_golden.json`` holds, for every run of a fixed grid, the
 report's ``summary_row()``, ``fault_tolerance_row()`` and ``detail``.  The
-grid crosses each scenario's strategies with the fault-tolerance stack
-(bare, reliable delivery, anti-entropy, scripted crashes, flaps and loss
-bursts) over seeded lossy links, so the file pins every random draw the
-links and the retry timers make, and the order they make them in.  A
-change to the reliable-delivery layer or to the simulations' wiring must
-reproduce the file exactly.
+grid crosses each scenario's strategies with scripted faults (none; loss
+bursts, flaps and a state-losing crash) over seeded lossy links, so the
+file pins every random draw the links and the server's retry timers make,
+and the order they make them in, and every frame the served engine ships.
+A change to the server's delivery, the client's frame loop or the
+simulations' wiring must reproduce the file exactly.
 
 To re-record (only when a scenario's behaviour changes on purpose)::
 
@@ -19,10 +19,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.distributed.anti_entropy import AntiEntropyConfig
 from repro.distributed.faults import BurstLoss, FaultSchedule, LinkFlap, NodeCrash
 from repro.distributed.link import Link
-from repro.distributed.reliability import ReliabilityConfig, RetryPolicy
 from repro.distributed.simulator import (
     DifferenceViewSimulation,
     FanOutSimulation,
@@ -37,10 +35,6 @@ from repro.workloads.generators import (
 )
 
 GOLDEN = Path(__file__).with_name("data") / "sync_golden.json"
-
-
-def _reliable(seed: int = 1) -> ReliabilityConfig:
-    return ReliabilityConfig(retry=RetryPolicy(), seed=seed)
 
 
 def _replication_workload():
@@ -60,11 +54,7 @@ def _replication_faults() -> FaultSchedule:
 
 def _replication(strategy, stack):
     options = {}
-    if stack != "bare":
-        options["reliability"] = _reliable()
-    if stack == "reliable+anti_entropy":
-        options["anti_entropy"] = AntiEntropyConfig(period=20, num_buckets=8)
-    if stack == "reliable+faults":
+    if stack == "faults":
         options["faults"] = _replication_faults()
         options["horizon"] = 400
     return ReplicationSimulation(
@@ -79,9 +69,7 @@ def _difference(strategy, stack):
         ["k", "v"], 30, 0.5, UniformLifetime(5, 50), seed=3
     )
     options = {}
-    if stack != "bare":
-        options["reliability"] = _reliable(seed=2)
-    if stack == "reliable+crash":
+    if stack == "crash":
         options["faults"] = FaultSchedule(
             [NodeCrash(at=20, restart_at=26, lose_state=True)]
         )
@@ -102,8 +90,7 @@ def _fan_out():
     return FanOutSimulation(
         ["k", "v"], workload, range(30, 70, 4),
         ReplicationStrategy.EXPLICIT_DELETE, links=links,
-        client_skews=[0, 2, 5], reliability=_reliable(seed=4),
-        anti_entropy=AntiEntropyConfig(period=15, num_buckets=4),
+        client_skews=[0, 2, 5],
     )
 
 
@@ -111,15 +98,14 @@ def grid():
     """``(name, simulation factory)`` for every recorded run."""
     runs = []
     for strategy in ReplicationStrategy:
-        for stack in ("bare", "reliable", "reliable+anti_entropy",
-                      "reliable+faults"):
+        for stack in ("bare", "faults"):
             runs.append((f"replication/{strategy.value}/{stack}",
                          lambda s=strategy, k=stack: _replication(s, k)))
     for strategy in ViewMaintenanceStrategy:
-        for stack in ("bare", "reliable", "reliable+crash"):
+        for stack in ("bare", "crash"):
             runs.append((f"difference/{strategy.value}/{stack}",
                          lambda s=strategy, k=stack: _difference(s, k)))
-    runs.append(("fanout/explicit_delete/reliable+anti_entropy", _fan_out))
+    runs.append(("fanout/explicit_delete", _fan_out))
     return runs
 
 

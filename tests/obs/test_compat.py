@@ -148,13 +148,13 @@ class TestSyncReportRows:
         from repro.distributed.metrics import SyncReport
 
         report = SyncReport(strategy="expiration", queries=4, correct_answers=3,
-                            incorrect_answers=1, messages=10, cells=40,
+                            incorrect_answers=1, messages=10, bytes=40,
                             retransmissions=2, retransmissions_avoided=5,
                             cells_avoided=20)
         summary = report.summary_row()
         fault = report.fault_tolerance_row()
         assert summary["messages"] == fault["messages"] == 10
-        assert summary["cells"] == fault["cells"] == 40
+        assert summary["bytes"] == fault["bytes"] == 40
         assert summary["consistency"] == fault["consistency"] == 0.75
         assert fault["retrans_avoided"] == 5
 

@@ -46,9 +46,6 @@ MODULES = [
     "repro.sql.executor",
     "repro.distributed.events",
     "repro.distributed.link",
-    "repro.distributed.node",
-    "repro.distributed.client",
-    "repro.distributed.server",
     "repro.distributed.simulator",
     "repro.workloads.generators",
     "repro.workloads.news",

@@ -229,3 +229,44 @@ class TestUnreachedModules:
 
         assert QueryAnswerer.answer
         assert {"MOVE_BACKWARD", "MOVE_FORWARD"} <= set(QueryPolicy.__members__)
+
+
+class TestOneClientServerStack:
+    def test_what_left_with_the_simulated_stack(self):
+        """The simulator drives the served engine's own server and client,
+        so its second stack is gone with no alias: the origin server,
+        replica, difference-view client and node, the message classes, the
+        reliable sender/receiver and its config, and anti-entropy."""
+        import importlib.util
+
+        import repro.distributed
+        import repro.errors
+        from repro.server.server import ServerEnd
+
+        for module in ("server", "client", "protocols", "node",
+                       "reliability", "anti_entropy"):
+            assert importlib.util.find_spec(f"repro.distributed.{module}") is None
+        gone = [
+            "OriginServer", "DifferenceViewServer", "Replica",
+            "DifferenceViewClient", "Node", "Message", "Envelope", "Ack",
+            "TupleInsert", "DeleteNotice", "Snapshot", "PatchShipment",
+            "RecomputeRequest", "RecomputeResponse", "Digest",
+            "RepairRequest", "RepairResponse", "ReliableSender",
+            "ReliableReceiver", "ReliabilityConfig", "AntiEntropyConfig",
+            "apply_repair", "bucket_hashes", "bucket_of", "build_digest",
+            "build_repair", "diff_digests",
+        ]
+        for name in gone:
+            assert name not in repro.distributed.__all__, name
+            assert not hasattr(repro.distributed, name), name
+        assert not hasattr(repro.errors, "ProtocolError")
+        assert repro.distributed.__all__ == [
+            "EventQueue", "Link", "LinkStats", "SyncReport", "BurstLoss",
+            "FaultSchedule", "LinkFlap", "NodeCrash", "RetryPolicy",
+            "SessionStats", "DifferenceViewSimulation", "FanOutSimulation",
+            "ReplicationSimulation", "ReplicationStrategy",
+            "ViewMaintenanceStrategy", "WorkloadEntry",
+        ]
+        from repro.distributed.simulator import _End
+
+        assert issubclass(_End, ServerEnd)
