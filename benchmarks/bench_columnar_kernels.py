@@ -34,12 +34,13 @@ from repro.core.algebra.predicates import col
 from repro.core.columnar import ColumnarRelation
 from repro.core.relation import Relation
 from repro.core.timestamps import ts
-from repro.workloads.generators import UniformLifetime, random_relation
 
 try:
     from benchmarks._tables import emit
+    from benchmarks.fixtures import UniformLifetime, random_relation
 except ImportError:  # direct script execution
     from _tables import emit
+    from fixtures import UniformLifetime, random_relation
 
 #: Minimum columnar-over-row speedup per gate workload.
 GATE_FLOORS = {"authz dim join": 3.0, "fig1 scan": 1.5, "project dedup": 1.5}

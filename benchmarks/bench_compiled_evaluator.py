@@ -29,14 +29,15 @@ from repro.core.algebra.expressions import BaseRef
 from repro.core.algebra.plan_cache import PlanCache
 from repro.core.algebra.predicates import col
 from repro.obs.registry import MetricsRegistry
-from repro.workloads.generators import UniformLifetime, random_relation
 
 try:
     from benchmarks.bench_macro_query import build_catalog, macro_plan
     from benchmarks._tables import emit
+    from benchmarks.fixtures import UniformLifetime, random_relation
 except ImportError:  # direct script execution
     from bench_macro_query import build_catalog, macro_plan
     from _tables import emit
+    from fixtures import UniformLifetime, random_relation
 
 
 def figure_catalog(size, seed=31):

@@ -24,12 +24,13 @@ from repro.core.algebra.evaluator import Evaluator
 from repro.core.algebra.expressions import BaseRef
 from repro.core.algebra.predicates import col
 from repro.core.validity import recompute_equals_materialised
-from repro.workloads.generators import UniformLifetime, random_relation
 
 try:
     from benchmarks._tables import emit
+    from benchmarks.fixtures import UniformLifetime, random_relation
 except ImportError:  # direct script execution
     from _tables import emit
+    from fixtures import UniformLifetime, random_relation
 
 
 def build_catalog(size, seed=223):

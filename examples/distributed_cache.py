@@ -12,6 +12,9 @@ client over a simulated link; traffic is frames and their bytes.
 Run:  python examples/distributed_cache.py
 """
 
+import random
+
+from repro import Relation
 from repro.distributed import (
     DifferenceViewSimulation,
     Link,
@@ -19,16 +22,35 @@ from repro.distributed import (
     ReplicationStrategy,
     ViewMaintenanceStrategy,
 )
-from repro.workloads.generators import (
-    UniformLifetime,
-    overlapping_relations,
-    random_stream,
-)
+
+
+def profile_stream(count, seed):
+    """``(arrival, (uid, deg), expires_at)`` inserts in arrival order."""
+    rng = random.Random(seed)
+    entries = []
+    for uid in range(count):
+        arrival = rng.randrange(60)
+        entries.append((arrival, (uid, rng.randrange(100)),
+                        arrival + rng.randint(10, 60)))
+    return sorted(entries, key=lambda entry: entry[0])
+
+
+def overlapping_profiles(size, seed):
+    """R and S over ``(uid, deg)``: half of R's rows are in S too, each at
+    its own lifetime, and S has as many rows of its own."""
+    rng = random.Random(seed)
+    left, right = Relation(["uid", "deg"]), Relation(["uid", "deg"])
+    for uid in range(size + size // 2):
+        row = (uid, rng.randrange(100))
+        if uid < size:
+            left.insert(row, expires_at=rng.randint(5, 80))
+        if uid < size // 2 or uid >= size:
+            right.insert(row, expires_at=rng.randint(5, 80))
+    return left, right
 
 
 def main() -> None:
-    workload = random_stream(["uid", "deg"], 150, UniformLifetime(10, 60),
-                             arrival_span=60, seed=21)
+    workload = profile_stream(150, seed=21)
     queries = list(range(60, 140, 2))
     partition = [(70, 110)]  # the link dies while many tuples expire
 
@@ -47,9 +69,7 @@ def main() -> None:
               f"{report.consistency:>11.3f} {report.extra_tuples:>12}")
 
     print("\nshipping a difference view (R - S) to the client")
-    left, right = overlapping_relations(
-        ["uid", "deg"], 100, 0.5, UniformLifetime(5, 80), seed=33
-    )
+    left, right = overlapping_profiles(100, seed=33)
     print(f"  |R| = {len(left)}, |S| = {len(right)}, queries every 3 ticks\n")
     print(f"  {'strategy':<22} {'messages':>8} {'bytes':>6} "
           f"{'consistency':>11} {'patches':>7}")

@@ -16,15 +16,31 @@ short ones.  This example shows the full editorial loop:
 Run:  python examples/news_service.py
 """
 
+import random
+
 from repro import Database, ExpirationStrategy, MaintenancePolicy
-from repro.workloads.news import NewsWorkload
+
+
+def build_database(users=40, topics=(("Pol", 60), ("El", 12)), coverage=0.8,
+                   seed=7):
+    """One ``(uid, deg)`` profile table per topic: each user has a profile
+    with probability ``coverage``, its lifetime exponential around the
+    topic's mean, its degree a multiple of 5 (so GROUP BYs collide)."""
+    rng = random.Random(seed)
+    db = Database()
+    for topic, mean_lifetime in topics:
+        table = db.create_table(topic, ["uid", "deg"])
+        for uid in range(1, users + 1):
+            if rng.random() > coverage:
+                continue
+            degree = 5 * rng.randrange(20)
+            lifetime = max(1, int(rng.expovariate(1.0 / mean_lifetime)))
+            table.insert((uid, degree), expires_at=lifetime)
+    return db
 
 
 def main() -> None:
-    workload = NewsWorkload(
-        users=40, topics={"Pol": 60, "El": 12}, coverage=0.8, seed=7
-    )
-    db = workload.build_database()
+    db = build_database()
 
     renewal_requests = []
     db.table("Pol").triggers.register(

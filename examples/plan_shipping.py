@@ -27,12 +27,16 @@ from repro import (
 )
 from repro.core.algebra.serde import expression_from_dict, expression_to_dict
 from repro.core.validity import QueryAnswerer, QueryPolicy
-from repro.workloads.news import figure1_database
 
 
 def main() -> None:
-    # -- central site ------------------------------------------------------
-    central = figure1_database()
+    # -- central site: the paper's Figure 1 tables, clock at 0 -----------------
+    central = Database()
+    for name, rows in (("Pol", [((1, 25), 10), ((2, 25), 15), ((3, 35), 10)]),
+                       ("El", [((1, 75), 5), ((2, 85), 3), ((4, 90), 2)])):
+        table = central.create_table(name, ["uid", "deg"])
+        for row, texp in rows:
+            table.insert(row, expires_at=texp)
     watchlist_plan = (
         central.table_expr("Pol").project(1).difference(
             central.table_expr("El").project(1)

@@ -13,13 +13,31 @@ often the dashboard must be re-derived:
 Run:  python examples/sensor_monitoring.py
 """
 
+import random
+
 from repro import Database, ExpirationStrategy, MaintenancePolicy
-from repro.workloads.sensors import SensorFleet
+
+
+def run_fleet(db, sensors=12, base_period=6, grace=1, horizon=12, seed=3):
+    """Sensor ``s`` samples every ``base_period * (1 + s % 3)`` ticks; a
+    reading expires at the sensor's next sample (plus ``grace``), so the
+    table always holds exactly the current readings, with no reaper."""
+    rng = random.Random(seed)
+    readings = db.create_table("Readings", ["sensor", "value", "taken_at"])
+    for time in range(horizon + 1):
+        if time > db.now.value:
+            db.advance_to(time)
+        for sensor in range(sensors):
+            period = base_period * (1 + sensor % 3)
+            if time % period == 0:
+                readings.insert((sensor, rng.randint(15, 30), time),
+                                expires_at=time + period + grace)
+    return readings
 
 
 def zone_min_expr(db, strategy):
     # Zone = sensor % 4: group readings, take the min value per zone.
-    # (The modulo is precomputed into the table by the fleet adapter below.)
+    # (The modulo is precomputed into the ZoneReadings table below.)
     return (
         db.table_expr("ZoneReadings")
         .aggregate(group_by=[1], function="min", attribute=2, strategy=strategy)
@@ -28,13 +46,12 @@ def zone_min_expr(db, strategy):
 
 
 def main() -> None:
-    fleet = SensorFleet(sensors=12, base_period=6, grace=1, seed=3)
-    fleet.run_until(12)
-    db = fleet.database
+    db = Database()
+    readings = run_fleet(db)
 
     # A derived table with an explicit zone attribute (zone, value, sensor).
     zones = db.create_table("ZoneReadings", ["zone", "value", "sensor"])
-    for (sensor, value, taken_at), texp in fleet.table.relation.items():
+    for (sensor, value, taken_at), texp in readings.relation.items():
         zones.insert((sensor % 4, value, sensor), expires_at=texp)
 
     views = {}

@@ -2,73 +2,75 @@
 
 Traditional session stores need a reaper job that periodically scans for
 dead sessions and issues DELETEs; with expiration times the table *is* the
-session policy: logins insert with a TTL, activity re-inserts (extending
-the lifetime via the max-merge rule), and abandonment simply lets the
-tuple expire -- firing the logout trigger at exactly the right moment.
+session policy: a login inserts a row on an idle-timeout table, activity
+touches it (restarting its timer), and abandonment simply lets the tuple
+expire -- firing the logout trigger at exactly the right moment.
 
-The example replays the same workload against the expiration-enabled
-store and the explicit-delete baseline and prints the bookkeeping each one
-needed.
+The example replays a seeded login/activity stream and prints the
+bookkeeping the store needed, beside what a reaper would have issued.
 
 Run:  python examples/session_management.py
 """
 
-from repro.baselines import ExplicitDeleteManager
-from repro.core.schema import Schema
-from repro.workloads.sessions import SessionStore, SessionWorkload
+import random
+
+from repro import Database
+
+SESSION_TTL = 25
+
+
+def events(users=30, horizon=300, login_rate=0.05, activity_rate=0.3, seed=11):
+    """``(time, kind, sid, user)`` logins and pings; users walk away silently."""
+    rng = random.Random(seed)
+    active, next_sid = {}, 1
+    for time in range(horizon):
+        for user in range(1, users + 1):
+            if user not in active:
+                if rng.random() < login_rate:
+                    active[user] = next_sid
+                    yield time, "login", next_sid, user
+                    next_sid += 1
+                continue
+            draw = rng.random()
+            if draw < activity_rate:
+                yield time, "activity", active[user], user
+            elif draw > 0.97:
+                del active[user]  # nobody sends a logout
 
 
 def main() -> None:
-    workload = SessionWorkload(users=30, horizon=300, login_rate=0.05,
-                               activity_rate=0.3, seed=11)
-    events = workload.events()
-    logins = sum(1 for e in events if e.kind == "login")
-    pings = len(events) - logins
-    print(f"workload: {logins} logins, {pings} activity pings over 300 ticks\n")
-
-    # -- expiration-enabled store -------------------------------------------
-    store = SessionStore(session_ttl=25)
-    store.replay(events)
-    store.database.advance_to(400)  # quiesce: every session ends eventually
-    stats = store.database.statistics
-
-    print("expiration-enabled session store:")
-    print(f"  sessions expired (trigger-driven logouts): {len(store.expired_log)}")
-    print(f"  explicit DELETE statements issued:          {stats.explicit_deletes}")
-    print(f"  delete transactions committed:              {stats.transactions_committed}")
-    print(f"  application cleanup code:                   none (engine-managed)")
-
-    # -- explicit-delete baseline ------------------------------------------------
-    baseline = ExplicitDeleteManager(
-        "Sessions", Schema(["sid", "user", "created_at"]), reap_interval=10
+    db = Database()
+    sessions = db.create_table(
+        "Sessions", ["sid", "user"],
+        expiry="since_last_modification", default_ttl=SESSION_TTL,
     )
-    sid_created = {}
-    peak_stale = 0
-    for event in events:
-        if event.time > baseline.database.now.value:
-            baseline.database.advance_to(event.time)
-            peak_stale = max(peak_stale, baseline.stale_tuples())
-            baseline.maybe_reap()
-        if event.kind == "login":
-            sid_created[event.sid] = event.time
-            baseline.insert((event.sid, event.user, event.time), lifetime=25)
+    logouts = []
+    sessions.triggers.register("on_logout", lambda event: logouts.append(event.tuple.row))
+
+    logins = pings = peak = 0
+    for time, kind, sid, user in events():
+        if time > db.now.value:
+            db.advance_to(time)
+        if kind == "login":
+            sessions.insert((sid, user))
+            logins += 1
         else:
-            created = sid_created.get(event.sid)
-            if created is not None:
-                # The baseline must delete + re-insert to "renew".
-                baseline.table.delete((event.sid, event.user, created))
-                baseline.insert((event.sid, event.user, created), lifetime=25)
-    baseline.database.advance_to(400)
-    baseline.reap()
+            sessions.touch((sid, user))
+            pings += 1
+        peak = max(peak, len(sessions))
+    db.advance_to(400)  # quiesce: every session ends eventually
+    stats = db.statistics
 
-    print("\nexplicit-delete baseline (reaper every 10 ticks):")
-    print(f"  DELETE transactions issued by the reaper:  {baseline.delete_transactions}")
-    print(f"  reaper runs:                                {baseline.reap_runs}")
-    print(f"  peak stale sessions served before a reap:   {peak_stale}")
-    print(f"  application cleanup code:                   deadline heap + reaper loop")
-
-    print("\nsummary: same workload, zero deletion traffic vs "
-          f"{baseline.delete_transactions} delete transactions.")
+    print(f"workload: {logins} logins, {pings} activity pings over 300 ticks\n")
+    print("expiration-enabled session store (idle timeout "
+          f"{SESSION_TTL} ticks):")
+    print(f"  peak concurrent sessions:                   {peak}")
+    print(f"  sessions expired (trigger-driven logouts): {len(logouts)}")
+    print(f"  renewals by touch:                          {stats.touches}")
+    print(f"  explicit DELETE statements issued:          {stats.explicit_deletes}")
+    print("  application cleanup code:                   none (engine-managed)")
+    print(f"\na reaper would have issued one DELETE per ended session: "
+          f"{len(logouts)} delete transactions.")
 
 
 if __name__ == "__main__":

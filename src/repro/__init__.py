@@ -37,7 +37,6 @@ from repro.core import (
     Timestamp,
     classify,
     is_monotonic,
-    optimise,
     relation_from_rows,
     ts,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "Timestamp",
     "classify",
     "is_monotonic",
-    "optimise",
     "relation_from_rows",
     "ts",
     "Aggregate",

@@ -3,8 +3,7 @@
 Everything from Section 2 and Section 3 of the paper lives here: the time
 domain, relations with per-tuple expirations, the expiration-aware algebra
 and its evaluator, the monotonicity classification, aggregation expiration
-strategies, Schrödinger validity semantics, difference patching, and the
-recomputation-postponing rewriter.
+strategies, Schrödinger validity semantics, and difference patching.
 """
 
 from repro.core.timestamps import FOREVER, INFINITY, Timestamp, ts, ts_max, ts_min
@@ -34,7 +33,6 @@ from repro.core.patching import (
     PatchedDifference,
     compute_difference_with_patches,
 )
-from repro.core.rewriter import Rewriter, compare_plans, optimise, recomputation_pressure
 from repro.core.approximate import (
     AbsoluteTolerance,
     EXACT_TOLERANCE,
@@ -80,10 +78,6 @@ __all__ = [
     "Patch",
     "PatchedDifference",
     "compute_difference_with_patches",
-    "Rewriter",
-    "compare_plans",
-    "optimise",
-    "recomputation_pressure",
     "AbsoluteTolerance",
     "EXACT_TOLERANCE",
     "RelativeTolerance",

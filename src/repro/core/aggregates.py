@@ -63,7 +63,6 @@ __all__ = [
     "value_timeline",
     "change_points",
     "exact_expiration",
-    "partition_invalidity",
     "tuple_validity_intervals",
 ]
 
@@ -618,30 +617,6 @@ def partition_invalidation_time(
     if nu < dies_at:
         return nu
     return INFINITY
-
-
-def partition_invalidity(
-    partition: Sequence[PartitionItem],
-    function: AggregateFunction,
-    tau: Timestamp,
-    materialised_expiration: Timestamp,
-) -> IntervalSet:
-    """Times when a *materialised* partition tuple disagrees with truth.
-
-    The materialised tuple (value ``f(exp_τ(P))``, expiring at
-    ``materialised_expiration``) is wrong at ``τ'`` iff exactly one of
-    "the tuple is visible" and "the recomputation at ``τ'`` would contain a
-    tuple with this value" holds.  This powers both Theorem-2 style
-    validity checks and the Schrödinger interval sets of Section 3.4.1.
-    """
-    visible = (
-        IntervalSet.single(tau, materialised_expiration)
-        if tau < materialised_expiration
-        else IntervalSet.empty()
-    )
-    correct = tuple_validity_intervals(partition, function, tau)
-    # Symmetric difference: visible-but-wrong ∪ absent-but-should-be-there.
-    return (visible - correct) | (correct - visible)
 
 
 def tuple_validity_intervals(

@@ -67,13 +67,14 @@ class Expression:
     """Base class for algebra expressions.
 
     Sub-classes are immutable value objects; the fluent methods below build
-    larger expressions without mutating their receivers.  The one slot
-    here, ``_template``, is the compiler's memo of
-    :func:`~repro.core.algebra.compiler.template_of` for this node; it is
-    not part of the value.
+    larger expressions without mutating their receivers.  The two slots
+    here are memos, not part of the value: ``_template`` is the compiler's
+    :func:`~repro.core.algebra.compiler.template_of` for this node, and
+    ``_hash`` is the node's hash, so a plan-cache lookup builds
+    :meth:`_key` (a σ's is its predicate's ``repr``) once per node.
     """
 
-    __slots__ = ("_template",)
+    __slots__ = ("_template", "_hash")
 
     # -- structure -----------------------------------------------------------
 
@@ -185,7 +186,12 @@ class Expression:
         return self._key() == other._key()  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((type(self).__name__, self._key()))
+            self._set("_hash", value)
+            return value
 
     def _key(self) -> tuple:
         raise NotImplementedError
@@ -226,7 +232,7 @@ class BaseRef(Expression):
 
 
 class Literal(Expression):
-    """An inline relation (used by tests, examples, and the rewriter)."""
+    """An inline relation (used by tests and examples)."""
 
     __slots__ = ("relation",)
 
@@ -414,8 +420,8 @@ class Intersect(Expression):
 class Join(Expression):
     """``R ⋈exp_p S = σexp_p'(R ×exp S)`` -- Equation (5).
 
-    Stored as a first-class node (rather than desugared immediately) so the
-    rewriter can reason about joins; the evaluator uses a hash join for
+    Stored as a first-class node (rather than desugared immediately) so
+    plans print and classify as joins; the evaluator uses a hash join for
     pure equi-joins and falls back to filter-over-product otherwise, both
     with identical semantics.
     """

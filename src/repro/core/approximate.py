@@ -31,7 +31,6 @@ from repro.core.aggregates import (
     AggregateFunction,
     PartitionItem,
     alive_steps,
-    get_aggregate,
     step_spans,
 )
 from repro.core.intervals import IntervalSet
@@ -43,10 +42,8 @@ __all__ = [
     "AbsoluteTolerance",
     "RelativeTolerance",
     "EXACT_TOLERANCE",
-    "approximate_count_validity",
     "approximate_expiration",
     "approximate_validity",
-    "max_observed_error",
 ]
 
 
@@ -149,56 +146,3 @@ def approximate_validity(
         if tolerance.accepts(reported, value)
     )
 
-
-def approximate_count_validity(
-    texps: Sequence[Timestamp],
-    tau: Timestamp,
-    tolerance: Tolerance,
-) -> "tuple[int, IntervalSet]":
-    """``(count, validity)`` for COUNT under expiration-only drift.
-
-    A count over an expiring partition only ever *decreases* as time
-    passes, so the accepted region is one contiguous interval ``[τ, h)``
-    where ``h`` is the first expiration instant at which the cumulative
-    drop leaves the tolerance band.  This is the continuous-query hot
-    path (:mod:`repro.workloads.streaming` re-derives each standing
-    count's ``I(e)`` from exactly this).
-
-    ``texps`` are the partition members' stored expirations; members dead
-    at ``τ`` are ignored.  The partition's death bounds the validity even
-    when every drop stays in band.  Equivalent to ``approximate_validity``
-    with :class:`~repro.core.aggregates.CountAggregate` on every input (a
-    property the test suite pins down).
-    """
-    steps, death = alive_steps(
-        [(None, texp) for texp in texps], get_aggregate("count"), tau
-    )
-    return steps[0][1], IntervalSet.single(
-        tau, _first_rejected(steps, death, tolerance)
-    )
-
-
-def max_observed_error(
-    partition: Sequence[PartitionItem],
-    function: AggregateFunction,
-    tau: Timestamp,
-    until: Timestamp,
-) -> Any:
-    """The largest absolute drift of the true value from the query-time
-    value over ``[τ, until)`` -- the error actually incurred by *not*
-    expiring the tuple in that window (used by the bench to verify that
-    tolerances bound the real error, not just the change count)."""
-    steps, _ = alive_steps(partition, function, tau)
-    reported = steps[0][1]
-    worst = 0
-    for start, value in steps:
-        # Steps start at τ and ascend: the window's left edge never cuts.
-        if not until > start:
-            break
-        try:
-            drift = abs(value - reported)
-        except TypeError:
-            continue  # a non-numeric value either matches or has no distance
-        if drift > worst:
-            worst = drift
-    return worst

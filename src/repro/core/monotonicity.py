@@ -11,7 +11,7 @@ containing them are valid only until ``texp(e)`` (Theorem 2) and then need
 recomputation or patching.
 
 This module provides the classification plus small analysis helpers used
-by the rewriter and the view manager to pick maintenance policies.
+by the view manager to pick maintenance policies.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "is_monotonic",
     "nonmonotonic_nodes",
     "nonmonotonic_count",
-    "maintenance_free",
 ]
 
 
@@ -70,13 +69,3 @@ def nonmonotonic_nodes(expression: Expression) -> List[Expression]:
 def nonmonotonic_count(expression: Expression) -> int:
     """How many non-monotonic operators the expression contains."""
     return len(nonmonotonic_nodes(expression))
-
-
-def maintenance_free(expression: Expression) -> bool:
-    """Alias for :func:`is_monotonic`, named for the maintenance story.
-
-    A maintenance-free materialisation only ever sheds tuples as they
-    expire; no recomputation, no patching, no communication with the base
-    relations is ever required (absent explicit updates).
-    """
-    return expression.is_monotonic()

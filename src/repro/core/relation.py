@@ -413,12 +413,6 @@ class Relation:
             return False
         return self._tuples == other._tuples
 
-    def same_rows(self, other: "Relation") -> bool:
-        """Equality of the row sets, ignoring expiration times."""
-        if self.schema.arity != other.schema.arity:
-            return False
-        return set(self._tuples) == set(other._tuples)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented

@@ -56,6 +56,7 @@ client-vs-truth divergence every ``probe_period`` ticks and fills the
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -76,6 +77,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.server.client import _WireSessionState
 from repro.server.protocol import encode_frame
 from repro.server.server import ReproServer, ServerEnd
+from repro.server.session import RetryPolicy
 
 __all__ = [
     "ReplicationStrategy",
@@ -390,6 +392,24 @@ class _Simulation:
         self.nodes.append(node)
         return node
 
+    def _retry_policy(self) -> RetryPolicy:
+        """The default backoff, its first resend no earlier than the
+        slowest node's round trip, so that an ack still on the wire is not
+        taken for a loss (the tick loop delivers an ack due at a tick
+        before it runs that tick's timers).
+
+        The round trip is the two links' latencies: their jitter is left
+        to the policy's own.  Waiting out the worst draw as well would
+        hold each lost envelope, and the envelopes queued behind it, that
+        much longer on a lossy link.
+        """
+        default = RetryPolicy()
+        round_trip = max(node.link.latency + node.back_link.latency
+                         for node in self.nodes)
+        first = max(default.base_delay, round_trip)
+        return dataclasses.replace(default, base_delay=first,
+                                   max_delay=max(default.max_delay, first))
+
     def _margin(self, link: Link) -> int:
         return (link.latency + link.jitter + 1
                 + self.server.retry.max_total_delay())
@@ -404,6 +424,7 @@ class _Simulation:
 
     def run(self) -> SyncReport:
         """Execute the scenario; returns the (first) client's report."""
+        self.server.retry = self._retry_policy()
         horizon = self._horizon_override
         if horizon is None:
             horizon = self._horizon()

@@ -2,17 +2,11 @@
 
 Substrate for the paper's data-management story: tables with expiration
 indexes and eager/lazy removal (Section 3.2), ON-EXPIRE triggers,
-expiration-aware integrity constraints, materialised views with the
-Section-3 maintenance policies, transactions, and a logical clock.
+materialised views with the Section-3 maintenance policies, transactions,
+and a logical clock.
 """
 
 from repro.engine.clock import LogicalClock
-from repro.engine.constraints import (
-    CheckConstraint,
-    Constraint,
-    ForeignKeyConstraint,
-    KeyConstraint,
-)
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.maintenance import supports_incremental
@@ -38,10 +32,6 @@ from repro.engine.wal import WriteAheadLog
 
 __all__ = [
     "LogicalClock",
-    "CheckConstraint",
-    "Constraint",
-    "ForeignKeyConstraint",
-    "KeyConstraint",
     "Database",
     "RemovalPolicy",
     "supports_incremental",

@@ -29,7 +29,7 @@ Snapshots are written *crash-safely*: :func:`save_database` goes through
 torn snapshot -- readers see either the old complete snapshot or the new
 complete snapshot.
 
-Not captured (they hold Python callables): triggers, constraints, and
+Not captured (they hold Python callables): triggers and
 incremental-view subscriptions -- re-register them after loading.  Values
 must be JSON-representable (int / float / str / bool / null), which is
 the attribute domain every workload in this repository uses.

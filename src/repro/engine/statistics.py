@@ -52,12 +52,6 @@ ENGINE_COUNTERS: Dict[str, tuple] = {
         "Expiration sweeps that had at least one due tuple."),
     "triggers_fired": (
         "repro_engine_triggers_fired_total", "ON-EXPIRE triggers fired."),
-    "constraint_checks": (
-        "repro_engine_constraint_checks_total",
-        "Integrity constraint evaluations on insert."),
-    "constraint_violations": (
-        "repro_engine_constraint_violations_total",
-        "Inserts rejected by an integrity constraint."),
     "view_recomputations": (
         "repro_views_recomputations_total",
         "Materialised-view refreshes that re-ran the full expression."),

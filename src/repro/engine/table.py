@@ -2,12 +2,12 @@
 
 A :class:`Table` combines a :class:`~repro.core.relation.Relation` (logical
 content), a :class:`~repro.core.schedule.Schedule` as its expiration
-index (efficient discovery of due tuples), a :class:`TriggerManager`, and
-a set of integrity constraints.  Storage comes in shards -- one for a flat
-table, ``partitions`` hash shards otherwise -- each with its own index and
-due buffer; every verb runs one mutation pipeline against the shard that
-owns the row, and one sweep runs over all of them.  It implements the
-Section 3.2 removal policies:
+index (efficient discovery of due tuples) and a :class:`TriggerManager`.
+Storage comes in shards -- one for a flat table, ``partitions`` hash
+shards otherwise -- each with its own index and due buffer; every verb
+runs one mutation pipeline against the shard that owns the row, and one
+sweep runs over all of them.  It implements the Section 3.2 removal
+policies:
 
 * **eager** -- on every clock advance the table drains its index, fires
   ON-EXPIRE triggers immediately, and physically removes the tuples;
@@ -41,7 +41,6 @@ from repro.engine.triggers import TriggerManager
 from repro.errors import EngineError, RelationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.engine.constraints import Constraint
     from repro.engine.database import Database
 
 __all__ = [
@@ -133,7 +132,7 @@ class Table:
 
     ``partitions=N`` hash-partitions the rows on ``partition_key``
     (default: the first column) into ``N`` shards.  External behaviour is
-    identical to a flat table -- same insert/delete/read/trigger/constraint
+    identical to a flat table -- same insert/delete/read/trigger
     semantics, same per-policy expiration metrics -- plus:
 
     * sweeps and vacuums run the bulk kernel shard after shard, on the
@@ -219,7 +218,6 @@ class Table:
             _Shard(relation, str(i)) for i, relation in enumerate(shard_relations)
         )
         self.triggers = TriggerManager(name)
-        self.constraints: List["Constraint"] = []
         #: Called with the stored ExpiringTuple after every successful
         #: insert (used by incremental view maintenance).
         self.insert_listeners: List = []
@@ -354,15 +352,6 @@ class Table:
         self._maybe_verify()
         return result
 
-    def _check_constraints(self, row: Row, stamp: Timestamp) -> None:
-        for constraint in self.constraints:
-            self.statistics.constraint_checks += 1
-            try:
-                constraint.check(self, row, stamp)
-            except Exception:
-                self.statistics.constraint_violations += 1
-                raise
-
     # -- modification ---------------------------------------------------------
 
     def insert(
@@ -394,11 +383,8 @@ class Table:
             raise RelationError(
                 f"cannot insert an already-expired tuple: {stamp} <= now {self.clock.now}"
             )
-        row = make_row(values)
-        if self.constraints:
-            self._check_constraints(row, stamp)
         return self._apply(
-            row, stamp, merge=True, inserted=True, counter="inserts"
+            make_row(values), stamp, merge=True, inserted=True, counter="inserts"
         )
 
     def delete(self, values: Iterable[Any]) -> bool:
@@ -492,10 +478,7 @@ class Table:
                 f"cannot override into the past: {stamp} < now "
                 f"{self.clock.now} (use expires_at=now to revoke immediately)"
             )
-        row = make_row(values)
-        if self.constraints:
-            self._check_constraints(row, stamp)
-        return self._apply(row, stamp, counter="overrides")
+        return self._apply(make_row(values), stamp, counter="overrides")
 
     # -- transaction rollback ---------------------------------------------------
 
@@ -533,10 +516,10 @@ class Table:
         one :meth:`insert` per row: rows are already-validated tuples, an
         expiration is a :class:`Timestamp` or the raw tick a snapshot
         segment holds (``RAW_INFINITY`` = never), the index is heapified at
-        most once per shard, and nothing is logged, counted,
-        announced to listeners or checked against constraints -- nor
-        against the clock, on purpose: a lazy-policy snapshot may hold
-        expired-but-unreclaimed tuples that the next vacuum will process.
+        most once per shard, and nothing is logged, counted or announced
+        to listeners -- nor checked against the clock, on purpose: a
+        lazy-policy snapshot may hold expired-but-unreclaimed tuples that
+        the next vacuum will process.
         Returns the number of pairs loaded.
         """
         count = 0
@@ -559,7 +542,7 @@ class Table:
         :class:`Timestamp` or a log record's raw tick): storage applies
         every op, the index takes each row's *final* action only -- the
         state per-record replay would have converged to -- and, as with
-        :meth:`bulk_load`, no log, counter, listener or constraint runs.
+        :meth:`bulk_load`, no log, counter or listener runs.
         """
         for shard, bucket in self._buckets(ops):
             shard.relation.bulk_restore(bucket)
@@ -699,14 +682,6 @@ class Table:
             self.database._maybe_verify()
 
     # -- metadata ---------------------------------------------------------------------
-
-    def add_constraint(self, constraint: "Constraint") -> None:
-        """Attach an integrity constraint (checked on future inserts)."""
-        if any(c.name == constraint.name for c in self.constraints):
-            raise EngineError(
-                f"duplicate constraint name {constraint.name!r} on {self.name!r}"
-            )
-        self.constraints.append(constraint)
 
     def __repr__(self) -> str:
         partitioned = (

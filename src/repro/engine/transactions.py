@@ -5,7 +5,7 @@ traditional system issues one delete transaction per elapsed lifetime, an
 expiration-enabled system issues none.  To make that comparison honest the
 engine supports grouped atomic modifications: a :class:`Transaction`
 buffers inserts and deletes and applies them atomically on commit, undoing
-partial work if a constraint rejects any of them.
+partial work if any of them fails.
 
 This is deliberately lightweight -- single-writer, no concurrency control --
 because the paper's setting (loosely-coupled, non-ACID) explicitly

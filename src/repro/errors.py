@@ -57,10 +57,6 @@ class ClockError(EngineError):
     """Attempt to move a logical clock backwards."""
 
 
-class ConstraintViolation(EngineError):
-    """An integrity constraint rejected a modification."""
-
-
 class InvariantViolation(EngineError):
     """A cross-structure consistency invariant does not hold.
 

@@ -1,9 +1,9 @@
 """Execution of parsed SQL statements against a Database.
 
 The executor is the thin glue between the SQL front end and the engine:
-DDL manipulates the catalog, DML goes through the tables (so constraints,
-triggers, and statistics all apply), and queries are planned to the
-algebra and evaluated at the database's current logical time.
+DDL manipulates the catalog, DML goes through the tables (so triggers and
+statistics apply), and queries are planned to the algebra and evaluated
+at the database's current logical time.
 
 ``EXPIRES AT`` / ``EXPIRES IN`` on INSERT is the dialect's only
 expiration-time surface, mirroring the paper's "exposed to users only on
@@ -337,15 +337,12 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
 
 def _explain(db: Database, statement: ExplainStatement) -> SqlResult:
     from repro.core.monotonicity import classify, nonmonotonic_count
-    from repro.core.rewriter import optimise
 
     expression = plan_query(statement.query, _source_resolver(db))
-    rewritten = optimise(expression, db.schema_resolver)
-    result = db.evaluate(rewritten, trace=statement.analyze)
+    result = db.evaluate(expression, trace=statement.analyze)
     cache = db.plan_cache.stats
     lines = [
         f"plan:       {expression!r}",
-        f"rewritten:  {rewritten!r}",
         f"class:      {classify(expression).value} "
         f"({nonmonotonic_count(expression)} non-monotonic operator(s))",
         f"rows now:   {len(result.relation)}",

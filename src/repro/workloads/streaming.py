@@ -34,9 +34,9 @@ threshold -- the scan-detection query the network-monitoring example
 builds on), all three exact and all three users of the one schedule;
 :class:`ReservoirSample` (bounded reservoir over the unexpired set,
 refilled from live storage when expiration drains it); and
-:class:`ExtentAggregate` (diameter and greedy k-center over a numeric
-attribute, validity-guarded via tolerance-widened min/max acceptance
-bands from :mod:`repro.core.approximate`).
+:class:`ExtentAggregate` (the diameter of a numeric attribute,
+validity-guarded via tolerance-widened min/max acceptance bands from
+:mod:`repro.core.approximate`).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from repro.core.approximate import (
 from repro.core.intervals import IntervalSet
 from repro.core.schedule import Schedule
 from repro.core.schema import Schema
-from repro.core.timestamps import RAW_INFINITY, Timestamp, to_raw, ts
+from repro.core.timestamps import RAW_INFINITY, Timestamp, to_raw
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.table import Table
@@ -415,33 +415,6 @@ class ExtentAggregate(StandingQuery):
             return None
         return self._hi - self._lo
 
-    def k_center(self, k: int, at=None) -> Tuple[List[Any], Any]:
-        """Greedy farthest-point ``k``-centers over the live values.
-
-        The 2-approximation (Gonzalez) the GESM paper adapts to expiring
-        streams, run here over the unexpired set: returns ``(centers,
-        radius)`` where every live value is within ``radius`` of some
-        center.  ``(([], 0))`` on an empty stream.
-        """
-        if k <= 0:
-            raise EngineError(f"k must be positive, got {k}")
-        tau = self.table.clock.now if at is None else ts(at)
-        values = sorted(
-            {row[self.attribute] for row, _ in self._live_items(tau)}
-        )
-        if not values:
-            return [], 0
-        centers = [values[0]]
-        while len(centers) < k and len(centers) < len(values):
-            farthest = max(
-                values, key=lambda v: min(abs(v - c) for c in centers)
-            )
-            if any(farthest == c for c in centers):
-                break
-            centers.append(farthest)
-        radius = max(min(abs(v - c) for c in centers) for v in values)
-        return centers, radius
-
 
 class ThresholdWatch(_KeyedCount):
     """Per-group distinct counts against a threshold (scan detection).
@@ -656,7 +629,7 @@ class StreamStore:
         tolerance: Tolerance = EXACT_TOLERANCE,
         name: Optional[str] = None,
     ) -> ExtentAggregate:
-        """A standing diameter/k-center extent over a numeric attribute."""
+        """A standing diameter extent over a numeric attribute."""
         name = name if name is not None else f"{stream}:extent:{attribute}"
         return self._add(ExtentAggregate, name, stream, attribute, tolerance)
 

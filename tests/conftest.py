@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.fixtures import figure1_database, figure1_el, figure1_pol
+
 from repro.core.relation import Relation
 from repro.engine.database import Database
-from repro.workloads.news import figure1_database, figure1_el, figure1_pol
 
 
 @pytest.fixture

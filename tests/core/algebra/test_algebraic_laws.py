@@ -142,7 +142,7 @@ class TestDifferenceLaws:
             Difference(BaseRef("R"), Difference(BaseRef("R"), BaseRef("S"))), catalog
         )
         inter = content(Intersect(BaseRef("R"), BaseRef("S")), catalog)
-        assert double.same_rows(inter)
+        assert set(double.rows()) == set(inter.rows())
 
     @settings(**settings_kwargs)
     @given(r=relations(), s=relations())

@@ -220,3 +220,22 @@ class TestDatabaseIntegration:
         db.advance_to(25)
         db.evaluate(expr, at=5)  # behind the clock: floor forbids a hit
         assert db.plan_cache.stats.hits == 0
+
+
+class TestExpressionHash:
+    def test_a_node_builds_its_key_once(self, monkeypatch):
+        """A plan-cache lookup hashes one plan more than once; the node
+        keeps its hash, so its ``_key`` (for a σ, the predicate's
+        ``repr``) is built on the first ``hash`` only."""
+        from repro.core.algebra.expressions import Select
+
+        plan = BaseRef("R").select(col(1) == 1)
+        built = []
+        key = Select._key
+        monkeypatch.setattr(Select, "_key",
+                            lambda node: built.append(node) or key(node))
+        first, second = hash(plan), hash(plan)
+        assert first == second
+        assert built == [plan]
+        twin = BaseRef("R").select(col(1) == 1)
+        assert hash(twin) == first and twin == plan

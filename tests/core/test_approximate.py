@@ -18,7 +18,6 @@ from repro.core.approximate import (
     RelativeTolerance,
     approximate_expiration,
     approximate_validity,
-    max_observed_error,
 )
 from repro.core.intervals import IntervalSet
 from repro.core.timestamps import INFINITY, ts
@@ -27,6 +26,26 @@ from repro.errors import AggregateError
 
 def items(*pairs):
     return [(value, ts(texp)) for value, texp in pairs]
+
+
+def max_observed_error(partition, function, tau, until):
+    """The largest drift of the true value from the value at ``tau`` over
+    ``[tau, until)`` while the partition lives, tick by tick: the error
+    actually incurred by serving the ``tau`` value that long."""
+    last = max((texp.value for _, texp in partition if texp.is_finite),
+               default=tau.value + 1)
+    reported, worst = None, 0
+    for tick in range(tau.value, last):
+        if not ts(tick) < until:
+            break
+        live = [value for value, texp in partition if texp > ts(tick)]
+        if not live:
+            break
+        value = function.apply(live)
+        if reported is None:
+            reported = value
+        worst = max(worst, abs(value - reported))
+    return worst
 
 
 class TestTolerances:

@@ -17,7 +17,6 @@ from repro.core.monotonicity import (
     ExpressionClass,
     classify,
     is_monotonic,
-    maintenance_free,
     nonmonotonic_count,
     nonmonotonic_nodes,
 )
@@ -59,7 +58,7 @@ class TestClassification:
             Select(Join(BaseRef("R"), BaseRef("S"), on=[(1, 1)]), col(2) == 3),
             (1, 2),
         )
-        assert maintenance_free(expr)
+        assert is_monotonic(expr)
 
 
 class TestAnalysis:

@@ -172,12 +172,6 @@ class TestEqualityAndCopy:
         assert a.same_content(b)
         assert a != b  # full equality includes schema
 
-    def test_same_rows_ignores_texps(self):
-        a = relation_from_rows(["x"], [((1,), 5)])
-        b = relation_from_rows(["x"], [((1,), 99)])
-        assert a.same_rows(b)
-        assert not a.same_content(b)
-
     def test_copy_is_independent(self, pol):
         clone = pol.copy()
         clone.delete((1, 25))

@@ -1,35 +1,16 @@
-"""Tests for the Section 3.1 rewriter: equivalence + postponed texp(e)."""
+"""Section 3.1's rewrite ``σ_p(R − S) → σ_p(R) − σ_p(S)``, over hand-built
+plans: both hold the same tuples at the same expirations, and the pushed
+plan's ``texp(e)`` is never earlier.  The engine's planner already places
+a σ at the leaves it can reach; ``benchmarks/paper.py``'s S31 prints the
+two plans side by side."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algebra.evaluator import evaluate
-from repro.core.algebra.expressions import (
-    Aggregate,
-    AggregateSpec,
-    BaseRef,
-    Difference,
-    Product,
-    Project,
-    Select,
-    Union,
-)
-from repro.core.algebra.predicates import TruePredicate, col
+from repro.core.algebra.expressions import BaseRef, Difference, Select
+from repro.core.algebra.predicates import col
 from repro.core.relation import relation_from_rows
-from repro.core.rewriter import (
-    Rewriter,
-    compare_plans,
-    drop_trivial_select,
-    merge_selects,
-    optimise,
-    push_select_below_project,
-    push_select_into_aggregate,
-    push_select_into_difference,
-    push_select_into_product,
-    push_select_into_union,
-    recomputation_pressure,
-)
 
 values = st.integers(min_value=0, max_value=3)
 texps = st.one_of(st.integers(min_value=1, max_value=12), st.none())
@@ -42,113 +23,11 @@ def relations(max_size=6):
     )
 
 
-def resolver_for(catalog):
-    return lambda name: catalog[name].schema
-
-
-class TestIndividualRules:
-    def test_merge_selects(self, catalog):
-        expr = Select(Select(BaseRef("Pol"), col(1) == 1), col(2) == 25)
-        merged = merge_selects(expr, resolver_for(catalog))
-        assert isinstance(merged, Select)
-        assert isinstance(merged.child, BaseRef)
-
-    def test_drop_trivial(self, catalog):
-        expr = Select(BaseRef("Pol"), TruePredicate())
-        assert drop_trivial_select(expr, resolver_for(catalog)) == BaseRef("Pol")
-
-    def test_push_into_difference(self, catalog):
-        expr = Select(Difference(BaseRef("Pol"), BaseRef("El")), col(2) == 25)
-        pushed = push_select_into_difference(expr, resolver_for(catalog))
-        assert isinstance(pushed, Difference)
-        assert isinstance(pushed.left, Select)
-        assert isinstance(pushed.right, Select)
-
-    def test_push_into_union(self, catalog):
-        expr = Select(Union(BaseRef("Pol"), BaseRef("El")), col(2) == 25)
-        pushed = push_select_into_union(expr, resolver_for(catalog))
-        assert isinstance(pushed, Union)
-
-    def test_push_into_product_routes_conjuncts(self, catalog):
-        expr = Select(
-            Product(BaseRef("Pol"), BaseRef("El")),
-            (col(2) == 25) & (col(4) == 85) & (col(1) == col(3)),
-        )
-        pushed = push_select_into_product(expr, resolver_for(catalog))
-        # The mixed conjunct stays on top; the pure ones moved down.
-        assert isinstance(pushed, Select)
-        assert isinstance(pushed.child, Product)
-        assert isinstance(pushed.child.left, Select)
-        assert isinstance(pushed.child.right, Select)
-
-    def test_push_into_product_no_match(self, catalog):
-        expr = Select(
-            Product(BaseRef("Pol"), BaseRef("El")), col(1) == col(3)
-        )
-        assert push_select_into_product(expr, resolver_for(catalog)) is None
-
-    def test_push_below_project(self, catalog):
-        expr = Select(Project(BaseRef("Pol"), (2,)), col(1) == 25)
-        pushed = push_select_below_project(expr, resolver_for(catalog))
-        assert isinstance(pushed, Project)
-        assert isinstance(pushed.child, Select)
-        # The predicate was re-addressed: output position 1 -> child pos 2.
-        result = evaluate(pushed, catalog)
-        assert set(result.relation.rows()) == {(25,)}
-
-    def test_push_into_aggregate_on_group_attrs(self, catalog):
-        agg = Aggregate(BaseRef("Pol"), (2,), AggregateSpec("count"))
-        expr = Select(agg, col(2) == 25)
-        pushed = push_select_into_aggregate(expr, resolver_for(catalog))
-        assert isinstance(pushed, Aggregate)
-        assert isinstance(pushed.child, Select)
-
-    def test_push_into_aggregate_rejects_nongroup_predicate(self, catalog):
-        agg = Aggregate(BaseRef("Pol"), (2,), AggregateSpec("count"))
-        expr = Select(agg, col(1) == 1)  # uid is not a grouping attribute
-        assert push_select_into_aggregate(expr, resolver_for(catalog)) is None
-
-    def test_push_into_aggregate_rejects_agg_column(self, catalog):
-        agg = Aggregate(BaseRef("Pol"), (2,), AggregateSpec("count"))
-        expr = Select(agg, col(3) == 2)  # position 3 is the count column
-        assert push_select_into_aggregate(expr, resolver_for(catalog)) is None
-
-    def test_push_into_semijoin_and_antijoin(self, catalog):
-        from repro.core.algebra.evaluator import evaluate
-        from repro.core.algebra.expressions import AntiSemiJoin, SemiJoin
-        from repro.core.rewriter import push_select_into_semijoin
-
-        for cls in (SemiJoin, AntiSemiJoin):
-            expr = Select(
-                cls(BaseRef("Pol"), BaseRef("El"), on=[(1, 1)]), col(2) == 25
-            )
-            pushed = push_select_into_semijoin(expr, resolver_for(catalog))
-            assert isinstance(pushed, cls)
-            assert isinstance(pushed.left, Select)
-            original = evaluate(expr, catalog, tau=0)
-            optimised = evaluate(pushed, catalog, tau=0)
-            assert original.relation.same_content(optimised.relation)
-            assert original.expiration <= optimised.expiration
-
-
-class TestFixpoint:
-    def test_applies_transitively(self, catalog):
-        # σ_p(σ_q(Pol − El)) -> σ_{p∧q}(Pol) − σ_{p∧q}(El).
-        expr = Select(
-            Select(Difference(BaseRef("Pol"), BaseRef("El")), col(2) == 25),
-            col(1) == 2,
-        )
-        rewriter = Rewriter()
-        rewritten = rewriter.rewrite(expr, resolver_for(catalog))
-        assert isinstance(rewritten, Difference)
-        assert "merge_selects" in rewriter.applied
-        assert "push_select_into_difference" in rewriter.applied
-
-    def test_idempotent(self, catalog):
-        expr = Select(Difference(BaseRef("Pol"), BaseRef("El")), col(2) == 25)
-        once = optimise(expr, resolver_for(catalog))
-        twice = optimise(once, resolver_for(catalog))
-        assert once == twice
+def plans(constant):
+    """``σ_p(R − S)`` and its rewrite ``σ_p(R) − σ_p(S)``."""
+    p = col(2) == constant
+    return (Select(Difference(BaseRef("R"), BaseRef("S")), p),
+            Difference(Select(BaseRef("R"), p), Select(BaseRef("S"), p)))
 
 
 class TestSemanticPreservation:
@@ -161,19 +40,16 @@ class TestSemanticPreservation:
     )
     def test_difference_pushdown_preserves_content(self, r, s, constant, tau):
         catalog = {"R": r, "S": s}
-        expr = Select(Difference(BaseRef("R"), BaseRef("S")), col(2) == constant)
-        rewritten = optimise(expr, resolver_for(catalog))
-        original = evaluate(expr, catalog, tau=tau)
-        optimised = evaluate(rewritten, catalog, tau=tau)
-        assert original.relation.same_content(optimised.relation)
+        original, pushed = plans(constant)
+        assert evaluate(original, catalog, tau=tau).relation.same_content(
+            evaluate(pushed, catalog, tau=tau).relation)
 
     @settings(max_examples=60, deadline=None)
     @given(r=relations(), s=relations(), constant=values)
     def test_rewrite_never_hurts_expiration(self, r, s, constant):
         """The paper's Section 3.1 claim: rewriting postpones texp(e)."""
         catalog = {"R": r, "S": s}
-        expr = Select(Difference(BaseRef("R"), BaseRef("S")), col(2) == constant)
-        before, after = compare_plans(expr, catalog, tau=0)
+        before, after = (evaluate(plan, catalog) for plan in plans(constant))
         assert before.expiration <= after.expiration
         # And the validity set only grows.
         assert (before.validity - after.validity).is_empty
@@ -185,23 +61,8 @@ class TestSemanticPreservation:
         r = relation_from_rows(["a", "b"], [((1, 0), 20), ((2, 9), 30)])
         s = relation_from_rows(["a", "b"], [((1, 0), 5), ((2, 9), 6)])
         catalog = {"R": r, "S": s}
-        expr = Select(Difference(BaseRef("R"), BaseRef("S")), col(2) == 9)
-        before, after = compare_plans(expr, catalog, tau=0)
+        before, after = (evaluate(plan, catalog) for plan in plans(9))
         # Unpushed: texp(e) = 5 (tuple (1,0) is critical inside the diff).
         # Pushed: only (2,9) remains critical -> texp(e) = 6.
         assert int(before.expiration) == 5
         assert int(after.expiration) == 6
-
-
-class TestPlanReports:
-    def test_report_fields(self, catalog):
-        expr = Select(Difference(BaseRef("Pol"), BaseRef("El")), col(2) == 25)
-        report = recomputation_pressure(expr, catalog, tau=0)
-        assert report.tuples_scanned > 0
-        assert report.result_size >= 0
-
-    def test_valid_duration(self, catalog):
-        expr = BaseRef("Pol").project(1).difference(BaseRef("El").project(1))
-        report = recomputation_pressure(expr, catalog, tau=0)
-        # Valid on [0,3) and [15,horizon) within horizon 20 -> 3 + 5.
-        assert report.valid_duration_before(20) == 8

@@ -10,11 +10,12 @@ protocol beside the stream.
 
 import pytest
 
+from benchmarks.fixtures import UniformLifetime, random_stream
+
 from repro.distributed.faults import BurstLoss, FaultSchedule, LinkFlap, NodeCrash
 from repro.distributed.link import Link
 from repro.distributed.simulator import ReplicationSimulation, ReplicationStrategy
 from repro.errors import FaultInjectionError
-from repro.workloads.generators import UniformLifetime, random_stream
 
 
 class TestFaultValidation:

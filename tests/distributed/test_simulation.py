@@ -6,6 +6,8 @@ counted in frames, ``subscribe`` + ``sub-ok`` (2) included, acks apart.
 
 import pytest
 
+from benchmarks.fixtures import UniformLifetime, overlapping_relations, random_stream
+
 from repro.core.timestamps import ts
 from repro.distributed.link import Link
 from repro.distributed.simulator import (
@@ -14,7 +16,6 @@ from repro.distributed.simulator import (
     ReplicationStrategy,
     ViewMaintenanceStrategy,
 )
-from repro.workloads.generators import UniformLifetime, overlapping_relations, random_stream
 
 
 def small_workload():
@@ -131,10 +132,9 @@ class TestFanOut:
     def test_expiration_scales_without_delete_traffic(self):
         expiration = self.make(ReplicationStrategy.EXPIRATION).run()
         baseline = self.make(ReplicationStrategy.EXPLICIT_DELETE).run()
-        # Beyond each client's subscription (2 frames) and the resends a
-        # round trip longer than the first retry timer costs, one insert
-        # per (client, insert) for both; the baseline adds one delete per
-        # (client, expiration).
+        # Beyond each client's subscription (2 frames) and any resends, one
+        # insert per (client, insert) for both; the baseline adds one
+        # delete per (client, expiration).
         def first_sends(report):
             return report.messages - 2 * 3 - report.retransmissions
 
@@ -143,6 +143,16 @@ class TestFanOut:
         assert expiration.consistency == 1.0
         assert expiration.detail["worst_client_consistency"] == 1.0
         assert baseline.detail["worst_client_consistency"] < 1.0
+
+    def test_no_resend_while_an_ack_is_in_flight(self):
+        # Lossless links of latency 1-3: every ack comes back within the
+        # slowest round trip, so the first retry timer never fires.
+        simulation = self.make(ReplicationStrategy.EXPIRATION)
+        report = simulation.run()
+        assert report.retransmissions == 0
+        assert [node.report.retransmissions
+                for node in simulation.simulation.nodes] == [0, 0, 0]
+        assert simulation.simulation.server.retry.base_delay == 6
 
     def test_skewed_clients_stay_conservative(self):
         from repro.distributed.simulator import FanOutSimulation

@@ -19,6 +19,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from benchmarks.fixtures import (
+    UniformLifetime,
+    overlapping_relations,
+    random_stream,
+)
+
 from repro.distributed.faults import BurstLoss, FaultSchedule, LinkFlap, NodeCrash
 from repro.distributed.link import Link
 from repro.distributed.simulator import (
@@ -27,11 +33,6 @@ from repro.distributed.simulator import (
     ReplicationSimulation,
     ReplicationStrategy,
     ViewMaintenanceStrategy,
-)
-from repro.workloads.generators import (
-    UniformLifetime,
-    overlapping_relations,
-    random_stream,
 )
 
 GOLDEN = Path(__file__).with_name("data") / "sync_golden.json"

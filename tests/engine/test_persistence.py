@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.fixtures import figure1_database
+
 import repro
 from repro.codec import HEADER, encode_segment
 from repro.core.timestamps import INFINITY, ts
@@ -25,7 +27,6 @@ from repro.engine.views import MaintenancePolicy
 from repro.engine.wal import scan_log
 from repro.errors import EngineError, RecoveryError
 from repro.server.protocol import FrameDecoder, encode_frame
-from repro.workloads.news import figure1_database
 
 
 class TestRoundtrip:

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.core.algebra.predicates import col
 from repro.core.timestamps import INFINITY, ts
-from repro.engine.constraints import CheckConstraint
 from repro.engine.database import Database
 from repro.engine.transactions import TransactionState
-from repro.errors import ConstraintViolation, TransactionError
+from repro.errors import RelationError, TransactionError
 
 
 @pytest.fixture
@@ -49,33 +47,33 @@ class TestCommit:
 
 
 class TestAtomicity:
-    def test_constraint_failure_undoes_everything(self, db):
-        db.table("T").add_constraint(CheckConstraint("pos", col("v") > 0))
+    # Each transaction below fails on its last operation: inserting a row
+    # that is already expired (texp <= now) is refused at commit.
+
+    def test_failed_insert_undoes_everything(self, db):
         txn = db.transaction()
         txn.insert("T", (1, 5))
-        txn.insert("T", (2, -1))  # violates
-        with pytest.raises(ConstraintViolation):
+        txn.insert("T", (2, -1), expires_at=0)  # already expired
+        with pytest.raises(RelationError):
             txn.commit()
         assert len(db.table("T")) == 0
         assert txn.state is TransactionState.ABORTED
 
     def test_undo_restores_previous_expiration(self, db):
-        db.table("T").add_constraint(CheckConstraint("pos", col("v") > 0))
         db.table("T").insert((1, 5), expires_at=10)
         txn = db.transaction()
         txn.insert("T", (1, 5), expires_at=99)  # lifetime extension
-        txn.insert("T", (2, -1))  # violates -> rollback
-        with pytest.raises(ConstraintViolation):
+        txn.insert("T", (2, -1), expires_at=0)  # refused -> rollback
+        with pytest.raises(RelationError):
             txn.commit()
         assert db.table("T").relation.expiration_of((1, 5)) == ts(10)
 
     def test_undo_restores_deleted_row(self, db):
-        db.table("T").add_constraint(CheckConstraint("pos", col("v") > 0))
         db.table("T").insert((1, 5), expires_at=10)
         txn = db.transaction()
         txn.delete("T", (1, 5))
-        txn.insert("T", (2, -1))
-        with pytest.raises(ConstraintViolation):
+        txn.insert("T", (2, -1), expires_at=0)
+        with pytest.raises(RelationError):
             txn.commit()
         assert (1, 5) in db.table("T").relation
         assert db.table("T").relation.expiration_of((1, 5)) == ts(10)

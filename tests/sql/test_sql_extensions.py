@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.core.intervals import IntervalSet
 from repro.core.timestamps import ts
 from repro.engine.database import Database
 from repro.errors import SqlParseError, SqlPlanError
@@ -243,13 +244,41 @@ class TestExplain:
         assert "class:      monotonic" in message
         assert "texp(e):    inf" in message
 
-    def test_shows_rewrite(self, db):
+    def test_prints_one_plan(self, db):
         message = execute_sql(
             db,
             "EXPLAIN SELECT uid FROM Pol WHERE deg = 25 "
             "EXCEPT SELECT uid FROM El"
         ).message
-        assert "plan:" in message and "rewritten:" in message
+        assert [line for line in message.splitlines()
+                if line.startswith("plan:")] == [
+            "plan:       (π[1](σ[(col(2) = val(25))](Pol)) − π[1](El))"]
+        assert "rewritten" not in message
+
+    def test_describes_the_plan_the_select_runs(self):
+        """``σ_p`` over a difference view: the statement evaluates
+        ``σ_p(R − S)``, and EXPLAIN's ``texp(e)`` and ``I(e)`` are that
+        plan's, not those of ``σ_p(R) − σ_p(S)`` (20, ``[0, 20) ∪ [50, ∞)``
+        here: the critical tuple the selection drops expires first)."""
+        db = Database()
+        execute_script(db, """
+            CREATE TABLE R (k, v);
+            CREATE TABLE S (k, v);
+            INSERT INTO R VALUES (1, 1), (2, 2) EXPIRES AT 50;
+            INSERT INTO S VALUES (1, 1) EXPIRES AT 20;
+            INSERT INTO S VALUES (2, 2) EXPIRES AT 10;
+            CREATE MATERIALIZED VIEW d AS SELECT * FROM R EXCEPT SELECT * FROM S;
+        """)
+        query = "SELECT * FROM d WHERE v = 1"
+        execute_sql(db, query)
+        _, plan = db.statement_cache.get(query, db.schema_version)
+        ran = db.evaluate(plan)
+        assert (ran.expiration, ran.validity) == (
+            ts(10), IntervalSet.from_pairs([(0, 10), (50, None)]))
+        message = execute_sql(db, f"EXPLAIN {query}").message
+        assert f"plan:       {plan!r}" in message
+        assert f"texp(e):    {ran.expiration}" in message
+        assert f"valid in:   {ran.validity!r}" in message
 
 
 class TestDescribe:

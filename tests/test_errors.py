@@ -8,7 +8,6 @@ import repro.errors as errors_module
 from repro.errors import (
     AlgebraError,
     CatalogError,
-    ConstraintViolation,
     EngineError,
     ReproError,
     SchemaError,
@@ -33,7 +32,6 @@ class TestHierarchy:
     def test_specific_parentage(self):
         assert issubclass(UnionCompatibilityError, SchemaError)
         assert issubclass(CatalogError, EngineError)
-        assert issubclass(ConstraintViolation, EngineError)
         assert issubclass(StaleViewError, ViewError)
         assert issubclass(SqlParseError, SqlError)
         assert issubclass(SqlLexError, SqlError)

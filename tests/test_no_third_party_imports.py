@@ -35,8 +35,7 @@ def test_importing_the_package_pulls_in_no_third_party_module():
 
 def test_no_engine_module_imports_the_reference_interpreter():
     """``repro.engine`` runs compiled plans only; the row-at-a-time
-    ``Evaluator`` is constructed by ``repro.check``, ``repro.baselines``
-    and ``core/`` helpers (``EvalResult`` / ``EvalStats`` are data, and
+    ``Evaluator`` is constructed by ``repro.check`` and ``core/`` helpers (``EvalResult`` / ``EvalStats`` are data, and
     fine)."""
     engine = _SRC / "repro" / "engine"
     offenders = []

@@ -15,6 +15,7 @@ import functools
 import pytest
 
 from benchmarks import paper
+from benchmarks.fixtures import figure1_el, figure1_pol
 
 from repro.core.aggregates import ExpirationStrategy
 from repro.core.algebra.evaluator import evaluate
@@ -23,7 +24,6 @@ from repro.core.intervals import IntervalSet
 from repro.core.patching import PatchedDifference
 from repro.core.relation import relation_from_rows
 from repro.core.timestamps import INFINITY, ts
-from repro.workloads.news import figure1_el, figure1_pol
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,4 +294,16 @@ class TestPrinter:
         assert list(dict.fromkeys(keys)) == [
             "F1", "F2", "F3", "T1", "T2", "TH1", "TH2", "TH3",
             "S31", "S32", "S34a", "S34b", "D1",
+        ]
+
+    def test_section_31_rows(self):
+        """S31's rows, pinned: ``σ_p(R − S)`` and its rewrite
+        ``σ_p(R) − σ_p(S)``, both built by hand and evaluated by the
+        interpreter."""
+        [(_, _, rows)] = _artefact(paper.rewriting).tables
+        assert rows == [
+            ("v = 0", "10", "10", 48, 118),
+            ("v = 2", "10", "30", 48, 116),
+            ("v = 4", "10", "50", 48, 118),
+            ("v = 6", "10", "70", 48, 117),
         ]

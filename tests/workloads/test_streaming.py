@@ -498,7 +498,7 @@ class TestReservoirSample:
         assert sample.read() == []
 
 
-class TestExtentAndKCenter:
+class TestExtent:
     def test_endpoint_death_shrinks_extent_same_read(self):
         store = make_store(ttl=50)
         extent = store.extent("s", "value")
@@ -507,25 +507,6 @@ class TestExtentAndKCenter:
         assert extent.read() == 100
         store.database.tick(5)
         assert extent.read() == 0  # no stale serve after the endpoint died
-
-    def test_k_center_radius_bounded_by_diameter(self):
-        store = make_store(ttl=40)
-        extent = store.extent("s", "value")
-        rng = random.Random(20060411)
-        for i in range(60):
-            store.ingest("s", (i, rng.randrange(1000)), ttl=rng.randint(5, 40))
-        diameter = extent.read()
-        centers, radius = extent.k_center(3)
-        assert len(centers) <= 3
-        assert radius <= diameter
-        # More centers never hurt.
-        _, radius5 = extent.k_center(5)
-        assert radius5 <= radius
-
-    def test_k_center_empty_stream(self):
-        store = make_store(ttl=5)
-        extent = store.extent("s", "value")
-        assert extent.k_center(2) == ([], 0)
 
 
 class TestThresholdWatch:

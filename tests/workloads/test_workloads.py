@@ -1,16 +1,14 @@
-"""Tests for the workload generators and scenario stores."""
+"""Tests for the seeded generators and the Figure 1 fixture that the
+paper printer, the benchmark gates and the tests build on
+(``benchmarks/fixtures.py``)."""
+
+import random
 
 import pytest
 
-from repro.core.timestamps import ts
-from repro.errors import ReproError
-from repro.workloads import (
+from benchmarks.fixtures import (
     ConstantLifetime,
     GeometricLifetime,
-    NewsWorkload,
-    SensorFleet,
-    SessionStore,
-    SessionWorkload,
     UniformLifetime,
     ZipfLifetime,
     figure1_el,
@@ -20,7 +18,8 @@ from repro.workloads import (
     random_stream,
 )
 
-import random
+from repro.core.timestamps import ts
+from repro.errors import ReproError
 
 
 class TestLifetimeDistributions:
@@ -108,59 +107,3 @@ class TestFigure1Fixtures:
     def test_el(self):
         el = figure1_el()
         assert el.expiration_of((4, 90)) == ts(2)
-
-
-class TestNewsWorkload:
-    def test_build_database(self):
-        db = NewsWorkload(users=30, seed=1).build_database()
-        assert set(db.table_names()) == {"El", "Pol", "Sport"}
-        assert len(db.table("Pol")) > 0
-
-    def test_renewal_stream(self):
-        workload = NewsWorkload(users=10, seed=1)
-        stream = workload.renewal_stream("Pol", horizon=50)
-        assert stream
-        times = [t for t, _, _ in stream]
-        assert times == sorted(times)
-
-
-class TestSessionStore:
-    def test_expiry_trigger(self):
-        store = SessionStore(session_ttl=5)
-        store.login(1)
-        store.database.advance_to(5)
-        assert store.expired_log == [(1, 1)]
-
-    def test_renewal_keeps_alive(self):
-        store = SessionStore(session_ttl=5)
-        sid = store.login(1)
-        for when in range(1, 20):
-            store.database.advance_to(when)
-            store.touch(sid, 1)
-        assert store.is_active(sid)
-        assert store.expired_log == []
-
-    def test_replay_workload(self):
-        events = SessionWorkload(users=10, horizon=60, seed=2).events()
-        assert events
-        store = SessionStore(session_ttl=10)
-        store.replay(events)
-        # Sessions whose users walked away have expired along the way.
-        assert store.database.statistics.expirations_processed > 0
-        # And zero explicit deletes were ever issued.
-        assert store.database.statistics.explicit_deletes == 0
-
-
-class TestSensorFleet:
-    def test_current_readings_one_per_sensor(self):
-        fleet = SensorFleet(sensors=9, base_period=4, seed=0)
-        fleet.run_until(24)
-        readings = fleet.current_readings()
-        assert len(readings) == 9
-        assert sorted(r[0] for r in readings) == list(range(9))
-
-    def test_readings_expire_without_emission(self):
-        fleet = SensorFleet(sensors=3, base_period=4, seed=0)
-        fleet.run_until(8)
-        fleet.database.advance_to(50)  # sensors stop reporting
-        assert fleet.current_readings() == []
