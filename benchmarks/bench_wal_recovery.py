@@ -1,4 +1,4 @@
-"""Experiment X10: crash-recovery time and expiration-aware log compaction.
+"""Experiment X10: crash-recovery time and the checkpoint's bound on the log.
 
 Two measurements of the durability layer (`engine/wal.py` + `engine/
 recovery.py`):
@@ -8,20 +8,22 @@ recovery.py`):
    replayed from the log, including the deep invariant audit) as the
    logged row count grows.
 
-2. **Compaction on a churn-heavy workload** -- the paper's asymmetry
-   applied to the log: short-lived rows are born and die entirely inside
-   the segment, so their records can be dropped *as expired* without ever
-   being applied.  A classical WAL must keep a delete record per such
-   row; an expiration-aware one keeps nothing.
+2. **A checkpoint on a churn-heavy workload** -- the paper's asymmetry
+   applied to the disk: short-lived rows are born and die entirely
+   inside the log, so a checkpoint, which writes only the rows still
+   stored and empties the log, leaves nothing of them.  A classical WAL
+   must keep a delete record per such row; an expiration-aware one keeps
+   nothing.
 
-Asserted (the gate): compaction drops at least half of all log records
-as expired, and the recovered database is identical before and after
-(tables, expirations, clock).
+Asserted (the gate): the checkpoint leaves 0 log records, the bytes on
+disk (log plus snapshot) are no more than before, and the recovered
+database is identical before and after (tables, expirations, clock).
 """
 
 import shutil
 import tempfile
 import time
+from pathlib import Path
 
 from repro.engine.database import Database
 from repro.engine.recovery import recover_database
@@ -41,8 +43,8 @@ def build_churn(n, wal_dir):
 
     Every key is inserted once with a 1-3 tick lifetime and the clock
     advances past each batch's expirations, so each row's single log
-    record is final *and* expired -- the best case the compaction
-    analysis promises for short-lived data.
+    record is final *and* expired -- the best case the short-lived-data
+    analysis promises.
     """
     db = Database(wal_dir=wal_dir, wal_fsync="never")
     table = db.create_table("S", ["k", "v"])
@@ -91,22 +93,32 @@ def time_recovery(n, reps=3):
     return {"n": n, "s": best, "records": replayed}
 
 
-def churn_compaction(n):
-    """Compact a churn log; returns the gate report."""
+def _on_disk(wal_dir):
+    """``(log records, bytes of the log and the snapshot)`` in ``wal_dir``."""
+    directory = Path(wal_dir)
+    log_path = directory / WriteAheadLog.LOG_NAME
+    snapshot_path = directory / WriteAheadLog.SNAPSHOT_NAME
+    size = log_path.stat().st_size
+    if snapshot_path.exists():
+        size += snapshot_path.stat().st_size
+    return len(scan_log(log_path)[0]), size
+
+
+def churn_checkpoint(n):
+    """Checkpoint a recovered churn directory; returns the gate report."""
     wal_dir = tempfile.mkdtemp(prefix="bench-wal-churn-")
     try:
         build_churn(n, wal_dir).close()
-        log_path = f"{wal_dir}/{WriteAheadLog.LOG_NAME}"
-        before_records = len(scan_log(log_path)[0])
-        before_bytes = len(open(log_path, "rb").read())
+        before_records, before_bytes = _on_disk(wal_dir)
 
         db = recover_database(wal_dir, fsync="never")
         state_before = engine_state(db)
-        stats = db.compact_wal()
+        started = time.perf_counter()
+        db.checkpoint()
+        elapsed = time.perf_counter() - started
         db.close()
 
-        after_records = len(scan_log(log_path)[0])
-        after_bytes = len(open(log_path, "rb").read())
+        after_records, after_bytes = _on_disk(wal_dir)
         recovered = recover_database(wal_dir, fsync="never")
         state_after = engine_state(recovered)
         recovered.close()
@@ -117,14 +129,20 @@ def churn_compaction(n):
             "records_after": after_records,
             "bytes_before": before_bytes,
             "bytes_after": after_bytes,
-            "expired": stats["expired"],
-            "superseded": stats["superseded"],
-            "collapsed": stats["collapsed"],
-            "expired_ratio": stats["expired"] / before_records,
+            "ms": round(elapsed * 1000, 1),
             "state_unchanged": state_before == state_after,
         }
     finally:
         shutil.rmtree(wal_dir, ignore_errors=True)
+
+
+def churn_passed(churn):
+    """The gate: nothing left in the log, no more bytes, the same state."""
+    return (
+        churn["records_after"] == 0
+        and churn["bytes_after"] <= churn["bytes_before"]
+        and churn["state_unchanged"]
+    )
 
 
 def gate(sizes, churn_n, reps=3):
@@ -139,31 +157,24 @@ def gate(sizes, churn_n, reps=3):
           f"{r['rows_per_s']:,}") for r in rows],
     )
 
-    churn = churn_compaction(churn_n)
+    churn = churn_checkpoint(churn_n)
     emit(
-        f"Log compaction on churn workload: {churn_n:,} short-lived rows",
+        f"Checkpoint on churn workload: {churn_n:,} short-lived rows",
         ["metric", "value"],
         [
-            ("records before -> after",
+            ("log records before -> after",
              f"{churn['records_before']:,} -> {churn['records_after']:,}"),
-            ("bytes before -> after",
+            ("bytes on disk (log + snapshot) before -> after",
              f"{churn['bytes_before']:,} -> {churn['bytes_after']:,}"),
-            ("dropped as expired",
-             f"{churn['expired']:,} ({churn['expired_ratio']:.1%})"),
-            ("dropped as superseded", f"{churn['superseded']:,}"),
-            ("collapsed (clock/brackets)", f"{churn['collapsed']:,}"),
+            ("checkpoint ms", churn["ms"]),
             ("recovered state unchanged", str(churn["state_unchanged"])),
         ],
     )
-    passed = churn["expired_ratio"] >= 0.5 and churn["state_unchanged"]
-    return {"recovery": rows, "churn": churn, "passed": passed}
+    return {"recovery": rows, "churn": churn, "passed": churn_passed(churn)}
 
 
-def test_churn_compaction_drops_expired_and_preserves_state():
-    churn = churn_compaction(1_000)
-    assert churn["state_unchanged"]
-    assert churn["expired_ratio"] >= 0.5
-    assert churn["records_after"] < churn["records_before"]
+def test_churn_checkpoint_leaves_no_record_and_preserves_state():
+    assert churn_passed(churn_checkpoint(1_000))
 
 
 if __name__ == "__main__":
@@ -175,11 +186,12 @@ if __name__ == "__main__":
         report = gate(sizes=(1_000, 5_000, 20_000), churn_n=20_000, reps=3)
     churn = report["churn"]
     print(
-        f"compaction dropped {churn['expired_ratio']:.1%} of records as "
-        f"expired (gate: >=50%); recovered state unchanged: "
+        f"checkpoint left {churn['records_after']} log records (gate: 0) and "
+        f"{churn['bytes_after']:,} of {churn['bytes_before']:,} bytes on disk "
+        f"(gate: no more); recovered state unchanged: "
         f"{churn['state_unchanged']}"
     )
     if not report["passed"]:
-        print("FAIL: compaction below the expired-drop gate or state changed")
+        print("FAIL: checkpoint left records or bytes, or state changed")
         raise SystemExit(1)
-    print("OK: expiration-aware compaction within the gate")
+    print("OK: checkpoint within the gate")

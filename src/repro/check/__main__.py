@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--crash-points", action="store_true",
         help="run on a write-ahead log and inject simulated crashes, "
-             "torn log tails, checkpoints, and compactions",
+             "torn log tails, and checkpoints",
     )
     args = parser.parse_args(argv)
 

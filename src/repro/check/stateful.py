@@ -18,7 +18,7 @@ shrinks sound.  Rows are ``(k, v)`` with ints on the tables the views read;
 (``str``, ``None``, ``bool``, ``float`` beside an ``int``), so the log's
 JSON row form and a snapshot column of mixed types -- where the packed
 encodings of :mod:`repro.codec` fall back -- are written, recovered and
-compacted under crash points too.
+checkpointed under crash points too.
 
 After **every** op three things are checked:
 
@@ -95,9 +95,9 @@ kinds join the mix:
                       is exactly what the oracle holds -- the model is
                       only advanced after an op is acknowledged) and must
                       pass ``Database.verify(strict=True, deep=True)``;
-``("checkpoint",)``   write an atomic snapshot and truncate the log;
-``("compact",)``      rewrite the log dropping expired and superseded
-                      records -- the recovered state must not change.
+``("checkpoint",)``   write an atomic snapshot and truncate the log --
+                      the one bound on the log; the next recovery must
+                      not change the state.
 
 Crash ops replay deterministically like every other op, so shrinking
 works unchanged: a failure after three crashes shrinks to the minimal op
@@ -235,8 +235,8 @@ def generate_ops(
 ) -> List[tuple]:
     """``count`` concrete ops drawn from ``rng`` (replayable as any subset).
 
-    ``crash_points=True`` mixes in ``crash``/``checkpoint``/``compact``
-    ops (~8% combined); it draws extra randomness, so a seed generates a
+    ``crash_points=True`` mixes in ``crash`` (~4%) and ``checkpoint``
+    (~4%) ops; it draws extra randomness, so a seed generates a
     different sequence with crash points on than off -- but each mode is
     deterministic for a given seed, which is all replay and shrinking
     need.
@@ -252,11 +252,8 @@ def generate_ops(
                 mode = "torn" if rng.random() < 0.5 else "clean"
                 ops.append(("crash", mode))
                 continue
-            if injected < 0.06:
-                ops.append(("checkpoint",))
-                continue
             if injected < 0.08:
-                ops.append(("compact",))
+                ops.append(("checkpoint",))
                 continue
         roll = rng.random()
         table = rng.choice(_TABLES)
@@ -528,9 +525,6 @@ class _Harness:
         elif kind == "checkpoint":
             self._require_wal(kind)
             self.db.checkpoint()
-        elif kind == "compact":
-            self._require_wal(kind)
-            self.db.compact_wal()
         elif kind == "view":
             _, name = op
             got = set(self.db.view(name).read().rows())
@@ -841,8 +835,8 @@ def run_fuzz(
     the ``repro_check_*`` families; ``shrink=False`` skips minimisation
     (useful when the caller only wants the verdict); ``crash_points=True``
     runs the database on a write-ahead log and injects simulated crashes,
-    torn log tails, checkpoints, and log compactions into the op mix,
-    checking every recovery against the dict oracle.
+    torn log tails and checkpoints into the op mix, checking every
+    recovery against the dict oracle.
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {sorted(_POLICIES)}")

@@ -100,11 +100,11 @@ object ``{"$fraction": [numerator, denominator]}`` in every JSON payload
 and decodes back to a :class:`~fractions.Fraction`, as it was in memory.
 
 **The snapshot file** is a frame sequence (format 2; a file that starts
-with ``{`` is a format 1 JSON document, :func:`read_json`).  It and the
-compacted log are swapped in by :func:`replace_file`: temporary file in the
-same directory, fsync, rename over the old file, then fsync of the
-*directory* -- so the rename is on disk before anything that depends on it
-(truncating the log after a checkpoint) can be.
+with ``{`` is a format 1 JSON document, :func:`read_json`).  It is
+swapped in by :func:`replace_file`: temporary file in the same directory,
+fsync, rename over the old file, then fsync of the *directory* -- so the
+rename is on disk before anything that depends on it (truncating the log
+after a checkpoint) can be.
 """
 
 from __future__ import annotations
@@ -379,7 +379,13 @@ def encode_record(record: Dict[str, Any], limit: int) -> bytes:
         )
     except struct.error as error:
         raise FrameError(f"record does not fit the packed layout: {error}") from None
-    return _frame(b"".join((head, table, *_values(record["row"]))), limit)
+    row = record["row"]
+    form, values = _values(row)
+    if form == b"j" and tuple(_json_array(values)) != tuple(row):
+        # A tuple value would come back a list, which replay cannot hash,
+        # and a NaN a value unequal to the one logged.
+        raise FrameError(f"row {row!r} would not read back as itself")
+    return _frame(b"".join((head, table, form, values)), limit)
 
 
 def _physical(body: bytes) -> Dict[str, Any]:

@@ -587,9 +587,13 @@ class Database:
     def checkpoint(self) -> None:
         """Write an atomic snapshot and truncate the write-ahead log.
 
-        After a checkpoint the snapshot alone reproduces the database, so
-        the log restarts empty; recovery loads the snapshot and replays
-        whatever accumulated since.
+        The one bound on the log: after a checkpoint the snapshot alone
+        reproduces the database, so the log restarts empty; recovery
+        loads the snapshot and replays whatever accumulated since.  The
+        snapshot holds the rows the tables still store, so a row swept
+        before the checkpoint leaves nothing on disk -- no record, no
+        tombstone.  If the snapshot cannot be written, the log is left as
+        it was.
         """
         if self.wal is None:
             raise WalError("checkpoint() needs a write-ahead log (wal_dir=)")
@@ -600,38 +604,6 @@ class Database:
         self.wal.sync()
         save_database(self, self.wal.snapshot_path)
         self.wal.reset()
-
-    def compact_wal(self) -> Dict[str, int]:
-        """Rewrite the log dropping expired and superseded records.
-
-        The expiration-replaces-deletion asymmetry, applied to the log: a
-        record whose tuple is already past its ``texp`` will never be
-        applied by recovery, so compaction discards it (demoting it to a
-        tombstone only when the base snapshot still holds the row).
-        Returns the compaction stats dict (see
-        :meth:`~repro.engine.wal.WriteAheadLog.compact`).
-        """
-        if self.wal is None:
-            raise WalError("compact_wal() needs a write-ahead log (wal_dir=)")
-        if self._wal_txn is not None:
-            raise WalError("cannot compact while a transaction is applying")
-        from repro.engine.persistence import read_snapshot
-
-        base_rows = set()
-        if self.wal.snapshot_path.exists():
-            try:
-                data = read_snapshot(self.wal.snapshot_path)
-            except ValueError as error:
-                raise WalError(
-                    f"unreadable snapshot {self.wal.snapshot_path}: {error}"
-                ) from error
-            for spec in data["tables"]:
-                name = spec["name"]
-                for values, _ in spec.get("rows", ()):  # format 1
-                    base_rows.add((name, tuple(values)))
-                for _, columns in spec.get("segments", ()):
-                    base_rows.update((name, row) for row in zip(*columns))
-        return self.wal.compact(self.clock.now.value, base_rows)
 
     # -- transactions -----------------------------------------------------------------
 

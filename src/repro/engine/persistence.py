@@ -18,11 +18,11 @@ index wants them in (a sorted run is already a valid heap) and the order
 in which they will leave.  Which shard a row lives in is not recorded:
 routing hashes the partition key, and ``hash(str)`` differs from one
 process to the next.  Every frame carries a CRC, so :func:`read_snapshot`
--- the one reader recovery, :func:`load_database` and log compaction share
--- refuses a damaged file whole instead of loading a flipped digit as a
-different expiration time.  A file that starts with ``{`` is a *format 1*
-snapshot, one JSON document with ``[[...values], texp]`` rows, written by
-earlier versions; it still loads, unchecked as it always was.
+-- the one reader recovery, :func:`load_database` and ``python -m repro
+wal`` share -- refuses a damaged file whole instead of loading a flipped
+digit as a different expiration time.  A file that starts with ``{`` is a
+*format 1* snapshot, one JSON document with ``[[...values], texp]`` rows,
+written by earlier versions; it still loads, unchecked as it always was.
 
 Snapshots are written *crash-safely*: :func:`save_database` goes through
 :func:`repro.codec.replace_file`, so a crash mid-save can never leave a

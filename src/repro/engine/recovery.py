@@ -13,11 +13,15 @@ from a WAL directory (see :mod:`repro.engine.wal`):
 3. **Replay through the expiration model.**  Records apply in order:
    ``clock`` records advance the engine clock (re-driving expiration
    sweeps exactly as the live run drove them), DDL re-creates tables, and
-   physical records restore row state.  The expiration-time asymmetry
-   does the classical redo log one better: an ``upsert`` whose expiration
-   is already ``<= `` the *final* recovered clock is **skipped** -- its
-   tuple could only ever be dead weight (it is erased instead, in case an
-   older incarnation survives from the snapshot).
+   physical records restore row state.  This is where the paper's
+   asymmetry -- a tuple past its ``texp`` needs no delete -- is enforced
+   for durability: an ``upsert`` whose expiration is already ``<=`` the
+   *final* recovered clock is **skipped** -- its tuple could only ever be
+   dead weight (it is erased instead, in case an older incarnation
+   survives from the snapshot).  The log is written in full and bounded
+   by one thing only, :meth:`Database.checkpoint
+   <repro.engine.database.Database.checkpoint>`, which snapshots the
+   stored rows and empties it.
 4. **Roll back in-flight transactions.**  A ``begin`` with no ``commit``/
    ``abort`` bracket was applying at the crash; its physical records are
    undone newest-first through :meth:`Table.undo_insert` /

@@ -1,12 +1,16 @@
 """An expiration-aware append-only write-ahead log.
 
 Durability in an expiration-enabled engine has one structural advantage
-over a classical WAL, and this module is built around it: a log record
-whose tuple is already past its ``texp`` at recovery (or compaction) time
-never needs to be applied (or kept) -- expiration replaces the explicit
-deletes that a classical log must retain and replay.  This is the
-short-lived-data log-compaction analysis of the paper's companion report
-("Efficient Management of Short-Lived Data"), turned into code.
+over a classical WAL: a record whose tuple is already past its ``texp``
+when the log is replayed never needs to be applied -- expiration replaces
+the explicit deletes a classical log must replay.  The log itself is
+written as any redo log is; the advantage is taken where it is enforced,
+in recovery's replay (:mod:`repro.engine.recovery` skips every ``upsert``
+whose ``texp`` is at or before the final clock), and by the one bound on
+the log's size, :meth:`~repro.engine.database.Database.checkpoint`, which
+writes the rows the tables still store and empties the log -- so a
+short-lived row swept before the checkpoint costs nothing on disk after
+it (the argument of "Efficient Management of Short-Lived Data").
 
 Physical format
 ---------------
@@ -52,28 +56,6 @@ not power loss).  Every append is flushed to the OS regardless, so a
 simulated crash -- dropping the Python process's state -- loses nothing
 that was acknowledged.
 
-Compaction
-----------
-
-:meth:`WriteAheadLog.compact` rewrites the log in place (atomically, via
-:func:`repro.codec.replace_file`) keeping only what recovery still needs:
-
-* the final physical record per ``(table, row)`` -- earlier records are
-  *superseded*;
-* ...and only if that final state can still matter: an ``upsert`` whose
-  expiration is ``<= now`` is dropped outright when the base snapshot
-  does not contain the row (it was born and died entirely within the
-  log), or demoted to a ``remove`` when it does; a final ``remove`` is
-  kept as the tombstone of a base-held row and dropped otherwise (every
-  sweep logs one per reclaimed row, so this is what lets a churn log
-  shrink);
-* all DDL records, in order;
-* a single trailing ``clock`` record at the current time, replacing every
-  intermediate advance (recovery replays no triggers, so intermediate
-  expiration processing is unobservable);
-* no transaction brackets -- compaction refuses to run while a
-  transaction is open, so every bracket is resolved.
-
 Metrics land in the ``repro_wal_*`` families
 (:func:`declare_wal_families`).
 """
@@ -83,9 +65,9 @@ from __future__ import annotations
 import os
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.codec import FrameError, decode_record, encode_record, replace_file
+from repro.codec import FrameError, decode_record, encode_record
 from repro.errors import WalError
 
 __all__ = [
@@ -100,13 +82,6 @@ __all__ = [
 _MAX_FRAME = 64 * 1024 * 1024
 
 FSYNC_POLICIES = ("always", "commit", "never")
-
-#: Record kinds that mutate row state (and may carry a ``txn`` tag).
-PHYSICAL_KINDS = ("upsert", "remove")
-#: Record kinds that bracket transactions.
-TXN_KINDS = ("begin", "commit", "abort")
-#: Record kinds that replay as DDL.
-DDL_KINDS = ("create_table", "drop_table", "create_view", "drop_view")
 
 
 def declare_wal_families(registry):
@@ -137,20 +112,6 @@ def declare_wal_families(registry):
         "torn": registry.counter(
             "repro_wal_torn_tails_total",
             "Torn log tails truncated during recovery.",
-        ),
-        "compaction_kept": registry.counter(
-            "repro_wal_compaction_records_kept_total",
-            "Records surviving log compaction.",
-        ),
-        "compaction_dropped": registry.counter(
-            "repro_wal_compaction_records_dropped_total",
-            "Records dropped by log compaction, by reason "
-            "(expired / superseded / collapsed).",
-            labels=("reason",),
-        ),
-        "compaction_ratio": registry.gauge(
-            "repro_wal_compaction_drop_ratio",
-            "Fraction of records dropped by the most recent compaction.",
         ),
         "recovery_seconds": registry.histogram(
             "repro_wal_recovery_seconds",
@@ -203,7 +164,7 @@ class WriteAheadLog:
     ``directory/snapshot.json`` (the most recent checkpoint, written
     atomically by :func:`~repro.engine.persistence.save_database`).  The
     segment holds everything since the last checkpoint; a checkpoint
-    truncates it.
+    truncates it (:meth:`reset`), and nothing else rewrites it.
     """
 
     LOG_NAME = "wal.log"
@@ -229,8 +190,8 @@ class WriteAheadLog:
         #: The one decode of the log as it was found: it seeds the txn
         #: counter below, tells :meth:`truncate_torn_tail` where the tear
         #: is, and is what the first :meth:`records` call hands over.
-        #: Anything that rewrites the records on disk (append, reset,
-        #: compact) drops it.
+        #: Anything that changes the records on disk (append, reset) drops
+        #: it.
         self._opening_scan: Optional[
             Tuple[List[Dict[str, Any]], int, bool]
         ] = scan_log(self.log_path)
@@ -361,139 +322,6 @@ class WriteAheadLog:
             fh.flush()
             os.fsync(fh.fileno())
         self._file = open(self.log_path, "ab")
-
-    # -- compaction --------------------------------------------------------
-
-    def compact(
-        self,
-        now: int,
-        base_rows: Optional[Set[Tuple[str, tuple]]] = None,
-    ) -> Dict[str, int]:
-        """Rewrite the segment dropping expired and superseded records.
-
-        ``now`` is the current logical time (finite int); ``base_rows`` is
-        the set of ``(table, row)`` pairs present in the base snapshot --
-        an expired final ``upsert`` is dropped outright when its row is
-        not in the base, demoted to a ``remove`` when it is (the base copy
-        must still be erased at replay).  A final ``remove`` is a
-        tombstone for the base copy and nothing else, so it too is dropped
-        when the base never held the row -- which is every swept
-        short-lived row, since each sweep logs a ``remove`` per row it
-        reclaims.  Refuses (returns zero counts) while a transaction is
-        open in the log.
-
-        Returns a stats dict: ``kept``, ``expired`` (records of rows gone
-        by expiration: expired finals, dropped tombstones and the expired
-        upserts those superseded), ``superseded``, ``collapsed`` (clock +
-        bracket records), ``demoted``.
-        """
-        base_rows = base_rows if base_rows is not None else set()
-        records, _, torn = self._scan()
-        self._opening_scan = None
-        if torn:
-            raise WalError(
-                "refusing to compact a log with a torn tail; run recovery "
-                "(or truncate_torn_tail) first"
-            )
-        stats = {
-            "kept": 0, "expired": 0, "superseded": 0,
-            "collapsed": 0, "demoted": 0,
-        }
-        open_txns: Set[int] = set()
-        for record in records:
-            kind = record["kind"]
-            if kind == "begin":
-                open_txns.add(record["txn"])
-            elif kind in ("commit", "abort"):
-                open_txns.discard(record["txn"])
-        if open_txns:
-            return stats
-
-        # Index of the final physical record per (table, row).  A physical
-        # record always precedes any drop of its table (the engine cannot
-        # write into a dropped table), so keeping only the globally-final
-        # record per row is replay-safe even across drop/re-create pairs.
-        final_index: Dict[Tuple[str, tuple], int] = {}
-        for i, record in enumerate(records):
-            if record["kind"] in PHYSICAL_KINDS:
-                final_index[(record["table"], record["row"])] = i
-
-        kept: List[Dict[str, Any]] = []
-        for i, record in enumerate(records):
-            kind = record["kind"]
-            if kind in DDL_KINDS:
-                kept.append(record)
-                stats["kept"] += 1
-                continue
-            if kind == "clock" or kind in TXN_KINDS:
-                stats["collapsed"] += 1
-                continue
-            if kind not in PHYSICAL_KINDS:
-                raise WalError(
-                    f"refusing to compact a log holding a record of unknown "
-                    f"kind {kind!r} (written by a newer version?)"
-                )
-            key = (record["table"], record["row"])
-            final = records[final_index[key]]
-            lapsed = (
-                kind == "upsert"
-                and record["texp"] is not None
-                and record["texp"] <= now
-            )
-            # A row that ends in a ``remove`` and that the base never held
-            # leaves nothing to erase at replay: no tombstone is needed.
-            vanished = final["kind"] == "remove" and key not in base_rows
-            if final is not record:
-                stats["expired" if vanished and lapsed else "superseded"] += 1
-                continue
-            if vanished:
-                stats["expired"] += 1
-                continue
-            if lapsed:
-                if key in base_rows:
-                    demoted = {
-                        "kind": "remove",
-                        "table": record["table"],
-                        "row": record["row"],
-                    }
-                    kept.append(demoted)
-                    stats["demoted"] += 1
-                    stats["kept"] += 1
-                else:
-                    stats["expired"] += 1
-                continue
-            # A kept record must not resurrect its transaction bracket:
-            # strip the tag (the txn is resolved, so recovery must not
-            # treat the record as in-flight).
-            clean = {k: v for k, v in record.items() if k != "txn"}
-            kept.append(clean)
-            stats["kept"] += 1
-        kept.append({"kind": "clock", "now": now})
-        stats["kept"] += 1
-
-        # Replace first: a failed rewrite must leave the log appendable.
-        replace_file(
-            self.log_path,
-            (encode_record(payload, _MAX_FRAME) for payload in kept),
-        )
-        self._file.close()
-        self._file = open(self.log_path, "ab")
-
-        if self._families is not None:
-            self._families["compaction_kept"].inc(stats["kept"])
-            for reason in ("expired", "superseded", "collapsed"):
-                if stats[reason]:
-                    self._families["compaction_dropped"].labels(reason).inc(
-                        stats[reason]
-                    )
-            total = len(records) + 1  # + the appended clock record
-            dropped = (
-                stats["expired"] + stats["superseded"] + stats["collapsed"]
-            )
-            self._families["compaction_ratio"].set(
-                dropped / total if total else 0.0
-            )
-        return stats
 
     def __repr__(self) -> str:
         return (

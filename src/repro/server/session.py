@@ -195,13 +195,13 @@ class SenderCore:
     """The sending half of reliable delivery, one per subscription.
 
     Sequence numbers, the unacknowledged envelopes in seq order with each
-    one's next due time, cumulative-plus-selective ack retirement, and the
-    single verdict on an envelope whose retransmission is due
-    (:meth:`retry`).  It keeps no timer and reads no clock: the caller
-    passes the time (monotonic seconds in a served
-    :class:`ServerSession`, whose sweep asks for :meth:`overdue` seqs;
-    ticks when the simulator drives the same server).  Every change to
-    the held envelopes moves the shared ``stats.unacked`` with it.
+    one's next due time, cumulative ack retirement, and the single
+    verdict on an envelope whose retransmission is due (:meth:`retry`).
+    It keeps no timer and reads no clock: the caller passes the time
+    (monotonic seconds in a served :class:`ServerSession`, whose sweep
+    asks for :meth:`overdue` seqs; ticks when the simulator drives the
+    same server).  Every change to the held envelopes moves the shared
+    ``stats.unacked`` with it.
     """
 
     __slots__ = ("policy", "stats", "pending", "next_seq", "pruned",
@@ -254,11 +254,10 @@ class SenderCore:
         self.stats.sent += 1
         return entry
 
-    def ack(self, cumulative: int, selective: Iterable[int] = ()) -> None:
-        """Retire every envelope with ``seq <= cumulative`` or in ``selective``."""
+    def ack(self, cumulative: int) -> None:
+        """Retire every envelope with ``seq <= cumulative``."""
         pending = self.pending
         covered = [seq for seq in pending if seq <= cumulative]
-        covered += [seq for seq in selective if seq > cumulative and seq in pending]
         for seq in covered:
             del pending[seq]
         self.stats.acked += len(covered)

@@ -162,7 +162,7 @@ class TestCrashPoints:
     def test_crash_ops_are_generated(self):
         ops = generate_ops(random.Random(9), 600, crash_points=True)
         kinds = {op[0] for op in ops}
-        assert {"crash", "checkpoint", "compact"} <= kinds
+        assert {"crash", "checkpoint"} <= kinds
         modes = {op[1] for op in ops if op[0] == "crash"}
         assert modes == {"clean", "torn"}
 
@@ -183,7 +183,7 @@ class TestCrashPoints:
             [("insert", "col", (1, "é"), 9), ("insert", "col", (1, 0), 9),
              ("insert", "pcol", (2, True), 9), ("checkpoint",),
              ("insert", "col", (3, None), 9), ("crash", "torn"),
-             ("compact",), ("crash", "clean")],
+             ("checkpoint",), ("crash", "clean")],
             "lazy", crash_points=True,
         )[1]
         assert failure is None

@@ -116,15 +116,6 @@ class TestReliableSender:
         assert h.sender.stats.abandoned == 1
         assert not h.sender.pending and h.sender.stats.unacked == 0
 
-    def test_selective_ack_retires_out_of_order(self):
-        h = SenderHarness()
-        h.send(0)
-        h.send(0)
-        h.sender.ack(-1, selective=(1,))
-        assert list(h.sender.pending) == [0]  # seq 0 still pending
-        h.sender.ack(0)
-        assert not h.sender.pending
-
     def test_expired_payload_cancels_retransmission(self):
         h = SenderHarness()
         h.send(0, expires_at=ts(3), cells=5)

@@ -296,15 +296,16 @@ class TestDamagedSnapshot:
         self._refused(directory, blob + blob[first:])  # C's rows twice
 
 
-#: ``snapshot.json``, ``wal.log`` (compacted, then appended to),
-#: ``wal.precompact.log`` (the log as it stood before ``compact_wal``) and
-#: ``wire.frames`` exactly as the PR 22 commit wrote them for
-#: :func:`write_pinned_history` / :data:`PINNED_FRAMES`: a format 1 JSON
-#: snapshot and all-JSON logs.  Nothing writes these bytes any more (the
-#: wire frames excepted); every later version must still read them.
+#: ``snapshot.json``, ``wal.precompact.log`` (the log
+#: :func:`write_pinned_history` leaves), ``wal.log`` (that log as a
+#: since-removed log compaction rewrote it, then appended to) and
+#: ``wire.frames`` exactly as the PR 22 commit wrote them for the script /
+#: :data:`PINNED_FRAMES`: a format 1 JSON snapshot and all-JSON logs.
+#: Nothing writes these bytes any more (the wire frames excepted); every
+#: later version must still read them.
 PR22_DIRECTORY = Path(__file__).parent / "data" / "pr22_directory"
 
-#: The three files as the PR 24 commit wrote them for the same script: a
+#: The same files as the PR 24 commit wrote them for the same script: a
 #: segmented snapshot and packed ``upsert`` / ``remove`` records.
 PR24_DIRECTORY = Path(__file__).parent / "data" / "pr24_directory"
 
@@ -333,7 +334,9 @@ PINNED_ROWS = {
 def write_pinned_history(path: Path) -> dict:
     """The fixed script behind :data:`PR22_DIRECTORY`: a row, a columnar
     and a partitioned table, a view, a checkpoint, then every kind of
-    record, a compaction and one more append.  Returns the files' bytes."""
+    record.  Returns the bytes of the files it writes (the pinned
+    ``wal.log`` is what the log compaction of that time made of the
+    log)."""
     db = Database(config=DatabaseConfig(wal_dir=path, wal_fsync="never"))
     tables = [
         db.create_table("R", ["k", "v"]),
@@ -357,12 +360,11 @@ def write_pinned_history(path: Path) -> dict:
     db.materialise("W", db.table_expr("R").difference(db.table_expr("P")),
                    policy=MaintenancePolicy.PATCH, patch_limit=4)
     db.advance_to(12)
-    files = {"wal.precompact.log": db.wal.log_path.read_bytes()}
-    db.compact_wal()
-    tables[0].insert((11, "post"), expires_at=60)
     db.close()
-    files["wal.log"] = db.wal.log_path.read_bytes()
-    files["snapshot.json"] = db.wal.snapshot_path.read_bytes()
+    files = {
+        "wal.precompact.log": db.wal.log_path.read_bytes(),
+        "snapshot.json": db.wal.snapshot_path.read_bytes(),
+    }
     files["wire.frames"] = b"".join(encode_frame(f) for f in PINNED_FRAMES)
     return files
 
@@ -376,9 +378,7 @@ class TestFormatPin:
         assert written.pop("wire.frames") == (
             PR22_DIRECTORY / "wire.frames"
         ).read_bytes()
-        assert sorted(written) == sorted(
-            p.name for p in PR24_DIRECTORY.iterdir()
-        )
+        assert sorted(written) == ["snapshot.json", "wal.precompact.log"]
         for name, content in written.items():
             assert content == (PR24_DIRECTORY / name).read_bytes(), name
 
@@ -456,25 +456,6 @@ class TestFormatPin:
         with repro.connect(tmp_path) as session:
             assert self._tables(session.db) == expected
 
-    def test_compaction_reads_a_format_1_base(self, tmp_path):
-        """``compact_wal`` finds the base rows of an old snapshot through
-        the one snapshot reader: ``C``'s ``(2, "v2")`` is in the snapshot
-        and deleted in the log, so its ``remove`` must survive as a
-        tombstone -- with an empty base it would be dropped and the row
-        would come back."""
-        shutil.copy(PR22_DIRECTORY / "snapshot.json", tmp_path)
-        shutil.copy(PR22_DIRECTORY / "wal.precompact.log", tmp_path / "wal.log")
-        with repro.connect(tmp_path) as session:
-            session.db.compact_wal()
-            kept = [(r["kind"], r["table"], r["row"])
-                    for r in session.db.wal.records() if "row" in r]
-            assert ("remove", "C", (2, "v2")) in kept
-        expected = {name: dict(rows) for name, rows in PINNED_ROWS.items()}
-        del expected["R"][(11, "post")]
-        with repro.connect(tmp_path) as session:
-            assert self._tables(session.db) == expected
-
-
 class TestDurableRename:
     """A checkpoint truncates ``wal.log`` after replacing the snapshot, so
     the rename itself has to be on disk first: temp file fsynced, renamed,
@@ -536,31 +517,20 @@ class TestDurableRename:
         assert self._durable_at(calls, "snapshot.json") < calls.index(("reset",))
         db.close()
 
-    def test_compaction_syncs_the_rename_and_stays_appendable(
-        self, tmp_path, calls
-    ):
-        db = self._db(tmp_path)
-        db.advance_to(20)
-        del calls[:]
-        db.compact_wal()
-        self._durable_at(calls, "wal.log")
-        db.table("T").insert((2,), expires_at=30)  # the reopened handle
-        db.close()
-        with repro.connect(tmp_path) as session:
-            assert session.query("SELECT k FROM T").rows == [(2,)]
-
-    def test_failed_compaction_leaves_the_log_appendable(
+    def test_failed_checkpoint_leaves_the_log_appendable(
         self, tmp_path, monkeypatch
     ):
         db = self._db(tmp_path)
+        logged = db.wal.log_path.read_bytes()
 
         def refuse(src, dst):
             raise OSError("no rename today")
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError):
-            db.compact_wal()
+            db.checkpoint()
         monkeypatch.undo()
+        assert db.wal.log_path.read_bytes() == logged
         db.table("T").insert((2,), expires_at=30)
         db.close()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wal.log"]

@@ -1,4 +1,4 @@
-"""Tests for the write-ahead log: frames, torn tails, compaction."""
+"""Tests for the write-ahead log: frames, torn tails, the checkpoint."""
 
 from fractions import Fraction
 
@@ -129,19 +129,14 @@ class TestOpeningScan:
         assert [r["now"] for r in reopened.records()] == [1, 2]
         reopened.close()
 
-    def test_reset_and_compact_invalidate_the_opening_scan(self, tmp_path):
+    def test_reset_invalidates_the_opening_scan(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         wal.append("upsert", table="T", row=[1], texp=3, prev="absent")
-        wal.append("upsert", table="T", row=[2], texp=None, prev="absent")
         wal.close()
         reopened = WriteAheadLog(tmp_path)
-        reopened.compact(now=5)  # row 1 is expired: dropped
-        assert [r["kind"] for r in reopened.records()] == ["upsert", "clock"]
+        reopened.reset()
+        assert reopened.records() == []
         reopened.close()
-        again = WriteAheadLog(tmp_path)
-        again.reset()
-        assert again.records() == []
-        again.close()
 
 
 class TestTornTails:
@@ -180,161 +175,73 @@ class TestTornTails:
         wal.close()
 
 
-class TestCompaction:
-    def test_superseded_and_expired_are_dropped(self, tmp_path):
-        wal = WriteAheadLog(tmp_path)
-        wal.append("create_table", spec={"name": "T", "columns": ["k"]})
-        wal.append("upsert", table="T", row=[1], texp=5, prev="absent")
-        wal.append("upsert", table="T", row=[1], texp=20, prev=5)  # renewal
-        wal.append("upsert", table="T", row=[2], texp=8, prev="absent")
-        wal.append("clock", now=10)
-        stats = wal.compact(now=10)
-        # row 1: first upsert superseded; row 2: expired at now=10 and not
-        # in any base snapshot, so it vanishes outright.
-        assert stats["superseded"] == 1
-        assert stats["expired"] == 1
-        assert stats["demoted"] == 0
-        records = wal.records()
-        assert [r["kind"] for r in records] == ["create_table", "upsert", "clock"]
-        assert records[1]["texp"] == 20
-        assert records[-1]["now"] == 10
-        wal.close()
+#: A row, a columnar and a partitioned table: one history runs on each.
+SHAPES = {"R": {}, "C": {"layout": "columnar"}, "P": {"partitions": 3}}
 
-    def test_expired_base_row_demotes_to_remove(self, tmp_path):
-        wal = WriteAheadLog(tmp_path)
-        wal.append("upsert", table="T", row=[1], texp=5, prev=None)
-        stats = wal.compact(now=10, base_rows={("T", (1,))})
-        assert stats["demoted"] == 1
-        records = wal.records()
-        assert [r["kind"] for r in records] == ["remove", "clock"]
-        assert records[0]["row"] == (1,)
-        wal.close()
 
-    def test_final_remove_is_kept_only_as_a_base_tombstone(self, tmp_path):
-        wal = WriteAheadLog(tmp_path)
-        # Row 1 is in the base snapshot: renewed, then swept.
-        wal.append("upsert", table="T", row=[1], texp=5, prev=3)
-        wal.append("remove", table="T", row=[1], prev=5)
-        # Row 2 was born, renewed and swept entirely within the log.
-        wal.append("upsert", table="T", row=[2], texp=4, prev="absent")
-        wal.append("upsert", table="T", row=[2], texp=6, prev=4)
-        wal.append("remove", table="T", row=[2], prev=6)
-        # Row 3 was deleted explicitly, long before its expiration.
-        wal.append("upsert", table="T", row=[3], texp=50, prev="absent")
-        wal.append("remove", table="T", row=[3], prev=50)
-        stats = wal.compact(now=10, base_rows={("T", (1,))})
-        records = wal.records()
-        assert [(r["kind"], r.get("row")) for r in records] == [
-            ("remove", (1,)), ("clock", None),
-        ]
-        # Expired: row 2's two lapsed upserts and its tombstone, row 3's
-        # tombstone.  Superseded: row 1's upsert (its remove is kept) and
-        # row 3's upsert (deleted, not lapsed).
-        assert stats["expired"] == 4
-        assert stats["superseded"] == 2
-        assert stats["kept"] == 2
-        wal.close()
+def _state(db):
+    return db.now.value, {
+        name: dict(db.table(name).relation.items()) for name in db.table_names()
+    }
 
-    def test_tombstone_rule_is_replay_equivalent(self, tmp_path):
-        """Recovery sees the same database before and after compaction."""
-        from repro.engine.database import Database
-        from repro.engine.recovery import recover_database
 
-        def state(db):
-            return db.now.value, dict(db.table("T").relation.items())
+class TestCheckpoint:
+    """The one bound on the log: a snapshot of what is stored, then an
+    empty log."""
 
+    def test_checkpoint_is_replay_equivalent(self, tmp_path):
+        """A renewal, an explicit delete and a row born and swept inside
+        the log: recovery sees the same database, and no record of any of
+        it is left."""
         db = Database(wal_dir=tmp_path, wal_fsync="never")
-        table = db.create_table("T", ["k"])
-        table.insert((1,), ttl=3)
-        table.insert((2,), ttl=50)
-        db.checkpoint()  # rows 1 and 2 are the base snapshot
-        table.insert((3,), ttl=2)  # born and swept inside the log
-        table.insert((4,), ttl=60)
-        db.tick(5)  # sweeps row 1 (base-held) and row 3 (log-only)
-        before = state(db)
-        stats = db.compact_wal()
-        physical = sorted(
-            (r["kind"], r["row"]) for r in db.wal.records() if "row" in r
-        )
-        assert physical == [("remove", (1,)), ("upsert", (4,))]
-        assert stats["expired"] == 2  # row 3's upsert and its tombstone
+        for name, shape in SHAPES.items():
+            table = db.create_table(name, ["k"], **shape)
+            table.insert((1,), expires_at=5)
+            table.renew((1,), ttl=30)
+            table.insert((2,), expires_at=9)
+            table.delete((2,))
+            table.insert((3,), expires_at=4)
+        db.advance_to(10)
+        before = _state(db)
+        assert before == (10, {name: {(1,): ts(30)} for name in SHAPES})
+        db.checkpoint()
+        assert db.wal.records() == []
         db.close()
+        assert scan_log(tmp_path / WriteAheadLog.LOG_NAME)[0] == []
         recovered = recover_database(tmp_path)
-        assert state(recovered) == before
-        assert set(recovered.table("T").read().rows()) == {(2,), (4,)}
+        assert _state(recovered) == before
+        assert recovered.last_recovery.records_replayed == 0
         recovered.close()
 
-    def test_dropped_tombstones_still_refuse_an_open_transaction(self, tmp_path):
-        wal = WriteAheadLog(tmp_path)
-        wal.append("upsert", table="T", row=[1], texp=2, prev="absent")
-        wal.append("begin", txn=1)
-        wal.append("remove", table="T", row=[1], prev=2, txn=1)
-        assert not any(wal.compact(now=10).values())
-        assert [r["kind"] for r in wal.records()] == ["upsert", "begin", "remove"]
-        wal.close()
+    def test_checkpoint_needs_a_log(self):
+        with pytest.raises(WalError, match="needs a write-ahead log"):
+            Database().checkpoint()
 
-    def test_brackets_and_clocks_collapse_and_txn_tags_strip(self, tmp_path):
-        wal = WriteAheadLog(tmp_path)
-        wal.append("clock", now=1)
-        wal.append("begin", txn=1)
-        wal.append("upsert", table="T", row=[1], texp=None, prev="absent",
-                   txn=1)
-        wal.append("commit", txn=1)
-        wal.append("clock", now=2)
-        stats = wal.compact(now=2)
-        assert stats["collapsed"] == 4  # two clocks + begin + commit
-        records = wal.records()
-        assert [r["kind"] for r in records] == ["upsert", "clock"]
-        assert "txn" not in records[0]  # resolved bracket must not revive
-        wal.close()
+    def test_checkpoint_is_refused_while_a_commit_is_applying(self, tmp_path):
+        """An insert listener runs inside the commit: a snapshot taken
+        there would hold half the transaction and drop its bracket."""
+        db = Database(wal_dir=tmp_path, wal_fsync="never")
+        table = db.create_table("T", ["k"])
+        refused = []
 
-    def test_refuses_open_transaction(self, tmp_path):
-        wal = WriteAheadLog(tmp_path)
-        wal.append("begin", txn=1)
-        wal.append("upsert", table="T", row=[1], texp=None, prev="absent",
-                   txn=1)
-        stats = wal.compact(now=0)
-        assert stats == {"kept": 0, "expired": 0, "superseded": 0,
-                         "collapsed": 0, "demoted": 0}
-        assert len(wal.records()) == 2  # untouched
-        wal.close()
+        def checkpoint_now(_table, stored):
+            with pytest.raises(WalError, match="transaction is applying"):
+                db.checkpoint()
+            refused.append(stored)
 
-    def test_refuses_torn_tail(self, tmp_path):
-        wal = WriteAheadLog(tmp_path)
-        wal.append("clock", now=1)
-        wal.close()
-        with open(wal.log_path, "ab") as fh:
-            fh.write(b"\xff\xff")
-        wal = WriteAheadLog(tmp_path)
-        with pytest.raises(WalError, match="torn tail"):
-            wal.compact(now=1)
-        wal.close()
-
-    def test_compaction_is_replay_equivalent(self, tmp_path):
-        """Compacting must not change what scan_log-driven replay sees."""
-        wal = WriteAheadLog(tmp_path)
-        wal.append("upsert", table="T", row=[1], texp=5, prev="absent")
-        wal.append("upsert", table="T", row=[1], texp=30, prev=5)
-        wal.append("remove", table="T", row=[2], prev=9)
-        wal.append("upsert", table="T", row=[3], texp=4, prev="absent")
-        wal.append("clock", now=10)
-
-        def final_visible(records, now):
-            state = {}
-            for r in records:
-                key = tuple(r["row"]) if "row" in r else None
-                if r["kind"] == "upsert":
-                    state[key] = r["texp"]
-                elif r["kind"] == "remove":
-                    state.pop(key, None)
-            return {
-                k: t for k, t in state.items() if t is None or t > now
-            }
-
-        before = final_visible(wal.records(), 10)
-        wal.compact(now=10)
-        assert final_visible(wal.records(), 10) == before
-        wal.close()
+        table.insert_listeners.append(checkpoint_now)
+        with db.transaction() as txn:
+            txn.insert("T", (1,), expires_at=9)
+            txn.insert("T", (2,), expires_at=9)
+        assert len(refused) == 2
+        assert [r["kind"] for r in db.wal.records()][-4:] == [
+            "begin", "upsert", "upsert", "commit",
+        ]
+        assert not db.wal.snapshot_path.exists()
+        db.close()
+        assert sorted(recover_database(tmp_path).table("T").relation.rows()) == [
+            (1,), (2,),
+        ]
 
 
 class TestUnloggableMutations:
@@ -345,8 +252,10 @@ class TestUnloggableMutations:
         ids=["row", "columnar", "partitioned"],
     )
     def test_a_value_the_log_cannot_encode_leaves_no_trace(self, tmp_path, shape):
-        """At the parent the row stayed readable, but no view heard of it
-        and it was gone after a restart."""
+        """Once the row stayed readable, but no view heard of it and it was
+        gone after a restart.  A tuple value encodes, as a JSON list, but
+        used to be logged that way and make the directory unrecoverable:
+        replay could not hash the list it read back."""
         db = Database(wal_dir=tmp_path)
         table = db.create_table("T", ["k"], **shape)
         table.insert((1,), ttl=5)
@@ -357,6 +266,8 @@ class TestUnloggableMutations:
         version = db.catalog_version
         with pytest.raises(WalError, match="complex"):
             table.insert((complex(1, 2),), ttl=5)
+        with pytest.raises(WalError, match="read back"):
+            table.insert(((1, 2),), ttl=5)
         assert sorted(table.relation.rows()) == [(1,)]
         assert table.next_expiration() == ts(5)
         assert db.catalog_version == version
