@@ -20,11 +20,12 @@ Three measured phases over a >=1M-grant store (full mode):
    ``repro.connect()`` sessions as SQL (``UPDATE ... EXPIRES IN 0``),
    differentially asserted over the session boundary.
 
-Check latency is recorded twice on purpose: exact percentiles from a
-local sample list, and the ``repro_authz_check_seconds`` histogram in the
-obs registry (what production would scrape) -- the report prints both so
-the bucketed estimate can be sanity-checked against ground truth.  The
-gate: zero differential violations and sample p99 within budget.
+Check latency is timed here, at the caller's boundary, into a local
+sample list with exact percentiles: the store only counts its checks (a
+per-check timer would cost about a sixth of a check).  The report prints the
+registry's ``repro_authz_checks_total`` sum beside the checks made, so
+the scraped count is checked against ground truth.  The gate: zero
+differential violations and sample p99 within budget.
 """
 
 import random
@@ -55,14 +56,10 @@ def percentile(sample, q):
     return ordered[rank]
 
 
-def histogram_percentile(family, q):
-    """Upper-bound q-quantile from a registry histogram's buckets."""
-    snap = family.value
-    target = q * snap["count"]
-    for bound, cumulative in snap["buckets"]:
-        if cumulative >= target:
-            return bound
-    return float("inf")
+def registry_checks(store):
+    """The sum of the store's ``repro_authz_checks_total`` series."""
+    family = store.database.metrics.get("repro_authz_checks_total")
+    return sum(series.value for _, series in family.series())
 
 
 def build_store(n_grants, seed=20060408):
@@ -156,7 +153,7 @@ def run_churn(store, rounds, subjects, seed=20060410):
     (the gate requires zero).
     """
     rng = random.Random(seed)
-    violations = revocations = renewals = 0
+    violations = revocations = renewals = checks = 0
     db = store.database
     for i in range(rounds):
         # Renewal-heavy refresh-token churn: max-merge, only lengthens.
@@ -170,9 +167,11 @@ def run_churn(store, rounds, subjects, seed=20060410):
         subject = f"u{rng.randrange(subjects)}"
         relation = RELATIONS[rng.randrange(len(RELATIONS))]
         obj = f"doc{rng.randrange(max(1, subjects // 2))}"
+        checks += 1
         if store.check(subject, relation, obj):
             store.revoke(subject, relation, obj)
             revocations += 1
+            checks += 1
             if store.check(subject, relation, obj):
                 violations += 1
         # Token logout differential.
@@ -185,12 +184,13 @@ def run_churn(store, rounds, subjects, seed=20060410):
         # Lockout: denies even a live grant, then clears by TTL alone.
         locked = f"u{rng.randrange(subjects)}"
         store.lock_out(locked, ttl=2)
+        checks += 1
         if store.check(locked, "read", f"doc{rng.randrange(max(1, subjects // 2))}"):
             violations += 1  # a locked-out subject was served
         if i % 16 == 15:
             db.tick(3)  # lapse the lockouts; sweeps reclaim revoked rows
     return {"violations": violations, "revocations": revocations,
-            "renewals": renewals}
+            "renewals": renewals, "checks": checks}
 
 
 def run_served(store, rounds=50, seed=20060411):
@@ -236,8 +236,8 @@ def gate(n_grants, mix_ops, churn_rounds, p99_budget_s, served=False):
     lat = mix["latencies"]
     p50 = percentile(lat, 0.50)
     p99 = percentile(lat, 0.99)
-    family = store.database.metrics.get("repro_authz_check_seconds")
-    hist_p99 = histogram_percentile(family, 0.99)
+    checks_made = mix["checks"] + churn["checks"]
+    counted = registry_checks(store)
 
     store.database.verify(strict=True, deep=True)
 
@@ -250,8 +250,8 @@ def gate(n_grants, mix_ops, churn_rounds, p99_budget_s, served=False):
             ("mix throughput", f"{int((mix['checks'] + mix['writes']) / mix_s):,} ops/s"),
             ("check p50 (sample)", f"{p50 * 1e6:.1f} us"),
             ("check p99 (sample)", f"{p99 * 1e6:.1f} us"),
-            ("check p99 (registry bucket)", f"<= {hist_p99 * 1e6:.1f} us"),
-            ("registry check count", f"{family.count:,}"),
+            ("registry check count",
+             f"{counted:,} (checks made: {checks_made:,})"),
             ("churn renewals / revocations",
              f"{churn['renewals']:,} / {churn['revocations']:,}"),
             ("differential violations",
@@ -264,7 +264,8 @@ def gate(n_grants, mix_ops, churn_rounds, p99_budget_s, served=False):
         "grants": loaded,
         "p50_s": p50,
         "p99_s": p99,
-        "hist_p99_s": hist_p99,
+        "registry_checks": counted,
+        "checks_made": checks_made,
         "violations": violations,
         "p99_budget_s": p99_budget_s,
         "passed": violations == 0 and p99 <= p99_budget_s,
@@ -281,6 +282,7 @@ def test_authz_revocation_differential():
     churn = run_churn(store, 200, subjects)
     assert churn["revocations"] > 0
     assert churn["violations"] == 0
+    assert registry_checks(store) == mix["checks"] + churn["checks"]
     wire = run_served(store, rounds=10)
     assert wire["violations"] == 0
     assert store.database.verify(strict=True, deep=True) == []

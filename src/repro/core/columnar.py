@@ -424,11 +424,16 @@ class ColumnarRelation(Relation):
             raise RelationError(f"row {row!r} not in relation")
         return from_raw(self._texp[pos])
 
-    def expiration_or_none(
-        self, values: Iterable[Any]
-    ) -> Optional[Timestamp]:
+    def expiration_or_none(self, values: Iterable[Any]) -> Optional[Timestamp]:
         pos = self._ensure_rowmap().get(make_row(values))
         return None if pos is None else from_raw(self._texp[pos])
+
+    def alive_at(self, row: Row, tau: TimeLike) -> bool:
+        try:
+            pos = self._ensure_rowmap().get(row)
+        except TypeError:
+            raise RelationError(f"tuple values must be hashable: {row!r}") from None
+        return pos is not None and to_raw(ts(tau)) < self._texp[pos]
 
     def earliest_expiration(self) -> Timestamp:
         if not len(self._texp):

@@ -314,6 +314,14 @@ class Relation:
         """Like :meth:`expiration_of` but ``None`` for absent rows."""
         return self._tuples.get(make_row(values))
 
+    def alive_at(self, row: Row, tau: TimeLike) -> bool:
+        """Whether ``row`` is in ``exp_τ(R)``: one stored-expiration probe."""
+        try:
+            texp = self._tuples.get(row)
+        except TypeError:
+            raise RelationError(f"tuple values must be hashable: {row!r}") from None
+        return texp is not None and tau < texp
+
     def purge_expired(self, tau: TimeLike) -> int:
         """Physically remove tuples expired at ``τ``; returns the count.
 

@@ -23,9 +23,9 @@ from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import Timestamp
+from repro.core.timestamps import TimeLike, Timestamp
 from repro.core.tuples import Row, make_row
-from repro.errors import EngineError
+from repro.errors import EngineError, RelationError
 
 __all__ = ["ShardedRelation"]
 
@@ -114,6 +114,13 @@ class ShardedRelation(Relation):
     def expiration_or_none(self, values: Iterable[Any]) -> Optional[Timestamp]:
         row = make_row(values)
         return self.shard_of(row).expiration_or_none(row)
+
+    def alive_at(self, row: Row, tau: TimeLike) -> bool:
+        try:
+            shard = self.shard_of(row)
+        except TypeError:
+            raise RelationError(f"tuple values must be hashable: {row!r}") from None
+        return shard.alive_at(row, tau)
 
     # -- iteration & access ------------------------------------------------
 

@@ -55,7 +55,7 @@ from repro.core.patching import (
 )
 from repro.core.relation import Relation
 from repro.core.timestamps import TimeLike, Timestamp, ts
-from repro.core.tuples import Row
+from repro.core.tuples import Row, make_row
 from repro.errors import StaleViewError, ViewError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
@@ -408,8 +408,7 @@ class MaterialisedView(HeldAnswer):
         stamp = self.database.clock.now if at is None else ts(at)
         self._count_read()
         self._bring_current(stamp)
-        texp = self._result.relation.expiration_or_none(values)
-        return texp is not None and stamp < texp
+        return self._result.relation.alive_at(make_row(values), stamp)
 
     # -- following ------------------------------------------------------------
 

@@ -310,8 +310,7 @@ class ReservoirSample(StandingQuery):
             self._members[slot] = stored.row
 
     def _alive(self, row: tuple, tau: Timestamp) -> bool:
-        texp = self.table.relation.expiration_or_none(row)
-        return texp is not None and tau < texp
+        return self.table.relation.alive_at(row, tau)
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
         live = [row for row, _ in self._live_items(tau)]
@@ -513,6 +512,7 @@ class StreamStore:
             self._refresh_seconds,
             self._resident,
         ) = declare_streaming_families(self.database.metrics)
+        self._stream_series: Dict[str, tuple] = {}
 
     # -- streams -------------------------------------------------------------
 
@@ -557,8 +557,9 @@ class StreamStore:
         """One arrival: an insert whose texp is arrival + window/TTL."""
         table = self.stream(name)
         table.insert(row, ttl=ttl)
-        self._events.labels(name).inc()
-        self._resident.labels(name).set(table.physical_size)
+        events, _, resident = self._series(name)
+        events.inc()
+        resident.set(table.physical_size)
 
     def touch(self, name: str, row: tuple, ttl: Optional[int] = None) -> bool:
         """Activity on a since-last-modification stream: restart the timer.
@@ -568,15 +569,23 @@ class StreamStore:
         """
         touched = self.stream(name).touch(row, ttl=ttl)
         if touched is not None:
-            self._touches.labels(name).inc()
+            self._series(name)[1].inc()
         return touched is not None
 
     def resident_tuples(self, name: str) -> int:
         """Physically resident rows (expired-but-unswept included)."""
         table = self.stream(name)
         size = table.physical_size
-        self._resident.labels(name).set(size)
+        self._series(name)[2].set(size)
         return size
+
+    def _series(self, name: str) -> tuple:
+        """Stream ``name``'s (events, touches, resident) series, looked up once."""
+        series = self._stream_series.get(name)
+        if series is None:
+            families = (self._events, self._touches, self._resident)
+            series = self._stream_series[name] = tuple(f.labels(name) for f in families)
+        return series
 
     # -- standing queries ----------------------------------------------------
 

@@ -175,6 +175,20 @@ class TestRelationParity:
         assert relation.contains((1,))
 
 
+    @pytest.mark.parametrize("layout", [Relation, ColumnarRelation])
+    def test_alive_at_agrees_with_exp_at(self, layout):
+        relation = layout(2)
+        relation.insert((1, "a"), expires_at=5)
+        relation.insert((2, "b"))
+        for tau in (4, 5, 6):
+            visible = set(relation.exp_at(tau).rows())
+            for row in ((1, "a"), (2, "b"), (3, "c")):
+                assert relation.alive_at(row, tau) == (row in visible)
+                assert relation.alive_at(row, ts(tau)) == (row in visible)
+        with pytest.raises(RelationError, match="hashable"):
+            relation.alive_at((1, ["a"]), 4)
+
+
 class TestColumnBatch:
     def test_unfiltered_batch_aliases_live_storage(self):
         relation = ColumnarRelation(2)

@@ -26,7 +26,7 @@ from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.partitioning import ShardedRelation
 from repro.engine.persistence import database_from_dict, database_to_dict
 from repro.engine.table import Table
-from repro.errors import CatalogError, EngineError
+from repro.errors import CatalogError, EngineError, RelationError
 from repro.sql import execute_sql
 from tests.core.algebra.test_compiler_differential import random_catalog
 
@@ -222,6 +222,21 @@ class TestShardedRelation:
             target.insert((2,), expires_at=INFINITY)
         assert sharded.same_content(flat)
         assert flat.same_content(sharded)
+
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    def test_alive_at_agrees_with_exp_at(self, layout):
+        table = Table("T", Schema(["k", "v"]), LogicalClock(), partitions=3,
+                      layout=layout)
+        table.insert((1, "a"), expires_at=5)
+        table.insert((2, "b"), expires_at=INFINITY)
+        rel = table.relation
+        for tau in (4, 5, 6):
+            visible = set(rel.exp_at(tau).rows())
+            for row in ((1, "a"), (2, "b"), (3, "c")):
+                assert rel.alive_at(row, ts(tau)) == (row in visible)
+        for unhashable in (([1], "a"), (1, ["a"])):  # routing key, then shard
+            with pytest.raises(RelationError, match="hashable"):
+                rel.alive_at(unhashable, ts(4))
 
     @pytest.mark.parametrize("verb, args", [
         ("insert", ((1,), 5)),

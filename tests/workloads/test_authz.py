@@ -185,13 +185,126 @@ class TestHierarchyViewsAreRegistered:
         assert "authz_group_grants" not in db.view_names()
 
 
+def scripted_run(store):
+    """Checks decided on every path plus writes of every kind; returns the
+    decisions in order."""
+    store.grant("alice", "read", "doc", ttl=10)
+    store.assign_role("bob", "editor", ttl=10)
+    store.grant_role("editor", "write", "doc", ttl=10)
+    store.join_group("carol", "eng", ttl=10)
+    store.map_group_role("eng", "viewer", ttl=10)
+    store.grant_role("viewer", "read", "doc", ttl=10)
+    store.lock_out("dave", ttl=3)
+    store.issue_token("t1", "alice", ttl=5)
+    decisions = []
+    for step in range(4):
+        for subject, relation in (("alice", "read"), ("bob", "write"),
+                                  ("carol", "read"), ("dave", "read"),
+                                  ("nobody", "read")):
+            decisions.append(store.check(subject, relation, "doc"))
+        store.renew_grant("alice", "read", "doc", ttl=10)
+        store.refresh_token("t1", "alice")
+        store.audit("alice", f"step{step}")
+        decisions.append(store.token_valid("t1", "alice"))
+        store.database.tick(2)
+    store.revoke("alice", "read", "doc")
+    store.leave_group("carol", "eng")
+    decisions += [store.check("alice", "read", "doc"),
+                  store.check("carol", "read", "doc")]
+    return decisions
+
+
+CHECK_SERIES = [
+    ("allow", "direct"), ("allow", "role"), ("allow", "group"),
+    ("deny", "lockout"), ("deny", "none"),
+]
+WRITE_KINDS = ["grant", "renew", "revoke", "token", "lockout", "audit", "hierarchy"]
+
+
 class TestMetrics:
-    def test_decisions_and_latency_are_published(self, store):
+    def test_decisions_and_writes_are_published(self, store):
         store.grant("alice", "read", "doc", ttl=10)
-        store.check("alice", "read", "doc")
-        store.check("nobody", "read", "doc")
+        store.assign_role("bob", "editor", ttl=10)
+        store.grant_role("editor", "write", "doc", ttl=10)
+        store.join_group("carol", "eng", ttl=10)
+        store.map_group_role("eng", "viewer", ttl=10)
+        store.grant_role("viewer", "read", "doc", ttl=10)
+        store.lock_out("dave", ttl=10)
+        assert store.check("alice", "read", "doc")
+        assert store.check("bob", "write", "doc")
+        assert store.check("carol", "read", "doc")
+        assert not store.check("dave", "read", "doc")
+        assert not store.check("nobody", "read", "doc")
+        assert not store.check("nobody", "write", "doc")
         snap = store.database.metrics.snapshot()
-        assert snap['repro_authz_checks_total{decision="allow",path="direct"}'] == 1
-        assert snap['repro_authz_checks_total{decision="deny",path="none"}'] == 1
-        family = store.database.metrics.get("repro_authz_check_seconds")
-        assert family.count == 2
+        key = 'repro_authz_checks_total{{decision="{}",path="{}"}}'
+        assert {pair: snap[key.format(*pair)] for pair in CHECK_SERIES} == {
+            ("allow", "direct"): 1, ("allow", "role"): 1, ("allow", "group"): 1,
+            ("deny", "lockout"): 1, ("deny", "none"): 2,
+        }
+        assert snap['repro_authz_writes_total{kind="grant"}'] == 1
+        assert snap['repro_authz_writes_total{kind="hierarchy"}'] == 5
+        assert "repro_authz_check_seconds" not in store.database.metrics
+
+    def test_every_series_exists_at_zero_from_construction(self, store):
+        snap = store.database.metrics.snapshot()
+        for decision, path in CHECK_SERIES:
+            key = f'repro_authz_checks_total{{decision="{decision}",path="{path}"}}'
+            assert snap[key] == 0
+        for kind in WRITE_KINDS:
+            assert snap[f'repro_authz_writes_total{{kind="{kind}"}}'] == 0
+
+    def test_checks_and_writes_look_up_no_series(self, store, monkeypatch):
+        """The hot path only increments series found at construction."""
+        from repro.obs.registry import Family
+
+        store.assign_role("bob", "editor", ttl=100)
+        store.grant_role("editor", "write", "doc", ttl=100)
+        store.join_group("carol", "eng", ttl=100)
+        store.map_group_role("eng", "viewer", ttl=100)
+        store.grant_role("viewer", "read", "doc", ttl=100)
+        store.warm_views()
+        calls = []
+        original = Family.labels
+
+        def counting(self, *values, **kv):
+            calls.append((self.name, values))
+            return original(self, *values, **kv)
+
+        monkeypatch.setattr(Family, "labels", counting)
+        for i in range(20):
+            store.grant(f"u{i}", "read", "doc", ttl=100)
+            store.renew_grant(f"u{i}", "read", "doc", ttl=200)
+            store.issue_token(f"t{i}", f"u{i}")
+            store.refresh_token(f"t{i}", f"u{i}")
+            store.lock_out(f"x{i}", ttl=5)
+            store.audit(f"u{i}", "login")
+            store.assign_role(f"m{i}", "editor", ttl=100)
+            for subject, relation in ((f"u{i}", "read"), (f"m{i}", "write"),
+                                      ("carol", "read"), (f"x{i}", "read"),
+                                      ("nobody", "read")):
+                store.check(subject, relation, "doc")
+            store.revoke(f"u{i}", "read", "doc")
+            store.revoke_token(f"t{i}", f"u{i}")
+        assert calls == []
+        snap = store.database.metrics.snapshot()
+        for decision, path in CHECK_SERIES:
+            key = f'repro_authz_checks_total{{decision="{decision}",path="{path}"}}'
+            assert snap[key] == 20
+        assert snap['repro_authz_writes_total{kind="revoke"}'] == 40
+
+    def test_uninstrumented_store_decides_the_same(self):
+        from repro.obs.registry import MetricsRegistry
+
+        instrumented = AuthzStore(partitions=2)
+        bare = AuthzStore(Database(metrics=MetricsRegistry(enabled=False)),
+                          partitions=2)
+        decisions = scripted_run(instrumented)
+        assert scripted_run(bare) == decisions
+        assert any(decisions) and not all(decisions)
+        counted = sum(
+            instrumented.database.metrics.snapshot()[
+                f'repro_authz_checks_total{{decision="{d}",path="{p}"}}']
+            for d, p in CHECK_SERIES
+        )
+        assert counted == 22
