@@ -165,7 +165,7 @@ def memory_report(size=1_000_000, seed=9):
     deg = [rng.randrange(50) for _ in range(size)]
     seg = [rng.randrange(50) for _ in range(size)]
     texp = [rng.randrange(10, 400) for _ in range(size)]
-    stamps = [ts(t) for t in texp]  # interned; shared by both layouts
+    stamps = [ts(t) for t in texp]  # shared by both layouts
     schema = Relation(["uid", "deg", "seg"]).schema
 
     tracemalloc.start()

@@ -71,12 +71,11 @@ class Violation:
 
 
 class _TickMaps:
-    """Each table's index and storage as ``row -> raw tick`` dicts.
+    """Each table's index and storage as ``row -> tick`` dicts.
 
     Built at most once per table per :func:`run_invariants` call and
-    shared by the two index checks, which then compare plain ints
-    (``None`` = never expires) instead of decoding a ``Timestamp`` per
-    entry per check.
+    shared by the two index checks, so a columnar table decodes its
+    ticks once per call, not once per check.
     """
 
     def __init__(self, database: "Database") -> None:
@@ -93,7 +92,7 @@ class _TickMaps:
                 scheduled.update(shard.index.items())
             maps = self._maps[name] = (
                 scheduled,
-                {row: texp._value for row, texp in table.relation.items()},
+                dict(table.relation.items()),
             )
         return maps
 
@@ -154,11 +153,11 @@ def run_invariants(
 
 @_structural("index-schedules-stored")
 def _index_schedules_stored(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
-    now = db.clock.now._value
+    now = db.clock.now
     for name in db.table_names():
         scheduled, stored = ticks.of(name)
         for row, texp in stored.items():
-            if texp is None or texp <= now:
+            if texp <= now or texp.is_infinite:
                 continue  # immortal rows are never indexed; expired rows
                 # may already sit in a due buffer awaiting vacuum
             entry = scheduled.get(row)
@@ -189,11 +188,10 @@ def _index_entries_stored(db: "Database", ticks: _TickMaps) -> Iterator[Violatio
                     f"physically present (phantom ON-EXPIRE)",
                 )
             elif stored[row] != stamp:
-                current = "inf" if stored[row] is None else stored[row]
                 yield Violation(
                     "index-entries-stored",
                     f"{name}{row}",
-                    f"index entry at {stamp}, stored expiration is {current}",
+                    f"index entry at {stamp}, stored expiration is {stored[row]}",
                 )
 
 

@@ -120,7 +120,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.timestamps import RAW_INFINITY, Timestamp, from_raw, to_raw, ts
+from repro.core.timestamps import RAW_INFINITY, Timestamp, from_raw, ts
 from repro.errors import TimeError
 
 __all__ = [
@@ -508,10 +508,7 @@ def _block(parts: List[bytes], name: str, items: Union[Block, Rows]) -> None:
     rows: Sequence[tuple] = items
     if form == _FORM_TICKED and items:
         rows, texps = zip(*items)
-        try:
-            ticks = array("q", map(to_raw, texps))
-        except TimeError as error:
-            raise FrameError(str(error)) from None
+        ticks = array("q", texps)
     columns = list(zip(*rows))
     body: List[bytes] = []
     _write_body(body, ticks, columns)

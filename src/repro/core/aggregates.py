@@ -36,7 +36,7 @@ from typing import (
 )
 
 from repro.core.intervals import Interval, IntervalSet
-from repro.core.timestamps import INFINITY, Timestamp, ts, ts_max, ts_min
+from repro.core.timestamps import INFINITY, RAW_INFINITY, Timestamp, ts, ts_max, ts_min
 from repro.errors import AggregateError, EvaluationError
 
 __all__ = [
@@ -374,9 +374,7 @@ def time_sliced_sets(
     by_time: Dict[Timestamp, List[PartitionItem]] = {}
     for item in partition:
         by_time.setdefault(item[1], []).append(item)
-    infinite = [t for t in by_time if t.is_infinite]
-    finite = sorted((t for t in by_time if t.is_finite), key=lambda t: t.value)
-    return [by_time[t] for t in finite + infinite]
+    return [by_time[t] for t in sorted(by_time)]
 
 
 def contributing_set(
@@ -420,9 +418,6 @@ def neutral_set_expiration(
 # ---------------------------------------------------------------------------
 
 
-#: Raw tick standing in for ``∞`` while sorting: above every finite tick.
-_NEVER = float("inf")
-
 #: ``[(start tick, value), ...]`` in time order, and the tick at which the
 #: last step ends (``None`` = the partition never fully expires).
 Steps = Tuple[List[Tuple[int, Any]], Optional[int]]
@@ -431,7 +426,7 @@ Steps = Tuple[List[Tuple[int, Any]], Optional[int]]
 def timeline_steps(
     partition: Sequence[PartitionItem], function: AggregateFunction, tau: Timestamp
 ) -> Steps:
-    """The aggregate value of ``exp_τ'(P)`` as steps on raw ticks.
+    """The aggregate value of ``exp_τ'(P)`` as steps on ticks.
 
     One suffix scan: the members alive at ``τ`` are sorted by expiration
     once and joined from the latest expiration backwards through
@@ -450,12 +445,8 @@ def timeline_steps(
     This is the operational form of the paper's remark that χ and ν "are
     best calculated when the actual aggregate values ... are computed".
     """
-    now = ts(tau)._value
-    if now is None:
-        return [], None  # nothing outlives ∞
-    ticks = [
-        _NEVER if (tick := texp._value) is None else tick for _, texp in partition
-    ]
+    now = ts(tau)
+    ticks = [texp for _, texp in partition]
     alive = [position for position, tick in enumerate(ticks) if tick > now]
     if not alive:
         return [], None
@@ -474,7 +465,7 @@ def timeline_steps(
         else:
             steps.append((start, value))
     steps.reverse()
-    return steps, None if boundaries[0] == _NEVER else boundaries[0]
+    return steps, None if boundaries[0] == RAW_INFINITY else boundaries[0]
 
 
 def _stamp(tick: Optional[int]) -> Timestamp:
@@ -492,7 +483,7 @@ def alive_steps(
 
 
 def step_spans(steps: List[Tuple[int, Any]], death: Optional[int]):
-    """``(start, end, value)`` per step, on raw ticks (``None`` = ∞)."""
+    """``(start, end, value)`` per step, on ticks (``None`` = ∞)."""
     ends = [start for start, _ in steps[1:]]
     ends.append(death)
     return ((start, end, value) for (start, value), end in zip(steps, ends))

@@ -87,16 +87,11 @@ from repro.core.algebra.predicates import (
     TruePredicate,
     compare,
 )
-from repro.core.columnar import (
-    ColumnBatch,
-    ColumnarRelation,
-    from_raw,
-    to_raw,
-)
+from repro.core.columnar import ColumnBatch, ColumnarRelation
 from repro.core.intervals import IntervalSet
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts, ts_min
+from repro.core.timestamps import INFINITY, TimeLike, Timestamp, from_raw, ts, ts_min
 from repro.errors import CatalogError, EvaluationError
 
 __all__ = [
@@ -383,18 +378,8 @@ class _Stream:
 
 
 def _live_pairs(pairs: Pairs, tau: Timestamp) -> Pairs:
-    """Stream the pairs of ``pairs`` (stored rows) alive at ``τ``.
-
-    The filter compares raw ticks (``None`` = ∞), as the columnar kernels
-    do, so a scan pays no ``Timestamp.__lt__`` call per stored row.
-    """
-    tick = tau._value
-    if tick is None:
-        return iter(())  # nothing outlives ∞
-    return (
-        pair for pair in pairs
-        if (texp := pair[1]._value) is None or texp > tick
-    )
+    """Stream the pairs of ``pairs`` (stored rows) alive at ``τ``."""
+    return (pair for pair in pairs if pair[1] > tau)
 
 
 #: A compiled node: executed with a context, yields its output stream.
@@ -765,11 +750,10 @@ def _scan(ctx: _Context, relation, keep: Optional[List[int]] = None, probe=None)
     trace = ctx.trace if shards is not None else None
     if isinstance(parts[0], ColumnarRelation):
         ctx.stats.tuples_scanned += len(relation)
-        tau_raw = to_raw(ctx.tau)
         batches = []
         for index, part in enumerate(parts):
             started = time.perf_counter()
-            batch = part.batch(tau_raw, keep)
+            batch = part.batch(ctx.tau, keep)
             if trace is not None:
                 span = trace.child("shard_scan", shard=index, stage="batch")
                 span.add_time(time.perf_counter() - started)
@@ -1443,28 +1427,19 @@ class _Compiler:
             ctx.stats.operators_evaluated += 1
             left_stream = left(ctx)
             right_stream = right(ctx)
-            dies: Dict[Any, Timestamp] = {}
-            dies_get = dies.get
             if right_stream.batch is not None:
-                # Build the dies-map from raw column slices: the running
-                # max per key compares ints, decoding one Timestamp per
-                # distinct key at the end.
+                # Build the dies-map from the key column slices.
                 rb = right_stream.batch
                 ctx.stats.note_columnar("antijoin_build", len(rb))
-                dies_raw: Dict[Any, int] = {}
-                raw_get = dies_raw.get
-                for key, raw in zip(_keys_of(rb, right_key_idx), rb.texp):
-                    current = raw_get(key)
-                    if current is None or current < raw:
-                        dies_raw[key] = raw
-                dies = {key: from_raw(raw) for key, raw in dies_raw.items()}
-                dies_get = dies.get
+                keyed = zip(_keys_of(rb, right_key_idx), rb.texp)
             else:
-                for row, texp in right_stream.pairs:
-                    key = right_key(row)
-                    current = dies_get(key)
-                    if current is None or current < texp:
-                        dies[key] = texp
+                keyed = ((right_key(row), texp) for row, texp in right_stream.pairs)
+            dies: Dict[Any, int] = {}
+            dies_get = dies.get
+            for key, texp in keyed:
+                current = dies_get(key)
+                if current is None or current < texp:
+                    dies[key] = texp
 
             result: Dict[tuple, Timestamp] = {}
             result_get = result.get

@@ -156,7 +156,7 @@ class HeldAnswer:
         self.held_at = tau
         self.window: Optional[IntervalSet] = None
         self.cause: Optional[str] = "initial"
-        self._since: Optional[int] = None
+        self._since: Optional[Timestamp] = None
 
     def hold(self, tau: Timestamp, window: IntervalSet) -> None:
         """Record an answer built at ``tau``, servable in ``window`` (which
@@ -167,7 +167,7 @@ class HeldAnswer:
         # One unbounded interval -- the common window -- is a tick compare.
         spans = window.intervals
         unbounded = len(spans) == 1 and spans[0].end.is_infinite
-        self._since = spans[0].start._value if unbounded else None
+        self._since = spans[0].start if unbounded else None
 
     def invalidate(self, cause: str) -> None:
         """Name why the held answer may not be served; ``initial`` stays."""
@@ -185,8 +185,7 @@ class HeldAnswer:
         since = self._since
         if since is None:
             return self.window.contains(tau)
-        value = tau._value
-        return value is not None and since <= value
+        return since <= tau < INFINITY
 
     def _bring_current(self, tau: Timestamp) -> Optional[str]:
         """Make the held answer servable at ``tau``: ``None`` when it was

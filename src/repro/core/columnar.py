@@ -3,12 +3,12 @@
 The row engine stores a relation as ``Dict[Row, Timestamp]`` -- ideal for
 point lookups and max-merge inserts, but every whole-relation operation
 (the paper's ``exp_τ`` restriction above all) then pays per-row Python
-object traffic: tuple hashing, ``Timestamp`` rich comparisons, generator
+object traffic: tuple hashing, a ``Timestamp`` object per row, generator
 frames.  :class:`ColumnarRelation` keeps the same *logical* content as
 parallel per-attribute arrays plus a raw ``int64`` expiration array::
 
     _cols  = [[uid...], [deg...]]      # one Python list per attribute
-    _texp  = array('q', [10, 15, ...]) # raw ticks; RAW_INFINITY encodes ∞
+    _texp  = array('q', [10, 15, ...]) # the ticks; RAW_INFINITY is ∞
 
 so ``exp_τ(R)`` becomes a single-pass compare of a machine-int column
 against a scalar, and the compiled evaluator's batch kernels
@@ -41,7 +41,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.relation import Relation, _split_raw
+from repro.core.relation import Relation
 from repro.core.schema import Schema, anonymous_schema
 from repro.core.timestamps import (
     INFINITY,
@@ -49,7 +49,6 @@ from repro.core.timestamps import (
     TimeLike,
     Timestamp,
     from_raw,
-    to_raw,
     ts,
 )
 from repro.core.tuples import ExpiringTuple, Row, make_row
@@ -59,8 +58,6 @@ __all__ = [
     "RAW_INFINITY",
     "ColumnBatch",
     "ColumnarRelation",
-    "from_raw",
-    "to_raw",
 ]
 
 
@@ -168,7 +165,7 @@ class ColumnarRelation(Relation):
         for row, stamp in source.items():
             for i in range(arity):
                 cols[i].append(row[i])
-            texp.append(to_raw(stamp))
+            texp.append(stamp)
         return cls._from_columns(source.schema, cols, texp)
 
     # -- internal plumbing ---------------------------------------------------
@@ -198,12 +195,12 @@ class ColumnarRelation(Relation):
 
     def batch(
         self,
-        tau_raw: Optional[int] = None,
+        tau: Optional[int] = None,
         keep: Optional[Sequence[int]] = None,
     ) -> ColumnBatch:
         """The relation's content as a :class:`ColumnBatch`.
 
-        With ``tau_raw`` the batch is exp-filtered (``texp > τ``) in one
+        With ``tau`` the batch is exp-filtered (``texp > τ``) in one
         pass over the raw array -- the whole-column form of ``exp_τ``.
         Without a filter the live storage is aliased zero-copy.  ``keep``
         prunes the scan to the given column indexes (in ``keep`` order):
@@ -211,12 +208,12 @@ class ColumnarRelation(Relation):
         """
         texp = self._texp
         cols = self._cols if keep is None else [self._cols[i] for i in keep]
-        if tau_raw is None:
+        if tau is None:
             return ColumnBatch(cols, texp)
         # Flag-and-compress beats an index-list gather: the survivors are
         # copied out by itertools.compress at C speed instead of one
         # ``col[i]`` subscript per (row, attribute).
-        flags = [raw > tau_raw for raw in texp]
+        flags = [tick > tau for tick in texp]
         if all(flags):
             return ColumnBatch(cols, texp)
         compress = _compress
@@ -236,12 +233,12 @@ class ColumnarRelation(Relation):
         cols = self._cols
         texp = self._texp
         if not texp:
-            # Raw ticks into an empty relation (a snapshot load): the
-            # columns and the tick array are extended whole, unless a row
-            # repeats and has to be merged after all.
+            # Into an empty relation (a snapshot load): the columns and
+            # the tick array are extended whole, unless a row repeats and
+            # has to be merged after all.
             pairs = list(pairs)
-            if raw := _split_raw(pairs):
-                rows, ticks = raw
+            if pairs:
+                rows, ticks = zip(*pairs)
                 rowmap.update(zip(rows, range(len(rows))))
                 if len(rowmap) == len(rows):
                     for col, values in zip(cols, zip(*rows)):
@@ -250,16 +247,15 @@ class ColumnarRelation(Relation):
                     return len(rows)
                 rowmap.clear()
         count = 0
-        for row, stamp in pairs:
-            raw = stamp if type(stamp) is int else to_raw(stamp)
+        for row, tick in pairs:
             pos = rowmap.get(row)
             if pos is None:
                 rowmap[row] = len(texp)
                 for i, col in enumerate(cols):
                     col.append(row[i])
-                texp.append(raw)
-            elif texp[pos] < raw:
-                texp[pos] = raw
+                texp.append(tick)
+            elif texp[pos] < tick:
+                texp[pos] = tick
             count += 1
         return count
 
@@ -268,34 +264,32 @@ class ColumnarRelation(Relation):
     ) -> None:
         """Apply trusted ``(row, texp-or-None)`` ops with override semantics.
 
-        ``None`` deletes; anything else (a :class:`Timestamp` or a raw
-        tick) sets the expiration unconditionally.  The WAL replay fast
-        path.
+        ``None`` deletes; a tick sets the expiration unconditionally.  The
+        WAL replay fast path.
         """
         rowmap = self._ensure_rowmap()
         cols = self._cols
         texp = self._texp
-        for row, stamp in ops:
+        for row, tick in ops:
             pos = rowmap.get(row)
-            if stamp is None:
+            if tick is None:
                 if pos is not None:
                     self._swap_remove(rowmap, pos, row)
                 continue
-            raw = stamp if type(stamp) is int else to_raw(stamp)
             if pos is None:
                 rowmap[row] = len(texp)
                 for i, col in enumerate(cols):
                     col.append(row[i])
-                texp.append(raw)
+                texp.append(tick)
             else:
-                texp[pos] = raw
+                texp[pos] = tick
 
     def insert(
         self, values: Iterable[Any], expires_at: TimeLike = None
     ) -> ExpiringTuple:
         row = make_row(values)
         self._check_arity(row)
-        raw = to_raw(ts(expires_at))
+        stamp = ts(expires_at)
         rowmap = self._ensure_rowmap()
         texp = self._texp
         pos = rowmap.get(row)
@@ -303,19 +297,19 @@ class ColumnarRelation(Relation):
             rowmap[row] = len(texp)
             for i, col in enumerate(self._cols):
                 col.append(row[i])
-            texp.append(raw)
-        elif texp[pos] < raw:
-            texp[pos] = raw
+            texp.append(stamp)
+        elif texp[pos] < stamp:
+            texp[pos] = stamp
         else:
-            raw = texp[pos]
-        return ExpiringTuple(row, from_raw(raw))
+            stamp = from_raw(texp[pos])
+        return ExpiringTuple(row, stamp)
 
     def override(
         self, values: Iterable[Any], expires_at: TimeLike
     ) -> ExpiringTuple:
         row = make_row(values)
         self._check_arity(row)
-        raw = to_raw(ts(expires_at))
+        stamp = ts(expires_at)
         rowmap = self._ensure_rowmap()
         texp = self._texp
         pos = rowmap.get(row)
@@ -323,10 +317,10 @@ class ColumnarRelation(Relation):
             rowmap[row] = len(texp)
             for i, col in enumerate(self._cols):
                 col.append(row[i])
-            texp.append(raw)
+            texp.append(stamp)
         else:
-            texp[pos] = raw
-        return ExpiringTuple(row, from_raw(raw))
+            texp[pos] = stamp
+        return ExpiringTuple(row, stamp)
 
     def _swap_remove(self, rowmap: Dict[Row, int], pos: int, row: Row) -> None:
         """Fill the hole at ``pos`` with the last row; arrays stay dense."""
@@ -354,9 +348,9 @@ class ColumnarRelation(Relation):
         return True
 
     def purge_expired(self, tau: TimeLike) -> int:
-        raw = to_raw(ts(tau))
+        tau = ts(tau)
         texp = self._texp
-        flags = [t > raw for t in texp]
+        flags = [tick > tau for tick in texp]
         purged = len(texp) - sum(flags)
         if purged:
             compress = _compress
@@ -379,12 +373,11 @@ class ColumnarRelation(Relation):
         removed when its *stored* expiration is ``<= now`` -- entries whose
         lifetime was max-merge-renewed after scheduling are skipped, exactly
         like the row engine's ``expiration_or_none`` + ``delete`` loop, but
-        compared as raw ticks straight off the texp array.  Returns
-        ``(processed, expired)`` where, when ``collect`` is set, ``expired``
-        lists each removed row with the raw tick it was *stored* with (for
-        ON-EXPIRE triggers), as :meth:`Relation._sweep_due` does.
+        compared straight off the texp array.  Returns ``(processed,
+        expired)`` where, when ``collect`` is set, ``expired`` lists each
+        removed row with the tick it was *stored* with (for ON-EXPIRE
+        triggers), as :meth:`Relation._sweep_due` does.
         """
-        now_raw = to_raw(now)
         rowmap = self._ensure_rowmap()
         texp = self._texp
         expired: List[Tuple[Row, int]] = []
@@ -394,7 +387,7 @@ class ColumnarRelation(Relation):
             if pos is None:
                 continue
             tick = texp[pos]
-            if tick > now_raw or tick == RAW_INFINITY:
+            if tick > now or tick == RAW_INFINITY:
                 continue
             self._swap_remove(rowmap, pos, row)
             processed += 1
@@ -405,9 +398,9 @@ class ColumnarRelation(Relation):
     # -- the model's primitives ----------------------------------------------
 
     def exp_at(self, tau: TimeLike) -> "ColumnarRelation":
-        raw = to_raw(ts(tau))
+        tau = ts(tau)
         texp = self._texp
-        flags = [t > raw for t in texp]
+        flags = [tick > tau for tick in texp]
         if all(flags):
             return self.copy()
         compress = _compress
@@ -433,7 +426,7 @@ class ColumnarRelation(Relation):
             pos = self._ensure_rowmap().get(row)
         except TypeError:
             raise RelationError(f"tuple values must be hashable: {row!r}") from None
-        return pos is not None and to_raw(ts(tau)) < self._texp[pos]
+        return pos is not None and tau < self._texp[pos]
 
     def earliest_expiration(self) -> Timestamp:
         if not len(self._texp):

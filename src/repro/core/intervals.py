@@ -279,8 +279,7 @@ class IntervalSet:
 
 def _normalise(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
     """Sort, merge overlapping, and coalesce adjacent intervals."""
-    # Interval starts are always finite, so sorting by the tick value is safe.
-    items: Sequence[Interval] = sorted(intervals, key=lambda iv: iv.start.value)
+    items: Sequence[Interval] = sorted(intervals, key=lambda iv: iv.start)
     merged: list[Interval] = []
     for interval in items:
         if merged and interval.start <= merged[-1].end:

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.relation import Relation
 from repro.core.schedule import Schedule
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, from_raw, to_raw, ts
+from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
 from repro.core.tuples import Row
 from repro.errors import RelationError
 
@@ -81,8 +81,8 @@ class DifferencePatcher:
         shed tick -- from then on, correctness would have required the
         dropped tuples, so no patch due at or after it is queued again.
         """
-        due = to_raw(patch.due)
-        if due >= to_raw(self._guaranteed_until):
+        due = patch.due
+        if due >= self._guaranteed_until:
             self.discard(patch.row)
             return
         self._schedule.put(patch.row, due)
@@ -104,7 +104,7 @@ class DifferencePatcher:
                 break
         for row in shed:
             self.discard(row)
-        self._guaranteed_until = from_raw(tick)
+        self._guaranteed_until = tick
 
     @property
     def guaranteed_until(self) -> Timestamp:
@@ -121,15 +121,14 @@ class DifferencePatcher:
 
     def peek_due(self) -> Optional[Timestamp]:
         """The due time of the next pending patch, if any."""
-        tick = self._schedule.next_due()
-        return None if tick is None else from_raw(tick)
+        return self._schedule.next_due()
 
     def pending(self) -> List[Patch]:
         """Every queued patch, in no particular order (what a snapshot of
         the patched view ships)."""
         expires = self._expires
-        return [Patch(row, from_raw(tick), expires[row])
-                for row, tick in self._schedule.items()]
+        return [Patch(row, due, expires[row])
+                for row, due in self._schedule.items()]
 
     def due_patches(self, now: TimeLike) -> List[Patch]:
         """Pop every patch whose row should be visible at time ``now``.
@@ -139,8 +138,8 @@ class DifferencePatcher:
         """
         expires = self._expires
         return [
-            Patch(row, from_raw(tick), expires.pop(row))
-            for row, tick in self._schedule.pop_due(to_raw(ts(now)))
+            Patch(row, due, expires.pop(row))
+            for row, due in self._schedule.pop_due(ts(now))
         ]
 
     def apply_to(

@@ -30,6 +30,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 from repro.core.schema import Schema, anonymous_schema
 from repro.core.timestamps import (
     INFINITY,
+    RAW_INFINITY,
     TimeLike,
     Timestamp,
     from_raw,
@@ -83,12 +84,6 @@ class ColumnLookup:
         start = (bisect_right if low_strict else bisect_left)(self.keys, low)
         stop = (bisect_left if high_strict else bisect_right)(self.keys, high)
         return self.ordered[start:stop]
-
-
-def _split_raw(pairs: List[Tuple[Row, Any]]) -> Optional[Tuple[tuple, tuple]]:
-    """``(rows, ticks)`` when every expiration in ``pairs`` is a raw tick."""
-    rows, stamps = zip(*pairs) if pairs else ((), ())
-    return (rows, stamps) if set(map(type, stamps)) == {int} else None
 
 
 class Relation:
@@ -154,33 +149,21 @@ class Relation:
 
         Rows must be hashable tuples of the right arity and expirations
         :class:`Timestamp` instances (e.g. pairs drained from another
-        relation's :meth:`items`) or raw ticks (what a snapshot segment
-        holds; they are stored as one interned :class:`Timestamp` per
-        distinct tick); the per-row ``make_row`` + arity check of
-        :meth:`insert` is skipped.  Duplicates keep the later expiration,
-        exactly like :meth:`insert`.  Returns the number of pairs loaded.
+        relation's :meth:`items`) or the bare ticks a snapshot segment
+        holds, which are decoded here (:func:`from_raw`); the per-row
+        ``make_row`` + arity check of :meth:`insert` is skipped.
+        Duplicates keep the later expiration, exactly like :meth:`insert`.
+        Returns the number of pairs loaded.
         ``changes``, when given, receives ``(row, before, after)`` for
         every pair that changed what is stored (``before`` is ``None`` for
         a new row).
         """
         self._lookups = None
         tuples = self._tuples
-        if not tuples and changes is None:
-            # Raw ticks into an empty relation (a snapshot load): one dict
-            # build, unless a row repeats and has to be merged after all.
-            # Pairs of Timestamps (a fold's) skip the split at the first.
-            pairs = list(pairs)
-            if pairs and type(pairs[0][1]) is int and (raw := _split_raw(pairs)):
-                rows, ticks = raw
-                interned = {tick: from_raw(tick) for tick in set(ticks)}
-                tuples.update(zip(rows, map(interned.__getitem__, ticks)))
-                if len(tuples) == len(rows):
-                    return len(rows)
-                tuples.clear()
         get = tuples.get
         count = 0
         for row, stamp in pairs:
-            if type(stamp) is int:
+            if type(stamp) is not Timestamp:
                 stamp = from_raw(stamp)
             existing = get(row)
             if existing is None or existing < stamp:
@@ -196,7 +179,7 @@ class Relation:
         """Apply trusted ``(row, texp-or-None)`` ops with override semantics.
 
         ``None`` deletes the row; anything else -- a :class:`Timestamp` or
-        the raw tick a log record holds -- sets its expiration
+        the bare tick a log record holds -- sets its expiration
         unconditionally (no max-merge).  This is the WAL-replay fast path:
         rows are already-validated hashable tuples, so the per-record
         ``make_row`` + arity check of :meth:`override`/:meth:`delete` is
@@ -208,7 +191,7 @@ class Relation:
             if stamp is None:
                 tuples.pop(row, None)
             else:
-                tuples[row] = from_raw(stamp) if type(stamp) is int else stamp
+                tuples[row] = stamp if type(stamp) is Timestamp else from_raw(stamp)
 
     def _sweep_due(
         self,
@@ -223,21 +206,17 @@ class Relation:
         lifetime was max-merge-renewed after they were scheduled never
         expired and are skipped.  Returns ``(processed, expired)`` where,
         when ``collect`` is set, ``expired`` lists each removed row with
-        the raw tick it was *stored* with (the ON-EXPIRE trigger payload)
+        the tick it was *stored* with (the ON-EXPIRE trigger payload)
         -- not the scheduled one: a stale entry left behind by an earlier
         incarnation of the row must not relabel what expired now.
         """
         tuples = self._tuples
         get = tuples.get
-        limit = now._value
         expired: List[Tuple[Row, int]] = []
         processed = 0
         for row, _ in due:
-            current = get(row)
-            if current is None:
-                continue
-            tick = current._value
-            if tick is None or (limit is not None and tick > limit):
+            tick = get(row)
+            if tick is None or tick > now or tick == RAW_INFINITY:
                 continue
             del tuples[row]
             processed += 1

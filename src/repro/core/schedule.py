@@ -1,4 +1,4 @@
-"""One expiration schedule: keys on raw ticks, handed back as they come due.
+"""One expiration schedule: keys on ticks, handed back as they come due.
 
 The paper leans on priority queues twice: the engine's "efficient ways to
 support expiration times with real-time performance guarantees" (its
@@ -8,7 +8,10 @@ holder in this package that has to learn what expires by ``τ`` keeps one
 and extent standing queries, the difference patch queue and a folded
 ``GROUP BY``'s partitions.
 
-The layout is a bucket per tick.  ``ticks`` maps each key to its raw tick,
+A tick is an ``int`` -- a :class:`~repro.core.timestamps.Timestamp` or the
+plain int of one, which hash and compare the same.
+
+The layout is a bucket per tick.  ``ticks`` maps each key to its tick,
 ``buckets`` maps each tick to the keys parked there, and ``heap`` orders
 the distinct bucket ticks.  Moving or discarding a key is O(1) and leaves
 its old bucket entry behind; a stale entry is skipped when its tick is
@@ -29,7 +32,7 @@ __all__ = ["Schedule"]
 
 
 class Schedule:
-    """``key -> raw tick``, handed back in tick order as the ticks pass.
+    """``key -> tick``, handed back in tick order as the ticks pass.
 
     :meth:`put` is last-write; max-merge is the caller's
     (``if (t := s.get(k)) is None or t < tick: s.put(k, tick)``).

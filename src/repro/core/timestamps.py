@@ -7,26 +7,34 @@ time value.  A tuple whose expiration time is ``∞`` never expires, and all
 operators degrade to their textbook equivalents when every tuple carries
 ``∞``.
 
+A :class:`Timestamp` *is* its tick: an ``int`` subclass whose value is the
+tick itself, with ``∞`` the one instance whose value is
+:data:`RAW_INFINITY` (``2^63 - 1``).  A plain ``int`` tick and a
+``Timestamp`` therefore compare, hash and pack (``array('q')``,
+``struct``) the same, at C speed; columnar storage, the expiration
+schedule and the packed log and snapshot (:mod:`repro.codec`) hold the
+same numbers the row layout and the public API hand out.
+
 This module provides:
 
 * :data:`INFINITY` -- the unique infinite timestamp (aliased ``FOREVER``);
-* :class:`Timestamp` -- an immutable wrapper for a finite or infinite time
-  value with full ordering, hashing, and saturating arithmetic;
+* :class:`Timestamp` -- an immutable point of the time domain with
+  saturating arithmetic, a ``repr`` / ``str`` that show ``∞`` as
+  ``INFINITY`` / ``inf``, and a :attr:`~Timestamp.value` that refuses ``∞``;
 * :func:`ts` -- a permissive coercion helper used throughout the library;
 * :func:`ts_min` / :func:`ts_max` -- n-ary minimum / maximum, the ``min`` and
   ``max`` functions of arbitrary arity from the paper's data model;
-* :data:`RAW_INFINITY`, :func:`to_raw` / :func:`from_raw` -- the time domain
-  as machine ints, the form columnar storage, the expiration index and the
-  packed log and snapshot (:mod:`repro.codec`) hold.
+* :data:`RAW_INFINITY` and :func:`from_raw` -- ``∞`` as a machine int, and
+  the decoder that turns a bare stored tick back into a :class:`Timestamp`.
 
-Finite timestamps are non-negative integers.  Arithmetic saturates at
-infinity: ``INFINITY + d == INFINITY`` for any finite ``d``.
+Finite timestamps are non-negative integers below :data:`RAW_INFINITY`.
+Arithmetic saturates at infinity: ``INFINITY + d == INFINITY`` for any
+finite ``d``.  ``int(INFINITY)`` is :data:`RAW_INFINITY`.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Dict, Iterable, Union
+from typing import Iterable, Union
 
 from repro.errors import TimeError
 
@@ -39,136 +47,124 @@ __all__ = [
     "ts_min",
     "ts_max",
     "RAW_INFINITY",
-    "to_raw",
     "from_raw",
 ]
 
+#: The tick of the infinite timestamp.  Finite ticks are non-negative and
+#: stay strictly below it, so ``tick > tau`` keeps the total order of the
+#: time domain; ``int64`` max leaves every realistic tick representable
+#: while fitting ``array('q')``.
+RAW_INFINITY = (1 << 63) - 1
 
-@functools.total_ordering
-class Timestamp:
+
+class Timestamp(int):
     """An immutable point on the totally ordered time domain.
 
     A timestamp is either *finite* (a non-negative integer tick) or the
-    distinguished *infinite* timestamp :data:`INFINITY`.  Instances are
-    hashable and totally ordered; the infinite timestamp compares greater
-    than every finite timestamp and equal to itself.
-
-    Timestamps interoperate with plain ``int`` values in comparisons and
-    arithmetic so that call sites can stay readable::
+    distinguished *infinite* timestamp :data:`INFINITY`, whose tick is
+    :data:`RAW_INFINITY`.  Ordering, equality and hashing are ``int``'s, so
+    a timestamp and the plain ``int`` of its tick are interchangeable as
+    keys and in comparisons::
 
         >>> Timestamp(5) < 7
         True
         >>> INFINITY > 10**9
         True
+        >>> Timestamp(5) in {5}
+        True
         >>> Timestamp(3) + 4
         Timestamp(7)
+
+    Unlike an ``int``, ``Timestamp(0)`` is truthy: a time is never "empty".
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ()
 
-    def __init__(self, value: Union[int, "Timestamp", None] = None) -> None:
-        if isinstance(value, Timestamp):
-            self._value = value._value
-            return
+    def __new__(cls, value: Union[int, "Timestamp", None] = None) -> "Timestamp":
+        if type(value) is int and 0 <= value < RAW_INFINITY:
+            return int.__new__(cls, value)
         if value is None:
-            self._value = None  # infinite
-            return
+            return INFINITY
+        if isinstance(value, Timestamp):
+            return value
         if isinstance(value, bool):
             raise TimeError(f"booleans are not timestamps: {value!r}")
         if not isinstance(value, int):
             raise TimeError(f"timestamps are integers or INFINITY, got {value!r}")
         if value < 0:
             raise TimeError(f"timestamps are non-negative, got {value}")
-        self._value = value
+        if value >= RAW_INFINITY:
+            raise TimeError(f"finite timestamp {value} too large for a raw int64 tick")
+        return int.__new__(cls, value)
+
+    def __reduce__(self):
+        # Unpickling goes through the decoder, so ``∞`` stays INFINITY.
+        return from_raw, (int(self),)
+
+    def __bool__(self) -> bool:
+        return True
 
     # -- introspection -----------------------------------------------------
 
     @property
     def is_infinite(self) -> bool:
         """Whether this is the infinite timestamp ``∞``."""
-        return self._value is None
+        return self == RAW_INFINITY
 
     @property
     def is_finite(self) -> bool:
         """Whether this timestamp is a finite tick."""
-        return self._value is not None
+        return self != RAW_INFINITY
 
     @property
     def value(self) -> int:
         """The finite tick value; raises :class:`TimeError` on ``∞``."""
-        if self._value is None:
+        if self == RAW_INFINITY:
             raise TimeError("the infinite timestamp has no finite value")
-        return self._value
-
-    # -- ordering ----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is Timestamp:  # fast path for the hot loops
-            return self._value == other._value
-        other_ts = _coerce(other)
-        if other_ts is NotImplemented:
-            return NotImplemented
-        return self._value == other_ts._value
-
-    def __lt__(self, other: object) -> bool:
-        if type(other) is Timestamp:  # fast path for the hot loops
-            mine, theirs = self._value, other._value
-            if mine is None:
-                return False  # infinity is not less than anything
-            if theirs is None:
-                return True  # any finite time is less than infinity
-            return mine < theirs
-        other_ts = _coerce(other)
-        if other_ts is NotImplemented:
-            return NotImplemented
-        if self._value is None:
-            return False  # infinity is not less than anything
-        if other_ts._value is None:
-            return True  # any finite time is less than infinity
-        return self._value < other_ts._value
-
-    def __hash__(self) -> int:
-        return hash(("Timestamp", self._value))
+        return int(self)
 
     # -- arithmetic (saturating at infinity) --------------------------------
 
     def __add__(self, delta: int) -> "Timestamp":
-        if not isinstance(delta, int) or isinstance(delta, bool):
+        if type(delta) is not int and (
+            not isinstance(delta, int) or isinstance(delta, (bool, Timestamp))
+        ):
             return NotImplemented
-        if self._value is None:
+        if self == RAW_INFINITY:
             return self
-        result = self._value + delta
+        result = int(self) + delta
         if result < 0:
             raise TimeError(f"timestamp arithmetic went negative: {self} + {delta}")
-        return Timestamp(result)
+        if result >= RAW_INFINITY:
+            raise TimeError(f"timestamp arithmetic overflowed: {self} + {delta}")
+        return int.__new__(Timestamp, result)
 
     __radd__ = __add__
 
     def __sub__(self, delta: int) -> "Timestamp":
-        if not isinstance(delta, int) or isinstance(delta, bool):
+        if type(delta) is not int and (
+            not isinstance(delta, int) or isinstance(delta, (bool, Timestamp))
+        ):
             return NotImplemented
         return self.__add__(-delta)
 
     # -- display -----------------------------------------------------------
 
     def __repr__(self) -> str:
-        if self._value is None:
+        if self == RAW_INFINITY:
             return "INFINITY"
-        return f"Timestamp({self._value})"
+        return f"Timestamp({int(self)})"
 
     def __str__(self) -> str:
-        if self._value is None:
+        if self == RAW_INFINITY:
             return "inf"
-        return str(self._value)
-
-    def __int__(self) -> int:
-        return self.value
+        return int.__repr__(self)
 
 
 #: The unique infinite timestamp: larger than every finite time.  Used for
 #: tuples with no expiration time, making every operator behave exactly like
 #: its textbook (SPCU) equivalent.
-INFINITY = Timestamp(None)
+INFINITY = int.__new__(Timestamp, RAW_INFINITY)
 
 #: Alias for :data:`INFINITY`, reads better in application code
 #: (``table.insert(row, expires=FOREVER)``).
@@ -176,17 +172,6 @@ FOREVER = INFINITY
 
 #: Anything accepted where a timestamp is expected.
 TimeLike = Union[Timestamp, int, None]
-
-
-def _coerce(value: object) -> Timestamp:
-    """Coerce ``value`` to a Timestamp for comparisons, or NotImplemented."""
-    if isinstance(value, Timestamp):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        if value < 0:
-            raise TimeError(f"timestamps are non-negative, got {value}")
-        return Timestamp(value)
-    return NotImplemented
 
 
 def ts(value: TimeLike) -> Timestamp:
@@ -200,7 +185,7 @@ def ts(value: TimeLike) -> Timestamp:
     >>> ts(None)
     INFINITY
     """
-    if isinstance(value, Timestamp):
+    if type(value) is Timestamp:
         return value
     return Timestamp(value)
 
@@ -212,12 +197,7 @@ def ts_min(times: Iterable[TimeLike]) -> Timestamp:
     of ``min`` on this domain.  This matches the expiration time assigned to
     expressions over operators that never invalidate (Section 2.3).
     """
-    result = INFINITY
-    for value in times:
-        stamp = ts(value)
-        if stamp < result:
-            result = stamp
-    return result
+    return min(map(ts, times), default=INFINITY)
 
 
 def ts_max(times: Iterable[TimeLike]) -> Timestamp:
@@ -226,48 +206,13 @@ def ts_max(times: Iterable[TimeLike]) -> Timestamp:
     The maximum of an empty collection is ``Timestamp(0)``: every tuple set
     that is already empty "has fully expired" at time 0.
     """
-    result = Timestamp(0)
-    for value in times:
-        stamp = ts(value)
-        if result < stamp:
-            result = stamp
-    return result
-
-
-# -- raw ticks ----------------------------------------------------------------
-
-#: Raw encoding of the infinite timestamp.  Finite ticks are non-negative
-#: and must stay strictly below this sentinel so that ``raw > tau`` keeps
-#: the total order of the time domain; ``int64`` max leaves every
-#: realistic tick representable while fitting ``array('q')``.
-RAW_INFINITY = (1 << 63) - 1
-
-#: Interned finite timestamps, so raw-to-``Timestamp`` bridges do not
-#: allocate a fresh Timestamp per row for the (few, repeated) tick values of
-#: a workload.  Bounded to keep pathological tick ranges from leaking.
-_TS_CACHE: Dict[int, Timestamp] = {}
-_TS_CACHE_LIMIT = 1 << 16
-
-
-def to_raw(stamp: Timestamp) -> int:
-    """Encode a :class:`Timestamp` as a raw machine int."""
-    value = stamp._value
-    if value is None:
-        return RAW_INFINITY
-    if value >= RAW_INFINITY:
-        raise TimeError(
-            f"finite timestamp {value} too large for a raw int64 tick"
-        )
-    return value
+    return max(map(ts, times), default=Timestamp(0))
 
 
 def from_raw(raw: int) -> Timestamp:
-    """Decode a raw machine int back into an (interned) :class:`Timestamp`."""
-    if raw == RAW_INFINITY:
-        return INFINITY
-    cached = _TS_CACHE.get(raw)
-    if cached is None:
-        cached = Timestamp(raw)
-        if len(_TS_CACHE) < _TS_CACHE_LIMIT:
-            _TS_CACHE[raw] = cached
-    return cached
+    """The :class:`Timestamp` of a bare stored tick (``RAW_INFINITY`` = ∞).
+
+    For public accessors and decoders only: every other tick already is a
+    :class:`Timestamp`.
+    """
+    return INFINITY if raw == RAW_INFINITY else Timestamp(raw)

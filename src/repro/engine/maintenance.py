@@ -68,7 +68,7 @@ from repro.core.intervals import IntervalSet
 from repro.core.patching import Patch
 from repro.core.relation import Relation
 from repro.core.schedule import Schedule
-from repro.core.timestamps import INFINITY, Timestamp, to_raw
+from repro.core.timestamps import INFINITY, Timestamp
 from repro.core.tuples import ExpiringTuple, Row
 from repro.engine.views import MaterialisedView
 from repro.errors import EvaluationError
@@ -217,7 +217,7 @@ class IncrementalView(MaterialisedView):
         """One compiled execution of the child, partitioned as it is read."""
         #: partition key -> (members ``{row: texp}``, value).
         self._groups: Dict[Any, Tuple[Dict[Row, Timestamp], Any]] = {}
-        #: partition key -> the raw tick its held rows stop matching a
+        #: partition key -> the tick its held rows stop matching a
         #: recomputation, or it dies: its next redo.
         self._due = Schedule()
         child = self._plans[0].execute(self.database.catalog, stamp).relation
@@ -265,7 +265,7 @@ class IncrementalView(MaterialisedView):
         if self._aggregate is None:
             return True
         tick = self._due.next_due()
-        return tick is None or to_raw(stamp) < tick
+        return tick is None or stamp < tick
 
     def _catch_up(self, stamp: Timestamp) -> None:
         if self.cause is not None:
@@ -303,8 +303,8 @@ class IncrementalView(MaterialisedView):
                 self._place(row)
 
     def _catch_up_partitions(self, stamp: Timestamp) -> None:
-        now, tick = to_raw(stamp), self._due.next_due()
-        if not self._unfolded and (tick is None or tick > now):
+        tick = self._due.next_due()
+        if not self._unfolded and (tick is None or tick > stamp):
             return
         #: partition key -> its members, being changed before the redo.
         opened: Dict[Any, Dict[Row, Timestamp]] = {}
@@ -320,7 +320,7 @@ class IncrementalView(MaterialisedView):
                 self._join(delta, opened)
             if touched:
                 self._rederive(touched, stamp, opened)
-            for group, _ in self._due.pop_due(now):
+            for group, _ in self._due.pop_due(stamp):
                 self._open(group, opened)
             for group, members in opened.items():
                 self._redo(group, members, stamp, state, added)
@@ -461,4 +461,4 @@ class IncrementalView(MaterialisedView):
         # Held rows stop matching a recomputation at the invalidation time;
         # at the death all of them have expired and the members can go.
         until = invalidation if invalidation < dies_at else dies_at
-        self._due.put(group, to_raw(until))
+        self._due.put(group, until)

@@ -54,7 +54,6 @@ from repro.codec import (
     replace_file,
 )
 from repro.core.algebra.serde import expression_from_dict, expression_to_dict
-from repro.core.timestamps import to_raw
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.table import Table
@@ -82,15 +81,20 @@ _SEGMENT_ROWS = 1 << 16
 #: Sanity bound on one snapshot frame.
 _MAX_FRAME = 1 << 30
 
-#: One segment as it is held in memory: the rows' raw expiration ticks
+#: One segment as it is held in memory: the rows' expiration ticks
 #: (``array('q')``) and one sequence of values per attribute.
 Segment = Tuple[array, List[Any]]
 
 
 def _segments(table: Table) -> List[Segment]:
-    """``table``'s rows as snapshot segments, sorted by expiration time."""
+    """``table``'s rows as snapshot segments, sorted by expiration time.
+
+    A value that would not load back as itself is refused, as the log
+    refuses it: a type outside :data:`_JSON_SCALARS`, or a NaN (unequal to
+    itself, so no lookup could ever find its row again).
+    """
     pairs = sorted(
-        ((to_raw(stamp), row) for row, stamp in table.relation.items()),
+        ((stamp, row) for row, stamp in table.relation.items()),
         key=itemgetter(0),
     )
     segments = []
@@ -98,8 +102,12 @@ def _segments(table: Table) -> List[Segment]:
         chunk = pairs[start:start + _SEGMENT_ROWS]
         columns = list(zip(*map(itemgetter(1), chunk)))
         for column in columns:
-            if not all(issubclass(kind, _JSON_SCALARS) for kind in set(map(type, column))):
-                value = next(v for v in column if not isinstance(v, _JSON_SCALARS))
+            kinds = set(map(type, column))
+            if not all(issubclass(kind, _JSON_SCALARS) for kind in kinds) or (
+                float in kinds and any(v != v for v in column)
+            ):
+                value = next(v for v in column
+                             if not isinstance(v, _JSON_SCALARS) or v != v)
                 raise EngineError(
                     f"cannot snapshot non-JSON value {value!r} in "
                     f"table {table.name!r}"

@@ -37,10 +37,10 @@ The log is decoded **once**: opening it (:class:`WriteAheadLog`) scans
 the file, and that one scan seeds the transaction counter, locates the
 torn tail and is the record list replay consumes; the list is dropped as
 soon as replay is done with it.  Replay works on what the decoder
-produced: a record's row is already a tuple, its expiration a raw tick
+produced: a record's row is already a tuple, its expiration a bare tick
 that is compared with the final clock as an ``int`` and handed to
-:meth:`Table.bulk_restore` as it is.  Each phase's wall time lands in
-:attr:`RecoveryReport.phase_seconds`.
+:meth:`Table.bulk_restore` as it is (``∞`` as :data:`INFINITY`).  Each
+phase's wall time lands in :attr:`RecoveryReport.phase_seconds`.
 
 The recovered database adopts the log for subsequent appends, so
 ``recover_database`` composes: crash, recover, keep writing, crash again.
@@ -60,7 +60,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.codec import decode_prev
-from repro.core.timestamps import RAW_INFINITY
+from repro.core.timestamps import INFINITY
 from repro.engine.database import Database
 from repro.engine.wal import WriteAheadLog, declare_wal_families
 from repro.errors import RecoveryError
@@ -113,7 +113,7 @@ class _PhysicalBatch:
     Replay used to write every ``upsert``/``remove`` through a per-row
     relation/index call; on recovery-heavy logs those per-row paths (dict
     churn, one heap push per row) dominate wall time.  The batch instead
-    accumulates ``(row, raw tick or None)`` ops per table and flushes them
+    accumulates ``(row, tick or None)`` ops per table and flushes them
     through the trusted :meth:`Table.bulk_restore` (in-order
     override/delete semantics, one heap repair per shard) before any record
     that *reads* table state (a clock advance's sweep, DDL) and at the
@@ -255,7 +255,7 @@ def recover_database(
                 if kind == "upsert":
                     texp = record["texp"]
                     if texp is None:
-                        texp = RAW_INFINITY
+                        texp = INFINITY
                     elif texp <= final_time:
                         # Already past its expiration at recovery time:
                         # never apply it.  Erase instead of ignore -- an

@@ -31,7 +31,7 @@ from repro.core.columnar import ColumnarRelation
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.schedule import Schedule
-from repro.core.timestamps import RAW_INFINITY, TimeLike, Timestamp, to_raw, ts
+from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
 from repro.core.tuples import ExpiringTuple, Row, make_row
 from repro.engine.clock import LogicalClock
 from repro.engine.expiration_index import RemovalPolicy
@@ -95,17 +95,6 @@ def declare_expiration_families(registry):
     )
 
 
-def _raw_pairs(pairs: Iterable[tuple]) -> List[Tuple[Row, int]]:
-    """Trusted ``(row, expiration)`` pairs on raw ticks: a pair holds the
-    raw tick a snapshot or log record carries, a :class:`Timestamp`, or
-    ``None`` for never."""
-    return [
-        (row, tick if type(tick) is int
-         else RAW_INFINITY if tick is None else to_raw(tick))
-        for row, tick in pairs
-    ]
-
-
 class _Shard:
     """One shard's storage, expiration index and LAZY due buffer.
 
@@ -118,9 +107,9 @@ class _Shard:
 
     def __init__(self, relation: Relation, label: str) -> None:
         self.relation = relation
-        #: Every stored row with a finite ``texp``, at its raw tick.
+        #: Every stored row with a finite ``texp``, at its tick.
         self.index = Schedule()
-        #: Lazy removal: raw ``(row, tick)`` entries already popped from
+        #: Lazy removal: ``(row, tick)`` entries already popped from
         #: the index, awaiting a vacuum.
         self.due: List[Tuple[Row, int]] = []
         #: The ``shard`` label of the ``repro_partition_*`` series.
@@ -256,7 +245,7 @@ class Table:
             and previous.is_finite
             and row not in shard.index
         ):
-            job = (shard, [(row, previous.value)])
+            job = (shard, [(row, previous)])
             self._sweep([job], self.clock.now, time.perf_counter())
             return None
         return previous
@@ -312,7 +301,7 @@ class Table:
         else:
             put = shard.relation.insert if merge else shard.relation.override
             result = put(row, stamp)
-            shard.index.put(row, to_raw(result.expires_at))
+            shard.index.put(row, result.expires_at)
         if logging and (stamp is not None or previous is not None):
             # ``prev`` is what transaction rollback at recovery restores.
             # An upsert logs the *resulting* (post-max-merge) expiration,
@@ -335,7 +324,7 @@ class Table:
                     shard.index.discard(row)
                 else:
                     shard.relation.override(row, previous)
-                    shard.index.put(row, to_raw(previous))
+                    shard.index.put(row, previous)
                 raise
         if counter is not None:
             statistics = self.statistics
@@ -514,7 +503,7 @@ class Table:
 
         The path snapshot restore and benchmark seeding take instead of
         one :meth:`insert` per row: rows are already-validated tuples, an
-        expiration is a :class:`Timestamp` or the raw tick a snapshot
+        expiration is a :class:`Timestamp` or the bare tick a snapshot
         segment holds (``RAW_INFINITY`` = never), the index is heapified at
         most once per shard, and nothing is logged, counted or announced
         to listeners -- nor checked against the clock, on purpose: a
@@ -532,14 +521,14 @@ class Table:
                 # what storage kept, not what the pair asked for.
                 stored = relation.expiration_or_none
                 bucket = ((row, stored(row)) for row, _ in bucket)
-            shard.index.bulk_put(_raw_pairs(bucket))
+            shard.index.bulk_put(bucket)
         return count
 
     def bulk_restore(self, ops: Iterable[Tuple[Row, Optional[TimeLike]]]) -> None:
         """Apply trusted ``(row, texp-or-None)`` ops last-write, in order.
 
         The WAL-replay path (``None`` erases the row; ``texp`` is a
-        :class:`Timestamp` or a log record's raw tick): storage applies
+        :class:`Timestamp` or a log record's bare tick): storage applies
         every op, the index takes each row's *final* action only -- the
         state per-record replay would have converged to -- and, as with
         :meth:`bulk_load`, no log, counter or listener runs.
@@ -548,7 +537,10 @@ class Table:
             shard.relation.bulk_restore(bucket)
             # To the index an erased row and an immortal one are the same
             # thing, no entry: ``None`` schedules as "never".
-            shard.index.bulk_put(_raw_pairs(dict(bucket).items()))
+            shard.index.bulk_put(
+                (row, INFINITY if tick is None else tick)
+                for row, tick in dict(bucket).items()
+            )
 
     # -- reading -----------------------------------------------------------------
 
@@ -582,10 +574,9 @@ class Table:
         # O(k log n): only the k tuples that actually came due are
         # touched; they stay physically present (and invisible to reads)
         # until the batch threshold triggers a vacuum.
-        limit = new._value
         pending = 0
         for shard in self._shards:
-            shard.due.extend(shard.index.pop_due(limit))
+            shard.due.extend(shard.index.pop_due(new))
             pending += len(shard.due)
         if pending >= self.lazy_batch_size:
             self.vacuum(new)
@@ -594,10 +585,9 @@ class Table:
         """Remove every due tuple, firing ON-EXPIRE triggers; returns count."""
         stamp = self.clock.now if now is None else ts(now)
         started = time.perf_counter()
-        limit = stamp._value
         jobs = []
         for shard in self._shards:
-            due = shard.due + shard.index.pop_due(limit)
+            due = shard.due + shard.index.pop_due(stamp)
             if due:
                 shard.due = []
                 jobs.append((shard, due))
@@ -616,7 +606,7 @@ class Table:
 
         The storage kernel skips entries renewed (re-inserted with a later
         expiration) between coming due and being processed -- a renewed
-        tuple never expired -- comparing raw ticks, straight off the texp
+        tuple never expired -- comparing ticks, straight off the texp
         array on columnar shards.  Kernels, triggers and WAL appends all
         run here, shard after shard on the calling thread, and every
         kernel runs before the first trigger fires (a trigger sees the

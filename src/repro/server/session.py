@@ -68,7 +68,7 @@ from typing import (
 
 from repro.codec import Block, Rows, encode_exp
 from repro.core.patching import Patch
-from repro.core.timestamps import Timestamp, to_raw, ts_max
+from repro.core.timestamps import Timestamp, ts_max
 # ``diff_states`` is the rebuild-time diff the views run; it keeps this
 # dotted name, which tracers hook.
 from repro.engine.views import MaintenancePolicy, MaterialisedView, diff_states
@@ -91,9 +91,10 @@ _session_tokens = itertools.count(1)
 
 def _queue_block(queued: Iterable[Tuple[tuple, Patch]]) -> Block:
     """Queued rows as the wire's ``patches``: ``((due, *row), texp)`` each,
-    ``due`` the raw tick at which the row re-appears."""
+    ``due`` the tick at which the row re-appears, as a plain ``int`` value
+    (the packed int column a row value takes)."""
     return Block(
-        ((to_raw(patch.due), *row), patch.expires_at) for row, patch in queued
+        ((int(patch.due), *row), patch.expires_at) for row, patch in queued
     )
 
 

@@ -55,7 +55,7 @@ from repro.core.approximate import (
 from repro.core.intervals import IntervalSet
 from repro.core.schedule import Schedule
 from repro.core.schema import Schema
-from repro.core.timestamps import RAW_INFINITY, Timestamp, to_raw
+from repro.core.timestamps import Timestamp
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.table import Table
@@ -201,11 +201,10 @@ class _KeyedCount(StandingQuery):
         if key in immortal:
             return False
         current = live.get(key)
-        tick = to_raw(texp)
-        if tick == RAW_INFINITY:
+        if texp.is_infinite:
             immortal.add(key)
-        if current is None or current < tick:
-            live.put(key, tick)  # ∞ unparks it
+        if current is None or current < texp:
+            live.put(key, texp)  # ∞ unparks it
         return current is None
 
     def _on_insert(self, table: Table, stored) -> None:
@@ -219,7 +218,7 @@ class _KeyedCount(StandingQuery):
         return IntervalSet.from_onwards(tau)
 
     def _serve(self, tau: Timestamp):
-        self._live.pop_due(to_raw(tau))
+        self._live.pop_due(tau)
         return len(self._live) + len(self._immortal)
 
 
@@ -377,9 +376,9 @@ class ExtentAggregate(StandingQuery):
             self._lo = value
         if self._hi is None or value > self._hi:
             self._hi = value
-        tick = to_raw(stored.expires_at)
-        self._rows.put(stored.row, tick)  # a renewal to ∞ unparks it
-        if tick != RAW_INFINITY:
+        texp = stored.expires_at
+        self._rows.put(stored.row, texp)  # a renewal to ∞ unparks it
+        if texp.is_finite:
             self._unfolded += 1
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
@@ -402,7 +401,7 @@ class ExtentAggregate(StandingQuery):
 
     def _catch_up(self, tau: Timestamp) -> None:
         self._unfolded = 0
-        for row, _ in self._rows.pop_due(to_raw(tau)):
+        for row, _ in self._rows.pop_due(tau):
             value = row[self.attribute]
             if self._lo is not None and (value == self._lo or value == self._hi):
                 # An endpoint-carrying arrival died: the extent may have
@@ -457,7 +456,7 @@ class ThresholdWatch(_KeyedCount):
 
     def _serve(self, tau: Timestamp) -> Dict[Any, int]:
         counts = self._counts
-        for (group, _), _ in self._live.pop_due(to_raw(tau)):
+        for (group, _), _ in self._live.pop_due(tau):
             if counts[group] == 1:
                 del counts[group]
             else:

@@ -1,14 +1,30 @@
 """Tests for the time domain: ordering, infinity, arithmetic, min/max."""
 
+import copy
+import pickle
+import struct
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.timestamps import FOREVER, INFINITY, Timestamp, ts, ts_max, ts_min
+from repro.core.timestamps import (
+    FOREVER,
+    INFINITY,
+    RAW_INFINITY,
+    Timestamp,
+    from_raw,
+    ts,
+    ts_max,
+    ts_min,
+)
 from repro.errors import TimeError
 
 finite_values = st.integers(min_value=0, max_value=10**9)
 time_values = st.one_of(finite_values, st.none())
+#: Every tick of the domain: the finite ones and ∞'s.
+raw_ticks = st.one_of(st.integers(0, RAW_INFINITY - 1), st.just(RAW_INFINITY))
 
 
 class TestConstruction:
@@ -152,3 +168,74 @@ class TestDisplay:
     def test_str(self):
         assert str(Timestamp(5)) == "5"
         assert str(INFINITY) == "inf"
+
+
+class TestATimestampIsItsTick:
+    """``Timestamp`` subclasses ``int``: a timestamp and the plain int of
+    its tick are one value to ``==``, ``hash``, ``<`` and packing."""
+
+    def test_hash_agrees_with_the_int(self):
+        assert hash(Timestamp(5)) == hash(5)
+        assert Timestamp(5) in {5}
+        assert 5 in {Timestamp(5)}
+        assert {5: "x"}[Timestamp(5)] == "x"
+        assert hash(INFINITY) == hash(RAW_INFINITY)
+
+    @given(a=raw_ticks, b=raw_ticks)
+    def test_order_equality_and_hash_are_the_ints(self, a, b):
+        left, right = from_raw(a), from_raw(b)
+        assert issubclass(type(left), int) and int(left) == a
+        assert (left < right) == (a < b)
+        assert (left <= right) == (a <= b)
+        assert (left == right) == (a == b)
+        assert (left == b) == (a == b) == (a == right)
+        assert (left < b) == (a < b)
+        assert hash(left) == hash(a)
+        assert left.is_infinite == (a == RAW_INFINITY)
+
+    def test_infinity_is_the_sentinel_tick(self):
+        assert int(INFINITY) == RAW_INFINITY
+        assert from_raw(RAW_INFINITY) is INFINITY
+        assert array("q", [Timestamp(5), INFINITY]) == array("q", [5, RAW_INFINITY])
+        assert struct.pack("<q", INFINITY) == struct.pack("<q", RAW_INFINITY)
+
+    def test_saturating_arithmetic_at_infinity(self):
+        assert INFINITY + 5 is INFINITY
+        assert 5 + INFINITY is INFINITY
+        assert INFINITY - 5 is INFINITY
+        assert INFINITY + 0 is INFINITY
+        assert type(Timestamp(3) + 4) is Timestamp
+        assert type(4 + Timestamp(3)) is Timestamp
+        assert type(Timestamp(3) - 1) is Timestamp
+        with pytest.raises(TimeError):  # a finite sum at the ∞ sentinel
+            Timestamp(RAW_INFINITY - 1) + 1
+        with pytest.raises(TypeError):  # two time points do not add
+            Timestamp(3) + Timestamp(4)
+
+    def test_pickle_and_copy_keep_infinity(self):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(INFINITY, protocol)) is INFINITY
+            back = pickle.loads(pickle.dumps(Timestamp(7), protocol))
+            assert type(back) is Timestamp and back == 7
+        assert copy.copy(INFINITY) is INFINITY
+        assert copy.deepcopy([INFINITY])[0] is INFINITY
+
+    def test_zero_is_truthy(self):
+        assert bool(Timestamp(0)) is True
+        assert ts(0) or False
+
+    @pytest.mark.parametrize(
+        "value", [True, False, -1, 1.5, "5", RAW_INFINITY, RAW_INFINITY + 1],
+        ids=["true", "false", "negative", "float", "str", "sentinel", "beyond"],
+    )
+    def test_construction_refusals(self, value):
+        with pytest.raises(TimeError):
+            Timestamp(value)
+        with pytest.raises(TimeError):
+            ts(value)
+
+    def test_display_and_value(self):
+        assert f"{INFINITY}" == str(INFINITY) == "inf"
+        assert f"{Timestamp(0)}" == "0"
+        assert repr(Timestamp(0)) == "Timestamp(0)"
+        assert type(Timestamp(9).value) is int

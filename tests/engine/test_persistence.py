@@ -220,6 +220,37 @@ class TestValidation:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
 
+    def test_a_nan_is_refused_as_the_log_refuses_it(self, tmp_path):
+        # A NaN is unequal to itself: loaded back, its row could never be
+        # found again.  The log refuses one; so does the snapshot.
+        path = tmp_path / "snapshot.json"
+        db = Database()
+        table = db.create_table("T", ["k", "v"])
+        table.insert((0, 0.5), expires_at=50)
+        save_database(db, path)
+        before = path.read_bytes()
+        table.insert((1, float("nan")), expires_at=50)
+        with pytest.raises(EngineError, match="non-JSON value nan"):
+            save_database(db, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
+
+    def test_a_checkpoint_refusing_a_nan_leaves_snapshot_and_log(self, tmp_path):
+        db = Database(wal_dir=tmp_path)
+        table = db.create_table("T", ["k", "v"])
+        table.insert((0, 0.5), expires_at=50)
+        db.checkpoint()
+        table.insert((2, 2.5), expires_at=50)
+        # Through the one door that writes no log record.
+        table.bulk_load([((1, float("nan")), ts(50))])
+        db.wal.sync()
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert files["wal.log"]
+        with pytest.raises(EngineError, match="non-JSON value nan"):
+            db.checkpoint()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+        db.close()
+
 
 def _frame_boundaries(blob):
     """Byte offsets at which the frames of a format 2 snapshot end."""

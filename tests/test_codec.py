@@ -35,7 +35,7 @@ from repro.codec import (
 )
 from repro.core.timestamps import INFINITY, RAW_INFINITY, Timestamp, ts
 from repro.engine.wal import WriteAheadLog, scan_log
-from repro.errors import WireProtocolError
+from repro.errors import TimeError, WireProtocolError
 from repro.server import protocol
 from repro.server.protocol import FrameDecoder
 from tests.server.wire import CLIENTS, request_through
@@ -514,9 +514,10 @@ class TestBlocks:
         assert decode_frame(frame, 0, LIMIT)[0] == payload
 
     def test_what_a_block_cannot_carry_is_refused(self):
-        with pytest.raises(FrameError):  # a finite tick at the ∞ sentinel
-            encode_frame({"kind": "patch", "upserts": Block(
-                [((1,), ts(RAW_INFINITY))])}, LIMIT)
+        # A finite tick at the ∞ sentinel is refused where it would be
+        # made, so no block can be handed one to encode.
+        with pytest.raises(TimeError):
+            Block([((1,), ts(RAW_INFINITY))])
 
     def test_the_control_part_is_a_messages_json(self):
         payload = {"kind": "patch", "now": Fraction(1, 2), "upserts": Block()}

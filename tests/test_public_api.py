@@ -200,6 +200,31 @@ class TestOneSchedule:
             assert not hasattr(patcher, gone)
 
 
+class TestOneTick:
+    def test_what_left_with_the_tick_conversions(self):
+        """A ``Timestamp`` is its tick, an ``int``: the bridges between an
+        object and a raw int are gone with no alias -- ``to_raw``, the
+        interning cache, the comparison coercion, the relation's raw split,
+        the table's raw pairs and the aggregates' float stand-in for ∞."""
+        import repro.core.aggregates
+        import repro.core.columnar
+        import repro.core.relation
+        import repro.core.timestamps
+        import repro.engine.table
+        from repro.core.timestamps import INFINITY, RAW_INFINITY, Timestamp
+
+        timestamps = repro.core.timestamps
+        for gone in ("to_raw", "_TS_CACHE", "_TS_CACHE_LIMIT", "_coerce"):
+            assert not hasattr(timestamps, gone)
+        assert "to_raw" not in timestamps.__all__
+        assert not hasattr(repro.core.columnar, "to_raw")
+        assert not hasattr(repro.core.relation, "_split_raw")
+        assert not hasattr(repro.engine.table, "_raw_pairs")
+        assert not hasattr(repro.core.aggregates, "_NEVER")
+        assert issubclass(Timestamp, int)
+        assert INFINITY == RAW_INFINITY
+
+
 class TestUnreachedModules:
     def test_what_left_with_the_legacy_benchmarks(self):
         """Three modules that only the retired benchmark scripts reached
