@@ -96,17 +96,26 @@ def workloads():
     }
 
 
-def _time_plan(expression, catalog, tau, reps):
-    schemas = {name: relation.schema for name, relation in catalog.items()}
-    plan = compile_expression(expression, lambda name: schemas[name])
+def _time_plans(expression, catalogs, tau, reps):
+    """Min milliseconds and result per catalog, the catalogs timed in turn.
+
+    Each repetition runs every catalog once (row, columnar, row, ...), so
+    a drift in the box's speed lands on both sides of a ratio instead of
+    on whichever side happened to be timed during it.
+    """
+    schemas = {name: relation.schema for name, relation in catalogs[0].items()}
+    plans = [
+        compile_expression(expression, lambda name: schemas[name]) for _ in catalogs
+    ]
     stamp = ts(tau)
-    result = plan.execute(catalog, stamp)
-    samples = []
+    results = [plan.execute(catalog, stamp) for plan, catalog in zip(plans, catalogs)]
+    samples = [[] for _ in catalogs]
     for _ in range(reps):
-        started = time.perf_counter()
-        plan.execute(catalog, stamp)
-        samples.append(time.perf_counter() - started)
-    return min(samples) * 1000, result
+        for plan, catalog, times in zip(plans, catalogs, samples):
+            started = time.perf_counter()
+            plan.execute(catalog, stamp)
+            times.append(time.perf_counter() - started)
+    return [min(times) * 1000 for times in samples], results
 
 
 def run_workloads(size, seed=71, reps=5):
@@ -119,8 +128,9 @@ def run_workloads(size, seed=71, reps=5):
     col_catalog = columnar_catalog(row_catalog)
     reports = {}
     for name, (expression, tau) in workloads().items():
-        row_ms, row_result = _time_plan(expression, row_catalog, tau, reps)
-        col_ms, col_result = _time_plan(expression, col_catalog, tau, reps)
+        (row_ms, col_ms), (row_result, col_result) = _time_plans(
+            expression, (row_catalog, col_catalog), tau, reps
+        )
         if not col_result.relation.same_content(row_result.relation):
             raise AssertionError(f"columnar result diverged on {name!r}")
         if col_result.expiration != row_result.expiration:

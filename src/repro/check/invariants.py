@@ -46,11 +46,15 @@ found rather than raising, so callers choose strictness
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import countOf
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
 
 from repro.core.algebra.evaluator import Evaluator
+from repro.core.columnar import ColumnarRelation
+from repro.core.relation import Relation
+from repro.core.timestamps import RAW_INFINITY, from_raw
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from repro.engine.database import Database
@@ -70,12 +74,23 @@ class Violation:
         return f"[{self.invariant}] {self.subject}: {self.message}"
 
 
+def _stored_ticks(relation: Relation) -> dict:
+    """A shard's ``row -> tick`` in its own form: a row relation's dict
+    itself, a columnar one's rows zipped with its raw ``int64`` ticks."""
+    if isinstance(relation, ColumnarRelation):
+        batch = relation.batch()
+        return dict(zip(batch.iter_rows(), batch.texp))
+    return relation._tuples
+
+
 class _TickMaps:
     """Each table's index and storage as ``row -> tick`` dicts.
 
     Built at most once per table per :func:`run_invariants` call and
-    shared by the two index checks, so a columnar table decodes its
-    ticks once per call, not once per check.
+    shared by the checks that read ticks.  A flat row table's maps are its
+    live index and storage dicts, not copies; a columnar shard's ticks
+    stay raw (``RAW_INFINITY`` is ``∞``), decoded only to word a
+    violation.  The checks only read them.
     """
 
     def __init__(self, database: "Database") -> None:
@@ -86,14 +101,16 @@ class _TickMaps:
         """``(scheduled, stored)`` for table ``name``."""
         maps = self._maps.get(name)
         if maps is None:
-            table = self._database.table(name)
-            scheduled: dict = {}
-            for shard in table._shards:
-                scheduled.update(shard.index.items())
-            maps = self._maps[name] = (
-                scheduled,
-                dict(table.relation.items()),
-            )
+            shards = self._database.table(name)._shards
+            if len(shards) == 1:
+                scheduled = shards[0].index.ticks
+                stored = _stored_ticks(shards[0].relation)
+            else:
+                scheduled, stored = {}, {}
+                for shard in shards:
+                    scheduled.update(shard.index.ticks)
+                    stored.update(_stored_ticks(shard.relation))
+            maps = self._maps[name] = (scheduled, stored)
         return maps
 
 
@@ -156,8 +173,17 @@ def _index_schedules_stored(db: "Database", ticks: _TickMaps) -> Iterator[Violat
     now = db.clock.now
     for name in db.table_names():
         scheduled, stored = ticks.of(name)
+        # Clean when the index holds exactly the finite stored items: then
+        # every unexpired finite row is scheduled at its tick.
+        finite = len(stored) - countOf(stored.values(), RAW_INFINITY)
+        if (
+            len(scheduled) == finite
+            and not countOf(scheduled.values(), RAW_INFINITY)
+            and scheduled.items() <= stored.items()
+        ):
+            continue
         for row, texp in stored.items():
-            if texp <= now or texp.is_infinite:
+            if texp <= now or texp == RAW_INFINITY:
                 continue  # immortal rows are never indexed; expired rows
                 # may already sit in a due buffer awaiting vacuum
             entry = scheduled.get(row)
@@ -179,6 +205,8 @@ def _index_schedules_stored(db: "Database", ticks: _TickMaps) -> Iterator[Violat
 def _index_entries_stored(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
     for name in db.table_names():
         scheduled, stored = ticks.of(name)
+        if scheduled.items() <= stored.items():
+            continue
         for row, stamp in scheduled.items():
             if row not in stored:
                 yield Violation(
@@ -191,7 +219,8 @@ def _index_entries_stored(db: "Database", ticks: _TickMaps) -> Iterator[Violatio
                 yield Violation(
                     "index-entries-stored",
                     f"{name}{row}",
-                    f"index entry at {stamp}, stored expiration is {stored[row]}",
+                    f"index entry at {stamp}, stored expiration is "
+                    f"{from_raw(stored[row])}",
                 )
 
 
@@ -250,9 +279,11 @@ def _shard_routing(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
 
 @_structural("physical-covers-live")
 def _physical_covers_live(db: "Database", ticks: _TickMaps) -> Iterator[Violation]:
+    now = db.clock.now
     for name in db.table_names():
-        table = db.table(name)
-        live, physical = len(table), table.physical_size
+        _, stored = ticks.of(name)
+        live = sum(map(now.__lt__, stored.values()))
+        physical = db.table(name).physical_size
         if physical < live:
             yield Violation(
                 "physical-covers-live",

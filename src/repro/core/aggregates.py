@@ -60,6 +60,7 @@ __all__ = [
     "alive_steps",
     "step_spans",
     "partition_head",
+    "strategy_head",
     "value_timeline",
     "change_points",
     "exact_expiration",
@@ -573,6 +574,34 @@ def strategy_expiration(
     raise AggregateError(f"unknown expiration strategy {strategy!r}")
 
 
+def strategy_head(
+    partition: Sequence[PartitionItem],
+    function: AggregateFunction,
+    tau: Timestamp,
+    strategy: ExpirationStrategy,
+) -> Tuple[Any, Timestamp, Timestamp, Timestamp]:
+    """``(value, expiration, invalidation, death)`` off one timeline head.
+
+    ``value`` and ``death`` are :func:`partition_head`'s, ``expiration``
+    is :func:`strategy_expiration` and ``invalidation`` is
+    :func:`partition_invalidation_time` -- one :func:`timeline_steps` scan
+    for all four.
+    """
+    value, nu, dies_at = partition_head(partition, function, tau)
+    if strategy is ExpirationStrategy.EXACT:
+        expiration = nu
+    else:
+        expiration = strategy_expiration(partition, function, tau, strategy)
+    # ``expiration < dies_at``: some source row outlives the result rows.
+    if expiration < dies_at and expiration < nu:
+        invalidation = expiration
+    elif nu < dies_at:
+        invalidation = nu
+    else:
+        invalidation = INFINITY
+    return value, expiration, invalidation, dies_at
+
+
 def partition_invalidation_time(
     partition: Sequence[PartitionItem],
     function: AggregateFunction,
@@ -597,17 +626,7 @@ def partition_invalidation_time(
     the materialised rows have all expired by then, matching the (empty)
     recomputation.  Returns ``∞`` when the materialisation never disagrees.
     """
-    _, nu, dies_at = partition_head(partition, function, tau)
-    if strategy is ExpirationStrategy.EXACT:
-        expiration = nu
-    else:
-        expiration = strategy_expiration(partition, function, tau, strategy)
-    # ``expiration < dies_at``: some source row outlives the result rows.
-    if expiration < dies_at and expiration < nu:
-        return expiration
-    if nu < dies_at:
-        return nu
-    return INFINITY
+    return strategy_head(partition, function, tau, strategy)[2]
 
 
 def tuple_validity_intervals(

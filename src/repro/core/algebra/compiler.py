@@ -50,11 +50,9 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from repro.core.aggregates import (
     ExpirationStrategy,
-    conservative_expiration,
     get_aggregate,
     mixed_type_error,
-    neutral_set_expiration,
-    partition_head,
+    strategy_head,
 )
 from repro.core.algebra.evaluator import Catalog, EvalResult, EvalStats, operator_label
 from repro.core.algebra.expressions import (
@@ -480,9 +478,8 @@ def aggregate_partition(
     expiration, invalidation time, death)``.
 
     ``rows`` extends each member by the value, its ``texp`` capped at the
-    strategy expiration.  Semantically identical to ``function.apply`` +
-    ``strategy_expiration`` + ``partition_invalidation_time`` from
-    :mod:`repro.core.aggregates`, all read off the head of *one* timeline
+    strategy expiration; the rest is
+    :func:`~repro.core.aggregates.strategy_head`, read off *one* timeline
     scan.  Members must be distinct and all alive at ``tau`` (compiled
     streams only carry tuples with ``texp > τ``), so the timeline is
     non-empty.  Values the function cannot combine raise
@@ -493,21 +490,11 @@ def aggregate_partition(
     else:
         items = [(row[value_index], texp) for row, texp in partition]
     try:
-        value, nu, dies_at = partition_head(items, function, tau)
-        if strategy is ExpirationStrategy.CONSERVATIVE:
-            expiration = conservative_expiration(items)
-        elif strategy is ExpirationStrategy.NEUTRAL_SETS:
-            expiration = neutral_set_expiration(items, function)
-        else:
-            expiration = nu
+        value, expiration, invalidation, dies_at = strategy_head(
+            items, function, tau, strategy
+        )
     except TypeError:
         raise mixed_type_error(function, items) from None
-    if expiration < nu and expiration < dies_at:
-        invalidation = expiration
-    elif nu < dies_at:
-        invalidation = nu
-    else:
-        invalidation = INFINITY
     rows = [
         (row + (value,), texp if texp < expiration else expiration)
         for row, texp in partition

@@ -22,19 +22,29 @@ Join evaluation uses a hash join on the equi-join pairs (falling back to a
 filtered Cartesian product for general predicates); semantics are identical
 to the paper's ``σexp_p'(R ×exp S)`` rewrite -- Equation (5) -- including
 the min-of-parents expiration times.
+
+Each operator builds its result as a plain ``row -> expiration`` dict and
+adopts it (``Relation._from_trusted``): every output row is made from rows
+a relation already holds, so the public :meth:`Relation.insert` checks
+would re-validate what cannot be wrong.  Only projection and union can
+produce a row twice; both merge with :func:`_max_merge`, the one place the
+interpreter spells the max rule of Equations (3)-(4).  The interpreter is
+the oracle the compiled evaluator and the view maintainers are checked
+against, so it shares no merge code with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union as TypingUnion
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union as TypingUnion,
+)
 
 from repro.core.aggregates import (
     ExpirationStrategy,
     get_aggregate,
     mixed_type_error,
-    partition_invalidation_time,
-    strategy_expiration,
+    strategy_head,
 )
 from repro.core.algebra.expressions import (
     Aggregate,
@@ -55,9 +65,9 @@ from repro.core.algebra.expressions import (
 from repro.core.intervals import Interval, IntervalSet
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts, ts_max, ts_min
+from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts, ts_min
 from repro.core.tuples import Row
-from repro.errors import CatalogError, EvaluationError, ViewError
+from repro.errors import CatalogError, EvaluationError, RelationError, ViewError
 
 __all__ = [
     "EvalResult",
@@ -219,6 +229,18 @@ class HeldAnswer:
         """Hook: fold recorded changes forward to ``tau``; may invalidate."""
 
 
+def _max_merge(
+    merged: Dict[Row, Timestamp], pairs: Iterable[Tuple[Row, Timestamp]]
+) -> Dict[Row, Timestamp]:
+    """Equations (3)-(4): a row produced twice keeps its later expiration."""
+    get = merged.get
+    for row, texp in pairs:
+        held = get(row)
+        if held is None or held < texp:
+            merged[row] = texp
+    return merged
+
+
 def operator_label(expression: Expression) -> str:
     """The span / EXPLAIN ANALYZE label for one operator node."""
     name = type(expression).__name__
@@ -330,92 +352,100 @@ class Evaluator:
         self.stats.tuples_emitted += len(visible)
         return EvalResult(visible, INFINITY, IntervalSet.from_onwards(self.tau), self.tau)
 
+    def _adopt(
+        self,
+        schema: Schema,
+        tuples: Dict[Row, Timestamp],
+        expiration: Timestamp,
+        validity: IntervalSet,
+    ) -> EvalResult:
+        """An operator's result: the ``row -> texp`` dict it built, adopted."""
+        self.stats.tuples_emitted += len(tuples)
+        return EvalResult(
+            Relation._from_trusted(schema, tuples), expiration, validity, self.tau
+        )
+
     # -- monotonic operators ------------------------------------------------------
 
     def _eval_select(self, node: Select) -> EvalResult:
         child = self.evaluate(node.child)
         predicate = node.predicate.resolve(child.relation.schema)
-        result = Relation(child.relation.schema)
-        for row, texp in child.relation.items():
-            self.stats.tuples_scanned += 1
-            if predicate.matches(row):
-                result.insert(row, expires_at=texp)
-                self.stats.tuples_emitted += 1
-        return EvalResult(result, child.expiration, child.validity, self.tau)
+        tuples = {
+            row: texp for row, texp in child.relation.items() if predicate.matches(row)
+        }
+        self.stats.tuples_scanned += len(child.relation)
+        return self._adopt(
+            child.relation.schema, tuples, child.expiration, child.validity
+        )
 
     def _eval_project(self, node: Project) -> EvalResult:
         child = self.evaluate(node.child)
         schema = child.relation.schema
         indexes = [schema.index(ref) for ref in node.refs]
-        result = Relation(schema.project(node.refs))
-        for row, texp in child.relation.items():
-            self.stats.tuples_scanned += 1
-            projected = tuple(row[i] for i in indexes)
-            # Duplicate elimination keeps the maximum expiration time
-            # (Equation 3) -- Relation.insert implements exactly that merge.
-            result.insert(projected, expires_at=texp)
-        self.stats.tuples_emitted += len(result)
-        return EvalResult(result, child.expiration, child.validity, self.tau)
+        # Duplicate elimination keeps the maximum expiration time (Equation 3).
+        tuples = _max_merge(
+            {},
+            (
+                (tuple([row[i] for i in indexes]), texp)
+                for row, texp in child.relation.items()
+            ),
+        )
+        self.stats.tuples_scanned += len(child.relation)
+        return self._adopt(
+            schema.project(node.refs), tuples, child.expiration, child.validity
+        )
 
     def _eval_product(self, node: Product) -> EvalResult:
         left = self.evaluate(node.left)
         right = self.evaluate(node.right)
-        result = Relation(left.relation.schema.concat(right.relation.schema))
-        for left_row, left_texp in left.relation.items():
-            for right_row, right_texp in right.relation.items():
-                self.stats.tuples_scanned += 1
-                # Equation (2): min of the participating tuples' lifetimes.
-                texp = left_texp if left_texp < right_texp else right_texp
-                result.insert(left_row + right_row, expires_at=texp)
-        self.stats.tuples_emitted += len(result)
-        return EvalResult(
-            result,
+        right_items = list(right.relation.items())
+        # Equation (2): min of the participating tuples' lifetimes.  Distinct
+        # pairs make distinct rows, so nothing merges.
+        tuples = {
+            left_row + right_row: left_texp if left_texp < right_texp else right_texp
+            for left_row, left_texp in left.relation.items()
+            for right_row, right_texp in right_items
+        }
+        self.stats.tuples_scanned += len(left.relation) * len(right_items)
+        return self._adopt(
+            left.relation.schema.concat(right.relation.schema),
+            tuples,
             ts_min((left.expiration, right.expiration)),
             left.validity & right.validity,
-            self.tau,
         )
 
     def _eval_union(self, node: Union) -> EvalResult:
         left = self.evaluate(node.left)
         right = self.evaluate(node.right)
         left.relation.schema.check_union_compatible(right.relation.schema)
-        result = Relation(left.relation.schema)
-        for row, texp in left.relation.items():
-            self.stats.tuples_scanned += 1
-            result.insert(row, expires_at=texp)
-        for row, texp in right.relation.items():
-            self.stats.tuples_scanned += 1
-            # Equation (4): shared tuples get the max of the two expirations;
-            # insert's max-merge rule implements this.
-            result.insert(row, expires_at=texp)
-        self.stats.tuples_emitted += len(result)
-        return EvalResult(
-            result,
+        # Equation (4): shared tuples get the max of the two expirations.
+        tuples = _max_merge(dict(left.relation.items()), right.relation.items())
+        self.stats.tuples_scanned += len(left.relation) + len(right.relation)
+        return self._adopt(
+            left.relation.schema,
+            tuples,
             ts_min((left.expiration, right.expiration)),
             left.validity & right.validity,
-            self.tau,
         )
 
     def _eval_intersect(self, node: Intersect) -> EvalResult:
         left = self.evaluate(node.left)
         right = self.evaluate(node.right)
         left.relation.schema.check_union_compatible(right.relation.schema)
-        result = Relation(left.relation.schema)
+        tuples: Dict[Row, Timestamp] = {}
         for row, left_texp in left.relation.items():
-            self.stats.tuples_scanned += 1
             right_texp = right.relation.expiration_or_none(row)
             if right_texp is None:
                 continue
             # Equation (6): the minimum of the participating expirations
             # (created in the inner Cartesian product of the derivation).
-            texp = left_texp if left_texp < right_texp else right_texp
-            result.insert(row, expires_at=texp)
-        self.stats.tuples_emitted += len(result)
-        return EvalResult(
-            result,
+            tuples[row] = left_texp if left_texp < right_texp else right_texp
+        self.stats.tuples_scanned += len(left.relation)
+        return self._adopt(
+            left.relation.schema,
+            tuples,
             ts_min((left.expiration, right.expiration)),
             left.validity & right.validity,
-            self.tau,
         )
 
     def _eval_join(self, node: Join) -> EvalResult:
@@ -423,53 +453,58 @@ class Evaluator:
         right = self.evaluate(node.right)
         left_schema = left.relation.schema
         right_schema = right.relation.schema
-        result = Relation(left_schema.concat(right_schema))
+        schema = left_schema.concat(right_schema)
 
         residual = None
         if node.predicate is not None:
-            residual = node.predicate.resolve(result.schema)
+            residual = node.predicate.resolve(schema)
 
+        # Distinct pairs make distinct rows: nothing merges.
+        tuples: Dict[Row, Timestamp] = {}
         if node.on:
             left_keys = [left_schema.index(ref) for ref, _ in node.on]
             right_keys = [right_schema.index(ref) for _, ref in node.on]
             buckets: Dict[Tuple, List[Tuple[Row, Timestamp]]] = {}
             for row, texp in right.relation.items():
-                self.stats.tuples_scanned += 1
-                buckets.setdefault(tuple(row[i] for i in right_keys), []).append((row, texp))
+                buckets.setdefault(tuple([row[i] for i in right_keys]), []).append(
+                    (row, texp)
+                )
+            probes = 0
             for left_row, left_texp in left.relation.items():
-                self.stats.tuples_scanned += 1
-                key = tuple(left_row[i] for i in left_keys)
-                for right_row, right_texp in buckets.get(key, ()):
-                    self.stats.hash_probes += 1
+                matches = buckets.get(tuple([left_row[i] for i in left_keys]))
+                if not matches:
+                    continue
+                probes += len(matches)
+                for right_row, right_texp in matches:
                     combined = left_row + right_row
                     if residual is not None and not residual.matches(combined):
                         continue
-                    texp = left_texp if left_texp < right_texp else right_texp
-                    result.insert(combined, expires_at=texp)
+                    tuples[combined] = left_texp if left_texp < right_texp else right_texp
+            self.stats.tuples_scanned += len(right.relation) + len(left.relation)
+            self.stats.hash_probes += probes
         else:
+            right_items = list(right.relation.items())
             for left_row, left_texp in left.relation.items():
-                for right_row, right_texp in right.relation.items():
-                    self.stats.tuples_scanned += 1
+                for right_row, right_texp in right_items:
                     combined = left_row + right_row
                     if residual is not None and not residual.matches(combined):
                         continue
-                    texp = left_texp if left_texp < right_texp else right_texp
-                    result.insert(combined, expires_at=texp)
+                    tuples[combined] = left_texp if left_texp < right_texp else right_texp
+            self.stats.tuples_scanned += len(left.relation) * len(right_items)
 
-        self.stats.tuples_emitted += len(result)
-        return EvalResult(
-            result,
+        return self._adopt(
+            schema,
+            tuples,
             ts_min((left.expiration, right.expiration)),
             left.validity & right.validity,
-            self.tau,
         )
 
     def _match_buckets(self, relation: Relation, key_indexes) -> Dict[Tuple, List[Timestamp]]:
         """Key -> expiration times of the matching tuples (for ⋉ / ▷)."""
         buckets: Dict[Tuple, List[Timestamp]] = {}
         for row, texp in relation.items():
-            self.stats.tuples_scanned += 1
-            buckets.setdefault(tuple(row[i] for i in key_indexes), []).append(texp)
+            buckets.setdefault(tuple([row[i] for i in key_indexes]), []).append(texp)
+        self.stats.tuples_scanned += len(relation)
         return buckets
 
     def _eval_semijoin(self, node: SemiJoin) -> EvalResult:
@@ -480,10 +515,9 @@ class Evaluator:
         left_keys = [left_schema.index(ref) for ref, _ in node.on]
         right_keys = [right_schema.index(ref) for _, ref in node.on]
         buckets = self._match_buckets(right.relation, right_keys)
-        result = Relation(left_schema)
+        tuples: Dict[Row, Timestamp] = {}
         for row, texp in left.relation.items():
-            self.stats.tuples_scanned += 1
-            matches = buckets.get(tuple(row[i] for i in left_keys))
+            matches = buckets.get(tuple([row[i] for i in left_keys]))
             if not matches:
                 continue
             # π over the join's minima: min(texp_r, max over matches).
@@ -491,13 +525,13 @@ class Evaluator:
             for candidate in matches[1:]:
                 if best_match < candidate:
                     best_match = candidate
-            result.insert(row, expires_at=texp if texp < best_match else best_match)
-            self.stats.tuples_emitted += 1
-        return EvalResult(
-            result,
+            tuples[row] = texp if texp < best_match else best_match
+        self.stats.tuples_scanned += len(left.relation)
+        return self._adopt(
+            left_schema,
+            tuples,
             ts_min((left.expiration, right.expiration)),
             left.validity & right.validity,
-            self.tau,
         )
 
     def _eval_antijoin(self, node: AntiSemiJoin) -> EvalResult:
@@ -508,15 +542,13 @@ class Evaluator:
         left_keys = [left_schema.index(ref) for ref, _ in node.on]
         right_keys = [right_schema.index(ref) for _, ref in node.on]
         buckets = self._match_buckets(right.relation, right_keys)
-        result = Relation(left_schema)
+        tuples: Dict[Row, Timestamp] = {}
         reappear_bound = INFINITY
         invalid = IntervalSet.empty()
         for row, texp in left.relation.items():
-            self.stats.tuples_scanned += 1
-            matches = buckets.get(tuple(row[i] for i in left_keys))
+            matches = buckets.get(tuple([row[i] for i in left_keys]))
             if not matches:
-                result.insert(row, expires_at=texp)
-                self.stats.tuples_emitted += 1
+                tuples[row] = texp
                 continue
             # The tuple is hidden while any match lives; it must re-appear
             # when the whole match set is gone, if it is still alive then.
@@ -528,22 +560,25 @@ class Evaluator:
                 if match_set_dies < reappear_bound:
                     reappear_bound = match_set_dies
                 invalid = invalid | IntervalSet.single(match_set_dies, texp)
+        self.stats.tuples_scanned += len(left.relation)
         expiration = ts_min((left.expiration, right.expiration, reappear_bound))
         validity = (
             (IntervalSet.from_onwards(self.tau) - invalid)
             & left.validity
             & right.validity
         )
-        return EvalResult(result, expiration, validity, self.tau)
+        return self._adopt(left_schema, tuples, expiration, validity)
 
     def _eval_rename(self, node: Rename) -> EvalResult:
         child = self.evaluate(node.child)
-        renamed = Relation(child.relation.schema.rename(node.mapping))
-        for row, texp in child.relation.items():
-            self.stats.tuples_scanned += 1
-            renamed.insert(row, expires_at=texp)
-        self.stats.tuples_emitted += len(renamed)
-        return EvalResult(renamed, child.expiration, child.validity, self.tau)
+        tuples = dict(child.relation.items())
+        self.stats.tuples_scanned += len(tuples)
+        return self._adopt(
+            child.relation.schema.rename(node.mapping),
+            tuples,
+            child.expiration,
+            child.validity,
+        )
 
     # -- non-monotonic operators -----------------------------------------------------
 
@@ -551,26 +586,25 @@ class Evaluator:
         left = self.evaluate(node.left)
         right = self.evaluate(node.right)
         left.relation.schema.check_union_compatible(right.relation.schema)
-        result = Relation(left.relation.schema)
 
         # Equation (10) for the tuples; Equation (11) for texp(e); the exact
         # per-critical-tuple invalidity union for I(e) (each critical tuple t
         # makes the materialisation wrong on [texp_S(t), texp_R(t)) -- it
         # should re-appear when its S match expires and vanish again when it
         # expires in R itself).
+        tuples: Dict[Row, Timestamp] = {}
         reappear_bound = INFINITY
         invalid = IntervalSet.empty()
         for row, left_texp in left.relation.items():
-            self.stats.tuples_scanned += 1
             right_texp = right.relation.expiration_or_none(row)
             if right_texp is None:
-                result.insert(row, expires_at=left_texp)
-                self.stats.tuples_emitted += 1
+                tuples[row] = left_texp
             elif right_texp < left_texp:
                 # Table 2 case (3a): t should re-appear at texp_S(t).
                 if right_texp < reappear_bound:
                     reappear_bound = right_texp
                 invalid = invalid | IntervalSet.single(right_texp, left_texp)
+        self.stats.tuples_scanned += len(left.relation)
 
         expiration = ts_min((left.expiration, right.expiration, reappear_bound))
         validity = (
@@ -578,7 +612,7 @@ class Evaluator:
             & left.validity
             & right.validity
         )
-        return EvalResult(result, expiration, validity, self.tau)
+        return self._adopt(left.relation.schema, tuples, expiration, validity)
 
     def _eval_aggregate(self, node: Aggregate) -> EvalResult:
         child = self.evaluate(node.child)
@@ -593,12 +627,13 @@ class Evaluator:
         # grouping attributes (the only kind the paper permits).
         partitions: Dict[Tuple, List[Tuple[Row, Timestamp]]] = {}
         for row, texp in child.relation.items():
-            self.stats.tuples_scanned += 1
-            key = tuple(row[i] for i in group_indexes)
+            key = tuple([row[i] for i in group_indexes])
             partitions.setdefault(key, []).append((row, texp))
+        self.stats.tuples_scanned += len(child.relation)
         self.stats.partitions_built += len(partitions)
 
-        result = Relation(schema.extend(node.spec.default_output_name(schema)))
+        # A partition's rows, each extended by its value, are distinct.
+        tuples: Dict[Row, Timestamp] = {}
         expression_bound = child.expiration
         invalid = IntervalSet.empty()
 
@@ -608,25 +643,28 @@ class Evaluator:
                 for row, texp in members
             ]
             try:
+                # ``apply`` stays the oracle of the value the head reads.
                 value = function.apply([v for v, _ in items])
-                partition_expiration = strategy_expiration(
-                    items, function, self.tau, node.strategy
-                )
-                invalidation = partition_invalidation_time(
+                _, partition_expiration, invalidation, dies_at = strategy_head(
                     items, function, self.tau, node.strategy
                 )
             except TypeError:
                 raise mixed_type_error(function, items) from None
             if invalidation < expression_bound:
                 expression_bound = invalidation
-            for row, texp in members:
-                # Result tuples never outlive their own source row; combined
-                # with the max-of-duplicates projection rule this recovers
-                # exactly the strategy expiration at the group level.
-                tuple_expiration = texp if texp < partition_expiration else partition_expiration
-                result.insert(row + (value,), expires_at=tuple_expiration)
-                self.stats.tuples_emitted += 1
-            dies_at = ts_max(texp for _, texp in members)
+            try:
+                for row, texp in members:
+                    # Result tuples never outlive their own source row;
+                    # combined with the max-of-duplicates projection rule
+                    # this recovers exactly the strategy expiration at the
+                    # group level.
+                    tuples[row + (value,)] = (
+                        texp if texp < partition_expiration else partition_expiration
+                    )
+            except TypeError:
+                raise RelationError(
+                    f"tuple values must be hashable: {row + (value,)!r}"
+                ) from None
             if partition_expiration < dies_at:
                 # The recomputation keeps each row (with some aggregate
                 # value) until texp_R(r); the materialisation loses it at
@@ -635,9 +673,13 @@ class Evaluator:
                 invalid = invalid | IntervalSet.single(
                     partition_expiration, dies_at
                 )
-
         validity = (IntervalSet.from_onwards(self.tau) - invalid) & child.validity
-        return EvalResult(result, expression_bound, validity, self.tau)
+        return self._adopt(
+            schema.extend(node.spec.default_output_name(schema)),
+            tuples,
+            expression_bound,
+            validity,
+        )
 
 
 def evaluate(

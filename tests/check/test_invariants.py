@@ -167,3 +167,90 @@ class TestDebugMode:
         db.view("v_diff").read()
         assert db.verify() == []
         db.close()
+
+
+LAYOUTS = {
+    "row": {},
+    "columnar": {"layout": "columnar"},
+    "sharded": {"partitions": 3},
+}
+
+
+def layout_table(shape, policy=RemovalPolicy.EAGER):
+    """One table of ``shape``: six rows expiring at 10..15, one immortal."""
+    db = Database(default_removal_policy=policy)
+    table = db.create_table("T", ["k", "v"], **shape)
+    for key in range(6):
+        table.insert((key, 0), expires_at=10 + key)
+    table.insert((99, 1))
+    return db, table
+
+
+def owning_shard(table, row):
+    if table.partitions is None:
+        return table._shards[0]
+    return table._shards[hash(row[0]) % table.partitions]
+
+
+def found(db):
+    return [(v.invariant, v.subject, v.message) for v in db.verify(strict=False)]
+
+
+@pytest.mark.parametrize("shape", list(LAYOUTS.values()), ids=list(LAYOUTS))
+class TestCorruptionsOnEveryLayout:
+    """Every storage form the index checks read, with the exact wording."""
+
+    def test_missing_index_entry(self, shape):
+        db, table = layout_table(shape)
+        owning_shard(table, (0, 0)).index.discard((0, 0))
+        assert found(db) == [(
+            "index-schedules-stored", "T(0, 0)",
+            "stored row expires at 10 but has no index entry",
+        )]
+
+    def test_phantom_index_entry(self, shape):
+        db, table = layout_table(shape)
+        owning_shard(table, (77, 7)).index.put((77, 7), 30)
+        assert found(db) == [(
+            "index-entries-stored", "T(77, 7)",
+            "index entry at 30 refers to a row that is not physically "
+            "present (phantom ON-EXPIRE)",
+        )]
+
+    def test_index_tick_disagrees_with_storage(self, shape):
+        db, table = layout_table(shape)
+        owning_shard(table, (0, 0)).index.put((0, 0), 55)
+        assert found(db) == [
+            ("index-schedules-stored", "T(0, 0)",
+             "index schedules 55, stored expiration is 10"),
+            ("index-entries-stored", "T(0, 0)",
+             "index entry at 55, stored expiration is 10"),
+        ]
+
+    def test_index_entry_for_an_immortal_row(self, shape):
+        db, table = layout_table(shape)
+        owning_shard(table, (99, 1)).index.put((99, 1), 30)
+        assert found(db) == [(
+            "index-entries-stored", "T(99, 1)",
+            "index entry at 30, stored expiration is inf",
+        )]
+
+    def test_premature_due_buffer_entry(self, shape):
+        db, table = layout_table(shape, RemovalPolicy.LAZY)
+        owning_shard(table, (0, 0)).due.append(((0, 0), 500))
+        subject = "T(0, 0)" if table.partitions is None else "T[shard 0](0, 0)"
+        assert found(db) == [
+            ("due-buffer-consistent", subject,
+             "buffered entry at 500 is not due yet (now 0)"),
+            ("due-buffer-consistent", subject,
+             "stored expiration 10 precedes the buffered entry 500 "
+             "(max-merge only moves later)"),
+        ]
+
+    @pytest.mark.parametrize(
+        "policy", [RemovalPolicy.EAGER, RemovalPolicy.LAZY]
+    )
+    def test_clean_at_a_partial_expiry(self, shape, policy):
+        db, _ = layout_table(shape, policy)
+        db.advance_to(12)
+        assert found(db) == []
