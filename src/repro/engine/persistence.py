@@ -30,15 +30,14 @@ torn snapshot -- readers see either the old complete snapshot or the new
 complete snapshot.
 
 Not captured (they hold Python callables): triggers and
-incremental-view subscriptions -- re-register them after loading.  Values
-must be JSON-representable (int / float / str / bool / null), which is
-the attribute domain every workload in this repository uses.
+incremental-view subscriptions -- re-register them after loading.  Rows
+are written unchecked: the table admits only values that read back as
+themselves (:func:`repro.core.tuples.check_domain`).
 """
 
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -73,8 +72,6 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 2
-#: The values :mod:`repro.codec` writes (a ``Fraction`` as its tagged pair).
-_JSON_SCALARS = (int, float, str, bool, type(None), Fraction)
 #: Rows per segment: bounds what one damaged frame can take with it and
 #: what a reader holds decoded at once.
 _SEGMENT_ROWS = 1 << 16
@@ -87,12 +84,7 @@ Segment = Tuple[array, List[Any]]
 
 
 def _segments(table: Table) -> List[Segment]:
-    """``table``'s rows as snapshot segments, sorted by expiration time.
-
-    A value that would not load back as itself is refused, as the log
-    refuses it: a type outside :data:`_JSON_SCALARS`, or a NaN (unequal to
-    itself, so no lookup could ever find its row again).
-    """
+    """``table``'s rows as snapshot segments, sorted by expiration time."""
     pairs = sorted(
         ((stamp, row) for row, stamp in table.relation.items()),
         key=itemgetter(0),
@@ -101,17 +93,6 @@ def _segments(table: Table) -> List[Segment]:
     for start in range(0, len(pairs), _SEGMENT_ROWS):
         chunk = pairs[start:start + _SEGMENT_ROWS]
         columns = list(zip(*map(itemgetter(1), chunk)))
-        for column in columns:
-            kinds = set(map(type, column))
-            if not all(issubclass(kind, _JSON_SCALARS) for kind in kinds) or (
-                float in kinds and any(v != v for v in column)
-            ):
-                value = next(v for v in column
-                             if not isinstance(v, _JSON_SCALARS) or v != v)
-                raise EngineError(
-                    f"cannot snapshot non-JSON value {value!r} in "
-                    f"table {table.name!r}"
-                )
         segments.append((array("q", map(itemgetter(0), chunk)), columns))
     return segments
 
@@ -237,8 +218,8 @@ def save_database(db: Database, path: Union[str, Path]) -> None:
     """Write a snapshot to ``path`` atomically and durably.
 
     A crash at any point leaves either the previous snapshot or the new
-    one -- never a torn file (:func:`repro.codec.replace_file`); a value
-    that cannot be snapshotted raises before any byte is written.
+    one -- never a torn file (:func:`repro.codec.replace_file`); a frame
+    over the size bound raises before any byte is written.
     """
     data = database_to_dict(db)
     try:

@@ -44,9 +44,6 @@ ENGINE_COUNTERS: Dict[str, tuple] = {
     "expirations_processed": (
         "repro_expiration_processed_total",
         "Tuples whose expiration was processed (eager drain or vacuum)."),
-    "tuples_purged": (
-        "repro_expiration_tuples_purged_total",
-        "Tuples physically removed by expiration processing."),
     "purge_passes": (
         "repro_expiration_purge_passes_total",
         "Expiration sweeps that had at least one due tuple."),

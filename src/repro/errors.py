@@ -84,8 +84,8 @@ class WalError(EngineError):
     """Write-ahead-log misuse or an unrecoverable log condition.
 
     Torn tails are *not* errors (recovery truncates them with a warning);
-    this is for genuine misuse: appending to a closed log, a record the log
-    could not read back, a checkpoint without a log, or opening a fresh
+    this is for genuine misuse: appending to a closed log, a record it
+    cannot frame, a checkpoint without a log, or opening a fresh
     :class:`~repro.engine.database.Database` on a directory that needs
     recovery first.
     """

@@ -57,6 +57,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.core.algebra.expressions import BaseRef
 from repro.core.schema import Schema
+from repro.core.tuples import check_domain
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
 
@@ -382,9 +383,10 @@ class AuthzStore:
 
         The benchmark's seeding fast path: the table's trusted bulk
         load (one heapify per shard), bypassing per-row WAL/listener
-        work exactly like snapshot restore does.
+        work exactly like snapshot restore does -- but each row passes
+        ``check_domain`` before any is loaded.
         """
         now = self.database.clock.now
-        count = self.grants.bulk_load([(row, now + ttl) for row, ttl in rows])
+        count = self.grants.bulk_load([(check_domain(r), now + t) for r, t in rows])
         self.database.note_data_change()
         return count

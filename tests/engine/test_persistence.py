@@ -25,7 +25,7 @@ from repro.engine.persistence import (
 )
 from repro.engine.views import MaintenancePolicy
 from repro.engine.wal import scan_log
-from repro.errors import EngineError, RecoveryError
+from repro.errors import EngineError, RecoveryError, RelationError
 from repro.server.protocol import FrameDecoder, encode_frame
 
 
@@ -201,10 +201,16 @@ class TestIndexFactoryAndViewSettings:
 
 
 class TestValidation:
+    """A value outside the attribute domain is refused at the table's door,
+    so no snapshot ever meets one: the snapshot writes what is stored."""
+
     def test_non_json_values_rejected(self, figure1_db):
-        figure1_db.create_table("Weird", ["a"]).insert(((1, 2),))  # nested tuple
-        with pytest.raises(EngineError):
-            database_to_dict(figure1_db)
+        weird = figure1_db.create_table("Weird", ["a"])
+        with pytest.raises(RelationError, match="tuple"):
+            weird.insert(((1, 2),))  # nested tuple
+        assert len(weird.relation) == 0
+        restored = database_from_dict(database_to_dict(figure1_db))
+        assert len(restored.table("Weird").relation) == 0
 
     def test_unknown_format(self):
         with pytest.raises(EngineError):
@@ -212,44 +218,29 @@ class TestValidation:
 
     def test_a_rejected_value_leaves_the_old_snapshot(self, figure1_db, tmp_path):
         path = tmp_path / "snapshot.json"
+        weird = figure1_db.create_table("Weird", ["a"])
         save_database(figure1_db, path)
         before = path.read_bytes()
-        figure1_db.create_table("Weird", ["a"]).insert((b"bytes",))
-        with pytest.raises(EngineError, match="non-JSON value b'bytes'"):
-            save_database(figure1_db, path)
+        with pytest.raises(RelationError, match="b'bytes'"):
+            weird.insert((b"bytes",))
+        save_database(figure1_db, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
 
     def test_a_nan_is_refused_as_the_log_refuses_it(self, tmp_path):
-        # A NaN is unequal to itself: loaded back, its row could never be
-        # found again.  The log refuses one; so does the snapshot.
+        # A NaN is unequal to itself: stored, its row could never be found
+        # again.  The door refuses it with or without a log.
         path = tmp_path / "snapshot.json"
         db = Database()
         table = db.create_table("T", ["k", "v"])
         table.insert((0, 0.5), expires_at=50)
         save_database(db, path)
         before = path.read_bytes()
-        table.insert((1, float("nan")), expires_at=50)
-        with pytest.raises(EngineError, match="non-JSON value nan"):
-            save_database(db, path)
+        with pytest.raises(RelationError, match="nan"):
+            table.insert((1, float("nan")), expires_at=50)
+        save_database(db, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
-
-    def test_a_checkpoint_refusing_a_nan_leaves_snapshot_and_log(self, tmp_path):
-        db = Database(wal_dir=tmp_path)
-        table = db.create_table("T", ["k", "v"])
-        table.insert((0, 0.5), expires_at=50)
-        db.checkpoint()
-        table.insert((2, 2.5), expires_at=50)
-        # Through the one door that writes no log record.
-        table.bulk_load([((1, float("nan")), ts(50))])
-        db.wal.sync()
-        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        assert files["wal.log"]
-        with pytest.raises(EngineError, match="non-JSON value nan"):
-            db.checkpoint()
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
-        db.close()
 
 
 def _frame_boundaries(blob):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.timestamps import INFINITY, ts
 from repro.engine.database import Database
+from repro.engine.recovery import recover_database
 from repro.engine.transactions import TransactionState
 from repro.errors import RelationError, TransactionError
 
@@ -77,6 +78,46 @@ class TestAtomicity:
             txn.commit()
         assert (1, 5) in db.table("T").relation
         assert db.table("T").relation.expiration_of((1, 5)) == ts(10)
+
+
+class TestDomainRefusal:
+    """The table's door refuses a value outside the attribute domain at
+    commit, and the transaction rolls back what it had applied."""
+
+    @pytest.mark.parametrize("logged", [False, True], ids=["unlogged", "logged"])
+    @pytest.mark.parametrize(
+        "shape", [{}, {"layout": "columnar"}, {"partitions": 3}],
+        ids=["row", "columnar", "partitioned"],
+    )
+    def test_a_refused_value_rolls_the_first_op_back(self, tmp_path, shape, logged):
+        db = Database(wal_dir=tmp_path if logged else None)
+        table = db.create_table("T", ["k", "v"], **shape)
+        table.insert((0, "kept"), expires_at=20)
+        view = db.materialise("w", db.table_expr("T"))
+        heard = []
+        table.insert_listeners.append(
+            lambda _table, stored: heard.append(("insert", stored.row))
+        )
+        table.delete_listeners.append(
+            lambda _table, row: heard.append(("delete", row))
+        )
+        before = sorted(table.relation.items())
+        txn = db.transaction()
+        txn.insert("T", (1, "first"), expires_at=10)
+        txn.insert("T", (2, float("nan")), expires_at=10)
+        with pytest.raises(RelationError, match="nan"):
+            txn.commit()
+        assert txn.state is TransactionState.ABORTED
+        assert sorted(table.relation.items()) == before
+        assert table.next_expiration() == ts(20)  # no index entry at 10
+        assert sorted(view.read().rows()) == [(0, "kept")]
+        # The first op was applied and undone; nobody heard of the second.
+        assert heard == [("insert", (1, "first")), ("delete", (1, "first"))]
+        db.close()
+        if logged:
+            recovered = recover_database(tmp_path)
+            assert sorted(recovered.table("T").relation.items()) == before
+            recovered.close()
 
 
 class TestLifecycle:

@@ -21,7 +21,9 @@ from repro.engine.config import DatabaseConfig
 from repro.engine.expiration_index import RemovalPolicy
 from repro.errors import RemoteError, SessionError
 from repro.server.client import AsyncSession, NetworkSession, connect
-from repro.server.protocol import PROTOCOL_VERSION, FrameDecoder, encode_frame
+from repro.server.protocol import (
+    MAX_FRAME, PROTOCOL_VERSION, FrameDecoder, encode_frame,
+)
 from repro.server.server import ReproServer
 from tests.server.wire import CLIENTS, next_frame
 
@@ -213,17 +215,18 @@ class TestTcpRoundTrip:
         run(scenario())
 
     def test_a_reply_that_cannot_be_encoded_is_an_error_reply(self):
-        """A value JSON has no form for fails its own request only."""
+        """A reply over the frame bound fails its own request only."""
 
         async def scenario():
             server = ReproServer()
-            server.db.create_table("C", ["z"]).insert((complex(1, 2),))
+            big = "x" * (MAX_FRAME + (1 << 20))
+            server.db.create_table("C", ["z"]).insert((big,))
             server.db.create_table("K", ["k"]).insert((1,))
             session = await AsyncSession.over_loopback(server)
             with pytest.raises(RemoteError) as err:
                 await asyncio.wait_for(session.query("SELECT z FROM C"), 3)
             assert err.value.remote_type == "WireProtocolError"
-            assert "complex" in str(err.value)
+            assert "exceeds the frame bound" in str(err.value)
             result = await asyncio.wait_for(session.query("SELECT k FROM K"), 3)
             assert result.rows == [(1,)]
             await session.close()

@@ -15,7 +15,11 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.core.timestamps import Timestamp
+from repro.engine.database import Database
+from repro.errors import RelationError, RemoteError
 from repro.server.client import AsyncSession, connect
 from repro.server.server import ReproServer
 
@@ -130,3 +134,74 @@ def test_every_transport_gives_the_in_process_answer():
     assert len(expired[0]["items"]) == 11
     assert len(expired[1]["items"]) == 6  # the EXPIRES IN 1 rows are gone
     assert expired[2]["rows"] == [(("int", "6"), ("str", "'forever'"))]
+
+
+
+#: A decimal literal past the largest float: ``float()`` makes it ``inf``,
+#: which is outside the attribute domain.
+OVERFLOW = "INSERT INTO t VALUES (1, " + "9" * 400 + ".0)"
+SETUP = [
+    "CREATE TABLE t (k, v)",
+    "INSERT INTO t VALUES (0, 1.5)",
+    "CREATE MATERIALIZED VIEW w AS SELECT k, v FROM t",
+]
+
+
+def _state(db):
+    """Rows with their expirations, log records, the view's rows."""
+    return (
+        sorted(db.table("t").relation.items()),
+        db.wal.records(),
+        sorted(db.view("w").read().rows()),
+    )
+
+
+def test_a_literal_outside_the_domain_is_refused_on_every_transport(tmp_path):
+    """The refusal is the table door's ``RelationError`` everywhere, and
+    the statement leaves no row, log record or view change behind."""
+    with connect(tmp_path / "local") as session:
+        for text in SETUP:
+            session.execute(text)
+        before = _state(session.db)
+        with pytest.raises(RelationError, match="inf"):
+            session.execute(OVERFLOW)
+        assert _state(session.db) == before
+
+    async def scenario():
+        tcp = ReproServer(Database(wal_dir=tmp_path / "tcp"))
+        loopback = ReproServer(Database(wal_dir=tmp_path / "loopback"))
+        host, port = await tcp.start()
+        outcomes = []
+
+        def over_tcp():
+            with connect(f"repro://{host}:{port}", timeout=5) as session:
+                for text in SETUP:
+                    session.execute(text)
+                before = _state(tcp.db)
+                with pytest.raises(RemoteError) as err:
+                    session.execute(OVERFLOW)
+                outcomes.append((err.value, before, _state(tcp.db)))
+
+        try:
+            await asyncio.to_thread(over_tcp)
+            session = await AsyncSession.over_loopback(loopback)
+            for text in SETUP:
+                await session.execute(text)
+            before = _state(loopback.db)
+            with pytest.raises(RemoteError) as err:
+                await session.execute(OVERFLOW)
+            outcomes.append((err.value, before, _state(loopback.db)))
+            await session.close()
+        finally:
+            await tcp.stop()
+            await loopback.stop()
+            tcp.db.close()
+            loopback.db.close()
+        return outcomes
+
+    outcomes = asyncio.run(scenario())
+    assert len(outcomes) == 2
+    for error, before, after in outcomes:
+        assert error.remote_type == "RelationError"
+        assert "inf" in str(error)
+        assert after == before
