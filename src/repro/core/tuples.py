@@ -13,7 +13,8 @@ the infinities, tuples, ``complex``, ``bytes``, subclasses (an ``int``
 subclass comes back an ``int``) and, unchecked, an ``int`` past Python's
 int/str digit limit (the encoders raise ``ValueError``) are outside it;
 ``1 == 1.0 == True`` are one value.  :func:`check_domain` runs where a new
-value enters a table: ``Table.insert`` and ``Table.override``.
+value enters a table: ``Table.insert``, ``Table.insert_many`` and
+``Table.override``.
 """
 
 from __future__ import annotations

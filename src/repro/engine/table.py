@@ -116,6 +116,12 @@ class _Shard:
         self.label = label
 
 
+def _already_expired(stamp: Timestamp, now: Timestamp) -> RelationError:
+    return RelationError(
+        f"cannot insert an already-expired tuple: {stamp} <= now {now}"
+    )
+
+
 class Table:
     """A named base relation managed by the engine.
 
@@ -357,6 +363,44 @@ class Table:
         expiration (the model's max-merge rule), so re-insertion is the
         idiom for *renewing* a session, credential, or cached copy.
         """
+        stamp = self.expiration_for(expires_at, ttl)
+        if stamp.is_finite and stamp <= self.clock.now:
+            raise _already_expired(stamp, self.clock.now)
+        row = check_domain(make_row(values))
+        return self._apply(row, stamp, merge=True, inserted=True, counter="inserts")
+
+    def insert_many(self, pairs: Iterable[Tuple[Iterable[Any], TimeLike]]) -> int:
+        """Insert every ``(values, expires_at)`` pair, or none of them.
+
+        Each pair passes :meth:`insert`'s checks -- an expiration after
+        now, a hashable row of the table's arity, every value in the
+        domain -- before the first is stored, so a refused pair leaves no
+        earlier row stored, logged or shown to a view.  Then each row is
+        max-merged in as :meth:`insert` would.  An ``expires_at`` is used
+        as given (:meth:`expiration_for` turns a TTL into one).  Returns
+        the number of pairs.
+        """
+        now = self.clock.now
+        check_arity = self.relation._check_arity
+        admitted = []
+        for values, expires_at in pairs:
+            stamp = ts(expires_at)
+            if stamp.is_finite and stamp <= now:
+                raise _already_expired(stamp, now)
+            row = check_domain(make_row(values))
+            check_arity(row)
+            admitted.append((row, stamp))
+        apply = self._apply
+        for row, stamp in admitted:
+            apply(row, stamp, merge=True, inserted=True, counter="inserts")
+        return len(admitted)
+
+    def expiration_for(
+        self, expires_at: TimeLike = None, ttl: Optional[int] = None
+    ) -> Timestamp:
+        """The expiration :meth:`insert` stamps: ``expires_at``, ``now +
+        ttl``, or the :attr:`default_ttl` from now when both are omitted
+        (``∞`` without one)."""
         if expires_at is None and ttl is None:
             ttl = self.default_ttl
         if ttl is not None:
@@ -364,15 +408,8 @@ class Table:
                 raise EngineError("pass expires_at or ttl, not both")
             if ttl <= 0:
                 raise EngineError(f"ttl must be positive, got {ttl}")
-            stamp = self.clock.now + ttl
-        else:
-            stamp = ts(expires_at)
-        if stamp.is_finite and stamp <= self.clock.now:
-            raise RelationError(
-                f"cannot insert an already-expired tuple: {stamp} <= now {self.clock.now}"
-            )
-        row = check_domain(make_row(values))
-        return self._apply(row, stamp, merge=True, inserted=True, counter="inserts")
+            return self.clock.now + ttl
+        return ts(expires_at)
 
     def delete(self, values: Iterable[Any]) -> bool:
         """Explicit delete (the traditional path expiration times replace)."""

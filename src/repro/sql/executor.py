@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.core.algebra.compiler import compile_predicate
 from repro.core.algebra.expressions import Expression, Literal
 from repro.core.relation import Relation
 from repro.core.schema import Schema
@@ -181,8 +182,7 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
             expression = plan_query(statement.query, _source_resolver(db))
             evaluated = db.evaluate(expression)
             table = db.create_table(statement.name, evaluated.relation.schema)
-            for row, texp in evaluated.relation.items():
-                table.insert(row, expires_at=texp)
+            table.insert_many(evaluated.relation.items())
             return SqlResult(
                 kind="create_table",
                 message=(
@@ -215,35 +215,29 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
 
     if isinstance(statement, InsertStatement):
         table = db.table(statement.table)
+        relation = None
         if statement.query is not None:
             expression = plan_query(statement.query, _source_resolver(db))
-            evaluated = db.evaluate(expression)
-            if evaluated.relation.arity != table.schema.arity:
+            relation = db.evaluate(expression).relation
+            if relation.arity != table.schema.arity:
                 raise SqlPlanError(
                     f"INSERT ... SELECT arity mismatch: query yields "
-                    f"{evaluated.relation.arity} column(s), table "
+                    f"{relation.arity} column(s), table "
                     f"{statement.table!r} has {table.schema.arity}"
                 )
-            inserted = 0
-            for row, texp in evaluated.relation.items():
-                if statement.expires_at is not None or statement.ttl is not None:
-                    table.insert(row, expires_at=statement.expires_at,
-                                 ttl=statement.ttl)
-                else:
-                    # Carry the query's derived expiration times along.
-                    table.insert(row, expires_at=texp)
-                inserted += 1
-            return SqlResult(
-                kind="insert",
-                message=f"{inserted} row(s) inserted into {statement.table}",
-                rowcount=inserted,
-            )
-        for row in statement.rows:
-            table.insert(row, expires_at=statement.expires_at, ttl=statement.ttl)
+        if relation is not None and statement.expires_at is None and statement.ttl is None:
+            # Carry the query's derived expiration times along.
+            pairs = relation.items()
+        else:
+            stamp = table.expiration_for(statement.expires_at, statement.ttl)
+            rows = statement.rows if relation is None else relation.rows()
+            pairs = [(row, stamp) for row in rows]
+        # The whole statement passes the table's door before a row is stored.
+        inserted = table.insert_many(pairs)
         return SqlResult(
             kind="insert",
-            message=f"{len(statement.rows)} row(s) inserted into {statement.table}",
-            rowcount=len(statement.rows),
+            message=f"{inserted} row(s) inserted into {statement.table}",
+            rowcount=inserted,
         )
 
     if isinstance(statement, DeleteStatement):
@@ -395,16 +389,19 @@ def _describe(db: Database, name: str) -> SqlResult:
 
 def _victims(db: Database, statement) -> list:
     """The live rows of a DELETE's, RENEW's or UPDATE's table that its
-    ``WHERE`` selects (all of them without one)."""
+    ``WHERE`` selects (all of them without one), in stored order."""
     table = db.table(statement.table)
+    now = table.clock.now
     if statement.where is None:
-        return list(table.read().rows())
+        return [row for row, texp in table.relation.items() if now < texp]
     # Plan the predicate against the table's schema in a one-source
     # environment, as a SELECT's WHERE would be.
     env = _Environment()
     env.add(statement.table, table.schema)
-    predicate = _plan_condition(statement.where, env)
-    return [row for row in table.read().rows() if predicate.matches(row)]
+    matches = compile_predicate(_plan_condition(statement.where, env), table.schema)
+    return [
+        row for row, texp in table.relation.items() if now < texp and matches(row)
+    ]
 
 
 def _prepare(db: Database, text: str) -> List[Tuple[Statement, Optional[Expression]]]:

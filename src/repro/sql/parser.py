@@ -4,10 +4,15 @@ See :mod:`repro.sql.ast` for the grammar.  The parser is strict about the
 supported dialect and raises :class:`~repro.errors.SqlParseError` with the
 offending token position; deliberately unsupported features (outer joins,
 NULLs) raise :class:`~repro.errors.UnsupportedSqlError`.
+
+:func:`parse_statements` first tries one anchored match for the served
+write path's statement, an upper-case ``INSERT .. VALUES`` of integer
+literals (:func:`_scan_insert`); every other text is lexed and parsed.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Tuple, Union
 
 from repro.errors import SqlParseError, UnsupportedSqlError
@@ -45,7 +50,7 @@ from repro.sql.ast import (
     VacuumStatement,
 )
 from repro.sql.lexer import tokenize
-from repro.sql.tokens import Token, TokenType
+from repro.sql.tokens import KEYWORDS, Token, TokenType
 
 __all__ = ["parse_sql", "parse_statements"]
 
@@ -546,8 +551,49 @@ _STATEMENTS = {
 }
 
 
+#: One value row of the scan: integer literals only.
+_INT_ROW = r"\( *[0-9]+(?: *, *[0-9]+)* *\)"
+#: ``INSERT INTO t VALUES (int, ..), .. [EXPIRES IN|AT int]``, keywords in
+#: upper case and blanks that are spaces.  ``[0-9]`` and ``\Z``, not ``\d``
+#: and ``$``: a Unicode digit or a trailing newline is for the lexer.
+_INSERT_INTS = re.compile(
+    r" *INSERT +INTO +([A-Za-z_][A-Za-z0-9_]*) +VALUES *"
+    rf"({_INT_ROW}(?: *, *{_INT_ROW})*)"
+    r"(?: *EXPIRES +(IN|AT) +([0-9]+))? *\Z"
+).match
+_ROW_BODIES = re.compile(r"\(([^)]*)\)").findall
+
+
+def _scan_insert(text: str) -> Optional[InsertStatement]:
+    """The statement of an ``INSERT .. VALUES`` of integer literals, read
+    by one anchored match, or ``None``: lex and parse ``text``.
+
+    The served write path's statement, every text distinct, at a fifth of
+    the general path's cost.  What the match takes, the lexer and parser
+    would read as the same :class:`InsertStatement` (a table name that is
+    a keyword is theirs to refuse); ``int`` converts the literals in text
+    order, as the lexer does, so an int past Python's digit limit raises
+    the same ``ValueError``.
+    """
+    match = _INSERT_INTS(text)
+    if match is None:
+        return None
+    table, rows, unit, number = match.groups()
+    if table.upper() in KEYWORDS:
+        return None
+    rows = tuple([tuple(map(int, body.split(","))) for body in _ROW_BODIES(rows)])
+    if unit is None:
+        return InsertStatement(table=table, rows=rows)
+    if unit == "IN":
+        return InsertStatement(table=table, rows=rows, ttl=int(number))
+    return InsertStatement(table=table, rows=rows, expires_at=int(number))
+
+
 def parse_statements(text: str) -> List[Statement]:
     """Parse a ``;``-separated script into statements."""
+    insert = _scan_insert(text)
+    if insert is not None:
+        return [insert]
     return parse_tokens(tokenize(text))
 
 

@@ -156,40 +156,40 @@ def _state(db):
     )
 
 
-def test_a_literal_outside_the_domain_is_refused_on_every_transport(tmp_path):
-    """The refusal is the table door's ``RelationError`` everywhere, and
-    the statement leaves no row, log record or view change behind."""
+def _refusals(tmp_path, text):
+    """``text`` after :data:`SETUP` in process, over TCP and over a
+    loopback transport: ``(error, state before, state after)`` each."""
+    outcomes = []
     with connect(tmp_path / "local") as session:
-        for text in SETUP:
-            session.execute(text)
+        for setup in SETUP:
+            session.execute(setup)
         before = _state(session.db)
-        with pytest.raises(RelationError, match="inf"):
-            session.execute(OVERFLOW)
-        assert _state(session.db) == before
+        with pytest.raises(RelationError) as err:
+            session.execute(text)
+        outcomes.append((err.value, before, _state(session.db)))
 
     async def scenario():
         tcp = ReproServer(Database(wal_dir=tmp_path / "tcp"))
         loopback = ReproServer(Database(wal_dir=tmp_path / "loopback"))
         host, port = await tcp.start()
-        outcomes = []
 
         def over_tcp():
             with connect(f"repro://{host}:{port}", timeout=5) as session:
-                for text in SETUP:
-                    session.execute(text)
+                for setup in SETUP:
+                    session.execute(setup)
                 before = _state(tcp.db)
                 with pytest.raises(RemoteError) as err:
-                    session.execute(OVERFLOW)
+                    session.execute(text)
                 outcomes.append((err.value, before, _state(tcp.db)))
 
         try:
             await asyncio.to_thread(over_tcp)
             session = await AsyncSession.over_loopback(loopback)
-            for text in SETUP:
-                await session.execute(text)
+            for setup in SETUP:
+                await session.execute(setup)
             before = _state(loopback.db)
             with pytest.raises(RemoteError) as err:
-                await session.execute(OVERFLOW)
+                await session.execute(text)
             outcomes.append((err.value, before, _state(loopback.db)))
             await session.close()
         finally:
@@ -197,11 +197,37 @@ def test_a_literal_outside_the_domain_is_refused_on_every_transport(tmp_path):
             await loopback.stop()
             tcp.db.close()
             loopback.db.close()
-        return outcomes
 
-    outcomes = asyncio.run(scenario())
+    asyncio.run(scenario())
+    return outcomes
+
+
+def test_a_literal_outside_the_domain_is_refused_on_every_transport(tmp_path):
+    """The refusal is the table door's ``RelationError`` everywhere, and
+    the statement leaves no row, log record or view change behind."""
+    (local, before, after), *outcomes = _refusals(tmp_path, OVERFLOW)
+    assert "inf" in str(local)
+    assert after == before
     assert len(outcomes) == 2
     for error, before, after in outcomes:
         assert error.remote_type == "RelationError"
         assert "inf" in str(error)
+        assert after == before
+
+
+@pytest.mark.parametrize("text, message", [
+    ("INSERT INTO t VALUES (3, 4), (5) EXPIRES AT 10", "arity mismatch"),
+    ("INSERT INTO t VALUES (3, 4), (5, " + "9" * 400 + ".0)", "inf"),
+], ids=["arity", "domain"])
+def test_a_refused_second_row_stores_neither_on_every_transport(
+    tmp_path, text, message
+):
+    """A statement is refused whole: the first row, which alone would be
+    stored, leaves no row, log record or view change either."""
+    outcomes = _refusals(tmp_path, text)
+    assert len(outcomes) == 3
+    for index, (error, before, after) in enumerate(outcomes):
+        if index:
+            assert error.remote_type == "RelationError"
+        assert message in str(error)
         assert after == before
